@@ -19,105 +19,171 @@ use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
 use slacksim_core::time::Cycle;
 use slacksim_core::violation::TimestampMonitor;
 
-/// Reserved-slot calendar for one bus, with each reservation occupying
-/// `occupancy` consecutive cycles.
+/// Reserved-slot calendar for one bus or bank port, with each reservation
+/// occupying `occupancy` consecutive cycles.
+///
+/// Reservation *starts* are one bit each in a fixed ring of 64-cycle words
+/// that slides with the newest reservation (`horizon`): the ring covers
+/// the cycles from [`SlotCalendar::base`] up to `horizon`, which is always
+/// at least [`PRUNE_WINDOW`] cycles of history. Starts rather than
+/// occupied cycles, because the durable form is the list of starts and
+/// abutting reservations would otherwise lose their boundaries when the
+/// window's trailing edge cuts through one. `reserve` costs a few word
+/// loads whatever the traffic density, never allocates, and the calendar's
+/// footprint is fixed at construction — a clone is one 4 KiB copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SlotCalendar {
     pub(crate) occupancy: u64,
-    /// Reservation starts, ascending and duplicate-free. Arrivals are
-    /// near-monotone, so inserts land at (or within a few elements of) the
-    /// tail — a sorted `Vec` beats a `BTreeSet` on both the binary-searched
-    /// conflict probe and the insert, with no per-node allocation.
-    reserved: Vec<u64>,
+    /// Bit `t % 64` of word `(t / 64) % RING_WORDS` is set iff a
+    /// reservation starts at cycle `t`, for `t` in `base()..=horizon`;
+    /// every other bit is zero, so equal calendars compare equal.
+    starts: Box<[u64; RING_WORDS]>,
+    /// The newest reservation start (0 while empty).
     horizon: u64,
 }
 
 /// Reservations further than this many cycles in the past of the newest
-/// reservation are pruned; any request that old would be a (already
+/// reservation are forgotten; any request that old would be a (already
 /// counted) violating straggler and may treat those slots as free.
 const PRUNE_WINDOW: u64 = 1 << 14;
+
+/// Ring length in words: the power of two that holds `PRUNE_WINDOW` cycles
+/// of history plus the word the horizon sits in.
+const RING_WORDS: usize = 2 * PRUNE_WINDOW as usize / 64;
+
+/// Ring position of the word holding cycle `64 * word ..`.
+#[inline]
+fn ring_index(word: u64) -> usize {
+    word as usize & (RING_WORDS - 1)
+}
 
 impl SlotCalendar {
     pub(crate) fn new(occupancy: u64) -> Self {
         assert!(occupancy >= 1, "bus occupancy must be at least 1");
         SlotCalendar {
             occupancy,
-            reserved: Vec::new(),
+            starts: Box::new([0; RING_WORDS]),
             horizon: 0,
         }
     }
 
+    /// First cycle the window remembers: a function of `horizon` alone
+    /// (word-aligned), so a calendar rebuilt from its durable form is
+    /// bit-identical to the live one.
+    #[inline]
+    fn base(&self) -> u64 {
+        self.horizon.saturating_sub(PRUNE_WINDOW) & !63
+    }
+
     /// Reserves and returns the first slot start `>= from` whose
-    /// `occupancy` cycles are all free.
+    /// `occupancy` cycles are all free. A straggler older than the window
+    /// finds its slot free and is not recorded.
     pub(crate) fn reserve(&mut self, from: u64) -> u64 {
         let c = self.occupancy;
-        // Past-the-horizon fast path: every existing reservation starts at
-        // or below `horizon`, so a request at `horizon + c` or later can
-        // never overlap one — its slot is free by construction. Requests
-        // arrive in near-monotone timestamp order on every engine's
-        // servicing path, so this branch takes the tree walk off the hot
-        // path entirely for uncontended traffic.
-        if from >= self.horizon + c || self.reserved.is_empty() {
-            // Strictly past every existing start, so pushing keeps the Vec
-            // sorted.
-            self.reserved.push(from);
-            self.horizon = self.horizon.max(from);
-            self.maybe_prune();
+        let base = self.base();
+        if from < base {
             return from;
         }
         let mut slot = from;
-        let mut end = self.reserved.partition_point(|&r| r < slot + c);
-        loop {
-            // Any reservation r with r + c > slot and r < slot + c overlaps;
-            // the latest such r (if any) sits just before `end`.
-            match self.reserved[..end].last().copied() {
-                Some(r) if r + c > slot => {
-                    slot = r + c;
-                    end += self.reserved[end..].partition_point(|&r| r < slot + c);
-                }
-                _ => break,
+        // Every start is at or below `horizon`, so a slot at `horizon + c`
+        // or later is free by construction — the case for uncontended,
+        // near-monotone traffic.
+        while slot < self.horizon + c {
+            // A start r overlaps `slot..slot + c` iff slot - c < r < slot + c;
+            // reservations never overlap each other, so only the latest
+            // such start can push the slot.
+            let lo = (slot + 1).saturating_sub(c).max(base);
+            let hi = (slot + c - 1).min(self.horizon);
+            match self.last_start_in(lo, hi) {
+                Some(r) => slot = r + c,
+                None => break,
             }
         }
-        self.reserved.insert(end, slot);
-        self.horizon = self.horizon.max(slot);
-        self.maybe_prune();
+        if slot > self.horizon {
+            self.slide_to(slot);
+        }
+        self.starts[ring_index(slot >> 6)] |= 1 << (slot & 63);
         slot
     }
 
-    /// Drops reservations far enough behind the horizon that no future
-    /// request can legitimately land among them (see [`PRUNE_WINDOW`]).
+    /// The latest reservation start in `lo..=hi`, scanning words downward.
+    /// Requires `base() <= lo <= hi <= horizon`.
     #[inline]
-    fn maybe_prune(&mut self) {
-        if self.reserved.len() > 4096 {
-            let cutoff = self.horizon.saturating_sub(PRUNE_WINDOW);
-            let keep_from = self.reserved.partition_point(|&r| r < cutoff);
-            self.reserved.drain(..keep_from);
+    fn last_start_in(&self, lo: u64, hi: u64) -> Option<u64> {
+        let lo_word = lo >> 6;
+        let mut word = hi >> 6;
+        let mut bits = self.starts[ring_index(word)] & (u64::MAX >> (63 - (hi & 63)));
+        loop {
+            if word == lo_word {
+                bits &= u64::MAX << (lo & 63);
+            }
+            if bits != 0 {
+                return Some((word << 6) + 63 - u64::from(bits.leading_zeros()));
+            }
+            if word == lo_word {
+                return None;
+            }
+            word -= 1;
+            bits = self.starts[ring_index(word)];
         }
     }
 
-    /// Serializes the calendar (occupancy is configuration, not stored).
+    /// Moves the horizon forward to `slot`, zeroing the words that fall
+    /// behind the window so the ring positions they vacate read as free
+    /// when the leading edge reuses them.
+    #[inline]
+    fn slide_to(&mut self, slot: u64) {
+        let old = self.base() >> 6;
+        self.horizon = slot;
+        let new = self.base() >> 6;
+        for word in old..new.min(old + RING_WORDS as u64) {
+            self.starts[ring_index(word)] = 0;
+        }
+    }
+
+    /// Serializes the calendar as `horizon`, count, ascending starts
+    /// (occupancy is configuration, not stored).
     pub(crate) fn save_state(&self, w: &mut ByteWriter) {
         w.u64(self.horizon);
-        w.u32(self.reserved.len() as u32);
-        for &slot in &self.reserved {
-            w.u64(slot);
+        w.u32(self.starts.iter().map(|bits| bits.count_ones()).sum());
+        for word in self.base() >> 6..=self.horizon >> 6 {
+            let mut bits = self.starts[ring_index(word)];
+            while bits != 0 {
+                w.u64((word << 6) + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
         }
     }
 
+    /// Restores a calendar written by [`SlotCalendar::save_state`] (by this
+    /// or the sorted-`Vec` implementation it replaced). Starts older than
+    /// the window are accepted and dropped; bytes that could double-book a
+    /// slot are rejected, and `self` is left untouched on any error.
     pub(crate) fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        let horizon = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut reserved = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            reserved.push(r.u64()?);
+        let mut loaded = SlotCalendar::new(self.occupancy);
+        loaded.horizon = r.u64()?;
+        let base = loaded.base();
+        let mut next_free = 0;
+        let mut newest = 0;
+        for _ in 0..r.u32()? {
+            let start = r.u64()?;
+            if start < next_free {
+                return Err(PersistError::Corrupt(
+                    "calendar reservations overlap or are out of order",
+                ));
+            }
+            next_free = start.saturating_add(self.occupancy);
+            newest = start;
+            if start >= base {
+                loaded.starts[ring_index(start >> 6)] |= 1 << (start & 63);
+            }
         }
-        reserved.sort_unstable();
-        reserved.dedup();
-        if reserved.len() != n {
-            return Err(PersistError::Corrupt("duplicate bus reservation slot"));
+        if newest != loaded.horizon {
+            return Err(PersistError::Corrupt(
+                "calendar horizon is not its newest reservation",
+            ));
         }
-        self.horizon = horizon;
-        self.reserved = reserved;
+        *self = loaded;
         Ok(())
     }
 }
@@ -342,6 +408,7 @@ impl Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slacksim_core::rng::Xoshiro256;
 
     fn ts(t: u64) -> Cycle {
         Cycle::new(t)
@@ -453,6 +520,23 @@ mod tests {
     }
 
     #[test]
+    fn straggler_older_than_the_window_finds_its_slot_free() {
+        let mut cal = SlotCalendar::new(4);
+        assert_eq!(cal.reserve(100), 100);
+        let far = 100 + 3 * PRUNE_WINDOW;
+        assert_eq!(cal.reserve(far), far);
+        // 100 slid out of the window: the straggler is granted as asked,
+        // twice over, and leaves no trace.
+        let before = cal.clone();
+        assert_eq!(cal.reserve(101), 101);
+        assert_eq!(cal.reserve(101), 101);
+        assert_eq!(cal, before);
+        // Inside the window the calendar still remembers.
+        assert_eq!(cal.reserve(far - PRUNE_WINDOW), far - PRUNE_WINDOW);
+        assert_eq!(cal.reserve(far - PRUNE_WINDOW), far - PRUNE_WINDOW + 4);
+    }
+
+    #[test]
     #[should_panic(expected = "bus occupancy must be at least 1")]
     fn zero_occupancy_rejected() {
         let _ = Bus::new(0, 1);
@@ -504,5 +588,268 @@ mod tests {
         live.restore_from(&cp, cp_gen);
         assert_eq!(live, cp, "restore rewinds to the checkpoint");
         assert!(live.generation() > cp_gen, "generation is not rewound");
+    }
+
+    /// The sorted-`Vec` calendar this module used before the ring — kept
+    /// as the reference model the ring is checked against, and as the
+    /// writer of the byte format parent-commit snapshots hold.
+    #[derive(Clone)]
+    struct RefCalendar {
+        occupancy: u64,
+        reserved: Vec<u64>,
+        horizon: u64,
+    }
+
+    impl RefCalendar {
+        fn new(occupancy: u64) -> Self {
+            RefCalendar {
+                occupancy,
+                reserved: Vec::new(),
+                horizon: 0,
+            }
+        }
+
+        fn reserve(&mut self, from: u64) -> u64 {
+            let c = self.occupancy;
+            if from >= self.horizon + c || self.reserved.is_empty() {
+                self.reserved.push(from);
+                self.horizon = self.horizon.max(from);
+                self.maybe_prune();
+                return from;
+            }
+            let mut slot = from;
+            let mut end = self.reserved.partition_point(|&r| r < slot + c);
+            while let Some(r) = self.reserved[..end].last().copied() {
+                if r + c <= slot {
+                    break;
+                }
+                slot = r + c;
+                end += self.reserved[end..].partition_point(|&r| r < slot + c);
+            }
+            self.reserved.insert(end, slot);
+            self.horizon = self.horizon.max(slot);
+            self.maybe_prune();
+            slot
+        }
+
+        fn maybe_prune(&mut self) {
+            if self.reserved.len() > 4096 {
+                let cutoff = self.horizon.saturating_sub(PRUNE_WINDOW);
+                let keep_from = self.reserved.partition_point(|&r| r < cutoff);
+                self.reserved.drain(..keep_from);
+            }
+        }
+
+        fn save_state(&self, w: &mut ByteWriter) {
+            w.u64(self.horizon);
+            w.u32(self.reserved.len() as u32);
+            for &slot in &self.reserved {
+                w.u64(slot);
+            }
+        }
+
+        fn load_state(&mut self, r: &mut ByteReader<'_>) {
+            self.horizon = r.u64().unwrap();
+            let n = r.u32().unwrap();
+            self.reserved = (0..n).map(|_| r.u64().unwrap()).collect();
+        }
+    }
+
+    /// A live [`Bus`] beside reference calendars for its two buses.
+    struct Pair {
+        bus: Bus,
+        req: RefCalendar,
+        resp: RefCalendar,
+        /// Newest slot start on either bus: stragglers are drawn relative
+        /// to it so they stay inside both windows.
+        top: u64,
+    }
+
+    impl Pair {
+        fn new(c: u64) -> Self {
+            Pair {
+                bus: Bus::new(c, c),
+                req: RefCalendar::new(c),
+                resp: RefCalendar::new(c),
+                top: 0,
+            }
+        }
+
+        /// One transaction: arbitrate at `t`, respond `latency` after the
+        /// grant. Every grant must equal the reference's.
+        fn step(&mut self, t: u64, latency: u64) {
+            // What the window guarantees to remember; older stragglers are
+            // outside the contract (and tested on their own above).
+            let t = t.max(self.top.saturating_sub(PRUNE_WINDOW - self.req.occupancy));
+            let grant = self.bus.arbitrate(ts(t)).grant.as_u64();
+            assert_eq!(grant, self.req.reserve(t), "request grant at {t}");
+            let ready = grant + latency;
+            let slot = self.resp.reserve(ready);
+            let done = self.bus.respond(ts(ready)).as_u64();
+            assert_eq!(done, slot + self.resp.occupancy, "response at {ready}");
+            self.top = self.top.max(slot);
+        }
+
+        /// Seeded traffic: near-monotone arrivals, same-cycle bursts,
+        /// stragglers (near the horizon and as deep as the window
+        /// guarantees) and far-future jumps that slide the whole window.
+        fn drive(&mut self, rng: &mut Xoshiro256, now: &mut u64, steps: usize) {
+            let c = self.req.occupancy;
+            for _ in 0..steps {
+                let latency = if rng.chance(1, 4) { 100 } else { 8 };
+                match rng.next_below(1000) {
+                    0..=1 => {
+                        *now = self.top + rng.next_range(PRUNE_WINDOW / 2, 5 * PRUNE_WINDOW);
+                        self.step(*now, latency);
+                    }
+                    2..=150 => {
+                        for _ in 0..rng.next_range(2, 12) {
+                            self.step(*now, latency);
+                        }
+                    }
+                    151..=300 => {
+                        let depth = if rng.chance(1, 2) {
+                            64
+                        } else {
+                            PRUNE_WINDOW - c
+                        };
+                        self.step(self.top.saturating_sub(rng.next_below(depth)), latency);
+                    }
+                    _ => {
+                        // ~70 % utilisation, so grants stay near `now`.
+                        *now += rng.next_below(8 * c + 1);
+                        self.step(*now, latency);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_calendar_matches_the_sorted_vec_reference() {
+        for c in [1u64, 4, 7] {
+            for seed in 1..=3u64 {
+                let mut rng = Xoshiro256::new(seed * 31 + c);
+                let mut pair = Pair::new(c);
+                let mut now = 0;
+                pair.drive(&mut rng, &mut now, 20_000);
+
+                // Persist in the middle. The ring's own bytes round-trip
+                // bit-identically...
+                let mut w = ByteWriter::new();
+                pair.bus.save_state(&mut w);
+                let ring_bytes = w.into_bytes();
+                let mut reloaded = Bus::new(c, c);
+                let mut r = ByteReader::new(&ring_bytes);
+                reloaded.load_state(&mut r).expect("own bytes load");
+                r.finish().expect("no trailing bytes");
+                assert_eq!(reloaded, pair.bus);
+                let mut w = ByteWriter::new();
+                reloaded.save_state(&mut w);
+                assert_eq!(w.into_bytes(), ring_bytes);
+                // ...and each side continues from the *other's* bytes: the
+                // ring from what the parent commit's writer produced
+                // (unpruned old starts included), the reference from the
+                // ring's.
+                let mut w = ByteWriter::new();
+                pair.req.save_state(&mut w);
+                pair.resp.save_state(&mut w);
+                let mut ref_bytes = w.into_bytes();
+                let mut r = ByteReader::new(&ring_bytes);
+                pair.req.load_state(&mut r);
+                pair.resp.load_state(&mut r);
+                // Monitor high-water mark and counters follow the calendars.
+                ref_bytes.extend_from_slice(&ring_bytes[ring_bytes.len() - r.remaining()..]);
+                pair.bus = Bus::new(c, c);
+                pair.bus
+                    .load_state(&mut ByteReader::new(&ref_bytes))
+                    .expect("parent-format bytes load");
+                pair.drive(&mut rng, &mut now, 20_000);
+
+                // Checkpoint, diverge, roll back: clone + restore_from.
+                let cp = pair.bus.clone();
+                let cp_gen = pair.bus.generation();
+                let (cp_req, cp_resp, cp_top) = (pair.req.clone(), pair.resp.clone(), pair.top);
+                let (mut spec_rng, mut spec_now) = (rng.clone(), now);
+                pair.drive(&mut spec_rng, &mut spec_now, 2_000);
+                pair.bus.restore_from(&cp, cp_gen);
+                assert_eq!(pair.bus, cp);
+                (pair.req, pair.resp, pair.top) = (cp_req, cp_resp, cp_top);
+                pair.drive(&mut rng, &mut now, 20_000);
+            }
+        }
+    }
+
+    /// Bus bytes with hand-written calendars and a zero trailer.
+    fn bus_bytes(req: (u64, &[u64]), resp: (u64, &[u64])) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for (horizon, starts) in [req, resp] {
+            w.u64(horizon);
+            w.u32(starts.len() as u32);
+            for &s in starts {
+                w.u64(s);
+            }
+        }
+        for _ in 0..5 {
+            w.u64(0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn hostile_calendar_bytes_are_rejected_and_leave_the_calendar_untouched() {
+        let mut live = Bus::new(2, 1);
+        live.arbitrate(ts(5));
+        live.respond(ts(40));
+        let before = live.clone();
+        let corrupt = |bytes: &[u8]| {
+            let mut bus = live.clone();
+            let err = bus.request.load_state(&mut ByteReader::new(bytes));
+            assert_eq!(bus, before, "a failed load must not change state");
+            err
+        };
+
+        let good = bus_bytes((9, &[3, 5, 9]), (0, &[]));
+        assert!(live.clone().load_state(&mut ByteReader::new(&good)).is_ok());
+        for cut in 0..good.len() {
+            let mut bus = live.clone();
+            let err = bus.load_state(&mut ByteReader::new(&good[..cut]));
+            assert!(matches!(err, Err(PersistError::Truncated)), "cut at {cut}");
+        }
+        // Starts closer together than the occupancy (2), duplicated, or
+        // out of order would double-book cycles.
+        for starts in [&[3u64, 4, 9][..], &[3, 3, 9], &[5, 3, 9]] {
+            assert!(matches!(
+                corrupt(&bus_bytes((9, starts), (0, &[]))),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+        // A horizon below (or unrelated to) the newest start would let the
+        // past-the-horizon path grant an occupied slot.
+        for horizon in [0u64, 8, 10] {
+            assert!(matches!(
+                corrupt(&bus_bytes((horizon, &[3, 5, 9]), (0, &[]))),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+        assert!(matches!(
+            corrupt(&bus_bytes((7, &[]), (0, &[]))),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn starts_older_than_the_window_are_accepted_and_dropped() {
+        let horizon = 10 * PRUNE_WINDOW;
+        let bytes = bus_bytes((horizon, &[10, horizon - 6, horizon]), (0, &[]));
+        let mut bus = Bus::new(2, 1);
+        bus.load_state(&mut ByteReader::new(&bytes)).expect("loads");
+        let mut w = ByteWriter::new();
+        bus.save_state(&mut w);
+        assert_eq!(
+            w.into_bytes(),
+            bus_bytes((horizon, &[horizon - 6, horizon]), (0, &[]))
+        );
+        assert_eq!(bus.arbitrate(ts(horizon - 7)).grant, ts(horizon - 4));
     }
 }

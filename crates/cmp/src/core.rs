@@ -41,6 +41,51 @@ struct WinEntry {
     done_at: Option<Cycle>,
 }
 
+/// Window entries waiting on one miss, in issue order. The first
+/// [`Waiters::INLINE`] ids live in the MSHR itself — as many as the
+/// paper's workloads ever coalesce onto one line — so the request path
+/// allocates nothing; a longer list (at most `cfg.window` entries, each
+/// waiter being a distinct in-flight instruction) spills to the heap.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Waiters {
+    /// Ids held in `inline`; slots past it stay zero, so derived equality
+    /// is equality of the lists.
+    inline_len: u8,
+    inline: [u64; Waiters::INLINE],
+    spill: Vec<u64>,
+}
+
+impl Waiters {
+    const INLINE: usize = 4;
+
+    fn push(&mut self, id: u64) {
+        match self.inline.get_mut(usize::from(self.inline_len)) {
+            Some(slot) => {
+                *slot = id;
+                self.inline_len += 1;
+            }
+            None => self.spill.push(id),
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.inline_len) + self.spill.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let inline = &self.inline[..usize::from(self.inline_len)];
+        inline.iter().chain(&self.spill).copied()
+    }
+}
+
+impl FromIterator<u64> for Waiters {
+    fn from_iter<I: IntoIterator<Item = u64>>(ids: I) -> Self {
+        let mut waiters = Waiters::default();
+        ids.into_iter().for_each(|id| waiters.push(id));
+        waiters
+    }
+}
+
 /// One outstanding L1 miss.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Mshr {
@@ -48,7 +93,7 @@ struct Mshr {
     line: LineAddr,
     op: BusOp,
     ifetch: bool,
-    waiters: Vec<u64>,
+    waiters: Waiters,
 }
 
 /// The hot per-core scalars: the state the quantum-compiled stepping loop
@@ -195,6 +240,11 @@ pub struct CmpCore {
     /// recorded by the last `capture_delta` (see
     /// [`CmpUncore`](crate::uncore::CmpUncore) for the token scheme).
     cp_baseline: Option<(u64, (u64, u64))>,
+
+    /// Scratch for the events one cycle emits, kept for its capacity so an
+    /// emitting cycle allocates nothing. Always empty between calls: not
+    /// model state, so clones, deltas and snapshots ignore it.
+    outbox: Vec<MemEvent>,
 }
 
 /// Everything in a [`CmpCore`] other than the L1 caches: the pipeline and
@@ -297,6 +347,7 @@ impl CmpCore {
             stall_sync: 0,
             stall_fetch: 0,
             cp_baseline: None,
+            outbox: Vec::new(),
         }
     }
 
@@ -415,7 +466,7 @@ impl CmpCore {
             w.u8(mshr.op.persist_tag());
             w.bool(mshr.ifetch);
             w.u32(mshr.waiters.len() as u32);
-            for &waiter in &mshr.waiters {
+            for waiter in mshr.waiters.iter() {
                 w.u64(waiter);
             }
         }
@@ -507,10 +558,14 @@ impl CmpCore {
             let op = BusOp::from_persist_tag(r.u8()?)?;
             let ifetch = r.bool()?;
             let n_waiters = r.u32()? as usize;
-            let mut waiters = Vec::with_capacity(n_waiters.min(self.cfg.window));
-            for _ in 0..n_waiters {
-                waiters.push(r.u64()?);
+            if n_waiters > self.cfg.window {
+                return Err(PersistError::Corrupt(
+                    "more miss waiters than the window has entries",
+                ));
             }
+            let waiters = (0..n_waiters)
+                .map(|_| r.u64())
+                .collect::<Result<Waiters, _>>()?;
             mshrs.push(Mshr {
                 req,
                 line,
@@ -621,7 +676,7 @@ impl CmpCore {
                             outbox.push(MemEvent::Writeback { line: victim });
                         }
                     }
-                    for waiter in mshr.waiters {
+                    for waiter in mshr.waiters.iter() {
                         self.mark_done(waiter, now);
                     }
                 }
@@ -703,7 +758,7 @@ impl CmpCore {
                         line: iline,
                         op: BusOp::Rd,
                         ifetch: true,
-                        waiters: Vec::new(),
+                        waiters: Waiters::default(),
                     });
                     outbox.push(MemEvent::Request {
                         op: BusOp::Rd,
@@ -798,7 +853,7 @@ impl CmpCore {
                                         line,
                                         op: BusOp::Rd,
                                         ifetch: false,
-                                        waiters: vec![id],
+                                        waiters: Waiters::from_iter([id]),
                                     });
                                     outbox.push(MemEvent::Request {
                                         op: BusOp::Rd,
@@ -865,7 +920,7 @@ impl CmpCore {
                                             line,
                                             op,
                                             ifetch: false,
-                                            waiters: vec![id],
+                                            waiters: Waiters::from_iter([id]),
                                         });
                                         outbox.push(MemEvent::Request {
                                             op,
@@ -1010,7 +1065,7 @@ impl CoreModel for CmpCore {
     fn tick(&mut self, ctx: &mut TickCtx<'_, MemEvent>) -> u32 {
         let now = ctx.now();
         self.hot.cycles += 1;
-        let mut outbox: Vec<MemEvent> = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
 
         // 1. Apply due events.
         while let Some(ev) = ctx.pop_event() {
@@ -1020,9 +1075,10 @@ impl CoreModel for CmpCore {
         // 2. Retire, 3. issue (shared with `run_window`).
         let committed_now = self.retire_and_issue(now, &mut outbox);
 
-        for ev in outbox {
+        for ev in outbox.drain(..) {
             ctx.emit(ev);
         }
+        self.outbox = outbox;
         committed_now
     }
 
@@ -1035,11 +1091,9 @@ impl CoreModel for CmpCore {
     ) -> u64 {
         let start_committed = self.hot.committed;
         let mut now = from;
-        // One reusable outbox for the whole window: almost every cycle
-        // emits nothing, and the ones that do drain straight into the
-        // staging buffer, so the per-tick `Vec::new` of the generic loop
-        // never allocates here.
-        let mut outbox: Vec<MemEvent> = Vec::new();
+        // Almost every cycle emits nothing, and the ones that do drain
+        // straight into the staging buffer.
+        let mut outbox = std::mem::take(&mut self.outbox);
         // The inbox is exclusively borrowed for the entire window, so its
         // contents only shrink as this loop pops: the next due timestamp
         // is a loop variable, not a per-cycle queue peek. Between due
@@ -1119,6 +1173,7 @@ impl CoreModel for CmpCore {
                 now += 1;
             }
         }
+        self.outbox = outbox;
         self.hot.committed - start_committed
     }
 
@@ -1490,7 +1545,7 @@ mod tests {
             line: LineAddr::new(4 * 128),
             op: BusOp::Rd,
             ifetch: false,
-            waiters: Vec::new(),
+            waiters: Waiters::default(),
         });
         inbox.deliver(Timestamped::new(
             Cycle::new(1),

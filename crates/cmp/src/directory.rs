@@ -904,6 +904,48 @@ mod tests {
     }
 
     #[test]
+    fn hostile_port_calendar_bytes_are_rejected() {
+        // One bank (4 cores), lookup occupancy 4: port starts 10 and 20.
+        let mut live = dir(4);
+        live.access(BusOp::Rd, LineAddr::new(1), c(0), ts(10));
+        live.access(BusOp::Rd, LineAddr::new(2), c(1), ts(20));
+        let mut w = ByteWriter::new();
+        live.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let load = |bytes: &[u8]| dir(4).load_state(&mut ByteReader::new(bytes));
+        assert!(load(&bytes).is_ok());
+
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(load(&bytes[..cut]), Err(PersistError::Truncated)),
+                "cut at {cut}"
+            );
+        }
+        // The port calendar follows the bank count: horizon, count, starts.
+        let with_port = |horizon: u64, starts: [u64; 2]| {
+            let mut w = ByteWriter::new();
+            w.u32(1);
+            w.u64(horizon);
+            w.u32(2);
+            starts.iter().for_each(|&s| w.u64(s));
+            let mut patched = w.into_bytes();
+            patched.extend_from_slice(&bytes[patched.len()..]);
+            patched
+        };
+        assert!(load(&with_port(20, [10, 20])).is_ok());
+        // Lookups 3 cycles apart on a 4-cycle port overlap.
+        assert!(matches!(
+            load(&with_port(20, [17, 20])),
+            Err(PersistError::Corrupt(_))
+        ));
+        // A horizon below the newest start would re-grant cycle 20.
+        assert!(matches!(
+            load(&with_port(12, [10, 20])),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    #[test]
     fn compaction_drops_settled_monitors_in_every_bank() {
         let mut live = dir(64);
         live.access(BusOp::Rd, LineAddr::new(16), c(0), ts(10));

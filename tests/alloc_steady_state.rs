@@ -18,33 +18,62 @@
 //! cycles) would multiply it. Both trip the threshold.
 //!
 //! This lives in its own integration-test binary so the allocator wrapper
-//! cannot perturb any other test.
+//! cannot perturb any other test; the engine tests in it share one
+//! process-wide counter, so each holds [`serial`] for its whole body.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocation calls and live heap bytes (wrapping; only differences
+    /// are read) of the current thread alone, for the single-threaded
+    /// case that asserts exact numbers while the harness and other tests
+    /// allocate on theirs. Plain `Cell`s: no lazy initialisation and no
+    /// destructor, so the allocator may touch them at any time.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LIVE_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(calls: u64, grown: usize, shrunk: usize) {
+    ALLOCS.fetch_add(calls, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + calls));
+    let delta = (grown as u64).wrapping_sub(shrunk as u64);
+    let _ = THREAD_LIVE_BYTES.try_with(|c| c.set(c.get().wrapping_add(delta)));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(1, layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, 0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(1, new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// One engine test at a time: `ALLOCS` is process-wide (the threaded
+/// engine allocates on its own threads), and the default test harness
+/// runs the tests of a binary on parallel threads.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn allocs_for_run(
     engine: slacksim::EngineKind,
@@ -77,6 +106,7 @@ fn steady_delta(engine: slacksim::EngineKind, scheme: &slacksim::scheme::Scheme)
 fn threaded_manager_loop_is_allocation_free_at_steady_state() {
     use slacksim::scheme::Scheme;
     use slacksim::EngineKind;
+    let _serial = serial();
 
     // Cycle-by-cycle: both engines do bit-identical simulation work, so
     // the model-side allocation growth cancels out of the comparison.
@@ -165,6 +195,7 @@ fn steady_delta_instrumented(
 fn profiling_and_live_emission_are_allocation_free_at_steady_state() {
     use slacksim::scheme::Scheme;
     use slacksim::EngineKind;
+    let _serial = serial();
 
     for engine in [EngineKind::Sequential, EngineKind::Threaded] {
         let plain = steady_delta(engine, &Scheme::CycleByCycle);
@@ -177,4 +208,52 @@ fn profiling_and_live_emission_are_allocation_free_at_steady_state() {
              unit of work"
         );
     }
+}
+
+/// Drives bus transactions and directory accesses `range` at `num / den`
+/// requests per simulated cycle over a fixed set of lines, each read by
+/// one fixed core (so no sharer list or snoop vector ever grows).
+fn drive_interconnects(
+    bus: &mut slacksim::slacksim_cmp::bus::Bus,
+    dir: &mut slacksim::slacksim_cmp::directory::Directory,
+    range: std::ops::Range<u64>,
+    (num, den): (u64, u64),
+) {
+    use slacksim::slacksim_cmp::cache::LineAddr;
+    use slacksim::slacksim_cmp::mesi::BusOp;
+    use slacksim::slacksim_core::event::CoreId;
+    for i in range {
+        let ts = slacksim::Cycle::new(i * den / num);
+        let grant = bus.arbitrate(ts).grant;
+        std::hint::black_box(bus.respond(grant + 8));
+        let (line, core) = (LineAddr::new(i % 256), CoreId::new((i % 4) as u16));
+        std::hint::black_box(dir.access(BusOp::Rd, line, core, ts));
+    }
+}
+
+/// The slot calendars behind the bus and every directory bank port are
+/// fixed-size rings: servicing traffic allocates nothing once the
+/// directory's line tables are warm, and the heap the two interconnects
+/// hold does not depend on how dense the traffic is.
+#[test]
+fn interconnect_service_is_allocation_free_with_a_density_independent_footprint() {
+    use slacksim::slacksim_cmp::bus::Bus;
+    use slacksim::slacksim_cmp::directory::Directory;
+
+    let footprint_at = |rate: (u64, u64)| {
+        let before = THREAD_LIVE_BYTES.get();
+        let (mut bus, mut dir) = (Bus::new(1, 1), Directory::new(64, 4));
+        drive_interconnects(&mut bus, &mut dir, 0..20_000, rate);
+        let allocs = THREAD_ALLOCS.get();
+        drive_interconnects(&mut bus, &mut dir, 20_000..220_000, rate);
+        assert_eq!(
+            THREAD_ALLOCS.get() - allocs,
+            0,
+            "200 K warm transactions at {rate:?} requests per cycle allocated"
+        );
+        THREAD_LIVE_BYTES.get().wrapping_sub(before)
+    };
+    let sparse = footprint_at((1, 20));
+    let dense = footprint_at((9, 10));
+    assert_eq!(sparse, dense, "heap held at 0.05 vs 0.9 requests per cycle");
 }

@@ -1,15 +1,24 @@
 //! Under cycle-by-cycle pacing, the threaded engine (one host thread per
 //! target core) and the deterministic sequential engine must produce
 //! bit-identical statistics: the barrier protocol fully determinises the
-//! parallel execution.
+//! parallel execution. Likewise the batched engine under a quantum scheme.
 
 use slacksim::scheme::Scheme;
 use slacksim::{Benchmark, EngineKind, Simulation};
 
 fn run(benchmark: Benchmark, engine: EngineKind, commit: u64) -> slacksim::SimReport {
+    run_under(Scheme::CycleByCycle, benchmark, engine, commit)
+}
+
+fn run_under(
+    scheme: Scheme,
+    benchmark: Benchmark,
+    engine: EngineKind,
+    commit: u64,
+) -> slacksim::SimReport {
     Simulation::new(benchmark)
         .commit_target(commit)
-        .scheme(Scheme::CycleByCycle)
+        .scheme(scheme)
         .engine(engine)
         .run()
         .expect("run succeeds")
@@ -25,6 +34,23 @@ fn threaded_cc_matches_sequential_cc_exactly() {
         assert_eq!(seq.violations, thr.violations, "{benchmark}: violations");
         assert_eq!(seq.per_core, thr.per_core, "{benchmark}: per-core stats");
         assert_eq!(seq.uncore, thr.uncore, "{benchmark}: uncore stats");
+    }
+}
+
+#[test]
+fn batched_quantum_matches_sequential_quantum_exactly() {
+    // The third engine under the only scheme family it accepts: barrier
+    // servicing at quantum boundaries is engine-independent, so the
+    // quantum-compiled loop must reproduce the sequential statistics.
+    let quantum = Scheme::Quantum { quantum: 50 };
+    for benchmark in Benchmark::ALL {
+        let seq = run_under(quantum.clone(), benchmark, EngineKind::Sequential, 40_000);
+        let bat = run_under(quantum.clone(), benchmark, EngineKind::Batched, 40_000);
+        assert_eq!(seq.global_cycles, bat.global_cycles, "{benchmark}: cycles");
+        assert_eq!(seq.committed, bat.committed, "{benchmark}: committed");
+        assert_eq!(seq.violations, bat.violations, "{benchmark}: violations");
+        assert_eq!(seq.per_core, bat.per_core, "{benchmark}: per-core stats");
+        assert_eq!(seq.uncore, bat.uncore, "{benchmark}: uncore stats");
     }
 }
 

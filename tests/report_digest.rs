@@ -1,0 +1,225 @@
+//! Pins the whole `SimReport` (minus `wall` and `prof`) of a fixed matrix
+//! of runs to committed digests, so an engine refactor that is meant to be
+//! behaviour-preserving can prove it: kernel counters, the adaptive bound
+//! trace, per-core and uncore counters, the trace record count and the
+//! metrics CSV bytes all feed the digest.
+//!
+//! Sequential and batched rows run with observability on (both engines
+//! are fully deterministic). Threaded rows run cycle-by-cycle with
+//! observability off and drop the host-dependent kernel counters (park
+//! counts, the asynchronously sampled clock spread) — everything else is
+//! exact under the barrier protocol.
+//!
+//! A mismatch prints the full computed table in source form; paste it
+//! over `EXPECTED` only when a behaviour change is intended.
+
+use slacksim::scheme::{AdaptiveConfig, Scheme};
+use slacksim::{
+    Benchmark, EngineKind, ObsConfig, SimReport, Simulation, SpeculationConfig, UncoreKind,
+    ViolationKind, ViolationSelect,
+};
+
+const KINDS: [ViolationKind; 5] = [
+    ViolationKind::Bus,
+    ViolationKind::Map,
+    ViolationKind::Directory,
+    ViolationKind::Workload,
+    ViolationKind::Other,
+];
+
+/// Kernel counters that depend on host scheduling (threaded engine only).
+const HOST_DEPENDENT: [&str; 3] = ["manager_parks", "core_parks", "max_clock_spread"];
+
+/// FNV-1a over a byte stream.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn counters(&mut self, c: &slacksim::slacksim_core::stats::Counters, skip: &[&str]) {
+        for (name, value) in c.iter().filter(|(n, _)| !skip.contains(n)) {
+            self.bytes(name.as_bytes());
+            self.u64(value);
+        }
+        self.u64(u64::MAX);
+    }
+}
+
+fn digest(r: &SimReport, skip_kernel: &[&str]) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(r.global_cycles);
+    h.u64(r.committed);
+    for kind in KINDS {
+        h.u64(r.violations.count(kind));
+    }
+    h.counters(&r.kernel, skip_kernel);
+    for &(cycle, bound) in &r.bound_trace {
+        h.u64(cycle.as_u64());
+        h.u64(bound);
+    }
+    h.u64(r.bound_trace.len() as u64);
+    for core in &r.per_core {
+        h.counters(core, &[]);
+    }
+    h.counters(&r.uncore, &[]);
+    if let Some(obs) = &r.obs {
+        h.u64(obs.records.len() as u64);
+        h.u64(obs.dropped);
+        h.bytes(obs.metrics_csv().as_bytes());
+    }
+    h.0
+}
+
+#[derive(Clone, Copy)]
+enum Spec {
+    Off,
+    CheckpointOnly,
+    RollbackAll,
+}
+
+impl Spec {
+    fn name(self) -> &'static str {
+        match self {
+            Spec::Off => "off",
+            Spec::CheckpointOnly => "cp-only",
+            Spec::RollbackAll => "rollback-all",
+        }
+    }
+}
+
+fn run(engine: EngineKind, scheme: &Scheme, spec: Spec, cores: usize, uncore: UncoreKind) -> u64 {
+    let mut sim = Simulation::new(Benchmark::WaterNsquared);
+    sim.cores(cores)
+        .uncore(uncore)
+        .scheme(scheme.clone())
+        .engine(engine)
+        .commit_target(40_000)
+        .seed(7);
+    match spec {
+        Spec::Off => {}
+        Spec::CheckpointOnly => {
+            sim.speculation(SpeculationConfig::checkpoint_only(1000));
+        }
+        Spec::RollbackAll => {
+            sim.speculation(SpeculationConfig::speculative(1000, ViolationSelect::all()));
+        }
+    }
+    let threaded = engine == EngineKind::Threaded;
+    if !threaded {
+        sim.observability(ObsConfig::default().with_sample_every(700));
+    }
+    let report = sim.run().expect("run succeeds");
+    digest(&report, if threaded { &HOST_DEPENDENT } else { &[] })
+}
+
+fn computed() -> Vec<(String, u64)> {
+    let schemes = [
+        ("cc", Scheme::CycleByCycle),
+        ("b16", Scheme::BoundedSlack { bound: 16 }),
+        (
+            "adaptive",
+            Scheme::Adaptive(AdaptiveConfig {
+                sample_period: 512,
+                ..AdaptiveConfig::default()
+            }),
+        ),
+        ("q50", Scheme::Quantum { quantum: 50 }),
+    ];
+    let mut rows = Vec::new();
+    for (name, scheme) in &schemes {
+        for spec in [Spec::Off, Spec::CheckpointOnly, Spec::RollbackAll] {
+            rows.push((
+                format!("seq/{name}/{}", spec.name()),
+                run(EngineKind::Sequential, scheme, spec, 8, UncoreKind::Bus),
+            ));
+        }
+    }
+    let q50 = Scheme::Quantum { quantum: 50 };
+    for spec in [Spec::Off, Spec::CheckpointOnly] {
+        rows.push((
+            format!("bat/q50/{}", spec.name()),
+            run(EngineKind::Batched, &q50, spec, 8, UncoreKind::Bus),
+        ));
+    }
+    let cc = Scheme::CycleByCycle;
+    rows.push((
+        "thr/cc/bus8".to_owned(),
+        run(EngineKind::Threaded, &cc, Spec::Off, 8, UncoreKind::Bus),
+    ));
+    rows.push((
+        "thr/cc/dir16".to_owned(),
+        run(
+            EngineKind::Threaded,
+            &cc,
+            Spec::Off,
+            16,
+            UncoreKind::Directory,
+        ),
+    ));
+    rows
+}
+
+const EXPECTED: [(&str, u64); 16] = [
+    ("seq/cc/off", 0x28fa_b0e6_9c11_12fe),
+    ("seq/cc/cp-only", 0xf7e6_0cb3_fb1b_2ea9),
+    ("seq/cc/rollback-all", 0xf7e6_0cb3_fb1b_2ea9),
+    ("seq/b16/off", 0xd2f5_5bb1_6fa3_b7f6),
+    ("seq/b16/cp-only", 0x2d04_400a_162c_461a),
+    ("seq/b16/rollback-all", 0xca14_65dd_a5b1_0771),
+    ("seq/adaptive/off", 0x6189_b8bc_d003_0b29),
+    ("seq/adaptive/cp-only", 0x41f4_84ca_398f_604b),
+    ("seq/adaptive/rollback-all", 0x35a9_dab9_fcb8_4c0c),
+    ("seq/q50/off", 0xdb67_394b_67a5_7d9e),
+    ("seq/q50/cp-only", 0x5e08_d44d_caa8_7305),
+    ("seq/q50/rollback-all", 0x5e08_d44d_caa8_7305),
+    ("bat/q50/off", 0x7a57_a10f_aded_d1f8),
+    ("bat/q50/cp-only", 0xef09_d8c9_3307_dad1),
+    ("thr/cc/bus8", 0xd760_12ca_9023_5456),
+    ("thr/cc/dir16", 0x5f72_8148_45ad_5a80),
+];
+
+#[test]
+fn report_digests_match_the_committed_constants() {
+    let got = computed();
+    let matches = got.len() == EXPECTED.len()
+        && got
+            .iter()
+            .zip(EXPECTED)
+            .all(|((gl, gv), (el, ev))| gl == el && *gv == ev);
+    if !matches {
+        let mut table = String::new();
+        for (label, value) in &got {
+            table.push_str(&format!("    (\"{label}\", {value:#018x}),\n"));
+        }
+        panic!("report digests changed; computed table:\n{table}");
+    }
+}
+
+#[test]
+fn rollback_rows_actually_roll_back() {
+    // Guards the matrix itself: the rollback-all rows are only worth
+    // pinning while the configuration really produces rollbacks.
+    let r = Simulation::new(Benchmark::WaterNsquared)
+        .cores(8)
+        .scheme(Scheme::BoundedSlack { bound: 16 })
+        .commit_target(40_000)
+        .seed(7)
+        .speculation(SpeculationConfig::speculative(1000, ViolationSelect::all()))
+        .run()
+        .expect("run succeeds");
+    assert!(r.kernel.get("rollbacks") > 0, "no rollbacks: {}", r.kernel);
+    assert!(r.kernel.get("checkpoints") > 0);
+}

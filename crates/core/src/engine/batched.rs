@@ -27,36 +27,15 @@
 //! * metrics/trace sampling happens at boundaries, where every core's
 //!   drift is zero by construction.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
-
-use crate::checkpoint::{CheckpointMode, Checkpointable};
+use crate::checkpoint::Checkpointable;
+use crate::engine::kernel::{Finish, Kernel};
 use crate::engine::{
-    CheckpointView, CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook,
-    ServiceSink, UncoreModel,
+    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
 };
 use crate::event::{CoreId, Inbox, Timestamped};
-use crate::obs::live::NO_BOUND;
-use crate::obs::{
-    LiveStats, MetricsRegistry, ObsData, Phase, ProfSite, Profiler, QueueKind, TraceEvent, Tracer,
-};
-use crate::scheme::PaceSample;
-use crate::speculative::{IntervalTracker, SpeculationStats};
-use crate::stats::{Counters, SimReport};
+use crate::obs::{Phase, ProfSite, TraceEvent};
+use crate::stats::SimReport;
 use crate::time::Cycle;
-use crate::violation::ViolationTally;
-
-/// The standing checkpoint: full restorable state at the last committed
-/// boundary (same contents as the sequential engine's snapshot; the
-/// batched engine never rolls back, so it exists only to feed delta
-/// capture and the durable save hook).
-struct Snapshot<C: CoreModel, U> {
-    cores: Vec<C>,
-    uncore: U,
-    core_gens: Vec<u64>,
-    uncore_gen: u64,
-}
 
 /// Quantum-compiled BSP engine: steps all cores a full quantum per
 /// iteration over their hot state, resolving cross-core interaction only
@@ -91,8 +70,9 @@ where
     }
 
     /// Installs a hook invoked after every committed checkpoint with a
-    /// borrowed [`CheckpointView`] of the restorable state; the hook
-    /// returns the number of bytes it persisted (or `None` on failure).
+    /// borrowed [`CheckpointView`](crate::engine::CheckpointView) of the
+    /// restorable state; the hook returns the number of bytes it persisted
+    /// (or `None` on failure).
     #[must_use]
     pub fn with_save_hook(mut self, hook: SaveHook<C, U>) -> Self {
         self.save_hook = Some(hook);
@@ -124,147 +104,42 @@ where
             mut cores,
             mut uncore,
             cfg,
-            mut save_hook,
+            save_hook,
             resume,
         } = self;
         let n = cores.len();
         if n == 0 {
             return Err(EngineError::NoCores);
         }
-        let started = Instant::now();
-
-        let mut pacer = cfg.scheme.clone().into_pacer();
+        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, 0, resume)?;
         assert!(
-            pacer.barrier_service(),
+            k.pacer.barrier_service(),
             "BatchedEngine requires a barrier scheme (quantum): greedy \
              schemes service events mid-window, which the batched loop \
              cannot observe"
         );
-        let sample_period = cfg.effective_sample_period();
+        let ph = k.prof_handle();
+
         let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
         let mut staged: Vec<Vec<Timestamped<C::Event>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut sink: ServiceSink<C::Event> = ServiceSink::new();
-
-        let mut tally = ViolationTally::new();
-        let mut detected = ViolationTally::new();
         let mut committed: u64 = 0;
-        let mut next_sample = sample_period;
-        let mut last_sample_tally = tally;
-        let mut bound_trace: Vec<(Cycle, u64)> = Vec::new();
-
-        let tracer = match cfg.obs {
-            Some(o) => Tracer::new(o.trace_capacity),
-            None => Tracer::disabled(),
-        };
-        let mut th = tracer.handle();
-
-        let prof = cfg.prof.clone().unwrap_or_else(Profiler::disabled);
-        let ph = prof.handle();
-
-        let live_stats = Arc::new(LiveStats::new());
-        live_stats
-            .commit_target
-            .store(cfg.commit_target, Ordering::Relaxed);
-        let live_handle = cfg
-            .live
-            .as_ref()
-            .filter(|l| l.has_sink())
-            .map(|l| crate::obs::live::spawn(l.clone(), Arc::clone(&live_stats), prof.clone()));
-        let live_on = live_handle.is_some();
-
-        let mut metrics = MetricsRegistry::new(cfg.obs.map_or(1024, |o| o.sample_every));
-        let drift_ids: Vec<_> = (0..n)
-            .map(|i| metrics.intern_gauge(&format!("drift.core{i}")))
-            .collect();
-        let slack_bound_id = metrics.intern_gauge("slack_bound");
-        let violation_rate_id = metrics.intern_gauge("violation_rate");
-        let globalq_depth_id = metrics.intern_gauge("globalq_depth");
-        let globalq_depth_hist = metrics.intern_histogram("globalq_depth");
-        let persist_bytes_id = metrics.intern_gauge("persist_bytes");
-        let trace_dropped_id = metrics.intern_gauge("trace_dropped");
-        let mut last_metrics_detected = 0u64;
-        let mut last_metrics_cycle = 0u64;
-
-        // Speculation: the quantum scheme is violation-free by
-        // construction (every boundary services in timestamp order), so
-        // this engine carries the checkpoint half only — no rollback path.
-        let spec = cfg.speculation;
-        let mut tracker = spec.map(|s| IntervalTracker::new(s.interval));
-        let mut spec_stats = SpeculationStats::default();
-        let mut next_cp_trigger: u64 = spec.map_or(u64::MAX, |s| s.interval);
-        let cp_mode = spec.map_or(CheckpointMode::Full, |s| s.mode);
-
-        let mut max_spread: u64 = 0;
-        let mut start_global = Cycle::ZERO;
-        if let Some(res) = resume {
-            if res.cores.len() != n {
-                return Err(EngineError::Resume(format!(
-                    "snapshot holds {} cores but the engine was built with {n}",
-                    res.cores.len()
-                )));
-            }
-            start_global = res.global;
-            cores.clear();
-            inboxes.clear();
-            for (core, inbox) in res.cores {
-                cores.push(core);
-                inboxes.push(inbox);
-            }
-            uncore = res.uncore;
-            pacer = res.pacer;
-            committed = res.committed;
-            tally = res.tally;
-            detected = res.detected;
-            next_sample = res.next_sample;
-            last_sample_tally = res.last_sample_tally;
-            spec_stats = res.spec_stats;
-            if let Some(tr) = res.tracker {
-                tracker = Some(tr);
-            }
+        let mut global = Cycle::ZERO;
+        if let Some(res) = resumed {
             // res.rng is ignored: this engine has no burst scheduler.
-            bound_trace = res.bound_trace;
-            max_spread = res.max_spread;
-            last_metrics_detected = detected.total();
-            last_metrics_cycle = start_global.as_u64();
-            next_cp_trigger = spec.map_or(u64::MAX, |s| start_global.as_u64() + s.interval);
-            th.record(
-                start_global,
-                TraceEvent::StateRestore {
-                    global: start_global,
-                },
-            );
+            global = res.global;
+            cores = res.cores;
+            inboxes = res.inboxes;
+            uncore = res.uncore;
+            committed = res.committed;
         }
-
-        let mut snapshot: Option<Snapshot<C, U>> = if spec.is_some() {
-            // The initial state is trivially a (free) checkpoint; under
-            // delta mode, seed every capture baseline (see the sequential
-            // engine).
-            let (core_gens, uncore_gen) = if cp_mode == CheckpointMode::Delta {
-                let gens: Vec<u64> = cores
-                    .iter_mut()
-                    .map(|c| {
-                        let g = c.generation();
-                        let _ = c.capture_delta(g);
-                        g
-                    })
-                    .collect();
-                let ug = uncore.generation();
-                let _ = uncore.capture_delta(ug);
-                (gens, ug)
-            } else {
-                (vec![0; n], 0)
-            };
-            Some(Snapshot {
-                cores: cores.clone(),
-                uncore: uncore.clone(),
-                core_gens,
-                uncore_gen,
-            })
-        } else {
-            None
-        };
-
-        let mut global = start_global;
+        // The quantum scheme is violation-free by construction (every
+        // boundary services in timestamp order), so this driver uses the
+        // checkpoint half of speculation only — it never rolls back.
+        k.seed_base(&mut cores, &inboxes, &mut uncore, global, committed);
+        // At a boundary every core's local clock equals global time; the
+        // per-core drift gauges are zero by construction, still sampled so
+        // CSV exports keep the same column set as the other engines.
+        let mut locals = vec![global; n];
         let finish_reason;
 
         loop {
@@ -281,175 +156,39 @@ where
                 break;
             }
 
-            if let Some(tr) = &mut tracker {
-                tr.close_intervals_up_to(global);
-            }
-
-            // Violation-rate sampling and adaptive feedback. Under a
-            // barrier scheme the tally only changes at boundaries, so
-            // firing the crossings here (instead of mid-window) hands the
-            // pacer identical samples.
-            while global.as_u64() >= next_sample {
-                let delta = tally.since(&last_sample_tally);
-                let sample = PaceSample {
-                    global: Cycle::new(next_sample),
-                    window_cycles: sample_period,
-                    window_violations: delta.total(),
-                };
-                let bound_before = pacer.current_bound();
-                pacer.on_sample(&sample);
-                last_sample_tally = tally;
-                if let Some(b) = pacer.current_bound() {
-                    bound_trace.push((Cycle::new(next_sample), b));
-                    if let Some(old) = bound_before {
-                        if old != b {
-                            th.record(
-                                Cycle::new(next_sample),
-                                TraceEvent::BoundChange {
-                                    old,
-                                    new: b,
-                                    rate: sample.rate(),
-                                },
-                            );
-                        }
-                    }
-                }
-                next_sample += sample_period;
-            }
-
-            if cfg.obs.is_some() && metrics.sample_ready(global) {
-                sample_boundary_metrics(BatchSampleCtx {
-                    metrics: &mut metrics,
-                    th: &mut th,
-                    drift_ids: &drift_ids,
-                    slack_bound_id,
-                    violation_rate_id,
-                    globalq_depth_id,
-                    globalq_depth_hist,
-                    trace_dropped_id,
-                    tracer: &tracer,
-                    cores: n,
-                    global,
-                    bound: pacer.current_bound(),
-                    detected_total: detected.total(),
-                    last_metrics_cycle: &mut last_metrics_cycle,
-                    last_metrics_detected: &mut last_metrics_detected,
-                });
-            }
-
-            if live_on {
-                live_stats.global.store(global.as_u64(), Ordering::Relaxed);
-                live_stats.committed.store(committed, Ordering::Relaxed);
-                live_stats
-                    .bound
-                    .store(pacer.current_bound().unwrap_or(NO_BOUND), Ordering::Relaxed);
-                live_stats
-                    .violations
-                    .store(tally.total(), Ordering::Relaxed);
-                live_stats
-                    .dropped_traces
-                    .store(tracer.dropped_so_far(), Ordering::Relaxed);
-                live_stats
-                    .checkpoints
-                    .store(spec_stats.checkpoints, Ordering::Relaxed);
-            }
+            // Under a barrier scheme the tally only changes at boundaries,
+            // so firing the sampling crossings here (instead of
+            // mid-window) hands the pacer identical samples.
+            locals.fill(global);
+            k.on_global(global, committed, &locals, 0, |_| (0, 0));
 
             // Checkpoint at the first boundary at or past the trigger.
             // Every event at or below the boundary has been serviced, so
             // queues are empty and the state is restorable as-is.
-            if let Some(sp) = spec.filter(|_| global.as_u64() >= next_cp_trigger) {
-                spec_stats.checkpoints += 1;
-                th.record(
-                    Cycle::new(next_cp_trigger.min(global.as_u64())),
-                    TraceEvent::Checkpoint {
-                        ordinal: spec_stats.checkpoints,
-                        overshoot: global.as_u64().saturating_sub(next_cp_trigger),
-                    },
-                );
-                uncore.compact_monitors(global);
-                {
-                    let _span = ph.enter(ProfSite::CheckpointCapture);
-                    let snap = snapshot.as_mut().expect("spec enabled");
-                    match cp_mode {
-                        CheckpointMode::Full => {
-                            snap.cores = cores.clone();
-                            snap.uncore = uncore.clone();
-                        }
-                        CheckpointMode::Delta => {
-                            let _apply = ph.enter(ProfSite::CheckpointApply);
-                            for (i, c) in cores.iter_mut().enumerate() {
-                                let d = c.capture_delta(snap.core_gens[i]);
-                                snap.cores[i].apply_delta(d);
-                                snap.core_gens[i] = c.generation();
-                            }
-                            let du = uncore.capture_delta(snap.uncore_gen);
-                            snap.uncore.apply_delta(du);
-                            snap.uncore_gen = uncore.generation();
-                        }
-                    }
-                }
-                if let Some(hook) = save_hook.as_mut() {
-                    let _span = ph.enter(ProfSite::PersistIo);
-                    let view = CheckpointView {
-                        ordinal: spec_stats.checkpoints,
-                        global,
-                        cores: cores.iter().zip(inboxes.iter()).collect(),
-                        uncore: &uncore,
-                        committed,
-                        tally,
-                        detected,
-                        next_sample,
-                        last_sample_tally,
-                        spec_stats,
-                        tracker: tracker.as_ref(),
-                        pacer: &*pacer,
-                        rng: None,
-                        bound_trace: &bound_trace,
-                        max_spread,
-                        shard_forwarded: Vec::new(),
-                    };
-                    let bytes = hook(&view).unwrap_or(0);
-                    th.record(
-                        global,
-                        TraceEvent::StatePersist {
-                            ordinal: spec_stats.checkpoints,
-                            bytes,
-                        },
-                    );
-                    metrics.gauge_by(persist_bytes_id, global, bytes as f64);
-                }
-                next_cp_trigger = global.as_u64() + sp.interval;
+            if k.checkpoint_due(global) {
+                k.capture_cores(&mut cores, &inboxes);
+                k.commit_checkpoint(global, committed, &mut uncore, None, &[]);
             }
 
-            let window_end = pacer.window_end(global);
+            let window_end = k.pacer.window_end(global);
             if window_end <= global {
                 return Err(EngineError::Stalled { at: global });
             }
-            max_spread = max_spread.max(window_end - global);
+            k.note_spread(window_end - global);
 
             // The hot loop: every core runs the whole window in one call,
             // staging cross-core events locally. No scheduler, no queue
             // touch, no bookkeeping between cycles.
-            for (i, core) in cores.iter_mut().enumerate() {
-                th.record(
-                    global,
-                    TraceEvent::PhaseBegin {
-                        core: CoreId::new(i as u16),
-                        phase: Phase::Run,
-                    },
-                );
+            for (i, model) in cores.iter_mut().enumerate() {
+                let core = CoreId::new(i as u16);
+                let phase = Phase::Run;
+                k.trace(global, TraceEvent::PhaseBegin { core, phase });
                 {
                     let _span = ph.enter(ProfSite::BatchedRun);
                     committed +=
-                        core.run_window(global, window_end, &mut inboxes[i], &mut staged[i]);
+                        model.run_window(global, window_end, &mut inboxes[i], &mut staged[i]);
                 }
-                th.record(
-                    window_end,
-                    TraceEvent::PhaseEnd {
-                        core: CoreId::new(i as u16),
-                        phase: Phase::Run,
-                    },
-                );
+                k.trace(window_end, TraceEvent::PhaseEnd { core, phase });
             }
 
             // Boundary resolution: k-way merge of the staged buffers in
@@ -474,222 +213,45 @@ where
                         }
                     }
                     let Some((_, idx)) = best else { break };
-                    let from = CoreId::new(idx as u16);
                     let ev = heads[idx].next().expect("peeked head");
-                    {
-                        uncore.service(from, ev, &mut sink);
-                        for (to, out) in sink.take_deliveries() {
-                            inboxes[to.index()].deliver(out);
-                        }
-                        for v in sink.take_violations() {
-                            tally.record(v.kind);
-                            detected.record(v.kind);
-                            th.record(
-                                v.ts,
-                                TraceEvent::Violation {
-                                    kind: v.kind,
-                                    core: from,
-                                    ts: v.ts,
-                                    high_water: v.high_water,
-                                },
-                            );
-                            if let Some(tr) = tracker.as_mut() {
-                                tr.observe_violation(v.ts);
-                            }
-                            if let Some(sc) = &spec {
-                                debug_assert!(
-                                    !sc.rollback_on.selects(v.kind),
-                                    "timestamp-ordered boundary servicing cannot \
-                                     produce rollback-selected violations"
-                                );
-                            }
-                        }
-                    }
+                    let rollback =
+                        k.service(CoreId::new(idx as u16), ev, &mut uncore, |to, out| {
+                            inboxes[to.index()].deliver(out)
+                        });
+                    debug_assert!(
+                        !rollback,
+                        "timestamp-ordered boundary servicing cannot produce \
+                         rollback-selected violations"
+                    );
                 }
             }
 
             global = window_end;
         }
 
-        if let Some(tr) = &mut tracker {
-            tr.close_intervals_up_to(global);
-        }
-
-        // Terminal gauge flush (see the sequential engine's epilogue).
-        if cfg.obs.is_some() && global.as_u64() > last_metrics_cycle {
-            sample_boundary_metrics(BatchSampleCtx {
-                metrics: &mut metrics,
-                th: &mut th,
-                drift_ids: &drift_ids,
-                slack_bound_id,
-                violation_rate_id,
-                globalq_depth_id,
-                globalq_depth_hist,
-                trace_dropped_id,
-                tracer: &tracer,
-                cores: n,
-                global,
-                bound: pacer.current_bound(),
-                detected_total: detected.total(),
-                last_metrics_cycle: &mut last_metrics_cycle,
-                last_metrics_detected: &mut last_metrics_detected,
-            });
-        }
-
-        let mut kernel = Counters::new();
-        kernel.set("checkpoints", spec_stats.checkpoints);
-        kernel.set("rollbacks", spec_stats.rollbacks);
-        kernel.set("wasted_cycles", spec_stats.wasted_cycles);
-        kernel.set("replay_cycles", spec_stats.replay_cycles);
-        kernel.set("violations_detected_total", detected.total());
-        kernel.set(
-            "violations_detected_bus",
-            detected.count(crate::violation::ViolationKind::Bus),
-        );
-        kernel.set(
-            "violations_detected_map",
-            detected.count(crate::violation::ViolationKind::Map),
-        );
-        kernel.set(
-            "violations_detected_directory",
-            detected.count(crate::violation::ViolationKind::Directory),
-        );
-        kernel.set(
-            "finish_commit_target",
-            u64::from(finish_reason == FinishReason::CommitTarget),
-        );
-        kernel.set("max_clock_spread", max_spread);
-        if let Some(tr) = &tracker {
-            kernel.set("intervals_total", tr.intervals_total());
-            kernel.set("intervals_violating", tr.intervals_violating());
-            kernel.set(
-                "mean_first_violation_distance_x1000",
-                (tr.mean_first_distance() * 1000.0).round() as u64,
-            );
-        }
-
-        let obs = cfg.obs.map(|_| {
-            th.flush();
-            let (records, dropped) = tracer.drain();
-            ObsData {
-                cores: n,
-                records,
-                dropped,
-                metrics,
-            }
-        });
-
-        let wall = started.elapsed();
-
-        if live_on {
-            live_stats.global.store(global.as_u64(), Ordering::Relaxed);
-            live_stats.committed.store(committed, Ordering::Relaxed);
-            live_stats
-                .violations
-                .store(tally.total(), Ordering::Relaxed);
-        }
-        if let Some(h) = live_handle {
-            h.finish();
-        }
-
-        Ok(SimReport {
-            global_cycles: global.as_u64(),
+        locals.fill(global);
+        let finish = Finish {
+            global,
             committed,
-            violations: tally,
-            wall,
+            reason: finish_reason,
+            locals: &locals,
+            gq_len: 0,
             per_core: cores.iter().map(CoreModel::counters).collect(),
             uncore: uncore.counters(),
-            kernel,
-            bound_trace,
-            obs,
-            prof: prof.is_enabled().then(|| prof.snapshot(wall, 1)),
-        })
+            extras: &[],
+            threads: 1,
+        };
+        Ok(k.finish(finish, |_| (0, 0)))
     }
-}
-
-/// Borrowed context for one boundary metrics sample. At a boundary every
-/// core's local clock equals global time, so the per-core drift gauges are
-/// zero by construction — still emitted so CSV exports keep the same
-/// column set as the other engines.
-struct BatchSampleCtx<'a> {
-    metrics: &'a mut MetricsRegistry,
-    th: &'a mut crate::obs::TraceHandle,
-    drift_ids: &'a [crate::obs::GaugeId],
-    slack_bound_id: crate::obs::GaugeId,
-    violation_rate_id: crate::obs::GaugeId,
-    globalq_depth_id: crate::obs::GaugeId,
-    globalq_depth_hist: crate::obs::HistId,
-    trace_dropped_id: crate::obs::GaugeId,
-    tracer: &'a Tracer,
-    cores: usize,
-    global: Cycle,
-    bound: Option<u64>,
-    detected_total: u64,
-    last_metrics_cycle: &'a mut u64,
-    last_metrics_detected: &'a mut u64,
-}
-
-/// Emits one metrics sample at a quantum boundary.
-fn sample_boundary_metrics(ctx: BatchSampleCtx<'_>) {
-    let BatchSampleCtx {
-        metrics,
-        th,
-        drift_ids,
-        slack_bound_id,
-        violation_rate_id,
-        globalq_depth_id,
-        globalq_depth_hist,
-        trace_dropped_id,
-        tracer,
-        cores,
-        global,
-        bound,
-        detected_total,
-        last_metrics_cycle,
-        last_metrics_detected,
-    } = ctx;
-    for (i, &drift_id) in drift_ids.iter().enumerate().take(cores) {
-        metrics.gauge_by(drift_id, global, 0.0);
-        th.record(
-            global,
-            TraceEvent::LocalTimeSample {
-                core: CoreId::new(i as u16),
-                cycle: global,
-            },
-        );
-    }
-    if let Some(b) = bound {
-        metrics.gauge_by(slack_bound_id, global, b as f64);
-    }
-    let elapsed = global.as_u64().saturating_sub(*last_metrics_cycle);
-    let live_rate = if elapsed == 0 {
-        0.0
-    } else {
-        (detected_total - *last_metrics_detected) as f64 / elapsed as f64
-    };
-    *last_metrics_cycle = global.as_u64();
-    *last_metrics_detected = detected_total;
-    metrics.gauge_by(violation_rate_id, global, live_rate);
-    // The global queue is empty at every boundary (it only fills inside
-    // the resolve span), so the depth gauge is structurally zero.
-    metrics.gauge_by(globalq_depth_id, global, 0.0);
-    metrics.histogram_by(globalq_depth_hist).record(0);
-    th.record(
-        global,
-        TraceEvent::QueueDepth {
-            q: QueueKind::Global,
-            len: 0,
-        },
-    );
-    metrics.gauge_by(trace_dropped_id, global, tracer.dropped_so_far() as f64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SequentialEngine, TickCtx};
+    use crate::engine::{SequentialEngine, ServiceSink, TickCtx};
     use crate::scheme::Scheme;
     use crate::speculative::SpeculationConfig;
+    use crate::stats::Counters;
     use crate::violation::{TimestampMonitor, ViolationEvent, ViolationKind};
 
     #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,6 +26,7 @@
 //!   §15).
 
 mod batched;
+mod kernel;
 mod sequential;
 mod threaded;
 

@@ -50,24 +50,19 @@ use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{CheckpointMode, Checkpointable};
+use crate::checkpoint::Checkpointable;
+use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
 use crate::engine::{
-    CheckpointView, CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook,
-    ServiceSink, TickCtx, UncoreModel,
+    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, TickCtx,
+    UncoreModel,
 };
 use crate::event::{CoreId, GlobalQueue, Inbox, Timestamped};
-use crate::obs::live::NO_BOUND;
-use crate::obs::{
-    GaugeId, HistId, LiveStats, MetricsRegistry, ObsData, Phase, ProfHandle, ProfSite, Profiler,
-    QueueKind, TraceEvent, TraceHandle, Tracer,
-};
+use crate::obs::{Phase, ProfHandle, ProfSite, TraceEvent, TraceHandle};
 use crate::sched::{HostSched, SchedSite, TaskId};
-use crate::scheme::{PaceSample, Pacer};
-use crate::speculative::{IntervalTracker, SpeculationStats};
-use crate::stats::{Counters, SimReport};
+use crate::scheme::Pacer;
+use crate::stats::SimReport;
 use crate::sync::{SnapshotSlot, SpscRing};
 use crate::time::Cycle;
-use crate::violation::ViolationTally;
 
 /// Spin iterations before a capped core starts yielding (plenty-of-CPUs
 /// hosts only; oversubscribed hosts skip the spin tier).
@@ -114,34 +109,28 @@ enum Command<C: CoreModel> {
     /// Run (ignoring the published max local time) until the local clock
     /// reaches the given cycle, then acknowledge.
     RunTo(u64),
-    /// Capture the core's state into the snapshot slot: a full clone of
-    /// the model and pending inbox, or (delta mode) a delta against the
-    /// generation recorded at the previous capture.
-    Snapshot { delta: bool },
-    /// Replace the core model and inbox with the given restored state
-    /// (full mode).
-    Restore(Box<CoreSnapshot<C>>),
+    /// Capture the core's delta against generation `since` (its
+    /// generation at the previous checkpoint) into the snapshot slot.
+    Snapshot { since: u64 },
     /// Rewind the model onto the given checkpoint base via
-    /// [`Checkpointable::restore_from`] (delta mode) and hand the
-    /// untouched base back through the snapshot slot.
-    RestoreDelta(Box<CoreSnapshot<C>>),
+    /// [`Checkpointable::restore_from`] — `since` being the core's
+    /// generation when the base was current — and hand the untouched base
+    /// back through the snapshot slot.
+    Rewind {
+        base: Box<CoreSnapshot<C>>,
+        since: u64,
+    },
     /// Leave the control sub-loop and return to normal execution.
     Resume,
 }
 
-/// A core thread's snapshot: the model plus its undelivered inbox events.
-type CoreSnapshot<C> = (C, Inbox<<C as CoreModel>::Event>);
-
 /// What a core thread deposits in its snapshot slot.
 enum CoreCapture<C: CoreModel + Checkpointable> {
-    /// Full clone of the model and pending inbox.
-    Full(Box<CoreSnapshot<C>>),
-    /// Delta against the previous capture, plus the pending inbox
-    /// (inboxes are tiny at checkpoint boundaries; deltas do not pay to
-    /// diff them).
-    Delta(Box<(C::Delta, Inbox<<C as CoreModel>::Event>)>),
-    /// The checkpoint base handed back untouched after a delta-mode
-    /// rollback, so the manager keeps its standing copy without a clone.
+    /// Delta against the previous checkpoint, the pending inbox and the
+    /// model's generation at capture.
+    Delta(Box<(C::Delta, Inbox<<C as CoreModel>::Event>, u64)>),
+    /// The checkpoint base handed back untouched after a rollback, so the
+    /// manager keeps its standing copy without a clone.
     Base(Box<CoreSnapshot<C>>),
 }
 
@@ -352,10 +341,10 @@ impl<C: CoreModel + Checkpointable> ShardSet<C> {
     /// root's own cores' minimum reconciled with every shard's published
     /// floor. With no shards this is exactly the global minimum, so the
     /// single-manager window arithmetic is unchanged.
-    fn floor(&self, locals: &[u64]) -> Cycle {
+    fn floor(&self, locals: &[Cycle]) -> Cycle {
         let root_min = locals[..self.k0].iter().copied().min().expect("k0 >= 1");
         crate::scheme::reconcile_shard_floor(
-            std::iter::once(Cycle::new(root_min)).chain(
+            std::iter::once(root_min).chain(
                 self.shards
                     .iter()
                     .map(|sh| Cycle::new(sh.min_time.load(Ordering::Acquire))),
@@ -629,36 +618,6 @@ impl Backoff {
     }
 }
 
-/// Execution mode of the speculation state machine (mirrors the
-/// sequential engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Base,
-    Replay,
-}
-
-/// Manager-side copy of a global checkpoint.
-///
-/// The snapshot always holds *full* state in both checkpoint modes; the
-/// mode only changes how it is maintained. Full mode rebuilds it from
-/// fresh clones at every checkpoint; delta mode applies the cores'
-/// capture deltas onto the standing copy in place and rolls back via
-/// `restore_from`, which copies only the units that diverged.
-struct ManagerSnapshot<C: CoreModel, U> {
-    cores: Vec<CoreSnapshot<C>>,
-    uncore: U,
-    /// Generation token of the live uncore at this checkpoint (the
-    /// baseline the next delta capture diffs against; unused in full
-    /// mode).
-    uncore_gen: u64,
-    global: Cycle,
-    tally: ViolationTally,
-    committed: u64,
-    pacer: Box<dyn Pacer>,
-    next_sample: u64,
-    last_sample_tally: ViolationTally,
-}
-
 /// Parallel slack-simulation engine: `n` core threads plus the manager.
 ///
 /// Semantics are identical to
@@ -672,21 +631,6 @@ pub struct ThreadedEngine<C: CoreModel, U: UncoreModel<C::Event>> {
     cfg: EngineConfig,
     save_hook: Option<SaveHook<C, U>>,
     resume: Option<EngineResume<C, U>>,
-}
-
-/// Manager-side scalar state carried into `manager_loop` when resuming
-/// from a persisted snapshot (the cores, uncore, pacer and aggregate
-/// commit count are applied in `run` before the loop starts).
-struct ManagerResume {
-    global: Cycle,
-    tally: ViolationTally,
-    detected: ViolationTally,
-    next_sample: u64,
-    last_sample_tally: ViolationTally,
-    spec_stats: SpeculationStats,
-    tracker: Option<IntervalTracker>,
-    bound_trace: Vec<(Cycle, u64)>,
-    max_spread: u64,
 }
 
 impl<C, U> ThreadedEngine<C, U>
@@ -732,31 +676,15 @@ where
     /// Returns [`EngineError::NoCores`] for an empty core set.
     pub fn run(self) -> Result<SimReport, EngineError> {
         let ThreadedEngine {
-            cores,
-            uncore,
+            mut cores,
+            mut uncore,
             cfg,
-            mut save_hook,
+            save_hook,
             resume,
         } = self;
         let n = cores.len();
         if n == 0 {
             return Err(EngineError::NoCores);
-        }
-        let started = Instant::now();
-
-        if cfg.commit_target == 0 {
-            // Trivial run: nothing to simulate.
-            return Ok(SimReport {
-                per_core: cores.iter().map(CoreModel::counters).collect(),
-                uncore: uncore.counters(),
-                obs: cfg.obs.map(|o| ObsData {
-                    cores: n,
-                    records: Vec::new(),
-                    dropped: 0,
-                    metrics: MetricsRegistry::new(o.sample_every),
-                }),
-                ..SimReport::default()
-            });
         }
 
         // The host scheduler every wait path goes through. The data-structure
@@ -765,53 +693,66 @@ where
         let sched = Arc::clone(cfg.sched.get());
         let hook = cfg.sched.instrumentation_hook();
 
+        // Manager tree: `shards` (clamped to the core count) contiguous
+        // shards of `n / S` cores each, the remainder spread over the
+        // first shards. Shard 0 is folded into the root manager; shards
+        // `1..S` get their own consolidation thread. `shards == 1` builds
+        // no machinery at all and runs the classic single-manager loop.
+        let shard_count = cfg.shards.clamp(1, n);
+        let s_extra = shard_count - 1;
+
         // Apply restored state before anything is shared with the core
         // threads: cores and their undelivered inboxes replace the fresh
         // models, every clock starts at the snapshot's global time, and
         // the aggregate commit counter is re-seeded.
-        let mut cores = cores;
-        let mut uncore = uncore;
+        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, true, s_extra, resume)?;
         let mut core_inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
         let mut start_committed = 0u64;
-        let mut pacer = cfg.scheme.clone().into_pacer();
-        let mut mgr_resume: Option<ManagerResume> = None;
+        let mut start_global = Cycle::ZERO;
         let mut resume_shard_forwarded: Vec<u64> = Vec::new();
-        if let Some(res) = resume {
-            if res.cores.len() != n {
-                return Err(EngineError::Resume(format!(
-                    "snapshot holds {} cores but the engine was built with {n}",
-                    res.cores.len()
-                )));
-            }
-            cores.clear();
-            core_inboxes.clear();
-            for (core, inbox) in res.cores {
-                cores.push(core);
-                core_inboxes.push(inbox);
-            }
+        if let Some(res) = resumed {
+            start_global = res.global;
+            cores = res.cores;
+            core_inboxes = res.inboxes;
             uncore = res.uncore;
-            pacer = res.pacer;
             start_committed = res.committed;
             resume_shard_forwarded = res.shard_forwarded;
-            mgr_resume = Some(ManagerResume {
-                global: res.global,
-                tally: res.tally,
-                detected: res.detected,
-                next_sample: res.next_sample,
-                last_sample_tally: res.last_sample_tally,
-                spec_stats: res.spec_stats,
-                tracker: res.tracker,
-                bound_trace: res.bound_trace,
-                max_spread: res.max_spread,
-            });
         }
-        let start_global = mgr_resume.as_ref().map_or(0, |r| r.global.as_u64());
+        // Host threads recording profile spans: the cores, the manager and
+        // any shard-manager threads.
+        let threads = (n + s_extra) as u64 + 1;
+
+        if cfg.commit_target == 0 {
+            // Trivial run: nothing to simulate.
+            let finish = Finish {
+                global: start_global,
+                committed: start_committed,
+                reason: FinishReason::CommitTarget,
+                locals: &vec![start_global; n],
+                gq_len: 0,
+                per_core: cores.iter().map(CoreModel::counters).collect(),
+                uncore: uncore.counters(),
+                extras: &[],
+                threads,
+            };
+            return Ok(k.finish(finish, |_| (0, 0)));
+        }
+
+        // The initial state is a free checkpoint, taken here while the
+        // models are still in the manager's hands.
+        k.seed_base(
+            &mut cores,
+            &core_inboxes,
+            &mut uncore,
+            start_global,
+            start_committed,
+        );
 
         let shared: Vec<Arc<CoreShared<C>>> = (0..n)
             .map(|_| {
                 Arc::new(CoreShared {
-                    local: AtomicU64::new(start_global),
-                    max_local: AtomicU64::new(start_global),
+                    local: AtomicU64::new(start_global.as_u64()),
+                    max_local: AtomicU64::new(start_global.as_u64()),
                     outq: SpscRing::with_sched(hook.clone()),
                     inq: SpscRing::with_sched(hook.clone()),
                     snapshot: SnapshotSlot::with_sched(hook.clone()),
@@ -825,13 +766,6 @@ where
         let done = Arc::new(AtomicBool::new(false));
         let committed = Arc::new(AtomicU64::new(start_committed));
 
-        // Manager tree: `shards` (clamped to the core count) contiguous
-        // shards of `n / S` cores each, the remainder spread over the
-        // first shards. Shard 0 is folded into the root manager; shards
-        // `1..S` get their own consolidation thread. `shards == 1` builds
-        // no machinery at all and runs the classic single-manager loop.
-        let shard_count = cfg.shards.clamp(1, n);
-        let s_extra = shard_count - 1;
         let shard_splits: Vec<(usize, usize)> = {
             let mut splits = Vec::with_capacity(s_extra);
             let mut start = n / shard_count + usize::from(n % shard_count > 0);
@@ -847,7 +781,7 @@ where
             .map(|_| {
                 Arc::new(ShardShared {
                     fwd: SpscRing::with_sched(hook.clone()),
-                    min_time: AtomicU64::new(start_global),
+                    min_time: AtomicU64::new(start_global.as_u64()),
                     forwarded: AtomicU64::new(0),
                     parked: AtomicBool::new(false),
                     cmd_pending: AtomicBool::new(false),
@@ -883,37 +817,6 @@ where
             shard_ack_rxs.push(ar);
         }
 
-        // A disabled tracer keeps every instrumentation site at one relaxed
-        // atomic load when no ObsConfig was given.
-        let tracer = match cfg.obs {
-            Some(o) => Tracer::new(o.trace_capacity),
-            None => Tracer::disabled(),
-        };
-
-        // Host-time profiler: same disabled-cost contract as the tracer —
-        // an un-configured profiler reduces every span site to one relaxed
-        // atomic load, so uninstrumented runs stay unperturbed.
-        let prof = cfg.prof.clone().unwrap_or_else(Profiler::disabled);
-
-        // Live telemetry: an observer thread outside the scheduling
-        // discipline reads these engine-published atomics on its own
-        // host-time cadence. Cores and the manager only ever issue relaxed
-        // stores into it, so enabling a heartbeat never stalls simulation
-        // threads.
-        let live_stats = Arc::new(LiveStats::with_shards(s_extra));
-        live_stats
-            .commit_target
-            .store(cfg.commit_target, Ordering::Relaxed);
-        live_stats
-            .committed
-            .store(start_committed, Ordering::Relaxed);
-        let live_handle = cfg
-            .live
-            .as_ref()
-            .filter(|l| l.has_sink())
-            .map(|l| crate::obs::live::spawn(l.clone(), Arc::clone(&live_stats), prof.clone()));
-        let live_on = live_handle.is_some();
-
         let mut cmd_txs: Vec<Sender<Command<C>>> = Vec::with_capacity(n);
         let mut cmd_rxs: Vec<Receiver<Command<C>>> = Vec::with_capacity(n);
         let mut ack_txs: Vec<Sender<u64>> = Vec::with_capacity(n);
@@ -928,9 +831,8 @@ where
         }
 
         // Cores start frozen (max local time = start time); the manager
-        // publishes the first window after taking the free initial
-        // checkpoint.
-        let report = std::thread::scope(|scope| {
+        // publishes the first window once every thread is up.
+        std::thread::scope(|scope| {
             // --- Core threads ------------------------------------------------
             // std mpsc receivers are single-consumer: each core's command
             // receiver and ack sender are moved into its thread.
@@ -946,8 +848,8 @@ where
                 let shared = Arc::clone(&shared[i]);
                 let done = Arc::clone(&done);
                 let committed = Arc::clone(&committed);
-                let th = tracer.handle();
-                let ph = prof.handle();
+                let th = k.tracer().handle();
+                let ph = k.prof().handle();
                 let sched = Arc::clone(&sched);
                 handles.push(scope.spawn(move || {
                     core_thread(
@@ -981,7 +883,7 @@ where
                     shared[start..start + len].iter().map(Arc::clone).collect();
                 let sh = Arc::clone(&shard_shared[si]);
                 let done = Arc::clone(&done);
-                let ph = prof.handle();
+                let ph = k.prof().handle();
                 let sched = Arc::clone(&sched);
                 shard_handles.push(scope.spawn(move || {
                     shard_thread(
@@ -1018,19 +920,15 @@ where
             // expected task set has arrived, so registering earlier would
             // deadlock the spawn loop.
             sched.register("manager");
-            let outcome = manager_loop(
+            let exit = manager_loop(
                 &cfg,
-                &mut pacer,
+                &mut k,
                 &mut uncore,
                 &shared,
                 &committed,
                 &cmd_txs,
                 &ack_rxs,
-                &tracer,
-                &mut save_hook,
-                mgr_resume,
-                &prof,
-                live_on.then_some(&*live_stats),
+                start_global,
                 &mut shardset,
             );
 
@@ -1056,51 +954,46 @@ where
             for h in shard_handles {
                 h.join().expect("shard thread panicked");
             }
-            outcome.map(|mut m| {
+            let exit = exit?;
+
+            let mut extras = vec![
+                ("manager_parks", exit.manager_parks),
+                ("core_parks", sum_relaxed(shared.iter().map(|s| &s.parks))),
+            ];
+            if !shardset.is_empty() {
+                let shards = &shardset.shards;
+                extras.push(("shards", shards.len() as u64 + 1));
+                extras.push((
+                    "shard_forwarded_total",
+                    shardset.resume_base + sum_relaxed(shards.iter().map(|sh| &sh.forwarded)),
+                ));
+                extras.push((
+                    "shard_parks",
+                    sum_relaxed(shards.iter().map(|sh| &sh.parks)),
+                ));
+            }
+            let locals: Vec<Cycle> = shared
+                .iter()
+                .map(|s| Cycle::new(s.local.load(Ordering::Acquire)))
+                .collect();
+            let finish = Finish {
+                global: exit.global,
                 // The manager samples the aggregate commit count at its
                 // finish decision, but cores may legally run out the rest
                 // of their published window before they observe the done
-                // flag. Re-read after the joins so the reported aggregate
+                // flag. Read it after the joins so the reported aggregate
                 // matches the per-core counters exactly.
-                m.committed = committed.load(Ordering::Acquire);
-                let obs = cfg.obs.map(|_| {
-                    let (records, dropped) = tracer.drain();
-                    ObsData {
-                        cores: n,
-                        records,
-                        dropped,
-                        metrics: std::mem::take(&mut m.metrics),
-                    }
-                });
-                let mut report = m.into_report(finished_cores, started.elapsed());
-                report.obs = obs;
-                report
-            })
-        })?;
-        // Publish the final tallies before the terminal heartbeat so the
-        // last emitted line reports the finished run exactly.
-        if live_on {
-            live_stats
-                .committed
-                .store(report.committed, Ordering::Relaxed);
-            live_stats
-                .global
-                .store(report.global_cycles, Ordering::Relaxed);
-            live_stats
-                .violations
-                .store(report.violations.total(), Ordering::Relaxed);
-        }
-        if let Some(h) = live_handle {
-            h.finish();
-        }
-        let mut report = report;
-        if prof.is_enabled() {
-            // n core threads plus the manager and any shard-manager
-            // threads contribute self-time; the denominator of the
-            // coverage figure is wall * threads.
-            report.prof = Some(prof.snapshot(report.wall, (n + s_extra) as u64 + 1));
-        }
-        Ok(report)
+                committed: committed.load(Ordering::Acquire),
+                reason: exit.reason,
+                locals: &locals,
+                gq_len: exit.gq_len,
+                per_core: finished_cores.iter().map(CoreModel::counters).collect(),
+                uncore: uncore.counters(),
+                extras: &extras,
+                threads,
+            };
+            Ok(k.finish(finish, |i| ring_depths(&shared[i])))
+        })
     }
 }
 
@@ -1130,12 +1023,6 @@ fn core_thread<C: CoreModel + Checkpointable>(
     let task = sched.register(&format!("core{}", core.index()));
     let _ = shared.task.set(task);
     let mut outbox: Vec<Timestamped<C::Event>> = Vec::new();
-    // Generation token recorded at the last snapshot capture: the
-    // baseline the next delta capture diffs against and the token a
-    // delta-mode restore rewinds to. Refreshed on every capture (full
-    // captures seed it so the first delta after the free initial full
-    // snapshot has an exact baseline).
-    let mut cp_gen: u64 = 0;
     let mut idle_spins = 0u32;
     // On an oversubscribed host a capped core skips the spin tier: the
     // manager cannot widen the window until it gets the CPU this core is
@@ -1193,48 +1080,24 @@ fn core_thread<C: CoreModel + Checkpointable>(
                         }
                         ack_tx.send(l).expect("manager alive");
                     }
-                    Command::Snapshot { delta } => {
+                    Command::Snapshot { since } => {
                         let _span = ph.enter(ProfSite::CheckpointCapture);
                         while let Some(ev) = shared.inq.pop() {
                             inbox.deliver(ev);
                         }
-                        let capture = if delta {
-                            let d = model.capture_delta(cp_gen);
-                            cp_gen = model.generation();
-                            CoreCapture::Delta(Box::new((d, inbox.clone())))
-                        } else {
-                            // Seed the delta baseline even on full
-                            // captures: capturing at the current
-                            // generation is an empty delta whose only
-                            // effect is recording the baseline, so the
-                            // first delta capture after an initial full
-                            // snapshot diffs against exact per-unit
-                            // stamps instead of degrading to a full walk.
-                            let g = model.generation();
-                            let _ = model.capture_delta(g);
-                            cp_gen = g;
-                            CoreCapture::Full(Box::new((model.clone(), inbox.clone())))
-                        };
-                        shared.snapshot.put(capture);
+                        let delta = model.capture_delta(since);
+                        let capture = Box::new((delta, inbox.clone(), model.generation()));
+                        shared.snapshot.put(CoreCapture::Delta(capture));
                         ack_tx
                             .send(shared.local.load(Ordering::Relaxed))
                             .expect("manager alive");
                     }
-                    Command::Restore(state) => {
-                        let _span = ph.enter(ProfSite::CheckpointRestore);
-                        let (m, ib) = *state;
-                        model = m;
-                        inbox = ib;
-                        ack_tx
-                            .send(shared.local.load(Ordering::Relaxed))
-                            .expect("manager alive");
-                    }
-                    Command::RestoreDelta(base) => {
+                    Command::Rewind { base, since } => {
                         // Rewind in place: only units that diverged from
-                        // the base since `cp_gen` are copied back, and
+                        // the base since `since` are copied back, and
                         // the base goes back to the manager untouched.
                         let _span = ph.enter(ProfSite::CheckpointRestore);
-                        model.restore_from(&base.0, cp_gen);
+                        model.restore_from(&base.0, since);
                         inbox.clone_from(&base.1);
                         shared.snapshot.put(CoreCapture::Base(base));
                         ack_tx
@@ -1399,181 +1262,29 @@ fn next_command<C: CoreModel>(
     }
 }
 
-/// Manager-side run state that eventually becomes the report.
-struct ManagerOutcome<U> {
-    uncore: U,
+/// How the manager loop ended, for the report.
+struct ManagerExit {
     global: Cycle,
-    committed: u64,
-    tally: ViolationTally,
-    kernel: Counters,
-    bound_trace: Vec<(Cycle, u64)>,
-    metrics: MetricsRegistry,
-}
-
-impl<U> ManagerOutcome<U> {
-    fn into_report<C: CoreModel>(self, cores: Vec<C>, wall: std::time::Duration) -> SimReport
-    where
-        U: UncoreModel<C::Event>,
-    {
-        SimReport {
-            global_cycles: self.global.as_u64(),
-            committed: self.committed,
-            violations: self.tally,
-            wall,
-            per_core: cores.iter().map(CoreModel::counters).collect(),
-            uncore: self.uncore.counters(),
-            kernel: self.kernel,
-            bound_trace: self.bound_trace,
-            obs: None,
-            prof: None,
-        }
-    }
-}
-
-/// Interned metric keys for the manager's sampling loop, created once at
-/// startup so steady-state sampling performs no string formatting or
-/// allocation.
-struct MetricIds {
-    /// `drift.core{i}` gauge per core.
-    drift: Vec<GaugeId>,
-    core_drift: HistId,
-    outq_depth: HistId,
-    inq_depth: HistId,
-    slack_bound: GaugeId,
-    violation_rate: GaugeId,
-    globalq_depth: GaugeId,
-    globalq_depth_h: HistId,
-    manager_wait: GaugeId,
-    manager_wait_h: HistId,
-    /// Cumulative trace records dropped to ring overflow, sampled live so
-    /// a mid-run overflow is diagnosable from the metrics CSV.
-    trace_dropped: GaugeId,
-}
-
-impl MetricIds {
-    fn intern(metrics: &mut MetricsRegistry, n: usize) -> Self {
-        MetricIds {
-            drift: (0..n)
-                .map(|i| metrics.intern_gauge(&format!("drift.core{i}")))
-                .collect(),
-            core_drift: metrics.intern_histogram("core_drift"),
-            outq_depth: metrics.intern_histogram("outq_depth"),
-            inq_depth: metrics.intern_histogram("inq_depth"),
-            slack_bound: metrics.intern_gauge("slack_bound"),
-            violation_rate: metrics.intern_gauge("violation_rate"),
-            globalq_depth: metrics.intern_gauge("globalq_depth"),
-            globalq_depth_h: metrics.intern_histogram("globalq_depth"),
-            manager_wait: metrics.intern_gauge("manager_wait_ns"),
-            manager_wait_h: metrics.intern_histogram("manager_wait_ns"),
-            trace_dropped: metrics.intern_gauge("trace_dropped"),
-        }
-    }
-}
-
-/// Emits one metrics sample: per-core drift and queue-depth gauges plus
-/// the manager-side aggregates. Factored out of the manager loop so the
-/// run epilogue can flush a terminal sample at the final global time —
-/// without it, a run shorter than (or not a multiple of) the sampling
-/// cadence would export a CSV missing the final state.
-#[allow(clippy::too_many_arguments)]
-fn sample_metrics<C: CoreModel + Checkpointable>(
-    metrics: &mut MetricsRegistry,
-    ids: &MetricIds,
-    th: &mut TraceHandle,
-    shared: &[Arc<CoreShared<C>>],
-    locals: &[u64],
-    global: Cycle,
-    bound: Option<u64>,
+    reason: FinishReason,
     gq_len: u64,
-    detected_total: u64,
-    tracer: &Tracer,
-    mgr_wait_ns: u64,
-    last_metrics_cycle: &mut u64,
-    last_metrics_detected: &mut u64,
-    last_wait_ns: &mut u64,
-) {
-    for (i, &l) in locals.iter().enumerate() {
-        let core = CoreId::new(i as u16);
-        let drift = l.saturating_sub(global.as_u64());
-        metrics.gauge_by(ids.drift[i], global, drift as f64);
-        metrics.histogram_by(ids.core_drift).record(drift);
-        th.record(
-            global,
-            TraceEvent::LocalTimeSample {
-                core,
-                cycle: Cycle::new(l),
-            },
-        );
-        let outq = shared[i].outq.depth_hint() as u64;
-        let inq = shared[i].inq.depth_hint() as u64;
-        metrics.histogram_by(ids.outq_depth).record(outq);
-        metrics.histogram_by(ids.inq_depth).record(inq);
-        th.record(
-            global,
-            TraceEvent::QueueDepth {
-                q: QueueKind::OutQ(core),
-                len: outq,
-            },
-        );
-        th.record(
-            global,
-            TraceEvent::QueueDepth {
-                q: QueueKind::InQ(core),
-                len: inq,
-            },
-        );
-    }
-    if let Some(b) = bound {
-        metrics.gauge_by(ids.slack_bound, global, b as f64);
-    }
-    // Rate over the cycles actually elapsed since the previous
-    // sample, not the nominal cadence: back-to-back samples at the
-    // same global time would otherwise divide by zero and push a
-    // non-finite gauge value.
-    let elapsed = global.as_u64().saturating_sub(*last_metrics_cycle);
-    let live_rate = if elapsed == 0 {
-        0.0
-    } else {
-        (detected_total - *last_metrics_detected) as f64 / elapsed as f64
-    };
-    *last_metrics_cycle = global.as_u64();
-    *last_metrics_detected = detected_total;
-    metrics.gauge_by(ids.violation_rate, global, live_rate);
-    metrics.gauge_by(ids.globalq_depth, global, gq_len as f64);
-    metrics.histogram_by(ids.globalq_depth_h).record(gq_len);
-    th.record(
-        global,
-        TraceEvent::QueueDepth {
-            q: QueueKind::Global,
-            len: gq_len,
-        },
-    );
-    metrics.gauge_by(ids.trace_dropped, global, tracer.dropped_so_far() as f64);
-    let wait_delta = mgr_wait_ns - *last_wait_ns;
-    *last_wait_ns = mgr_wait_ns;
-    metrics.gauge_by(ids.manager_wait, global, wait_delta as f64);
-    metrics.histogram_by(ids.manager_wait_h).record(wait_delta);
-    th.record(global, TraceEvent::ManagerWait { ns: wait_delta });
+    manager_parks: u64,
 }
 
 /// The simulation-manager loop (runs on the caller's thread inside the
-/// scope).
+/// scope): the driver half — ring drains, window publication, the wait
+/// ladder and the stop-sync command protocol — around the kernel's verbs.
 #[allow(clippy::too_many_arguments)]
 fn manager_loop<C, U>(
     cfg: &EngineConfig,
-    pacer: &mut Box<dyn Pacer>,
+    k: &mut Kernel<C, U>,
     uncore: &mut U,
     shared: &[Arc<CoreShared<C>>],
     committed: &AtomicU64,
     cmd_txs: &[Sender<Command<C>>],
     ack_rxs: &[Receiver<u64>],
-    tracer: &Tracer,
-    save_hook: &mut Option<SaveHook<C, U>>,
-    resume: Option<ManagerResume>,
-    prof: &Profiler,
-    live: Option<&LiveStats>,
+    start_global: Cycle,
     shardset: &mut ShardSet<C>,
-) -> Result<ManagerOutcome<U>, EngineError>
+) -> Result<ManagerExit, EngineError>
 where
     C: CoreModel + Checkpointable,
     U: UncoreModel<C::Event> + Checkpointable,
@@ -1581,357 +1292,129 @@ where
     let n = shared.len();
     let sched: &dyn HostSched = &**cfg.sched.get();
     let virt = sched.virtualized();
-    let sample_period = cfg.effective_sample_period();
+    let ph = k.prof_handle();
     let mut gq: GlobalQueue<C::Event> = GlobalQueue::new();
-    let mut sink: ServiceSink<C::Event> = ServiceSink::new();
-
-    let start_global = resume.as_ref().map_or(Cycle::ZERO, |r| r.global);
-    let mut tally = ViolationTally::new();
-    let mut detected = ViolationTally::new();
-    let mut next_sample = sample_period;
-    let mut last_sample_tally = tally;
-    let mut bound_trace: Vec<(Cycle, u64)> = Vec::new();
-
-    // Observability: the manager's own trace handle plus the metrics
-    // registry sampled on the obs cadence. Host-side manager wait time is
-    // accumulated around the backoff points and emitted once per sample.
-    let obs_on = cfg.obs.is_some();
-    let ph = prof.handle();
-    let mut th = tracer.handle();
-    let mut metrics = MetricsRegistry::new(cfg.obs.map_or(1024, |o| o.sample_every));
-    let ids = MetricIds::intern(&mut metrics, n);
-    let persist_bytes_id = metrics.intern_gauge("persist_bytes");
-    let mut last_metrics_detected = 0u64;
-    let mut last_metrics_cycle = 0u64;
-    let mut mgr_wait_ns: u64 = 0;
-    let mut last_wait_ns: u64 = 0;
+    // The kernel's delivery seam: responses go into the target core's InQ.
+    let deliver = |to: CoreId, ev: Timestamped<C::Event>| shared[to.index()].inq.push(ev);
+    let rings = |i: usize| ring_depths(&shared[i]);
 
     // Persistent scratch reused every iteration: local-clock snapshots,
     // the previous iteration's snapshot for progress detection, and the
     // OutQ drain buffer. Steady state allocates nothing.
-    let mut locals: Vec<u64> = Vec::with_capacity(n);
-    let mut prev_locals: Vec<u64> = vec![u64::MAX; n];
+    let mut locals: Vec<Cycle> = Vec::with_capacity(n);
+    let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
-    let mut cycles_buf: Vec<Cycle> = Vec::with_capacity(n);
     let mut backoff = Backoff::new(host_oversubscribed(n + shardset.shards.len()), virt);
-
-    let spec = cfg.speculation;
-    let mut tracker = spec.map(|s| IntervalTracker::new(s.interval));
-    let mut spec_stats = SpeculationStats::default();
-    let mut mode = Mode::Base;
-    // `u64::MAX` keeps every checkpoint site unreachable when speculation
-    // is off; `cp_interval` is only ever added under a `spec.is_some()`
-    // guard.
-    let cp_interval: u64 = spec.map_or(u64::MAX, |s| s.interval);
-    let cp_delta = spec.is_some_and(|s| s.mode == CheckpointMode::Delta);
-    let mut next_cp_trigger: u64 = spec.map_or(u64::MAX, |s| start_global.as_u64() + s.interval);
-    let mut replay_start = Cycle::ZERO;
-    let mut pending_rollback = false;
-    // Largest clock spread observed at manager sampling points (the
-    // empirical slack; a lower bound on the true maximum since the manager
-    // samples asynchronously).
-    let mut max_spread: u64 = 0;
-
-    if let Some(res) = resume {
-        tally = res.tally;
-        detected = res.detected;
-        next_sample = res.next_sample;
-        last_sample_tally = res.last_sample_tally;
-        bound_trace = res.bound_trace;
-        spec_stats = res.spec_stats;
-        if let Some(tr) = res.tracker {
-            tracker = Some(tr);
+    // Waits through the ladder, accumulating the host time spent when
+    // metrics are being sampled.
+    let idle_wait = |backoff: &mut Backoff, k: &mut Kernel<C, U>| {
+        let _span = ph.enter(backoff.next_site());
+        if k.obs_on() {
+            let wait_started = Instant::now();
+            backoff.wait(sched);
+            k.add_manager_wait(wait_started.elapsed().as_nanos() as u64);
+        } else {
+            backoff.wait(sched);
         }
-        max_spread = res.max_spread;
-        last_metrics_detected = detected.total();
-        last_metrics_cycle = start_global.as_u64();
-        th.record(
-            start_global,
-            TraceEvent::StateRestore {
-                global: start_global,
-            },
-        );
-    }
-
-    // The initial state is a free checkpoint taken before the cores move.
-    // It is always a *full* capture — delta mode needs a base to diff
-    // against — and seeds every delta baseline (cores seed their own in
-    // the full-capture path; the manager seeds the uncore's inside
-    // `merge_snapshot`).
-    let mut snapshot: Option<ManagerSnapshot<C, U>> = None;
-    if spec.is_some() {
-        shardset.pause(sched);
-        shardset.drain_forward(&mut gq);
-        let captures = {
-            let _span = ph.enter(ProfSite::CheckpointCapture);
-            snapshot_all(
-                shared,
-                cmd_txs,
-                ack_rxs,
-                &mut gq,
-                uncore,
-                &mut sink,
-                &mut drain_buf,
-                sched,
-                false,
-            )
-        };
-        shardset.set_floors(start_global);
-        shardset.resume(sched);
-        // Discard side effects of the (empty) drain above.
-        let _span = ph.enter(ProfSite::CheckpointApply);
-        merge_snapshot(
-            &mut snapshot,
-            captures,
-            uncore,
-            start_global,
-            tally,
-            committed.load(Ordering::Acquire),
-            &**pacer,
-            next_sample,
-            last_sample_tally,
-        );
-    }
-
-    let mut window_end = if pacer.barrier_service() {
-        pacer.window_end(start_global)
-    } else {
-        pacer
-            .window_end(start_global)
-            .min(cfg.lead_cap(start_global))
     };
+
+    let mut window_end = k.pacer.window_end(start_global);
+    if !k.pacer.barrier_service() {
+        window_end = window_end.min(cfg.lead_cap(start_global));
+    }
     publish_window(shared, window_end, sched);
 
-    let finish_reason;
-    let final_global;
-
-    loop {
+    let (final_global, finish_reason) = loop {
         sched.point(SchedSite::ManagerLoop);
         let drained = {
             let _span = ph.enter(ProfSite::ManagerDrain);
             shardset.drain_steady(shared, &mut gq, &mut drain_buf)
         };
         locals.clear();
-        locals.extend(shared.iter().map(|s| s.local.load(Ordering::Acquire)));
+        locals.extend(
+            shared
+                .iter()
+                .map(|s| Cycle::new(s.local.load(Ordering::Acquire))),
+        );
         let progress = drained > 0 || locals != prev_locals;
         prev_locals.copy_from_slice(&locals);
         if progress {
             backoff.reset();
         }
-        let global = Cycle::new(locals.iter().copied().min().expect("n >= 1"));
-        max_spread =
-            max_spread.max(locals.iter().copied().max().expect("n >= 1") - global.as_u64());
-        let barrier = mode == Mode::Replay || pacer.barrier_service();
+        let global = locals.iter().copied().min().expect("n >= 1");
+        // The empirical slack: a lower bound on the true maximum, since
+        // the manager samples the clocks asynchronously.
+        k.note_spread(
+            locals
+                .iter()
+                .copied()
+                .max()
+                .expect("n >= 1")
+                .saturating_sub(global),
+        );
 
-        if let Some(tr) = &mut tracker {
-            tr.close_intervals_up_to(global);
-        }
-        while global.as_u64() >= next_sample {
-            let delta = tally.since(&last_sample_tally);
-            let sample = PaceSample {
-                global: Cycle::new(next_sample),
-                window_cycles: sample_period,
-                window_violations: delta.total(),
-            };
-            let bound_before = pacer.current_bound();
-            pacer.on_sample(&sample);
-            last_sample_tally = tally;
-            if let Some(b) = pacer.current_bound() {
-                bound_trace.push((Cycle::new(next_sample), b));
-                if let Some(old) = bound_before {
-                    if old != b {
-                        th.record(
-                            Cycle::new(next_sample),
-                            TraceEvent::BoundChange {
-                                old,
-                                new: b,
-                                rate: sample.rate(),
-                            },
-                        );
-                    }
-                }
-            }
-            next_sample += sample_period;
-        }
-
-        // Metrics sampling (observability cadence, independent of the
-        // pacer's feedback period). All keys were interned at startup;
-        // queue depths come from the rings' relaxed counters, so sampling
-        // takes no locks and allocates nothing.
-        if obs_on && metrics.sample_ready(global) {
-            sample_metrics(
-                &mut metrics,
-                &ids,
-                &mut th,
-                shared,
-                &locals,
-                global,
-                pacer.current_bound(),
-                gq.len() as u64,
-                detected.total(),
-                tracer,
-                mgr_wait_ns,
-                &mut last_metrics_cycle,
-                &mut last_metrics_detected,
-                &mut last_wait_ns,
-            );
-        }
-
-        // Live telemetry: relaxed stores into the shared gauge block; the
-        // emitter thread reads them on its own host-time cadence.
-        if let Some(ls) = live {
-            ls.global.store(global.as_u64(), Ordering::Relaxed);
-            ls.committed
-                .store(committed.load(Ordering::Relaxed), Ordering::Relaxed);
-            ls.bound
-                .store(pacer.current_bound().unwrap_or(NO_BOUND), Ordering::Relaxed);
-            ls.violations.store(tally.total(), Ordering::Relaxed);
-            ls.globalq_depth.store(gq.len() as u64, Ordering::Relaxed);
-            ls.outq_depth.store(
-                shared.iter().map(|s| s.outq.depth_hint() as u64).sum(),
-                Ordering::Relaxed,
-            );
-            ls.inq_depth.store(
-                shared.iter().map(|s| s.inq.depth_hint() as u64).sum(),
-                Ordering::Relaxed,
-            );
-            ls.dropped_traces
-                .store(tracer.dropped_so_far(), Ordering::Relaxed);
-            ls.checkpoints
-                .store(spec_stats.checkpoints, Ordering::Relaxed);
-            ls.rollbacks.store(spec_stats.rollbacks, Ordering::Relaxed);
+        k.on_global(
+            global,
+            committed.load(Ordering::Relaxed),
+            &locals,
+            gq.len() as u64,
+            rings,
+        );
+        if let Some(ls) = k.live() {
             for (g, sh) in ls.shard_fwd_depth.iter().zip(&shardset.shards) {
                 g.store(sh.fwd.depth_hint() as u64, Ordering::Relaxed);
             }
         }
 
-        if barrier {
+        if k.barrier() {
             // The flush gate: every core at the boundary AND every shard
             // floor at (or past) it — only then is every event below the
             // boundary guaranteed visible through the forwarding rings,
             // so the sorted barrier service stays bit-identical to the
             // sequential engine.
-            if locals.iter().all(|&l| l == window_end.as_u64()) && shardset.flushed_to(window_end) {
+            if locals.iter().all(|&l| l == window_end) && shardset.flushed_to(window_end) {
                 {
                     let _span = ph.enter(ProfSite::ManagerDrain);
                     shardset.drain_steady(shared, &mut gq, &mut drain_buf);
                 }
                 {
                     let _span = ph.enter(ProfSite::ManagerService);
-                    service_all(
-                        &mut gq,
-                        uncore,
-                        &mut sink,
-                        shared,
-                        &mut tally,
-                        &mut detected,
-                        &mut tracker,
-                        &mut pending_rollback,
-                        &spec,
-                        mode == Mode::Base,
-                        &mut th,
-                    );
+                    k.service_all(&mut gq, uncore, deliver);
                 }
-                debug_assert!(!pending_rollback, "barrier servicing cannot violate");
+                debug_assert!(!k.rollback_pending(), "barrier servicing cannot violate");
                 let g = window_end;
                 if committed.load(Ordering::Acquire) >= cfg.commit_target {
-                    finish_reason = FinishReason::CommitTarget;
-                    final_global = g;
-                    break;
+                    break (g, FinishReason::CommitTarget);
                 }
                 if g.as_u64() >= cfg.max_cycles {
-                    finish_reason = FinishReason::CycleCap;
-                    final_global = g;
-                    break;
+                    break (g, FinishReason::CycleCap);
                 }
-                if spec.is_some() && g.as_u64() >= next_cp_trigger {
-                    // Cores are already aligned at the boundary: snapshot
-                    // directly.
-                    if mode == Mode::Replay {
-                        let replayed = g.saturating_sub(replay_start);
-                        spec_stats.replay_cycles += replayed;
-                        mode = Mode::Base;
-                        th.record(
-                            g,
-                            TraceEvent::ReplayEnd {
-                                ordinal: spec_stats.rollbacks,
-                                replay_cycles: replayed,
-                            },
-                        );
-                        for c in CoreId::all(n) {
-                            th.record(
-                                g,
-                                TraceEvent::PhaseEnd {
-                                    core: c,
-                                    phase: Phase::Replay,
-                                },
-                            );
-                        }
-                    }
+                if k.checkpoint_due(g) {
+                    // Cores are already aligned at the boundary with
+                    // nothing in flight: capture directly.
                     shardset.pause(sched);
                     shardset.drain_forward(&mut gq);
-                    let captures = {
+                    {
                         let _span = ph.enter(ProfSite::CheckpointCapture);
-                        snapshot_all(
-                            shared,
-                            cmd_txs,
-                            ack_rxs,
-                            &mut gq,
-                            uncore,
-                            &mut sink,
-                            &mut drain_buf,
-                            sched,
-                            cp_delta,
-                        )
-                    };
+                        stop_all(shared, cmd_txs, ack_rxs, sched);
+                        drain_outqs(shared, &mut gq, &mut drain_buf);
+                        capture_all(k, shared, cmd_txs, ack_rxs, sched);
+                        resume_all(shared, cmd_txs, sched);
+                    }
                     shardset.set_floors(g);
                     shardset.resume(sched);
-                    spec_stats.checkpoints += 1;
-                    th.record(
-                        Cycle::new(next_cp_trigger.min(g.as_u64())),
-                        TraceEvent::Checkpoint {
-                            ordinal: spec_stats.checkpoints,
-                            overshoot: g.as_u64().saturating_sub(next_cp_trigger),
-                        },
-                    );
-                    // Every event at or below the committed boundary has
-                    // been serviced: monitors settled below it can be
-                    // dropped before they are captured into the snapshot.
-                    uncore.compact_monitors(g);
-                    {
-                        let _span = ph.enter(ProfSite::CheckpointApply);
-                        merge_snapshot(
-                            &mut snapshot,
-                            captures,
-                            uncore,
-                            g,
-                            tally,
-                            committed.load(Ordering::Acquire),
-                            &**pacer,
-                            next_sample,
-                            last_sample_tally,
-                        );
-                    }
-                    next_cp_trigger = g.as_u64() + cp_interval;
-                    invoke_save_hook(
-                        save_hook,
-                        &snapshot,
-                        spec_stats,
-                        detected,
-                        tracker.as_ref(),
-                        &bound_trace,
-                        max_spread,
+                    k.commit_checkpoint(
+                        g,
+                        committed.load(Ordering::Acquire),
+                        uncore,
+                        None,
                         &shardset.paused_forwarded,
-                        &mut th,
-                        &mut metrics,
-                        persist_bytes_id,
-                        &ph,
                     );
                 }
-                window_end = if mode == Mode::Replay {
+                window_end = if k.replaying() {
                     g + 1
                 } else {
-                    pacer.window_end(g)
+                    k.pacer.window_end(g)
                 };
                 publish_window(shared, window_end, sched);
                 backoff.reset();
@@ -1941,14 +1424,7 @@ where
                 // natural boundary keeps the finish state deterministic and
                 // identical across all three engines (the batched engine
                 // can only observe boundaries).
-                let _span = ph.enter(backoff.next_site());
-                if obs_on {
-                    let wait_started = Instant::now();
-                    backoff.wait(sched);
-                    mgr_wait_ns += wait_started.elapsed().as_nanos() as u64;
-                } else {
-                    backoff.wait(sched);
-                }
+                idle_wait(&mut backoff, k);
             }
             continue;
         }
@@ -1956,111 +1432,56 @@ where
         // --- Greedy servicing -------------------------------------------
         {
             let _span = ph.enter(ProfSite::ManagerService);
-            service_all(
-                &mut gq,
-                uncore,
-                &mut sink,
-                shared,
-                &mut tally,
-                &mut detected,
-                &mut tracker,
-                &mut pending_rollback,
-                &spec,
-                mode == Mode::Base,
-                &mut th,
-            );
+            k.service_all(&mut gq, uncore, deliver);
         }
 
-        if pending_rollback {
+        if k.rollback_pending() {
             let _span = ph.enter(ProfSite::CheckpointRestore);
-            let snap = snapshot.as_mut().expect("rollback requires a snapshot");
             shardset.pause(sched);
             stop_all(shared, cmd_txs, ack_rxs, sched);
-            drain_outqs(shared, &mut gq, &mut drain_buf);
-            gq.clear();
             // Cores are stopped and shards paused (acks received), so the
             // manager may act as the consumer of every ring during the
             // wipe.
+            gq.clear();
             for s in shared {
                 s.inq.clear();
                 s.outq.clear();
             }
             shardset.clear_forward();
-            let cur_global = Cycle::new(
-                shared
-                    .iter()
-                    .map(|s| s.local.load(Ordering::Acquire))
-                    .min()
-                    .expect("n >= 1"),
-            );
-            spec_stats.rollbacks += 1;
-            let wasted = cur_global.saturating_sub(snap.global);
-            spec_stats.wasted_cycles += wasted;
-            // Recorded at the rollback instant: the exporter renders the
-            // discarded region as the span [cur_global - wasted,
-            // cur_global).
-            th.record(
-                cur_global,
-                TraceEvent::Rollback {
-                    ordinal: spec_stats.rollbacks,
-                    wasted_cycles: wasted,
-                },
-            );
-            for s in shared.iter() {
-                s.local.store(snap.global.as_u64(), Ordering::Release);
+            let now = shared
+                .iter()
+                .map(|s| Cycle::new(s.local.load(Ordering::Acquire)))
+                .min()
+                .expect("n >= 1");
+            let (at, at_committed) = k.rollback_ledger(now);
+            for s in shared {
+                s.local.store(at.as_u64(), Ordering::Release);
             }
-            if cp_delta {
-                // Hand each core its checkpoint base by move; the core
-                // rewinds in place via `restore_from` (copying back only
-                // the units that diverged) and returns the base through
-                // its snapshot slot, so no full-model clone happens on
-                // either side.
-                let bases = std::mem::take(&mut snap.cores);
-                for ((s, tx), base) in shared.iter().zip(cmd_txs).zip(bases) {
-                    send_cmd(s, tx, Command::RestoreDelta(Box::new(base)), sched);
-                }
-                await_acks(ack_rxs, sched);
-                snap.cores = shared
+            // Hand each core its checkpoint base by move; the core rewinds
+            // in place via `restore_from` (copying back only the units
+            // that diverged) and returns the base through its snapshot
+            // slot, so no full-model clone happens on either side.
+            for (i, base) in k.take_bases().into_iter().enumerate() {
+                let cmd = Command::Rewind {
+                    base: Box::new(base),
+                    since: k.core_gen(i),
+                };
+                send_cmd(&shared[i], &cmd_txs[i], cmd, sched);
+            }
+            await_acks(ack_rxs, sched);
+            k.return_bases(
+                shared
                     .iter()
                     .map(|s| match s.snapshot.take().expect("base returned") {
                         CoreCapture::Base(b) => *b,
-                        _ => unreachable!("delta restore hands back the base"),
+                        CoreCapture::Delta(_) => unreachable!("a rewind hands back the base"),
                     })
-                    .collect();
-                uncore.restore_from(&snap.uncore, snap.uncore_gen);
-            } else {
-                for (i, tx) in cmd_txs.iter().enumerate() {
-                    let (m, ib) = &snap.cores[i];
-                    send_cmd(
-                        &shared[i],
-                        tx,
-                        Command::Restore(Box::new((m.clone(), ib.clone()))),
-                        sched,
-                    );
-                }
-                await_acks(ack_rxs, sched);
-                *uncore = snap.uncore.clone();
-            }
-            tally = snap.tally;
-            committed.store(snap.committed, Ordering::Release);
-            *pacer = snap.pacer.clone_box();
-            next_sample = snap.next_sample;
-            last_sample_tally = snap.last_sample_tally;
-            mode = Mode::Replay;
-            replay_start = snap.global;
-            for c in CoreId::all(n) {
-                th.record(
-                    snap.global,
-                    TraceEvent::PhaseBegin {
-                        core: c,
-                        phase: Phase::Replay,
-                    },
-                );
-            }
-            next_cp_trigger = snap.global.as_u64() + cp_interval;
-            pending_rollback = false;
-            window_end = snap.global + 1;
-            shardset.set_floors(snap.global);
+                    .collect(),
+            );
+            k.restore_uncore(uncore);
+            committed.store(at_committed, Ordering::Release);
+            window_end = at + 1;
+            shardset.set_floors(at);
             publish_window(shared, window_end, sched);
             resume_all(shared, cmd_txs, sched);
             shardset.resume(sched);
@@ -2068,23 +1489,18 @@ where
             continue;
         }
 
-        let committed_now = committed.load(Ordering::Acquire);
-        if committed_now >= cfg.commit_target {
-            finish_reason = FinishReason::CommitTarget;
-            final_global = global;
-            break;
+        if committed.load(Ordering::Acquire) >= cfg.commit_target {
+            break (global, FinishReason::CommitTarget);
         }
         if global.as_u64() >= cfg.max_cycles {
-            finish_reason = FinishReason::CycleCap;
-            final_global = global;
-            break;
+            break (global, FinishReason::CycleCap);
         }
 
-        if spec.is_some() && global.as_u64() >= next_cp_trigger {
+        if k.checkpoint_due(global) {
             // Stop-sync all cores at a common local time ≥ the trigger.
             // The whole protocol — stop, run-to, drain, snapshot — bills
-            // to the capture site; the merge and persist below open their
-            // own nested spans.
+            // to the capture site; the merge and persist open their own
+            // nested spans.
             let _span = ph.enter(ProfSite::CheckpointCapture);
             shardset.pause(sched);
             shardset.drain_forward(&mut gq);
@@ -2094,7 +1510,7 @@ where
                 .map(|s| s.local.load(Ordering::Acquire))
                 .max()
                 .expect("n >= 1")
-                .max(next_cp_trigger);
+                .max(k.cp_trigger());
             publish_window(shared, Cycle::new(stop_at), sched);
             for (i, tx) in cmd_txs.iter().enumerate() {
                 send_cmd(&shared[i], tx, Command::RunTo(stop_at), sched);
@@ -2104,19 +1520,7 @@ where
             let mut ack_iters = ack_rxs.iter().cycle();
             while acked < n {
                 drain_outqs(shared, &mut gq, &mut drain_buf);
-                service_all(
-                    &mut gq,
-                    uncore,
-                    &mut sink,
-                    shared,
-                    &mut tally,
-                    &mut detected,
-                    &mut tracker,
-                    &mut pending_rollback,
-                    &spec,
-                    mode == Mode::Base,
-                    &mut th,
-                );
+                k.service_all(&mut gq, uncore, deliver);
                 let rx = ack_iters.next().expect("cycle never ends");
                 if rx.try_recv().is_ok() {
                     acked += 1;
@@ -2127,103 +1531,31 @@ where
                 }
             }
             drain_outqs(shared, &mut gq, &mut drain_buf);
-            service_all(
-                &mut gq,
-                uncore,
-                &mut sink,
-                shared,
-                &mut tally,
-                &mut detected,
-                &mut tracker,
-                &mut pending_rollback,
-                &spec,
-                mode == Mode::Base,
-                &mut th,
-            );
-            if pending_rollback {
+            k.service_all(&mut gq, uncore, deliver);
+            if k.rollback_pending() {
                 // A violation surfaced during stop-sync: resume and let the
                 // rollback branch at the top of the loop handle it.
                 resume_all(shared, cmd_txs, sched);
                 shardset.resume(sched);
                 continue;
             }
-            // Cores are paused right after their RunTo ack: snapshot them.
-            for (i, tx) in cmd_txs.iter().enumerate() {
-                send_cmd(&shared[i], tx, Command::Snapshot { delta: cp_delta }, sched);
-            }
-            await_acks(ack_rxs, sched);
-            let captures: Vec<CoreCapture<C>> = shared
-                .iter()
-                .map(|s| s.snapshot.take().expect("snapshot filled"))
-                .collect();
-            if mode == Mode::Replay {
-                let replayed = Cycle::new(stop_at).saturating_sub(replay_start);
-                spec_stats.replay_cycles += replayed;
-                mode = Mode::Base;
-                th.record(
-                    Cycle::new(stop_at),
-                    TraceEvent::ReplayEnd {
-                        ordinal: spec_stats.rollbacks,
-                        replay_cycles: replayed,
-                    },
-                );
-                for c in CoreId::all(n) {
-                    th.record(
-                        Cycle::new(stop_at),
-                        TraceEvent::PhaseEnd {
-                            core: c,
-                            phase: Phase::Replay,
-                        },
-                    );
-                }
-            }
-            spec_stats.checkpoints += 1;
-            th.record(
-                Cycle::new(next_cp_trigger.min(stop_at)),
-                TraceEvent::Checkpoint {
-                    ordinal: spec_stats.checkpoints,
-                    overshoot: stop_at.saturating_sub(next_cp_trigger),
-                },
-            );
-            uncore.compact_monitors(Cycle::new(stop_at));
-            {
-                let _span = ph.enter(ProfSite::CheckpointApply);
-                merge_snapshot(
-                    &mut snapshot,
-                    captures,
-                    uncore,
-                    Cycle::new(stop_at),
-                    tally,
-                    committed.load(Ordering::Acquire),
-                    &**pacer,
-                    next_sample,
-                    last_sample_tally,
-                );
-            }
-            next_cp_trigger = stop_at + cp_interval;
-            invoke_save_hook(
-                save_hook,
-                &snapshot,
-                spec_stats,
-                detected,
-                tracker.as_ref(),
-                &bound_trace,
-                max_spread,
+            // Cores are paused right after their RunTo ack: capture them.
+            capture_all(k, shared, cmd_txs, ack_rxs, sched);
+            let stop_at = Cycle::new(stop_at);
+            k.commit_checkpoint(
+                stop_at,
+                committed.load(Ordering::Acquire),
+                uncore,
+                None,
                 &shardset.paused_forwarded,
-                &mut th,
-                &mut metrics,
-                persist_bytes_id,
-                &ph,
             );
-            locals.clear();
-            locals.resize(n, stop_at);
-            shardset.set_floors(Cycle::new(stop_at));
+            locals.fill(stop_at);
+            shardset.set_floors(stop_at);
             window_end = publish_greedy_windows(
-                pacer,
+                &mut *k.pacer,
                 shared,
                 &locals,
                 shardset.floor(&locals),
-                &mut cycles_buf,
                 cfg,
                 sched,
             );
@@ -2234,177 +1566,26 @@ where
         }
 
         window_end = publish_greedy_windows(
-            pacer,
+            &mut *k.pacer,
             shared,
             &locals,
             shardset.floor(&locals),
-            &mut cycles_buf,
             cfg,
             sched,
         );
-        if progress {
-            // Something moved this iteration: go straight back to
-            // draining instead of waiting.
-            continue;
+        if !progress {
+            // Nothing moved this iteration: wait instead of going
+            // straight back to draining.
+            idle_wait(&mut backoff, k);
         }
-        let _span = ph.enter(backoff.next_site());
-        if obs_on {
-            let wait_started = Instant::now();
-            backoff.wait(sched);
-            mgr_wait_ns += wait_started.elapsed().as_nanos() as u64;
-        } else {
-            backoff.wait(sched);
-        }
-    }
+    };
 
-    // Terminal gauge flush: one last sample at the final global time so
-    // CSV exports always contain the run's end state even when the run
-    // length is not a multiple of the sampling cadence. Guarded so a
-    // sample that already landed on this exact cycle is not duplicated —
-    // gauge series are strictly increasing in cycle.
-    if obs_on && final_global.as_u64() > last_metrics_cycle {
-        locals.clear();
-        locals.extend(shared.iter().map(|s| s.local.load(Ordering::Acquire)));
-        sample_metrics(
-            &mut metrics,
-            &ids,
-            &mut th,
-            shared,
-            &locals,
-            final_global,
-            pacer.current_bound(),
-            gq.len() as u64,
-            detected.total(),
-            tracer,
-            mgr_wait_ns,
-            &mut last_metrics_cycle,
-            &mut last_metrics_detected,
-            &mut last_wait_ns,
-        );
-    }
-
-    let mut kernel = Counters::new();
-    kernel.set("checkpoints", spec_stats.checkpoints);
-    kernel.set("rollbacks", spec_stats.rollbacks);
-    kernel.set("wasted_cycles", spec_stats.wasted_cycles);
-    kernel.set("replay_cycles", spec_stats.replay_cycles);
-    kernel.set("violations_detected_total", detected.total());
-    kernel.set(
-        "violations_detected_bus",
-        detected.count(crate::violation::ViolationKind::Bus),
-    );
-    kernel.set(
-        "violations_detected_map",
-        detected.count(crate::violation::ViolationKind::Map),
-    );
-    kernel.set(
-        "violations_detected_directory",
-        detected.count(crate::violation::ViolationKind::Directory),
-    );
-    kernel.set(
-        "finish_commit_target",
-        u64::from(finish_reason == FinishReason::CommitTarget),
-    );
-    kernel.set("max_clock_spread", max_spread);
-    kernel.set("manager_parks", backoff.parks);
-    kernel.set(
-        "core_parks",
-        shared.iter().map(|s| s.parks.load(Ordering::Relaxed)).sum(),
-    );
-    if !shardset.is_empty() {
-        kernel.set("shards", shardset.shards.len() as u64 + 1);
-        kernel.set(
-            "shard_forwarded_total",
-            shardset.resume_base
-                + shardset
-                    .shards
-                    .iter()
-                    .map(|sh| sh.forwarded.load(Ordering::Relaxed))
-                    .sum::<u64>(),
-        );
-        kernel.set(
-            "shard_parks",
-            shardset
-                .shards
-                .iter()
-                .map(|sh| sh.parks.load(Ordering::Relaxed))
-                .sum(),
-        );
-    }
-    if let Some(tr) = &tracker {
-        kernel.set("intervals_total", tr.intervals_total());
-        kernel.set("intervals_violating", tr.intervals_violating());
-        kernel.set(
-            "mean_first_violation_distance_x1000",
-            (tr.mean_first_distance() * 1000.0).round() as u64,
-        );
-    }
-
-    Ok(ManagerOutcome {
-        uncore: uncore.clone(),
+    Ok(ManagerExit {
         global: final_global,
-        committed: committed.load(Ordering::Acquire),
-        tally,
-        kernel,
-        bound_trace,
-        metrics,
+        reason: finish_reason,
+        gq_len: gq.len() as u64,
+        manager_parks: backoff.parks,
     })
-}
-
-/// Hands the freshly merged checkpoint snapshot to the save hook (if one
-/// is installed) and records the persist in the trace and metrics. Runs on
-/// the manager thread while the cores are paused at the boundary, so the
-/// snapshot is immutable for the duration.
-#[allow(clippy::too_many_arguments)]
-fn invoke_save_hook<C, U>(
-    save_hook: &mut Option<SaveHook<C, U>>,
-    snapshot: &Option<ManagerSnapshot<C, U>>,
-    spec_stats: SpeculationStats,
-    detected: ViolationTally,
-    tracker: Option<&IntervalTracker>,
-    bound_trace: &[(Cycle, u64)],
-    max_spread: u64,
-    shard_forwarded: &[u64],
-    th: &mut TraceHandle,
-    metrics: &mut MetricsRegistry,
-    persist_bytes_id: GaugeId,
-    ph: &ProfHandle,
-) where
-    C: CoreModel + Checkpointable,
-    U: UncoreModel<C::Event> + Checkpointable,
-{
-    let Some(hook) = save_hook.as_mut() else {
-        return;
-    };
-    let _span = ph.enter(ProfSite::PersistIo);
-    let snap = snapshot.as_ref().expect("checkpoint just merged");
-    let view = CheckpointView {
-        ordinal: spec_stats.checkpoints,
-        global: snap.global,
-        cores: snap.cores.iter().map(|(c, ib)| (c, ib)).collect(),
-        uncore: &snap.uncore,
-        committed: snap.committed,
-        tally: snap.tally,
-        detected,
-        next_sample: snap.next_sample,
-        last_sample_tally: snap.last_sample_tally,
-        spec_stats,
-        tracker,
-        pacer: &*snap.pacer,
-        rng: None,
-        bound_trace,
-        max_spread,
-        shard_forwarded: shard_forwarded.to_vec(),
-    };
-    let bytes = hook(&view).unwrap_or(0);
-    th.record(
-        snap.global,
-        TraceEvent::StatePersist {
-            ordinal: spec_stats.checkpoints,
-            bytes,
-        },
-    );
-    metrics.gauge_by(persist_bytes_id, snap.global, bytes as f64);
 }
 
 /// Sets every core's max local time and unparks any core waiting on it.
@@ -2427,21 +1608,17 @@ fn publish_window<C: CoreModel + Checkpointable>(
 /// forwarding-ring growth: no core may lead an unforwarded event by more
 /// than the window). Returns the largest published window for the
 /// manager's bookkeeping.
-#[allow(clippy::too_many_arguments)]
 fn publish_greedy_windows<C: CoreModel + Checkpointable>(
-    pacer: &mut Box<dyn Pacer>,
+    pacer: &mut dyn Pacer,
     shared: &[Arc<CoreShared<C>>],
-    locals: &[u64],
+    locals: &[Cycle],
     floor: Cycle,
-    cycles_buf: &mut Vec<Cycle>,
     cfg: &EngineConfig,
     sched: &dyn HostSched,
 ) -> Cycle {
     let global = floor;
     let cap = cfg.lead_cap(global);
-    cycles_buf.clear();
-    cycles_buf.extend(locals.iter().map(|&l| Cycle::new(l)));
-    if let Some(wins) = pacer.window_ends(cycles_buf) {
+    if let Some(wins) = pacer.window_ends(locals) {
         let mut max_win = Cycle::ZERO;
         for (i, s) in shared.iter().enumerate() {
             let w = wins[i].min(cap);
@@ -2475,58 +1652,6 @@ fn drain_outqs<C: CoreModel + Checkpointable>(
         }
     }
     total
-}
-
-/// Services everything currently in the global queue, recording a
-/// violation trace instant (attributed to the originating core) for every
-/// violation the uncore reports.
-#[allow(clippy::too_many_arguments)]
-fn service_all<C: CoreModel + Checkpointable, U: UncoreModel<C::Event>>(
-    gq: &mut GlobalQueue<C::Event>,
-    uncore: &mut U,
-    sink: &mut ServiceSink<C::Event>,
-    shared: &[Arc<CoreShared<C>>],
-    tally: &mut ViolationTally,
-    detected: &mut ViolationTally,
-    tracker: &mut Option<IntervalTracker>,
-    pending_rollback: &mut bool,
-    spec: &Option<crate::speculative::SpeculationConfig>,
-    base_mode: bool,
-    th: &mut TraceHandle,
-) {
-    while let Some((from, ev)) = gq.pop() {
-        uncore.service(from, ev, sink);
-        for (to, out) in sink.take_deliveries() {
-            shared[to.index()].inq.push(out);
-        }
-        for v in sink.take_violations() {
-            tally.record(v.kind);
-            detected.record(v.kind);
-            th.record(
-                v.ts,
-                TraceEvent::Violation {
-                    kind: v.kind,
-                    core: from,
-                    ts: v.ts,
-                    high_water: v.high_water,
-                },
-            );
-            if let Some(tr) = tracker.as_mut() {
-                tr.observe_violation(v.ts);
-            }
-            if base_mode {
-                if let Some(sc) = spec {
-                    if sc.rollback_on.selects(v.kind) {
-                        *pending_rollback = true;
-                    }
-                }
-            }
-        }
-        if *pending_rollback {
-            gq.clear();
-            break;
-        }
-    }
 }
 
 /// Sends `Stop` to every core (waking parked ones) and waits for all
@@ -2575,110 +1700,44 @@ fn await_acks(ack_rxs: &[Receiver<u64>], sched: &dyn HostSched) {
     }
 }
 
-/// Stop-syncs all cores at a common local time and collects their
-/// captures (full clones or deltas, per `delta`). Also used for the free
-/// initial checkpoint, which is always full.
-#[allow(clippy::too_many_arguments)]
-fn snapshot_all<C: CoreModel + Checkpointable, U: UncoreModel<C::Event>>(
+/// Has every (stopped) core capture its delta since the standing
+/// checkpoint and folds the captures into the kernel's base.
+fn capture_all<C, U>(
+    k: &mut Kernel<C, U>,
     shared: &[Arc<CoreShared<C>>],
     cmd_txs: &[Sender<Command<C>>],
     ack_rxs: &[Receiver<u64>],
-    gq: &mut GlobalQueue<C::Event>,
-    uncore: &mut U,
-    sink: &mut ServiceSink<C::Event>,
-    drain_buf: &mut Vec<Timestamped<C::Event>>,
     sched: &dyn HostSched,
-    delta: bool,
-) -> Vec<CoreCapture<C>> {
-    stop_all(shared, cmd_txs, ack_rxs, sched);
-    drain_outqs(shared, gq, drain_buf);
-    // Service without violation bookkeeping: only used at cycle 0 where the
-    // queues are empty anyway; drain defensively.
-    while let Some((from, ev)) = gq.pop() {
-        uncore.service(from, ev, sink);
-        for (to, out) in sink.take_deliveries() {
-            shared[to.index()].inq.push(out);
-        }
-        let _ = sink.take_violations();
-    }
-    for (i, tx) in cmd_txs.iter().enumerate() {
-        send_cmd(&shared[i], tx, Command::Snapshot { delta }, sched);
-    }
-    await_acks(ack_rxs, sched);
-    let snaps = shared
-        .iter()
-        .map(|s| s.snapshot.take().expect("snapshot filled"))
-        .collect();
-    resume_all(shared, cmd_txs, sched);
-    snaps
-}
-
-/// Folds a round of core captures plus the live uncore into the standing
-/// manager snapshot. Full captures rebuild the snapshot outright (and
-/// re-seed the uncore's delta baseline, so the first delta after an
-/// initial full snapshot has an exact baseline); delta captures are
-/// applied onto the previous checkpoint in place, which is the point of
-/// delta mode — maintenance cost proportional to what changed, not to
-/// total model size.
-#[allow(clippy::too_many_arguments)]
-fn merge_snapshot<C, U>(
-    snapshot: &mut Option<ManagerSnapshot<C, U>>,
-    captures: Vec<CoreCapture<C>>,
-    uncore: &mut U,
-    global: Cycle,
-    tally: ViolationTally,
-    committed: u64,
-    pacer: &dyn Pacer,
-    next_sample: u64,
-    last_sample_tally: ViolationTally,
 ) where
     C: CoreModel + Checkpointable,
     U: UncoreModel<C::Event> + Checkpointable,
 {
-    if matches!(captures.first(), Some(CoreCapture::Delta(_))) {
-        let snap = snapshot
-            .as_mut()
-            .expect("delta capture requires a standing snapshot");
-        for (i, cap) in captures.into_iter().enumerate() {
-            match cap {
-                CoreCapture::Delta(b) => {
-                    let (d, ib) = *b;
-                    snap.cores[i].0.apply_delta(d);
-                    snap.cores[i].1 = ib;
-                }
-                _ => unreachable!("capture mode is uniform across cores"),
-            }
-        }
-        let ud = uncore.capture_delta(snap.uncore_gen);
-        snap.uncore.apply_delta(ud);
-        snap.uncore_gen = uncore.generation();
-        snap.global = global;
-        snap.tally = tally;
-        snap.committed = committed;
-        snap.pacer = pacer.clone_box();
-        snap.next_sample = next_sample;
-        snap.last_sample_tally = last_sample_tally;
-    } else {
-        let g = uncore.generation();
-        let _ = uncore.capture_delta(g);
-        *snapshot = Some(ManagerSnapshot {
-            cores: captures
-                .into_iter()
-                .map(|cap| match cap {
-                    CoreCapture::Full(b) => *b,
-                    _ => unreachable!("capture mode is uniform across cores"),
-                })
-                .collect(),
-            uncore: uncore.clone(),
-            uncore_gen: g,
-            global,
-            tally,
-            committed,
-            pacer: pacer.clone_box(),
-            next_sample,
-            last_sample_tally,
-        });
+    for (i, tx) in cmd_txs.iter().enumerate() {
+        let since = k.core_gen(i);
+        send_cmd(&shared[i], tx, Command::Snapshot { since }, sched);
     }
+    await_acks(ack_rxs, sched);
+    let ph = k.prof_handle();
+    let _span = ph.enter(ProfSite::CheckpointApply);
+    for (i, s) in shared.iter().enumerate() {
+        match s.snapshot.take().expect("snapshot filled") {
+            CoreCapture::Delta(capture) => {
+                let (delta, inbox, gen) = *capture;
+                k.absorb_core(i, delta, inbox, gen);
+            }
+            CoreCapture::Base(_) => unreachable!("a snapshot command captures a delta"),
+        }
+    }
+}
+
+/// Core `s`'s (OutQ, InQ) depths, from the rings' relaxed counters.
+fn ring_depths<C: CoreModel + Checkpointable>(s: &CoreShared<C>) -> (u64, u64) {
+    (s.outq.depth_hint() as u64, s.inq.depth_hint() as u64)
+}
+
+/// Sum of relaxed-loaded counters.
+fn sum_relaxed<'a>(counters: impl Iterator<Item = &'a AtomicU64>) -> u64 {
+    counters.map(|c| c.load(Ordering::Relaxed)).sum()
 }
 
 #[cfg(test)]

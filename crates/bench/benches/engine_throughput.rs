@@ -43,9 +43,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use slacksim::scheme::Scheme;
-use slacksim::{
-    Benchmark, CheckpointMode, EngineKind, ProfData, Simulation, SpeculationConfig, UncoreKind,
-};
+use slacksim::{Benchmark, EngineKind, ProfData, Simulation, SpeculationConfig, UncoreKind};
 use slacksim_core::obs::json::Json;
 
 const CORES: usize = 8;
@@ -297,22 +295,6 @@ fn emit_json(
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]");
-    // The checkpoint-cost row (DESIGN §12): full-vs-delta capture at the
-    // 5k interval, summarized from the cp5k-* result rows.
-    let cp = |name: &str| rows.iter().find(|r| r.scheme_name == name);
-    if let (Some(full), Some(delta)) = (cp("cp5k-full"), cp("cp5k-delta")) {
-        let _ = write!(
-            out,
-            ",\n  \"checkpoint_cost\": {{\"engine\": \"{}\", \"scheme\": \"bounded-16\", \
-             \"interval\": 5000, \"commit_target\": {}, \"full_wall_ms_median\": {}, \
-             \"delta_wall_ms_median\": {}, \"delta_speedup\": {}}}",
-            full.engine,
-            full.stats.committed,
-            jnum(full.stats.wall_ms_median),
-            jnum(delta.stats.wall_ms_median),
-            jnum(full.stats.wall_ms_median / delta.stats.wall_ms_median),
-        );
-    }
     for (k, v) in extra_keys {
         let _ = write!(out, ",\n  \"{k}\": {v}");
     }
@@ -403,29 +385,23 @@ fn main() {
         4,
     ));
 
-    // Checkpoint-cost rows (DESIGN §12): bounded-16 with a checkpoint
-    // every 5k global cycles, full-clone vs delta capture, on the
-    // deterministic engine at a 10× commit target so the run crosses
-    // enough interval boundaries for the capture cost to register.
-    let cp_target = commit_target * 10;
-    for (name, mode) in [
-        ("cp5k-full", CheckpointMode::Full),
-        ("cp5k-delta", CheckpointMode::Delta),
-    ] {
-        rows.push(bench(
-            EngineKind::Sequential,
-            "sequential",
-            Scheme::BoundedSlack { bound: 16 },
-            name,
-            UncoreKind::Bus,
-            CORES,
-            Some(16),
-            cp_target,
-            iters,
-            Some(SpeculationConfig::checkpoint_only(5_000).with_mode(mode)),
-            1,
-        ));
-    }
+    // Checkpoint-cost row (DESIGN §12): bounded-16 with a checkpoint
+    // every 5k global cycles on the deterministic engine, at a 10× commit
+    // target so the run crosses enough interval boundaries for the
+    // capture cost to register against the plain bounded-16 row.
+    rows.push(bench(
+        EngineKind::Sequential,
+        "sequential",
+        Scheme::BoundedSlack { bound: 16 },
+        "cp5k",
+        UncoreKind::Bus,
+        CORES,
+        Some(16),
+        commit_target * 10,
+        iters,
+        Some(SpeculationConfig::checkpoint_only(5_000)),
+        1,
+    ));
 
     // Batched engine rows (quantum-compiled BSP stepping, DESIGN §15).
     // The batched engine only accepts barrier schemes, so its rows are

@@ -1,17 +1,14 @@
 //! Table 2: wall-clock simulation time of cycle-by-cycle, unbounded
 //! slack, adaptive slack (0.01% target, 5% band), and adaptive slack with
 //! periodic checkpointing every 5 k / 10 k / 50 k / 100 k simulated
-//! cycles — the latter in both checkpoint capture modes (full clones and
-//! incremental deltas, DESIGN §12).
+//! cycles (incremental delta capture, DESIGN §12).
 //!
 //! Paper shape: unbounded slack beats cycle-by-cycle by 2–3×; adaptive
 //! lands in between; checkpointing overhead makes short intervals (5 k,
-//! 10 k) slower than cycle-by-cycle and fades by 50 k–100 k. Delta
-//! capture shrinks the per-checkpoint constant, so its columns must sit
-//! at or below the full-clone columns at every interval.
+//! 10 k) slower than cycle-by-cycle and fades by 50 k–100 k.
 
 use slacksim::scheme::Scheme;
-use slacksim::{Benchmark, CheckpointMode, SpeculationConfig};
+use slacksim::{Benchmark, SpeculationConfig};
 
 use crate::runner::{calibrated_adaptive, run_threaded};
 use crate::scale::Scale;
@@ -31,12 +28,9 @@ pub struct Table2Row {
     pub su: f64,
     /// Adaptive (0.01%, 5% band) wall seconds.
     pub adaptive: f64,
-    /// Adaptive + full-clone checkpointing wall seconds, per interval of
+    /// Adaptive + checkpointing wall seconds, per interval of
     /// [`INTERVALS`].
     pub checkpointed: [f64; 4],
-    /// Adaptive + delta checkpointing wall seconds, per interval of
-    /// [`INTERVALS`].
-    pub checkpointed_delta: [f64; 4],
 }
 
 /// Measures every benchmark.
@@ -54,23 +48,16 @@ pub fn measure(scale: &Scale) -> Vec<Table2Row> {
             let adaptive = run_threaded(scale, benchmark, Scheme::Adaptive(adaptive_cfg.clone()))
                 .wall
                 .as_secs_f64();
-            let mut checkpointed = [0.0; 4];
-            let mut checkpointed_delta = [0.0; 4];
-            for (slot, mode) in [
-                (&mut checkpointed, CheckpointMode::Full),
-                (&mut checkpointed_delta, CheckpointMode::Delta),
-            ] {
-                for (i, interval) in INTERVALS.iter().enumerate() {
-                    let mut sim = crate::runner::sim(scale, benchmark);
-                    sim.scheme(Scheme::Adaptive(adaptive_cfg.clone()))
-                        .engine(slacksim::EngineKind::Threaded)
-                        .speculation(SpeculationConfig::checkpoint_only(*interval).with_mode(mode));
-                    slot[i] = sim.run().expect("checkpointed run").wall.as_secs_f64();
-                }
-            }
+            let checkpointed = INTERVALS.map(|interval| {
+                let mut sim = crate::runner::sim(scale, benchmark);
+                sim.scheme(Scheme::Adaptive(adaptive_cfg.clone()))
+                    .engine(slacksim::EngineKind::Threaded)
+                    .speculation(SpeculationConfig::checkpoint_only(interval));
+                sim.run().expect("checkpointed run").wall.as_secs_f64()
+            });
             eprintln!(
                 "table2: {benchmark}: CC={cc:.3}s SU={su:.3}s Adapt={adaptive:.3}s \
-                 cp-full={checkpointed:?} cp-delta={checkpointed_delta:?}"
+                 cp={checkpointed:?}"
             );
             Table2Row {
                 benchmark,
@@ -78,7 +65,6 @@ pub fn measure(scale: &Scale) -> Vec<Table2Row> {
                 su,
                 adaptive,
                 checkpointed,
-                checkpointed_delta,
             }
         })
         .collect()
@@ -89,9 +75,7 @@ pub fn render(rows: &[Table2Row]) -> Table {
     let mut t = Table::new(
         "Table 2. Simulation time of schemes with 0.01% target violation rate (seconds).",
     );
-    t.headers([
-        "", "CC", "SU", "Adapt", "5K", "10K", "50K", "100K", "5Kd", "10Kd", "50Kd", "100Kd",
-    ]);
+    t.headers(["", "CC", "SU", "Adapt", "5K", "10K", "50K", "100K"]);
     for r in rows {
         t.row([
             r.benchmark.name().to_string(),
@@ -102,13 +86,9 @@ pub fn render(rows: &[Table2Row]) -> Table {
             format!("{:.3}", r.checkpointed[1]),
             format!("{:.3}", r.checkpointed[2]),
             format!("{:.3}", r.checkpointed[3]),
-            format!("{:.3}", r.checkpointed_delta[0]),
-            format!("{:.3}", r.checkpointed_delta[1]),
-            format!("{:.3}", r.checkpointed_delta[2]),
-            format!("{:.3}", r.checkpointed_delta[3]),
         ]);
     }
-    t.note("threaded engine; NK columns checkpoint every N cycles with full in-memory snapshots (paper: fork()), NKd columns with incremental deltas (DESIGN §12)");
+    t.note("threaded engine; NK columns checkpoint every N cycles with incremental in-memory deltas against one base clone (paper: fork(); DESIGN §12)");
     t
 }
 
@@ -131,13 +111,12 @@ mod tests {
                 su: 0.4,
                 adaptive: 0.7,
                 checkpointed: [2.0, 1.5, 0.9, 0.8],
-                checkpointed_delta: [1.1, 0.9, 0.8, 0.8],
             })
             .collect();
         let t = render(&rows);
         assert_eq!(t.len(), 4);
         let text = t.to_string();
         assert!(text.contains("Water-Nsq"));
-        assert!(text.contains("5Kd"), "delta columns rendered");
+        assert!(text.contains("100K"), "interval columns rendered");
     }
 }

@@ -52,8 +52,9 @@ pub mod repro;
 pub mod vsched;
 
 pub use oracle::{
-    check_invariants, fingerprint, run_engine, run_engine_on, run_engine_sharded, run_repro,
-    run_resumed, run_resumed_on, run_speculative, run_virtual, shrink, Fingerprint,
+    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on,
+    run_engine_sharded, run_repro, run_resumed, run_resumed_on, run_speculative, run_virtual,
+    shrink, Fingerprint, DETERMINISTIC_KERNEL_COUNTERS,
 };
 pub use repro::{format_scheme, parse_repro, parse_scheme, VirtCase};
 pub use vsched::{Mutation, SchedDiag, SchedPolicy, VirtualSched};

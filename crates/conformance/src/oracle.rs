@@ -62,6 +62,32 @@ pub fn fingerprint(report: &SimReport) -> Fingerprint {
     }
 }
 
+/// Kernel counters that are a function of the simulated run alone, so
+/// engines that must agree on a [`Fingerprint`] must agree on these too.
+/// Host-side telemetry (park counts, the asynchronously sampled clock
+/// spread, shard forwarding) is deliberately absent.
+pub const DETERMINISTIC_KERNEL_COUNTERS: [&str; 11] = [
+    "checkpoints",
+    "rollbacks",
+    "wasted_cycles",
+    "replay_cycles",
+    "violations_detected_total",
+    "violations_detected_bus",
+    "violations_detected_map",
+    "violations_detected_directory",
+    "intervals_total",
+    "intervals_violating",
+    "finish_commit_target",
+];
+
+/// The [`DETERMINISTIC_KERNEL_COUNTERS`] of a finished run, by name.
+pub fn kernel_fingerprint(report: &SimReport) -> Vec<(&'static str, u64)> {
+    DETERMINISTIC_KERNEL_COUNTERS
+        .iter()
+        .map(|&name| (name, report.kernel.get(name)))
+        .collect()
+}
+
 /// Runs one configuration on the given engine with the native host
 /// scheduler.
 ///

@@ -10,13 +10,11 @@
 //! `slacksim_conformance::run_repro` to replay the exact schedule.
 
 use slacksim::scheme::Scheme;
-use slacksim::{
-    Benchmark, CheckpointMode, EngineKind, SpeculationConfig, UncoreKind, ViolationSelect,
-};
+use slacksim::{Benchmark, EngineKind, SimReport, SpeculationConfig, UncoreKind, ViolationSelect};
 use slacksim_conformance::{
-    check_invariants, fingerprint, run_engine, run_engine_on, run_engine_sharded, run_repro,
-    run_resumed, run_resumed_on, run_speculative, run_virtual, shrink, smoke_seeds, Mutation,
-    SchedPolicy, VirtCase,
+    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on,
+    run_engine_sharded, run_repro, run_resumed, run_resumed_on, run_speculative, run_virtual,
+    shrink, smoke_seeds, Mutation, SchedPolicy, VirtCase,
 };
 
 /// Commit target for matrix cells: small enough for debug CI, larger in
@@ -38,6 +36,19 @@ fn schemes() -> [Scheme; 3] {
         Scheme::BoundedSlack { bound: 8 },
         Scheme::Quantum { quantum: 64 },
     ]
+}
+
+/// Two runs the design guarantees identical: same fingerprint and same
+/// deterministic kernel counters (checkpoints, rollbacks, wasted and
+/// replayed cycles, detected violations, interval statistics, finish
+/// reason).
+fn assert_exact(a: &SimReport, b: &SimReport, label: &str) {
+    assert_eq!(fingerprint(a), fingerprint(b), "{label}");
+    assert_eq!(
+        kernel_fingerprint(a),
+        kernel_fingerprint(b),
+        "{label}: kernel counters"
+    );
 }
 
 fn virt_case(
@@ -101,15 +112,15 @@ fn cycle_by_cycle_is_exact_across_all_three_engines() {
             let thr = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Threaded);
             let case = virt_case(SchedPolicy::RandomWalk, 1, bench, cores, scheme);
             let (virt, diag) = run_virtual(&case);
-            assert_eq!(
-                fingerprint(&seq),
-                fingerprint(&thr),
-                "{bench}/{cores}c: sequential vs threaded-native"
+            assert_exact(
+                &seq,
+                &thr,
+                &format!("{bench}/{cores}c: sequential vs threaded-native"),
             );
-            assert_eq!(
-                fingerprint(&seq),
-                fingerprint(&virt),
-                "{bench}/{cores}c: sequential vs threaded-virtual (`{case}`)"
+            assert_exact(
+                &seq,
+                &virt,
+                &format!("{bench}/{cores}c: sequential vs threaded-virtual (`{case}`)"),
             );
             assert_eq!(diag.lost_wakeups, 0, "`{case}`");
         }
@@ -129,10 +140,10 @@ fn quantum_is_exact_between_sequential_and_batched_engines() {
         for cores in CORE_COUNTS {
             let seq = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Sequential);
             let bat = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Batched);
-            assert_eq!(
-                fingerprint(&seq),
-                fingerprint(&bat),
-                "{bench}/{cores}c: sequential vs batched"
+            assert_exact(
+                &seq,
+                &bat,
+                &format!("{bench}/{cores}c: sequential vs batched"),
             );
             check_invariants(&bat, &scheme)
                 .unwrap_or_else(|e| panic!("{bench}/{cores}c batched: {e}"));
@@ -201,13 +212,12 @@ fn adversarial_schedules_lose_no_wakeups_under_slack() {
 }
 
 /// Checkpoint hand-off mid-drain: speculation under the virtual
-/// scheduler exercises the stop-sync / snapshot-mailbox protocol in
-/// both checkpoint modes (delta mode additionally drives the
-/// base-hand-back rollback path), and a fixed case replays to the
+/// scheduler exercises the stop-sync / snapshot-mailbox protocol and the
+/// base-hand-back rollback path, and a fixed case replays to the
 /// identical final committed state.
 #[test]
 fn speculative_checkpoint_handoff_replays_deterministically() {
-    let run = |sched_seed: u64, mode: CheckpointMode| {
+    let run = |sched_seed: u64| {
         let sched = slacksim_conformance::VirtualSched::new(
             4,
             SchedPolicy::DrainPreempt,
@@ -220,129 +230,82 @@ fn speculative_checkpoint_handoff_replays_deterministically() {
             .engine(EngineKind::Threaded)
             .commit_target(target())
             .seed(1)
-            .speculation(
-                SpeculationConfig::speculative(500, ViolationSelect::all()).with_mode(mode),
-            )
+            .speculation(SpeculationConfig::speculative(500, ViolationSelect::all()))
             .host_sched(slacksim::SchedRef::new(sched.clone()))
             .run()
             .expect("speculative virtual run");
         (report, sched.diagnostics())
     };
-    for mode in [CheckpointMode::Full, CheckpointMode::Delta] {
-        let (a, diag_a) = run(3, mode);
-        let (b, diag_b) = run(3, mode);
-        assert!(a.committed >= target(), "{mode:?}");
-        assert!(
-            a.kernel.get("checkpoints") > 0,
-            "{mode:?}: checkpoints taken"
-        );
-        assert_eq!(diag_a.lost_wakeups, 0, "{mode:?}");
-        assert!(!diag_a.timeout_fallback, "{mode:?}");
-        // Same schedule seed -> bit-identical run, including diagnostics.
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{mode:?}");
-        assert_eq!(diag_a, diag_b, "{mode:?}");
-    }
+    let (a, diag_a) = run(3);
+    let (b, diag_b) = run(3);
+    assert!(a.committed >= target());
+    assert!(a.kernel.get("checkpoints") > 0, "checkpoints taken");
+    assert_eq!(diag_a.lost_wakeups, 0);
+    assert!(!diag_a.timeout_fallback);
+    // Same schedule seed -> bit-identical run, including diagnostics.
+    assert_exact(&a, &b, "same schedule seed");
+    assert_eq!(diag_a, diag_b);
 }
 
-/// DESIGN §11's delta-checkpoint oracle: on the deterministic sequential
-/// engine, a speculative run with incremental (delta) checkpoints must be
-/// fingerprint-identical to the same run with full clones — capture,
-/// in-place snapshot maintenance, and reverse-apply rollback reconstruct
-/// exactly the state a full clone would have, across greedy (bounded)
-/// and barrier (quantum) pacing and across checkpoint intervals.
-#[test]
-fn delta_checkpoints_match_full_clones_exactly() {
-    for bench in BENCHES {
-        for scheme in [
-            Scheme::BoundedSlack { bound: 16 },
-            Scheme::Quantum { quantum: 64 },
-        ] {
-            for interval in [500u64, 2_000] {
-                let spec = SpeculationConfig::speculative(interval, ViolationSelect::all());
-                let run = |mode| {
-                    run_speculative(
-                        bench,
-                        4,
-                        &scheme,
-                        target(),
-                        1,
-                        EngineKind::Sequential,
-                        spec.with_mode(mode),
-                    )
-                };
-                let full = run(CheckpointMode::Full);
-                let delta = run(CheckpointMode::Delta);
-                let label = format!("{bench}/{}/I={interval}", scheme.name());
-                assert_eq!(
-                    fingerprint(&full),
-                    fingerprint(&delta),
-                    "{label}: delta mode diverged from full clones"
-                );
-                for key in ["checkpoints", "rollbacks", "wasted_cycles", "replay_cycles"] {
-                    assert_eq!(
-                        full.kernel.get(key),
-                        delta.kernel.get(key),
-                        "{label}: kernel counter {key}"
-                    );
-                }
-                check_invariants(&delta, &scheme).unwrap_or_else(|e| panic!("{label}: {e}"));
-            }
-        }
-    }
-}
-
-/// Greedy (bounded-slack) speculation across the engine matrix, in both
-/// checkpoint modes: every cell completes past its commit target, takes
-/// checkpoints, and upholds the metamorphic invariants. Cross-engine
-/// equality is deliberately not asserted — threaded slack timing is
-/// host-nondeterministic; mode equivalence is proven exactly on the
-/// sequential engine above.
+/// Greedy (bounded-slack) speculation across the engine matrix: every
+/// cell completes past its commit target, takes checkpoints, and upholds
+/// the metamorphic invariants. Cross-engine equality is deliberately not
+/// asserted — threaded slack timing is host-nondeterministic; that the
+/// delta-maintained checkpoint base equals a fresh clone is proven per
+/// model in `crates/cmp/tests/delta_roundtrip.rs`.
 #[test]
 fn speculative_greedy_matrix_upholds_invariants_on_both_engines() {
     let scheme = Scheme::BoundedSlack { bound: 16 };
     for engine in [EngineKind::Sequential, EngineKind::Threaded] {
-        for mode in [CheckpointMode::Full, CheckpointMode::Delta] {
-            let spec = SpeculationConfig::speculative(500, ViolationSelect::all()).with_mode(mode);
-            let r = run_speculative(Benchmark::Fft, 4, &scheme, target(), 1, engine, spec);
-            let label = format!("{engine:?}/{mode:?}");
-            assert!(r.committed >= target(), "{label}: commit target missed");
-            assert!(r.kernel.get("checkpoints") > 0, "{label}: no checkpoints");
-            check_invariants(&r, &scheme).unwrap_or_else(|e| panic!("{label}: {e}"));
-        }
+        let spec = SpeculationConfig::speculative(500, ViolationSelect::all());
+        let r = run_speculative(Benchmark::Fft, 4, &scheme, target(), 1, engine, spec);
+        assert!(r.committed >= target(), "{engine:?}: commit target missed");
+        assert!(
+            r.kernel.get("checkpoints") > 0,
+            "{engine:?}: no checkpoints"
+        );
+        check_invariants(&r, &scheme).unwrap_or_else(|e| panic!("{engine:?}: {e}"));
     }
 }
 
-/// Cycle-by-cycle runs stay violation-free under checkpointing, and the
-/// checkpoint mode is invisible: full and delta modes reproduce the
-/// plain CC fingerprint on both engines.
+/// Checkpointing is invisible to a cycle-by-cycle run: on all three
+/// engines a checkpoint-only CC run stays violation-free, reproduces the
+/// un-checkpointed CC fingerprint, and agrees with the other engines on
+/// every deterministic kernel counter (same checkpoints at the same
+/// cycles, same interval grid).
 #[test]
-fn cycle_by_cycle_checkpointing_is_mode_independent() {
+fn checkpoint_only_cc_has_the_plain_cc_fingerprint_on_all_three_engines() {
     let scheme = Scheme::CycleByCycle;
-    let reference = fingerprint(&run_engine(
+    let plain = run_engine(
         Benchmark::Fft,
         4,
         &scheme,
         target(),
         1,
         EngineKind::Sequential,
-    ));
-    for engine in [EngineKind::Sequential, EngineKind::Threaded] {
-        for mode in [CheckpointMode::Full, CheckpointMode::Delta] {
-            let spec = SpeculationConfig::checkpoint_only(500).with_mode(mode);
-            let r = run_speculative(Benchmark::Fft, 4, &scheme, target(), 1, engine, spec);
-            let label = format!("{engine:?}/{mode:?}");
-            assert_eq!(
-                r.violations.total(),
-                0,
-                "{label}: CC must be violation-free"
-            );
-            assert!(r.kernel.get("checkpoints") > 0, "{label}: no checkpoints");
-            assert_eq!(
-                fingerprint(&r),
-                reference,
-                "{label}: checkpointing perturbed the CC fingerprint"
-            );
-        }
+    );
+    let spec = SpeculationConfig::checkpoint_only(500);
+    let run = |engine| run_speculative(Benchmark::Fft, 4, &scheme, target(), 1, engine, spec);
+    let seq = run(EngineKind::Sequential);
+    assert!(seq.kernel.get("checkpoints") > 0, "no checkpoints");
+    assert!(seq.kernel.get("intervals_total") > 0, "no intervals closed");
+    for engine in [
+        EngineKind::Sequential,
+        EngineKind::Threaded,
+        EngineKind::Batched,
+    ] {
+        let r = run(engine);
+        assert_eq!(
+            r.violations.total(),
+            0,
+            "{engine:?}: CC must be violation-free"
+        );
+        assert_eq!(
+            fingerprint(&r),
+            fingerprint(&plain),
+            "{engine:?}: checkpointing perturbed the CC fingerprint"
+        );
+        assert_exact(&seq, &r, &format!("sequential vs {engine:?}"));
     }
 }
 
@@ -410,10 +373,10 @@ fn directory_uncore_is_exact_across_all_three_engines() {
                 1,
                 EngineKind::Threaded,
             );
-            assert_eq!(
-                fingerprint(&seq),
-                fingerprint(&thr),
-                "{bench}/{cores}c: directory sequential vs threaded-native"
+            assert_exact(
+                &seq,
+                &thr,
+                &format!("{bench}/{cores}c: directory sequential vs threaded-native"),
             );
             check_invariants(&thr, &cc)
                 .unwrap_or_else(|e| panic!("{bench}/{cores}c directory threaded: {e}"));
@@ -437,10 +400,10 @@ fn directory_uncore_is_exact_across_all_three_engines() {
                 1,
                 EngineKind::Batched,
             );
-            assert_eq!(
-                fingerprint(&seq_q),
-                fingerprint(&bat),
-                "{bench}/{cores}c: directory sequential vs batched"
+            assert_exact(
+                &seq_q,
+                &bat,
+                &format!("{bench}/{cores}c: directory sequential vs batched"),
             );
             check_invariants(&bat, &quantum)
                 .unwrap_or_else(|e| panic!("{bench}/{cores}c directory batched: {e}"));
@@ -540,10 +503,10 @@ fn sharded_manager_tree_is_exact_across_the_matrix() {
                     1,
                     shards,
                 );
-                assert_eq!(
-                    fingerprint(&seq),
-                    fingerprint(&thr),
-                    "{bench}/{cores}c/{shards}sh: sequential vs sharded threaded"
+                assert_exact(
+                    &seq,
+                    &thr,
+                    &format!("{bench}/{cores}c/{shards}sh: sequential vs sharded threaded"),
                 );
                 check_invariants(&thr, &cc)
                     .unwrap_or_else(|e| panic!("{bench}/{cores}c/{shards}sh: {e}"));

@@ -38,6 +38,6 @@ pub use aggregate::{
 pub use live::{CampaignLiveHandle, CampaignStats};
 pub use pool::{run_jobs, PoolOutcome};
 pub use spec::{
-    Axes, CheckpointSpec, EngineToken, Job, SchemeKind, SpecError, SweepSpec, UncoreToken,
-    MAX_GRID_JOBS, SPEC_VERSION,
+    Axes, EngineToken, Job, SchemeKind, SpecError, SweepSpec, UncoreToken, MAX_GRID_JOBS,
+    SPEC_VERSION,
 };

@@ -12,7 +12,6 @@
 //!   "commit": 20000,
 //!   "engine": "seq",
 //!   "checkpoint": 2000,
-//!   "checkpoint_mode": "full",
 //!   "max_cycles": 10000000,
 //!   "workers": 3,
 //!   "axes": {
@@ -43,7 +42,6 @@
 
 use std::fmt;
 
-use crate::checkpoint::CheckpointMode;
 use crate::obs::json::Json;
 use crate::scheme::{AdaptiveConfig, Scheme};
 
@@ -60,8 +58,6 @@ pub const SCHEME_TOKENS: &str = "cc|bounded|unbounded|quantum|adaptive|p2p";
 pub const UNCORE_TOKENS: &str = "bus|directory";
 /// Accepted `engine` values.
 pub const ENGINE_TOKENS: &str = "seq|threaded|batched";
-/// Accepted `checkpoint_mode` values.
-pub const CHECKPOINT_MODE_TOKENS: &str = "full|delta";
 
 /// Everything that can be wrong with a sweep spec. Every variant's
 /// `Display` names the offending value and enumerates what is accepted.
@@ -100,8 +96,6 @@ pub enum SpecError {
     UnknownUncore(String),
     /// An unknown `engine` value.
     UnknownEngine(String),
-    /// An unknown `checkpoint_mode` value.
-    UnknownCheckpointMode(String),
     /// A top-level or axis field this schema version does not define —
     /// refused so a typo cannot silently drop an axis.
     UnknownField(String),
@@ -163,10 +157,6 @@ impl fmt::Display for SpecError {
             SpecError::UnknownEngine(s) => {
                 write!(f, "unknown engine '{s}' (expected {ENGINE_TOKENS})")
             }
-            SpecError::UnknownCheckpointMode(s) => write!(
-                f,
-                "unknown checkpoint mode '{s}' (expected {CHECKPOINT_MODE_TOKENS})"
-            ),
             SpecError::UnknownField(s) => {
                 write!(f, "unknown sweep-spec field '{s}'")
             }
@@ -329,15 +319,6 @@ impl SchemeKind {
     }
 }
 
-/// Per-job durable-checkpoint settings shared by every grid point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointSpec {
-    /// Checkpoint interval in global cycles.
-    pub interval: u64,
-    /// Capture mode.
-    pub mode: CheckpointMode,
-}
-
 /// The eight sweep axes. Missing axes default to one neutral value so a
 /// spec only spells out what it varies.
 #[derive(Debug, Clone, PartialEq)]
@@ -373,8 +354,9 @@ pub struct SweepSpec {
     pub commit: u64,
     /// Engine every job runs under.
     pub engine: EngineToken,
-    /// Durable per-job checkpointing (enables crash-safe job resume).
-    pub checkpoint: Option<CheckpointSpec>,
+    /// Durable per-job checkpoint interval in global cycles (enables
+    /// crash-safe job resume).
+    pub checkpoint: Option<u64>,
     /// Per-job simulated-cycle cap (resource cap; jobs hitting it stall
     /// out and are reported as failed rather than running forever).
     pub max_cycles: Option<u64>,
@@ -450,8 +432,7 @@ impl SweepSpec {
         let obj = doc.as_object().ok_or(SpecError::NotAnObject)?;
         for key in obj.keys() {
             match key.as_str() {
-                "v" | "commit" | "engine" | "checkpoint" | "checkpoint_mode" | "max_cycles"
-                | "workers" | "axes" => {}
+                "v" | "commit" | "engine" | "checkpoint" | "max_cycles" | "workers" | "axes" => {}
                 other => return Err(SpecError::UnknownField(other.to_string())),
             }
         }
@@ -480,28 +461,13 @@ impl SweepSpec {
         };
 
         let checkpoint = match doc.get("checkpoint") {
-            None => {
-                if doc.get("checkpoint_mode").is_some() {
-                    return Err(SpecError::MissingField("checkpoint"));
-                }
-                None
-            }
+            None => None,
             Some(j) => {
                 let interval = json_u64(j, "checkpoint")?;
                 if interval == 0 {
                     return Err(SpecError::ZeroValue("checkpoint"));
                 }
-                let mode = match doc.get("checkpoint_mode") {
-                    None => CheckpointMode::Full,
-                    Some(m) => {
-                        let name = m
-                            .as_str()
-                            .ok_or(SpecError::UnknownCheckpointMode(render(m)))?;
-                        CheckpointMode::parse(name)
-                            .ok_or_else(|| SpecError::UnknownCheckpointMode(name.to_string()))?
-                    }
-                };
-                Some(CheckpointSpec { interval, mode })
+                Some(interval)
             }
         };
 
@@ -749,12 +715,8 @@ impl SweepSpec {
         );
         match self.checkpoint {
             None => out.push_str(";checkpoint=off"),
-            Some(cp) => {
-                let mode = match cp.mode {
-                    CheckpointMode::Full => "full",
-                    CheckpointMode::Delta => "delta",
-                };
-                let _ = write!(out, ";checkpoint={mode}@{}", cp.interval);
+            Some(interval) => {
+                let _ = write!(out, ";checkpoint={interval}");
             }
         }
         match self.max_cycles {
@@ -992,12 +954,8 @@ mod tests {
                 "seq|threaded|batched",
             ),
             (
-                r#"{"v":1,"commit":1,"checkpoint":100,"checkpoint_mode":"sparse","axes":{"scheme":["cc"],"workload":["fft"]}}"#,
-                "full|delta",
-            ),
-            (
-                r#"{"v":1,"commit":1,"checkpoint_mode":"full","axes":{"scheme":["cc"],"workload":["fft"]}}"#,
-                "'checkpoint'",
+                r#"{"v":1,"commit":1,"checkpoint":100,"checkpoint_mode":"delta","axes":{"scheme":["cc"],"workload":["fft"]}}"#,
+                "unknown sweep-spec field 'checkpoint_mode'",
             ),
             (
                 r#"{"v":1,"commit":1,"frobnicate":3,"axes":{"scheme":["cc"],"workload":["fft"]}}"#,

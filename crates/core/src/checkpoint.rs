@@ -1,12 +1,15 @@
 //! Incremental (delta) checkpointing.
 //!
 //! The paper's `fork()`-based checkpoints got incremental capture for free
-//! from OS copy-on-write: untouched pages cost nothing. Our structured
-//! in-memory snapshots instead deep-clone every model at every checkpoint
-//! interval. [`Checkpointable`] restores the missing asymptotics in a
+//! from OS copy-on-write: untouched pages cost nothing. Deep-cloning every
+//! model at every checkpoint interval would pay for the whole state each
+//! time. [`Checkpointable`] restores the missing asymptotics in a
 //! deterministic, allocator-visible way: models track which of their parts
 //! changed since a *generation* (a monotonic per-model mutation counter)
-//! and capture only those parts.
+//! and capture only those parts. This is the engines' only checkpoint
+//! mechanism: the models are cloned once, at run start, as the base every
+//! later delta patches forward (a clone-per-checkpoint mode existed until
+//! no measured row favoured it; DESIGN.md §12 records the verdict).
 //!
 //! ## The generation protocol
 //!
@@ -38,47 +41,16 @@
 //! Tracking metadata (generation counters and unit stamps) is pure
 //! bookkeeping: it must never influence model behaviour, and equality
 //! comparisons between model states deliberately ignore it. That is what
-//! keeps full-clone and delta checkpointing bit-identical in simulation
-//! results, which the conformance suite asserts (DESIGN §11–12).
-
-/// How the engines capture and restore speculative-slack checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointMode {
-    /// Deep-clone the full model state at every checkpoint (the original
-    /// behaviour; simple, allocation-heavy).
-    #[default]
-    Full,
-    /// Capture only state mutated since the previous checkpoint and roll
-    /// back by reverse-applying against a retained base copy.
-    Delta,
-}
-
-impl CheckpointMode {
-    /// Parses a CLI-facing mode name.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "full" => Some(CheckpointMode::Full),
-            "delta" => Some(CheckpointMode::Delta),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckpointMode::Full => "full",
-            CheckpointMode::Delta => "delta",
-        }
-    }
-}
+//! keeps a delta-maintained base bit-identical to a fresh clone, which
+//! `crates/cmp/tests/delta_roundtrip.rs` asserts per model.
 
 /// A model whose state can be checkpointed incrementally.
 ///
 /// Implementors keep a monotonic generation counter bumped on every
 /// mutation and per-unit dirty stamps; see the [module docs](self) for the
 /// full protocol and its invariants. `Clone` remains a supertrait because
-/// full-clone checkpointing stays available as a mode and as the first
-/// (baseline) capture in delta mode.
+/// the first (baseline) capture is a full clone, and because `Clone` is
+/// the reference every delta round-trip is tested against.
 ///
 /// Models without internal dirty tracking can opt into a trivially correct
 /// whole-state implementation with
@@ -103,8 +75,8 @@ pub trait Checkpointable: Clone {
     /// Patches this model (holding the state the delta was captured
     /// against) forward to the delta's capture point. Consumes the delta
     /// so implementations can move owned payloads into place rather than
-    /// copy them again — what keeps delta mode's apply cost near zero
-    /// even when most units are dirty.
+    /// copy them again — what keeps the apply cost near zero even when
+    /// most units are dirty.
     fn apply_delta(&mut self, delta: Self::Delta);
 
     /// Rolls this *live* model back to the state held by `base`, where
@@ -173,15 +145,6 @@ mod tests {
     #[derive(Clone, PartialEq, Eq, Debug)]
     struct Blob(Vec<u64>);
     impl_checkpointable_by_clone!(Blob);
-
-    #[test]
-    fn mode_parse_roundtrip() {
-        for mode in [CheckpointMode::Full, CheckpointMode::Delta] {
-            assert_eq!(CheckpointMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(CheckpointMode::parse("incremental"), None);
-        assert_eq!(CheckpointMode::default(), CheckpointMode::Full);
-    }
 
     #[test]
     fn clone_fallback_roundtrips() {

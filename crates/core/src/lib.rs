@@ -111,7 +111,7 @@ pub mod sync;
 pub mod time;
 pub mod violation;
 
-pub use checkpoint::{CheckpointMode, Checkpointable};
+pub use checkpoint::Checkpointable;
 pub use engine::{
     CoreModel, EngineConfig, EngineError, SequentialEngine, ServiceSink, ThreadedEngine, TickCtx,
     UncoreModel,

@@ -14,7 +14,6 @@
 //! `DESIGN.md` §4 for why this substitution preserves the evaluated
 //! behaviour.
 
-use crate::checkpoint::CheckpointMode;
 use crate::persist::{ByteReader, ByteWriter, PersistError};
 use crate::time::Cycle;
 use crate::violation::ViolationKind;
@@ -90,11 +89,6 @@ pub struct SpeculationConfig {
     /// forward progress — CC replay cannot re-violate, so 1 suffices in
     /// practice).
     pub max_rollbacks_per_interval: u32,
-    /// How checkpoints are captured and restored: full clones of every
-    /// model, or incremental deltas against the previous checkpoint (see
-    /// [`crate::checkpoint`]). Both modes produce bit-identical
-    /// simulation results; they differ only in host-side cost.
-    pub mode: CheckpointMode,
 }
 
 impl SpeculationConfig {
@@ -105,7 +99,6 @@ impl SpeculationConfig {
             interval,
             rollback_on: ViolationSelect::none(),
             max_rollbacks_per_interval: 1,
-            mode: CheckpointMode::Full,
         }
     }
 
@@ -116,15 +109,7 @@ impl SpeculationConfig {
             interval,
             rollback_on,
             max_rollbacks_per_interval: 1,
-            mode: CheckpointMode::Full,
         }
-    }
-
-    /// Selects the checkpoint capture/restore mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: CheckpointMode) -> Self {
-        self.mode = mode;
-        self
     }
 }
 
@@ -353,13 +338,8 @@ mod tests {
         let co = SpeculationConfig::checkpoint_only(50_000);
         assert_eq!(co.interval, 50_000);
         assert!(co.rollback_on.is_empty());
-        assert_eq!(co.mode, CheckpointMode::Full, "full clones by default");
         let sp = SpeculationConfig::speculative(10_000, ViolationSelect::all());
         assert!(!sp.rollback_on.is_empty());
-        assert_eq!(
-            sp.with_mode(CheckpointMode::Delta).mode,
-            CheckpointMode::Delta
-        );
     }
 
     #[test]

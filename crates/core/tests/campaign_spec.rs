@@ -13,7 +13,7 @@
 //! * a randomly corrupted spec is rejected with an error message that
 //!   names the offence — never silently defaulted or reordered.
 
-use slacksim_core::campaign::{Job, SweepSpec};
+use slacksim_core::campaign::{Job, SpecError, SweepSpec};
 use slacksim_core::rng::Xoshiro256;
 
 const CASES: u64 = 64;
@@ -78,9 +78,6 @@ fn random_spec(rng: &mut Xoshiro256) -> (String, u64) {
     let mut extras = String::new();
     if rng.chance(1, 2) {
         extras.push_str(&format!(",\"checkpoint\":{}", rng.next_range(1, 100_000)));
-        if rng.chance(1, 2) {
-            extras.push_str(",\"checkpoint_mode\":\"delta\"");
-        }
     }
     if rng.chance(1, 2) {
         extras.push_str(&format!(",\"workers\":{}", rng.next_range(1, 64)));
@@ -153,6 +150,28 @@ fn expansion_order_and_fingerprint_are_stable_across_parses() {
         assert_eq!(a.expand(), b.expand(), "case {case}: expansion is stable");
         assert_eq!(a.canonical(), b.canonical(), "case {case}: fingerprint");
     }
+}
+
+/// The capture-mode key is gone with the mode: a spec that still carries
+/// it is refused by name (not silently ignored), and the canonical string
+/// records the interval alone.
+#[test]
+fn the_removed_checkpoint_mode_key_is_an_unknown_field() {
+    let axes = r#""axes":{"scheme":["cc"],"workload":["fft"]}"#;
+    for mode in ["full", "delta"] {
+        let src =
+            format!(r#"{{"v":1,"commit":5,"checkpoint":2000,"checkpoint_mode":"{mode}",{axes}}}"#);
+        assert_eq!(
+            SweepSpec::parse(&src).expect_err(&src),
+            SpecError::UnknownField("checkpoint_mode".to_owned())
+        );
+    }
+    let with = SweepSpec::parse(&format!(r#"{{"v":1,"commit":5,"checkpoint":2000,{axes}}}"#));
+    let canonical = with.expect("valid spec").canonical();
+    assert!(canonical.contains(";checkpoint=2000;"), "{canonical}");
+    let without = SweepSpec::parse(&format!(r#"{{"v":1,"commit":5,{axes}}}"#));
+    let canonical = without.expect("valid spec").canonical();
+    assert!(canonical.contains(";checkpoint=off;"), "{canonical}");
 }
 
 /// One corruption kind per iteration, applied to a fresh valid spec:

@@ -6,7 +6,7 @@
 //!          [--bound N] [--quantum N] [--target PCT] [--band PCT]
 //!          [--engine seq|threaded|batched] [--uncore bus|directory]
 //!          [--cores N] [--shards N] [--commit N] [--seed N]
-//!          [--checkpoint N] [--checkpoint-mode full|delta] [--rollback all|map|none]
+//!          [--checkpoint N] [--rollback all|map|none]
 //!          [--save-state DIR] [--resume FILE]
 //!          [--verbose] [--trace OUT.json] [--metrics OUT.csv] [--sample-every CYCLES]
 //!          [--profile] [--profile-csv OUT.csv]
@@ -26,8 +26,8 @@ use slacksim::slacksim_core::obs::json::Json;
 use slacksim::slacksim_core::obs::prof::SiteStat;
 use slacksim::sweep::{run_sweep, SweepOptions};
 use slacksim::{
-    Benchmark, CheckpointMode, EngineError, EngineKind, LiveConfig, ObsConfig, ProfData, ProfSite,
-    Simulation, SpeculationConfig, UncoreKind, ViolationKind, ViolationSelect, HEARTBEAT_VERSION,
+    Benchmark, EngineError, EngineKind, LiveConfig, ObsConfig, ProfData, ProfSite, Simulation,
+    SpeculationConfig, UncoreKind, ViolationKind, ViolationSelect, HEARTBEAT_VERSION,
 };
 
 /// Flags that take a value in the following argument.
@@ -46,7 +46,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--commit",
     "--seed",
     "--checkpoint",
-    "--checkpoint-mode",
     "--rollback",
     "--trace",
     "--metrics",
@@ -303,21 +302,11 @@ fn main() {
             "unknown rollback selection '{other}' (expected all|map|none)"
         )),
     };
-    let cp_mode = match args.value("--checkpoint-mode") {
-        None => CheckpointMode::Full,
-        Some(name) => CheckpointMode::parse(name).unwrap_or_else(|| {
-            usage_error(&format!(
-                "unknown checkpoint mode '{name}' (expected full|delta)"
-            ))
-        }),
-    };
     if args.has("--checkpoint") {
         let interval = args.parsed_nonzero("--checkpoint", 1);
-        sim.speculation(SpeculationConfig::speculative(interval, select).with_mode(cp_mode));
+        sim.speculation(SpeculationConfig::speculative(interval, select));
     } else if args.has("--rollback") {
         usage_error("--rollback requires --checkpoint INTERVAL");
-    } else if args.has("--checkpoint-mode") {
-        usage_error("--checkpoint-mode requires --checkpoint INTERVAL");
     } else if args.has("--save-state") {
         usage_error("--save-state requires --checkpoint INTERVAL");
     }
@@ -1009,7 +998,6 @@ settings:
     \"commit\": 20000,            per-job committed-instruction target
     \"engine\": \"seq\",            seq|threaded|batched (default seq)
     \"checkpoint\": 2000,         durable checkpoint interval (optional)
-    \"checkpoint_mode\": \"full\",  full|delta (default full)
     \"max_cycles\": 100000000,    per-job simulated-cycle cap (optional)
     \"workers\": 3,               default pool width (optional)
     \"axes\": {
@@ -1074,8 +1062,8 @@ USAGE:
            [--bound N] [--quantum N] [--target PCT] [--band PCT] [--period N]
            [--engine seq|threaded|batched] [--uncore bus|directory]
            [--cores N] [--shards N] [--commit N] [--seed N]
-           [--checkpoint INTERVAL] [--checkpoint-mode full|delta]
-           [--rollback all|map|none] [--save-state DIR] [--resume FILE]
+           [--checkpoint INTERVAL] [--rollback all|map|none]
+           [--save-state DIR] [--resume FILE]
            [--verbose]
            [--trace OUT.json] [--metrics OUT.csv] [--sample-every CYCLES]
            [--profile] [--profile-csv OUT.csv]
@@ -1114,13 +1102,10 @@ UNCORE:
                         bus, 1..=1024 on the directory
 
 SPECULATION:
-  --checkpoint N        take a checkpoint every N global cycles
-  --checkpoint-mode M   how checkpoints are captured and restored
-                        (requires --checkpoint): 'full' clones every model
-                        per checkpoint, 'delta' captures only state dirtied
-                        since the previous checkpoint and rolls back by
-                        reverse-applying onto the standing base; both modes
-                        produce bit-identical simulation results
+  --checkpoint N        take a checkpoint every N global cycles (the models
+                        are cloned once as a base; each checkpoint captures
+                        only state dirtied since the previous one, and a
+                        rollback copies back only what diverged)
   --rollback SEL        violation kinds that trigger a rollback
                         (all|map|none; default none = checkpoint-only)
 
@@ -1132,8 +1117,8 @@ DURABLE STATE:
   --resume FILE         restore a snapshot written by --save-state and
                         continue the run from it; the snapshot's config
                         fingerprint (benchmark/scheme/uncore/cores/seed/
-                        checkpoint mode) must match the flags given here, otherwise
-                        slacksim refuses with exit code 2
+                        checkpoint interval) must match the flags given here,
+                        otherwise slacksim refuses with exit code 2
 
 OBSERVABILITY:
   --trace OUT.json      record a per-core timeline and write it as Chrome

@@ -43,7 +43,7 @@
 #![warn(rust_2018_idioms)]
 
 pub use slacksim_cmp::config::{CmpConfig, CoreConfig, UncoreConfig, UncoreKind};
-pub use slacksim_core::checkpoint::{CheckpointMode, Checkpointable};
+pub use slacksim_core::checkpoint::Checkpointable;
 pub use slacksim_core::engine::{BurstPolicy, EngineConfig, EngineError};
 pub use slacksim_core::model;
 pub use slacksim_core::obs::{
@@ -283,7 +283,7 @@ impl Simulation {
 
     /// Resumes the run from the given snapshot file instead of cycle
     /// zero. The builder's configuration (benchmark, scheme, cores, seed,
-    /// checkpoint mode) must match the run that produced the snapshot;
+    /// checkpoint interval) must match the run that produced the snapshot;
     /// [`run`](Simulation::run) fails with [`EngineError::Resume`]
     /// otherwise.
     pub fn resume(&mut self, path: impl Into<PathBuf>) -> &mut Self {
@@ -297,19 +297,12 @@ impl Simulation {
     /// are deliberately excluded — a snapshot may be resumed under either
     /// engine and toward a different target.
     fn config_fingerprint(&self) -> String {
-        let cp_mode = match self.speculation {
+        let interval = match self.speculation {
             None => "off".to_owned(),
-            Some(s) => format!(
-                "{}@{}",
-                match s.mode {
-                    CheckpointMode::Full => "full",
-                    CheckpointMode::Delta => "delta",
-                },
-                s.interval
-            ),
+            Some(s) => s.interval.to_string(),
         };
         format!(
-            "bench={}/scheme={}/uncore={}/cores={}/seed={}/cpmode={cp_mode}",
+            "bench={}/scheme={}/uncore={}/cores={}/seed={}/cpmode={interval}",
             self.benchmark.name(),
             snapshot::scheme_token(&self.scheme),
             self.cmp.uncore_kind,
@@ -365,7 +358,7 @@ impl Simulation {
         })?;
         let (found_fp, payload) = persist::decode_container(&bytes)
             .map_err(|e| EngineError::Resume(format!("{}: {e}", path.display())))?;
-        persist::check_fingerprint(&self.config_fingerprint(), found_fp)
+        persist::check_fingerprint(&self.config_fingerprint(), &current_fingerprint(found_fp))
             .map_err(|e| EngineError::Resume(e.to_string()))?;
         snapshot::decode_snapshot(
             payload,
@@ -478,9 +471,34 @@ impl Simulation {
     }
 }
 
+/// Snapshots written while checkpoints still had a capture mode end their
+/// fingerprint in `cpmode=full@N` or `cpmode=delta@N`. The mode never
+/// changed what a snapshot contains, so both read as today's `cpmode=N`;
+/// a different interval is still a mismatch.
+fn current_fingerprint(found: &str) -> String {
+    for legacy in ["/cpmode=full@", "/cpmode=delta@"] {
+        if let Some((head, interval)) = found.rsplit_once(legacy) {
+            return format!("{head}/cpmode={interval}");
+        }
+    }
+    found.to_owned()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn legacy_fingerprints_read_as_the_current_spelling() {
+        let now = "bench=FFT/scheme=cc/uncore=bus/cores=2/seed=1/cpmode=1000";
+        for mode in ["full", "delta"] {
+            let old = format!("bench=FFT/scheme=cc/uncore=bus/cores=2/seed=1/cpmode={mode}@1000");
+            assert_eq!(current_fingerprint(&old), now);
+        }
+        assert_eq!(current_fingerprint(now), now);
+        let off = "bench=FFT/scheme=cc/uncore=bus/cores=2/seed=1/cpmode=off";
+        assert_eq!(current_fingerprint(off), off);
+    }
 
     #[test]
     fn builder_defaults_match_paper() {

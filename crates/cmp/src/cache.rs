@@ -155,7 +155,7 @@ pub struct Cache {
 
 /// Equality is over model state only; generation counters and dirty
 /// stamps are capture bookkeeping and must never influence comparisons
-/// (full-clone and delta checkpointing have to agree bit-for-bit).
+/// (a delta-maintained copy and a fresh clone have to agree bit-for-bit).
 impl PartialEq for Cache {
     fn eq(&self, other: &Self) -> bool {
         self.cfg == other.cfg

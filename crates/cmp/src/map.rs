@@ -106,8 +106,8 @@ pub struct CacheMap {
 }
 
 /// Equality is over model state only; the generation counter and dirty
-/// stamps are capture bookkeeping (full-clone and delta checkpointing
-/// must agree bit-for-bit).
+/// stamps are capture bookkeeping (a delta-maintained copy and a fresh
+/// clone must agree bit-for-bit).
 impl PartialEq for CacheMap {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries

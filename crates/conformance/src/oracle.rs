@@ -165,11 +165,7 @@ pub fn run_engine_sharded(
 }
 
 /// Runs one *speculative* configuration on the given engine with the
-/// native host scheduler. The delta-checkpoint oracle (DESIGN §11)
-/// drives this with the same configuration in both checkpoint modes and
-/// compares fingerprints: on the deterministic sequential engine the
-/// modes must be bit-identical, which proves delta capture/restore
-/// reconstructs exactly the state a full clone would have.
+/// native host scheduler (checkpointing, with or without rollback).
 ///
 /// # Panics
 ///

@@ -8,8 +8,7 @@
 //! changed since a *generation* (a monotonic per-model mutation counter)
 //! and capture only those parts. This is the engines' only checkpoint
 //! mechanism: the models are cloned once, at run start, as the base every
-//! later delta patches forward (a clone-per-checkpoint mode existed until
-//! no measured row favoured it; DESIGN.md §12 records the verdict).
+//! later delta patches forward (DESIGN.md §12).
 //!
 //! ## The generation protocol
 //!

@@ -26,8 +26,8 @@
 //! * [`Kernel::finish`] to turn the run into a [`SimReport`].
 //!
 //! A driver may read the kernel's state through the accessors, record
-//! trace events for phases only it can see (`trace`), add host wait time
-//! and report clock spread; it never writes the ledger.
+//! trace events for phases only it can see (`trace`), time its waits and
+//! report clock spread; it never writes the ledger.
 
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -386,14 +386,16 @@ where
         self.max_spread = self.max_spread.max(spread);
     }
 
-    /// Whether host wait time is worth measuring (metrics are sampled).
-    pub(super) fn obs_on(&self) -> bool {
-        self.obs_on
-    }
-
-    /// Adds host time the manager spent waiting (sampled as a gauge).
-    pub(super) fn add_manager_wait(&mut self, ns: u64) {
-        self.mgr_wait_ns += ns;
+    /// Runs a manager wait, accumulating the host time it took when
+    /// metrics are being sampled (it feeds the `manager_wait_ns` gauge).
+    pub(super) fn timed_wait(&mut self, wait: impl FnOnce()) {
+        if self.obs_on {
+            let started = Instant::now();
+            wait();
+            self.mgr_wait_ns += started.elapsed().as_nanos() as u64;
+        } else {
+            wait();
+        }
     }
 
     // --- The manager's verbs ---------------------------------------------
@@ -403,6 +405,11 @@ where
     /// ended, samples metrics on the observability cadence and publishes
     /// the live gauges. `rings(i)` returns core `i`'s (OutQ, InQ) depths
     /// and is only called for drivers built with `host_rings`.
+    ///
+    /// Runs once per manager iteration — once per core-cycle under
+    /// cycle-by-cycle — so the four checks are forced inline and everything
+    /// behind them is out of line.
+    #[inline(always)]
     pub(super) fn on_global(
         &mut self,
         global: Cycle,
@@ -415,8 +422,22 @@ where
         if let Some(tr) = &mut self.tracker {
             tr.close_intervals_up_to(global);
         }
+        if global.as_u64() >= self.next_sample {
+            self.feed_pacer(global);
+        }
+        // Metrics sampling (observability cadence, independent of the
+        // pacer's feedback period).
+        if self.obs_on && self.metrics.sample_ready(global) {
+            self.sample_metrics(global, locals, gq_len, &rings);
+        }
+        if self.live_handle.is_some() {
+            self.publish_live(global, committed, gq_len, &rings);
+        }
+    }
 
-        // Violation-rate sampling and adaptive feedback.
+    /// Violation-rate sampling and adaptive feedback: hands the pacer one
+    /// sample per sampling window that ended at or before `global`.
+    fn feed_pacer(&mut self, global: Cycle) {
         while global.as_u64() >= self.next_sample {
             let at = Cycle::new(self.next_sample);
             let sample = PaceSample {
@@ -441,15 +462,6 @@ where
                 }
             }
             self.next_sample += self.sample_period;
-        }
-
-        // Metrics sampling (observability cadence, independent of the
-        // pacer's feedback period).
-        if self.obs_on && self.metrics.sample_ready(global) {
-            self.sample_metrics(global, locals, gq_len, &rings);
-        }
-        if self.live_handle.is_some() {
-            self.publish_live(global, committed, gq_len, &rings);
         }
     }
 
@@ -869,11 +881,10 @@ where
     /// (plus the driver's `extras`), drains the trace, publishes the
     /// terminal heartbeat and builds the report. `rings` as in
     /// [`on_global`](Kernel::on_global).
-    pub(super) fn finish(
-        mut self,
-        f: Finish<'_>,
-        rings: impl Fn(usize) -> (u64, u64),
-    ) -> SimReport {
+    pub(super) fn finish<R>(mut self, f: Finish<'_>, rings: R) -> SimReport
+    where
+        R: Fn(usize) -> (u64, u64),
+    {
         let global = f.global;
         if let Some(tr) = &mut self.tracker {
             tr.close_intervals_up_to(global);

@@ -9,7 +9,11 @@
 //!   levels, interconnect, synchronisation device), advanced by the
 //!   simulation manager as events arrive.
 //!
-//! Three engines execute the same semantics:
+//! Three engines execute the same semantics. The simulation manager's
+//! work — event service, violation accounting, adaptive sampling,
+//! checkpoint, rollback and replay, observation, the report — lives once,
+//! in the `kernel` module (DESIGN §19); each engine is a driver that only
+//! decides which core ticks when and on which host thread:
 //!
 //! * [`SequentialEngine`] runs everything
 //!   on the calling thread, emulating host-scheduling nondeterminism with a
@@ -273,7 +277,7 @@ pub enum FinishReason {
     CycleCap,
 }
 
-/// Engine configuration shared by both engines.
+/// Engine configuration shared by all three engines.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The slack scheme pacing the run.

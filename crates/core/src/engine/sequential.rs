@@ -148,6 +148,19 @@ where
         let mut at_serviced_boundary = true;
 
         loop {
+            if k.rollback_pending() {
+                // A selected violation was serviced: rewind everything to
+                // the standing checkpoint and replay cycle by cycle.
+                let _span = ph.enter(ProfSite::CheckpointRestore);
+                let now = locals.iter().copied().min().expect("n >= 1");
+                let (at, at_committed) = k.rollback_ledger(now);
+                k.restore_models(&mut cores, &mut inboxes, &mut uncore);
+                gq.clear();
+                locals.fill(at);
+                committed = at_committed;
+                stop_at = None;
+                window_end = at + 1;
+            }
             span_age += 1;
             if span_age == ITER_SPAN_BATCH {
                 span_age = 0;
@@ -225,18 +238,10 @@ where
                             inboxes[to.index()].deliver(ev)
                         });
                     }
-                    stop_at = None;
-                    if k.rollback_pending() {
-                        let _span = ph.enter(ProfSite::CheckpointRestore);
-                        let at = k.rollback_ledger(global);
-                        k.restore_models(&mut cores, &mut inboxes, &mut uncore);
-                        gq.clear();
-                        locals.fill(at.0);
-                        committed = at.1;
-                        window_end = at.0 + 1;
-                    } else {
+                    if !k.rollback_pending() {
                         k.capture_cores(&mut cores, &inboxes);
                         k.commit_checkpoint(s, committed, &mut uncore, Some(&rng), &[]);
+                        stop_at = None;
                         window_end = k.pacer.window_end(s);
                     }
                     continue;
@@ -311,23 +316,10 @@ where
             }
 
             if !barrier {
-                {
-                    let _span = ph.enter(ProfSite::ManagerService);
-                    k.service_all(&mut gq, &mut uncore, |to, ev| {
-                        inboxes[to.index()].deliver(ev)
-                    });
-                }
-                if k.rollback_pending() {
-                    let _span = ph.enter(ProfSite::CheckpointRestore);
-                    let now = locals.iter().copied().min().expect("n >= 1");
-                    let at = k.rollback_ledger(now);
-                    k.restore_models(&mut cores, &mut inboxes, &mut uncore);
-                    gq.clear();
-                    locals.fill(at.0);
-                    committed = at.1;
-                    stop_at = None;
-                    window_end = at.0 + 1;
-                }
+                let _span = ph.enter(ProfSite::ManagerService);
+                k.service_all(&mut gq, &mut uncore, |to, ev| {
+                    inboxes[to.index()].deliver(ev)
+                });
             }
         }
         drop(iter_span);

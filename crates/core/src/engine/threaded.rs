@@ -48,7 +48,7 @@
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
@@ -1305,17 +1305,9 @@ where
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
     let mut backoff = Backoff::new(host_oversubscribed(n + shardset.shards.len()), virt);
-    // Waits through the ladder, accumulating the host time spent when
-    // metrics are being sampled.
     let idle_wait = |backoff: &mut Backoff, k: &mut Kernel<C, U>| {
         let _span = ph.enter(backoff.next_site());
-        if k.obs_on() {
-            let wait_started = Instant::now();
-            backoff.wait(sched);
-            k.add_manager_wait(wait_started.elapsed().as_nanos() as u64);
-        } else {
-            backoff.wait(sched);
-        }
+        k.timed_wait(|| backoff.wait(sched));
     };
 
     let mut window_end = k.pacer.window_end(start_global);

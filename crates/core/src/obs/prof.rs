@@ -57,7 +57,7 @@ pub enum ProfSite {
     ManagerWaitYield = 7,
     /// The manager parked (timed) at the bottom of its wait ladder.
     ManagerWaitPark = 8,
-    /// Capturing a checkpoint (full clone or delta capture).
+    /// Capturing a checkpoint (the base clone at run start, then deltas).
     CheckpointCapture = 9,
     /// Committing a captured checkpoint into the standing base (delta
     /// merge / bookkeeping after a successful interval).

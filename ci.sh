@@ -122,6 +122,34 @@ sharded="$(./target/release/slacksim "${dir_flags[@]}" --shards 4 \
     echo "ci: sharded run artifacts failed report validation" >&2; exit 1; }
 rm -rf "$shard_dir"
 
+echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, two threads on one CPU)"
+# Host-parallel windows on the release binary (DESIGN §15.1): the
+# batched engine's host-thread count is a host knob, so the whole
+# verbose report — headline, uncore, kernel and per-core counters,
+# everything but the two host-time lines — must be byte-equal on 1, 2
+# and 3 host threads. Then the oversubscribed case: two host threads
+# pinned to one CPU must still finish (the hand-off ladder reaches its
+# yield and park tiers instead of spinning against the thread it waits
+# for), with the same report. The in-process twins run in
+# crates/conformance and tests/report_digest.rs.
+bat_flags=(--uncore directory --cores 64 --benchmark fft --scheme quantum
+    --quantum 50 --engine batched --commit 1000000 --verbose)
+bat_report() { # the simulated report of one run: bat_report COMMAND...
+    "$@" 2> /dev/null | grep -vE '^(wall clock|speed) '
+}
+bat_one="$(bat_report ./target/release/slacksim "${bat_flags[@]}" --host-threads 1)"
+grep -q '^committed' <<< "$bat_one" || {
+    echo "ci: batched run printed no report" >&2; exit 1; }
+for h in 2 3; do
+    [ "$bat_one" = "$(bat_report ./target/release/slacksim "${bat_flags[@]}" --host-threads "$h")" ] || {
+        echo "ci: batched report on $h host threads differs from the one on 1" >&2; exit 1; }
+done
+if command -v taskset > /dev/null; then
+    [ "$bat_one" = "$(bat_report timeout 120 taskset -c 0 \
+        ./target/release/slacksim "${bat_flags[@]}" --host-threads 2)" ] || {
+        echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
+fi
+
 echo "==> bench smoke (engine_throughput, short run, checked against baseline)"
 # Short run into a scratch path, compared against the committed
 # BENCH_threaded.json: every engine/scheme row must keep at least 0.25x

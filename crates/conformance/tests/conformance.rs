@@ -151,6 +151,80 @@ fn quantum_is_exact_between_sequential_and_batched_engines() {
     }
 }
 
+/// The batched engine's host-thread count decides who runs a window's
+/// cores, never what they compute: cores interact only through events the
+/// manager merges in (timestamp, core id, staging order) after every lane
+/// is back, so no schedule of the workers can show in the result and the
+/// matrix needs no virtual-schedule vocabulary — on 1, 2, 3, 5 and
+/// `cores` host threads, {4, 16, 64} cores x {FFT, WATER} x {quantum-50,
+/// cycle-by-cycle, quantum-50 with checkpoints} all agree on fingerprint
+/// and deterministic kernel counters. The reference is the sequential
+/// engine, except with checkpoints under a quantum, where the two engines
+/// have always stopped a window apart when the commit target is crossed
+/// on a checkpoint boundary: there it is the batched engine on one
+/// thread. (Windows under the hand-off floor — every cycle-by-cycle one,
+/// and quantum-50 on one core per thread — run inline; the rest go to
+/// the workers.)
+#[test]
+fn batched_is_exact_at_every_host_thread_count() {
+    use slacksim::Simulation;
+
+    let commits = if cfg!(debug_assertions) {
+        8_000
+    } else {
+        30_000
+    };
+    let q50 = Scheme::Quantum { quantum: 50 };
+    let modes = [
+        ("quantum-50", q50.clone(), None),
+        ("cycle-by-cycle", Scheme::CycleByCycle, None),
+        (
+            "checkpoint-only",
+            q50,
+            Some(SpeculationConfig::checkpoint_only(500)),
+        ),
+    ];
+    for (cores, uncore) in [
+        (4, UncoreKind::Bus),
+        (16, UncoreKind::Directory),
+        (64, UncoreKind::Directory),
+    ] {
+        for bench in BENCHES {
+            for (mode, scheme, speculation) in &modes {
+                let run = |engine, host_threads| {
+                    let mut sim = Simulation::new(bench);
+                    sim.uncore(uncore)
+                        .cores(cores)
+                        .scheme(scheme.clone())
+                        .engine(engine)
+                        .host_threads(host_threads)
+                        .commit_target(commits)
+                        .seed(1);
+                    if let Some(spec) = speculation {
+                        sim.speculation(*spec);
+                    }
+                    sim.run()
+                        .unwrap_or_else(|e| panic!("{engine:?}/{bench}/{cores}c/{mode}: {e}"))
+                };
+                let reference = if speculation.is_some() {
+                    let solo = run(EngineKind::Batched, 1);
+                    assert!(solo.kernel.get("checkpoints") > 0, "{mode}: no checkpoints");
+                    solo
+                } else {
+                    run(EngineKind::Sequential, 0)
+                };
+                for host_threads in [1, 2, 3, 5, cores] {
+                    assert_exact(
+                        &reference,
+                        &run(EngineKind::Batched, host_threads),
+                        &format!("{bench}/{cores}c/{mode}: batched on {host_threads} host threads"),
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Under cycle-by-cycle the outcome must be *schedule*-independent: any
 /// policy, any schedule seed, same fingerprint.
 #[test]

@@ -20,6 +20,13 @@
 //! result is bit-identical to the sequential engine under any barrier
 //! scheme (see the conformance oracle) at a fraction of the host cost.
 //!
+//! Inside a window the cores are independent, so with more than one host
+//! thread they run on a static partition of contiguous *lanes* — lane 0
+//! on the manager thread, the rest on persistent workers — and meet at a
+//! barrier before the merge, which stays on the manager thread with every
+//! kernel verb: the result is bit-identical at every host-thread count by
+//! construction (DESIGN §15.1).
+//!
 //! Documented divergences (all invisible to the simulated outcome):
 //!
 //! * the cycle cap and checkpoint trigger are honoured at the first
@@ -27,19 +34,38 @@
 //! * metrics/trace sampling happens at boundaries, where every core's
 //!   drift is zero by construction.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
+
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{Finish, Kernel};
+use crate::engine::merge::{arm, head_ts, sweep, NO_HEAD};
+use crate::engine::wait::{host_oversubscribed, Backoff};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
 };
 use crate::event::{CoreId, Inbox, Timestamped};
-use crate::obs::{Phase, ProfSite, TraceEvent};
+use crate::obs::{Phase, ProfHandle, ProfSite, Profiler, TraceEvent};
+use crate::sched::{NativeSched, SchedSite};
 use crate::stats::SimReport;
 use crate::time::Cycle;
 
+/// Core-cycles one lane must have to run in a window for the window to be
+/// handed to the workers; below it every lane runs inline on the manager
+/// thread. Measured on two host threads (DESIGN §15.1): at 32 and 64
+/// core-cycles per lane (cycle-by-cycle at 64 cores is 32) a hand-off and
+/// its barrier cost more than they save, 0.76–0.89x; from 96 up they win,
+/// 1.03–1.22x.
+const DISPATCH_FLOOR: u64 = 96;
+
 /// Quantum-compiled BSP engine: steps all cores a full quantum per
 /// iteration over their hot state, resolving cross-core interaction only
-/// at quantum boundaries.
+/// at quantum boundaries. With more than one host thread
+/// ([`EngineConfig::host_threads`]) the cores of a window run on a static
+/// partition of lanes, one per thread; everything at the boundary stays
+/// on the calling thread, so the result does not depend on the thread
+/// count.
 ///
 /// Only meaningful under barrier schemes (`Scheme::Quantum`,
 /// `Scheme::CycleByCycle`); [`run`](BatchedEngine::run) panics on greedy
@@ -98,7 +124,9 @@ where
     ///
     /// Panics if the configured scheme is not a barrier scheme: the
     /// quantum-compiled loop is only equivalent to the paper's semantics
-    /// when every cross-core event defers to a window boundary.
+    /// when every cross-core event defers to a window boundary. A panic
+    /// inside a core model's `run_window` surfaces from here whichever
+    /// host thread the core ran on.
     pub fn run(self) -> Result<SimReport, EngineError> {
         let BatchedEngine {
             mut cores,
@@ -118,7 +146,6 @@ where
              schemes service events mid-window, which the batched loop \
              cannot observe"
         );
-        let ph = k.prof_handle();
 
         let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
         let mut staged: Vec<Vec<Timestamped<C::Event>>> = (0..n).map(|_| Vec::new()).collect();
@@ -136,146 +163,393 @@ where
         // boundary services in timestamp order), so this driver uses the
         // checkpoint half of speculation only — it never rolls back.
         k.seed_base(&mut cores, &inboxes, &mut uncore, global, committed);
+
+        // Static partition: contiguous lanes of `chunk` cores, one per
+        // host thread, each with its cores' inboxes and staging buffers.
+        let threads = match cfg.host_threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            h => h,
+        };
+        let chunk = n.div_ceil(threads.clamp(1, n));
+        let lanes: Vec<Lane<'_, C>> = cores
+            .chunks_mut(chunk)
+            .zip(inboxes.chunks_mut(chunk))
+            .zip(staged.chunks_mut(chunk))
+            .map(|((cores, inboxes), staged)| Lane {
+                cores,
+                inboxes,
+                staged,
+            })
+            .collect();
+        let workers = lanes.len() - 1;
+        let mut run = Windows {
+            k: &mut k,
+            cfg: &cfg,
+            uncore: &mut uncore,
+            lanes,
+            chunk,
+            n,
+            global,
+            committed,
+        };
+        let (reason, threads) = if workers == 0 {
+            // One lane: no thread, lock or atomic anywhere on the path.
+            (run.drive(None)?, 1)
+        } else {
+            let shared = Shared::new(workers, run.k.prof().clone());
+            std::thread::scope(|scope| {
+                let mut pool = Pool::new(scope, &shared);
+                let reason = run.drive(Some(&mut pool))?;
+                Ok((reason, pool.workers.len() as u64 + 1))
+            })?
+        };
+        let Windows {
+            global, committed, ..
+        } = run;
+
         // At a boundary every core's local clock equals global time; the
-        // per-core drift gauges are zero by construction, still sampled so
-        // CSV exports keep the same column set as the other engines.
-        let mut locals = vec![global; n];
+        // per-core drift gauges are zero by construction.
+        let locals = vec![global; n];
+        let finish = Finish {
+            global,
+            committed,
+            reason,
+            locals: &locals,
+            gq_len: 0,
+            per_core: cores.iter().map(CoreModel::counters).collect(),
+            uncore: uncore.counters(),
+            extras: &[],
+            threads,
+        };
+        Ok(k.finish(finish, |_| (0, 0)))
+    }
+}
+
+/// A contiguous run of cores with their inboxes and staging buffers: what
+/// one host thread steps through a window. Between windows every lane is
+/// back with the manager.
+struct Lane<'a, C: CoreModel> {
+    cores: &'a mut [C],
+    inboxes: &'a mut [Inbox<C::Event>],
+    staged: &'a mut [Vec<Timestamped<C::Event>>],
+}
+
+impl<C: CoreModel> Lane<'_, C> {
+    /// The hot loop: every core of the lane runs the whole window in one
+    /// call, staging cross-core events locally. No scheduler, no queue
+    /// touch, no bookkeeping between cycles.
+    fn run(&mut self, from: Cycle, to: Cycle, ph: &ProfHandle) -> u64 {
+        let mut committed = 0;
+        for ((core, inbox), staged) in self
+            .cores
+            .iter_mut()
+            .zip(self.inboxes.iter_mut())
+            .zip(self.staged.iter_mut())
+        {
+            let _span = ph.enter(ProfSite::BatchedRun);
+            committed += core.run_window(from, to, inbox, staged);
+        }
+        committed
+    }
+}
+
+/// The manager's side of a run: the kernel, the uncore and — between
+/// windows — every lane.
+struct Windows<'r, 'a, C: CoreModel, U> {
+    k: &'r mut Kernel<C, U>,
+    cfg: &'r EngineConfig,
+    uncore: &'r mut U,
+    lanes: Vec<Lane<'a, C>>,
+    /// Cores per lane (the last lane may hold fewer) and in all.
+    chunk: usize,
+    n: usize,
+    global: Cycle,
+    committed: u64,
+}
+
+impl<'a, C, U> Windows<'_, 'a, C, U>
+where
+    C: CoreModel + Checkpointable,
+    U: UncoreModel<C::Event> + Checkpointable,
+{
+    /// The window loop. With a `pool`, windows that clear
+    /// [`DISPATCH_FLOOR`] run one lane per host thread; everything else —
+    /// and every kernel verb — runs here, on the calling thread.
+    fn drive(
+        &mut self,
+        mut pool: Option<&mut Pool<'_, '_, 'a, C>>,
+    ) -> Result<FinishReason, EngineError> {
+        let ph = self.k.prof_handle();
+        let (n, start) = (self.n, self.global);
+        // Still sampled so CSV exports keep the same column set as the
+        // other engines.
+        let mut locals = vec![start; n];
         // Timestamp of each core's next staged event during the merge.
         let mut heads = vec![NO_HEAD; n];
-        let finish_reason;
-
         loop {
+            let global = self.global;
             // `global` is always a serviced boundary here: all locals
             // equal, the global queue empty. These are exactly the states
             // at which the sequential engine's finish checks can pass
             // under a barrier scheme, so stopping here is bit-identical.
-            if committed >= cfg.commit_target {
-                finish_reason = FinishReason::CommitTarget;
-                break;
+            if self.committed >= self.cfg.commit_target {
+                return Ok(FinishReason::CommitTarget);
             }
-            if global.as_u64() >= cfg.max_cycles {
-                finish_reason = FinishReason::CycleCap;
-                break;
+            if global.as_u64() >= self.cfg.max_cycles {
+                return Ok(FinishReason::CycleCap);
             }
 
             // Under a barrier scheme the tally only changes at boundaries,
             // so firing the sampling crossings here (instead of
             // mid-window) hands the pacer identical samples.
             locals.fill(global);
-            k.on_global(global, committed, &locals, 0, |_| (0, 0));
+            self.k
+                .on_global(global, self.committed, &locals, 0, |_| (0, 0));
 
             // Checkpoint at the first boundary at or past the trigger.
             // Every event at or below the boundary has been serviced, so
             // queues are empty and the state is restorable as-is.
-            if k.checkpoint_due(global) {
-                k.capture_cores(&mut cores, &inboxes);
-                k.commit_checkpoint(global, committed, &mut uncore, None, &[]);
+            if self.k.checkpoint_due(global) {
+                self.k.capture_cores(
+                    self.lanes
+                        .iter_mut()
+                        .flat_map(|l| l.cores.iter_mut().zip(l.inboxes.iter())),
+                );
+                self.k
+                    .commit_checkpoint(global, self.committed, self.uncore, None, &[]);
             }
 
-            let window_end = k.pacer.window_end(global);
+            let window_end = self.k.pacer.window_end(global);
             if window_end <= global {
                 return Err(EngineError::Stalled { at: global });
             }
-            k.note_spread(window_end - global);
+            self.k.note_spread(window_end - global);
 
-            // The hot loop: every core runs the whole window in one call,
-            // staging cross-core events locally. No scheduler, no queue
-            // touch, no bookkeeping between cycles.
-            for (i, model) in cores.iter_mut().enumerate() {
-                let core = CoreId::new(i as u16);
-                let phase = Phase::Run;
-                k.trace(global, TraceEvent::PhaseBegin { core, phase });
-                {
-                    let _span = ph.enter(ProfSite::BatchedRun);
-                    committed +=
-                        model.run_window(global, window_end, &mut inboxes[i], &mut staged[i]);
+            // Run every core over the window. The first window always
+            // runs inline, so a run that ends inside it spawns nothing.
+            let per_lane = (window_end - global) * n as u64 / self.lanes.len() as u64;
+            match pool.as_deref_mut() {
+                Some(pool) if global > start && per_lane >= DISPATCH_FLOOR => {
+                    self.committed += pool.run(&mut self.lanes, global, window_end, &ph);
                 }
-                k.trace(window_end, TraceEvent::PhaseEnd { core, phase });
+                _ => {
+                    for lane in &mut self.lanes {
+                        self.committed += lane.run(global, window_end, &ph);
+                    }
+                }
+            }
+            // The trace is the manager's, in core order, whoever ran the
+            // cores: the record stream does not depend on the thread count.
+            for core in CoreId::all(n) {
+                let phase = Phase::Run;
+                self.k.trace(global, TraceEvent::PhaseBegin { core, phase });
+                self.k
+                    .trace(window_end, TraceEvent::PhaseEnd { core, phase });
             }
 
             // Boundary resolution: service the staged events in
             // (timestamp, core id, staging order) — identical to the
             // sequential engine's pop order (timestamp, then core id as
-            // fixed bus arbitration priority, then FIFO) — via the
-            // timestamp sweep below.
+            // fixed bus arbitration priority, then FIFO).
             {
                 let _span = ph.enter(ProfSite::BatchedResolve);
-                for (head, buf) in heads.iter_mut().zip(staged.iter_mut()) {
+                let bufs = self.lanes.iter_mut().flat_map(|l| l.staged.iter_mut());
+                for (head, buf) in heads.iter_mut().zip(bufs) {
                     *head = arm(buf);
                 }
+                let (k, uncore, lanes, chunk) =
+                    (&mut *self.k, &mut *self.uncore, &mut self.lanes, self.chunk);
                 sweep(&mut heads, global.as_u64(), |i| {
-                    let ev = staged[i].pop().expect("a finite head names an event");
-                    let rollback = k.service(CoreId::new(i as u16), ev, &mut uncore, |to, out| {
-                        inboxes[to.index()].deliver(out)
+                    let buf = &mut lanes[i / chunk].staged[i % chunk];
+                    let ev = buf.pop().expect("a finite head names an event");
+                    let head = head_ts(buf);
+                    let rollback = k.service(CoreId::new(i as u16), ev, uncore, |to, out| {
+                        let to = to.index();
+                        lanes[to / chunk].inboxes[to % chunk].deliver(out);
                     });
                     debug_assert!(
                         !rollback,
                         "timestamp-ordered boundary servicing cannot produce \
                          rollback-selected violations"
                     );
-                    head_ts(&staged[i])
+                    head
                 });
             }
 
-            global = window_end;
+            self.global = window_end;
         }
-
-        locals.fill(global);
-        let finish = Finish {
-            global,
-            committed,
-            reason: finish_reason,
-            locals: &locals,
-            gq_len: 0,
-            per_core: cores.iter().map(CoreModel::counters).collect(),
-            uncore: uncore.counters(),
-            extras: &[],
-            threads: 1,
-        };
-        Ok(k.finish(finish, |_| (0, 0)))
     }
 }
 
-/// [`sweep`]'s marker for a core with nothing staged. No event carries it:
-/// the cycle cap stops every run far below.
-const NO_HEAD: u64 = u64::MAX;
-
-/// Timestamp of the event an armed buffer yields next.
-fn head_ts<E>(buf: &[Timestamped<E>]) -> u64 {
-    buf.last().map_or(NO_HEAD, |ev| ev.ts.as_u64())
+/// What the manager and its window workers share.
+struct Shared<'a, C: CoreModel> {
+    /// Window generation. The manager bumps it (Release) once the window
+    /// bounds are stored and every worker's lane is seated; a worker that
+    /// reads the new value (Acquire) therefore sees both.
+    epoch: AtomicU64,
+    from: AtomicU64,
+    to: AtomicU64,
+    /// Raised (Release) when the manager leaves the window loop, by
+    /// return or unwind; workers read it (Acquire) in their wait loop.
+    quit: AtomicBool,
+    /// The manager's thread, for a worker to wake it at the barrier.
+    manager: std::thread::Thread,
+    seats: Vec<Seat<'a, C>>,
+    /// What both sides wait through: always the host's own scheduler,
+    /// whatever `EngineConfig::sched` explores in the threaded engine.
+    sched: NativeSched,
+    oversubscribed: bool,
+    prof: Profiler,
 }
 
-/// Reverses a staging buffer, so that `pop` yields its events in staging
-/// order without shifting the rest, and returns its head timestamp.
-fn arm<E>(buf: &mut [Timestamped<E>]) -> u64 {
-    buf.reverse();
-    head_ts(buf)
+/// One worker's hand-off point.
+struct Seat<'a, C: CoreModel> {
+    /// The worker's lane while a dispatched window runs, empty otherwise.
+    /// Phase-exclusive, never contended: the manager fills it before the
+    /// epoch bump and empties it after `done` catches up; the worker
+    /// locks it only in between.
+    lane: Mutex<Option<Lane<'a, C>>>,
+    /// Instructions the lane committed over the window.
+    committed: AtomicU64,
+    /// Last epoch whose window this worker finished: stored (Release)
+    /// after `committed` and after the lane's lock is dropped, so the
+    /// manager's Acquire read of the current epoch sees both.
+    done: AtomicU64,
 }
 
-/// The boundary merge. `heads[i]` is the timestamp of core `i`'s next
-/// staged event (or [`NO_HEAD`]); `serve(i)` consumes that event and
-/// returns the core's new head. Each staging buffer is already sorted (a
-/// core stages events as its clock advances) and every timestamp lies in
-/// `[from, window_end)`, so visiting timestamps in ascending order and,
-/// within one, cores in index order — draining each core's run of equal
-/// timestamps before moving on, then jumping to the smallest head seen —
-/// serves exactly (timestamp, core id, staging order). One pass over the
-/// dense `heads` array per distinct timestamp replaces a min-scan over
-/// every buffer per event.
-fn sweep(heads: &mut [u64], from: u64, mut serve: impl FnMut(usize) -> u64) {
-    let mut ts = from;
-    loop {
-        let mut next = NO_HEAD;
-        for (i, head) in heads.iter_mut().enumerate() {
-            while *head == ts {
-                *head = serve(i);
+impl<C: CoreModel> Shared<'_, C> {
+    fn new(workers: usize, prof: Profiler) -> Self {
+        let seat = |_| Seat {
+            lane: Mutex::new(None),
+            committed: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+        };
+        Shared {
+            epoch: AtomicU64::new(0),
+            from: AtomicU64::new(0),
+            to: AtomicU64::new(0),
+            quit: AtomicBool::new(false),
+            manager: std::thread::current(),
+            seats: (0..workers).map(seat).collect(),
+            sched: NativeSched::new(),
+            oversubscribed: host_oversubscribed(workers + 1),
+            prof,
+        }
+    }
+}
+
+/// The manager's handle on its window workers: one persistent scoped
+/// thread per lane past the first, spawned at the first window handed off.
+struct Pool<'scope, 'env, 'a, C: CoreModel> {
+    scope: &'scope Scope<'scope, 'env>,
+    shared: &'env Shared<'a, C>,
+    workers: Vec<ScopedJoinHandle<'scope, ()>>,
+    epoch: u64,
+    ladder: Backoff,
+}
+
+impl<'scope, 'env, 'a, C: CoreModel> Pool<'scope, 'env, 'a, C> {
+    fn new(scope: &'scope Scope<'scope, 'env>, shared: &'env Shared<'a, C>) -> Self {
+        Pool {
+            scope,
+            shared,
+            workers: Vec::with_capacity(shared.seats.len()),
+            epoch: 0,
+            ladder: Backoff::window(shared.oversubscribed),
+        }
+    }
+
+    /// Runs one window with a lane per host thread — the last
+    /// `seats.len()` lanes on the workers, the first here — and returns
+    /// the instructions committed once every lane is back in `lanes`.
+    fn run(
+        &mut self,
+        lanes: &mut Vec<Lane<'a, C>>,
+        from: Cycle,
+        to: Cycle,
+        ph: &ProfHandle,
+    ) -> u64 {
+        let shared = self.shared;
+        if self.workers.is_empty() {
+            for seat in &shared.seats {
+                let ph = shared.prof.handle();
+                let worker = self.scope.spawn(move || worker(shared, seat, &ph));
+                self.workers.push(worker);
             }
-            next = next.min(*head);
         }
-        if next == NO_HEAD {
-            return;
+        for seat in shared.seats.iter().rev() {
+            *seat.lane.lock().expect("no worker is in a window") = lanes.pop();
         }
-        ts = next;
+        shared.from.store(from.as_u64(), Ordering::Relaxed);
+        shared.to.store(to.as_u64(), Ordering::Relaxed);
+        self.epoch += 1;
+        shared.epoch.store(self.epoch, Ordering::Release);
+        for w in &self.workers {
+            w.thread().unpark();
+        }
+        let mut committed = lanes[0].run(from, to, ph);
+
+        let wait = ph.enter(ProfSite::BatchedBarrier);
+        for (i, seat) in shared.seats.iter().enumerate() {
+            while seat.done.load(Ordering::Acquire) != self.epoch {
+                if self.workers[i].is_finished() {
+                    // Only a panic ends a worker before `quit`: hand it on.
+                    let worker = self.workers.swap_remove(i);
+                    std::panic::resume_unwind(worker.join().expect_err("worker left early"));
+                }
+                self.ladder.wait(&shared.sched, SchedSite::ManagerIdle);
+            }
+            self.ladder.reset();
+        }
+        drop(wait);
+        for seat in &shared.seats {
+            committed += seat.committed.load(Ordering::Relaxed);
+            let lane = seat.lane.lock().expect("the worker is done").take();
+            lanes.push(lane.expect("a seated lane comes back"));
+        }
+        committed
+    }
+}
+
+impl<C: CoreModel> Drop for Pool<'_, '_, '_, C> {
+    /// Releases the workers, on return and on unwind alike: the scope
+    /// cannot end before they do.
+    fn drop(&mut self) {
+        self.shared.quit.store(true, Ordering::Release);
+        for w in &self.workers {
+            w.thread().unpark();
+        }
+    }
+}
+
+/// A window worker: waits for the next epoch, runs the lane seated for
+/// it, reports, repeats until `quit`.
+fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHandle) {
+    let mut ladder = Backoff::window(shared.oversubscribed);
+    let mut seen = 0;
+    loop {
+        loop {
+            if shared.quit.load(Ordering::Acquire) {
+                return;
+            }
+            let epoch = shared.epoch.load(Ordering::Acquire);
+            if epoch != seen {
+                seen = epoch;
+                break;
+            }
+            ladder.wait(&shared.sched, SchedSite::CoreIdle);
+        }
+        ladder.reset();
+        let from = Cycle::new(shared.from.load(Ordering::Relaxed));
+        let to = Cycle::new(shared.to.load(Ordering::Relaxed));
+        let committed = {
+            let mut seated = seat.lane.lock().expect("the manager is done seating");
+            let lane = seated.as_mut().expect("a lane is seated before the epoch");
+            lane.run(from, to, ph)
+        };
+        seat.committed.store(committed, Ordering::Relaxed);
+        seat.done.store(seen, Ordering::Release);
+        shared.manager.unpark();
     }
 }
 
@@ -388,8 +662,13 @@ mod tests {
     }
 
     fn run_batched(scheme: Scheme, target: u64) -> SimReport {
-        let cfg = EngineConfig::new(scheme, target);
-        BatchedEngine::new(toy_cores(4), ToyUncore::default(), cfg)
+        run_batched_on(1, 4, scheme, target)
+    }
+
+    fn run_batched_on(host_threads: usize, cores: usize, scheme: Scheme, target: u64) -> SimReport {
+        let mut cfg = EngineConfig::new(scheme, target);
+        cfg.host_threads = host_threads;
+        BatchedEngine::new(toy_cores(cores), ToyUncore::default(), cfg)
             .run()
             .expect("run succeeds")
     }
@@ -425,6 +704,108 @@ mod tests {
             assert_eq!(seq.per_core, bat.per_core, "seed {seed}");
             assert_eq!(seq.uncore, bat.uncore, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn the_host_thread_count_never_shows_in_the_result() {
+        // 12 cores x 64 cycles: every partition below hands its windows
+        // to the workers (4 lanes of 3 cores at 5 threads still carry 192
+        // core-cycles each) but the last: 12 lanes of 64 core-cycles fall
+        // under the floor and run inline, the workers never spawned.
+        let scheme = Scheme::Quantum { quantum: 64 };
+        let seq = SequentialEngine::new(
+            toy_cores(12),
+            ToyUncore::default(),
+            EngineConfig::new(scheme.clone(), 20_000),
+        )
+        .run()
+        .unwrap();
+        // The sequential engine samples its clock spread mid-window;
+        // every other kernel counter is pinned through one host thread.
+        let solo = run_batched_on(1, 12, scheme.clone(), 20_000);
+        for threads in [1, 2, 3, 5, 12] {
+            let bat = run_batched_on(threads, 12, scheme.clone(), 20_000);
+            assert_eq!(seq.global_cycles, bat.global_cycles, "{threads} threads");
+            assert_eq!(seq.committed, bat.committed, "{threads} threads");
+            assert_eq!(seq.violations, bat.violations, "{threads} threads");
+            assert_eq!(seq.per_core, bat.per_core, "{threads} threads");
+            assert_eq!(seq.uncore, bat.uncore, "{threads} threads");
+            assert_eq!(solo.kernel, bat.kernel, "{threads} threads");
+        }
+    }
+
+    fn threads_used(host_threads: usize, target: u64) -> u64 {
+        let mut cfg = EngineConfig::new(Scheme::Quantum { quantum: 64 }, target);
+        cfg.host_threads = host_threads;
+        cfg.prof = Some(crate::obs::Profiler::enabled());
+        let report = BatchedEngine::new(toy_cores(12), ToyUncore::default(), cfg)
+            .run()
+            .unwrap();
+        report.prof.expect("profile attached").threads
+    }
+
+    #[test]
+    fn workers_are_spawned_at_the_first_window_handed_off_and_not_before() {
+        // The first window runs inline whatever its size, so a run that
+        // ends inside it never creates a thread.
+        assert_eq!(threads_used(4, 1), 1);
+        assert_eq!(threads_used(4, 20_000), 4);
+        assert_eq!(threads_used(1, 20_000), 1);
+        // 12 lanes of one core: 64 core-cycles each, under the floor.
+        assert_eq!(threads_used(12, 20_000), 1);
+    }
+
+    /// A toy core that blows up in the middle of a window.
+    #[derive(Debug, Clone)]
+    struct Fuse {
+        inner: ToyCore,
+        blow_at: Option<u64>,
+    }
+
+    impl CoreModel for Fuse {
+        type Event = Toy;
+
+        fn tick(&mut self, ctx: &mut TickCtx<'_, Toy>) -> u32 {
+            if self.blow_at == Some(ctx.now().as_u64()) {
+                panic!("toy core blew its fuse");
+            }
+            self.inner.tick(ctx)
+        }
+
+        fn committed(&self) -> u64 {
+            self.inner.committed()
+        }
+
+        fn counters(&self) -> Counters {
+            self.inner.counters()
+        }
+    }
+
+    crate::impl_checkpointable_by_clone!(Fuse);
+
+    fn run_with_a_fuse_in(core: usize) {
+        let mut cfg = EngineConfig::new(Scheme::Quantum { quantum: 64 }, u64::MAX);
+        cfg.host_threads = 2;
+        let cores = (0..8)
+            .map(|i| Fuse {
+                inner: ToyCore::new(3),
+                // Cycle 200 is in the fourth window: the workers are up.
+                blow_at: (i == core).then_some(200),
+            })
+            .collect();
+        let _ = BatchedEngine::new(cores, ToyUncore::default(), cfg).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "toy core blew its fuse")]
+    fn a_panic_on_a_worker_surfaces_from_run_instead_of_hanging_the_barrier() {
+        run_with_a_fuse_in(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "toy core blew its fuse")]
+    fn a_panic_on_the_manager_lane_releases_the_workers() {
+        run_with_a_fuse_in(0);
     }
 
     #[test]
@@ -467,107 +848,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.violations.total(), 0);
         assert!(r.uncore.get("serviced") > 100, "the race actually ran");
-    }
-
-    /// The merge this engine shipped with: a min-scan over every
-    /// buffer's head per event, replacing the candidate only on a strictly
-    /// smaller timestamp so ties go to the lowest core id. Kept as the
-    /// reference [`sweep`] is compared against.
-    fn min_scan_order(staged: Vec<Vec<Timestamped<u32>>>) -> Vec<(usize, u64, u32)> {
-        let mut heads: Vec<_> = staged
-            .into_iter()
-            .map(|b| b.into_iter().peekable())
-            .collect();
-        let mut order = Vec::new();
-        loop {
-            let mut best: Option<(Cycle, usize)> = None;
-            for (i, it) in heads.iter_mut().enumerate() {
-                if let Some(head) = it.peek() {
-                    if best.is_none_or(|(ts, _)| head.ts < ts) {
-                        best = Some((head.ts, i));
-                    }
-                }
-            }
-            let Some((_, idx)) = best else { break };
-            let ev = heads[idx].next().expect("peeked head");
-            order.push((idx, ev.ts.as_u64(), ev.payload));
-        }
-        order
-    }
-
-    fn sweep_order(mut staged: Vec<Vec<Timestamped<u32>>>, from: u64) -> Vec<(usize, u64, u32)> {
-        let mut heads: Vec<u64> = staged.iter_mut().map(|b| arm(b)).collect();
-        let mut order = Vec::new();
-        sweep(&mut heads, from, |i| {
-            let ev = staged[i].pop().expect("a finite head names an event");
-            order.push((i, ev.ts.as_u64(), ev.payload));
-            head_ts(&staged[i])
-        });
-        assert!(staged.iter().all(Vec::is_empty), "every event served");
-        order
-    }
-
-    #[test]
-    fn sweep_serves_the_min_scan_order_element_by_element() {
-        use crate::rng::Xoshiro256;
-        let (from, to) = (1000u64, 1050u64);
-        let sorted = |rng: &mut Xoshiro256, len: u64, tag: &mut u32| {
-            let mut ts: Vec<u64> = (0..len).map(|_| rng.next_range(from, to)).collect();
-            ts.sort_unstable();
-            ts.into_iter()
-                .map(|t| {
-                    *tag += 1;
-                    Timestamped::new(Cycle::new(t), *tag)
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut cases: Vec<Vec<Vec<Timestamped<u32>>>> = Vec::new();
-        let mut rng = Xoshiro256::new(0x5eed);
-        for round in 0..200u64 {
-            let cores = rng.next_range(1, 70) as usize;
-            let mut tag = 0;
-            // Few distinct timestamps on even rounds, so ties across
-            // cores and runs of equal timestamps within one are common;
-            // a third of the cores stage nothing.
-            cases.push(
-                (0..cores)
-                    .map(|_| {
-                        let len = if rng.chance(1, 3) {
-                            0
-                        } else {
-                            rng.next_below(9)
-                        };
-                        let mut buf = sorted(&mut rng, len, &mut tag);
-                        if round % 2 == 0 {
-                            for ev in &mut buf {
-                                ev.ts = Cycle::new(from + ev.ts.as_u64() % 4);
-                            }
-                            buf.sort_by_key(|ev| ev.ts);
-                        }
-                        buf
-                    })
-                    .collect(),
-            );
-        }
-        // One core holding every event, nothing staged at all, and a lone
-        // event in the window's last cycle.
-        let mut tag = 0;
-        let mut hog = vec![Vec::new(); 64];
-        hog[17] = sorted(&mut rng, 300, &mut tag);
-        cases.push(hog);
-        cases.push(vec![Vec::new(); 64]);
-        let mut lone = vec![Vec::new(); 64];
-        lone[63] = vec![Timestamped::new(Cycle::new(to - 1), 1)];
-        cases.push(lone);
-
-        for (n, staged) in cases.into_iter().enumerate() {
-            let want = min_scan_order(staged.clone());
-            let got = sweep_order(staged, from);
-            assert_eq!(want.len(), got.len(), "case {n}: serviced count");
-            for (k, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(w, g, "case {n}: element {k} (core, ts, tag)");
-            }
-        }
     }
 
     #[test]

@@ -681,16 +681,19 @@ where
         st.core_gens[i] = gen;
     }
 
-    /// Captures every core into the standing base (drivers whose cores
-    /// live on the manager thread).
-    pub(super) fn capture_cores(&mut self, cores: &mut [C], inboxes: &[Inbox<C::Event>]) {
+    /// Captures every core, given in index order with its inbox, into the
+    /// standing base (drivers whose cores live on the manager thread).
+    pub(super) fn capture_cores<'a>(
+        &mut self,
+        cores: impl Iterator<Item = (&'a mut C, &'a Inbox<C::Event>)>,
+    ) {
         let ph = Rc::clone(&self.ph);
         let _span = ph.enter(ProfSite::CheckpointCapture);
-        for (i, c) in cores.iter_mut().enumerate() {
+        for (i, (c, inbox)) in cores.enumerate() {
             let d = c.capture_delta(self.core_gen(i));
             let gen = c.generation();
             let _apply = ph.enter(ProfSite::CheckpointApply);
-            self.absorb_core(i, d, inboxes[i].clone(), gen);
+            self.absorb_core(i, d, inbox.clone(), gen);
         }
     }
 

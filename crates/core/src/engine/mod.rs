@@ -27,12 +27,15 @@
 //!   strategy: each core runs a whole quantum in one
 //!   [`CoreModel::run_window`] call with cross-core events staged locally
 //!   and resolved in timestamp order only at quantum boundaries (DESIGN
-//!   §15).
+//!   §15) — on a static partition of host threads where the host has them
+//!   ([`EngineConfig::host_threads`]), with the same result at any count.
 
 mod batched;
 mod kernel;
+mod merge;
 mod sequential;
 mod threaded;
+mod wait;
 
 pub use batched::BatchedEngine;
 pub use sequential::SequentialEngine;
@@ -314,7 +317,7 @@ pub struct EngineConfig {
     /// Host scheduler the threaded engine waits through. Defaults to the
     /// native (production) scheduler; conformance tests install a virtual
     /// scheduler here to explore thread interleavings deterministically.
-    /// Ignored by the sequential engine.
+    /// Ignored by the sequential and batched engines.
     pub sched: crate::sched::SchedRef,
     /// Optional host-time self-profiler. When set (and enabled) the
     /// engines time every [`crate::obs::ProfSite`] with scoped spans and
@@ -335,6 +338,13 @@ pub struct EngineConfig {
     /// all events. Clamped to the core count at run start; ignored by the
     /// sequential and batched engines.
     pub shards: usize,
+    /// Host threads the batched engine steps a window's cores on. `0`
+    /// (the default) takes the host's available parallelism — what an
+    /// affinity mask restricts — and any value is capped at the core
+    /// count; `1` is the single-threaded loop with no thread, lock or
+    /// atomic on it. A host knob only: results are bit-identical for
+    /// every value. Ignored by the sequential and threaded engines.
+    pub host_threads: usize,
 }
 
 impl EngineConfig {
@@ -355,6 +365,7 @@ impl EngineConfig {
             prof: None,
             live: None,
             shards: 1,
+            host_threads: 0,
         }
     }
 

@@ -239,7 +239,7 @@ where
                         });
                     }
                     if !k.rollback_pending() {
-                        k.capture_cores(&mut cores, &inboxes);
+                        k.capture_cores(cores.iter_mut().zip(&inboxes));
                         k.commit_checkpoint(s, committed, &mut uncore, Some(&rng), &[]);
                         stop_at = None;
                         window_end = k.pacer.window_end(s);

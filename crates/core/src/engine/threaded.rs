@@ -52,6 +52,10 @@ use std::time::Duration;
 
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
+use crate::engine::wait::{
+    host_oversubscribed, Backoff, MGR_PARK_TIMEOUT, MGR_SPIN_ITERS, MGR_YIELD_ITERS,
+    MGR_YIELD_ITERS_OVERSUB, VIRT_YIELD_ITERS,
+};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, TickCtx,
     UncoreModel,
@@ -72,35 +76,8 @@ const CORE_YIELD_ITERS: u32 = 64;
 /// Park-timeout backstop for core threads: the manager unparks them on
 /// every window publish, the timeout only covers lost-wakeup races.
 const CORE_PARK_TIMEOUT: Duration = Duration::from_micros(100);
-
-/// Spin iterations before an idle manager starts yielding.
-const MGR_SPIN_ITERS: u32 = 32;
-/// Yield iterations before an idle manager parks.
-const MGR_YIELD_ITERS: u32 = 32;
-/// Yield iterations before an idle manager parks on an oversubscribed
-/// host (the spin tier is skipped there: spinning steals the quanta the
-/// core threads need, while yielding hands the CPU over within a few
-/// scheduler decisions).
-const MGR_YIELD_ITERS_OVERSUB: u32 = 128;
 /// Yield iterations before a capped core parks on an oversubscribed host.
 const CORE_YIELD_ITERS_OVERSUB: u32 = 256;
-/// Manager park timeout: nobody unparks the manager, so this is the
-/// polling cadence once the ladder bottoms out.
-const MGR_PARK_TIMEOUT: Duration = Duration::from_micros(20);
-
-/// Yield-tier depth used under a virtual scheduler (both ladders): the
-/// spin tier is skipped and the yield tier pinned to a short,
-/// machine-independent count so explored schedules do not depend on the
-/// host's core count or timing.
-const VIRT_YIELD_ITERS: u32 = 2;
-
-/// True when the host cannot run all `n` core threads plus the manager
-/// concurrently. Spinning in that regime only burns the quanta the
-/// productive threads need, so both wait ladders skip their spin tier and
-/// lead with `yield_now`.
-fn host_oversubscribed(n: usize) -> bool {
-    std::thread::available_parallelism().map_or(true, |p| p.get() < n + 1)
-}
 
 /// Commands the manager sends to a core thread.
 enum Command<C: CoreModel> {
@@ -558,66 +535,6 @@ fn shard_thread<C: CoreModel + Checkpointable>(
     sched.unregister();
 }
 
-/// The manager's adaptive wait ladder: spin, then yield, then park with a
-/// timeout. Reset on any progress. On oversubscribed hosts the spin tier
-/// is skipped and the yield tier shortened: no core can advance while the
-/// manager holds the CPU, so burning it is counterproductive.
-struct Backoff {
-    idle: u32,
-    parks: u64,
-    spin_iters: u32,
-    park_after: u32,
-}
-
-impl Backoff {
-    fn new(oversubscribed: bool, virtualized: bool) -> Self {
-        let (spin_iters, yield_iters) = if virtualized {
-            (0, VIRT_YIELD_ITERS)
-        } else if oversubscribed {
-            (0, MGR_YIELD_ITERS_OVERSUB)
-        } else {
-            (MGR_SPIN_ITERS, MGR_YIELD_ITERS)
-        };
-        Backoff {
-            idle: 0,
-            parks: 0,
-            spin_iters,
-            park_after: spin_iters + yield_iters,
-        }
-    }
-
-    #[inline]
-    fn reset(&mut self) {
-        self.idle = 0;
-    }
-
-    /// Profiler site the *next* `wait` call will land in, so the caller
-    /// can open the matching span before entering the ladder.
-    #[inline]
-    fn next_site(&self) -> ProfSite {
-        let next = self.idle.saturating_add(1);
-        if next <= self.spin_iters {
-            ProfSite::ManagerWaitSpin
-        } else if next <= self.park_after {
-            ProfSite::ManagerWaitYield
-        } else {
-            ProfSite::ManagerWaitPark
-        }
-    }
-
-    fn wait(&mut self, sched: &dyn HostSched) {
-        self.idle = self.idle.saturating_add(1);
-        if self.idle <= self.spin_iters {
-            sched.idle_spin(SchedSite::ManagerIdle);
-        } else if self.idle <= self.park_after {
-            sched.idle_yield(SchedSite::ManagerIdle);
-        } else {
-            self.parks += 1;
-            sched.park_timeout(SchedSite::ManagerIdle, MGR_PARK_TIMEOUT);
-        }
-    }
-}
-
 /// Parallel slack-simulation engine: `n` core threads plus the manager.
 ///
 /// Semantics are identical to
@@ -837,7 +754,7 @@ where
             // std mpsc receivers are single-consumer: each core's command
             // receiver and ack sender are moved into its thread.
             let mut handles = Vec::with_capacity(n);
-            let oversubscribed = host_oversubscribed(n + s_extra);
+            let oversubscribed = host_oversubscribed(n + s_extra + 1);
             for (i, (((model, inbox), cmd_rx), ack_tx)) in cores
                 .into_iter()
                 .zip(core_inboxes)
@@ -1304,10 +1221,10 @@ where
     let mut locals: Vec<Cycle> = Vec::with_capacity(n);
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
-    let mut backoff = Backoff::new(host_oversubscribed(n + shardset.shards.len()), virt);
+    let mut backoff = Backoff::manager(host_oversubscribed(n + shardset.shards.len() + 1), virt);
     let idle_wait = |backoff: &mut Backoff, k: &mut Kernel<C, U>| {
         let _span = ph.enter(backoff.next_site());
-        k.timed_wait(|| backoff.wait(sched));
+        k.timed_wait(|| backoff.wait(sched, SchedSite::ManagerIdle));
     };
 
     let mut window_end = k.pacer.window_end(start_global);

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use super::prof::ProfData;
+use super::prof::{ProfData, ProfSite};
 use super::trace::{Phase, TraceEvent, TraceRecord};
 use super::ObsData;
 
@@ -315,6 +315,27 @@ pub fn prof_table(prof: &ProfData) -> String {
         if prof.threads == 1 { "" } else { "s" },
         prof.coverage() * 100.0,
     );
+    // The batched engine's Amdahl split, as the manager's thread lives
+    // it: its share of the window runs (the workers' shares overlap it),
+    // the barrier wait for their lanes, and the boundary resolution that
+    // only it does.
+    let self_ns = |site| {
+        prof.sites
+            .iter()
+            .find(|s| s.site == site)
+            .map_or(0, |s| s.self_ns)
+    };
+    let run = self_ns(ProfSite::BatchedRun);
+    if run > 0 && prof.wall_ns > 0 {
+        let share = |ns: u64| ns as f64 / prof.wall_ns as f64 * 100.0;
+        let _ = writeln!(
+            out,
+            "batched windows: run {:.1}% (per thread) + barrier wait {:.1}% + resolve {:.1}% of the wall clock",
+            share(run / prof.threads.max(1)),
+            share(self_ns(ProfSite::BatchedBarrier)),
+            share(self_ns(ProfSite::BatchedResolve)),
+        );
+    }
     out
 }
 

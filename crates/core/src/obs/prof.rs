@@ -77,10 +77,13 @@ pub enum ProfSite {
     /// A shard-manager thread forwarding its cores' events toward the
     /// root (threaded engine with `shards > 1`).
     ShardService = 16,
+    /// The batched engine's manager waiting, after its own lane, for the
+    /// window workers to finish theirs (host-parallel windows only).
+    BatchedBarrier = 17,
 }
 
 /// Number of profiling sites (length of [`ProfSite::ALL`]).
-pub const SITE_COUNT: usize = 17;
+pub const SITE_COUNT: usize = 18;
 
 impl ProfSite {
     /// Every site, in index order.
@@ -102,6 +105,7 @@ impl ProfSite {
         ProfSite::BatchedRun,
         ProfSite::BatchedResolve,
         ProfSite::ShardService,
+        ProfSite::BatchedBarrier,
     ];
 
     /// Stable kebab-case name used in tables, CSV and heartbeat JSON.
@@ -124,6 +128,7 @@ impl ProfSite {
             ProfSite::BatchedRun => "batched-run",
             ProfSite::BatchedResolve => "batched-resolve",
             ProfSite::ShardService => "shard-service",
+            ProfSite::BatchedBarrier => "batched-barrier",
         }
     }
 

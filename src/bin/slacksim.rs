@@ -5,7 +5,7 @@
 //! slacksim [--benchmark barnes|fft|lu|water] [--scheme cc|bounded|unbounded|quantum|adaptive|p2p]
 //!          [--bound N] [--quantum N] [--target PCT] [--band PCT]
 //!          [--engine seq|threaded|batched] [--uncore bus|directory]
-//!          [--cores N] [--shards N] [--commit N] [--seed N]
+//!          [--cores N] [--shards N] [--host-threads N] [--commit N] [--seed N]
 //!          [--checkpoint N] [--rollback all|map|none]
 //!          [--save-state DIR] [--resume FILE]
 //!          [--verbose] [--trace OUT.json] [--metrics OUT.csv] [--sample-every CYCLES]
@@ -43,6 +43,7 @@ const VALUE_FLAGS: &[&str] = &[
     "--uncore",
     "--cores",
     "--shards",
+    "--host-threads",
     "--commit",
     "--seed",
     "--checkpoint",
@@ -261,6 +262,18 @@ fn main() {
         ));
     }
 
+    // Likewise the batched engine's window workers. Absent, the engine
+    // sizes itself from the host's available parallelism.
+    let host_threads = args.has("--host-threads").then(|| {
+        if engine != EngineKind::Batched {
+            usage_error(
+                "--host-threads requires --engine batched (only the batched engine \
+                 steps its windows on a static partition of host threads)",
+            );
+        }
+        args.parsed_nonzero("--host-threads", 1) as usize
+    });
+
     let uncore = match args.value("--uncore") {
         None => UncoreKind::Bus,
         Some(name) => UncoreKind::parse(name).unwrap_or_else(|| {
@@ -292,6 +305,7 @@ fn main() {
         .uncore(uncore)
         .cores(cores)
         .shards(shards)
+        .host_threads(host_threads.unwrap_or(0))
         .commit_target(args.parsed("--commit", 500_000))
         .seed(args.parsed("--seed", 1));
     let select = match args.value("--rollback") {
@@ -1061,7 +1075,7 @@ USAGE:
   slacksim [--benchmark barnes|fft|lu|water] [--scheme cc|bounded|unbounded|quantum|adaptive|p2p]
            [--bound N] [--quantum N] [--target PCT] [--band PCT] [--period N]
            [--engine seq|threaded|batched] [--uncore bus|directory]
-           [--cores N] [--shards N] [--commit N] [--seed N]
+           [--cores N] [--shards N] [--host-threads N] [--commit N] [--seed N]
            [--checkpoint INTERVAL] [--rollback all|map|none]
            [--save-state DIR] [--resume FILE]
            [--verbose]
@@ -1078,11 +1092,16 @@ ENGINES:
                         burst scheduler (default; accuracy experiments)
   --engine threaded     one host thread per target core plus a manager —
                         the paper's CMP-on-CMP execution (wall-clock runs)
-  --engine batched      quantum-compiled single-threaded engine: steps every
-                        core a full quantum per iteration and resolves
-                        cross-core events only at quantum boundaries;
-                        bit-identical to seq but much faster, requires
-                        --scheme quantum
+  --engine batched      quantum-compiled engine: steps every core a full
+                        quantum per iteration and resolves cross-core
+                        events only at quantum boundaries; bit-identical
+                        to seq but much faster, requires --scheme quantum
+  --host-threads N      batched engine only: step each window's cores on
+                        N host threads (contiguous lanes of cores, one per
+                        thread; boundaries stay on one thread); a host
+                        knob — results are identical for every N
+                        (default: the host's available parallelism, capped
+                        at the core count; 1 = no threads at all)
   --shards N            threaded engine only: split the manager into N
                         shard managers, each consolidating a contiguous
                         slice of the cores and publishing a minimum-time
@@ -1176,6 +1195,7 @@ EXAMPLES:
   slacksim --uncore directory --cores 64 --benchmark fft --scheme bounded --bound 8
   slacksim --uncore directory --cores 64 --engine threaded --shards 4 --scheme bounded
   slacksim --benchmark fft --scheme quantum --quantum 50 --engine batched
+  slacksim --uncore directory --cores 64 --scheme quantum --engine batched --host-threads 2
   slacksim --scheme adaptive --target 0.2 --band 5
   slacksim --scheme bounded --bound 16 --checkpoint 5000 --rollback all --verbose
   slacksim --benchmark fft --scheme adaptive --engine threaded --checkpoint 2000 \\

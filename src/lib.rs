@@ -89,11 +89,14 @@ pub enum EngineKind {
     /// One host thread per target core plus the manager — the paper's
     /// actual CMP-on-CMP execution (wall-clock experiments).
     Threaded,
-    /// Quantum-compiled single-threaded engine: steps every core a full
-    /// quantum per iteration over struct-of-arrays hot state, resolving
-    /// cross-core events only at quantum boundaries. Bit-identical to
-    /// [`Sequential`](EngineKind::Sequential) under barrier schemes, at a
-    /// fraction of the host cost; requires `--scheme quantum`.
+    /// Quantum-compiled engine: steps every core a full quantum per
+    /// iteration over struct-of-arrays hot state — on a static partition
+    /// of host threads when the host has more than one (see
+    /// [`Simulation::host_threads`]) — resolving cross-core events only
+    /// at quantum boundaries, on one thread. Bit-identical to
+    /// [`Sequential`](EngineKind::Sequential) under barrier schemes at
+    /// every host-thread count, at a fraction of the host cost; requires
+    /// `--scheme quantum`.
     Batched,
 }
 
@@ -113,6 +116,7 @@ pub struct Simulation {
     max_burst: u64,
     max_lead: u64,
     shards: usize,
+    host_threads: usize,
     speculation: Option<SpeculationConfig>,
     obs: Option<ObsConfig>,
     profile: bool,
@@ -137,6 +141,7 @@ impl Simulation {
             max_burst: 16,
             max_lead: 256,
             shards: 1,
+            host_threads: 0,
             speculation: None,
             obs: None,
             profile: false,
@@ -225,6 +230,16 @@ impl Simulation {
     /// excluded from snapshot fingerprints.
     pub fn shards(&mut self, shards: usize) -> &mut Self {
         self.shards = shards.max(1);
+        self
+    }
+
+    /// Sets how many host threads the batched engine steps each window's
+    /// cores on. `0` (the default) uses the host's available parallelism;
+    /// values above the core count are capped. A host knob only —
+    /// simulated results are identical for every value — so it is ignored
+    /// by the other engines and excluded from snapshot fingerprints.
+    pub fn host_threads(&mut self, threads: usize) -> &mut Self {
+        self.host_threads = threads;
         self
     }
 
@@ -378,6 +393,7 @@ impl Simulation {
         cfg.burst = BurstPolicy::new(self.max_burst);
         cfg.max_lead = self.max_lead;
         cfg.shards = self.shards;
+        cfg.host_threads = self.host_threads;
         cfg.speculation = self.speculation;
         cfg.obs = self.obs;
         if self.profile {

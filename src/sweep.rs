@@ -247,14 +247,16 @@ pub fn run_sweep(
         append_jsonl(&jsonl, &row.render_json());
     }
 
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = opts
         .workers
         .or(spec.workers.map(|w| w as usize))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+        .unwrap_or(cpus);
+    // A job's own host threads (the batched engine's window workers) get
+    // the CPUs the pool leaves over: a pool as wide as the host runs every
+    // job on one. A host knob like the pool width — in no token, manifest
+    // or fingerprint.
+    let host_threads = (cpus / workers.max(1)).max(1);
     let sched = opts.sched.clone().unwrap_or_default();
     let total = settled_rows.len() + pending.len();
 
@@ -265,7 +267,7 @@ pub fn run_sweep(
         // still settles. (Without this the unwind would poison shared
         // state and take the whole fleet down with exit-101 noise.)
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(dir, &spec, &job, &stats, &jsonl)
+            execute_job(dir, &spec, &job, host_threads, &stats, &jsonl)
         }))
         .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&panic))));
         stats.job_finished(outcome.is_ok());
@@ -401,6 +403,7 @@ fn execute_job(
     dir: &Path,
     spec: &SweepSpec,
     job: &Job,
+    host_threads: usize,
     stats: &CampaignStats,
     jsonl: &Mutex<File>,
 ) -> Result<(JobRow, SimReport), String> {
@@ -413,6 +416,7 @@ fn execute_job(
 
     let jdir = job_dir(dir, job);
     let mut sim = build_simulation(spec, job);
+    sim.host_threads(host_threads);
     if spec.checkpoint.is_some() {
         sim.save_state(&jdir);
     }

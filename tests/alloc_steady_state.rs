@@ -1,4 +1,5 @@
-//! Proves the threaded manager loop is allocation-free at steady state.
+//! Proves the threaded manager loop and the batched window loop are
+//! allocation-free at steady state.
 //!
 //! Strategy: a counting `#[global_allocator]` wraps the system allocator.
 //! For each engine, two identical runs that differ only in commit target
@@ -210,6 +211,112 @@ fn profiling_and_live_emission_are_allocation_free_at_steady_state() {
     }
 }
 
+/// A target that allocates nothing once warm, so that every allocation of
+/// a run over it is the engine's own: each core commits one instruction a
+/// cycle and pings the uncore every few cycles, the uncore answers each
+/// ping five cycles later.
+mod toy {
+    use slacksim::slacksim_core::engine::{CoreModel, ServiceSink, TickCtx, UncoreModel};
+    use slacksim::slacksim_core::event::{CoreId, Timestamped};
+    use slacksim::slacksim_core::stats::Counters;
+
+    #[derive(Debug, Clone)]
+    pub struct Core {
+        pub period: u64,
+        pub committed: u64,
+    }
+
+    impl CoreModel for Core {
+        type Event = bool;
+
+        fn tick(&mut self, ctx: &mut TickCtx<'_, bool>) -> u32 {
+            while ctx.pop_event().is_some() {}
+            if ctx.now().as_u64().is_multiple_of(self.period) {
+                ctx.emit(true);
+            }
+            self.committed += 1;
+            1
+        }
+
+        fn committed(&self) -> u64 {
+            self.committed
+        }
+
+        fn counters(&self) -> Counters {
+            Counters::new()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct Uncore;
+
+    impl UncoreModel<bool> for Uncore {
+        fn service(&mut self, from: CoreId, ev: Timestamped<bool>, sink: &mut ServiceSink<bool>) {
+            sink.deliver(from, Timestamped::new(ev.ts + 5, false));
+        }
+
+        fn counters(&self) -> Counters {
+            Counters::new()
+        }
+    }
+
+    slacksim::slacksim_core::impl_checkpointable_by_clone!(Core, Uncore);
+}
+
+/// The batched window loop itself — run, hand-off, barrier, merge —
+/// allocates nothing once its buffers are warm, on one host thread and on
+/// two: tripling the run adds not one allocation. (The merge used to
+/// build a `Vec` of drain iterators every window.) Thread spawns and
+/// first-use buffer growth happen once per run and cancel.
+#[test]
+fn batched_window_loop_is_allocation_free_at_steady_state() {
+    use slacksim::scheme::Scheme;
+    use slacksim::slacksim_core::engine::BatchedEngine;
+    let _serial = serial();
+
+    let allocs = |host_threads: usize, commit: u64| {
+        let cores: Vec<_> = (0..12u64)
+            .map(|i| toy::Core {
+                period: 3 + i % 4,
+                committed: 0,
+            })
+            .collect();
+        // 12 cores x 64 cycles clear the hand-off floor on two threads.
+        let mut cfg = slacksim::EngineConfig::new(Scheme::Quantum { quantum: 64 }, commit);
+        cfg.host_threads = host_threads;
+        // The one thing the kernel keeps per unit of simulated time is a
+        // bound-trace entry per sampling window (it is in the report);
+        // none here, so that growing it does not count against the loop.
+        cfg.sample_period = 1 << 40;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = BatchedEngine::new(cores, toy::Uncore, cfg)
+            .run()
+            .expect("run");
+        assert!(report.committed >= commit);
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
+    // The harness allocates on its own thread whenever another test of
+    // this binary finishes; strays only ever add, so take the least of a
+    // few identical runs.
+    let least = |host_threads, commit| {
+        (0..3)
+            .map(|_| allocs(host_threads, commit))
+            .min()
+            .expect("three runs")
+    };
+    for host_threads in [1, 2] {
+        let _ = allocs(host_threads, 5_000);
+        let short = least(host_threads, 50_000);
+        let long = least(host_threads, 150_000);
+        assert_eq!(
+            long,
+            short,
+            "{host_threads} host thread(s): 130 more windows allocated {} more times",
+            long.saturating_sub(short)
+        );
+    }
+}
+
 /// Drives bus transactions and directory accesses `range` at `num / den`
 /// requests per simulated cycle over a fixed set of lines, each read by
 /// one fixed core (so no sharer list or snoop vector ever grows).
@@ -239,6 +346,9 @@ fn drive_interconnects(
 fn interconnect_service_is_allocation_free_with_a_density_independent_footprint() {
     use slacksim::slacksim_cmp::bus::Bus;
     use slacksim::slacksim_cmp::directory::Directory;
+    // Reads its own thread's counters only, but what it allocates lands
+    // in the process-wide one the engine tests read.
+    let _serial = serial();
 
     let footprint_at = |rate: (u64, u64)| {
         let before = THREAD_LIVE_BYTES.get();

@@ -160,6 +160,45 @@ const KILL_SPEC: &str = r#"{
     }
 }"#;
 
+/// A batched campaign's jobs share the host with the pool: each gets
+/// `max(1, cpus / workers)` host threads for its windows, so a one-worker
+/// pool hands its job every CPU and a pool as wide as the host runs every
+/// job single-threaded. Like the pool width itself that is a host knob —
+/// the manifest, the tokens and every aggregate byte are the same.
+#[test]
+fn batched_campaign_is_the_same_at_every_pool_width() {
+    const SPEC: &str = r#"{
+        "v": 1,
+        "commit": 30000,
+        "engine": "batched",
+        "axes": {
+            "scheme": ["quantum"],
+            "quantum": [50],
+            "uncore": ["directory"],
+            "cores": [16],
+            "workload": ["fft", "water"],
+            "seed": [1, 2]
+        }
+    }"#;
+    let campaign = |workers: usize| {
+        let dir = scratch_dir(&format!("batched-w{workers}"));
+        let opts = SweepOptions {
+            workers: Some(workers),
+            ..SweepOptions::default()
+        };
+        let outcome = run_sweep(Some(SPEC), &dir, &opts).expect("campaign runs");
+        assert!(outcome.failed.is_empty(), "{:?}", outcome.failed);
+        let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
+        let files = (read("manifest.json"), read("aggregate.csv"));
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    };
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let solo = campaign(1);
+    assert_eq!(campaign(cpus.max(2)), solo, "pool as wide as the host");
+    assert_eq!(campaign(4 * cpus), solo, "oversubscribed pool");
+}
+
 fn slacksim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_slacksim"))
         .args(args)

@@ -55,6 +55,45 @@ fn batched_quantum_matches_sequential_quantum_exactly() {
 }
 
 #[test]
+fn batched_matches_sequential_at_every_host_thread_count() {
+    // The host-thread count partitions who runs a window's cores, never
+    // what they compute or the order the boundary services their events
+    // in: 16 directory cores on 1, 2, 3, 5 and 16 host threads (the last
+    // falls under the hand-off floor and runs inline) are all the
+    // sequential run.
+    use slacksim::UncoreKind;
+    let quantum = Scheme::Quantum { quantum: 50 };
+    let sim = |engine| {
+        let mut sim = Simulation::new(Benchmark::WaterNsquared);
+        sim.uncore(UncoreKind::Directory)
+            .cores(16)
+            .commit_target(40_000)
+            .scheme(quantum.clone())
+            .engine(engine);
+        sim
+    };
+    let seq = sim(EngineKind::Sequential).run().expect("run succeeds");
+    // The sequential engine samples its clock spread mid-window; every
+    // other kernel counter is pinned through one host thread.
+    let solo = sim(EngineKind::Batched)
+        .host_threads(1)
+        .run()
+        .expect("run succeeds");
+    for threads in [1, 2, 3, 5, 16] {
+        let bat = sim(EngineKind::Batched)
+            .host_threads(threads)
+            .run()
+            .expect("run succeeds");
+        assert_eq!(seq.global_cycles, bat.global_cycles, "{threads}: cycles");
+        assert_eq!(seq.committed, bat.committed, "{threads}: committed");
+        assert_eq!(seq.violations, bat.violations, "{threads}: violations");
+        assert_eq!(seq.per_core, bat.per_core, "{threads}: per-core stats");
+        assert_eq!(seq.uncore, bat.uncore, "{threads}: uncore stats");
+        assert_eq!(solo.kernel, bat.kernel, "{threads}: kernel counters");
+    }
+}
+
+#[test]
 fn threaded_cc_is_repeatable() {
     let a = run(Benchmark::Lu, EngineKind::Threaded, 30_000);
     let b = run(Benchmark::Lu, EngineKind::Threaded, 30_000);

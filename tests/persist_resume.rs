@@ -157,6 +157,62 @@ fn kill_and_resume_matches_uninterrupted_run_threaded_sharded() {
     kill_and_resume_with("threaded", &["--shards", "2"], "threaded-sh2");
 }
 
+/// The batched engine's host-thread count is a host knob: it is in no
+/// snapshot and no fingerprint, so a snapshot written on two host threads
+/// resumes on one (and the reverse) to the report of a run that was never
+/// interrupted. 8 cores x 50 cycles hand every window past the first to
+/// the workers when there are any.
+#[test]
+fn batched_snapshots_resume_across_host_thread_counts() {
+    let flags = |threads: &'static str, commit: &'static str| {
+        vec![
+            "--engine",
+            "batched",
+            "--scheme",
+            "quantum",
+            "--quantum",
+            "50",
+            "--cores",
+            "8",
+            "--benchmark",
+            "water",
+            "--checkpoint",
+            "500",
+            "--host-threads",
+            threads,
+            "--commit",
+            commit,
+        ]
+    };
+    let baseline = slacksim(&flags("1", "120000"));
+    assert!(baseline.status.success(), "baseline run exits 0");
+    let want = outcome_lines(&baseline);
+    assert!(!want.is_empty(), "baseline printed a report");
+
+    for (writer, reader) in [("2", "1"), ("1", "2"), ("3", "2")] {
+        let dir = scratch_dir(&format!("bat-h{writer}-h{reader}"));
+        let mut write = flags(writer, "40000");
+        write.extend(["--save-state", dir.to_str().unwrap()]);
+        assert!(slacksim(&write).status.success(), "persisting run exits 0");
+        let snapshot = newest_checkpoint(&dir).expect("snapshot persisted");
+
+        let mut resume = flags(reader, "120000");
+        resume.extend(["--resume", snapshot.to_str().unwrap()]);
+        let resumed = slacksim(&resume);
+        assert!(
+            resumed.status.success(),
+            "resumed run exits 0: {}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(
+            outcome_lines(&resumed),
+            want,
+            "written on {writer} host threads, resumed on {reader}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Writes one snapshot quickly and returns its path (plus the scratch
 /// dir for cleanup).
 fn persisted_snapshot(tag: &str) -> (PathBuf, PathBuf) {

@@ -271,16 +271,69 @@ fn sequential_terminal_heartbeat_equals_the_report() {
 #[test]
 fn batched_terminal_heartbeat_equals_the_report() {
     let cp_only = SpeculationConfig::checkpoint_only(500);
-    let mut sim = live_sim(EngineKind::Batched);
     let q50 = Scheme::Quantum { quantum: 50 };
-    assert_terminal_beat_equals_report("quantum", q50.clone(), sim.speculation(cp_only));
-    // The sharp case: the cycle cap lands one quantum after a checkpoint,
-    // so the last checkpoint commits in the final loop iteration — after
-    // that iteration's in-loop publish. Only a terminal publish that
-    // carries every gauge reports it.
-    let mut sim = live_sim(EngineKind::Batched);
-    sim.commit_target(u64::MAX).max_cycles(1050);
-    assert_terminal_beat_equals_report("cycle cap", q50, sim.speculation(cp_only));
+    // On one host thread, and on two with windows big enough (8 cores x
+    // 50 cycles) that the workers run every one past the first.
+    for threads in [1, 2] {
+        let batched = || {
+            let mut sim = live_sim(EngineKind::Batched);
+            sim.cores(8).host_threads(threads);
+            sim
+        };
+        let mut sim = batched();
+        assert_terminal_beat_equals_report("quantum", q50.clone(), sim.speculation(cp_only));
+        // The sharp case: the cycle cap lands one quantum after a
+        // checkpoint, so the last checkpoint commits in the final loop
+        // iteration — after that iteration's in-loop publish. Only a
+        // terminal publish that carries every gauge reports it.
+        let mut sim = batched();
+        sim.commit_target(u64::MAX).max_cycles(1050);
+        assert_terminal_beat_equals_report("cycle cap", q50.clone(), sim.speculation(cp_only));
+    }
+}
+
+#[test]
+fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
+    let profiled = |threads: usize| {
+        let mut sim = Simulation::new(Benchmark::Fft);
+        sim.cores(8)
+            .commit_target(60_000)
+            .seed(7)
+            .scheme(Scheme::Quantum { quantum: 50 })
+            .engine(EngineKind::Batched)
+            .host_threads(threads)
+            .profile(true);
+        sim.run().expect("profiled run completes").prof.unwrap()
+    };
+    let count = |prof: &slacksim::ProfData, site| {
+        prof.sites
+            .iter()
+            .find(|s| s.site == site)
+            .map_or(0, |s| s.count)
+    };
+
+    let solo = profiled(1);
+    assert_eq!(solo.threads, 1);
+    assert_eq!(
+        count(&solo, ProfSite::BatchedBarrier),
+        0,
+        "nobody to wait for"
+    );
+    let windows = count(&solo, ProfSite::BatchedResolve);
+    assert_eq!(count(&solo, ProfSite::BatchedRun), windows * 8);
+
+    // Two threads: the same spans, whichever thread recorded them, plus
+    // one barrier wait per window handed off — every one but the first.
+    let duo = profiled(2);
+    assert_eq!(duo.threads, 2, "the manager and one worker ran cores");
+    assert_eq!(count(&duo, ProfSite::BatchedResolve), windows);
+    assert_eq!(count(&duo, ProfSite::BatchedRun), windows * 8);
+    assert_eq!(count(&duo, ProfSite::BatchedBarrier), windows - 1);
+    // `slacksim report` renders this table: the split is in it.
+    let split = duo.table().lines().last().unwrap_or_default().to_owned();
+    for part in ["batched windows: run", "barrier wait", "resolve"] {
+        assert!(split.contains(part), "{part:?} missing from {split:?}");
+    }
 }
 
 #[test]

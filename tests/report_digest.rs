@@ -101,11 +101,24 @@ impl Spec {
 }
 
 fn run(engine: EngineKind, scheme: &Scheme, spec: Spec, cores: usize, uncore: UncoreKind) -> u64 {
+    run_on(0, engine, scheme, spec, cores, uncore)
+}
+
+/// [`run`] with the batched engine's host-thread count pinned (0 = auto).
+fn run_on(
+    host_threads: usize,
+    engine: EngineKind,
+    scheme: &Scheme,
+    spec: Spec,
+    cores: usize,
+    uncore: UncoreKind,
+) -> u64 {
     let mut sim = Simulation::new(Benchmark::WaterNsquared);
     sim.cores(cores)
         .uncore(uncore)
         .scheme(scheme.clone())
         .engine(engine)
+        .host_threads(host_threads)
         .commit_target(40_000)
         .seed(7);
     match spec {
@@ -205,6 +218,29 @@ fn report_digests_match_the_committed_constants() {
             table.push_str(&format!("    (\"{label}\", {value:#018x}),\n"));
         }
         panic!("report digests changed; computed table:\n{table}");
+    }
+}
+
+#[test]
+fn batched_digests_hold_at_every_host_thread_count() {
+    // The same constants, not new ones: trace record count and metrics
+    // CSV bytes included, so the manager must emit the per-core phase
+    // records in core order whoever ran the cores. 8 cores x 50 cycles
+    // hand every window past the first to the workers at 2 and 3 threads.
+    let q50 = Scheme::Quantum { quantum: 50 };
+    for (spec, label) in [
+        (Spec::Off, "bat/q50/off"),
+        (Spec::CheckpointOnly, "bat/q50/cp-only"),
+    ] {
+        let want = EXPECTED
+            .iter()
+            .find(|(l, _)| *l == label)
+            .expect("row is pinned")
+            .1;
+        for threads in [1, 2, 3] {
+            let got = run_on(threads, EngineKind::Batched, &q50, spec, 8, UncoreKind::Bus);
+            assert_eq!(got, want, "{label} on {threads} host threads: {got:#018x}");
+        }
     }
 }
 

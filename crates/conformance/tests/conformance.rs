@@ -163,16 +163,17 @@ fn quantum_is_exact_between_sequential_and_batched_engines() {
 /// have always stopped a window apart when the commit target is crossed
 /// on a checkpoint boundary: there it is the batched engine on one
 /// thread. (Windows under the hand-off floor — every cycle-by-cycle one,
-/// and quantum-50 on one core per thread — run inline; the rest go to
-/// the workers.)
+/// and quantum-50 on one core per thread — run inline, as does the first
+/// stretch of every run; the rest, half of each run or more, go to the
+/// workers.)
 #[test]
 fn batched_is_exact_at_every_host_thread_count() {
     use slacksim::Simulation;
 
     let commits = if cfg!(debug_assertions) {
-        8_000
+        60_000
     } else {
-        30_000
+        100_000
     };
     let q50 = Scheme::Quantum { quantum: 50 };
     let modes = [

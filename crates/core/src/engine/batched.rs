@@ -41,7 +41,7 @@ use std::thread::{Scope, ScopedJoinHandle};
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{Finish, Kernel};
 use crate::engine::merge::{arm, head_ts, sweep, NO_HEAD};
-use crate::engine::wait::{host_oversubscribed, Backoff};
+use crate::engine::wait::{host_cpus, host_oversubscribed, Backoff};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
 };
@@ -58,6 +58,14 @@ use crate::time::Cycle;
 /// its barrier cost more than they save, 0.76–0.89x; from 96 up they win,
 /// 1.03–1.22x.
 const DISPATCH_FLOOR: u64 = 96;
+
+/// Core-cycles a run steps inline before any window is handed off, and so
+/// before the workers exist. Spawning them and the first, cold hand-offs
+/// cost ~0.25 ms (DESIGN §15.1): a run over sooner than this — ~2 ms of
+/// stepping — would pay that for nothing (a 64-core directory run to its
+/// first commit is 8 windows, 25.6 K core-cycles, of cold misses), and a
+/// run that has come this far has, as a rule, further to go.
+const SPAWN_AFTER: u64 = 1 << 16;
 
 /// Quantum-compiled BSP engine: steps all cores a full quantum per
 /// iteration over their hot state, resolving cross-core interaction only
@@ -167,7 +175,7 @@ where
         // Static partition: contiguous lanes of `chunk` cores, one per
         // host thread, each with its cores' inboxes and staging buffers.
         let threads = match cfg.host_threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            0 => host_cpus(),
             h => h,
         };
         let chunk = n.div_ceil(threads.clamp(1, n));
@@ -280,10 +288,12 @@ where
         mut pool: Option<&mut Pool<'_, '_, 'a, C>>,
     ) -> Result<FinishReason, EngineError> {
         let ph = self.k.prof_handle();
-        let (n, start) = (self.n, self.global);
+        let n = self.n;
+        // Core-cycles stepped so far.
+        let mut stepped = 0u64;
         // Still sampled so CSV exports keep the same column set as the
         // other engines.
-        let mut locals = vec![start; n];
+        let mut locals = vec![self.global; n];
         // Timestamp of each core's next staged event during the merge.
         let mut heads = vec![NO_HEAD; n];
         loop {
@@ -325,11 +335,11 @@ where
             }
             self.k.note_spread(window_end - global);
 
-            // Run every core over the window. The first window always
-            // runs inline, so a run that ends inside it spawns nothing.
-            let per_lane = (window_end - global) * n as u64 / self.lanes.len() as u64;
+            // Run every core over the window.
+            let work = (window_end - global) * n as u64;
+            let per_lane = work / self.lanes.len() as u64;
             match pool.as_deref_mut() {
-                Some(pool) if global > start && per_lane >= DISPATCH_FLOOR => {
+                Some(pool) if stepped >= SPAWN_AFTER && per_lane >= DISPATCH_FLOOR => {
                     self.committed += pool.run(&mut self.lanes, global, window_end, &ph);
                 }
                 _ => {
@@ -338,6 +348,7 @@ where
                     }
                 }
             }
+            stepped += work;
             // The trace is the manager's, in core order, whoever ran the
             // cores: the record stream does not depend on the thread count.
             for core in CoreId::all(n) {
@@ -708,23 +719,25 @@ mod tests {
 
     #[test]
     fn the_host_thread_count_never_shows_in_the_result() {
-        // 12 cores x 64 cycles: every partition below hands its windows
-        // to the workers (4 lanes of 3 cores at 5 threads still carry 192
-        // core-cycles each) but the last: 12 lanes of 64 core-cycles fall
-        // under the floor and run inline, the workers never spawned.
+        // 12 cores x 64 cycles, 195 windows: the last 109 — once the run
+        // has stepped `SPAWN_AFTER` core-cycles — go to the workers on
+        // every partition below (4 lanes of 3 cores at 5 threads still
+        // carry 192 core-cycles each) but the last: 12 lanes of 64
+        // core-cycles fall under the floor and run inline, the workers
+        // never spawned.
         let scheme = Scheme::Quantum { quantum: 64 };
         let seq = SequentialEngine::new(
             toy_cores(12),
             ToyUncore::default(),
-            EngineConfig::new(scheme.clone(), 20_000),
+            EngineConfig::new(scheme.clone(), 150_000),
         )
         .run()
         .unwrap();
         // The sequential engine samples its clock spread mid-window;
         // every other kernel counter is pinned through one host thread.
-        let solo = run_batched_on(1, 12, scheme.clone(), 20_000);
+        let solo = run_batched_on(1, 12, scheme.clone(), 150_000);
         for threads in [1, 2, 3, 5, 12] {
-            let bat = run_batched_on(threads, 12, scheme.clone(), 20_000);
+            let bat = run_batched_on(threads, 12, scheme.clone(), 150_000);
             assert_eq!(seq.global_cycles, bat.global_cycles, "{threads} threads");
             assert_eq!(seq.committed, bat.committed, "{threads} threads");
             assert_eq!(seq.violations, bat.violations, "{threads} threads");
@@ -745,14 +758,15 @@ mod tests {
     }
 
     #[test]
-    fn workers_are_spawned_at_the_first_window_handed_off_and_not_before() {
-        // The first window runs inline whatever its size, so a run that
-        // ends inside it never creates a thread.
+    fn workers_are_spawned_only_by_a_run_long_enough_to_use_them() {
+        // One window, then 65 (49 920 core-cycles, short of
+        // `SPAWN_AFTER`): over before a thread would pay for itself.
         assert_eq!(threads_used(4, 1), 1);
-        assert_eq!(threads_used(4, 20_000), 4);
-        assert_eq!(threads_used(1, 20_000), 1);
+        assert_eq!(threads_used(4, 49_000), 1);
+        assert_eq!(threads_used(4, 150_000), 4);
+        assert_eq!(threads_used(1, 150_000), 1);
         // 12 lanes of one core: 64 core-cycles each, under the floor.
-        assert_eq!(threads_used(12, 20_000), 1);
+        assert_eq!(threads_used(12, 150_000), 1);
     }
 
     /// A toy core that blows up in the middle of a window.
@@ -789,8 +803,8 @@ mod tests {
         let cores = (0..8)
             .map(|i| Fuse {
                 inner: ToyCore::new(3),
-                // Cycle 200 is in the fourth window: the workers are up.
-                blow_at: (i == core).then_some(200),
+                // 8 cores x 64 cycles: the workers are up from cycle 8192.
+                blow_at: (i == core).then_some(10_000),
             })
             .collect();
         let _ = BatchedEngine::new(cores, ToyUncore::default(), cfg).run();

@@ -2,6 +2,8 @@
 //! until another one makes progress: the threaded engine's manager and
 //! shard managers, and the batched engine's window workers.
 
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::obs::ProfSite;
@@ -38,12 +40,21 @@ const WINDOW_PARK_TIMEOUT: Duration = Duration::from_millis(1);
 /// host's core count or timing.
 pub(super) const VIRT_YIELD_ITERS: u32 = 2;
 
+/// CPUs this process may run on (its affinity mask and cgroup quota), 1
+/// where that cannot be told. Asked once per process: the answer costs a
+/// system call and several file reads, ~11 us where an engine's whole
+/// set-up is a few hundred.
+pub(super) fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// True when the host cannot run `threads` engine threads concurrently.
 /// Spinning in that regime only burns the quanta the productive threads
 /// need, so the wait ladders skip their spin tier and lead with
 /// `yield_now`.
 pub(super) fn host_oversubscribed(threads: usize) -> bool {
-    std::thread::available_parallelism().map_or(true, |p| p.get() < threads)
+    host_cpus() < threads
 }
 
 /// The adaptive wait ladder: spin, then yield, then park with a timeout.

@@ -281,7 +281,9 @@ fn batched_window_loop_is_allocation_free_at_steady_state() {
                 committed: 0,
             })
             .collect();
-        // 12 cores x 64 cycles clear the hand-off floor on two threads.
+        // 12 cores x 64 cycles clear the hand-off floor on two threads,
+        // and both run lengths below are past the point where the
+        // workers are spawned.
         let mut cfg = slacksim::EngineConfig::new(Scheme::Quantum { quantum: 64 }, commit);
         cfg.host_threads = host_threads;
         // The one thing the kernel keeps per unit of simulated time is a
@@ -306,12 +308,12 @@ fn batched_window_loop_is_allocation_free_at_steady_state() {
     };
     for host_threads in [1, 2] {
         let _ = allocs(host_threads, 5_000);
-        let short = least(host_threads, 50_000);
-        let long = least(host_threads, 150_000);
+        let short = least(host_threads, 200_000);
+        let long = least(host_threads, 600_000);
         assert_eq!(
             long,
             short,
-            "{host_threads} host thread(s): 130 more windows allocated {} more times",
+            "{host_threads} host thread(s): 520 more windows allocated {} more times",
             long.saturating_sub(short)
         );
     }

@@ -169,7 +169,7 @@ const KILL_SPEC: &str = r#"{
 fn batched_campaign_is_the_same_at_every_pool_width() {
     const SPEC: &str = r#"{
         "v": 1,
-        "commit": 30000,
+        "commit": 80000,
         "engine": "batched",
         "axes": {
             "scheme": ["quantum"],

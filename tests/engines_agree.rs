@@ -60,14 +60,15 @@ fn batched_matches_sequential_at_every_host_thread_count() {
     // what they compute or the order the boundary services their events
     // in: 16 directory cores on 1, 2, 3, 5 and 16 host threads (the last
     // falls under the hand-off floor and runs inline) are all the
-    // sequential run.
+    // sequential run. 200 K commits: the workers take over a fifth of
+    // the way in.
     use slacksim::UncoreKind;
     let quantum = Scheme::Quantum { quantum: 50 };
     let sim = |engine| {
         let mut sim = Simulation::new(Benchmark::WaterNsquared);
         sim.uncore(UncoreKind::Directory)
             .cores(16)
-            .commit_target(40_000)
+            .commit_target(200_000)
             .scheme(quantum.clone())
             .engine(engine);
         sim

@@ -160,8 +160,9 @@ fn kill_and_resume_matches_uninterrupted_run_threaded_sharded() {
 /// The batched engine's host-thread count is a host knob: it is in no
 /// snapshot and no fingerprint, so a snapshot written on two host threads
 /// resumes on one (and the reverse) to the report of a run that was never
-/// interrupted. 8 cores x 50 cycles hand every window past the first to
-/// the workers when there are any.
+/// interrupted. Both legs are long enough (8 cores x 50 cycles, 64 Ki
+/// core-cycles stepped inline first) that the workers, when there are
+/// any, run windows on either side of the snapshot.
 #[test]
 fn batched_snapshots_resume_across_host_thread_counts() {
     let flags = |threads: &'static str, commit: &'static str| {
@@ -184,19 +185,19 @@ fn batched_snapshots_resume_across_host_thread_counts() {
             commit,
         ]
     };
-    let baseline = slacksim(&flags("1", "120000"));
+    let baseline = slacksim(&flags("1", "400000"));
     assert!(baseline.status.success(), "baseline run exits 0");
     let want = outcome_lines(&baseline);
     assert!(!want.is_empty(), "baseline printed a report");
 
     for (writer, reader) in [("2", "1"), ("1", "2"), ("3", "2")] {
         let dir = scratch_dir(&format!("bat-h{writer}-h{reader}"));
-        let mut write = flags(writer, "40000");
+        let mut write = flags(writer, "150000");
         write.extend(["--save-state", dir.to_str().unwrap()]);
         assert!(slacksim(&write).status.success(), "persisting run exits 0");
         let snapshot = newest_checkpoint(&dir).expect("snapshot persisted");
 
-        let mut resume = flags(reader, "120000");
+        let mut resume = flags(reader, "400000");
         resume.extend(["--resume", snapshot.to_str().unwrap()]);
         let resumed = slacksim(&resume);
         assert!(

@@ -273,11 +273,11 @@ fn batched_terminal_heartbeat_equals_the_report() {
     let cp_only = SpeculationConfig::checkpoint_only(500);
     let q50 = Scheme::Quantum { quantum: 50 };
     // On one host thread, and on two with windows big enough (8 cores x
-    // 50 cycles) that the workers run every one past the first.
-    for threads in [1, 2] {
+    // 50 cycles) and a run long enough that the workers take over.
+    for (threads, commits) in [(1, 40_000), (2, 300_000)] {
         let batched = || {
             let mut sim = live_sim(EngineKind::Batched);
-            sim.cores(8).host_threads(threads);
+            sim.cores(8).host_threads(threads).commit_target(commits);
             sim
         };
         let mut sim = batched();
@@ -297,7 +297,7 @@ fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
     let profiled = |threads: usize| {
         let mut sim = Simulation::new(Benchmark::Fft);
         sim.cores(8)
-            .commit_target(60_000)
+            .commit_target(300_000)
             .seed(7)
             .scheme(Scheme::Quantum { quantum: 50 })
             .engine(EngineKind::Batched)
@@ -323,12 +323,15 @@ fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
     assert_eq!(count(&solo, ProfSite::BatchedRun), windows * 8);
 
     // Two threads: the same spans, whichever thread recorded them, plus
-    // one barrier wait per window handed off — every one but the first.
+    // one barrier wait per window handed off — every one after the 164
+    // (of 400 core-cycles each) that the run steps inline before it
+    // spawns its worker.
     let duo = profiled(2);
     assert_eq!(duo.threads, 2, "the manager and one worker ran cores");
     assert_eq!(count(&duo, ProfSite::BatchedResolve), windows);
     assert_eq!(count(&duo, ProfSite::BatchedRun), windows * 8);
-    assert_eq!(count(&duo, ProfSite::BatchedBarrier), windows - 1);
+    assert!(windows > 164, "the run is long enough to hand windows off");
+    assert_eq!(count(&duo, ProfSite::BatchedBarrier), windows - 164);
     // `slacksim report` renders this table: the split is in it.
     let split = duo.table().lines().last().unwrap_or_default().to_owned();
     for part in ["batched windows: run", "barrier wait", "resolve"] {

@@ -225,8 +225,9 @@ fn report_digests_match_the_committed_constants() {
 fn batched_digests_hold_at_every_host_thread_count() {
     // The same constants, not new ones: trace record count and metrics
     // CSV bytes included, so the manager must emit the per-core phase
-    // records in core order whoever ran the cores. 8 cores x 50 cycles
-    // hand every window past the first to the workers at 2 and 3 threads.
+    // records in core order whoever ran the cores. At 2 and 3 threads the
+    // workers run the windows (8 cores x 50 cycles) of the rows' last
+    // stretch, past the 64 Ki core-cycles a run steps inline first.
     let q50 = Scheme::Quantum { quantum: 50 };
     for (spec, label) in [
         (Spec::Off, "bat/q50/off"),

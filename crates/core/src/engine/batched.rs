@@ -174,11 +174,11 @@ where
 
         // Static partition: contiguous lanes of `chunk` cores, one per
         // host thread, each with its cores' inboxes and staging buffers.
-        let threads = match cfg.host_threads {
+        let want = match cfg.host_threads {
             0 => host_cpus(),
             h => h,
         };
-        let chunk = n.div_ceil(threads.clamp(1, n));
+        let chunk = n.div_ceil(want.min(n));
         let lanes: Vec<Lane<'_, C>> = cores
             .chunks_mut(chunk)
             .zip(inboxes.chunks_mut(chunk))

@@ -1,6 +1,6 @@
 //! The spin → yield → park wait ladder of a host thread with nothing to do
 //! until another one makes progress: the threaded engine's manager and
-//! shard managers, and the batched engine's window workers.
+//! shard managers, and both sides of the batched engine's window hand-off.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;

@@ -262,17 +262,18 @@ fn main() {
         ));
     }
 
-    // Likewise the batched engine's window workers. Absent, the engine
-    // sizes itself from the host's available parallelism.
-    let host_threads = args.has("--host-threads").then(|| {
+    // Likewise the batched engine's window workers. Absent (0), the
+    // engine sizes itself from the host's available parallelism.
+    let mut host_threads = 0;
+    if args.has("--host-threads") {
         if engine != EngineKind::Batched {
             usage_error(
                 "--host-threads requires --engine batched (only the batched engine \
                  steps its windows on a static partition of host threads)",
             );
         }
-        args.parsed_nonzero("--host-threads", 1) as usize
-    });
+        host_threads = args.parsed_nonzero("--host-threads", 1) as usize;
+    }
 
     let uncore = match args.value("--uncore") {
         None => UncoreKind::Bus,
@@ -305,7 +306,7 @@ fn main() {
         .uncore(uncore)
         .cores(cores)
         .shards(shards)
-        .host_threads(host_threads.unwrap_or(0))
+        .host_threads(host_threads)
         .commit_target(args.parsed("--commit", 500_000))
         .seed(args.parsed("--seed", 1));
     let select = match args.value("--rollback") {

@@ -181,17 +181,24 @@ rm -f "$smoke_out" "$smoke_out_batched" "$smoke_out_directory"
 echo "==> benchmark/ self-tests + golden-fingerprint smoke"
 # The acceptance driver judges every PR with benchmark/ (BENCHMARK.json),
 # and that package is its own workspace, so nothing above builds or tests
-# it. Its tests run every workload at 1/50 size; the one-second
-# seq-cc-fft8 pass then checks a full-size run against
-# benchmark/golden.json, so a change that moves simulated results fails
-# here, before the driver sees it. The last output line is one JSON
-# object; the binary already exits 1 when a check fails.
+# it. Its tests run every workload at 1/50 size; the one-second passes
+# then check full-size runs against benchmark/golden.json, so a change
+# that moves simulated results fails here, before the driver sees it:
+# seq-cc-fft8 for the engine loop, seq-spec-water8 for speculation and
+# the durable path (every one of its runs persists 831 checkpoints
+# through the write-behind writer and must still count what the golden
+# file says). The last output line is one JSON object; the binary
+# already exits 1 when a check fails.
 (cd benchmark && cargo test --release --offline -q)
 bench_out="$(mktemp -d /tmp/slacksim-ci-benchmark.XXXXXX)"
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload seq-cc-fft8 --seed 1 --seconds 1 --trace 0 --out-dir "$bench_out" \
-    | tail -n 1 | grep -q '"correct":true' || {
-    echo "ci: benchmark smoke failed its golden-fingerprint check" >&2; exit 1; }
+for workload in seq-cc-fft8 seq-spec-water8; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 --out-dir "$bench_out" \
+        | tail -n 1 | grep -q '"correct":true' || {
+        echo "ci: benchmark smoke ($workload) failed its golden-fingerprint check" >&2
+        exit 1
+    }
+done
 rm -rf "$bench_out"
 
 echo "==> profiler + live-telemetry smoke (artifact validity, overhead gate)"

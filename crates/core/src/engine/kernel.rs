@@ -889,6 +889,12 @@ where
         R: Fn(usize) -> (u64, u64),
     {
         let global = f.global;
+        // A write-behind save hook still owns the last checkpoint: dropping
+        // it waits until that one is durable, inside the run's wall.
+        if let Some(hook) = self.save_hook.take() {
+            let _span = self.ph.enter(ProfSite::PersistIo);
+            drop(hook);
+        }
         if let Some(tr) = &mut self.tracker {
             tr.close_intervals_up_to(global);
         }

@@ -469,9 +469,14 @@ pub struct CheckpointView<'a, C: CoreModel, U> {
 }
 
 /// Called at every committed checkpoint with a [`CheckpointView`]; returns
-/// the persisted container size in bytes, or `None` when the snapshot was
-/// not durably written (persistence failed or was skipped) — the engine
-/// records the outcome as a trace event either way and carries on.
+/// the size in bytes of the snapshot container it wrote or queued for
+/// writing, or `None` when the snapshot was skipped — the engine records
+/// the outcome as a trace event either way and carries on. The engine
+/// drops the hook when the run ends, before it reads the run's wall clock:
+/// a hook that writes behind the simulation (as
+/// [`CheckpointWriter`](crate::persist::CheckpointWriter) does) finishes
+/// its last checkpoint in its `Drop`, so `run()` returns only once every
+/// checkpoint it reported is on disk or has failed with a warning.
 pub type SaveHook<C, U> = Box<dyn FnMut(&CheckpointView<'_, C, U>) -> Option<u64>>;
 
 /// Restored engine state for crash-safe resume: the owned counterpart of

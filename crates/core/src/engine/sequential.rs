@@ -59,8 +59,8 @@ where
 
     /// Installs a hook invoked after every committed checkpoint with a
     /// borrowed [`CheckpointView`](crate::engine::CheckpointView) of the
-    /// restorable state; the hook returns the number of bytes it persisted
-    /// (or `None` on failure).
+    /// restorable state, and dropped when the run ends ([`SaveHook`] says
+    /// what it returns and what its `Drop` may finish).
     #[must_use]
     pub fn with_save_hook(mut self, hook: SaveHook<C, U>) -> Self {
         self.save_hook = Some(hook);

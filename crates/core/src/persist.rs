@@ -20,10 +20,17 @@
 //! nonsense simulation. Writes go through [`write_atomic`]: the bytes land
 //! in a sibling temp file which is fsynced and renamed over the target, so
 //! a crash mid-write can never leave a torn snapshot under the final name.
+//!
+//! A run's checkpoints reach the disk through a [`CheckpointWriter`]: the
+//! simulation thread encodes a snapshot straight into a container buffer
+//! and hands it to a writer thread that checksums, writes and prunes while
+//! the simulation carries on (DESIGN §13.1).
 
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// File magic identifying a slacksim snapshot container.
@@ -277,16 +284,49 @@ pub fn encode_container(fingerprint: &str, payload: &[u8]) -> Vec<u8> {
 /// actually carries the shard section, so older builds refuse the file
 /// with a clear version error instead of a trailing-bytes corruption.
 pub fn encode_container_versioned(version: u32, fingerprint: &str, payload: &[u8]) -> Vec<u8> {
-    debug_assert!((FORMAT_VERSION..=FORMAT_VERSION_SHARDED).contains(&version));
     let mut out = Vec::with_capacity(32 + fingerprint.len() + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(fingerprint.len() as u32).to_le_bytes());
-    out.extend_from_slice(fingerprint.as_bytes());
+    push_header(&mut out, version, fingerprint);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Appends the container fields that precede the payload length: magic,
+/// version and the length-prefixed fingerprint.
+fn push_header(out: &mut Vec<u8>, version: u32, fingerprint: &str) {
+    debug_assert!((FORMAT_VERSION..=FORMAT_VERSION_SHARDED).contains(&version));
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(fingerprint.len() as u32).to_le_bytes());
+    out.extend_from_slice(fingerprint.as_bytes());
+}
+
+/// Length and checksum fields between the fingerprint and the payload.
+const SEAL_LEN: usize = 16;
+
+/// Starts a container in `buf` (whatever it held is discarded, its
+/// capacity kept): the header is written, the length and checksum fields
+/// are left zeroed for [`seal_container`], and the returned writer
+/// appends the payload directly behind them — no second copy of it is
+/// ever made.
+fn begin_container(mut buf: Vec<u8>, version: u32, fingerprint: &str) -> ByteWriter {
+    buf.clear();
+    push_header(&mut buf, version, fingerprint);
+    buf.extend_from_slice(&[0; SEAL_LEN]);
+    ByteWriter { buf }
+}
+
+/// Finishes a container started by [`begin_container`]: patches the
+/// payload length and its FNV-1a into the reserved fields, after which
+/// `bytes` equals what [`encode_container_versioned`] returns for the same
+/// version, fingerprint and payload.
+fn seal_container(bytes: &mut [u8]) {
+    let fp_len = u32::from_le_bytes(bytes[12..16].try_into().expect("four bytes")) as usize;
+    let (head, payload) = bytes.split_at_mut(16 + fp_len + SEAL_LEN);
+    let seal = &mut head[16 + fp_len..];
+    seal[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    seal[8..].copy_from_slice(&fnv1a(payload).to_le_bytes());
 }
 
 /// Validate a snapshot container and return `(fingerprint, payload)`.
@@ -374,6 +414,226 @@ fn try_write(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
     drop(f);
     std::fs::rename(tmp, path)?;
     Ok(())
+}
+
+/// Removes every `cp-<ordinal>` file in `dir` other than `keep`, and every
+/// `cp-<ordinal>.tmp` — the half-written side of an atomic write that a
+/// killed predecessor never renamed. Failures are ignored: pruning is
+/// housekeeping, and a leftover older checkpoint is still a valid resume
+/// point.
+fn sweep_checkpoints(dir: &Path, keep: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(stem) = name.to_str().and_then(|n| n.strip_prefix("cp-")) else {
+            continue;
+        };
+        let ordinal = stem.strip_suffix(".tmp").unwrap_or(stem);
+        let path = entry.path();
+        if ordinal.parse::<u64>().is_ok() && path != keep {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// One sealed-to-be container on its way to the writer thread.
+struct Job {
+    ordinal: u64,
+    bytes: Vec<u8>,
+}
+
+/// The writer thread: seals each container, writes it atomically as
+/// `cp-<ordinal>`, removes the file it wrote before, and sends the buffer
+/// back with whether the checkpoint is now durable.
+fn write_behind(dir: &Path, jobs: &Receiver<Job>, done: &SyncSender<(Vec<u8>, bool)>) {
+    let mut previous: Option<PathBuf> = None;
+    for Job { ordinal, mut bytes } in jobs {
+        seal_container(&mut bytes);
+        let path = dir.join(format!("cp-{ordinal:08}"));
+        let durable = match write_atomic(&path, &bytes) {
+            Ok(()) => {
+                match previous.replace(path.clone()) {
+                    // The one directory scan of the run: it also clears
+                    // what an earlier run of this directory left behind.
+                    None => sweep_checkpoints(dir, &path),
+                    Some(old) => {
+                        if old != path {
+                            let _ = std::fs::remove_file(old);
+                        }
+                    }
+                }
+                true
+            }
+            Err(e) => {
+                eprintln!(
+                    "warning: failed to persist checkpoint {}: {e}",
+                    path.display()
+                );
+                false
+            }
+        };
+        if done.send((bytes, durable)).is_err() {
+            break;
+        }
+    }
+}
+
+struct WriterThread {
+    jobs: SyncSender<Job>,
+    done: Receiver<(Vec<u8>, bool)>,
+    handle: JoinHandle<()>,
+}
+
+impl WriterThread {
+    /// `None`, after a warning, when the host refuses another thread.
+    fn spawn(dir: PathBuf) -> Option<Self> {
+        let (jobs, inbox) = sync_channel(1);
+        let (outbox, done) = sync_channel(1);
+        let spawned = std::thread::Builder::new()
+            .name("cp-writer".to_owned())
+            .spawn(move || write_behind(&dir, &inbox, &outbox));
+        match spawned {
+            Ok(handle) => Some(WriterThread { jobs, done, handle }),
+            Err(e) => {
+                eprintln!("warning: cannot start the checkpoint writer thread: {e}");
+                None
+            }
+        }
+    }
+}
+
+/// Write-behind persistence of a run's checkpoints (DESIGN §13.1).
+///
+/// The simulation thread calls [`begin`](Self::begin), encodes the
+/// snapshot payload into the writer it gets, and passes that to
+/// [`submit`](Self::submit); checksum, `write_atomic` and pruning happen on
+/// a writer thread spawned by the first `submit`. At most one checkpoint
+/// is in flight: `submit` first waits for the previous one to be renamed
+/// into place, so checkpoints reach the directory in order and the
+/// snapshot bytes live in exactly two buffers, swapped every checkpoint.
+/// [`drain`](Self::drain) — and `Drop` — wait for the last one.
+///
+/// A checkpoint that cannot be written costs one warning on standard
+/// error and is counted; it never stops the run.
+pub struct CheckpointWriter {
+    dir: PathBuf,
+    fingerprint: String,
+    /// The buffer the next snapshot is encoded into.
+    spare: Vec<u8>,
+    /// Largest container this run has produced, which is the capacity
+    /// both buffers settle at: neither keeps `Vec`'s doubling slack.
+    high: usize,
+    thread: Option<WriterThread>,
+    in_flight: bool,
+    submitted: u64,
+    failed: u64,
+}
+
+impl CheckpointWriter {
+    /// A writer persisting into `dir` (which must exist by the first
+    /// `submit`) under the given config fingerprint. Spawns nothing and
+    /// reserves nothing: a run that commits no checkpoint pays for neither
+    /// a thread nor a buffer.
+    pub fn new(dir: PathBuf, fingerprint: String) -> Self {
+        CheckpointWriter {
+            dir,
+            fingerprint,
+            spare: Vec::new(),
+            high: 0,
+            thread: None,
+            in_flight: false,
+            submitted: 0,
+            failed: 0,
+        }
+    }
+
+    /// Starts the next checkpoint's container (format `version`) in the
+    /// spare buffer; the caller appends the payload.
+    pub fn begin(&mut self, version: u32) -> ByteWriter {
+        let spare = std::mem::take(&mut self.spare);
+        let mut w = begin_container(spare, version, &self.fingerprint);
+        // Room for the largest snapshot so far: a fresh buffer gets it in
+        // one step, a recycled one has it already.
+        w.buf.reserve_exact(self.high.saturating_sub(w.buf.len()));
+        w
+    }
+
+    /// Hands the finished container of checkpoint `ordinal` to the writer
+    /// thread, after waiting for the previous checkpoint to become
+    /// durable, and returns its size in bytes.
+    pub fn submit(&mut self, ordinal: u64, container: ByteWriter) -> u64 {
+        let mut bytes = container.into_bytes();
+        let len = bytes.len();
+        self.high = self.high.max(len);
+        // A snapshot larger than any before it had `Vec` double the
+        // buffer under it; the excess goes back. Snapshots of one run
+        // differ by several percent either way once the caches are warm,
+        // so sizing to the largest, not the latest, is what keeps this
+        // rare.
+        if bytes.capacity() > self.high {
+            bytes.shrink_to(self.high);
+        }
+        self.collect();
+        self.submitted += 1;
+        if self.thread.is_none() {
+            self.thread = WriterThread::spawn(self.dir.clone());
+        }
+        let job = Job { ordinal, bytes };
+        let lost = match &self.thread {
+            Some(thread) => thread.jobs.send(job).err().map(|SendError(job)| job),
+            None => Some(job),
+        };
+        match lost {
+            None => self.in_flight = true,
+            // No writer thread (never started, or it panicked): this
+            // checkpoint is lost, the run goes on.
+            Some(job) => {
+                self.failed += 1;
+                self.spare = job.bytes;
+            }
+        }
+        len as u64
+    }
+
+    /// Waits for the checkpoint in flight, if any, and takes its buffer
+    /// back as the next spare.
+    fn collect(&mut self) {
+        if !std::mem::take(&mut self.in_flight) {
+            return;
+        }
+        let thread = self.thread.as_ref().expect("a checkpoint is in flight");
+        match thread.done.recv() {
+            Ok((bytes, durable)) => {
+                self.spare = bytes;
+                self.failed += u64::from(!durable);
+            }
+            Err(_) => self.failed += 1,
+        }
+    }
+
+    /// Waits until every submitted checkpoint has been written (or has
+    /// failed), stops the writer thread, and returns how many checkpoints
+    /// could not be persisted and how many were submitted.
+    pub fn drain(&mut self) -> (u64, u64) {
+        self.collect();
+        if let Some(thread) = self.thread.take() {
+            drop(thread.jobs);
+            // A panicked writer already shows as failed checkpoints.
+            let _ = thread.handle.join();
+        }
+        (self.failed, self.submitted)
+    }
+}
+
+impl Drop for CheckpointWriter {
+    fn drop(&mut self) {
+        let (failed, submitted) = self.drain();
+        if failed > 0 {
+            eprintln!("warning: {failed} of {submitted} checkpoints could not be persisted");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -482,6 +742,142 @@ mod tests {
         assert!(matches!(err, PersistError::ConfigMismatch { .. }));
         assert!(err.to_string().contains("run-a"));
         assert!(err.to_string().contains("snap-b"));
+    }
+
+    /// Deterministic filler: every byte value, no short period.
+    fn payload_of(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + i / 251) as u8).collect()
+    }
+
+    #[test]
+    fn in_place_framing_equals_the_copying_encoder_byte_for_byte() {
+        // The buffer is recycled across every case, so each container is
+        // also framed over the remains of the one before it.
+        let mut buf = Vec::new();
+        for version in [FORMAT_VERSION, FORMAT_VERSION_SHARDED] {
+            for len in [0, 1, 283_000] {
+                for fingerprint in ["", "bench=WATER/scheme=bounded-slack:16/cores=8"] {
+                    let payload = payload_of(len);
+                    let mut w = begin_container(buf, version, fingerprint);
+                    for &b in &payload {
+                        w.u8(b);
+                    }
+                    buf = w.into_bytes();
+                    seal_container(&mut buf);
+                    assert!(
+                        buf == encode_container_versioned(version, fingerprint, &payload),
+                        "version {version}, {len}-byte payload, fingerprint {fingerprint:?}"
+                    );
+                    let (fp, body) = decode_container(&buf).unwrap();
+                    assert_eq!((fp, body.len()), (fingerprint, len));
+                }
+            }
+        }
+    }
+
+    /// A fresh directory for one test's checkpoint files.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("slacksim-persist-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn submit_payload(writer: &mut CheckpointWriter, ordinal: u64, payload: &[u8]) -> u64 {
+        let mut w = writer.begin(FORMAT_VERSION);
+        for &b in payload {
+            w.u8(b);
+        }
+        writer.submit(ordinal, w)
+    }
+
+    #[test]
+    fn writer_keeps_the_newest_checkpoint_and_sweeps_the_directory_once() {
+        let dir = scratch_dir("writer");
+        std::fs::write(dir.join("cp-00000003"), b"an earlier run's checkpoint").unwrap();
+        std::fs::write(dir.join("cp-00000007.tmp"), b"torn by a SIGKILL").unwrap();
+        std::fs::write(dir.join("cp-notes.txt"), b"not ours").unwrap();
+
+        let mut writer = CheckpointWriter::new(dir.clone(), "fp".to_owned());
+        assert!(writer.thread.is_none(), "no thread before the first submit");
+        for ordinal in 1..=5u64 {
+            let payload = payload_of(1000 + ordinal as usize);
+            let bytes = submit_payload(&mut writer, ordinal, &payload);
+            assert_eq!(
+                bytes as usize,
+                encode_container("fp", &payload).len(),
+                "submit reports the container size"
+            );
+            assert!(writer.thread.is_some());
+            if ordinal == 1 {
+                // Debris dropped after the one sweep is nobody's to remove.
+                writer.collect();
+                std::fs::write(dir.join("cp-00000000"), b"appeared mid-run").unwrap();
+            }
+        }
+        assert_eq!(writer.drain(), (0, 5));
+        assert!(writer.thread.is_none(), "drain joins the thread");
+        assert_eq!(
+            names_in(&dir),
+            ["cp-00000000", "cp-00000005", "cp-notes.txt"],
+            "the sweep took the old checkpoint and the temp file, the \
+             predecessor chain took 1..=4, and nothing scanned again"
+        );
+        let newest = std::fs::read(dir.join("cp-00000005")).unwrap();
+        assert!(newest == encode_container("fp", &payload_of(1005)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writer_buffers_are_sized_to_the_largest_snapshot_exactly() {
+        let dir = scratch_dir("sizing");
+        let mut writer = CheckpointWriter::new(dir.clone(), "fp".to_owned());
+        let header = encode_container("fp", b"").len();
+        // Grows, then wanders below its maximum, as a run's snapshots do.
+        let lens = [40_000, 90_000, 300_000, 280_000, 295_000, 270_000, 300_000];
+        let mut high = 0;
+        for (i, len) in lens.into_iter().enumerate() {
+            // The two buffers alternate; whichever comes up has exactly
+            // the room the largest snapshot so far needed, `Vec`'s
+            // doubling during a record-size encode given back.
+            let mut w = writer.begin(FORMAT_VERSION);
+            if i > 0 {
+                assert_eq!(w.buf.capacity(), high, "buffer for snapshot {i}");
+            }
+            for b in payload_of(len) {
+                w.u8(b);
+            }
+            writer.submit(i as u64 + 1, w);
+            high = high.max(header + len);
+        }
+        assert_eq!(writer.drain(), (0, lens.len() as u64));
+        assert_eq!(writer.spare.capacity(), high);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writer_without_a_directory_fails_every_checkpoint_and_nothing_else() {
+        let parent = scratch_dir("missing");
+        let dir = parent.join("never-created");
+        let mut writer = CheckpointWriter::new(dir.clone(), "fp".to_owned());
+        for ordinal in 1..=3 {
+            submit_payload(&mut writer, ordinal, b"payload");
+        }
+        assert_eq!(writer.drain(), (3, 3), "(failed, submitted)");
+        assert_eq!(writer.drain(), (3, 3), "draining twice is harmless");
+        assert!(!dir.exists());
+        assert!(names_in(&parent).is_empty(), "no temp file anywhere");
+        std::fs::remove_dir_all(&parent).unwrap();
     }
 
     #[test]

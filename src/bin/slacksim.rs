@@ -1133,7 +1133,9 @@ DURABLE STATE:
   --save-state DIR      persist every committed checkpoint to DIR as a
                         versioned, checksummed snapshot file (cp-NNNNNNNN,
                         written atomically, older files pruned); requires
-                        --checkpoint
+                        --checkpoint. Written behind the simulation:
+                        checkpoint N is durable before checkpoint N+1
+                        commits and before the run ends
   --resume FILE         restore a snapshot written by --save-state and
                         continue the run from it; the snapshot's config
                         fingerprint (benchmark/scheme/uncore/cores/seed/

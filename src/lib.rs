@@ -289,6 +289,10 @@ impl Simulation {
     /// Persists every committed checkpoint into `dir` as a durable
     /// `cp-<ordinal>` snapshot file (atomically written; older
     /// checkpoints are pruned so the directory holds the latest one).
+    /// Files are written behind the simulation, on a thread of their own:
+    /// checkpoint *N* is durable before checkpoint *N*+1 commits and
+    /// before [`run`](Simulation::run) returns. A checkpoint that cannot
+    /// be written is a warning on standard error, never a failed run.
     /// Requires checkpointing to be enabled via
     /// [`speculation`](Simulation::speculation).
     pub fn save_state(&mut self, dir: impl Into<PathBuf>) -> &mut Self {
@@ -327,14 +331,15 @@ impl Simulation {
     }
 
     /// Builds the save hook handed to the engine when `--save-state` is
-    /// active: encodes the checkpoint view, writes it atomically to
-    /// `cp-<ordinal>`, and prunes older checkpoints on success.
+    /// active: it encodes the checkpoint view into the next container of
+    /// a write-behind [`persist::CheckpointWriter`] and submits it. The
+    /// writer lives in the hook, so the engine dropping the hook at the
+    /// end of the run is what waits for the last checkpoint.
     fn build_save_hook(&self) -> Option<SaveHook<CmpCore, CmpUncore>> {
         let dir = self.save_state.clone()?;
-        let fingerprint = self.config_fingerprint();
+        let mut writer = persist::CheckpointWriter::new(dir, self.config_fingerprint());
         Some(Box::new(
             move |view: &CheckpointView<'_, CmpCore, CmpUncore>| {
-                let payload = snapshot::encode_snapshot(view);
                 // Version 3 only when the payload actually carries the
                 // shard section; single-manager snapshots keep writing
                 // byte-identical version-2 containers.
@@ -343,21 +348,9 @@ impl Simulation {
                 } else {
                     persist::FORMAT_VERSION_SHARDED
                 };
-                let bytes = persist::encode_container_versioned(version, &fingerprint, &payload);
-                let path = snapshot::checkpoint_path(&dir, view.ordinal);
-                match persist::write_atomic(&path, &bytes) {
-                    Ok(()) => {
-                        snapshot::prune_checkpoints(&dir, view.ordinal);
-                        Some(bytes.len() as u64)
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: failed to persist checkpoint {}: {e}",
-                            path.display()
-                        );
-                        None
-                    }
-                }
+                let mut container = writer.begin(version);
+                snapshot::encode_snapshot(view, &mut container);
+                Some(writer.submit(view.ordinal, container))
             },
         ))
     }

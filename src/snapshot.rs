@@ -5,11 +5,9 @@
 //! values; this module is where those views meet the concrete
 //! [`CmpCore`]/[`CmpUncore`] models and become bytes. The container
 //! format (magic, version, config fingerprint, checksum, atomic writes)
-//! lives in [`slacksim_core::persist`]; this module owns the payload
-//! layout and the checkpoint-directory conventions (`cp-<ordinal>` files,
-//! newest kept, older pruned).
-
-use std::path::{Path, PathBuf};
+//! and the checkpoint-directory conventions (`cp-<ordinal>` files, newest
+//! kept, older pruned) live in [`slacksim_core::persist`]; this module
+//! owns the payload layout.
 
 use slacksim_cmp::core::CmpCore;
 use slacksim_cmp::event::MemEvent;
@@ -44,30 +42,6 @@ pub(crate) fn scheme_token(scheme: &Scheme) -> String {
         ),
         Scheme::LaxP2p { lead, period, seed } => {
             format!("lax-p2p:{lead}:{period}:{seed}")
-        }
-    }
-}
-
-/// File name of checkpoint `ordinal` inside the save directory.
-pub(crate) fn checkpoint_path(dir: &Path, ordinal: u64) -> PathBuf {
-    dir.join(format!("cp-{ordinal:08}"))
-}
-
-/// Removes every `cp-*` file in `dir` other than the one just written.
-/// Failures are ignored: pruning is housekeeping, and a leftover older
-/// checkpoint is still a valid resume point.
-pub(crate) fn prune_checkpoints(dir: &Path, keep: u64) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(ordinal) = name.strip_prefix("cp-").and_then(|s| s.parse::<u64>().ok()) else {
-            continue;
-        };
-        if ordinal != keep {
-            let _ = std::fs::remove_file(entry.path());
         }
     }
 }
@@ -108,24 +82,24 @@ fn load_inbox(r: &mut ByteReader<'_>) -> Result<Inbox<MemEvent>, PersistError> {
     Ok(inbox)
 }
 
-/// Serializes a committed checkpoint into the snapshot payload (the
-/// container around it — magic, version, fingerprint, checksum — is added
-/// by [`slacksim_core::persist::encode_container`]).
-pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Appends a committed checkpoint's snapshot payload to `w` — in practice
+/// the writer of a container already begun by
+/// [`slacksim_core::persist::CheckpointWriter::begin`], so the payload is
+/// laid down once, behind its header.
+pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>, w: &mut ByteWriter) {
     w.u64(view.ordinal);
     w.u64(view.global.as_u64());
     w.u32(view.cores.len() as u32);
     for (core, inbox) in &view.cores {
-        core.save_state(&mut w);
-        save_inbox(&mut w, inbox);
+        core.save_state(w);
+        save_inbox(w, inbox);
     }
-    view.uncore.save_state(&mut w);
+    view.uncore.save_state(w);
     w.u64(view.committed);
-    save_tally(&mut w, view.tally);
-    save_tally(&mut w, view.detected);
+    save_tally(w, view.tally);
+    save_tally(w, view.detected);
     w.u64(view.next_sample);
-    save_tally(&mut w, view.last_sample_tally);
+    save_tally(w, view.last_sample_tally);
     w.u64(view.spec_stats.checkpoints);
     w.u64(view.spec_stats.rollbacks);
     w.u64(view.spec_stats.wasted_cycles);
@@ -133,11 +107,11 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>) -> 
     match view.tracker {
         Some(tr) => {
             w.bool(true);
-            tr.save_state(&mut w);
+            tr.save_state(w);
         }
         None => w.bool(false),
     }
-    view.pacer.save_state(&mut w);
+    view.pacer.save_state(w);
     match view.rng {
         Some(rng) => {
             w.bool(true);
@@ -163,7 +137,6 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>) -> 
             w.u64(f);
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes a snapshot payload into restored engine state. `fresh_cores`

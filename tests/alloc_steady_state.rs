@@ -1,5 +1,6 @@
 //! Proves the threaded manager loop and the batched window loop are
-//! allocation-free at steady state.
+//! allocation-free at steady state, and that persisting checkpoints
+//! recycles its two snapshot buffers instead of allocating per checkpoint.
 //!
 //! Strategy: a counting `#[global_allocator]` wraps the system allocator.
 //! For each engine, two identical runs that differ only in commit target
@@ -30,6 +31,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Allocation calls of at least [`BIG`] bytes, process-wide: the size
+/// class of a snapshot buffer, which no small bookkeeping reaches.
+static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
+const BIG: usize = 64 << 10;
 
 thread_local! {
     /// Allocation calls and live heap bytes (wrapping; only differences
@@ -38,12 +43,17 @@ thread_local! {
     /// allocate on theirs. Plain `Cell`s: no lazy initialisation and no
     /// destructor, so the allocator may touch them at any time.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BIG_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_LIVE_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(calls: u64, grown: usize, shrunk: usize) {
     ALLOCS.fetch_add(calls, Ordering::Relaxed);
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + calls));
+    if grown >= BIG {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_BIG_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
     let delta = (grown as u64).wrapping_sub(shrunk as u64);
     let _ = THREAD_LIVE_BYTES.try_with(|c| c.set(c.get().wrapping_add(delta)));
 }
@@ -317,6 +327,184 @@ fn batched_window_loop_is_allocation_free_at_steady_state() {
             long.saturating_sub(short)
         );
     }
+}
+
+/// Allocations of at least [`BIG`] bytes made by `f`: on this thread, and
+/// on every other thread of the process.
+fn big_allocs_of(f: impl FnOnce()) -> (u64, u64) {
+    let (here, everywhere) = (THREAD_BIG_ALLOCS.get(), BIG_ALLOCS.load(Ordering::Relaxed));
+    f();
+    let here = THREAD_BIG_ALLOCS.get() - here;
+    (here, BIG_ALLOCS.load(Ordering::Relaxed) - everywhere - here)
+}
+
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("slacksim-alloc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The writer's two buffers are recycled: once both have held the run's
+/// largest snapshot, persisting a checkpoint allocates nothing of a
+/// snapshot's size class on either thread, whatever the snapshots after
+/// it measure.
+#[test]
+fn checkpoint_writer_recycles_its_two_buffers() {
+    use slacksim::slacksim_core::persist::{CheckpointWriter, FORMAT_VERSION};
+    let _serial = serial();
+
+    let dir = scratch_dir("writer");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut writer = CheckpointWriter::new(dir.clone(), "fp".to_owned());
+    let mut persist = |ordinal: u64, len: usize| {
+        let mut w = writer.begin(FORMAT_VERSION);
+        for i in 0..len {
+            w.u8(i as u8);
+        }
+        writer.submit(ordinal, w);
+    };
+    let (first_two, _) = big_allocs_of(|| {
+        persist(1, 300_000);
+        persist(2, 300_000);
+    });
+    assert!(first_two >= 2, "two buffers of 300 KB were allocated");
+    let lens = [280_000, 300_000, 260_000, 299_999, 1, 300_000];
+    let after = big_allocs_of(|| {
+        for (i, len) in lens.into_iter().cycle().take(60).enumerate() {
+            persist(3 + i as u64, len);
+        }
+    });
+    assert_eq!(after, (0, 0), "(this thread, the writer thread)");
+    drop(writer);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The paper's speculative configuration, persisting or not, on the
+/// calling thread. Returns the checkpoints it committed.
+fn speculative_water(commit: u64, save_dir: Option<&std::path::Path>) -> u64 {
+    use slacksim::{SpeculationConfig, ViolationKind, ViolationSelect};
+    let mut sim = slacksim::Simulation::new(slacksim::Benchmark::WaterNsquared);
+    sim.cores(8)
+        .scheme(slacksim::scheme::Scheme::BoundedSlack { bound: 16 })
+        .commit_target(commit)
+        .seed(1)
+        .speculation(SpeculationConfig::speculative(
+            1000,
+            ViolationSelect::only(&[ViolationKind::Map]),
+        ));
+    if let Some(dir) = save_dir {
+        sim.save_state(dir);
+    }
+    sim.run().expect("run").kernel.get("checkpoints")
+}
+
+/// A real persisting run: its snapshots pass 64 KiB within a few
+/// checkpoints and keep growing while the caches fill, then wander within
+/// several percent of their maximum. What persisting adds to the
+/// simulation thread's snapshot-sized allocations over the last two
+/// thirds of the run — the same run without `save_state` subtracted, the
+/// models' own tables being that large too — is the occasional regrowth
+/// at a new maximum, far from the several per checkpoint that encoding
+/// into fresh `Vec`s costs; and the writer thread allocates nothing of
+/// that size at all.
+#[test]
+fn persisting_run_allocates_no_snapshot_buffers_at_steady_state() {
+    let _serial = serial();
+    let dir = scratch_dir("run");
+
+    // What `save_state` adds to the big allocations of a run this long:
+    // (on the simulation thread, on every other thread, checkpoints).
+    let added_by_persisting = |commit: u64| {
+        let (plain, _) = big_allocs_of(|| {
+            speculative_water(commit, None);
+        });
+        let mut checkpoints = 0;
+        let (here, elsewhere) =
+            big_allocs_of(|| checkpoints = speculative_water(commit, Some(&dir)));
+        (here - plain, elsewhere, checkpoints)
+    };
+    let (short, short_elsewhere, short_cps) = added_by_persisting(1_500_000);
+    let (long, long_elsewhere, long_cps) = added_by_persisting(4_500_000);
+    assert!(short > 0, "the buffers themselves are big allocations");
+    assert_eq!(
+        (short_elsewhere, long_elsewhere),
+        (0, 0),
+        "the writer thread only ever borrows the simulation thread's buffers"
+    );
+    let (extra, cps) = (long.saturating_sub(short), long_cps - short_cps);
+    assert!(cps > 150, "{cps} checkpoints between the two run lengths");
+    assert!(
+        extra * 4 <= cps,
+        "{extra} snapshot-sized allocations over {cps} steady-state checkpoints"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// True while a thread named like the checkpoint writer's exists.
+#[cfg(target_os = "linux")]
+fn checkpoint_writer_thread_is_alive() -> bool {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list this process's threads")
+        .flatten()
+        .any(|task| {
+            std::fs::read_to_string(task.path().join("comm")).is_ok_and(|c| c.trim() == "cp-writer")
+        })
+}
+
+/// The writer thread is spawned by the first persisted checkpoint, not by
+/// `save_state`: a run that ends before it commits one — the
+/// `commit_target(1)` run that set-up time is measured on — never has a
+/// thread of that name, however often a watcher looks; a run that
+/// persists has one for the watcher to find.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_run_that_persists_no_checkpoint_spawns_no_writer_thread() {
+    use slacksim::SpeculationConfig;
+    use std::sync::atomic::AtomicBool;
+    let _serial = serial();
+    let dir = scratch_dir("spawn");
+
+    // Runs `body` over and over until a concurrent watcher has looked for
+    // the writer thread `looks` times while it ran (or has found it).
+    let watched = |looks: u64, body: &dyn Fn()| -> bool {
+        let (seen, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+        let polls = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    if checkpoint_writer_thread_is_alive() {
+                        seen.store(true, Ordering::Release);
+                    }
+                    polls.fetch_add(1, Ordering::Release);
+                }
+            });
+            while polls.load(Ordering::Acquire) < looks && !seen.load(Ordering::Acquire) {
+                body();
+            }
+            stop.store(true, Ordering::Release);
+        });
+        seen.into_inner()
+    };
+    let run = |commit: u64| {
+        slacksim::Simulation::new(slacksim::Benchmark::Fft)
+            .cores(2)
+            .commit_target(commit)
+            .speculation(SpeculationConfig::checkpoint_only(700))
+            .save_state(&dir)
+            .run()
+            .expect("run")
+            .kernel
+            .get("checkpoints")
+    };
+    assert!(
+        !watched(2_000, &|| assert_eq!(run(1), 0)),
+        "a run without a checkpoint had a writer thread"
+    );
+    assert!(
+        watched(1_000_000, &|| assert!(run(100_000) > 10)),
+        "the watcher can see a writer thread when there is one"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Drives bus transactions and directory accesses `range` at `num / den`

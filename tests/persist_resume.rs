@@ -49,12 +49,18 @@ fn outcome_lines(out: &Output) -> Vec<String> {
         .collect()
 }
 
-/// Newest `cp-*` snapshot in `dir`, if any.
+/// Newest durable `cp-*` snapshot in `dir`, if any. A `cp-*.tmp` is the
+/// unrenamed half of an atomic write: it may be empty or torn, it sorts
+/// after its renamed sibling, and it is not a snapshot.
 fn newest_checkpoint(dir: &Path) -> Option<PathBuf> {
     std::fs::read_dir(dir)
         .ok()?
         .flatten()
-        .filter(|e| e.file_name().to_string_lossy().starts_with("cp-"))
+        .filter(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("cp-") && !name.ends_with(".tmp")
+        })
         .max_by_key(std::fs::DirEntry::file_name)
         .map(|e| e.path())
 }
@@ -372,6 +378,158 @@ fn resume_from_truncated_or_corrupted_snapshot_is_refused_cleanly() {
         ]);
         assert_resume_refused(&out, expect);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `cp-*` names in `dir`, sorted.
+fn checkpoint_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("cp-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A directory that an earlier, SIGKILLed run left in a state: an old
+/// checkpoint, the temp half of the atomic write the kill interrupted,
+/// and a file that is none of the simulator's business. The first save of
+/// the next run sweeps the first two; nothing ever touches the third.
+#[test]
+fn first_save_clears_a_predecessors_checkpoints_and_temp_debris() {
+    let dir = scratch_dir("debris");
+    std::fs::write(dir.join("cp-00000003"), b"stale").unwrap();
+    std::fs::write(dir.join("cp-00000007.tmp"), b"torn").unwrap();
+    std::fs::write(dir.join("notes.txt"), b"keep me").unwrap();
+    let out = slacksim(&[
+        "--scheme",
+        "cc",
+        "--cores",
+        "2",
+        "--commit",
+        "5000",
+        "--checkpoint",
+        "500",
+        "--save-state",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "persisting run exits 0");
+    assert_eq!(checkpoint_names(&dir), ["cp-00000012"]);
+    assert_eq!(std::fs::read(dir.join("notes.txt")).unwrap(), b"keep me");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write-behind changed when a checkpoint reaches the disk, not what
+/// reaches it: the last file of this run is, byte for byte, the one the
+/// synchronous writer before it produced for the same flags (its FNV-1a
+/// over the whole file is pinned here, from that commit's binary).
+#[test]
+fn checkpoint_files_are_byte_identical_to_the_synchronous_writers() {
+    use slacksim::slacksim_core::persist::fnv1a;
+
+    let (dir, snap) = persisted_snapshot("pinned");
+    assert_eq!(snap.file_name().unwrap(), "cp-00000012");
+    let bytes = std::fs::read(&snap).expect("read snapshot");
+    assert_eq!(bytes.len(), 21_359);
+    assert_eq!(fnv1a(&bytes), 0xcae8_3d0c_a4de_a564);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `run()` returns only once the last checkpoint is renamed into place:
+/// under every engine the directory then holds exactly one `cp-*`, it is
+/// the checkpoint the report counted last, and no `.tmp` is in sight.
+#[test]
+fn run_returns_with_its_last_checkpoint_durable_under_every_engine() {
+    use slacksim::scheme::Scheme;
+    use slacksim::slacksim_core::persist::decode_container;
+    use slacksim::{Benchmark, EngineKind, Simulation, SpeculationConfig};
+
+    for (engine, scheme) in [
+        (EngineKind::Sequential, Scheme::CycleByCycle),
+        (EngineKind::Threaded, Scheme::CycleByCycle),
+        (EngineKind::Batched, Scheme::Quantum { quantum: 50 }),
+    ] {
+        let dir = scratch_dir(&format!("drain-{engine:?}"));
+        let report = Simulation::new(Benchmark::Fft)
+            .cores(2)
+            .scheme(scheme)
+            .engine(engine)
+            .commit_target(40_000)
+            .speculation(SpeculationConfig::checkpoint_only(300))
+            .save_state(&dir)
+            .run()
+            .expect("run");
+        let checkpoints = report.kernel.get("checkpoints");
+        assert!(checkpoints > 10, "{engine:?}: {checkpoints} checkpoints");
+        // Read the directory at once: nothing may still be settling.
+        assert_eq!(
+            checkpoint_names(&dir),
+            [format!("cp-{checkpoints:08}")],
+            "{engine:?}"
+        );
+        let bytes = std::fs::read(dir.join(format!("cp-{checkpoints:08}"))).unwrap();
+        decode_container(&bytes).unwrap_or_else(|e| panic!("{engine:?}: {e}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// What a crash at any instant would leave behind, sampled: a reader
+/// polling the directory throughout a run and decoding the newest
+/// `cp-<ordinal>` always finds a valid container, and never an older
+/// ordinal than it has seen before.
+#[test]
+fn a_concurrent_reader_only_ever_sees_valid_checkpoints_in_order() {
+    use slacksim::slacksim_core::persist::decode_container;
+    use slacksim::{Benchmark, Simulation, SpeculationConfig};
+    use std::sync::atomic::AtomicBool;
+
+    /// Ordinal of the newest durable checkpoint, decoded; `None` when
+    /// there is none yet or it was pruned between listing and reading.
+    fn newest_valid_ordinal(dir: &Path) -> Option<u64> {
+        let ordinal: u64 = std::fs::read_dir(dir)
+            .ok()?
+            .flatten()
+            .filter_map(|e| e.file_name().to_str()?.strip_prefix("cp-")?.parse().ok())
+            .max()?;
+        let bytes = std::fs::read(dir.join(format!("cp-{ordinal:08}"))).ok()?;
+        let (_, payload) = decode_container(&bytes)
+            .unwrap_or_else(|e| panic!("cp-{ordinal:08} is not a valid container: {e}"));
+        // The payload opens with the ordinal it was taken at.
+        assert_eq!(payload[..8], ordinal.to_le_bytes());
+        Some(ordinal)
+    }
+
+    let dir = scratch_dir("reader");
+    let done = AtomicBool::new(false);
+    let (report, seen) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let (mut last, mut seen) = (0, 0u64);
+            while !done.load(Ordering::Acquire) {
+                if let Some(ordinal) = newest_valid_ordinal(&dir) {
+                    assert!(ordinal >= last, "cp-{ordinal:08} after cp-{last:08}");
+                    seen += u64::from(ordinal > last);
+                    last = ordinal;
+                }
+            }
+            seen
+        });
+        let report = Simulation::new(Benchmark::Fft)
+            .cores(2)
+            .commit_target(200_000)
+            .speculation(SpeculationConfig::checkpoint_only(700))
+            .save_state(&dir)
+            .run();
+        done.store(true, Ordering::Release);
+        (report, reader.join().expect("reader thread"))
+    });
+    let checkpoints = report.expect("run").kernel.get("checkpoints");
+    assert_eq!(newest_valid_ordinal(&dir), Some(checkpoints));
+    assert!(
+        seen > 1,
+        "the reader caught the run at {seen} distinct checkpoints"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

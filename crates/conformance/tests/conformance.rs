@@ -226,6 +226,132 @@ fn batched_is_exact_at_every_host_thread_count() {
     }
 }
 
+/// The threaded engine's lane count decides which host thread steps a
+/// core, never what the core computes: clocks, windows and queues are per
+/// core, and with a barrier after every cycle the order a lane steps its
+/// cores in cannot show. On 1, 2, 3 and `cores` lanes, {4, 16} cores x
+/// {bus, directory} x {FFT, WATER} x {cycle-by-cycle, cycle-by-cycle with
+/// checkpoints} all agree with the sequential engine on fingerprint and
+/// deterministic kernel counters (3 lanes asked for is 2 spawned at 4
+/// cores, 3 uneven ones at 16: 6 + 6 + 4).
+#[test]
+fn threaded_cc_is_exact_at_every_lane_count() {
+    use slacksim::Simulation;
+
+    let scheme = Scheme::CycleByCycle;
+    let modes = [
+        ("cycle-by-cycle", None),
+        // Often enough that 16 cores reach a few before the debug target.
+        (
+            "checkpoint-only",
+            Some(SpeculationConfig::checkpoint_only(100)),
+        ),
+    ];
+    for cores in [4, 16] {
+        for uncore in [UncoreKind::Bus, UncoreKind::Directory] {
+            for bench in BENCHES {
+                for (mode, speculation) in &modes {
+                    let run = |engine, lanes| {
+                        let mut sim = Simulation::new(bench);
+                        sim.uncore(uncore)
+                            .cores(cores)
+                            .scheme(scheme.clone())
+                            .engine(engine)
+                            .host_threads(lanes)
+                            .commit_target(target())
+                            .seed(1);
+                        if let Some(spec) = speculation {
+                            sim.speculation(*spec);
+                        }
+                        sim.run().unwrap_or_else(|e| {
+                            panic!("{engine:?}/{bench}/{uncore}/{cores}c/{mode}: {e}")
+                        })
+                    };
+                    let reference = run(EngineKind::Sequential, 0);
+                    if speculation.is_some() {
+                        let taken = reference.kernel.get("checkpoints");
+                        assert!(taken > 0, "{mode}: no checkpoints");
+                    }
+                    for lanes in [1, 2, 3, cores] {
+                        assert_exact(
+                            &reference,
+                            &run(EngineKind::Threaded, lanes),
+                            &format!("{bench}/{uncore}/{cores}c/{mode}: threaded on {lanes} lanes"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Multi-core lanes under adversarial schedules: 4 cores folded onto 2
+/// lanes are 2 core tasks to the virtual scheduler, so every policy runs
+/// against them unchanged. Cycle-by-cycle must keep the sequential
+/// fingerprint; bounded slack — plain, and speculative so that `Snapshot`
+/// and `Rewind` carry two cores a lane — must finish, uphold the
+/// invariants and lose no wake-up (one unpark per lane per publish, none
+/// when no window moved, is all the lanes get).
+#[test]
+fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
+    use slacksim::Simulation;
+    use slacksim_conformance::VirtualSched;
+
+    let policies = [
+        SchedPolicy::RandomWalk,
+        SchedPolicy::ParkRace,
+        SchedPolicy::Starve { victim: 1 },
+        SchedPolicy::DrainPreempt,
+    ];
+    let run = |policy, sched_seed, scheme: &Scheme, speculation: Option<SpeculationConfig>| {
+        let sched = VirtualSched::new(2, policy, sched_seed, Mutation::None);
+        let mut sim = Simulation::new(Benchmark::Fft);
+        sim.cores(4)
+            .host_threads(2)
+            .scheme(scheme.clone())
+            .engine(EngineKind::Threaded)
+            .commit_target(target())
+            .seed(1)
+            .host_sched(slacksim::SchedRef::new(sched.clone()));
+        if let Some(spec) = speculation {
+            sim.speculation(spec);
+        }
+        let label = format!(
+            "{policy:?}/sched seed {sched_seed}/{}/{}",
+            scheme.name(),
+            if speculation.is_some() {
+                "speculative"
+            } else {
+                "plain"
+            }
+        );
+        let report = sim.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let diag = sched.diagnostics();
+        assert_eq!(diag.lost_wakeups, 0, "{label}");
+        assert!(!diag.timeout_fallback, "{label}");
+        assert!(diag.decisions > 0 && diag.switches > 0, "{label}");
+        (report, label)
+    };
+    let cc = Scheme::CycleByCycle;
+    let reference = run_engine(Benchmark::Fft, 4, &cc, target(), 1, EngineKind::Sequential);
+    let b8 = Scheme::BoundedSlack { bound: 8 };
+    let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
+    for policy in policies {
+        for sched_seed in 0..smoke_seeds() {
+            let (r, label) = run(policy, sched_seed, &cc, None);
+            assert_exact(&reference, &r, &label);
+            for speculation in [None, Some(rollback)] {
+                let (r, label) = run(policy, sched_seed, &b8, speculation);
+                assert!(r.committed >= target(), "{label}");
+                check_invariants(&r, &b8).unwrap_or_else(|e| panic!("{label}: {e}"));
+                if speculation.is_some() {
+                    assert!(r.kernel.get("checkpoints") > 0, "{label}: no checkpoints");
+                }
+            }
+        }
+    }
+}
+
 /// Under cycle-by-cycle the outcome must be *schedule*-independent: any
 /// policy, any schedule seed, same fingerprint.
 #[test]

@@ -41,7 +41,7 @@ use std::thread::{Scope, ScopedJoinHandle};
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{Finish, Kernel};
 use crate::engine::merge::{arm, head_ts, sweep, NO_HEAD};
-use crate::engine::wait::{host_cpus, host_oversubscribed, Backoff};
+use crate::engine::wait::{host_oversubscribed, lane_width, Backoff};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
 };
@@ -174,11 +174,7 @@ where
 
         // Static partition: contiguous lanes of `chunk` cores, one per
         // host thread, each with its cores' inboxes and staging buffers.
-        let want = match cfg.host_threads {
-            0 => host_cpus(),
-            h => h,
-        };
-        let chunk = n.div_ceil(want.min(n));
+        let chunk = lane_width(cfg.host_threads, n);
         let lanes: Vec<Lane<'_, C>> = cores
             .chunks_mut(chunk)
             .zip(inboxes.chunks_mut(chunk))

@@ -19,8 +19,9 @@
 //!   on the calling thread, emulating host-scheduling nondeterminism with a
 //!   seeded burst scheduler — fully reproducible, used for the accuracy
 //!   experiments (Figures 3) and for deterministic tests;
-//! * [`ThreadedEngine`] spawns one host
-//!   thread per target core plus the manager logic, exactly as SlackSim
+//! * [`ThreadedEngine`] steps the target cores on one host thread per
+//!   host CPU ([`EngineConfig::host_threads`]; one per target core where
+//!   the host has that many) plus the manager logic, the way SlackSim
 //!   maps simulations onto a host CMP — used for the wall-clock experiments
 //!   (Figure 4, Tables 2–5);
 //! * [`BatchedEngine`] compiles the quantum scheme into an execution
@@ -338,12 +339,19 @@ pub struct EngineConfig {
     /// all events. Clamped to the core count at run start; ignored by the
     /// sequential and batched engines.
     pub shards: usize,
-    /// Host threads the batched engine steps a window's cores on. `0`
-    /// (the default) takes the host's available parallelism — what an
-    /// affinity mask restricts — and any value is capped at the core
-    /// count; `1` is the single-threaded loop with no thread, lock or
-    /// atomic on it. A host knob only: results are bit-identical for
-    /// every value. Ignored by the sequential and threaded engines.
+    /// Host threads the target cores are folded onto, a contiguous lane of
+    /// cores each: the threaded engine's lane threads (its manager is one
+    /// more), the batched engine's window workers. `0` (the default) takes
+    /// the host's available parallelism — what an affinity mask restricts
+    /// — and any value is capped at the core count, so a host with a CPU
+    /// per target core runs the paper's one thread per core. On the
+    /// batched engine `1` is the single-threaded loop with no thread, lock
+    /// or atomic on it. A host knob only: under the barrier schemes
+    /// results are bit-identical for every value (under slack the lanes
+    /// are the host nondeterminism the threaded engine inherits). Under a
+    /// virtual scheduler the threaded engine reads `0` as the core count,
+    /// so explored schedules never depend on the host. Ignored by the
+    /// sequential engine.
     pub host_threads: usize,
 }
 

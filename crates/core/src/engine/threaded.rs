@@ -1,21 +1,30 @@
-//! The threaded engine: one host thread per target core plus the
-//! simulation-manager logic, exactly as SlackSim maps a CMP simulation
-//! onto a host CMP (paper §2).
+//! The threaded engine: target cores on *lane* threads plus the
+//! simulation-manager logic, the way SlackSim maps a CMP simulation onto a
+//! host CMP (paper §2).
 //!
-//! Each core thread owns its [`CoreModel`] and advances it while its local
-//! time is below the max local time published by the manager. Events flow
-//! through shared queues (OutQ/InQ); the manager consolidates OutQ
-//! entries into the global queue and services them — greedily under slack
-//! schemes, in sorted batches at window boundaries under barrier schemes
-//! (cycle-by-cycle, quantum, and post-rollback replay).
+//! A lane is one host thread stepping a contiguous slice of target cores.
+//! There are as many lanes as the host has CPUs
+//! ([`EngineConfig::host_threads`], capped at the core count), so with a
+//! CPU per target core every lane holds one core — the paper's one thread
+//! per core — and on a smaller host the cores fold onto the CPUs there are
+//! instead of oversubscribing them (DESIGN.md §10, "Core lanes"). A lane
+//! owns its cores' [`CoreModel`]s and advances each while its local time
+//! is below the max local time published by the manager, round-robin one
+//! cycle at a time. Events flow through per-core shared queues
+//! (OutQ/InQ); the manager consolidates OutQ entries into the global queue
+//! and services them — greedily under slack schemes, in sorted batches at
+//! window boundaries under barrier schemes (cycle-by-cycle, quantum, and
+//! post-rollback replay). Clocks, windows and queues stay per core, so
+//! the lane count is a host knob only: nothing the manager computes can
+//! tell how the cores were folded.
 //!
-//! Checkpoints and rollbacks use a stop-sync protocol over per-core command
+//! Checkpoints and rollbacks use a stop-sync protocol over per-lane command
 //! channels: *stop → run-to common local time → drain → snapshot/restore →
 //! resume*, the in-memory equivalent of the paper's `fork()`-based global
 //! checkpoints.
 //!
 //! Everything here is built on `std` alone: `std::sync::mpsc` channels for
-//! commands/acks (each core's receiver is moved into its thread), the
+//! commands/acks (each lane's receiver is moved into its thread), the
 //! lock-free [`SpscRing`] for the OutQ/InQ event paths, and the
 //! mutex-backed [`SnapshotSlot`] for checkpoint hand-off.
 //!
@@ -24,15 +33,16 @@
 //! * OutQ/InQ are bounded lock-free SPSC rings with an overflow spill;
 //!   each direction has exactly one producer and one consumer, and the
 //!   stop-sync protocol's channel acks order every role handoff (e.g. the
-//!   manager clearing a core's InQ during rollback while the core is
-//!   parked in its command loop).
+//!   manager clearing a core's InQ during rollback while the core's lane
+//!   is parked in its command loop).
 //! * The manager drains each OutQ in one batch per visit and batch-inserts
 //!   into the global queue; its loop reuses persistent scratch buffers and
 //!   interned metric keys, so the steady state performs no heap
 //!   allocation.
 //! * Waiting is an adaptive ladder — spin, then `yield_now`, then
-//!   park/unpark with a timeout backstop — for both core threads capped by
-//!   the window and the manager when no core made progress.
+//!   park/unpark with a timeout backstop — for both lane threads whose
+//!   cores are all capped by the window and the manager when no core made
+//!   progress.
 //! * With `shards > 1` (see DESIGN.md §18) the manager becomes a two-level
 //!   tree: shard-manager threads each consolidate a contiguous run of
 //!   cores' OutQs into a per-shard forwarding ring and publish a
@@ -45,6 +55,7 @@
 //!   builds none of this and is byte-identical to the single-manager
 //!   engine.
 
+use std::ops::Range;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
@@ -53,7 +64,7 @@ use std::time::Duration;
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
 use crate::engine::wait::{
-    host_oversubscribed, Backoff, MGR_PARK_TIMEOUT, MGR_SPIN_ITERS, MGR_YIELD_ITERS,
+    host_oversubscribed, lane_width, Backoff, MGR_PARK_TIMEOUT, MGR_SPIN_ITERS, MGR_YIELD_ITERS,
     MGR_YIELD_ITERS_OVERSUB, VIRT_YIELD_ITERS,
 };
 use crate::engine::{
@@ -68,40 +79,38 @@ use crate::stats::SimReport;
 use crate::sync::{SnapshotSlot, SpscRing};
 use crate::time::Cycle;
 
-/// Spin iterations before a capped core starts yielding (plenty-of-CPUs
+/// Spin iterations before a capped lane starts yielding (plenty-of-CPUs
 /// hosts only; oversubscribed hosts skip the spin tier).
 const CORE_SPIN_ITERS: u32 = 64;
-/// Yield iterations before a capped core parks.
+/// Yield iterations before a capped lane parks.
 const CORE_YIELD_ITERS: u32 = 64;
-/// Park-timeout backstop for core threads: the manager unparks them on
+/// Park-timeout backstop for lane threads: the manager unparks them on
 /// every window publish, the timeout only covers lost-wakeup races.
 const CORE_PARK_TIMEOUT: Duration = Duration::from_micros(100);
-/// Yield iterations before a capped core parks on an oversubscribed host.
+/// Yield iterations before a capped lane parks on an oversubscribed host.
 const CORE_YIELD_ITERS_OVERSUB: u32 = 256;
 
-/// Commands the manager sends to a core thread.
+/// Commands the manager sends to a lane thread. Those that carry state
+/// carry it for every core of the lane, in core order.
 enum Command<C: CoreModel> {
-    /// Pause at the current local time and acknowledge it.
+    /// Pause at the current local times and acknowledge.
     Stop,
-    /// Run (ignoring the published max local time) until the local clock
-    /// reaches the given cycle, then acknowledge.
+    /// Run every core (ignoring the published max local times) until its
+    /// local clock reaches the given cycle, then acknowledge.
     RunTo(u64),
-    /// Capture the core's delta against generation `since` (its
-    /// generation at the previous checkpoint) into the snapshot slot.
-    Snapshot { since: u64 },
-    /// Rewind the model onto the given checkpoint base via
-    /// [`Checkpointable::restore_from`] — `since` being the core's
-    /// generation when the base was current — and hand the untouched base
-    /// back through the snapshot slot.
-    Rewind {
-        base: Box<CoreSnapshot<C>>,
-        since: u64,
-    },
+    /// Capture each core's delta against its generation at the previous
+    /// checkpoint (the carried values) into its snapshot slot.
+    Snapshot(Vec<u64>),
+    /// Rewind each model onto its checkpoint base via
+    /// [`Checkpointable::restore_from`] — the paired value being the
+    /// core's generation when the base was current — and hand the
+    /// untouched base back through the core's snapshot slot.
+    Rewind(Vec<(Box<CoreSnapshot<C>>, u64)>),
     /// Leave the control sub-loop and return to normal execution.
     Resume,
 }
 
-/// What a core thread deposits in its snapshot slot.
+/// What a lane deposits in a core's snapshot slot.
 enum CoreCapture<C: CoreModel + Checkpointable> {
     /// Delta against the previous checkpoint, the pending inbox and the
     /// model's generation at capture.
@@ -111,65 +120,167 @@ enum CoreCapture<C: CoreModel + Checkpointable> {
     Base(Box<CoreSnapshot<C>>),
 }
 
-/// State shared between the manager and one core thread.
+/// State shared between the manager and the lane stepping one core. It
+/// is all per core — clocks, window and queues do not know about lanes —
+/// so every manager computation is independent of the lane count.
 struct CoreShared<C: CoreModel + Checkpointable> {
     local: AtomicU64,
     max_local: AtomicU64,
-    /// Core produces, manager consumes.
+    /// Lane produces, manager consumes.
     outq: SpscRing<Timestamped<C::Event>>,
-    /// Manager produces, core consumes.
+    /// Manager produces, lane consumes.
     inq: SpscRing<Timestamped<C::Event>>,
     snapshot: SnapshotSlot<CoreCapture<C>>,
-    /// True while the core thread is (about to be) parked on the window.
+}
+
+/// The park-and-command plumbing between the manager and one helper
+/// thread (a lane or a shard manager).
+struct HostThread {
+    /// True while the thread is (about to be) parked.
     parked: AtomicBool,
-    /// Raised by the manager before every command send; the core's
+    /// Raised by the manager before every command send; the thread's
     /// pre-park re-check reads it so a command can never be lost to the
     /// park race (the parked flag alone is not enough: an earlier wake
-    /// may have already claimed it, and the window/done re-check says
-    /// nothing about the command channel). Cleared by the core at the
+    /// may have already claimed it, and the thread's own re-check says
+    /// nothing about the command channel). Cleared by the thread at the
     /// top of its loop, before it polls the channel.
     cmd_pending: AtomicBool,
-    /// The core thread's scheduler task, registered once at thread
-    /// startup so the manager can unpark it.
+    /// The thread's scheduler task, registered once at thread startup so
+    /// the manager can unpark it.
     task: OnceLock<TaskId>,
-    /// Number of times the core thread reached the park tier.
+    /// Number of times the thread reached the park tier.
     parks: AtomicU64,
 }
 
-/// Unparks the core thread behind `s` if it is parked (or about to park).
-///
-/// The SeqCst fence pairs with the core's store-fence-recheck sequence
-/// before it parks: the caller's preceding state change (window store,
-/// done flag, `cmd_pending`) and the core's parked flag cannot both be
-/// missed, so a wake-up is never lost — provided the state change is one
-/// the re-check actually reads. Command sends must therefore go through
-/// [`send_cmd`], which raises `cmd_pending` first; the send alone is
-/// invisible to the re-check, and the parked flag may already have been
-/// claimed by an earlier wake, in which case this function does nothing.
-fn wake_core<C: CoreModel + Checkpointable>(s: &CoreShared<C>, sched: &dyn HostSched) {
-    fence(Ordering::SeqCst);
-    if s.parked.load(Ordering::Relaxed) && s.parked.swap(false, Ordering::SeqCst) {
-        if let Some(&t) = s.task.get() {
-            sched.unpark(t);
+impl HostThread {
+    fn new() -> Self {
+        HostThread {
+            parked: AtomicBool::new(false),
+            cmd_pending: AtomicBool::new(false),
+            task: OnceLock::new(),
+            parks: AtomicU64::new(0),
         }
+    }
+
+    /// Unparks the thread if it is parked (or about to park).
+    ///
+    /// The SeqCst fence pairs with the store-fence-recheck sequence of
+    /// [`park`](Self::park): the caller's preceding state change (window
+    /// store, done flag, `cmd_pending`) and the thread's parked flag
+    /// cannot both be missed, so a wake-up is never lost — provided the
+    /// state change is one the re-check actually reads. Command sends
+    /// must therefore go through [`send`](Self::send), which raises
+    /// `cmd_pending` first; the send alone is invisible to the re-check,
+    /// and the parked flag may already have been claimed by an earlier
+    /// wake, in which case this function does nothing.
+    fn wake(&self, sched: &dyn HostSched) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) && self.parked.swap(false, Ordering::SeqCst) {
+            if let Some(&t) = self.task.get() {
+                sched.unpark(t);
+            }
+        }
+    }
+
+    /// Sends a command with a park-safe wake-up: `cmd_pending` is raised
+    /// before the send so the thread either sees it in its pre-park
+    /// re-check or is already awake and polls the channel on its next
+    /// loop iteration. Without the flag a command could strand a thread
+    /// in its park until the timeout backstop — a stall the
+    /// virtual-scheduler conformance runs (which park without timeouts)
+    /// diagnose as a livelock.
+    fn send<T>(&self, tx: &Sender<T>, cmd: T, sched: &dyn HostSched) {
+        self.cmd_pending.store(true, Ordering::SeqCst);
+        tx.send(cmd).expect("helper thread alive");
+        self.wake(sched);
+    }
+
+    /// The park tier of the thread's own wait ladder: parks unless
+    /// `work()` finds something to do or a command is pending.
+    ///
+    /// Dekker-style publication: set the parked flag, fence, then
+    /// re-check the sleep condition. Pairs with the manager's
+    /// store-fence-check in [`wake`](Self::wake): either the manager sees
+    /// the flag and unparks (token pending), or this re-check sees the
+    /// manager's change — a wake-up can never be lost, the timeout is a
+    /// pure backstop. The scheduling point between the flag store and
+    /// the re-check is exactly the race window adversarial schedules aim
+    /// at.
+    fn park(
+        &self,
+        sched: &dyn HostSched,
+        site: SchedSite,
+        timeout: Duration,
+        work: impl FnOnce() -> bool,
+    ) {
+        self.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        sched.point(SchedSite::PreParkCheck);
+        if !work() && !self.cmd_pending.load(Ordering::Relaxed) {
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            sched.park_timeout(site, timeout);
+        }
+        self.parked.store(false, Ordering::Relaxed);
     }
 }
 
-/// Sends a command to a core with a park-safe wake-up: `cmd_pending` is
-/// raised before the send so the core either sees it in its pre-park
-/// re-check or is already awake and polls the channel on its next loop
-/// iteration. Without the flag a command could strand a core in its park
-/// until the timeout backstop — a stall the virtual-scheduler conformance
-/// runs (which park without timeouts) diagnose as a livelock.
-fn send_cmd<C: CoreModel + Checkpointable>(
-    s: &CoreShared<C>,
-    tx: &Sender<Command<C>>,
-    cmd: Command<C>,
-    sched: &dyn HostSched,
-) {
-    s.cmd_pending.store(true, Ordering::SeqCst);
-    tx.send(cmd).expect("core alive");
-    wake_core(s, sched);
+/// The manager's handle on the lane threads: lane `j` steps cores
+/// `j * width .. (j + 1) * width`, the last lane what is left of `cores`.
+struct LaneSet<C: CoreModel> {
+    hosts: Vec<Arc<HostThread>>,
+    cmd_txs: Vec<Sender<Command<C>>>,
+    ack_rxs: Vec<Receiver<()>>,
+    width: usize,
+    cores: usize,
+}
+
+impl<C: CoreModel + Checkpointable> LaneSet<C> {
+    /// Sends every lane the command `cmd` builds for its core range
+    /// (waking parked lanes).
+    fn send_all(&self, sched: &dyn HostSched, mut cmd: impl FnMut(Range<usize>) -> Command<C>) {
+        for (lane, (host, tx)) in self.hosts.iter().zip(&self.cmd_txs).enumerate() {
+            let first = lane * self.width;
+            let end = (first + self.width).min(self.cores);
+            host.send(tx, cmd(first..end), sched);
+        }
+    }
+
+    /// Sends `Stop` to every lane and waits for all acknowledgements.
+    fn stop_all(&self, sched: &dyn HostSched) {
+        self.send_all(sched, |_| Command::Stop);
+        await_acks(&self.ack_rxs, sched);
+    }
+
+    /// Sends `Resume` to every (paused) lane.
+    fn resume_all(&self, sched: &dyn HostSched) {
+        self.send_all(sched, |_| Command::Resume);
+    }
+
+    /// Sets core `i`'s max local time to `window(i)` for every core and
+    /// unparks each lane that had a window change — once, after its
+    /// stores, and not at all when the manager re-publishes the windows a
+    /// lane already has (most iterations while global time stands still).
+    fn publish(
+        &self,
+        shared: &[Arc<CoreShared<C>>],
+        sched: &dyn HostSched,
+        window: impl Fn(usize) -> Cycle,
+    ) {
+        for (lane, (host, cores)) in self.hosts.iter().zip(shared.chunks(self.width)).enumerate() {
+            let mut changed = false;
+            for (j, s) in cores.iter().enumerate() {
+                let w = window(lane * self.width + j).as_u64();
+                // The manager is the only writer of `max_local`.
+                if s.max_local.load(Ordering::Relaxed) != w {
+                    s.max_local.store(w, Ordering::Release);
+                    changed = true;
+                }
+            }
+            if changed {
+                host.wake(sched);
+            }
+        }
+    }
 }
 
 /// Commands the root manager sends to a shard-manager thread
@@ -178,7 +289,7 @@ enum ShardCmd {
     /// Forward everything visible, acknowledge, and hold: until `Resume`
     /// arrives the root owns the shard's rings (the forwarding ring and
     /// its cores' OutQs) — the channel ack is the role handoff, exactly
-    /// like the core stop-sync protocol.
+    /// like the lane stop-sync protocol.
     Pause,
     /// Leave the control sub-loop and return to forwarding.
     Resume,
@@ -206,38 +317,7 @@ struct ShardShared<C: CoreModel> {
     /// Cumulative events forwarded (host-side telemetry; carried across
     /// checkpoint/resume via `CheckpointView::shard_forwarded`).
     forwarded: AtomicU64,
-    /// True while the shard thread is (about to be) parked.
-    parked: AtomicBool,
-    /// Same lost-wakeup guard as [`CoreShared::cmd_pending`].
-    cmd_pending: AtomicBool,
-    /// The shard thread's scheduler task.
-    task: OnceLock<TaskId>,
-    /// Number of times the shard thread reached the park tier.
-    parks: AtomicU64,
-}
-
-/// Unparks the shard thread behind `sh` if it is parked (or about to
-/// park). Same fence pairing as [`wake_core`].
-fn wake_shard<C: CoreModel>(sh: &ShardShared<C>, sched: &dyn HostSched) {
-    fence(Ordering::SeqCst);
-    if sh.parked.load(Ordering::Relaxed) && sh.parked.swap(false, Ordering::SeqCst) {
-        if let Some(&t) = sh.task.get() {
-            sched.unpark(t);
-        }
-    }
-}
-
-/// Sends a command to a shard with the same park-safe wake-up protocol as
-/// [`send_cmd`].
-fn send_shard_cmd<C: CoreModel>(
-    sh: &ShardShared<C>,
-    tx: &Sender<ShardCmd>,
-    cmd: ShardCmd,
-    sched: &dyn HostSched,
-) {
-    sh.cmd_pending.store(true, Ordering::SeqCst);
-    tx.send(cmd).expect("shard alive");
-    wake_shard(sh, sched);
+    host: HostThread,
 }
 
 /// The root manager's handle on the shard tier. Empty when `shards == 1`:
@@ -348,22 +428,9 @@ impl<C: CoreModel + Checkpointable> ShardSet<C> {
             return;
         }
         for (sh, tx) in self.shards.iter().zip(&self.cmd_txs) {
-            send_shard_cmd(sh, tx, ShardCmd::Pause, sched);
+            sh.host.send(tx, ShardCmd::Pause, sched);
         }
-        let virt = sched.virtualized();
-        for rx in &self.ack_rxs {
-            if !virt {
-                rx.recv().expect("shard alive");
-            } else {
-                loop {
-                    match rx.try_recv() {
-                        Ok(()) => break,
-                        Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitAck),
-                        Err(TryRecvError::Disconnected) => panic!("shard alive"),
-                    }
-                }
-            }
-        }
+        await_acks(&self.ack_rxs, sched);
         self.paused_forwarded.clear();
         self.paused_forwarded.extend(
             self.shards
@@ -392,7 +459,7 @@ impl<C: CoreModel + Checkpointable> ShardSet<C> {
     /// Sends `Resume` to every (paused) shard.
     fn resume(&self, sched: &dyn HostSched) {
         for (sh, tx) in self.shards.iter().zip(&self.cmd_txs) {
-            send_shard_cmd(sh, tx, ShardCmd::Resume, sched);
+            sh.host.send(tx, ShardCmd::Resume, sched);
         }
     }
 }
@@ -434,8 +501,8 @@ fn forward_shard<C: CoreModel + Checkpointable>(
 /// consolidate the owned cores' OutQs toward the root, publish the
 /// shard's floor, obey root pause/resume commands, exit when the done
 /// flag rises. Waiting escalates through the same manager-profile ladder
-/// (spin → yield → park) with the Dekker pre-park re-check guarding the
-/// command channel.
+/// (spin → yield → park), the park tier's re-check guarding the command
+/// channel.
 #[allow(clippy::too_many_arguments)]
 fn shard_thread<C: CoreModel + Checkpointable>(
     index: usize,
@@ -451,7 +518,7 @@ fn shard_thread<C: CoreModel + Checkpointable>(
 ) {
     let virt = sched.virtualized();
     let task = sched.register(&format!("shard{index}"));
-    let _ = sh.task.set(task);
+    let _ = sh.host.task.set(task);
     let mut buf: Vec<(CoreId, Timestamped<C::Event>)> = Vec::new();
     let (spin_iters, yield_iters) = if virt {
         (0u32, VIRT_YIELD_ITERS)
@@ -463,10 +530,10 @@ fn shard_thread<C: CoreModel + Checkpointable>(
     let mut idle = 0u32;
     'main: loop {
         sched.point(SchedSite::ShardLoop);
-        // Same clear-before-poll discipline as the core threads: a flag
+        // Same clear-before-poll discipline as the lane threads: a flag
         // raised after the clear whose command this poll misses is
         // re-derived next iteration.
-        sh.cmd_pending.store(false, Ordering::Relaxed);
+        sh.host.cmd_pending.store(false, Ordering::Relaxed);
         match cmd_rx.try_recv() {
             Ok(mut cmd) => loop {
                 match cmd {
@@ -480,20 +547,10 @@ fn shard_thread<C: CoreModel + Checkpointable>(
                         continue 'main;
                     }
                 }
-                cmd = if virt {
-                    loop {
-                        match cmd_rx.try_recv() {
-                            Ok(c) => break c,
-                            Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitCmd),
-                            Err(TryRecvError::Disconnected) => break 'main,
-                        }
-                    }
-                } else {
-                    match cmd_rx.recv() {
-                        Ok(c) => c,
-                        Err(_) => break 'main,
-                    }
+                let Some(next) = next_command(cmd_rx, virt, sched) else {
+                    break 'main;
                 };
+                cmd = next;
             },
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => break 'main,
@@ -518,24 +575,17 @@ fn shard_thread<C: CoreModel + Checkpointable>(
             sched.idle_yield(SchedSite::ShardIdle);
         } else {
             let _span = ph.enter(ProfSite::ManagerWaitPark);
-            // Dekker-style publication, mirroring the core pre-park: the
-            // root raises `cmd_pending` before every command send, so
-            // either this re-check sees it or the root's `wake_shard`
-            // sees the parked flag.
-            sh.parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            sched.point(SchedSite::PreParkCheck);
-            if !done.load(Ordering::Relaxed) && !sh.cmd_pending.load(Ordering::Relaxed) {
-                sh.parks.fetch_add(1, Ordering::Relaxed);
-                sched.park_timeout(SchedSite::ShardIdle, MGR_PARK_TIMEOUT);
-            }
-            sh.parked.store(false, Ordering::Relaxed);
+            sh.host
+                .park(sched, SchedSite::ShardIdle, MGR_PARK_TIMEOUT, || {
+                    done.load(Ordering::Relaxed)
+                });
         }
     }
     sched.unregister();
 }
 
-/// Parallel slack-simulation engine: `n` core threads plus the manager.
+/// Parallel slack-simulation engine: the target cores on lane threads,
+/// plus the manager.
 ///
 /// Semantics are identical to
 /// [`SequentialEngine`](crate::engine::SequentialEngine); under
@@ -585,8 +635,8 @@ where
         self
     }
 
-    /// Runs the simulation to completion, spawning one host thread per
-    /// target core.
+    /// Runs the simulation to completion, spawning one lane thread per
+    /// host CPU (at most one per target core).
     ///
     /// # Errors
     ///
@@ -618,7 +668,7 @@ where
         let shard_count = cfg.shards.clamp(1, n);
         let s_extra = shard_count - 1;
 
-        // Apply restored state before anything is shared with the core
+        // Apply restored state before anything is shared with the lane
         // threads: cores and their undelivered inboxes replace the fresh
         // models, every clock starts at the snapshot's global time, and
         // the aggregate commit counter is re-seeded.
@@ -635,9 +685,20 @@ where
             start_committed = res.committed;
             resume_shard_forwarded = res.shard_forwarded;
         }
-        // Host threads recording profile spans: the cores, the manager and
+        // Lanes: contiguous slices of `width` cores, one host thread each.
+        // A virtual scheduler expects a fixed task set, so unless the
+        // lane count is given the host's CPU count stays out of it.
+        let width = lane_width(
+            match cfg.host_threads {
+                0 if sched.virtualized() => n,
+                h => h,
+            },
+            n,
+        );
+        let lane_count = n.div_ceil(width);
+        // Host threads recording profile spans: the lanes, the manager and
         // any shard-manager threads.
-        let threads = (n + s_extra) as u64 + 1;
+        let threads = (lane_count + s_extra) as u64 + 1;
 
         if cfg.commit_target == 0 {
             // Trivial run: nothing to simulate.
@@ -673,10 +734,6 @@ where
                     outq: SpscRing::with_sched(hook.clone()),
                     inq: SpscRing::with_sched(hook.clone()),
                     snapshot: SnapshotSlot::with_sched(hook.clone()),
-                    parked: AtomicBool::new(false),
-                    cmd_pending: AtomicBool::new(false),
-                    task: OnceLock::new(),
-                    parks: AtomicU64::new(0),
                 })
             })
             .collect();
@@ -700,10 +757,7 @@ where
                     fwd: SpscRing::with_sched(hook.clone()),
                     min_time: AtomicU64::new(start_global.as_u64()),
                     forwarded: AtomicU64::new(0),
-                    parked: AtomicBool::new(false),
-                    cmd_pending: AtomicBool::new(false),
-                    task: OnceLock::new(),
-                    parks: AtomicU64::new(0),
+                    host: HostThread::new(),
                 })
             })
             .collect();
@@ -734,60 +788,67 @@ where
             shard_ack_rxs.push(ar);
         }
 
-        let mut cmd_txs: Vec<Sender<Command<C>>> = Vec::with_capacity(n);
-        let mut cmd_rxs: Vec<Receiver<Command<C>>> = Vec::with_capacity(n);
-        let mut ack_txs: Vec<Sender<u64>> = Vec::with_capacity(n);
-        let mut ack_rxs: Vec<Receiver<u64>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (ct, cr) = channel();
-            let (at, ar) = channel();
-            cmd_txs.push(ct);
-            cmd_rxs.push(cr);
-            ack_txs.push(at);
-            ack_rxs.push(ar);
-        }
+        let mut lanes = LaneSet {
+            hosts: (0..lane_count)
+                .map(|_| Arc::new(HostThread::new()))
+                .collect(),
+            cmd_txs: Vec::with_capacity(lane_count),
+            ack_rxs: Vec::with_capacity(lane_count),
+            width,
+            cores: n,
+        };
 
         // Cores start frozen (max local time = start time); the manager
         // publishes the first window once every thread is up.
         std::thread::scope(|scope| {
-            // --- Core threads ------------------------------------------------
-            // std mpsc receivers are single-consumer: each core's command
-            // receiver and ack sender are moved into its thread.
-            let mut handles = Vec::with_capacity(n);
-            let oversubscribed = host_oversubscribed(n + s_extra + 1);
-            for (i, (((model, inbox), cmd_rx), ack_tx)) in cores
+            // --- Lane threads ------------------------------------------------
+            // std mpsc receivers are single-consumer: each lane's command
+            // receiver and ack sender are moved into its thread, along
+            // with its cores.
+            let mut handles = Vec::with_capacity(lane_count);
+            let oversubscribed = host_oversubscribed(lane_count + s_extra + 1);
+            let mut lane_cores = cores
                 .into_iter()
                 .zip(core_inboxes)
-                .zip(cmd_rxs)
-                .zip(ack_txs)
+                .zip(&shared)
                 .enumerate()
-            {
-                let shared = Arc::clone(&shared[i]);
+                .map(|(i, ((model, inbox), shared))| LaneCore {
+                    id: CoreId::new(i as u16),
+                    model,
+                    inbox,
+                    shared: Arc::clone(shared),
+                    th: k.tracer().handle(),
+                    running: false,
+                });
+            for (lane, host) in lanes.hosts.iter().enumerate() {
+                let (cmd_tx, cmd_rx) = channel();
+                let (ack_tx, ack_rx) = channel();
+                lanes.cmd_txs.push(cmd_tx);
+                lanes.ack_rxs.push(ack_rx);
+                let cores: Vec<LaneCore<C>> = lane_cores.by_ref().take(width).collect();
+                let host = Arc::clone(host);
                 let done = Arc::clone(&done);
                 let committed = Arc::clone(&committed);
-                let th = k.tracer().handle();
                 let ph = k.prof().handle();
                 let sched = Arc::clone(&sched);
                 handles.push(scope.spawn(move || {
-                    core_thread(
-                        CoreId::new(i as u16),
-                        model,
-                        inbox,
-                        &shared,
+                    lane_thread(
+                        lane,
+                        cores,
+                        &host,
                         &done,
                         &committed,
                         &cmd_rx,
                         &ack_tx,
                         oversubscribed,
                         &*sched,
-                        th,
                         ph,
                     )
                 }));
             }
 
             // --- Shard-manager threads ---------------------------------------
-            // Spawned after the cores so task names stay grouped; each
+            // Spawned after the lanes so task names stay grouped; each
             // owns an Arc'd slice of its cores plus its shared block.
             let mut shard_handles = Vec::with_capacity(s_extra);
             for (si, ((cmd_rx, ack_tx), &(start, len))) in shard_cmd_rxs
@@ -832,7 +893,7 @@ where
             };
 
             // --- Manager (this thread) ---------------------------------------
-            // Registration happens after every core and shard is spawned:
+            // Registration happens after every lane and shard is spawned:
             // a virtual scheduler's `register` blocks until the whole
             // expected task set has arrived, so registering earlier would
             // deadlock the spawn loop.
@@ -843,20 +904,19 @@ where
                 &mut uncore,
                 &shared,
                 &committed,
-                &cmd_txs,
-                &ack_rxs,
+                &lanes,
                 start_global,
                 &mut shardset,
             );
 
             done.store(true, Ordering::Release);
-            for s in &shared {
-                wake_core(s, &*sched);
+            for host in &lanes.hosts {
+                host.wake(&*sched);
             }
             for sh in &shard_shared {
-                wake_shard(sh, &*sched);
+                sh.host.wake(&*sched);
             }
-            // Leave the scheduling discipline before joining: the cores
+            // Leave the scheduling discipline before joining: the lanes
             // only need the token among themselves to run out their
             // windows and unregister, and a native blocking join keeps OS
             // timing out of the schedule (polling `is_finished` through
@@ -866,7 +926,7 @@ where
             sched.unregister();
             let mut finished_cores = Vec::with_capacity(n);
             for h in handles {
-                finished_cores.push(h.join().expect("core thread panicked"));
+                finished_cores.extend(h.join().expect("lane thread panicked"));
             }
             for h in shard_handles {
                 h.join().expect("shard thread panicked");
@@ -875,7 +935,10 @@ where
 
             let mut extras = vec![
                 ("manager_parks", exit.manager_parks),
-                ("core_parks", sum_relaxed(shared.iter().map(|s| &s.parks))),
+                (
+                    "core_parks",
+                    sum_relaxed(lanes.hosts.iter().map(|h| &h.parks)),
+                ),
             ];
             if !shardset.is_empty() {
                 let shards = &shardset.shards;
@@ -886,7 +949,7 @@ where
                 ));
                 extras.push((
                     "shard_parks",
-                    sum_relaxed(shards.iter().map(|sh| &sh.parks)),
+                    sum_relaxed(shards.iter().map(|sh| &sh.host.parks)),
                 ));
             }
             let locals: Vec<Cycle> = shared
@@ -914,35 +977,153 @@ where
     }
 }
 
-/// Core-thread main loop: tick while below the max local time, obey
-/// manager commands, exit when the done flag rises.
+/// One target core in its lane's hands: the model and its undelivered
+/// inbox (owned), the state shared with the manager, and the core's own
+/// trace ring with the phase it last recorded.
+struct LaneCore<C: CoreModel + Checkpointable> {
+    id: CoreId,
+    model: C,
+    inbox: Inbox<C::Event>,
+    shared: Arc<CoreShared<C>>,
+    th: TraceHandle,
+    /// Whether the open phase span is Run (otherwise Wait).
+    running: bool,
+}
+
+impl<C: CoreModel + Checkpointable> LaneCore<C> {
+    fn phase(&self) -> Phase {
+        if self.running {
+            Phase::Run
+        } else {
+            Phase::Wait
+        }
+    }
+
+    /// Closes the open phase span at local time `at` and opens the other
+    /// one, if `running` is a transition.
+    fn set_running(&mut self, running: bool, at: u64) {
+        if self.running == running {
+            return;
+        }
+        let (core, at) = (self.id, Cycle::new(at));
+        let phase = self.phase();
+        self.th.record(at, TraceEvent::PhaseEnd { core, phase });
+        self.running = running;
+        let phase = self.phase();
+        self.th.record(at, TraceEvent::PhaseBegin { core, phase });
+    }
+
+    fn deliver_inq(&mut self) {
+        while let Some(ev) = self.shared.inq.pop() {
+            self.inbox.deliver(ev);
+        }
+    }
+
+    /// Simulates cycle `l` and queues its events towards the manager;
+    /// returns the instructions committed. Advancing the local clock is
+    /// the caller's, so it can order its commit flush before the store.
+    fn tick(&mut self, l: u64, outbox: &mut Vec<Timestamped<C::Event>>) -> u64 {
+        self.deliver_inq();
+        let c = {
+            let mut ctx = TickCtx::new(Cycle::new(l), &mut self.inbox, outbox);
+            self.model.tick(&mut ctx)
+        };
+        self.shared.outq.push_batch(outbox);
+        u64::from(c)
+    }
+}
+
+/// Steps a lane's cores round-robin, one cycle each per pass, until a pass
+/// finds none below its limit — `run_to` when the manager gave one,
+/// otherwise the core's published max local time, re-read every pass so a
+/// window widened mid-burst is run out without going back to the lane
+/// loop (a pending command is picked up within one window's worth of
+/// ticks). One cycle per core per pass keeps the cores of a lane within a
+/// cycle of each other under slack; under cycle-by-cycle the order cannot
+/// matter. Returns whether any core ticked.
 ///
-/// Records Run/Wait phase spans on its own trace handle at every
-/// transition between ticking and being capped by the window. Waiting
-/// escalates spin → yield → park; the manager unparks the thread whenever
-/// it widens the window or sends a command.
+/// Commit counts accumulate locally and are flushed *before* any
+/// local-clock store that brings a core to its limit, so a manager that
+/// sees a core at a barrier boundary also sees every commit behind it —
+/// barrier-mode finish decisions stay deterministic.
+fn step_lane<C: CoreModel + Checkpointable>(
+    cores: &mut [LaneCore<C>],
+    run_to: Option<u64>,
+    committed: &AtomicU64,
+    outbox: &mut Vec<Timestamped<C::Event>>,
+    sched: &dyn HostSched,
+    ph: &ProfHandle,
+) -> bool {
+    let mut span = None;
+    let mut burst: u64 = 0;
+    loop {
+        let mut stepped = false;
+        for core in cores.iter_mut() {
+            let l = core.shared.local.load(Ordering::Relaxed);
+            let m = run_to.unwrap_or_else(|| core.shared.max_local.load(Ordering::Acquire));
+            // Phase spans follow the window only: a run-to is part of a
+            // stop-sync, which the manager traces itself.
+            if l >= m {
+                if run_to.is_none() {
+                    core.set_running(false, l);
+                }
+                continue;
+            }
+            if span.is_none() {
+                sched.point(SchedSite::CoreBurst);
+                span = Some(ph.enter(ProfSite::CoreTick));
+            }
+            if run_to.is_none() {
+                core.set_running(true, l);
+            }
+            burst += core.tick(l, outbox);
+            if l + 1 >= m && burst > 0 {
+                committed.fetch_add(burst, Ordering::Relaxed);
+                burst = 0;
+            }
+            core.shared.local.store(l + 1, Ordering::Release);
+            stepped = true;
+        }
+        if !stepped {
+            break;
+        }
+    }
+    if burst > 0 {
+        committed.fetch_add(burst, Ordering::Relaxed);
+    }
+    span.is_some()
+}
+
+/// Lane-thread main loop: step the lane's cores while any is below its
+/// max local time, obey manager commands, exit when the done flag rises.
+///
+/// Each core records Run/Wait phase spans on its own trace handle at
+/// every transition between ticking and being capped by the window.
+/// When every core is capped the lane waits, escalating spin → yield →
+/// park; the manager unparks the thread whenever it widens one of its
+/// cores' windows or sends a command. Returns the cores' models.
 #[allow(clippy::too_many_arguments)]
-fn core_thread<C: CoreModel + Checkpointable>(
-    core: CoreId,
-    mut model: C,
-    mut inbox: Inbox<C::Event>,
-    shared: &CoreShared<C>,
+fn lane_thread<C: CoreModel + Checkpointable>(
+    lane: usize,
+    mut cores: Vec<LaneCore<C>>,
+    host: &HostThread,
     done: &AtomicBool,
     committed: &AtomicU64,
     cmd_rx: &Receiver<Command<C>>,
-    ack_tx: &Sender<u64>,
+    ack_tx: &Sender<()>,
     oversubscribed: bool,
     sched: &dyn HostSched,
-    mut th: TraceHandle,
     ph: ProfHandle,
-) -> C {
+) -> Vec<C> {
     let virt = sched.virtualized();
-    let task = sched.register(&format!("core{}", core.index()));
-    let _ = shared.task.set(task);
+    // Lanes take the core task names: a lane of one core *is* that core's
+    // thread, and a virtual scheduler built for L cores drives L lanes.
+    let task = sched.register(&format!("core{lane}"));
+    let _ = host.task.set(task);
     let mut outbox: Vec<Timestamped<C::Event>> = Vec::new();
     let mut idle_spins = 0u32;
-    // On an oversubscribed host a capped core skips the spin tier: the
-    // manager cannot widen the window until it gets the CPU this core is
+    // On an oversubscribed host a capped lane skips the spin tier: the
+    // manager cannot widen the window until it gets the CPU this lane is
     // holding, so spinning only delays its own wake-up. Yield stays the
     // workhorse tier — futex park/unpark round trips cost more than a
     // handful of scheduler passes — with parking as the long-idle backstop.
@@ -955,81 +1136,58 @@ fn core_thread<C: CoreModel + Checkpointable>(
         (CORE_SPIN_ITERS, CORE_YIELD_ITERS)
     };
     // Cores start frozen at max local time 0: open a Wait span immediately.
-    let mut running = false;
-    th.record(
-        Cycle::ZERO,
-        TraceEvent::PhaseBegin {
-            core,
-            phase: Phase::Wait,
-        },
-    );
+    for core in &mut cores {
+        let (id, phase) = (core.id, core.phase());
+        core.th
+            .record(Cycle::ZERO, TraceEvent::PhaseBegin { core: id, phase });
+    }
 
     'main: loop {
         // Control channel has priority over everything. Clear the pending
         // flag *before* polling: a flag raised after the clear but whose
         // command is missed by this poll is re-derived next iteration (the
-        // send's `wake_core` guarantees this loop runs again), while a
-        // flag consumed together with its command simply skips one park.
-        shared.cmd_pending.store(false, Ordering::Relaxed);
+        // send's wake guarantees this loop runs again), while a flag
+        // consumed together with its command simply skips one park.
+        host.cmd_pending.store(false, Ordering::Relaxed);
         match cmd_rx.try_recv() {
             Ok(mut cmd) => loop {
                 match cmd {
-                    Command::Stop => {
-                        ack_tx
-                            .send(shared.local.load(Ordering::Relaxed))
-                            .expect("manager alive");
-                    }
+                    Command::Stop => {}
                     Command::RunTo(target) => {
-                        let _span = ph.enter(ProfSite::CoreTick);
-                        let mut l = shared.local.load(Ordering::Relaxed);
-                        while l < target {
-                            while let Some(ev) = shared.inq.pop() {
-                                inbox.deliver(ev);
-                            }
-                            let c = {
-                                let mut ctx = TickCtx::new(Cycle::new(l), &mut inbox, &mut outbox);
-                                model.tick(&mut ctx)
-                            };
-                            committed.fetch_add(u64::from(c), Ordering::Relaxed);
-                            shared.outq.push_batch(&mut outbox);
-                            l += 1;
-                            shared.local.store(l, Ordering::Release);
-                        }
-                        ack_tx.send(l).expect("manager alive");
+                        step_lane(&mut cores, Some(target), committed, &mut outbox, sched, &ph);
                     }
-                    Command::Snapshot { since } => {
+                    Command::Snapshot(since) => {
                         let _span = ph.enter(ProfSite::CheckpointCapture);
-                        while let Some(ev) = shared.inq.pop() {
-                            inbox.deliver(ev);
+                        for (core, since) in cores.iter_mut().zip(since) {
+                            core.deliver_inq();
+                            let delta = core.model.capture_delta(since);
+                            let capture =
+                                Box::new((delta, core.inbox.clone(), core.model.generation()));
+                            core.shared.snapshot.put(CoreCapture::Delta(capture));
                         }
-                        let delta = model.capture_delta(since);
-                        let capture = Box::new((delta, inbox.clone(), model.generation()));
-                        shared.snapshot.put(CoreCapture::Delta(capture));
-                        ack_tx
-                            .send(shared.local.load(Ordering::Relaxed))
-                            .expect("manager alive");
                     }
-                    Command::Rewind { base, since } => {
+                    Command::Rewind(bases) => {
                         // Rewind in place: only units that diverged from
                         // the base since `since` are copied back, and
                         // the base goes back to the manager untouched.
                         let _span = ph.enter(ProfSite::CheckpointRestore);
-                        model.restore_from(&base.0, since);
-                        inbox.clone_from(&base.1);
-                        shared.snapshot.put(CoreCapture::Base(base));
-                        ack_tx
-                            .send(shared.local.load(Ordering::Relaxed))
-                            .expect("manager alive");
+                        for (core, (base, since)) in cores.iter_mut().zip(bases) {
+                            core.model.restore_from(&base.0, since);
+                            core.inbox.clone_from(&base.1);
+                            core.shared.snapshot.put(CoreCapture::Base(base));
+                        }
                     }
                     Command::Resume => continue 'main,
                 }
-                cmd = {
-                    // Blocked in the control sub-loop (stop-synced for a
-                    // checkpoint or rollback): attribute the host time to
-                    // the park tier so it shows up in the profile.
-                    let _span = ph.enter(ProfSite::CoreWaitPark);
-                    next_command(cmd_rx, virt, sched)
+                ack_tx.send(()).expect("manager alive");
+                // Blocked in the control sub-loop (stop-synced for a
+                // checkpoint or rollback): attribute the host time to
+                // the park tier so it shows up in the profile.
+                let _span = ph.enter(ProfSite::CoreWaitPark);
+                let Some(next) = next_command(cmd_rx, virt, sched) else {
+                    break 'main;
                 };
+                cmd = next;
             },
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => break 'main,
@@ -1039,142 +1197,57 @@ fn core_thread<C: CoreModel + Checkpointable>(
             break 'main;
         }
 
-        while let Some(ev) = shared.inq.pop() {
-            inbox.deliver(ev);
-        }
-        let mut l = shared.local.load(Ordering::Relaxed);
-        let mut m = shared.max_local.load(Ordering::Acquire);
-        if l < m {
-            if !running {
-                th.record(
-                    Cycle::new(l),
-                    TraceEvent::PhaseEnd {
-                        core,
-                        phase: Phase::Wait,
-                    },
-                );
-                th.record(
-                    Cycle::new(l),
-                    TraceEvent::PhaseBegin {
-                        core,
-                        phase: Phase::Run,
-                    },
-                );
-                running = true;
-            }
+        if step_lane(&mut cores, None, committed, &mut outbox, sched, &ph) {
             idle_spins = 0;
-            // Burst: tick until the window caps us, skipping the per-tick
-            // command/done checks of the outer loop (a pending command is
-            // picked up within one window's worth of ticks). Commit counts
-            // accumulate locally and are flushed *before* the local-clock
-            // store that ends the burst, so a manager that sees this core
-            // at a barrier boundary also sees every commit behind it —
-            // barrier-mode finish decisions stay deterministic.
-            sched.point(SchedSite::CoreBurst);
-            let _span = ph.enter(ProfSite::CoreTick);
-            let mut burst: u64 = 0;
-            while l < m {
-                while let Some(ev) = shared.inq.pop() {
-                    inbox.deliver(ev);
-                }
-                let c = {
-                    let mut ctx = TickCtx::new(Cycle::new(l), &mut inbox, &mut outbox);
-                    model.tick(&mut ctx)
-                };
-                burst += u64::from(c);
-                shared.outq.push_batch(&mut outbox);
-                l += 1;
-                if l >= m {
-                    committed.fetch_add(burst, Ordering::Relaxed);
-                    burst = 0;
-                }
-                shared.local.store(l, Ordering::Release);
-                m = shared.max_local.load(Ordering::Acquire);
-            }
-            if burst > 0 {
-                committed.fetch_add(burst, Ordering::Relaxed);
-            }
+            continue;
+        }
+        // Every core is capped: wait for the manager to widen a window.
+        // Ladder: spin → yield → park (the manager unparks on every
+        // publish; the timeout covers lost-wakeup races and shutdown).
+        idle_spins = idle_spins.saturating_add(1);
+        if idle_spins <= spin_iters {
+            let _span = ph.enter(ProfSite::CoreWaitSpin);
+            sched.idle_spin(SchedSite::CoreIdle);
+        } else if idle_spins <= spin_iters + yield_iters {
+            let _span = ph.enter(ProfSite::CoreWaitYield);
+            sched.idle_yield(SchedSite::CoreIdle);
         } else {
-            // Capped: wait for the manager to widen the window. Ladder:
-            // spin → yield → park (the manager unparks on every publish;
-            // the timeout covers lost-wakeup races and shutdown).
-            if running {
-                th.record(
-                    Cycle::new(l),
-                    TraceEvent::PhaseEnd {
-                        core,
-                        phase: Phase::Run,
-                    },
-                );
-                th.record(
-                    Cycle::new(l),
-                    TraceEvent::PhaseBegin {
-                        core,
-                        phase: Phase::Wait,
-                    },
-                );
-                running = false;
-            }
-            idle_spins = idle_spins.saturating_add(1);
-            if idle_spins <= spin_iters {
-                let _span = ph.enter(ProfSite::CoreWaitSpin);
-                sched.idle_spin(SchedSite::CoreIdle);
-            } else if idle_spins <= spin_iters + yield_iters {
-                let _span = ph.enter(ProfSite::CoreWaitYield);
-                sched.idle_yield(SchedSite::CoreIdle);
-            } else {
-                let _span = ph.enter(ProfSite::CoreWaitPark);
-                // Dekker-style publication: set the parked flag, fence,
-                // then re-check the sleep condition. Pairs with the
-                // manager's store-fence-check in `publish_window` /
-                // `wake_core`: either the manager sees the flag and
-                // unparks (token pending), or this re-check sees the new
-                // window — a wake-up can never be lost, the timeout is a
-                // pure backstop. The scheduling point between the flag
-                // store and the re-check is exactly the race window
-                // adversarial schedules aim at.
-                shared.parked.store(true, Ordering::Relaxed);
-                fence(Ordering::SeqCst);
-                sched.point(SchedSite::PreParkCheck);
-                if shared.max_local.load(Ordering::Relaxed) <= l
-                    && !done.load(Ordering::Relaxed)
-                    && !shared.cmd_pending.load(Ordering::Relaxed)
-                {
-                    shared.parks.fetch_add(1, Ordering::Relaxed);
-                    sched.park_timeout(SchedSite::CoreIdle, CORE_PARK_TIMEOUT);
-                }
-                shared.parked.store(false, Ordering::Relaxed);
-            }
+            let _span = ph.enter(ProfSite::CoreWaitPark);
+            host.park(sched, SchedSite::CoreIdle, CORE_PARK_TIMEOUT, || {
+                done.load(Ordering::Relaxed)
+                    || cores.iter().any(|c| {
+                        c.shared.local.load(Ordering::Relaxed)
+                            < c.shared.max_local.load(Ordering::Relaxed)
+                    })
+            });
         }
     }
-    let l = shared.local.load(Ordering::Relaxed);
-    th.record(
-        Cycle::new(l),
-        TraceEvent::PhaseEnd {
-            core,
-            phase: if running { Phase::Run } else { Phase::Wait },
-        },
-    );
     sched.unregister();
-    model
+    cores
+        .into_iter()
+        .map(|mut core| {
+            let (id, phase) = (core.id, core.phase());
+            let l = core.shared.local.load(Ordering::Relaxed);
+            core.th
+                .record(Cycle::new(l), TraceEvent::PhaseEnd { core: id, phase });
+            core.model
+        })
+        .collect()
 }
 
-/// Blocks for the next manager command: a real blocking receive natively,
-/// a scheduler-visible `try_recv` poll under a virtual scheduler (a
-/// blocked `recv` would hold the scheduling token forever).
-fn next_command<C: CoreModel>(
-    cmd_rx: &Receiver<Command<C>>,
-    virt: bool,
-    sched: &dyn HostSched,
-) -> Command<C> {
+/// Blocks for the next command from the manager: a real blocking receive
+/// natively, a scheduler-visible `try_recv` poll under a virtual scheduler
+/// (a blocked `recv` would hold the scheduling token forever). `None`
+/// when the manager is gone.
+fn next_command<T>(cmd_rx: &Receiver<T>, virt: bool, sched: &dyn HostSched) -> Option<T> {
     if !virt {
-        return cmd_rx.recv().expect("manager alive");
+        return cmd_rx.recv().ok();
     }
     loop {
         match cmd_rx.try_recv() {
-            Ok(cmd) => return cmd,
+            Ok(cmd) => return Some(cmd),
             Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitCmd),
-            Err(TryRecvError::Disconnected) => panic!("manager alive"),
+            Err(TryRecvError::Disconnected) => return None,
         }
     }
 }
@@ -1197,8 +1270,7 @@ fn manager_loop<C, U>(
     uncore: &mut U,
     shared: &[Arc<CoreShared<C>>],
     committed: &AtomicU64,
-    cmd_txs: &[Sender<Command<C>>],
-    ack_rxs: &[Receiver<u64>],
+    lanes: &LaneSet<C>,
     start_global: Cycle,
     shardset: &mut ShardSet<C>,
 ) -> Result<ManagerExit, EngineError>
@@ -1221,7 +1293,8 @@ where
     let mut locals: Vec<Cycle> = Vec::with_capacity(n);
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
-    let mut backoff = Backoff::manager(host_oversubscribed(n + shardset.shards.len() + 1), virt);
+    let host_threads = lanes.hosts.len() + shardset.shards.len() + 1;
+    let mut backoff = Backoff::manager(host_oversubscribed(host_threads), virt);
     let idle_wait = |backoff: &mut Backoff, k: &mut Kernel<C, U>| {
         let _span = ph.enter(backoff.next_site());
         k.timed_wait(|| backoff.wait(sched, SchedSite::ManagerIdle));
@@ -1231,7 +1304,7 @@ where
     if !k.pacer.barrier_service() {
         window_end = window_end.min(cfg.lead_cap(start_global));
     }
-    publish_window(shared, window_end, sched);
+    lanes.publish(shared, sched, |_| window_end);
 
     let (final_global, finish_reason) = loop {
         sched.point(SchedSite::ManagerLoop);
@@ -1305,10 +1378,10 @@ where
                     shardset.drain_forward(&mut gq);
                     {
                         let _span = ph.enter(ProfSite::CheckpointCapture);
-                        stop_all(shared, cmd_txs, ack_rxs, sched);
+                        lanes.stop_all(sched);
                         drain_outqs(shared, &mut gq, &mut drain_buf);
-                        capture_all(k, shared, cmd_txs, ack_rxs, sched);
-                        resume_all(shared, cmd_txs, sched);
+                        capture_all(k, shared, lanes, sched);
+                        lanes.resume_all(sched);
                     }
                     shardset.set_floors(g);
                     shardset.resume(sched);
@@ -1325,7 +1398,7 @@ where
                 } else {
                     k.pacer.window_end(g)
                 };
-                publish_window(shared, window_end, sched);
+                lanes.publish(shared, sched, |_| window_end);
                 backoff.reset();
             } else {
                 // Even with the commit target already reached, barrier
@@ -1347,8 +1420,8 @@ where
         if k.rollback_pending() {
             let _span = ph.enter(ProfSite::CheckpointRestore);
             shardset.pause(sched);
-            stop_all(shared, cmd_txs, ack_rxs, sched);
-            // Cores are stopped and shards paused (acks received), so the
+            lanes.stop_all(sched);
+            // Lanes are stopped and shards paused (acks received), so the
             // manager may act as the consumer of every ring during the
             // wipe.
             gq.clear();
@@ -1366,18 +1439,20 @@ where
             for s in shared {
                 s.local.store(at.as_u64(), Ordering::Release);
             }
-            // Hand each core its checkpoint base by move; the core rewinds
-            // in place via `restore_from` (copying back only the units
-            // that diverged) and returns the base through its snapshot
-            // slot, so no full-model clone happens on either side.
-            for (i, base) in k.take_bases().into_iter().enumerate() {
-                let cmd = Command::Rewind {
-                    base: Box::new(base),
-                    since: k.core_gen(i),
-                };
-                send_cmd(&shared[i], &cmd_txs[i], cmd, sched);
-            }
-            await_acks(ack_rxs, sched);
+            // Hand each lane its cores' checkpoint bases by move; the lane
+            // rewinds each core in place via `restore_from` (copying back
+            // only the units that diverged) and returns the base through
+            // the core's snapshot slot, so no full-model clone happens on
+            // either side.
+            let mut bases = k.take_bases().into_iter().map(Box::new);
+            lanes.send_all(sched, |cores| {
+                Command::Rewind(
+                    cores
+                        .map(|i| (bases.next().expect("a base per core"), k.core_gen(i)))
+                        .collect(),
+                )
+            });
+            await_acks(&lanes.ack_rxs, sched);
             k.return_bases(
                 shared
                     .iter()
@@ -1391,8 +1466,8 @@ where
             committed.store(at_committed, Ordering::Release);
             window_end = at + 1;
             shardset.set_floors(at);
-            publish_window(shared, window_end, sched);
-            resume_all(shared, cmd_txs, sched);
+            lanes.publish(shared, sched, |_| window_end);
+            lanes.resume_all(sched);
             shardset.resume(sched);
             backoff.reset();
             continue;
@@ -1413,21 +1488,19 @@ where
             let _span = ph.enter(ProfSite::CheckpointCapture);
             shardset.pause(sched);
             shardset.drain_forward(&mut gq);
-            stop_all(shared, cmd_txs, ack_rxs, sched);
+            lanes.stop_all(sched);
             let stop_at = shared
                 .iter()
                 .map(|s| s.local.load(Ordering::Acquire))
                 .max()
                 .expect("n >= 1")
                 .max(k.cp_trigger());
-            publish_window(shared, Cycle::new(stop_at), sched);
-            for (i, tx) in cmd_txs.iter().enumerate() {
-                send_cmd(&shared[i], tx, Command::RunTo(stop_at), sched);
-            }
+            lanes.publish(shared, sched, |_| Cycle::new(stop_at));
+            lanes.send_all(sched, |_| Command::RunTo(stop_at));
             // Keep servicing while cores run up to the stop point.
             let mut acked = 0usize;
-            let mut ack_iters = ack_rxs.iter().cycle();
-            while acked < n {
+            let mut ack_iters = lanes.ack_rxs.iter().cycle();
+            while acked < lanes.ack_rxs.len() {
                 drain_outqs(shared, &mut gq, &mut drain_buf);
                 k.service_all(&mut gq, uncore, deliver);
                 let rx = ack_iters.next().expect("cycle never ends");
@@ -1444,12 +1517,12 @@ where
             if k.rollback_pending() {
                 // A violation surfaced during stop-sync: resume and let the
                 // rollback branch at the top of the loop handle it.
-                resume_all(shared, cmd_txs, sched);
+                lanes.resume_all(sched);
                 shardset.resume(sched);
                 continue;
             }
-            // Cores are paused right after their RunTo ack: capture them.
-            capture_all(k, shared, cmd_txs, ack_rxs, sched);
+            // Lanes are paused right after their RunTo ack: capture them.
+            capture_all(k, shared, lanes, sched);
             let stop_at = Cycle::new(stop_at);
             k.commit_checkpoint(
                 stop_at,
@@ -1463,12 +1536,13 @@ where
             window_end = publish_greedy_windows(
                 &mut *k.pacer,
                 shared,
+                lanes,
                 &locals,
                 shardset.floor(&locals),
                 cfg,
                 sched,
             );
-            resume_all(shared, cmd_txs, sched);
+            lanes.resume_all(sched);
             shardset.resume(sched);
             backoff.reset();
             continue;
@@ -1477,6 +1551,7 @@ where
         window_end = publish_greedy_windows(
             &mut *k.pacer,
             shared,
+            lanes,
             &locals,
             shardset.floor(&locals),
             cfg,
@@ -1497,18 +1572,6 @@ where
     })
 }
 
-/// Sets every core's max local time and unparks any core waiting on it.
-fn publish_window<C: CoreModel + Checkpointable>(
-    shared: &[Arc<CoreShared<C>>],
-    window_end: Cycle,
-    sched: &dyn HostSched,
-) {
-    for s in shared {
-        s.max_local.store(window_end.as_u64(), Ordering::Release);
-        wake_core(s, sched);
-    }
-}
-
 /// Publishes windows for a greedy scheme: per-core when the pacer paces
 /// against peers (Lax-P2P), uniform otherwise; both clamped by the
 /// implementation lead cap. `floor` is the slack floor the windows pace
@@ -1520,6 +1583,7 @@ fn publish_window<C: CoreModel + Checkpointable>(
 fn publish_greedy_windows<C: CoreModel + Checkpointable>(
     pacer: &mut dyn Pacer,
     shared: &[Arc<CoreShared<C>>],
+    lanes: &LaneSet<C>,
     locals: &[Cycle],
     floor: Cycle,
     cfg: &EngineConfig,
@@ -1528,17 +1592,11 @@ fn publish_greedy_windows<C: CoreModel + Checkpointable>(
     let global = floor;
     let cap = cfg.lead_cap(global);
     if let Some(wins) = pacer.window_ends(locals) {
-        let mut max_win = Cycle::ZERO;
-        for (i, s) in shared.iter().enumerate() {
-            let w = wins[i].min(cap);
-            s.max_local.store(w.as_u64(), Ordering::Release);
-            wake_core(s, sched);
-            max_win = max_win.max(w);
-        }
-        max_win
+        lanes.publish(shared, sched, |i| wins[i].min(cap));
+        wins.iter().copied().max().expect("n >= 1").min(cap)
     } else {
         let w = pacer.window_end(global).min(cap);
-        publish_window(shared, w, sched);
+        lanes.publish(shared, sched, |_| w);
         w
     }
 }
@@ -1563,69 +1621,41 @@ fn drain_outqs<C: CoreModel + Checkpointable>(
     total
 }
 
-/// Sends `Stop` to every core (waking parked ones) and waits for all
-/// acknowledgements.
-fn stop_all<C: CoreModel + Checkpointable>(
-    shared: &[Arc<CoreShared<C>>],
-    cmd_txs: &[Sender<Command<C>>],
-    ack_rxs: &[Receiver<u64>],
-    sched: &dyn HostSched,
-) {
-    for (i, tx) in cmd_txs.iter().enumerate() {
-        send_cmd(&shared[i], tx, Command::Stop, sched);
-    }
-    await_acks(ack_rxs, sched);
-}
-
-/// Sends `Resume` to every (paused) core.
-fn resume_all<C: CoreModel + Checkpointable>(
-    shared: &[Arc<CoreShared<C>>],
-    cmd_txs: &[Sender<Command<C>>],
-    sched: &dyn HostSched,
-) {
-    for (i, tx) in cmd_txs.iter().enumerate() {
-        send_cmd(&shared[i], tx, Command::Resume, sched);
-    }
-}
-
-/// Blocks until every core has acknowledged the last command: a real
-/// blocking receive natively, a scheduler-visible poll under a virtual
-/// scheduler.
-fn await_acks(ack_rxs: &[Receiver<u64>], sched: &dyn HostSched) {
-    if !sched.virtualized() {
-        for rx in ack_rxs {
-            rx.recv().expect("core alive");
-        }
-        return;
-    }
+/// Blocks until every helper thread has acknowledged the last command: a
+/// real blocking receive natively, a scheduler-visible poll under a
+/// virtual scheduler.
+fn await_acks(ack_rxs: &[Receiver<()>], sched: &dyn HostSched) {
+    let virt = sched.virtualized();
     for rx in ack_rxs {
+        if !virt {
+            rx.recv().expect("helper thread alive");
+            continue;
+        }
         loop {
             match rx.try_recv() {
-                Ok(_) => break,
+                Ok(()) => break,
                 Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitAck),
-                Err(TryRecvError::Disconnected) => panic!("core alive"),
+                Err(TryRecvError::Disconnected) => panic!("helper thread alive"),
             }
         }
     }
 }
 
-/// Has every (stopped) core capture its delta since the standing
+/// Has every (stopped) lane capture its cores' deltas since the standing
 /// checkpoint and folds the captures into the kernel's base.
 fn capture_all<C, U>(
     k: &mut Kernel<C, U>,
     shared: &[Arc<CoreShared<C>>],
-    cmd_txs: &[Sender<Command<C>>],
-    ack_rxs: &[Receiver<u64>],
+    lanes: &LaneSet<C>,
     sched: &dyn HostSched,
 ) where
     C: CoreModel + Checkpointable,
     U: UncoreModel<C::Event> + Checkpointable,
 {
-    for (i, tx) in cmd_txs.iter().enumerate() {
-        let since = k.core_gen(i);
-        send_cmd(&shared[i], tx, Command::Snapshot { since }, sched);
-    }
-    await_acks(ack_rxs, sched);
+    lanes.send_all(sched, |cores| {
+        Command::Snapshot(cores.map(|i| k.core_gen(i)).collect())
+    });
+    await_acks(&lanes.ack_rxs, sched);
     let ph = k.prof_handle();
     let _span = ph.enter(ProfSite::CheckpointApply);
     for (i, s) in shared.iter().enumerate() {

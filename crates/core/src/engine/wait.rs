@@ -49,6 +49,20 @@ pub(super) fn host_cpus() -> usize {
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
+/// Target cores per lane when `cores` of them fold onto `host_threads`
+/// host threads (`0` = [`host_cpus`]) in contiguous, equally wide lanes:
+/// `ceil(cores / min(host_threads, cores))`. Lane `j` steps cores
+/// `j * width .. (j + 1) * width`, so there are `ceil(cores / width)`
+/// lanes — never more than asked for, and fewer where an extra thread
+/// would not shorten the widest lane (4 cores on 3 threads: 2 + 2).
+pub(super) fn lane_width(host_threads: usize, cores: usize) -> usize {
+    let want = match host_threads {
+        0 => host_cpus(),
+        h => h,
+    };
+    cores.div_ceil(want.min(cores))
+}
+
 /// True when the host cannot run `threads` engine threads concurrently.
 /// Spinning in that regime only burns the quanta the productive threads
 /// need, so the wait ladders skip their spin tier and lead with

@@ -262,14 +262,15 @@ fn main() {
         ));
     }
 
-    // Likewise the batched engine's window workers. Absent (0), the
-    // engine sizes itself from the host's available parallelism.
+    // Likewise the host threads the cores are folded onto: the threaded
+    // engine's lanes, the batched engine's window workers. Absent (0),
+    // the engine sizes itself from the host's available parallelism.
     let mut host_threads = 0;
     if args.has("--host-threads") {
-        if engine != EngineKind::Batched {
+        if engine == EngineKind::Sequential {
             usage_error(
-                "--host-threads requires --engine batched (only the batched engine \
-                 steps its windows on a static partition of host threads)",
+                "--host-threads requires --engine threaded or batched (the sequential \
+                 engine steps every core on one thread)",
             );
         }
         host_threads = args.parsed_nonzero("--host-threads", 1) as usize;
@@ -1091,18 +1092,22 @@ USAGE:
 ENGINES:
   --engine seq          deterministic single-threaded engine with a seeded
                         burst scheduler (default; accuracy experiments)
-  --engine threaded     one host thread per target core plus a manager —
-                        the paper's CMP-on-CMP execution (wall-clock runs)
+  --engine threaded     the target cores on one host thread per host CPU
+                        (one per core where there are enough) plus a
+                        manager — the paper's CMP-on-CMP execution
+                        (wall-clock runs)
   --engine batched      quantum-compiled engine: steps every core a full
                         quantum per iteration and resolves cross-core
                         events only at quantum boundaries; bit-identical
                         to seq but much faster, requires --scheme quantum
-  --host-threads N      batched engine only: step each window's cores on
-                        N host threads (contiguous lanes of cores, one per
-                        thread; boundaries stay on one thread); a host
-                        knob — results are identical for every N
-                        (default: the host's available parallelism, capped
-                        at the core count; 1 = no threads at all)
+  --host-threads N      threaded and batched engines: step the cores on N
+                        host threads (contiguous lanes of cores, one per
+                        thread; the threaded engine's manager and the
+                        batched engine's boundaries stay on one more); a
+                        host knob — results are identical for every N
+                        under --scheme cc and quantum (default: the
+                        host's available parallelism, capped at the core
+                        count; batched 1 = no threads at all)
   --shards N            threaded engine only: split the manager into N
                         shard managers, each consolidating a contiguous
                         slice of the cores and publishing a minimum-time
@@ -1195,6 +1200,7 @@ REPORT:
 
 EXAMPLES:
   slacksim --benchmark barnes --scheme unbounded --engine threaded
+  slacksim --scheme cc --engine threaded --cores 8 --host-threads 2
   slacksim --uncore directory --cores 64 --benchmark fft --scheme bounded --bound 8
   slacksim --uncore directory --cores 64 --engine threaded --shards 4 --scheme bounded
   slacksim --benchmark fft --scheme quantum --quantum 50 --engine batched

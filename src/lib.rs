@@ -86,7 +86,9 @@ pub enum EngineKind {
     /// seeded burst scheduler).
     #[default]
     Sequential,
-    /// One host thread per target core plus the manager — the paper's
+    /// The target cores on one host thread per host CPU — one per target
+    /// core where the host has that many (see
+    /// [`Simulation::host_threads`]) — plus the manager: the paper's
     /// actual CMP-on-CMP execution (wall-clock experiments).
     Threaded,
     /// Quantum-compiled engine: steps every core a full quantum per
@@ -233,11 +235,13 @@ impl Simulation {
         self
     }
 
-    /// Sets how many host threads the batched engine steps each window's
-    /// cores on. `0` (the default) uses the host's available parallelism;
-    /// values above the core count are capped. A host knob only —
-    /// simulated results are identical for every value — so it is ignored
-    /// by the other engines and excluded from snapshot fingerprints.
+    /// Sets how many host threads the cores are folded onto: the threaded
+    /// engine's lanes (the manager is one more), the batched engine's
+    /// window workers. `0` (the default) uses the host's available
+    /// parallelism; values above the core count are capped. A host knob
+    /// only — under the barrier schemes simulated results are identical
+    /// for every value — so it is ignored by the sequential engine and
+    /// excluded from snapshot fingerprints.
     pub fn host_threads(&mut self, threads: usize) -> &mut Self {
         self.host_threads = threads;
         self

@@ -252,8 +252,8 @@ pub fn run_sweep(
         .workers
         .or(spec.workers.map(|w| w as usize))
         .unwrap_or(cpus);
-    // A job's own host threads (the batched engine's window workers) get
-    // the CPUs the pool leaves over: a pool as wide as the host runs every
+    // A job's own host threads (the threaded engine's lanes, the batched
+    // engine's window workers) get the CPUs the pool leaves over: a pool as wide as the host runs every
     // job on one. A host knob like the pool width — in no token, manifest
     // or fingerprint.
     let host_threads = (cpus / workers.max(1)).max(1);

@@ -86,8 +86,11 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Allocation calls of one 8-core run; `lanes` is the threaded engine's
+/// lane count (the sequential engine has none to size).
 fn allocs_for_run(
     engine: slacksim::EngineKind,
+    lanes: usize,
     scheme: slacksim::scheme::Scheme,
     commit: u64,
 ) -> u64 {
@@ -98,6 +101,7 @@ fn allocs_for_run(
         .seed(1)
         .scheme(scheme)
         .engine(engine)
+        .host_threads(lanes)
         .run()
         .expect("run");
     assert!(report.committed >= commit);
@@ -105,11 +109,15 @@ fn allocs_for_run(
 }
 
 /// Allocation growth attributable to ~2X extra steady-state work.
-fn steady_delta(engine: slacksim::EngineKind, scheme: &slacksim::scheme::Scheme) -> u64 {
+fn steady_delta(
+    engine: slacksim::EngineKind,
+    lanes: usize,
+    scheme: &slacksim::scheme::Scheme,
+) -> u64 {
     // Warm-up run absorbs one-time lazy initialization.
-    let _ = allocs_for_run(engine, scheme.clone(), 5_000);
-    let short = allocs_for_run(engine, scheme.clone(), 20_000);
-    let long = allocs_for_run(engine, scheme.clone(), 60_000);
+    let _ = allocs_for_run(engine, lanes, scheme.clone(), 5_000);
+    let short = allocs_for_run(engine, lanes, scheme.clone(), 20_000);
+    let long = allocs_for_run(engine, lanes, scheme.clone(), 60_000);
     long.saturating_sub(short)
 }
 
@@ -121,32 +129,37 @@ fn threaded_manager_loop_is_allocation_free_at_steady_state() {
 
     // Cycle-by-cycle: both engines do bit-identical simulation work, so
     // the model-side allocation growth cancels out of the comparison.
-    let seq = steady_delta(EngineKind::Sequential, &Scheme::CycleByCycle);
-    let thr = steady_delta(EngineKind::Threaded, &Scheme::CycleByCycle);
+    let seq_cc = steady_delta(EngineKind::Sequential, 0, &Scheme::CycleByCycle);
+    let b16 = Scheme::BoundedSlack { bound: 16 };
+    let seq_b16 = steady_delta(EngineKind::Sequential, 0, &b16);
 
-    // The threaded engine's extra growth over sequential must stay a
-    // small fraction: per-event or per-iteration allocation anywhere in
-    // the manager loop or the ring transport would exceed this
-    // immediately (measured headroom is ~1.10x; one alloc per serviced
-    // event alone pushes past 1.19x, per manager iteration far beyond).
-    assert!(
-        thr as f64 <= seq as f64 * 1.15,
-        "threaded steady-state allocation growth ({thr}) exceeds \
-         sequential ({seq}) by more than 15% — the manager loop or event \
-         transport is allocating per unit of work"
-    );
+    // Two lanes of four cores each, and the paper's lane per core.
+    for lanes in [2, 8] {
+        // The threaded engine's extra growth over sequential must stay a
+        // small fraction: per-event or per-iteration allocation anywhere
+        // in the manager loop, the lane loop or the ring transport would
+        // exceed this immediately (measured headroom is ~1.10x; one alloc
+        // per serviced event alone pushes past 1.19x, per manager
+        // iteration far beyond).
+        let thr = steady_delta(EngineKind::Threaded, lanes, &Scheme::CycleByCycle);
+        assert!(
+            thr as f64 <= seq_cc as f64 * 1.15,
+            "threaded steady-state allocation growth on {lanes} lanes ({thr}) \
+             exceeds sequential ({seq_cc}) by more than 15% — the manager loop \
+             or event transport is allocating per unit of work"
+        );
 
-    // Slack pacing exercises the greedy manager path (per-core window
-    // publication, adaptive backoff). Interleavings are nondeterministic,
-    // so the threshold is looser, but per-iteration allocation would
-    // still blow far past it.
-    let seq = steady_delta(EngineKind::Sequential, &Scheme::BoundedSlack { bound: 16 });
-    let thr = steady_delta(EngineKind::Threaded, &Scheme::BoundedSlack { bound: 16 });
-    assert!(
-        thr as f64 <= seq as f64 * 1.5,
-        "threaded greedy-path steady-state allocation growth ({thr}) far \
-         exceeds sequential ({seq})"
-    );
+        // Slack pacing exercises the greedy manager path (per-core window
+        // publication, adaptive backoff). Interleavings are
+        // nondeterministic, so the threshold is looser, but per-iteration
+        // allocation would still blow far past it.
+        let thr = steady_delta(EngineKind::Threaded, lanes, &b16);
+        assert!(
+            thr as f64 <= seq_b16 as f64 * 1.5,
+            "threaded greedy-path steady-state allocation growth on {lanes} \
+             lanes ({thr}) far exceeds sequential ({seq_b16})"
+        );
+    }
 }
 
 fn allocs_for_instrumented_run(
@@ -209,7 +222,7 @@ fn profiling_and_live_emission_are_allocation_free_at_steady_state() {
     let _serial = serial();
 
     for engine in [EngineKind::Sequential, EngineKind::Threaded] {
-        let plain = steady_delta(engine, &Scheme::CycleByCycle);
+        let plain = steady_delta(engine, 0, &Scheme::CycleByCycle);
         let instrumented = steady_delta_instrumented(engine, &Scheme::CycleByCycle);
         assert!(
             instrumented as f64 <= plain as f64 * 1.15 + 256.0,

@@ -199,6 +199,43 @@ fn batched_campaign_is_the_same_at_every_pool_width() {
     assert_eq!(campaign(4 * cpus), solo, "oversubscribed pool");
 }
 
+/// The same for a threaded campaign, whose jobs fold their cores onto
+/// the `max(1, cpus / workers)` lanes the pool leaves them instead of
+/// each spawning a thread per core: under cycle-by-cycle every job's
+/// report is the one a pool of one produces.
+#[test]
+fn threaded_cc_campaign_is_the_same_at_pool_widths_1_and_2() {
+    const SPEC: &str = r#"{
+        "v": 1,
+        "commit": 20000,
+        "engine": "threaded",
+        "axes": {
+            "scheme": ["cc"],
+            "cores": [4],
+            "workload": ["fft", "water"],
+            "seed": [1, 2]
+        }
+    }"#;
+    let campaign = |workers: usize| {
+        let dir = scratch_dir(&format!("threaded-w{workers}"));
+        let opts = SweepOptions {
+            workers: Some(workers),
+            ..SweepOptions::default()
+        };
+        let outcome = run_sweep(Some(SPEC), &dir, &opts).expect("campaign runs");
+        assert!(outcome.failed.is_empty(), "{:?}", outcome.failed);
+        let _ = std::fs::remove_dir_all(&dir);
+        outcome
+            .reports
+            .iter()
+            .map(|r| outcome_of(r.as_ref().expect("every job ran")))
+            .collect::<Vec<_>>()
+    };
+    let solo = campaign(1);
+    assert_eq!(solo.len(), 4, "2 workloads x 2 seeds");
+    assert_eq!(campaign(2), solo, "two jobs at a time");
+}
+
 fn slacksim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_slacksim"))
         .args(args)

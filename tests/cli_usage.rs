@@ -207,13 +207,21 @@ fn sharded_threaded_run_succeeds_and_help_documents_shards() {
 }
 
 #[test]
-fn host_threads_outside_the_batched_engine_are_rejected() {
-    // Only the batched engine has window workers: accepting the flag
-    // elsewhere would silently do nothing.
+fn host_threads_on_the_sequential_engine_are_rejected() {
+    // The sequential engine steps every core on one thread: accepting
+    // the flag there would silently do nothing.
     let out = slacksim(&["--host-threads", "2"]);
-    assert_usage_error(&out, &["--host-threads requires --engine batched"]);
-    let out = slacksim(&["--engine", "threaded", "--host-threads", "1"]);
-    assert_usage_error(&out, &["--host-threads requires --engine batched"]);
+    assert_usage_error(
+        &out,
+        &["--host-threads requires --engine threaded or batched"],
+    );
+    let out = slacksim(&["--engine", "seq", "--host-threads", "1"]);
+    assert_usage_error(
+        &out,
+        &["--host-threads requires --engine threaded or batched"],
+    );
+    let out = slacksim(&["--engine", "threaded", "--host-threads", "0"]);
+    assert_usage_error(&out, &["--host-threads must be at least 1 (got 0)"]);
     let batched = ["--engine", "batched", "--scheme", "quantum"];
     let out = slacksim(&[&batched[..], &["--host-threads", "0"]].concat());
     assert_usage_error(&out, &["--host-threads must be at least 1 (got 0)"]);
@@ -224,33 +232,35 @@ fn host_threads_outside_the_batched_engine_are_rejected() {
 }
 
 #[test]
-fn batched_run_prints_one_report_at_every_host_thread_count() {
-    let report = |threads: &str| {
-        let out = slacksim(&[
-            "--engine",
-            "batched",
-            "--scheme",
-            "quantum",
-            "--cores",
-            "8",
-            "--commit",
-            "20000",
-            "--host-threads",
-            threads,
-        ]);
-        assert!(out.status.success(), "stderr: {}", stderr(&out));
-        // Everything but the two host-time lines.
-        stdout(&out)
-            .lines()
-            .filter(|l| !l.starts_with("wall clock") && !l.starts_with("speed"))
-            .map(str::to_owned)
-            .collect::<Vec<_>>()
-    };
-    let one = report("1");
-    assert!(one.len() >= 4, "report printed to stdout: {one:?}");
-    // More threads than cores is capped, not refused.
-    for threads in ["2", "3", "64"] {
-        assert_eq!(report(threads), one, "--host-threads {threads}");
+fn barrier_runs_print_one_report_at_every_host_thread_count() {
+    for (engine, scheme) in [("batched", "quantum"), ("threaded", "cc")] {
+        let report = |threads: &str| {
+            let out = slacksim(&[
+                "--engine",
+                engine,
+                "--scheme",
+                scheme,
+                "--cores",
+                "8",
+                "--commit",
+                "20000",
+                "--host-threads",
+                threads,
+            ]);
+            assert!(out.status.success(), "stderr: {}", stderr(&out));
+            // Everything but the two host-time lines.
+            stdout(&out)
+                .lines()
+                .filter(|l| !l.starts_with("wall clock") && !l.starts_with("speed"))
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        let one = report("1");
+        assert!(one.len() >= 4, "report printed to stdout: {one:?}");
+        // More threads than cores is capped, not refused.
+        for threads in ["2", "3", "64"] {
+            assert_eq!(report(threads), one, "{engine} --host-threads {threads}");
+        }
     }
     let help = slacksim(&["--help"]);
     assert!(

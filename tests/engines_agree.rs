@@ -1,7 +1,8 @@
-//! Under cycle-by-cycle pacing, the threaded engine (one host thread per
-//! target core) and the deterministic sequential engine must produce
-//! bit-identical statistics: the barrier protocol fully determinises the
-//! parallel execution. Likewise the batched engine under a quantum scheme.
+//! Under cycle-by-cycle pacing, the threaded engine (target cores on
+//! host threads, at any lane count) and the deterministic sequential
+//! engine must produce bit-identical statistics: the barrier protocol
+//! fully determinises the parallel execution. Likewise the batched engine
+//! under a quantum scheme.
 
 use slacksim::scheme::Scheme;
 use slacksim::{Benchmark, EngineKind, Simulation};
@@ -117,6 +118,32 @@ fn threaded_slack_run_completes_with_sane_stats() {
     assert!(r.global_cycles > 0);
     assert_eq!(r.core_total("committed"), r.committed);
     assert!(r.uncore.get("bus_transactions") > 0);
+}
+
+#[test]
+fn threaded_bounded_slack_keeps_its_cpi_at_every_lane_count() {
+    // How the cores are folded onto host threads changes which cores can
+    // drift apart (a lane's own stay within a cycle of each other), not
+    // how far the bound lets them: on one lane, two, and a lane per core
+    // a bounded-16 run stays within 2 % of the cycle-by-cycle CPI, the
+    // band the benchmark holds `thr-b16-fft4` to.
+    let cpi = |r: &slacksim::SimReport| r.global_cycles as f64 / r.committed as f64;
+    let reference = cpi(&run(Benchmark::Fft, EngineKind::Sequential, 200_000));
+    for lanes in [1, 2, 8] {
+        let r = Simulation::new(Benchmark::Fft)
+            .commit_target(200_000)
+            .scheme(Scheme::BoundedSlack { bound: 16 })
+            .engine(EngineKind::Threaded)
+            .host_threads(lanes)
+            .run()
+            .expect("run succeeds");
+        let error = (cpi(&r) - reference).abs() / reference * 100.0;
+        assert!(
+            error <= 2.0,
+            "{lanes} lanes: CPI {:.4} is {error:.2} % off the cycle-by-cycle {reference:.4}",
+            cpi(&r)
+        );
+    }
 }
 
 #[test]

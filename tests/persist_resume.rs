@@ -220,6 +220,130 @@ fn batched_snapshots_resume_across_host_thread_counts() {
     }
 }
 
+/// The threaded engine's lane count is a host knob too: clocks, queues
+/// and snapshots are per core, so a cycle-by-cycle snapshot written on
+/// two lanes (two cores each) resumes on one lane of four (and the
+/// reverse) to the report of a run that was never interrupted.
+#[test]
+fn threaded_snapshots_resume_across_lane_counts() {
+    let flags = |lanes: &'static str, commit: &'static str| {
+        vec![
+            "--engine",
+            "threaded",
+            "--scheme",
+            "cc",
+            "--cores",
+            "4",
+            "--benchmark",
+            "water",
+            "--checkpoint",
+            "500",
+            "--host-threads",
+            lanes,
+            "--commit",
+            commit,
+        ]
+    };
+    let baseline = slacksim(&flags("4", "120000"));
+    assert!(baseline.status.success(), "baseline run exits 0");
+    let want = outcome_lines(&baseline);
+    assert!(!want.is_empty(), "baseline printed a report");
+
+    for (writer, reader) in [("2", "1"), ("1", "2"), ("2", "4")] {
+        let dir = scratch_dir(&format!("thr-l{writer}-l{reader}"));
+        let mut write = flags(writer, "50000");
+        write.extend(["--save-state", dir.to_str().unwrap()]);
+        assert!(slacksim(&write).status.success(), "persisting run exits 0");
+        let snapshot = newest_checkpoint(&dir).expect("snapshot persisted");
+
+        let mut resume = flags(reader, "120000");
+        resume.extend(["--resume", snapshot.to_str().unwrap()]);
+        let resumed = slacksim(&resume);
+        assert!(
+            resumed.status.success(),
+            "resumed run exits 0: {}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(
+            outcome_lines(&resumed),
+            want,
+            "written on {writer} lanes, resumed on {reader}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The stop-sync commands carry a whole lane's cores: a speculative run
+/// on two lanes of two cores that rolls back (`Rewind` and `Snapshot`
+/// over multi-core lanes) persists snapshots a one-lane run resumes, and
+/// the reverse. Slack on host threads is non-deterministic, so the
+/// resumed run is held to finishing past its commit target, not to a
+/// report.
+#[test]
+fn speculative_threaded_snapshots_resume_across_lane_counts() {
+    let flags = |lanes: &'static str, commit: &'static str| {
+        vec![
+            "--engine",
+            "threaded",
+            "--scheme",
+            "unbounded",
+            "--cores",
+            "4",
+            "--benchmark",
+            "water",
+            "--checkpoint",
+            "500",
+            "--rollback",
+            "all",
+            "--verbose",
+            "--host-threads",
+            lanes,
+            "--commit",
+            commit,
+        ]
+    };
+    let counter = |out: &Output, name: &str| -> u64 {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find_map(|l| {
+                let value = l.trim().strip_prefix(name)?;
+                value.split_whitespace().next()?.parse().ok()
+            })
+            .unwrap_or_else(|| panic!("report has no {name:?} line"))
+    };
+    let mut rolled_back = false;
+    for (writer, reader) in [("2", "1"), ("1", "2")] {
+        // One core per lane-pass keeps a single lane's cores within a
+        // cycle of each other, so only the two-lane leg can roll back;
+        // whether it does is up to the host, so give it a few goes.
+        for _attempt in 0..8 {
+            let dir = scratch_dir(&format!("thr-spec-l{writer}-l{reader}"));
+            let mut write = flags(writer, "150000");
+            write.extend(["--save-state", dir.to_str().unwrap()]);
+            let written = slacksim(&write);
+            assert!(written.status.success(), "persisting run exits 0");
+            let snapshot = newest_checkpoint(&dir).expect("snapshot persisted");
+
+            let mut resume = flags(reader, "300000");
+            resume.extend(["--resume", snapshot.to_str().unwrap()]);
+            let resumed = slacksim(&resume);
+            assert!(
+                resumed.status.success(),
+                "written on {writer} lanes, resumed on {reader}: {}",
+                String::from_utf8_lossy(&resumed.stderr)
+            );
+            assert!(counter(&resumed, "committed      :") >= 300_000);
+            let _ = std::fs::remove_dir_all(&dir);
+            let rollbacks = counter(&written, "rollbacks:") + counter(&resumed, "rollbacks:");
+            rolled_back |= rollbacks > 0;
+            if rolled_back {
+                break;
+            }
+        }
+    }
+    assert!(rolled_back, "no run on two lanes rolled back");
+}
+
 /// Writes one snapshot quickly and returns its path (plus the scratch
 /// dir for cleanup).
 fn persisted_snapshot(tag: &str) -> (PathBuf, PathBuf) {

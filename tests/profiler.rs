@@ -14,8 +14,15 @@ use slacksim::{
 };
 
 fn profiled_run(engine: EngineKind, commit: u64) -> SimReport {
+    profiled_run_on(0, engine, commit)
+}
+
+/// [`profiled_run`] with the threaded engine's lane count pinned (0 = one
+/// per host CPU).
+fn profiled_run_on(host_threads: usize, engine: EngineKind, commit: u64) -> SimReport {
     let mut sim = Simulation::new(Benchmark::Fft);
     sim.cores(4)
+        .host_threads(host_threads)
         .commit_target(commit)
         .seed(7)
         .scheme(Scheme::BoundedSlack { bound: 8 })
@@ -62,23 +69,27 @@ fn sequential_profile_covers_most_of_the_wall_clock() {
 
 #[test]
 fn threaded_profile_covers_most_of_the_wall_clock() {
-    let report = profiled_run(EngineKind::Threaded, 60_000);
-    let prof = report.prof.as_ref().expect("profile attached");
-    assert_eq!(prof.threads, 5, "4 cores + manager record");
-    // Core threads spend their time ticking or in the instrumented wait
-    // ladder; the only uncovered host time is loop glue. The bound is
-    // deliberately loose: on an oversubscribed host, preempted threads
-    // accrue wall-clock outside any span.
-    assert!(
-        prof.coverage() > 0.5,
-        "threaded self-time coverage {:.1}% too low",
-        prof.coverage() * 100.0
-    );
-    for site in [ProfSite::CoreTick, ProfSite::ManagerService] {
+    // The paper's thread per core, and the same cores folded onto two
+    // lanes: the coverage denominator is the threads that were spawned.
+    for lanes in [4, 2] {
+        let report = profiled_run_on(lanes, EngineKind::Threaded, 60_000);
+        let prof = report.prof.as_ref().expect("profile attached");
+        assert_eq!(prof.threads, lanes as u64 + 1, "lanes + manager record");
+        // Lane threads spend their time ticking or in the instrumented
+        // wait ladder; the only uncovered host time is loop glue. The
+        // bound is deliberately loose: on an oversubscribed host,
+        // preempted threads accrue wall-clock outside any span.
         assert!(
-            prof.sites.iter().any(|s| s.site == site && s.count > 0),
-            "{site:?} missing from threaded profile"
+            prof.coverage() > 0.5,
+            "threaded self-time coverage on {lanes} lanes {:.1}% too low",
+            prof.coverage() * 100.0
         );
+        for site in [ProfSite::CoreTick, ProfSite::ManagerService] {
+            assert!(
+                prof.sites.iter().any(|s| s.site == site && s.count > 0),
+                "{site:?} missing from threaded profile on {lanes} lanes"
+            );
+        }
     }
 }
 
@@ -345,9 +356,13 @@ fn threaded_terminal_heartbeat_equals_the_report() {
     let mut sim = live_sim(EngineKind::Threaded);
     assert_terminal_beat_equals_report("adaptive", adaptive(), sim.speculation(cp_only));
     let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
-    let mut sim = live_sim(EngineKind::Threaded);
     let b16 = Scheme::BoundedSlack { bound: 16 };
-    assert_terminal_beat_equals_report("rollback", b16, sim.speculation(rollback));
+    // A lane per core, then two cores a lane.
+    for lanes in [4, 2] {
+        let mut sim = live_sim(EngineKind::Threaded);
+        sim.host_threads(lanes).speculation(rollback);
+        assert_terminal_beat_equals_report(&format!("rollback/{lanes}"), b16.clone(), &mut sim);
+    }
 }
 
 #[test]

@@ -104,7 +104,8 @@ fn run(engine: EngineKind, scheme: &Scheme, spec: Spec, cores: usize, uncore: Un
     run_on(0, engine, scheme, spec, cores, uncore)
 }
 
-/// [`run`] with the batched engine's host-thread count pinned (0 = auto).
+/// [`run`] with the host-thread count of the threaded engine's lanes or
+/// the batched engine's windows pinned (0 = auto).
 fn run_on(
     host_threads: usize,
     engine: EngineKind,
@@ -241,6 +242,28 @@ fn batched_digests_hold_at_every_host_thread_count() {
         for threads in [1, 2, 3] {
             let got = run_on(threads, EngineKind::Batched, &q50, spec, 8, UncoreKind::Bus);
             assert_eq!(got, want, "{label} on {threads} host threads: {got:#018x}");
+        }
+    }
+}
+
+#[test]
+fn threaded_digests_hold_at_every_lane_count() {
+    // The same constants again: one lane stepping every core, two lanes,
+    // and a lane per core (the paper's mapping) print the report the
+    // host-sized default pinned above.
+    let cc = Scheme::CycleByCycle;
+    for (label, cores, uncore) in [
+        ("thr/cc/bus8", 8, UncoreKind::Bus),
+        ("thr/cc/dir16", 16, UncoreKind::Directory),
+    ] {
+        let want = EXPECTED
+            .iter()
+            .find(|(l, _)| *l == label)
+            .expect("row is pinned")
+            .1;
+        for lanes in [1, 2, cores] {
+            let got = run_on(lanes, EngineKind::Threaded, &cc, Spec::Off, cores, uncore);
+            assert_eq!(got, want, "{label} on {lanes} lanes: {got:#018x}");
         }
     }
 }

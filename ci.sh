@@ -150,6 +150,35 @@ if command -v taskset > /dev/null; then
         echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
 
+echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU)"
+# Core lanes on the release binary (DESIGN §10, "Core lanes"): the
+# threaded engine's lane count is a host knob, so under cycle-by-cycle
+# the whole verbose report — everything but the two host-time lines and
+# the three kernel counters that record what the host's scheduler did
+# (park counts and the asynchronously sampled clock spread, the ones
+# tests/report_digest.rs drops) — must be byte-equal with the 8 cores on
+# one lane, on two, and on a lane each.
+# Then the oversubscribed case: two lanes and the manager pinned to one
+# CPU must still finish, with the same report. The in-process twins run
+# in crates/conformance and tests/report_digest.rs.
+thr_flags=(--benchmark fft --scheme cc --engine threaded --cores 8
+    --commit 200000 --verbose)
+thr_report() { # the simulated report of one run: thr_report COMMAND...
+    "$@" 2> /dev/null | grep -vE '^(wall clock|speed) |^ *(core_parks|manager_parks|max_clock_spread):'
+}
+thr_one="$(thr_report ./target/release/slacksim "${thr_flags[@]}" --host-threads 1)"
+grep -q '^committed' <<< "$thr_one" || {
+    echo "ci: threaded run printed no report" >&2; exit 1; }
+for h in 2 8; do
+    [ "$thr_one" = "$(thr_report ./target/release/slacksim "${thr_flags[@]}" --host-threads "$h")" ] || {
+        echo "ci: threaded report on $h lanes differs from the one on 1" >&2; exit 1; }
+done
+if command -v taskset > /dev/null; then
+    [ "$thr_one" = "$(thr_report timeout 120 taskset -c 0 \
+        ./target/release/slacksim "${thr_flags[@]}" --host-threads 2)" ] || {
+        echo "ci: two lanes pinned to one CPU hung or changed the report" >&2; exit 1; }
+fi
+
 echo "==> bench smoke (engine_throughput, short run, checked against baseline)"
 # Short run into a scratch path, compared against the committed
 # BENCH_threaded.json: every engine/scheme row must keep at least 0.25x

@@ -99,29 +99,6 @@ dir_resumed="$(./target/release/slacksim "${dir_flags[@]}" --resume "$dir_snapsh
 }
 rm -rf "$dir_cps"
 
-echo "==> sharded manager-tree smoke (64-core directory, --shards 4, report validation)"
-# Manager-tree proof on the release binary (DESIGN §18): the same
-# 64-core directory configuration through a 4-way manager tree must
-# reproduce the single-manager report exactly under cycle-by-cycle —
-# the shard count is a host knob, never a simulated-results knob — and
-# the artifacts the sharded run emits (live heartbeat with per-shard
-# forwarding-queue depths, profile CSV with the shard-service site)
-# must validate through `slacksim report`.
-shard_dir="$(mktemp -d /tmp/slacksim-ci-shard.XXXXXX)"
-sharded="$(./target/release/slacksim "${dir_flags[@]}" --shards 4 \
-    --profile --profile-csv "$shard_dir/prof.csv" \
-    --live-status "$shard_dir/live.json" --live-every 50 \
-    | grep -E '^(execution time|committed|violations)')"
-[ "$dir_baseline" = "$sharded" ] || {
-    echo "ci: sharded 64-core report diverged from the single-manager baseline" >&2
-    printf 'baseline:\n%s\nsharded:\n%s\n' "$dir_baseline" "$sharded" >&2
-    exit 1
-}
-./target/release/slacksim report "$shard_dir/live.json" "$shard_dir/prof.csv" \
-    > /dev/null || {
-    echo "ci: sharded run artifacts failed report validation" >&2; exit 1; }
-rm -rf "$shard_dir"
-
 echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, two threads on one CPU)"
 # Host-parallel windows on the release binary (DESIGN §15.1): the
 # batched engine's host-thread count is a host knob, so the whole

@@ -89,7 +89,6 @@ fn profiling() -> bool {
     std::env::var("SLACKSIM_BENCH_PROFILE").is_ok_and(|v| v == "1")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_once(
     engine: EngineKind,
     scheme: Scheme,
@@ -97,7 +96,6 @@ fn run_once(
     cores: usize,
     commit_target: u64,
     spec: Option<SpeculationConfig>,
-    shards: usize,
 ) -> (std::time::Duration, u64, u64, u64, Option<ProfData>) {
     let t = Instant::now();
     let mut sim = Simulation::new(Benchmark::Fft);
@@ -107,7 +105,6 @@ fn run_once(
         .seed(1)
         .scheme(scheme)
         .engine(engine)
-        .shards(shards)
         .profile(profiling());
     if let Some(spec) = spec {
         sim.speculation(spec);
@@ -138,32 +135,16 @@ fn bench(
     commit_target: u64,
     iters: u32,
     spec: Option<SpeculationConfig>,
-    shards: usize,
 ) -> ResultRow {
-    let _ = run_once(
-        engine,
-        scheme.clone(),
-        uncore,
-        cores,
-        commit_target,
-        spec,
-        shards,
-    ); // warm-up
+    let _ = run_once(engine, scheme.clone(), uncore, cores, commit_target, spec); // warm-up
     let mut times = Vec::with_capacity(iters as usize);
     let mut committed = 0;
     let mut global_cycles = 0;
     let mut events = 0;
     let mut prof = None;
     for _ in 0..iters {
-        let (wall, c, g, e, p) = run_once(
-            engine,
-            scheme.clone(),
-            uncore,
-            cores,
-            commit_target,
-            spec,
-            shards,
-        );
+        let (wall, c, g, e, p) =
+            run_once(engine, scheme.clone(), uncore, cores, commit_target, spec);
         times.push(wall);
         committed = c;
         global_cycles = g;
@@ -343,7 +324,6 @@ fn main() {
             commit_target,
             iters,
             None,
-            1,
         ));
     }
     for (name, bound, scheme) in [
@@ -363,27 +343,8 @@ fn main() {
             commit_target,
             iters,
             None,
-            1,
         ));
     }
-
-    // Sharded manager-tree row (DESIGN §18): the threaded engine with
-    // `--shards 4` on the same 8-core bounded-64 workload, keyed as its
-    // own engine name so the tolerance gate tracks the sharded
-    // trajectory separately from the single-manager rows.
-    rows.push(bench(
-        EngineKind::Threaded,
-        "threaded-sh4",
-        Scheme::BoundedSlack { bound: 64 },
-        "bounded-64",
-        UncoreKind::Bus,
-        CORES,
-        Some(64),
-        commit_target,
-        iters,
-        None,
-        4,
-    ));
 
     // Checkpoint-cost row (DESIGN §12): bounded-16 with a checkpoint
     // every 5k global cycles on the deterministic engine, at a 10× commit
@@ -400,7 +361,6 @@ fn main() {
         commit_target * 10,
         iters,
         Some(SpeculationConfig::checkpoint_only(5_000)),
-        1,
     ));
 
     // Batched engine rows (quantum-compiled BSP stepping, DESIGN §15).
@@ -423,7 +383,6 @@ fn main() {
             commit_target,
             iters,
             None,
-            1,
         ));
     }
 
@@ -432,14 +391,13 @@ fn main() {
     // exactness scheme. They go to BENCH_directory.json so the
     // directory-scale trajectory gates independently.
     let mut directory_rows = Vec::new();
-    for (engine, engine_name, name, bound, scheme, shards) in [
+    for (engine, engine_name, name, bound, scheme) in [
         (
             EngineKind::Sequential,
             "sequential",
             "cycle-by-cycle",
             Some(0),
             Scheme::CycleByCycle,
-            1,
         ),
         (
             EngineKind::Sequential,
@@ -447,7 +405,6 @@ fn main() {
             "bounded-16",
             Some(16),
             Scheme::BoundedSlack { bound: 16 },
-            1,
         ),
         (
             EngineKind::Threaded,
@@ -455,19 +412,6 @@ fn main() {
             "bounded-16",
             Some(16),
             Scheme::BoundedSlack { bound: 16 },
-            1,
-        ),
-        // The manager tree at its design point: 64 cores split over 4
-        // shard managers (DESIGN §18), same scheme as the
-        // single-manager threaded row above so the speedup reads
-        // directly off the table.
-        (
-            EngineKind::Threaded,
-            "threaded-sh4",
-            "bounded-16",
-            Some(16),
-            Scheme::BoundedSlack { bound: 16 },
-            4,
         ),
         (
             EngineKind::Batched,
@@ -475,7 +419,6 @@ fn main() {
             "quantum-50",
             Some(50),
             Scheme::Quantum { quantum: 50 },
-            1,
         ),
     ] {
         directory_rows.push(bench(
@@ -489,7 +432,6 @@ fn main() {
             commit_target,
             iters,
             None,
-            shards,
         ));
     }
 
@@ -547,27 +489,10 @@ fn main() {
         .iter()
         .find(|r| r.engine == "sequential" && r.scheme_name == "cycle-by-cycle")
         .expect("directory cycle-by-cycle row");
-    // The manager tree's headline number: bounded-slack commit
-    // throughput of the 4-shard tree over the single-manager threaded
-    // engine on the same 64-core directory FFT.
-    let dir_threaded = directory_rows
-        .iter()
-        .find(|r| r.engine == "threaded" && r.scheme_name == "bounded-16")
-        .expect("directory threaded bounded-16 row");
-    let dir_sharded = directory_rows
-        .iter()
-        .find(|r| r.engine == "threaded-sh4" && r.scheme_name == "bounded-16")
-        .expect("directory threaded-sh4 bounded-16 row");
-    let directory_extra_keys = [
-        (
-            "directory_cc_commits_per_sec",
-            jnum(dir_cc.commits_per_sec()),
-        ),
-        (
-            "sharded_speedup_vs_single_manager",
-            jnum(dir_sharded.commits_per_sec() / dir_threaded.commits_per_sec()),
-        ),
-    ];
+    let directory_extra_keys = [(
+        "directory_cc_commits_per_sec",
+        jnum(dir_cc.commits_per_sec()),
+    )];
     let directory_baseline_raw = load_baseline("SLACKSIM_BENCH_BASELINE_DIRECTORY");
     let directory_json = emit_json(
         &directory_rows,
@@ -581,10 +506,6 @@ fn main() {
     println!(
         "directory/cycle-by-cycle at {DIR_CORES} cores: {:.0} commits/s",
         dir_cc.commits_per_sec()
-    );
-    println!(
-        "threaded-sh4/bounded-16 at {DIR_CORES} cores: {:.2}x single-manager commit throughput",
-        dir_sharded.commits_per_sec() / dir_threaded.commits_per_sec()
     );
 
     // Baseline drift gates (ci.sh bench smoke): every row a baseline

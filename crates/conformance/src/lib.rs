@@ -34,7 +34,6 @@
 //!     mutation: Mutation::None,
 //!     bench: Benchmark::Fft,
 //!     cores: 2,
-//!     shards: 1,
 //!     scheme: Scheme::BoundedSlack { bound: 8 },
 //!     target: 2_000,
 //!     seed: 1,
@@ -52,9 +51,9 @@ pub mod repro;
 pub mod vsched;
 
 pub use oracle::{
-    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on,
-    run_engine_sharded, run_repro, run_resumed, run_resumed_on, run_speculative, run_virtual,
-    shrink, Fingerprint, DETERMINISTIC_KERNEL_COUNTERS,
+    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on, run_repro,
+    run_resumed, run_resumed_on, run_speculative, run_virtual, shrink, Fingerprint,
+    DETERMINISTIC_KERNEL_COUNTERS,
 };
 pub use repro::{format_scheme, parse_repro, parse_scheme, VirtCase};
 pub use vsched::{Mutation, SchedDiag, SchedPolicy, VirtualSched};

@@ -65,7 +65,7 @@ pub fn fingerprint(report: &SimReport) -> Fingerprint {
 /// Kernel counters that are a function of the simulated run alone, so
 /// engines that must agree on a [`Fingerprint`] must agree on these too.
 /// Host-side telemetry (park counts, the asynchronously sampled clock
-/// spread, shard forwarding) is deliberately absent.
+/// spread) is deliberately absent.
 pub const DETERMINISTIC_KERNEL_COUNTERS: [&str; 11] = [
     "checkpoints",
     "rollbacks",
@@ -132,35 +132,6 @@ pub fn run_engine_on(
         .run()
         .unwrap_or_else(|e| {
             panic!("{engine:?} run failed for {bench:?}/{uncore}/{cores} cores: {e}")
-        })
-}
-
-/// [`run_engine_on`] on the threaded engine with a `shards`-way manager
-/// tree — the sharded rows of the conformance matrix run through this.
-///
-/// # Panics
-///
-/// Panics if the engine reports an error.
-pub fn run_engine_sharded(
-    uncore: UncoreKind,
-    bench: Benchmark,
-    cores: usize,
-    scheme: &Scheme,
-    target: u64,
-    seed: u64,
-    shards: usize,
-) -> SimReport {
-    Simulation::new(bench)
-        .uncore(uncore)
-        .cores(cores)
-        .scheme(scheme.clone())
-        .engine(EngineKind::Threaded)
-        .shards(shards)
-        .commit_target(target)
-        .seed(seed)
-        .run()
-        .unwrap_or_else(|e| {
-            panic!("threaded run failed for {bench:?}/{uncore}/{cores} cores/{shards} shards: {e}")
         })
 }
 
@@ -295,18 +266,11 @@ pub fn run_resumed_on(
 ///
 /// Panics if the engine reports an error.
 pub fn run_virtual(case: &VirtCase) -> (SimReport, SchedDiag) {
-    let sched = VirtualSched::with_shards(
-        case.cores,
-        case.shards,
-        case.policy,
-        case.sched_seed,
-        case.mutation,
-    );
+    let sched = VirtualSched::new(case.cores, case.policy, case.sched_seed, case.mutation);
     let report = Simulation::new(case.bench)
         .cores(case.cores)
         .scheme(case.scheme.clone())
         .engine(EngineKind::Threaded)
-        .shards(case.shards)
         .commit_target(case.target)
         .seed(case.seed)
         .host_sched(SchedRef::new(Arc::clone(&sched) as Arc<_>))
@@ -377,16 +341,6 @@ pub fn shrink<F: Fn(&VirtCase) -> bool>(case: VirtCase, fails: F) -> VirtCase {
             c.cores = 1;
             candidates.push(c);
         }
-        if best.shards > 1 {
-            // Failures that survive without the manager tree are far
-            // easier to chase, so try collapsing to one shard first.
-            let mut c = best.clone();
-            c.shards = 1;
-            candidates.push(c);
-            let mut c = best.clone();
-            c.shards = best.shards - 1;
-            candidates.push(c);
-        }
         if let Scheme::BoundedSlack { bound } = best.scheme {
             if bound > 1 {
                 let mut c = best.clone();
@@ -424,7 +378,6 @@ mod tests {
             mutation: Mutation::DropUnpark { nth: 7 },
             bench: Benchmark::Fft,
             cores: 8,
-            shards: 4,
             scheme: Scheme::BoundedSlack { bound: 16 },
             target: 8_000,
             seed: 1,
@@ -436,15 +389,18 @@ mod tests {
         let shrunk = shrink(case(), |_| true);
         assert_eq!(shrunk.target, 500);
         assert_eq!(shrunk.cores, 1);
-        assert_eq!(shrunk.shards, 1);
         assert_eq!(shrunk.scheme, Scheme::BoundedSlack { bound: 1 });
         assert_eq!(shrunk.mutation, Mutation::DropUnpark { nth: 0 });
     }
 
     #[test]
-    fn shrink_keeps_shards_the_failure_needs() {
-        let shrunk = shrink(case(), |c| c.shards >= 2);
-        assert_eq!(shrunk.shards, 2);
+    fn shrink_keeps_the_bound_the_failure_needs() {
+        let shrunk = shrink(
+            case(),
+            |c| matches!(c.scheme, Scheme::BoundedSlack { bound } if bound >= 4),
+        );
+        assert_eq!(shrunk.scheme, Scheme::BoundedSlack { bound: 4 });
+        assert_eq!((shrunk.cores, shrunk.target), (1, 500));
     }
 
     #[test]

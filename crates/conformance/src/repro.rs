@@ -27,9 +27,6 @@ pub struct VirtCase {
     pub bench: Benchmark,
     /// Target core count.
     pub cores: usize,
-    /// Manager-tree width for the threaded engine (1 = the classic
-    /// single-manager loop).
-    pub shards: usize,
     /// Slack scheme.
     pub scheme: Scheme,
     /// Aggregate committed-instruction target.
@@ -51,13 +48,7 @@ impl fmt::Display for VirtCase {
             format_scheme(&self.scheme),
             self.target,
             self.seed,
-        )?;
-        // Emitted only when sharded, so unsharded lines — the whole
-        // corpus predating the manager tree — stay byte-stable.
-        if self.shards != 1 {
-            write!(f, " shards={}", self.shards)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -153,7 +144,6 @@ pub fn parse_repro(line: &str) -> Result<VirtCase, String> {
     let mut mutation = None;
     let mut bench = None;
     let mut cores = None;
-    let mut shards = None;
     let mut scheme = None;
     let mut target = None;
     let mut seed = None;
@@ -175,15 +165,6 @@ pub fn parse_repro(line: &str) -> Result<VirtCase, String> {
                         .map_err(|e| format!("bad cores {val:?}: {e}"))?,
                 );
             }
-            "shards" => {
-                let n = val
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad shards {val:?}: {e}"))?;
-                if n == 0 {
-                    return Err("shards must be at least 1".to_string());
-                }
-                shards = Some(n);
-            }
             "scheme" => scheme = Some(parse_scheme(val)?),
             "target" => target = Some(uint()?),
             "seed" => seed = Some(uint()?),
@@ -199,9 +180,6 @@ pub fn parse_repro(line: &str) -> Result<VirtCase, String> {
         mutation: mutation.ok_or_else(need("mutation"))?,
         bench: bench.ok_or_else(need("bench"))?,
         cores: cores.ok_or_else(need("cores"))?,
-        // Optional for back-compat: lines predating the manager tree
-        // carry no shards field and mean the single-manager loop.
-        shards: shards.unwrap_or(1),
         scheme: scheme.ok_or_else(need("scheme"))?,
         target: target.ok_or_else(need("target"))?,
         seed: seed.ok_or_else(need("seed"))?,
@@ -219,7 +197,6 @@ mod tests {
             mutation: Mutation::DropUnpark { nth: 3 },
             bench: Benchmark::Fft,
             cores: 4,
-            shards: 1,
             scheme: Scheme::BoundedSlack { bound: 8 },
             target: 4_000,
             seed: 1,
@@ -231,18 +208,14 @@ mod tests {
         let case = sample();
         let line = case.to_string();
         assert!(line.starts_with("conformance-repro v1 "), "{line}");
-        assert!(!line.contains("shards="), "unsharded lines stay stable");
         assert_eq!(parse_repro(&line).expect("parses"), case);
     }
 
     #[test]
-    fn sharded_repro_line_round_trips() {
-        let mut case = sample();
-        case.shards = 4;
-        let line = case.to_string();
-        assert!(line.ends_with(" shards=4"), "{line}");
-        assert_eq!(parse_repro(&line).expect("parses"), case);
-        assert!(parse_repro(&line.replace("shards=4", "shards=0")).is_err());
+    fn a_sharded_repro_line_is_refused() {
+        let line = format!("{} shards=4", sample());
+        let err = parse_repro(&line).expect_err("the manager tree is gone");
+        assert!(err.contains("unknown field \"shards\""), "{err}");
     }
 
     #[test]

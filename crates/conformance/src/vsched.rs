@@ -13,13 +13,12 @@
 //! Parks get **no timeout**: a wake-up the protocol loses turns into a
 //! stall the scheduler can see instead of latency the native
 //! park-timeout backstop would absorb. Stalls are resolved by force-
-//! waking the *pollers* — the manager and, under a sharded manager tree
-//! ([`VirtualSched::with_shards`]), the shard-manager threads, whose
-//! native parks are timed polls by design; when that stops helping, the
-//! scheduler declares a livelock, falls back to native timeout
-//! semantics so the run completes, and records the parked cores it had
-//! to revive as [`SchedDiag::lost_wakeups`] — the crisp diagnostic the
-//! mutation tests assert on.
+//! waking the *poller* — the manager, whose native park is a timed poll
+//! by design; when that stops helping, the scheduler declares a
+//! livelock, falls back to native timeout semantics so the run
+//! completes, and records the parked cores it had to revive as
+//! [`SchedDiag::lost_wakeups`] — the crisp diagnostic the mutation tests
+//! assert on.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -63,11 +62,10 @@ pub enum SchedPolicy {
         /// Task index of the starved core (0-based core id + 1).
         victim: usize,
     },
-    /// Adversarial: whenever a consolidator (the manager or a shard
-    /// manager) enters a consumer-side drain ([`SchedSite::RingDrain`] /
-    /// [`SchedSite::SnapshotTake`]), a producer core runs first —
-    /// interleaving drains with pushes, overflow spills and checkpoint
-    /// hand-offs.
+    /// Adversarial: whenever the manager enters a consumer-side drain
+    /// ([`SchedSite::RingDrain`] / [`SchedSite::SnapshotTake`]), a
+    /// producer core runs first — interleaving drains with pushes,
+    /// overflow spills and checkpoint hand-offs.
     DrainPreempt,
 }
 
@@ -129,8 +127,8 @@ pub struct SchedDiag {
     pub unparks: u64,
     /// Unpark deliveries swallowed by the active [`Mutation`].
     pub dropped_unparks: u64,
-    /// Stall resolutions that woke a timed-poll-by-design task — the
-    /// manager, plus the shard managers when the tree is sharded.
+    /// Stall resolutions that woke the manager, the timed-poll-by-design
+    /// task.
     pub forced_manager_wakes: u64,
     /// Parked cores revived by the livelock fallback — each one is a
     /// wake-up the protocol lost. Zero for a correct protocol.
@@ -184,9 +182,6 @@ struct State {
 #[derive(Debug)]
 pub struct VirtualSched {
     names: Vec<String>,
-    /// Number of target cores; tasks `1..=core_count` are core threads,
-    /// anything above is a shard-manager thread.
-    core_count: usize,
     policy: SchedPolicy,
     mutation: Mutation,
     state: Mutex<State>,
@@ -195,33 +190,14 @@ pub struct VirtualSched {
 
 impl VirtualSched {
     /// Creates a scheduler for a threaded-engine run over `cores` target
-    /// cores with the classic single-manager loop (`shards == 1`).
+    /// cores (lanes, when the run folds its cores onto fewer). The
+    /// expected task set is fixed up front — `"manager"`, then
+    /// `"core0".."core{n-1}"` — so task identity never depends on thread
+    /// start-up races.
     pub fn new(cores: usize, policy: SchedPolicy, seed: u64, mutation: Mutation) -> Arc<Self> {
-        Self::with_shards(cores, 1, policy, seed, mutation)
-    }
-
-    /// Creates a scheduler for a threaded-engine run over `cores` target
-    /// cores under a `shards`-way manager tree. The expected task set is
-    /// fixed up front — `"manager"`, `"core0".."core{n-1}"`, then
-    /// `"shard1".."shard{S-1}"` (shard 0 is folded into the root
-    /// manager, and the engine clamps `S` to the core count) — so task
-    /// identity never depends on thread start-up races.
-    pub fn with_shards(
-        cores: usize,
-        shards: usize,
-        policy: SchedPolicy,
-        seed: u64,
-        mutation: Mutation,
-    ) -> Arc<Self> {
-        let shards = shards.clamp(1, cores.max(1));
-        let mut names = Vec::with_capacity(cores + shards);
-        names.push("manager".to_string());
-        for i in 0..cores {
-            names.push(format!("core{i}"));
-        }
-        for s in 1..shards {
-            names.push(format!("shard{s}"));
-        }
+        let names: Vec<String> = std::iter::once("manager".to_string())
+            .chain((0..cores).map(|i| format!("core{i}")))
+            .collect();
         let tasks = names
             .iter()
             .map(|_| TaskState {
@@ -233,7 +209,6 @@ impl VirtualSched {
             .collect();
         Arc::new(VirtualSched {
             names,
-            core_count: cores,
             policy,
             mutation,
             state: Mutex::new(State {
@@ -272,12 +247,12 @@ impl VirtualSched {
         out
     }
 
-    /// True for tasks whose native park is a timed poll by design — the
-    /// root manager and every shard-manager thread. Nobody is obliged to
-    /// unpark them, so the stall resolver may revive them without hiding
-    /// a protocol bug; a *core* needing such a revival lost a wake-up.
-    fn is_poller(&self, task: usize) -> bool {
-        task == MANAGER || task > self.core_count
+    /// True for the task whose native park is a timed poll by design —
+    /// the manager. Nobody is obliged to unpark it, so the stall resolver
+    /// may revive it without hiding a protocol bug; a *core* needing such
+    /// a revival lost a wake-up.
+    fn is_poller(task: usize) -> bool {
+        task == MANAGER
     }
 
     fn me(&self, st: &State) -> usize {
@@ -343,61 +318,44 @@ impl VirtualSched {
     }
 
     /// No task is runnable. Natively every park here has a timeout; the
-    /// manager's and the shard managers' are deliberate polling
-    /// cadences, so waking only those pollers preserves protocol
-    /// fidelity — a core that *needs* such a revival lost a wake-up.
+    /// manager's is a deliberate polling cadence, so waking only the
+    /// manager preserves protocol fidelity — a core that *needs* such a
+    /// revival lost a wake-up.
     fn resolve_stall(&self, st: &mut State) {
-        if !st.diag.timeout_fallback {
-            let mut woke = false;
-            for i in 0..st.tasks.len() {
-                if self.is_poller(i) && st.tasks[i].status == Status::Parked {
-                    st.tasks[i].status = Status::Ready;
-                    st.tasks[i].parked_at_wake = None;
-                    woke = true;
-                }
-            }
-            if woke {
-                // One stall resolution = one manager "round", however
-                // many pollers it revived.
-                st.diag.forced_manager_wakes += 1;
-                // Livelock check: in every correct protocol path a
-                // parked core is re-unparked within a couple of manager
-                // rounds (each window publication wakes every parked
-                // core). A core whose park has survived this many forced
-                // poller wakes has a wake-up that is never coming — the
-                // lost-unpark signature. Record it and fall back to
-                // native timeout semantics so the run completes and can
-                // be examined. The age test is per task and only over
-                // cores: healthy cores that keep getting woken and
-                // re-parked do not mask a stranded sibling, and pollers
-                // were just revived above.
-                let now = st.diag.forced_manager_wakes;
-                let stranded = st
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, t)| {
-                        !self.is_poller(i)
-                            && matches!(
-                                t.parked_at_wake,
-                                Some(p) if now - p >= LIVELOCK_STALL_THRESHOLD
-                            )
-                    })
-                    .count() as u64;
-                if stranded > 0 {
-                    st.diag.timeout_fallback = true;
-                    st.diag.lost_wakeups += stranded;
-                    for t in st.tasks.iter_mut() {
-                        if t.status == Status::Parked {
-                            t.status = Status::Ready;
-                            t.parked_at_wake = None;
-                        }
+        if !st.diag.timeout_fallback && st.tasks[MANAGER].status == Status::Parked {
+            st.tasks[MANAGER].status = Status::Ready;
+            st.tasks[MANAGER].parked_at_wake = None;
+            st.diag.forced_manager_wakes += 1;
+            // Livelock check: in every correct protocol path a parked
+            // core is re-unparked within a couple of manager rounds (each
+            // window publication wakes every parked core). A core whose
+            // park has survived this many forced manager wakes has a
+            // wake-up that is never coming — the lost-unpark signature.
+            // Record it and fall back to native timeout semantics so the
+            // run completes and can be examined. The age test is per
+            // task: healthy cores that keep getting woken and re-parked
+            // do not mask a stranded sibling.
+            let now = st.diag.forced_manager_wakes;
+            let stranded = st
+                .tasks
+                .iter()
+                .filter(
+                    |t| matches!(t.parked_at_wake, Some(p) if now - p >= LIVELOCK_STALL_THRESHOLD),
+                )
+                .count() as u64;
+            if stranded > 0 {
+                st.diag.timeout_fallback = true;
+                st.diag.lost_wakeups += stranded;
+                for t in st.tasks.iter_mut() {
+                    if t.status == Status::Parked {
+                        t.status = Status::Ready;
+                        t.parked_at_wake = None;
                     }
                 }
-                return;
             }
+            return;
         }
-        // Fallback mode (or every poller is gone): emulate every pending
+        // Fallback mode (or the manager is gone): emulate every pending
         // park timeout firing.
         for t in st.tasks.iter_mut() {
             if t.status == Status::Parked {
@@ -455,7 +413,7 @@ impl VirtualSched {
                 }
             }
             SchedPolicy::DrainPreempt => {
-                let mid_drain = self.is_poller(entering)
+                let mid_drain = Self::is_poller(entering)
                     && matches!(
                         site,
                         Some(SchedSite::RingDrain) | Some(SchedSite::SnapshotTake)
@@ -464,7 +422,7 @@ impl VirtualSched {
                     let cores: Vec<usize> = ready
                         .iter()
                         .copied()
-                        .filter(|&i| !self.is_poller(i))
+                        .filter(|&i| !Self::is_poller(i))
                         .collect();
                     if !cores.is_empty() {
                         return Self::pick_uniform(&mut st.rng, &cores);
@@ -667,12 +625,12 @@ mod tests {
         assert_eq!(d.lost_wakeups, 1);
     }
 
-    /// Shard-manager tasks are timed pollers: a shard parked with no
-    /// unpark coming is revived by the stall resolver — alongside the
-    /// root manager — without being miscounted as a lost wakeup.
+    /// The manager is the one timed poller: parked with no unpark coming
+    /// it is revived by the stall resolver without being miscounted as a
+    /// lost wakeup.
     #[test]
-    fn shard_pollers_are_revived_without_counting_lost_wakeups() {
-        let sched = VirtualSched::with_shards(2, 2, SchedPolicy::RandomWalk, 11, Mutation::None);
+    fn the_manager_poll_is_revived_without_counting_lost_wakeups() {
+        let sched = VirtualSched::new(2, SchedPolicy::RandomWalk, 11, Mutation::None);
         let mut handles = Vec::new();
         for i in 0..2 {
             let s = Arc::clone(&sched);
@@ -682,26 +640,17 @@ mod tests {
                 s.unregister();
             }));
         }
-        let s = Arc::clone(&sched);
-        handles.push(std::thread::spawn(move || {
-            s.register("shard1");
-            // Timed poll with no unpark coming: only the stall resolver
-            // may revive this park.
-            s.park_timeout(SchedSite::ShardIdle, Duration::from_micros(20));
-            s.point(SchedSite::ShardLoop);
-            s.unregister();
-        }));
         sched.register("manager");
+        // Timed poll with no unpark coming: only the stall resolver may
+        // revive this park, once both cores are done.
         sched.park_timeout(SchedSite::ManagerIdle, Duration::from_micros(20));
+        sched.point(SchedSite::ManagerLoop);
         sched.unregister();
         for h in handles {
             h.join().expect("task finishes");
         }
         let d = sched.diagnostics();
-        assert!(
-            d.forced_manager_wakes >= 1,
-            "shard poll needs a forced wake"
-        );
+        assert!(d.forced_manager_wakes >= 1, "the poll needs a forced wake");
         assert_eq!(d.lost_wakeups, 0);
         assert!(!d.timeout_fallback);
     }

@@ -12,9 +12,9 @@
 use slacksim::scheme::Scheme;
 use slacksim::{Benchmark, EngineKind, SimReport, SpeculationConfig, UncoreKind, ViolationSelect};
 use slacksim_conformance::{
-    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on,
-    run_engine_sharded, run_repro, run_resumed, run_resumed_on, run_speculative, run_virtual,
-    shrink, smoke_seeds, Mutation, SchedPolicy, VirtCase,
+    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on, run_repro,
+    run_resumed, run_resumed_on, run_speculative, run_virtual, shrink, smoke_seeds, Mutation,
+    SchedPolicy, VirtCase,
 };
 
 /// Commit target for matrix cells: small enough for debug CI, larger in
@@ -64,7 +64,6 @@ fn virt_case(
         mutation: Mutation::None,
         bench,
         cores,
-        shards: 1,
         scheme,
         target: target(),
         seed: 1,
@@ -673,112 +672,11 @@ fn directory_durable_resume_matches_uninterrupted_run() {
     }
 }
 
-/// Sharded manager-tree rows of the differential matrix: under
-/// cycle-by-cycle the two-level tree must be invisible. At {16, 64}
-/// cores x {FFT, WATER}, a threaded run with `--shards {2, 4}` through
-/// the directory uncore must reproduce the sequential fingerprint
-/// bit-for-bit; a 64-core bounded-slack run through the widest tree
-/// must still complete and uphold the metamorphic invariants (slack
-/// timing is host-nondeterministic by design, so no exactness there).
-#[test]
-fn sharded_manager_tree_is_exact_across_the_matrix() {
-    for bench in BENCHES {
-        for cores in [16usize, 64] {
-            let cc = Scheme::CycleByCycle;
-            let seq = run_engine_on(
-                UncoreKind::Directory,
-                bench,
-                cores,
-                &cc,
-                target(),
-                1,
-                EngineKind::Sequential,
-            );
-            for shards in [2usize, 4] {
-                let thr = run_engine_sharded(
-                    UncoreKind::Directory,
-                    bench,
-                    cores,
-                    &cc,
-                    target(),
-                    1,
-                    shards,
-                );
-                assert_exact(
-                    &seq,
-                    &thr,
-                    &format!("{bench}/{cores}c/{shards}sh: sequential vs sharded threaded"),
-                );
-                check_invariants(&thr, &cc)
-                    .unwrap_or_else(|e| panic!("{bench}/{cores}c/{shards}sh: {e}"));
-            }
-        }
-    }
-    let bounded = Scheme::BoundedSlack { bound: 8 };
-    let r = run_engine_sharded(
-        UncoreKind::Directory,
-        Benchmark::Fft,
-        64,
-        &bounded,
-        target(),
-        1,
-        4,
-    );
-    assert!(r.committed >= target(), "64c/4sh bounded: target missed");
-    check_invariants(&r, &bounded).unwrap_or_else(|e| panic!("64c/4sh bounded: {e}"));
-}
-
-/// Adversarial virtual schedules on the shard threads themselves: with
-/// 2- and 4-way manager trees over 8 cores, every policy must complete
-/// without losing a wakeup or tripping the livelock fallback; under
-/// cycle-by-cycle the sharded virtual run must additionally reproduce
-/// the sequential fingerprint exactly, whatever interleaving the policy
-/// forces between cores, shard managers and the root.
-#[test]
-fn sharded_adversarial_schedules_lose_no_wakeups() {
-    let reference = fingerprint(&run_engine(
-        Benchmark::Fft,
-        8,
-        &Scheme::CycleByCycle,
-        target(),
-        1,
-        EngineKind::Sequential,
-    ));
-    let policies = [
-        SchedPolicy::RandomWalk,
-        SchedPolicy::ParkRace,
-        SchedPolicy::Starve { victim: 1 },
-        SchedPolicy::DrainPreempt,
-    ];
-    for shards in [2usize, 4] {
-        for policy in policies {
-            for sched_seed in 0..smoke_seeds() {
-                let mut case =
-                    virt_case(policy, sched_seed, Benchmark::Fft, 8, Scheme::CycleByCycle);
-                case.shards = shards;
-                let (r, diag) = run_virtual(&case);
-                assert_eq!(fingerprint(&r), reference, "`{case}`");
-                assert_eq!(diag.lost_wakeups, 0, "`{case}`");
-                assert!(!diag.timeout_fallback, "`{case}`");
-
-                let scheme = Scheme::BoundedSlack { bound: 8 };
-                let mut case = virt_case(policy, sched_seed, Benchmark::Fft, 8, scheme.clone());
-                case.shards = shards;
-                let (r, diag) = run_virtual(&case);
-                assert!(r.committed >= target(), "`{case}`");
-                check_invariants(&r, &scheme).unwrap_or_else(|e| panic!("`{case}`: {e}"));
-                assert_eq!(diag.lost_wakeups, 0, "`{case}`");
-                assert!(!diag.timeout_fallback, "`{case}`");
-            }
-        }
-    }
-}
-
 /// Identical repro line -> identical run: the whole virtual execution is
-/// a pure function of the case, sharded or not.
+/// a pure function of the case.
 #[test]
 fn virtual_runs_replay_bit_identically() {
-    let mut case = virt_case(
+    let case = virt_case(
         SchedPolicy::RandomWalk,
         5,
         Benchmark::WaterNsquared,
@@ -787,14 +685,6 @@ fn virtual_runs_replay_bit_identically() {
     );
     let (a, diag_a) = run_virtual(&case);
     let (b, diag_b) = run_repro(&case.to_string()).expect("line replays");
-    assert_eq!(fingerprint(&a), fingerprint(&b), "`{case}`");
-    assert_eq!(diag_a, diag_b, "`{case}`");
-
-    case.shards = 2;
-    let (a, diag_a) = run_virtual(&case);
-    let line = case.to_string();
-    assert!(line.contains(" shards=2"), "{line}");
-    let (b, diag_b) = run_repro(&line).expect("sharded line replays");
     assert_eq!(fingerprint(&a), fingerprint(&b), "`{case}`");
     assert_eq!(diag_a, diag_b, "`{case}`");
 }
@@ -840,7 +730,6 @@ fn dropped_unpark_is_caught_and_shrinks_to_a_repro_line() {
                 mutation: Mutation::DropUnpark { nth },
                 bench: Benchmark::Fft,
                 cores: 2,
-                shards: 1,
                 scheme: Scheme::BoundedSlack { bound: 8 },
                 target: target(),
                 seed: 1,

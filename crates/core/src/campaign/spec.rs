@@ -3,8 +3,8 @@
 //! A sweep spec is one JSON document (parsed with the in-tree
 //! [`obs::json`](crate::obs::json) parser, matching the no-external-crates
 //! policy) describing a {scheme × bound × quantum × uncore × cores ×
-//! shards × workload × seed} grid plus the fixed per-job settings every
-//! point shares:
+//! workload × seed} grid plus the fixed per-job settings every point
+//! shares:
 //!
 //! ```json
 //! {
@@ -25,10 +25,10 @@
 //! }
 //! ```
 //!
-//! Expansion is the full cartesian product of the eight axes in the
+//! Expansion is the full cartesian product of the seven axes in the
 //! fixed nesting order scheme → bound → quantum → uncore → cores →
-//! shards → workload → seed, so the grid cardinality is exactly the
-//! product of the axis lengths and job ordering is stable across parses. Every job
+//! workload → seed, so the grid cardinality is exactly the product of
+//! the axis lengths and job ordering is stable across parses. Every job
 //! carries its axis values in its identity token even when its scheme
 //! consumes only some of them (a cycle-by-cycle job ignores `bound`),
 //! which keeps job IDs unique by construction; axes whose values an
@@ -48,7 +48,7 @@ use crate::scheme::{AdaptiveConfig, Scheme};
 /// Version of the sweep-spec JSON schema (the `v` field).
 pub const SPEC_VERSION: u64 = 1;
 
-/// Hard cap on expanded grid size: a runaway product (eight axes multiply
+/// Hard cap on expanded grid size: a runaway product (seven axes multiply
 /// fast) is refused at parse time instead of exhausting memory.
 pub const MAX_GRID_JOBS: u64 = 100_000;
 
@@ -116,9 +116,6 @@ pub enum SpecError {
     /// `engine` is `batched` but the scheme axis holds a non-quantum
     /// scheme the batched engine cannot execute.
     BatchedNeedsQuantum(String),
-    /// A `shards` axis value above 1 with a non-threaded engine (the
-    /// manager tree only exists in the threaded engine).
-    ShardsNeedThreaded(u64),
     /// The expanded grid would exceed [`MAX_GRID_JOBS`].
     GridTooLarge(u64),
 }
@@ -180,11 +177,6 @@ impl fmt::Display for SpecError {
                 f,
                 "engine 'batched' requires a quantum-only scheme axis (got '{s}'): the \
                  quantum-compiled loop only resolves cross-core events at quantum boundaries"
-            ),
-            SpecError::ShardsNeedThreaded(n) => write!(
-                f,
-                "'shards' axis value {n} requires engine 'threaded' (the manager tree \
-                 only exists in the threaded engine)"
             ),
             SpecError::GridTooLarge(n) => write!(
                 f,
@@ -319,7 +311,7 @@ impl SchemeKind {
     }
 }
 
-/// The eight sweep axes. Missing axes default to one neutral value so a
+/// The seven sweep axes. Missing axes default to one neutral value so a
 /// spec only spells out what it varies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axes {
@@ -335,11 +327,6 @@ pub struct Axes {
     pub uncores: Vec<UncoreToken>,
     /// Target core counts (default `[8]`).
     pub cores: Vec<u64>,
-    /// Threaded-engine manager-tree widths (default `[1]`, the classic
-    /// single manager). A host-throughput axis: every value produces
-    /// identical simulated results, so sweeping it measures wall-clock
-    /// scaling only. Values above 1 require the threaded engine.
-    pub shards: Vec<u64>,
     /// Workload names (required, at least one; validated against the
     /// target's benchmark set by the embedder).
     pub workloads: Vec<String>,
@@ -384,8 +371,6 @@ pub struct Job {
     pub uncore: UncoreToken,
     /// Target core count.
     pub cores: u64,
-    /// Threaded manager-tree width (1 = classic single manager).
-    pub shards: u64,
     /// Workload name.
     pub workload: String,
     /// Run seed.
@@ -410,11 +395,6 @@ impl Job {
         );
         if self.uncore == UncoreToken::Directory {
             token.push_str("-dir");
-        }
-        // Like `-dir`, the shard suffix appears only off the default so
-        // historical single-manager campaign directories still resume.
-        if self.shards != 1 {
-            token.push_str(&format!("-sh{}", self.shards));
         }
         token
     }
@@ -499,8 +479,7 @@ impl SweepSpec {
             .ok_or(SpecError::MissingField("axes"))?;
         for key in axes_obj.keys() {
             match key.as_str() {
-                "scheme" | "bound" | "quantum" | "uncore" | "cores" | "shards" | "workload"
-                | "seed" => {}
+                "scheme" | "bound" | "quantum" | "uncore" | "cores" | "workload" | "seed" => {}
                 other => {
                     return Err(SpecError::UnknownField(format!("axes.{other}")));
                 }
@@ -588,15 +567,6 @@ impl SweepSpec {
                 Ok(())
             }
         })?;
-        let shards = numeric_axis(axes_doc, "shards", 1, |v| {
-            if v == 0 {
-                Err(SpecError::ZeroValue("shards"))
-            } else if v > 1 && engine != EngineToken::Threaded {
-                Err(SpecError::ShardsNeedThreaded(v))
-            } else {
-                Ok(())
-            }
-        })?;
         let seeds = numeric_axis(axes_doc, "seed", 1, |_| Ok(()))?;
 
         let workloads = {
@@ -634,7 +604,6 @@ impl SweepSpec {
                 quantums,
                 uncores,
                 cores,
-                shards,
                 workloads,
                 seeds,
             },
@@ -646,7 +615,7 @@ impl SweepSpec {
         Ok(spec)
     }
 
-    /// The expanded grid size: the product of the eight axis lengths.
+    /// The expanded grid size: the product of the seven axis lengths.
     pub fn cardinality(&self) -> u64 {
         let a = &self.axes;
         (a.schemes.len() as u64)
@@ -654,16 +623,14 @@ impl SweepSpec {
             .saturating_mul(a.quantums.len() as u64)
             .saturating_mul(a.uncores.len() as u64)
             .saturating_mul(a.cores.len() as u64)
-            .saturating_mul(a.shards.len() as u64)
             .saturating_mul(a.workloads.len() as u64)
             .saturating_mul(a.seeds.len() as u64)
     }
 
     /// Expands the grid in the fixed nesting order scheme → bound →
-    /// quantum → uncore → cores → shards → workload → seed. Stable
-    /// across parses of the same document; specs without an `uncore` or
-    /// `shards` axis expand exactly as before (one implicit bus /
-    /// single-manager value).
+    /// quantum → uncore → cores → workload → seed. Stable across parses
+    /// of the same document; specs without an `uncore` axis expand
+    /// exactly as before (one implicit bus).
     pub fn expand(&self) -> Vec<Job> {
         let mut jobs = Vec::with_capacity(self.cardinality() as usize);
         let a = &self.axes;
@@ -672,23 +639,20 @@ impl SweepSpec {
                 for &quantum in &a.quantums {
                     for &uncore in &a.uncores {
                         for &cores in &a.cores {
-                            for &shards in &a.shards {
-                                for workload in &a.workloads {
-                                    for &seed in &a.seeds {
-                                        let scheme = build_scheme(kind, bound, quantum, seed);
-                                        jobs.push(Job {
-                                            index: jobs.len() as u64,
-                                            kind,
-                                            scheme,
-                                            bound,
-                                            quantum,
-                                            uncore,
-                                            cores,
-                                            shards,
-                                            workload: workload.clone(),
-                                            seed,
-                                        });
-                                    }
+                            for workload in &a.workloads {
+                                for &seed in &a.seeds {
+                                    let scheme = build_scheme(kind, bound, quantum, seed);
+                                    jobs.push(Job {
+                                        index: jobs.len() as u64,
+                                        kind,
+                                        scheme,
+                                        bound,
+                                        quantum,
+                                        uncore,
+                                        cores,
+                                        workload: workload.clone(),
+                                        seed,
+                                    });
                                 }
                             }
                         }
@@ -735,13 +699,6 @@ impl SweepSpec {
         join(&mut out, a.uncores.iter().map(|u| u.name().to_string()));
         let _ = write!(out, ";cores=");
         join(&mut out, a.cores.iter().map(u64::to_string));
-        // The shards segment appears only off the default, so manifests
-        // from campaigns recorded before the axis existed still match
-        // their (implicitly single-manager) specs on resume.
-        if a.shards != [1] {
-            let _ = write!(out, ";shards=");
-            join(&mut out, a.shards.iter().map(u64::to_string));
-        }
         let _ = write!(out, ";workload=");
         join(&mut out, a.workloads.iter().cloned());
         let _ = write!(out, ";seed=");
@@ -1032,59 +989,42 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shards_axis_expands_suffixes_and_fingerprints() {
-        let spec = SweepSpec::parse(
-            r#"{"v":1,"commit":10,"engine":"threaded","axes":{
-                "scheme":["cc"],"shards":[1,4],"workload":["fft"]}}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.axes.shards, vec![1, 4]);
-        let jobs = spec.expand();
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].shards, 1);
-        assert_eq!(
-            jobs[0].token(),
-            "fft-cc-b8-q50-c8-s1",
-            "the default shard width keeps the historical token shape"
-        );
-        assert_eq!(jobs[1].shards, 4);
-        assert!(
-            jobs[1].token().ends_with("-sh4"),
-            "sharded jobs are suffixed: {}",
-            jobs[1].token()
-        );
-        assert!(spec.canonical().contains(";shards=1,4;"));
+    /// The removed manager tree's axis is refused under every engine and
+    /// at every value, the old default included.
+    fn shards_axis_error(engine: &str, shards: &str) -> SpecError {
+        SweepSpec::parse(&format!(
+            r#"{{"v":1,"commit":10,"engine":"{engine}","axes":{{
+                "scheme":["cc"],"shards":[{shards}],"workload":["fft"]}}}}"#
+        ))
+        .unwrap_err()
     }
 
     #[test]
-    fn default_shards_axis_leaves_the_canonical_untouched() {
-        let spec =
-            SweepSpec::parse(r#"{"v":1,"commit":10,"axes":{"scheme":["cc"],"workload":["fft"]}}"#)
-                .unwrap();
-        assert_eq!(spec.axes.shards, vec![1]);
+    fn a_threaded_shards_axis_is_an_unknown_field() {
+        let err = shards_axis_error("threaded", "1,4");
+        assert_eq!(err, SpecError::UnknownField("axes.shards".to_owned()));
         assert!(
-            !spec.canonical().contains("shards"),
-            "pre-axis manifests must still match: {}",
-            spec.canonical()
+            err.to_string().contains("unknown sweep-spec field"),
+            "{err}"
         );
     }
 
     #[test]
-    fn shards_above_one_require_the_threaded_engine() {
-        let err = SweepSpec::parse(
-            r#"{"v":1,"commit":10,"axes":{
-                "scheme":["cc"],"shards":[2],"workload":["fft"]}}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err, SpecError::ShardsNeedThreaded(2));
-        assert!(err.to_string().contains("threaded"), "{err}");
-        let err = SweepSpec::parse(
-            r#"{"v":1,"commit":10,"axes":{
-                "scheme":["cc"],"shards":[0],"workload":["fft"]}}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err, SpecError::ZeroValue("shards"));
+    fn a_default_shards_axis_is_an_unknown_field() {
+        let err = shards_axis_error("threaded", "1");
+        assert_eq!(err, SpecError::UnknownField("axes.shards".to_owned()));
+    }
+
+    #[test]
+    fn a_shards_axis_is_unknown_under_every_engine() {
+        for (engine, shards) in [("seq", "2"), ("seq", "0"), ("batched", "1")] {
+            let err = shards_axis_error(engine, shards);
+            assert_eq!(
+                err,
+                SpecError::UnknownField("axes.shards".to_owned()),
+                "{engine} {shards}"
+            );
+        }
     }
 
     #[test]

@@ -147,7 +147,7 @@ where
         if n == 0 {
             return Err(EngineError::NoCores);
         }
-        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, 0, resume)?;
+        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, resume)?;
         assert!(
             k.pacer.barrier_service(),
             "BatchedEngine requires a barrier scheme (quantum): greedy \
@@ -322,7 +322,7 @@ where
                         .flat_map(|l| l.cores.iter_mut().zip(l.inboxes.iter())),
                 );
                 self.k
-                    .commit_checkpoint(global, self.committed, self.uncore, None, &[]);
+                    .commit_checkpoint(global, self.committed, self.uncore, None);
             }
 
             let window_end = self.k.pacer.window_end(global);
@@ -560,8 +560,9 @@ fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHan
     }
 }
 
+/// The toy models are shared with the threaded engine's tests.
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::engine::{SequentialEngine, ServiceSink, TickCtx};
     use crate::scheme::Scheme;
@@ -570,7 +571,7 @@ mod tests {
     use crate::violation::{TimestampMonitor, ViolationEvent, ViolationKind};
 
     #[derive(Debug, Clone, PartialEq, Eq)]
-    enum Toy {
+    pub(in crate::engine) enum Toy {
         Ping,
         Pong,
     }
@@ -580,14 +581,14 @@ mod tests {
     /// tick-by-tick loop), so these tests pin the engine machinery, not a
     /// model's fast-forward override.
     #[derive(Debug, Clone)]
-    struct ToyCore {
+    pub(in crate::engine) struct ToyCore {
         period: u64,
         committed: u64,
         pongs: u64,
     }
 
     impl ToyCore {
-        fn new(period: u64) -> Self {
+        pub(in crate::engine) fn new(period: u64) -> Self {
             ToyCore {
                 period,
                 committed: 0,
@@ -767,9 +768,9 @@ mod tests {
 
     /// A toy core that blows up in the middle of a window.
     #[derive(Debug, Clone)]
-    struct Fuse {
-        inner: ToyCore,
-        blow_at: Option<u64>,
+    pub(in crate::engine) struct Fuse {
+        pub(in crate::engine) inner: ToyCore,
+        pub(in crate::engine) blow_at: Option<u64>,
     }
 
     impl CoreModel for Fuse {

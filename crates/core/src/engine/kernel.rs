@@ -133,7 +133,6 @@ pub(super) struct Resumed<C: CoreModel, U> {
     pub(super) uncore: U,
     pub(super) committed: u64,
     pub(super) rng: Option<Xoshiro256>,
-    pub(super) shard_forwarded: Vec<u64>,
 }
 
 /// What a driver knows at the end of a run, for [`Kernel::finish`].
@@ -146,7 +145,7 @@ pub(super) struct Finish<'a> {
     pub(super) gq_len: u64,
     pub(super) per_core: Vec<Counters>,
     pub(super) uncore: Counters,
-    /// Driver-specific kernel counters (park counts, shard telemetry).
+    /// Driver-specific kernel counters (park counts).
     pub(super) extras: &'a [(&'static str, u64)],
     /// Host threads that recorded profile spans (coverage denominator).
     pub(super) threads: u64,
@@ -210,13 +209,12 @@ where
     /// `resume` when the run continues a persisted snapshot (the model
     /// half comes back as [`Resumed`]). `host_rings` says the driver runs
     /// cores on their own host threads (adds ring-depth and manager-wait
-    /// metrics); `remote_shards` sizes the live shard-queue gauges.
+    /// metrics).
     pub(super) fn new(
         cfg: &EngineConfig,
         n: usize,
         save_hook: Option<SaveHook<C, U>>,
         host_rings: bool,
-        remote_shards: usize,
         resume: Option<EngineResume<C, U>>,
     ) -> Result<(Self, Option<Resumed<C, U>>), EngineError> {
         if let Some(res) = &resume {
@@ -243,7 +241,7 @@ where
 
         // Live telemetry: the emitter is a plain observer thread reading
         // relaxed-published atomics; the simulation never blocks on it.
-        let live_stats = Arc::new(LiveStats::with_shards(remote_shards));
+        let live_stats = Arc::new(LiveStats::new());
         live_stats
             .commit_target
             .store(cfg.commit_target, Ordering::Relaxed);
@@ -318,7 +316,6 @@ where
                 uncore: res.uncore,
                 committed: res.committed,
                 rng: res.rng,
-                shard_forwarded: res.shard_forwarded,
             }
         });
         Ok((k, resumed))
@@ -340,11 +337,6 @@ where
     /// kernel spans nest on one stack.
     pub(super) fn prof_handle(&self) -> Rc<ProfHandle> {
         Rc::clone(&self.ph)
-    }
-
-    /// The live gauge block, when a heartbeat emitter is running.
-    pub(super) fn live(&self) -> Option<&LiveStats> {
-        self.live_handle.as_ref().map(|_| &*self.live_stats)
     }
 
     /// True while replaying cycle-by-cycle after a rollback.
@@ -708,7 +700,6 @@ where
         committed: u64,
         uncore: &mut U,
         rng: Option<&Xoshiro256>,
-        shard_forwarded: &[u64],
     ) {
         if self.replaying {
             let replayed = at.saturating_sub(self.replay_start);
@@ -771,7 +762,6 @@ where
                 rng,
                 bound_trace: &self.bound_trace,
                 max_spread: self.max_spread,
-                shard_forwarded: shard_forwarded.to_vec(),
             };
             let bytes = hook(&view).unwrap_or(0);
             self.th

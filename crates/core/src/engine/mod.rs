@@ -329,16 +329,6 @@ pub struct EngineConfig {
     /// engines publish progress atomics and spawn a heartbeat emitter
     /// thread for the duration of the run (see [`crate::obs::live`]).
     pub live: Option<crate::obs::LiveConfig>,
-    /// Manager-tree width for the threaded engine. `1` (the default) runs
-    /// the classic single-manager loop unchanged. `N > 1` splits the cores
-    /// into `N` contiguous shards: shards `1..N` get their own
-    /// shard-manager thread consolidating their cores' OutQs into a
-    /// shard-to-root forwarding ring and publishing the shard's minimum
-    /// local time, while the root manager (which owns shard 0 directly)
-    /// reconciles the per-shard minima into the global time and services
-    /// all events. Clamped to the core count at run start; ignored by the
-    /// sequential and batched engines.
-    pub shards: usize,
     /// Host threads the target cores are folded onto, a contiguous lane of
     /// cores each: the threaded engine's lane threads (its manager is one
     /// more), the batched engine's window workers. `0` (the default) takes
@@ -372,7 +362,6 @@ impl EngineConfig {
             sched: crate::sched::SchedRef::native(),
             prof: None,
             live: None,
-            shards: 1,
             host_threads: 0,
         }
     }
@@ -470,10 +459,6 @@ pub struct CheckpointView<'a, C: CoreModel, U> {
     pub bound_trace: &'a [(Cycle, u64)],
     /// Largest clock spread observed so far (kernel counter).
     pub max_spread: u64,
-    /// Cumulative events forwarded through each remote shard-manager's
-    /// ring (threaded engine with `shards > 1`: one entry per shard
-    /// `1..shards`). Empty for single-manager runs and the other engines.
-    pub shard_forwarded: Vec<u64>,
 }
 
 /// Called at every committed checkpoint with a [`CheckpointView`]; returns
@@ -518,11 +503,6 @@ pub struct EngineResume<C: CoreModel, U> {
     pub bound_trace: Vec<(Cycle, u64)>,
     /// Largest clock spread observed up to the snapshot.
     pub max_spread: u64,
-    /// Per-remote-shard forwarded-event counts at the snapshot (threaded
-    /// engine with `shards > 1`; empty otherwise). A resume under a
-    /// different shard count folds the sum into the aggregate counter
-    /// instead of reattributing it.
-    pub shard_forwarded: Vec<u64>,
 }
 
 #[cfg(test)]

@@ -94,7 +94,7 @@ where
         }
         // The whole run is one thread, so the profile's coverage
         // denominator is wall * 1.
-        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, 0, resume)?;
+        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, resume)?;
         let ph = k.prof_handle();
 
         let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
@@ -240,7 +240,7 @@ where
                     }
                     if !k.rollback_pending() {
                         k.capture_cores(cores.iter_mut().zip(&inboxes));
-                        k.commit_checkpoint(s, committed, &mut uncore, Some(&rng), &[]);
+                        k.commit_checkpoint(s, committed, &mut uncore, Some(&rng));
                         stop_at = None;
                         window_end = k.pacer.window_end(s);
                     }

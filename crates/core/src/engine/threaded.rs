@@ -43,19 +43,14 @@
 //!   park/unpark with a timeout backstop — for both lane threads whose
 //!   cores are all capped by the window and the manager when no core made
 //!   progress.
-//! * With `shards > 1` (see DESIGN.md §18) the manager becomes a two-level
-//!   tree: shard-manager threads each consolidate a contiguous run of
-//!   cores' OutQs into a per-shard forwarding ring and publish a
-//!   conservative clock floor; the root manager (shard 0, folded into the
-//!   classic manager loop) reconciles the floors into the slack window,
-//!   drains the forwarding rings into the global queue, and keeps sole
-//!   ownership of servicing, checkpointing and window publication. Every
-//!   ring stays strictly SPSC; stop-sync paths pause the shard tier first
-//!   (channel acks hand the ring-consumer role to the root). `--shards 1`
-//!   builds none of this and is byte-identical to the single-manager
-//!   engine.
+//! * A lane that panics ends the run instead of hanging it: its death is
+//!   visible to every manager wait (a flag on the idle ladder, the hung-up
+//!   ack channel in the stop-sync waits), after which the manager releases
+//!   and joins the other lanes and `run()` unwinds with the lane's own
+//!   panic.
 
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
@@ -63,10 +58,7 @@ use std::time::Duration;
 
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
-use crate::engine::wait::{
-    host_oversubscribed, lane_width, Backoff, MGR_PARK_TIMEOUT, MGR_SPIN_ITERS, MGR_YIELD_ITERS,
-    MGR_YIELD_ITERS_OVERSUB, VIRT_YIELD_ITERS,
-};
+use crate::engine::wait::{host_oversubscribed, lane_width, Backoff, VIRT_YIELD_ITERS};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, TickCtx,
     UncoreModel,
@@ -133,8 +125,7 @@ struct CoreShared<C: CoreModel + Checkpointable> {
     snapshot: SnapshotSlot<CoreCapture<C>>,
 }
 
-/// The park-and-command plumbing between the manager and one helper
-/// thread (a lane or a shard manager).
+/// The park-and-command plumbing between the manager and one lane thread.
 struct HostThread {
     /// True while the thread is (about to be) parked.
     parked: AtomicBool,
@@ -188,10 +179,11 @@ impl HostThread {
     /// loop iteration. Without the flag a command could strand a thread
     /// in its park until the timeout backstop — a stall the
     /// virtual-scheduler conformance runs (which park without timeouts)
-    /// diagnose as a livelock.
+    /// diagnose as a livelock. A send to a dead lane is dropped: the
+    /// hung-up ack channel reports the death to whoever awaits the ack.
     fn send<T>(&self, tx: &Sender<T>, cmd: T, sched: &dyn HostSched) {
         self.cmd_pending.store(true, Ordering::SeqCst);
-        tx.send(cmd).expect("helper thread alive");
+        let _ = tx.send(cmd);
         self.wake(sched);
     }
 
@@ -230,9 +222,15 @@ struct LaneSet<C: CoreModel> {
     hosts: Vec<Arc<HostThread>>,
     cmd_txs: Vec<Sender<Command<C>>>,
     ack_rxs: Vec<Receiver<()>>,
+    /// Raised by a lane that panicked; read on the manager's idle path.
+    died: Arc<AtomicBool>,
     width: usize,
     cores: usize,
 }
+
+/// A lane thread died (panicked): the manager leaves its loop, and `run()`
+/// unwinds with the lane's panic once every lane is joined.
+struct LaneDied;
 
 impl<C: CoreModel + Checkpointable> LaneSet<C> {
     /// Sends every lane the command `cmd` builds for its core range
@@ -246,9 +244,9 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
     }
 
     /// Sends `Stop` to every lane and waits for all acknowledgements.
-    fn stop_all(&self, sched: &dyn HostSched) {
+    fn stop_all(&self, sched: &dyn HostSched) -> Result<(), LaneDied> {
         self.send_all(sched, |_| Command::Stop);
-        await_acks(&self.ack_rxs, sched);
+        await_acks(&self.ack_rxs, sched)
     }
 
     /// Sends `Resume` to every (paused) lane.
@@ -281,307 +279,6 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
             }
         }
     }
-}
-
-/// Commands the root manager sends to a shard-manager thread
-/// (threaded engine with `shards > 1`).
-enum ShardCmd {
-    /// Forward everything visible, acknowledge, and hold: until `Resume`
-    /// arrives the root owns the shard's rings (the forwarding ring and
-    /// its cores' OutQs) — the channel ack is the role handoff, exactly
-    /// like the lane stop-sync protocol.
-    Pause,
-    /// Leave the control sub-loop and return to forwarding.
-    Resume,
-}
-
-/// State shared between the root manager and one shard-manager thread.
-///
-/// A shard-manager owns a contiguous run of cores and runs the
-/// consolidation half of the manager loop locally: it drains its cores'
-/// OutQs into `fwd` (tagging each event with its producing core) and
-/// publishes a conservative clock floor. The root folds every shard's
-/// floor into its window arithmetic (see
-/// [`reconcile_shard_floor`](crate::scheme::reconcile_shard_floor)) and
-/// is the only consumer of `fwd`, so every ring stays strictly SPSC.
-struct ShardShared<C: CoreModel> {
-    /// Shard produces, root consumes: the shard's cores' events, each
-    /// tagged with its producing core so the root can feed the global
-    /// queue without knowing the shard split.
-    fwd: SpscRing<(CoreId, Timestamped<C::Event>)>,
-    /// Conservative floor: every event the shard's cores produced below
-    /// this cycle has been pushed into `fwd`. Release-stored after the
-    /// push, so the root's Acquire load followed by a ring drain observes
-    /// them all.
-    min_time: AtomicU64,
-    /// Cumulative events forwarded (host-side telemetry; carried across
-    /// checkpoint/resume via `CheckpointView::shard_forwarded`).
-    forwarded: AtomicU64,
-    host: HostThread,
-}
-
-/// The root manager's handle on the shard tier. Empty when `shards == 1`:
-/// every helper then degrades to the classic single-manager behaviour
-/// (`k0 == n`, no forwarding rings, floors trivially satisfied), keeping
-/// the default configuration on the exact pre-shard code path.
-struct ShardSet<C: CoreModel + Checkpointable> {
-    /// Remote shards `1..S` (shard 0 is folded into the root).
-    shards: Vec<Arc<ShardShared<C>>>,
-    cmd_txs: Vec<Sender<ShardCmd>>,
-    ack_rxs: Vec<Receiver<()>>,
-    /// Cores the root consolidates directly (`shared[..k0]`).
-    k0: usize,
-    /// `shard_forwarded` total carried from a resumed snapshot taken
-    /// under a different shard split (per-shard seeding is impossible, so
-    /// the sum keeps the aggregate counter monotone).
-    resume_base: u64,
-    /// Per-shard forwarded counts captured at the last pause — the
-    /// values a checkpoint persists, exact because shards are always
-    /// paused while a checkpoint is taken.
-    paused_forwarded: Vec<u64>,
-    /// Scratch for forwarding-ring drains.
-    buf: Vec<(CoreId, Timestamped<C::Event>)>,
-}
-
-impl<C: CoreModel + Checkpointable> ShardSet<C> {
-    /// The single-manager configuration: no remote shards, the root owns
-    /// all `n` cores.
-    fn solo(n: usize) -> Self {
-        ShardSet {
-            shards: Vec::new(),
-            cmd_txs: Vec::new(),
-            ack_rxs: Vec::new(),
-            k0: n,
-            resume_base: 0,
-            paused_forwarded: Vec::new(),
-            buf: Vec::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Drains every (visible) forwarded event into the global queue. The
-    /// root is the forwarding rings' only consumer, so this is equally
-    /// legal in steady state and mid-pause. Per-core FIFO order is
-    /// preserved end to end (core OutQ → shard drain → `fwd` → here), so
-    /// the global queue's `(ts, core, seq)` order — and with it
-    /// cycle-by-cycle determinism — is independent of shard interleaving.
-    fn drain_forward(&mut self, gq: &mut GlobalQueue<C::Event>) -> usize {
-        let mut total = 0;
-        for sh in &self.shards {
-            self.buf.clear();
-            if sh.fwd.drain_into(&mut self.buf) > 0 {
-                total += self.buf.len();
-                for (from, ev) in self.buf.drain(..) {
-                    gq.push(from, ev);
-                }
-            }
-        }
-        total
-    }
-
-    /// Steady-state consolidation: the root's own cores' OutQs plus every
-    /// shard's forwarding ring.
-    fn drain_steady(
-        &mut self,
-        shared: &[Arc<CoreShared<C>>],
-        gq: &mut GlobalQueue<C::Event>,
-        drain_buf: &mut Vec<Timestamped<C::Event>>,
-    ) -> usize {
-        let direct = drain_outqs(&shared[..self.k0], gq, drain_buf);
-        direct + self.drain_forward(gq)
-    }
-
-    /// The slack floor greedy window publication paces against: the
-    /// root's own cores' minimum reconciled with every shard's published
-    /// floor. With no shards this is exactly the global minimum, so the
-    /// single-manager window arithmetic is unchanged.
-    fn floor(&self, locals: &[Cycle]) -> Cycle {
-        let root_min = locals[..self.k0].iter().copied().min().expect("k0 >= 1");
-        crate::scheme::reconcile_shard_floor(
-            std::iter::once(root_min).chain(
-                self.shards
-                    .iter()
-                    .map(|sh| Cycle::new(sh.min_time.load(Ordering::Acquire))),
-            ),
-        )
-        .expect("at least the root floor")
-    }
-
-    /// True when every shard has published a floor at or past `c`
-    /// (trivially true with no shards) — the barrier flush gate: combined
-    /// with all locals at the boundary it guarantees every event below
-    /// the boundary is visible in the forwarding rings.
-    fn flushed_to(&self, c: Cycle) -> bool {
-        self.shards
-            .iter()
-            .all(|sh| sh.min_time.load(Ordering::Acquire) >= c.as_u64())
-    }
-
-    /// Pauses every shard: each forwards its remaining visible events,
-    /// acknowledges, and blocks until [`resume`](Self::resume). Also
-    /// captures the per-shard forwarded counts for checkpoint persist.
-    fn pause(&mut self, sched: &dyn HostSched) {
-        if self.shards.is_empty() {
-            return;
-        }
-        for (sh, tx) in self.shards.iter().zip(&self.cmd_txs) {
-            sh.host.send(tx, ShardCmd::Pause, sched);
-        }
-        await_acks(&self.ack_rxs, sched);
-        self.paused_forwarded.clear();
-        self.paused_forwarded.extend(
-            self.shards
-                .iter()
-                .map(|sh| sh.forwarded.load(Ordering::Relaxed)),
-        );
-    }
-
-    /// Discards every forwarded-but-unserviced event (rollback path; the
-    /// shards must be paused).
-    fn clear_forward(&self) {
-        for sh in &self.shards {
-            sh.fwd.clear();
-        }
-    }
-
-    /// Re-seeds every shard's floor while paused (rollback rewinds it to
-    /// the checkpoint; stop-syncs advance it to the common stop point so
-    /// the first post-resume window does not shrink to a stale floor).
-    fn set_floors(&self, c: Cycle) {
-        for sh in &self.shards {
-            sh.min_time.store(c.as_u64(), Ordering::Release);
-        }
-    }
-
-    /// Sends `Resume` to every (paused) shard.
-    fn resume(&self, sched: &dyn HostSched) {
-        for (sh, tx) in self.shards.iter().zip(&self.cmd_txs) {
-            sh.host.send(tx, ShardCmd::Resume, sched);
-        }
-    }
-}
-
-/// One shard consolidation pass: read the owned cores' clocks (the
-/// floor), drain their OutQs into the forwarding ring tagged with the
-/// producing core, then publish the floor. Reading the clocks *before*
-/// draining is what makes the floor conservative: a core Release-stores
-/// its clock only after pushing that tick's events, so every event below
-/// the floor read here is already visible to the drain that follows.
-/// Returns how many events moved and whether the floor advanced.
-fn forward_shard<C: CoreModel + Checkpointable>(
-    owned: &[Arc<CoreShared<C>>],
-    sh: &ShardShared<C>,
-    base: u16,
-    buf: &mut Vec<(CoreId, Timestamped<C::Event>)>,
-) -> (usize, bool) {
-    let floor = owned
-        .iter()
-        .map(|s| s.local.load(Ordering::Acquire))
-        .min()
-        .expect("shard owns >= 1 core");
-    buf.clear();
-    let mut moved = 0;
-    for (j, s) in owned.iter().enumerate() {
-        let id = CoreId::new(base + j as u16);
-        moved += s.outq.drain_map_into(buf, |ev| (id, ev));
-    }
-    if moved > 0 {
-        sh.fwd.push_batch(buf);
-        sh.forwarded.fetch_add(moved as u64, Ordering::Relaxed);
-    }
-    let advanced = sh.min_time.load(Ordering::Relaxed) < floor;
-    sh.min_time.store(floor, Ordering::Release);
-    (moved, advanced)
-}
-
-/// Shard-manager thread main loop (threaded engine with `shards > 1`):
-/// consolidate the owned cores' OutQs toward the root, publish the
-/// shard's floor, obey root pause/resume commands, exit when the done
-/// flag rises. Waiting escalates through the same manager-profile ladder
-/// (spin → yield → park), the park tier's re-check guarding the command
-/// channel.
-#[allow(clippy::too_many_arguments)]
-fn shard_thread<C: CoreModel + Checkpointable>(
-    index: usize,
-    base: u16,
-    owned: &[Arc<CoreShared<C>>],
-    sh: &ShardShared<C>,
-    done: &AtomicBool,
-    cmd_rx: &Receiver<ShardCmd>,
-    ack_tx: &Sender<()>,
-    oversubscribed: bool,
-    sched: &dyn HostSched,
-    ph: ProfHandle,
-) {
-    let virt = sched.virtualized();
-    let task = sched.register(&format!("shard{index}"));
-    let _ = sh.host.task.set(task);
-    let mut buf: Vec<(CoreId, Timestamped<C::Event>)> = Vec::new();
-    let (spin_iters, yield_iters) = if virt {
-        (0u32, VIRT_YIELD_ITERS)
-    } else if oversubscribed {
-        (0u32, MGR_YIELD_ITERS_OVERSUB)
-    } else {
-        (MGR_SPIN_ITERS, MGR_YIELD_ITERS)
-    };
-    let mut idle = 0u32;
-    'main: loop {
-        sched.point(SchedSite::ShardLoop);
-        // Same clear-before-poll discipline as the lane threads: a flag
-        // raised after the clear whose command this poll misses is
-        // re-derived next iteration.
-        sh.host.cmd_pending.store(false, Ordering::Relaxed);
-        match cmd_rx.try_recv() {
-            Ok(mut cmd) => loop {
-                match cmd {
-                    ShardCmd::Pause => {
-                        let _span = ph.enter(ProfSite::ShardService);
-                        forward_shard(owned, sh, base, &mut buf);
-                        ack_tx.send(()).expect("root alive");
-                    }
-                    ShardCmd::Resume => {
-                        idle = 0;
-                        continue 'main;
-                    }
-                }
-                let Some(next) = next_command(cmd_rx, virt, sched) else {
-                    break 'main;
-                };
-                cmd = next;
-            },
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => break 'main,
-        }
-        if done.load(Ordering::Acquire) {
-            break 'main;
-        }
-        let (moved, advanced) = {
-            let _span = ph.enter(ProfSite::ShardService);
-            forward_shard(owned, sh, base, &mut buf)
-        };
-        if moved > 0 || advanced {
-            idle = 0;
-            continue;
-        }
-        idle = idle.saturating_add(1);
-        if idle <= spin_iters {
-            let _span = ph.enter(ProfSite::ManagerWaitSpin);
-            sched.idle_spin(SchedSite::ShardIdle);
-        } else if idle <= spin_iters + yield_iters {
-            let _span = ph.enter(ProfSite::ManagerWaitYield);
-            sched.idle_yield(SchedSite::ShardIdle);
-        } else {
-            let _span = ph.enter(ProfSite::ManagerWaitPark);
-            sh.host
-                .park(sched, SchedSite::ShardIdle, MGR_PARK_TIMEOUT, || {
-                    done.load(Ordering::Relaxed)
-                });
-        }
-    }
-    sched.unregister();
 }
 
 /// Parallel slack-simulation engine: the target cores on lane threads,
@@ -660,30 +357,20 @@ where
         let sched = Arc::clone(cfg.sched.get());
         let hook = cfg.sched.instrumentation_hook();
 
-        // Manager tree: `shards` (clamped to the core count) contiguous
-        // shards of `n / S` cores each, the remainder spread over the
-        // first shards. Shard 0 is folded into the root manager; shards
-        // `1..S` get their own consolidation thread. `shards == 1` builds
-        // no machinery at all and runs the classic single-manager loop.
-        let shard_count = cfg.shards.clamp(1, n);
-        let s_extra = shard_count - 1;
-
         // Apply restored state before anything is shared with the lane
         // threads: cores and their undelivered inboxes replace the fresh
         // models, every clock starts at the snapshot's global time, and
         // the aggregate commit counter is re-seeded.
-        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, true, s_extra, resume)?;
+        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, true, resume)?;
         let mut core_inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
         let mut start_committed = 0u64;
         let mut start_global = Cycle::ZERO;
-        let mut resume_shard_forwarded: Vec<u64> = Vec::new();
         if let Some(res) = resumed {
             start_global = res.global;
             cores = res.cores;
             core_inboxes = res.inboxes;
             uncore = res.uncore;
             start_committed = res.committed;
-            resume_shard_forwarded = res.shard_forwarded;
         }
         // Lanes: contiguous slices of `width` cores, one host thread each.
         // A virtual scheduler expects a fixed task set, so unless the
@@ -696,9 +383,8 @@ where
             n,
         );
         let lane_count = n.div_ceil(width);
-        // Host threads recording profile spans: the lanes, the manager and
-        // any shard-manager threads.
-        let threads = (lane_count + s_extra) as u64 + 1;
+        // Host threads recording profile spans: the lanes and the manager.
+        let threads = lane_count as u64 + 1;
 
         if cfg.commit_target == 0 {
             // Trivial run: nothing to simulate.
@@ -740,60 +426,13 @@ where
         let done = Arc::new(AtomicBool::new(false));
         let committed = Arc::new(AtomicU64::new(start_committed));
 
-        let shard_splits: Vec<(usize, usize)> = {
-            let mut splits = Vec::with_capacity(s_extra);
-            let mut start = n / shard_count + usize::from(n % shard_count > 0);
-            for s in 1..shard_count {
-                let len = n / shard_count + usize::from(s < n % shard_count);
-                splits.push((start, len));
-                start += len;
-            }
-            splits
-        };
-        let k0 = shard_splits.first().map_or(n, |&(start, _)| start);
-        let shard_shared: Vec<Arc<ShardShared<C>>> = (0..s_extra)
-            .map(|_| {
-                Arc::new(ShardShared {
-                    fwd: SpscRing::with_sched(hook.clone()),
-                    min_time: AtomicU64::new(start_global.as_u64()),
-                    forwarded: AtomicU64::new(0),
-                    host: HostThread::new(),
-                })
-            })
-            .collect();
-        // Resume continuity for the forwarded counters: an identical
-        // split re-seeds each shard exactly; a different split folds the
-        // snapshot's total into an aggregate base so the reported counter
-        // stays monotone across the resume.
-        let mut shard_resume_base = 0u64;
-        if !resume_shard_forwarded.is_empty() {
-            if resume_shard_forwarded.len() == s_extra {
-                for (sh, &f) in shard_shared.iter().zip(&resume_shard_forwarded) {
-                    sh.forwarded.store(f, Ordering::Relaxed);
-                }
-            } else {
-                shard_resume_base = resume_shard_forwarded.iter().sum();
-            }
-        }
-        let mut shard_cmd_txs: Vec<Sender<ShardCmd>> = Vec::with_capacity(s_extra);
-        let mut shard_cmd_rxs: Vec<Receiver<ShardCmd>> = Vec::with_capacity(s_extra);
-        let mut shard_ack_txs: Vec<Sender<()>> = Vec::with_capacity(s_extra);
-        let mut shard_ack_rxs: Vec<Receiver<()>> = Vec::with_capacity(s_extra);
-        for _ in 0..s_extra {
-            let (ct, cr) = channel();
-            let (at, ar) = channel();
-            shard_cmd_txs.push(ct);
-            shard_cmd_rxs.push(cr);
-            shard_ack_txs.push(at);
-            shard_ack_rxs.push(ar);
-        }
-
         let mut lanes = LaneSet {
             hosts: (0..lane_count)
                 .map(|_| Arc::new(HostThread::new()))
                 .collect(),
             cmd_txs: Vec::with_capacity(lane_count),
             ack_rxs: Vec::with_capacity(lane_count),
+            died: Arc::new(AtomicBool::new(false)),
             width,
             cores: n,
         };
@@ -806,7 +445,7 @@ where
             // receiver and ack sender are moved into its thread, along
             // with its cores.
             let mut handles = Vec::with_capacity(lane_count);
-            let oversubscribed = host_oversubscribed(lane_count + s_extra + 1);
+            let oversubscribed = host_oversubscribed(lane_count + 1);
             let mut lane_cores = cores
                 .into_iter()
                 .zip(core_inboxes)
@@ -828,75 +467,37 @@ where
                 let cores: Vec<LaneCore<C>> = lane_cores.by_ref().take(width).collect();
                 let host = Arc::clone(host);
                 let done = Arc::clone(&done);
+                let died = Arc::clone(&lanes.died);
                 let committed = Arc::clone(&committed);
                 let ph = k.prof().handle();
                 let sched = Arc::clone(&sched);
                 handles.push(scope.spawn(move || {
-                    lane_thread(
-                        lane,
-                        cores,
-                        &host,
-                        &done,
-                        &committed,
-                        &cmd_rx,
-                        &ack_tx,
-                        oversubscribed,
-                        &*sched,
-                        ph,
-                    )
+                    let lane = catch_unwind(AssertUnwindSafe(|| {
+                        lane_thread(
+                            lane,
+                            cores,
+                            &host,
+                            &done,
+                            &committed,
+                            &cmd_rx,
+                            &ack_tx,
+                            oversubscribed,
+                            &*sched,
+                            ph,
+                        )
+                    }));
+                    lane.unwrap_or_else(|panic| {
+                        died.store(true, Ordering::Release);
+                        resume_unwind(panic)
+                    })
                 }));
             }
-
-            // --- Shard-manager threads ---------------------------------------
-            // Spawned after the lanes so task names stay grouped; each
-            // owns an Arc'd slice of its cores plus its shared block.
-            let mut shard_handles = Vec::with_capacity(s_extra);
-            for (si, ((cmd_rx, ack_tx), &(start, len))) in shard_cmd_rxs
-                .into_iter()
-                .zip(shard_ack_txs)
-                .zip(&shard_splits)
-                .enumerate()
-            {
-                let owned: Vec<Arc<CoreShared<C>>> =
-                    shared[start..start + len].iter().map(Arc::clone).collect();
-                let sh = Arc::clone(&shard_shared[si]);
-                let done = Arc::clone(&done);
-                let ph = k.prof().handle();
-                let sched = Arc::clone(&sched);
-                shard_handles.push(scope.spawn(move || {
-                    shard_thread(
-                        si + 1,
-                        start as u16,
-                        &owned,
-                        &sh,
-                        &done,
-                        &cmd_rx,
-                        &ack_tx,
-                        oversubscribed,
-                        &*sched,
-                        ph,
-                    )
-                }));
-            }
-            let mut shardset = if s_extra == 0 {
-                ShardSet::solo(n)
-            } else {
-                ShardSet {
-                    shards: shard_shared.clone(),
-                    cmd_txs: shard_cmd_txs,
-                    ack_rxs: shard_ack_rxs,
-                    k0,
-                    resume_base: shard_resume_base,
-                    paused_forwarded: Vec::new(),
-                    buf: Vec::new(),
-                }
-            };
 
             // --- Manager (this thread) ---------------------------------------
-            // Registration happens after every lane and shard is spawned:
-            // a virtual scheduler's `register` blocks until the whole
-            // expected task set has arrived, so registering earlier would
-            // deadlock the spawn loop.
+            // Registration happens after every lane is spawned: a virtual
+            // scheduler's `register` blocks until the whole expected task
+            // set has arrived, so registering earlier would deadlock the
+            // spawn loop.
             sched.register("manager");
             let exit = manager_loop(
                 &cfg,
@@ -906,15 +507,14 @@ where
                 &committed,
                 &lanes,
                 start_global,
-                &mut shardset,
             );
 
             done.store(true, Ordering::Release);
+            // A manager that left because a lane died may have left the
+            // others stop-synced in their command loops: hang up on them.
+            lanes.cmd_txs.clear();
             for host in &lanes.hosts {
                 host.wake(&*sched);
-            }
-            for sh in &shard_shared {
-                sh.host.wake(&*sched);
             }
             // Leave the scheduling discipline before joining: the lanes
             // only need the token among themselves to run out their
@@ -926,32 +526,21 @@ where
             sched.unregister();
             let mut finished_cores = Vec::with_capacity(n);
             for h in handles {
-                finished_cores.extend(h.join().expect("lane thread panicked"));
+                // Hand on a dead lane's own panic (the scope joins the
+                // lanes not yet joined, all released above).
+                finished_cores.extend(h.join().unwrap_or_else(|panic| resume_unwind(panic)));
             }
-            for h in shard_handles {
-                h.join().expect("shard thread panicked");
-            }
-            let exit = exit?;
+            let Ok(exit) = exit else {
+                unreachable!("a lane dies only by panicking, and every lane joined");
+            };
 
-            let mut extras = vec![
+            let extras = [
                 ("manager_parks", exit.manager_parks),
                 (
                     "core_parks",
                     sum_relaxed(lanes.hosts.iter().map(|h| &h.parks)),
                 ),
             ];
-            if !shardset.is_empty() {
-                let shards = &shardset.shards;
-                extras.push(("shards", shards.len() as u64 + 1));
-                extras.push((
-                    "shard_forwarded_total",
-                    shardset.resume_base + sum_relaxed(shards.iter().map(|sh| &sh.forwarded)),
-                ));
-                extras.push((
-                    "shard_parks",
-                    sum_relaxed(shards.iter().map(|sh| &sh.host.parks)),
-                ));
-            }
             let locals: Vec<Cycle> = shared
                 .iter()
                 .map(|s| Cycle::new(s.local.load(Ordering::Acquire)))
@@ -1263,7 +852,7 @@ struct ManagerExit {
 /// The simulation-manager loop (runs on the caller's thread inside the
 /// scope): the driver half — ring drains, window publication, the wait
 /// ladder and the stop-sync command protocol — around the kernel's verbs.
-#[allow(clippy::too_many_arguments)]
+/// Leaves early, with [`LaneDied`], as soon as a wait finds a lane dead.
 fn manager_loop<C, U>(
     cfg: &EngineConfig,
     k: &mut Kernel<C, U>,
@@ -1272,8 +861,7 @@ fn manager_loop<C, U>(
     committed: &AtomicU64,
     lanes: &LaneSet<C>,
     start_global: Cycle,
-    shardset: &mut ShardSet<C>,
-) -> Result<ManagerExit, EngineError>
+) -> Result<ManagerExit, LaneDied>
 where
     C: CoreModel + Checkpointable,
     U: UncoreModel<C::Event> + Checkpointable,
@@ -1293,11 +881,16 @@ where
     let mut locals: Vec<Cycle> = Vec::with_capacity(n);
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
-    let host_threads = lanes.hosts.len() + shardset.shards.len() + 1;
-    let mut backoff = Backoff::manager(host_oversubscribed(host_threads), virt);
+    let mut backoff = Backoff::manager(host_oversubscribed(lanes.hosts.len() + 1), virt);
+    // A dead lane's clocks never move again, so the idle path is where
+    // every other stall ends up: the death flag is read there.
     let idle_wait = |backoff: &mut Backoff, k: &mut Kernel<C, U>| {
+        if lanes.died.load(Ordering::Acquire) {
+            return Err(LaneDied);
+        }
         let _span = ph.enter(backoff.next_site());
         k.timed_wait(|| backoff.wait(sched, SchedSite::ManagerIdle));
+        Ok(())
     };
 
     let mut window_end = k.pacer.window_end(start_global);
@@ -1310,7 +903,7 @@ where
         sched.point(SchedSite::ManagerLoop);
         let drained = {
             let _span = ph.enter(ProfSite::ManagerDrain);
-            shardset.drain_steady(shared, &mut gq, &mut drain_buf)
+            drain_outqs(shared, &mut gq, &mut drain_buf)
         };
         locals.clear();
         locals.extend(
@@ -1342,22 +935,17 @@ where
             gq.len() as u64,
             rings,
         );
-        if let Some(ls) = k.live() {
-            for (g, sh) in ls.shard_fwd_depth.iter().zip(&shardset.shards) {
-                g.store(sh.fwd.depth_hint() as u64, Ordering::Relaxed);
-            }
-        }
 
         if k.barrier() {
-            // The flush gate: every core at the boundary AND every shard
-            // floor at (or past) it — only then is every event below the
-            // boundary guaranteed visible through the forwarding rings,
-            // so the sorted barrier service stays bit-identical to the
+            // The barrier gate: every core at the boundary. A core pushes
+            // a tick's events before it stores the clock, so the drain
+            // after the gate sees every event below the boundary and the
+            // sorted barrier service stays bit-identical to the
             // sequential engine.
-            if locals.iter().all(|&l| l == window_end) && shardset.flushed_to(window_end) {
+            if locals.iter().all(|&l| l == window_end) {
                 {
                     let _span = ph.enter(ProfSite::ManagerDrain);
-                    shardset.drain_steady(shared, &mut gq, &mut drain_buf);
+                    drain_outqs(shared, &mut gq, &mut drain_buf);
                 }
                 {
                     let _span = ph.enter(ProfSite::ManagerService);
@@ -1374,24 +962,14 @@ where
                 if k.checkpoint_due(g) {
                     // Cores are already aligned at the boundary with
                     // nothing in flight: capture directly.
-                    shardset.pause(sched);
-                    shardset.drain_forward(&mut gq);
                     {
                         let _span = ph.enter(ProfSite::CheckpointCapture);
-                        lanes.stop_all(sched);
+                        lanes.stop_all(sched)?;
                         drain_outqs(shared, &mut gq, &mut drain_buf);
-                        capture_all(k, shared, lanes, sched);
+                        capture_all(k, shared, lanes, sched)?;
                         lanes.resume_all(sched);
                     }
-                    shardset.set_floors(g);
-                    shardset.resume(sched);
-                    k.commit_checkpoint(
-                        g,
-                        committed.load(Ordering::Acquire),
-                        uncore,
-                        None,
-                        &shardset.paused_forwarded,
-                    );
+                    k.commit_checkpoint(g, committed.load(Ordering::Acquire), uncore, None);
                 }
                 window_end = if k.replaying() {
                     g + 1
@@ -1406,7 +984,7 @@ where
                 // natural boundary keeps the finish state deterministic and
                 // identical across all three engines (the batched engine
                 // can only observe boundaries).
-                idle_wait(&mut backoff, k);
+                idle_wait(&mut backoff, k)?;
             }
             continue;
         }
@@ -1419,17 +997,14 @@ where
 
         if k.rollback_pending() {
             let _span = ph.enter(ProfSite::CheckpointRestore);
-            shardset.pause(sched);
-            lanes.stop_all(sched);
-            // Lanes are stopped and shards paused (acks received), so the
-            // manager may act as the consumer of every ring during the
-            // wipe.
+            lanes.stop_all(sched)?;
+            // Lanes are stopped (acks received), so the manager may act as
+            // the consumer of every ring during the wipe.
             gq.clear();
             for s in shared {
                 s.inq.clear();
                 s.outq.clear();
             }
-            shardset.clear_forward();
             let now = shared
                 .iter()
                 .map(|s| Cycle::new(s.local.load(Ordering::Acquire)))
@@ -1452,7 +1027,7 @@ where
                         .collect(),
                 )
             });
-            await_acks(&lanes.ack_rxs, sched);
+            await_acks(&lanes.ack_rxs, sched)?;
             k.return_bases(
                 shared
                     .iter()
@@ -1465,10 +1040,8 @@ where
             k.restore_uncore(uncore);
             committed.store(at_committed, Ordering::Release);
             window_end = at + 1;
-            shardset.set_floors(at);
             lanes.publish(shared, sched, |_| window_end);
             lanes.resume_all(sched);
-            shardset.resume(sched);
             backoff.reset();
             continue;
         }
@@ -1486,9 +1059,7 @@ where
             // to the capture site; the merge and persist open their own
             // nested spans.
             let _span = ph.enter(ProfSite::CheckpointCapture);
-            shardset.pause(sched);
-            shardset.drain_forward(&mut gq);
-            lanes.stop_all(sched);
+            lanes.stop_all(sched)?;
             let stop_at = shared
                 .iter()
                 .map(|s| s.local.load(Ordering::Acquire))
@@ -1503,13 +1074,13 @@ where
             while acked < lanes.ack_rxs.len() {
                 drain_outqs(shared, &mut gq, &mut drain_buf);
                 k.service_all(&mut gq, uncore, deliver);
-                let rx = ack_iters.next().expect("cycle never ends");
-                if rx.try_recv().is_ok() {
-                    acked += 1;
-                } else if virt {
+                match ack_iters.next().expect("cycle never ends").try_recv() {
+                    Ok(()) => acked += 1,
+                    Err(TryRecvError::Disconnected) => return Err(LaneDied),
                     // Keep the poll visible to a virtual scheduler so the
                     // cores can run towards their acks.
-                    sched.idle_yield(SchedSite::AwaitAck);
+                    Err(TryRecvError::Empty) if virt => sched.idle_yield(SchedSite::AwaitAck),
+                    Err(TryRecvError::Empty) => {}
                 }
             }
             drain_outqs(shared, &mut gq, &mut drain_buf);
@@ -1518,49 +1089,26 @@ where
                 // A violation surfaced during stop-sync: resume and let the
                 // rollback branch at the top of the loop handle it.
                 lanes.resume_all(sched);
-                shardset.resume(sched);
                 continue;
             }
             // Lanes are paused right after their RunTo ack: capture them.
-            capture_all(k, shared, lanes, sched);
+            capture_all(k, shared, lanes, sched)?;
             let stop_at = Cycle::new(stop_at);
-            k.commit_checkpoint(
-                stop_at,
-                committed.load(Ordering::Acquire),
-                uncore,
-                None,
-                &shardset.paused_forwarded,
-            );
+            k.commit_checkpoint(stop_at, committed.load(Ordering::Acquire), uncore, None);
             locals.fill(stop_at);
-            shardset.set_floors(stop_at);
-            window_end = publish_greedy_windows(
-                &mut *k.pacer,
-                shared,
-                lanes,
-                &locals,
-                shardset.floor(&locals),
-                cfg,
-                sched,
-            );
+            window_end =
+                publish_greedy_windows(&mut *k.pacer, shared, lanes, &locals, stop_at, cfg, sched);
             lanes.resume_all(sched);
-            shardset.resume(sched);
             backoff.reset();
             continue;
         }
 
-        window_end = publish_greedy_windows(
-            &mut *k.pacer,
-            shared,
-            lanes,
-            &locals,
-            shardset.floor(&locals),
-            cfg,
-            sched,
-        );
+        window_end =
+            publish_greedy_windows(&mut *k.pacer, shared, lanes, &locals, global, cfg, sched);
         if !progress {
             // Nothing moved this iteration: wait instead of going
             // straight back to draining.
-            idle_wait(&mut backoff, k);
+            idle_wait(&mut backoff, k)?;
         }
     };
 
@@ -1574,22 +1122,17 @@ where
 
 /// Publishes windows for a greedy scheme: per-core when the pacer paces
 /// against peers (Lax-P2P), uniform otherwise; both clamped by the
-/// implementation lead cap. `floor` is the slack floor the windows pace
-/// against — the exact global minimum under a single manager, the
-/// reconciled per-shard floor under a manager tree (which also bounds
-/// forwarding-ring growth: no core may lead an unforwarded event by more
-/// than the window). Returns the largest published window for the
-/// manager's bookkeeping.
+/// implementation lead cap over `global`, the minimum of `locals`.
+/// Returns the largest published window for the manager's bookkeeping.
 fn publish_greedy_windows<C: CoreModel + Checkpointable>(
     pacer: &mut dyn Pacer,
     shared: &[Arc<CoreShared<C>>],
     lanes: &LaneSet<C>,
     locals: &[Cycle],
-    floor: Cycle,
+    global: Cycle,
     cfg: &EngineConfig,
     sched: &dyn HostSched,
 ) -> Cycle {
-    let global = floor;
     let cap = cfg.lead_cap(global);
     if let Some(wins) = pacer.window_ends(locals) {
         lanes.publish(shared, sched, |i| wins[i].min(cap));
@@ -1621,24 +1164,25 @@ fn drain_outqs<C: CoreModel + Checkpointable>(
     total
 }
 
-/// Blocks until every helper thread has acknowledged the last command: a
-/// real blocking receive natively, a scheduler-visible poll under a
-/// virtual scheduler.
-fn await_acks(ack_rxs: &[Receiver<()>], sched: &dyn HostSched) {
+/// Blocks until every lane has acknowledged the last command: a real
+/// blocking receive natively, a scheduler-visible poll under a virtual
+/// scheduler. A lane that died instead hangs up its ack channel.
+fn await_acks(ack_rxs: &[Receiver<()>], sched: &dyn HostSched) -> Result<(), LaneDied> {
     let virt = sched.virtualized();
     for rx in ack_rxs {
         if !virt {
-            rx.recv().expect("helper thread alive");
+            rx.recv().map_err(|_| LaneDied)?;
             continue;
         }
         loop {
             match rx.try_recv() {
                 Ok(()) => break,
                 Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitAck),
-                Err(TryRecvError::Disconnected) => panic!("helper thread alive"),
+                Err(TryRecvError::Disconnected) => return Err(LaneDied),
             }
         }
     }
+    Ok(())
 }
 
 /// Has every (stopped) lane capture its cores' deltas since the standing
@@ -1648,14 +1192,15 @@ fn capture_all<C, U>(
     shared: &[Arc<CoreShared<C>>],
     lanes: &LaneSet<C>,
     sched: &dyn HostSched,
-) where
+) -> Result<(), LaneDied>
+where
     C: CoreModel + Checkpointable,
     U: UncoreModel<C::Event> + Checkpointable,
 {
     lanes.send_all(sched, |cores| {
         Command::Snapshot(cores.map(|i| k.core_gen(i)).collect())
     });
-    await_acks(&lanes.ack_rxs, sched);
+    await_acks(&lanes.ack_rxs, sched)?;
     let ph = k.prof_handle();
     let _span = ph.enter(ProfSite::CheckpointApply);
     for (i, s) in shared.iter().enumerate() {
@@ -1667,6 +1212,7 @@ fn capture_all<C, U>(
             CoreCapture::Base(_) => unreachable!("a snapshot command captures a delta"),
         }
     }
+    Ok(())
 }
 
 /// Core `s`'s (OutQ, InQ) depths, from the rings' relaxed counters.
@@ -1685,5 +1231,74 @@ mod tests {
     // integration tests (tests/engines_agree.rs and friends), where it is
     // compared against the sequential engine on real CMP models. The
     // SPSC ring it is built on has its own stress suite in
-    // crates/core/tests/spsc_stress.rs.
+    // crates/core/tests/spsc_stress.rs. What is left here is what those
+    // cannot reach: a core model that panics.
+
+    use std::sync::mpsc;
+
+    use super::*;
+    use crate::engine::batched::tests::{Fuse, Toy, ToyCore};
+    use crate::engine::ServiceSink;
+    use crate::scheme::Scheme;
+    use crate::stats::Counters;
+
+    /// Pongs every ping back 5 cycles later, in whatever order a greedy
+    /// manager services them.
+    #[derive(Debug, Clone)]
+    struct Echo;
+
+    impl UncoreModel<Toy> for Echo {
+        fn service(&mut self, from: CoreId, ev: Timestamped<Toy>, sink: &mut ServiceSink<Toy>) {
+            sink.deliver(from, Timestamped::new(ev.ts + 5, Toy::Pong));
+        }
+
+        fn counters(&self) -> Counters {
+            Counters::new()
+        }
+    }
+
+    crate::impl_checkpointable_by_clone!(Echo);
+
+    /// Runs 8 cores on 2 lanes, core `fused` blowing at cycle 2000, on a
+    /// thread of its own so that a hang fails the test instead of stalling
+    /// the suite. Returns the message `run()` unwound with.
+    fn blow_a_fuse(scheme: Scheme, fused: usize) -> String {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut cfg = EngineConfig::new(scheme, u64::MAX);
+            cfg.host_threads = 2;
+            let cores = (0..8)
+                .map(|i| Fuse {
+                    inner: ToyCore::new(3),
+                    blow_at: (i == fused).then_some(2000),
+                })
+                .collect();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                ThreadedEngine::new(cores, Echo, cfg).run()
+            }));
+            let Err(panic) = run else {
+                panic!("an endless run returned");
+            };
+            let _ = tx.send(panic.downcast_ref::<&str>().map(|s| s.to_string()));
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("run() ends within 60 s instead of hanging")
+            .expect("the lane's own panic payload")
+    }
+
+    #[test]
+    fn a_panicking_lane_ends_a_cycle_by_cycle_run() {
+        for (lane, core) in [(0, 0), (1, 4)] {
+            let msg = blow_a_fuse(Scheme::CycleByCycle, core);
+            assert_eq!(msg, "toy core blew its fuse", "lane {lane}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_lane_ends_a_bounded_slack_run() {
+        for (lane, core) in [(0, 0), (1, 4)] {
+            let msg = blow_a_fuse(Scheme::BoundedSlack { bound: 16 }, core);
+            assert_eq!(msg, "toy core blew its fuse", "lane {lane}");
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! The spin → yield → park wait ladder of a host thread with nothing to do
-//! until another one makes progress: the threaded engine's manager and
-//! shard managers, and both sides of the batched engine's window hand-off.
+//! until another one makes progress: the threaded engine's manager, and
+//! both sides of the batched engine's window hand-off.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -10,17 +10,17 @@ use crate::obs::ProfSite;
 use crate::sched::{HostSched, SchedSite};
 
 /// Spin iterations before an idle manager starts yielding.
-pub(super) const MGR_SPIN_ITERS: u32 = 32;
+const MGR_SPIN_ITERS: u32 = 32;
 /// Yield iterations before an idle manager parks.
-pub(super) const MGR_YIELD_ITERS: u32 = 32;
+const MGR_YIELD_ITERS: u32 = 32;
 /// Yield iterations before an idle manager parks on an oversubscribed
 /// host (the spin tier is skipped there: spinning steals the quanta the
 /// core threads need, while yielding hands the CPU over within a few
 /// scheduler decisions).
-pub(super) const MGR_YIELD_ITERS_OVERSUB: u32 = 128;
+const MGR_YIELD_ITERS_OVERSUB: u32 = 128;
 /// Manager park timeout: nobody unparks the manager, so this is the
 /// polling cadence once the ladder bottoms out.
-pub(super) const MGR_PARK_TIMEOUT: Duration = Duration::from_micros(20);
+const MGR_PARK_TIMEOUT: Duration = Duration::from_micros(20);
 
 /// Spin and yield iterations before either side of a batched-engine
 /// window hand-off parks. Far deeper than the manager's: a worker idles

@@ -133,9 +133,6 @@ pub struct LiveStats {
     pub checkpoints: AtomicU64,
     /// Rollbacks taken so far.
     pub rollbacks: AtomicU64,
-    /// Events queued shard→root (one gauge per remote shard; empty for
-    /// single-manager runs, which then omit the `shardq` field).
-    pub shard_fwd_depth: Vec<AtomicU64>,
 }
 
 impl LiveStats {
@@ -143,14 +140,6 @@ impl LiveStats {
     pub fn new() -> Self {
         let s = LiveStats::default();
         s.bound.store(NO_BOUND, Ordering::Relaxed);
-        s
-    }
-
-    /// Creates a stats block with one shard→root queue gauge per remote
-    /// shard (threaded engine with `shards > 1`).
-    pub fn with_shards(remote_shards: usize) -> Self {
-        let mut s = LiveStats::new();
-        s.shard_fwd_depth = (0..remote_shards).map(|_| AtomicU64::new(0)).collect();
         s
     }
 }
@@ -335,24 +324,10 @@ fn render_heartbeat(
     write_f64(buf, violation_rate);
     let _ = write!(
         buf,
-        r#","queues":{{"outq":{},"inq":{},"globalq":{}"#,
+        r#","queues":{{"outq":{},"inq":{},"globalq":{}}},"dropped_traces":{},"checkpoints":{},"rollbacks":{}"#,
         stats.outq_depth.load(Ordering::Relaxed),
         stats.inq_depth.load(Ordering::Relaxed),
         stats.globalq_depth.load(Ordering::Relaxed),
-    );
-    if !stats.shard_fwd_depth.is_empty() {
-        buf.push_str(r#","shardq":["#);
-        for (i, d) in stats.shard_fwd_depth.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let _ = write!(buf, "{}", d.load(Ordering::Relaxed));
-        }
-        buf.push(']');
-    }
-    let _ = write!(
-        buf,
-        r#"}},"dropped_traces":{},"checkpoints":{},"rollbacks":{}"#,
         stats.dropped_traces.load(Ordering::Relaxed),
         stats.checkpoints.load(Ordering::Relaxed),
         stats.rollbacks.load(Ordering::Relaxed),
@@ -511,10 +486,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stats_render_per_shard_queue_depths() {
-        let stats = Arc::new(LiveStats::with_shards(3));
-        stats.shard_fwd_depth[0].store(5, Ordering::Relaxed);
-        stats.shard_fwd_depth[2].store(7, Ordering::Relaxed);
+    fn queues_hold_exactly_the_three_depths() {
+        let stats = Arc::new(LiveStats::new());
+        stats.outq_depth.store(5, Ordering::Relaxed);
+        stats.globalq_depth.store(7, Ordering::Relaxed);
         let prof = Profiler::disabled();
         let mut buf = String::new();
         let start = Instant::now();
@@ -527,16 +502,11 @@ mod tests {
         render_heartbeat(&mut buf, start, &stats, &prof, &mut prev);
         let v = Json::parse(buf.trim_end()).expect("valid JSON");
         let queues = v.get("queues").and_then(Json::as_object).unwrap();
-        let shardq = queues["shardq"].as_array().unwrap();
-        let depths: Vec<f64> = shardq.iter().map(|d| d.as_f64().unwrap()).collect();
-        assert_eq!(depths, vec![5.0, 0.0, 7.0]);
-
-        // Single-manager stats omit the field entirely.
-        let solo = Arc::new(LiveStats::new());
-        render_heartbeat(&mut buf, start, &solo, &prof, &mut prev);
-        let v = Json::parse(buf.trim_end()).expect("valid JSON");
-        let queues = v.get("queues").and_then(Json::as_object).unwrap();
-        assert!(!queues.contains_key("shardq"));
+        let depths: Vec<(&str, f64)> = queues
+            .iter()
+            .map(|(k, d)| (k.as_str(), d.as_f64().unwrap()))
+            .collect();
+        assert_eq!(depths, [("globalq", 7.0), ("inq", 0.0), ("outq", 5.0)]);
     }
 
     #[test]

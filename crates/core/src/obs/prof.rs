@@ -74,16 +74,13 @@ pub enum ProfSite {
     /// The batched engine's quantum-boundary resolution: staged cross-core
     /// events serviced in timestamp order.
     BatchedResolve = 15,
-    /// A shard-manager thread forwarding its cores' events toward the
-    /// root (threaded engine with `shards > 1`).
-    ShardService = 16,
     /// The batched engine's manager waiting, after its own lane, for the
     /// window workers to finish theirs (host-parallel windows only).
-    BatchedBarrier = 17,
+    BatchedBarrier = 16,
 }
 
 /// Number of profiling sites (length of [`ProfSite::ALL`]).
-pub const SITE_COUNT: usize = 18;
+pub const SITE_COUNT: usize = 17;
 
 impl ProfSite {
     /// Every site, in index order.
@@ -104,7 +101,6 @@ impl ProfSite {
         ProfSite::Export,
         ProfSite::BatchedRun,
         ProfSite::BatchedResolve,
-        ProfSite::ShardService,
         ProfSite::BatchedBarrier,
     ];
 
@@ -127,7 +123,6 @@ impl ProfSite {
             ProfSite::Export => "export",
             ProfSite::BatchedRun => "batched-run",
             ProfSite::BatchedResolve => "batched-resolve",
-            ProfSite::ShardService => "shard-service",
             ProfSite::BatchedBarrier => "batched-barrier",
         }
     }

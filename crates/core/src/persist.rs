@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic    [u8; 8]  b"SLAKSNAP"
-//! version  u32      format version (2 baseline, 3 with shard section)
+//! version  u32      format version (2; 3 is read-only, see below)
 //! fp_len   u32      length of the config-fingerprint string
 //! fp       [u8]     UTF-8 fingerprint: benchmark/scheme/cores/seed/cp-mode
 //! len      u64      payload length in bytes
@@ -35,12 +35,12 @@ use std::time::Duration;
 
 /// File magic identifying a slacksim snapshot container.
 pub const MAGIC: [u8; 8] = *b"SLAKSNAP";
-/// Baseline container format version (no shard section in the payload).
+/// The container format version every writer stamps.
 pub const FORMAT_VERSION: u32 = 2;
-/// Container format version whose payload ends with a per-shard section
-/// (threaded engine with `shards > 1`). Writers use it only when the
-/// section is present, so single-manager snapshots stay byte-identical
-/// to version-2 files; readers accept both.
+/// Read-only legacy format version: a version-2 payload followed by the
+/// per-shard section of the removed sharded manager tree (`u32 k`, then
+/// `k` `u64` counters), which readers parse and discard so those
+/// snapshots still resume. Nothing writes it.
 pub const FORMAT_VERSION_SHARDED: u32 = 3;
 
 /// Everything that can go wrong while persisting or restoring a snapshot.
@@ -274,18 +274,10 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Wrap a payload in the baseline (version-2) snapshot container.
+/// Wrap a payload in a (version-2) snapshot container.
 pub fn encode_container(fingerprint: &str, payload: &[u8]) -> Vec<u8> {
-    encode_container_versioned(FORMAT_VERSION, fingerprint, payload)
-}
-
-/// Wrap a payload in a snapshot container stamped with an explicit format
-/// version. Callers pick [`FORMAT_VERSION_SHARDED`] only when the payload
-/// actually carries the shard section, so older builds refuse the file
-/// with a clear version error instead of a trailing-bytes corruption.
-pub fn encode_container_versioned(version: u32, fingerprint: &str, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + fingerprint.len() + payload.len());
-    push_header(&mut out, version, fingerprint);
+    push_header(&mut out, fingerprint);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -294,10 +286,9 @@ pub fn encode_container_versioned(version: u32, fingerprint: &str, payload: &[u8
 
 /// Appends the container fields that precede the payload length: magic,
 /// version and the length-prefixed fingerprint.
-fn push_header(out: &mut Vec<u8>, version: u32, fingerprint: &str) {
-    debug_assert!((FORMAT_VERSION..=FORMAT_VERSION_SHARDED).contains(&version));
+fn push_header(out: &mut Vec<u8>, fingerprint: &str) {
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(fingerprint.len() as u32).to_le_bytes());
     out.extend_from_slice(fingerprint.as_bytes());
 }
@@ -310,17 +301,17 @@ const SEAL_LEN: usize = 16;
 /// are left zeroed for [`seal_container`], and the returned writer
 /// appends the payload directly behind them — no second copy of it is
 /// ever made.
-fn begin_container(mut buf: Vec<u8>, version: u32, fingerprint: &str) -> ByteWriter {
+fn begin_container(mut buf: Vec<u8>, fingerprint: &str) -> ByteWriter {
     buf.clear();
-    push_header(&mut buf, version, fingerprint);
+    push_header(&mut buf, fingerprint);
     buf.extend_from_slice(&[0; SEAL_LEN]);
     ByteWriter { buf }
 }
 
 /// Finishes a container started by [`begin_container`]: patches the
 /// payload length and its FNV-1a into the reserved fields, after which
-/// `bytes` equals what [`encode_container_versioned`] returns for the same
-/// version, fingerprint and payload.
+/// `bytes` equals what [`encode_container`] returns for the same
+/// fingerprint and payload.
 fn seal_container(bytes: &mut [u8]) {
     let fp_len = u32::from_le_bytes(bytes[12..16].try_into().expect("four bytes")) as usize;
     let (head, payload) = bytes.split_at_mut(16 + fp_len + SEAL_LEN);
@@ -329,12 +320,14 @@ fn seal_container(bytes: &mut [u8]) {
     seal[8..].copy_from_slice(&fnv1a(payload).to_le_bytes());
 }
 
-/// Validate a snapshot container and return `(fingerprint, payload)`.
+/// Validate a snapshot container and return `(version, fingerprint,
+/// payload)`.
 ///
 /// Checks magic, format version, structural completeness and the payload
 /// checksum; the caller compares the fingerprint against its own run
-/// configuration (see [`check_fingerprint`]).
-pub fn decode_container(bytes: &[u8]) -> Result<(&str, &[u8]), PersistError> {
+/// configuration (see [`check_fingerprint`]) and decodes the payload the
+/// way its version says.
+pub fn decode_container(bytes: &[u8]) -> Result<(u32, &str, &[u8]), PersistError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(8)?;
     if magic != MAGIC {
@@ -356,7 +349,7 @@ pub fn decode_container(bytes: &[u8]) -> Result<(&str, &[u8]), PersistError> {
     if found != expected {
         return Err(PersistError::ChecksumMismatch { expected, found });
     }
-    Ok((fp, payload))
+    Ok((version, fp, payload))
 }
 
 /// Compare a snapshot fingerprint against the current run configuration.
@@ -549,11 +542,11 @@ impl CheckpointWriter {
         }
     }
 
-    /// Starts the next checkpoint's container (format `version`) in the
-    /// spare buffer; the caller appends the payload.
-    pub fn begin(&mut self, version: u32) -> ByteWriter {
+    /// Starts the next checkpoint's container in the spare buffer; the
+    /// caller appends the payload.
+    pub fn begin(&mut self) -> ByteWriter {
         let spare = std::mem::take(&mut self.spare);
-        let mut w = begin_container(spare, version, &self.fingerprint);
+        let mut w = begin_container(spare, &self.fingerprint);
         // Room for the largest snapshot so far: a fresh buffer gets it in
         // one step, a recycled one has it already.
         w.buf.reserve_exact(self.high.saturating_sub(w.buf.len()));
@@ -682,7 +675,8 @@ mod tests {
     fn container_round_trip() {
         let payload = b"some payload bytes";
         let bytes = encode_container("bench=fft;cores=8", payload);
-        let (fp, body) = decode_container(&bytes).unwrap();
+        let (version, fp, body) = decode_container(&bytes).unwrap();
+        assert_eq!(version, FORMAT_VERSION);
         assert_eq!(fp, "bench=fft;cores=8");
         assert_eq!(body, payload);
     }
@@ -722,17 +716,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_container_version_round_trips() {
+    fn legacy_version_3_containers_decode_with_their_version() {
         let payload = b"payload with shard section";
-        let bytes = encode_container_versioned(FORMAT_VERSION_SHARDED, "fp", payload);
-        assert_eq!(bytes[8..12], FORMAT_VERSION_SHARDED.to_le_bytes());
-        let (fp, body) = decode_container(&bytes).unwrap();
-        assert_eq!(fp, "fp");
-        assert_eq!(body, payload);
-        // The baseline writer still stamps version 2 so single-manager
-        // snapshots stay byte-identical across this format extension.
-        let base = encode_container("fp", payload);
-        assert_eq!(base[8..12], FORMAT_VERSION.to_le_bytes());
+        let mut bytes = encode_container("fp", payload);
+        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
+        // The checksum covers the payload only: restamping is enough.
+        bytes[8..12].copy_from_slice(&FORMAT_VERSION_SHARDED.to_le_bytes());
+        let (version, fp, body) = decode_container(&bytes).unwrap();
+        assert_eq!(
+            (version, fp, body),
+            (FORMAT_VERSION_SHARDED, "fp", &payload[..])
+        );
     }
 
     #[test]
@@ -754,23 +748,21 @@ mod tests {
         // The buffer is recycled across every case, so each container is
         // also framed over the remains of the one before it.
         let mut buf = Vec::new();
-        for version in [FORMAT_VERSION, FORMAT_VERSION_SHARDED] {
-            for len in [0, 1, 283_000] {
-                for fingerprint in ["", "bench=WATER/scheme=bounded-slack:16/cores=8"] {
-                    let payload = payload_of(len);
-                    let mut w = begin_container(buf, version, fingerprint);
-                    for &b in &payload {
-                        w.u8(b);
-                    }
-                    buf = w.into_bytes();
-                    seal_container(&mut buf);
-                    assert!(
-                        buf == encode_container_versioned(version, fingerprint, &payload),
-                        "version {version}, {len}-byte payload, fingerprint {fingerprint:?}"
-                    );
-                    let (fp, body) = decode_container(&buf).unwrap();
-                    assert_eq!((fp, body.len()), (fingerprint, len));
+        for len in [0, 1, 283_000] {
+            for fingerprint in ["", "bench=WATER/scheme=bounded-slack:16/cores=8"] {
+                let payload = payload_of(len);
+                let mut w = begin_container(buf, fingerprint);
+                for &b in &payload {
+                    w.u8(b);
                 }
+                buf = w.into_bytes();
+                seal_container(&mut buf);
+                assert!(
+                    buf == encode_container(fingerprint, &payload),
+                    "{len}-byte payload, fingerprint {fingerprint:?}"
+                );
+                let (_, fp, body) = decode_container(&buf).unwrap();
+                assert_eq!((fp, body.len()), (fingerprint, len));
             }
         }
     }
@@ -794,7 +786,7 @@ mod tests {
     }
 
     fn submit_payload(writer: &mut CheckpointWriter, ordinal: u64, payload: &[u8]) -> u64 {
-        let mut w = writer.begin(FORMAT_VERSION);
+        let mut w = writer.begin();
         for &b in payload {
             w.u8(b);
         }
@@ -850,7 +842,7 @@ mod tests {
             // The two buffers alternate; whichever comes up has exactly
             // the room the largest snapshot so far needed, `Vec`'s
             // doubling during a record-size encode given back.
-            let mut w = writer.begin(FORMAT_VERSION);
+            let mut w = writer.begin();
             if i > 0 {
                 assert_eq!(w.buf.capacity(), high, "buffer for snapshot {i}");
             }

@@ -92,11 +92,6 @@ pub enum SchedSite {
     AwaitAck,
     /// Core thread polling for the next manager command.
     AwaitCmd,
-    /// Top of a shard-manager's consolidation loop (threaded engine with
-    /// `shards > 1`).
-    ShardLoop,
-    /// Shard-manager thread idling in its backoff ladder.
-    ShardIdle,
 }
 
 /// The host-scheduling interface the threaded engine waits through.

@@ -52,39 +52,6 @@ impl PaceSample {
     }
 }
 
-/// Folds per-shard minimum local times into the reconciled global floor
-/// used by the threaded engine's two-level manager tree (DESIGN §18).
-///
-/// Each shard manager publishes the minimum local time of its cores as
-/// observed *before* it last forwarded their OutQ events, so every floor
-/// is conservative: all cross-shard events with timestamps strictly below
-/// it are already visible to the root. The reconciled global is the
-/// minimum over the shard floors, and window arithmetic
-/// ([`Pacer::window_end`]) is evaluated at that floor. Evaluating the
-/// window at the *reconciled* floor instead of the raw core-clock minimum
-/// keeps slack windows sound under lagging consolidation — a shard that
-/// has not yet forwarded its events holds the window back, never the
-/// reverse — and thereby bounds forwarding-ring growth: cores cannot run
-/// ahead of what the root has consolidated by more than the scheme's
-/// slack plus the lead cap.
-///
-/// Returns `None` for an empty shard set (an engine-level impossibility —
-/// every run has at least shard 0).
-///
-/// # Examples
-///
-/// ```
-/// use slacksim_core::scheme::reconcile_shard_floor;
-/// use slacksim_core::time::Cycle;
-///
-/// let floors = [Cycle::new(120), Cycle::new(96), Cycle::new(118)];
-/// assert_eq!(reconcile_shard_floor(floors), Some(Cycle::new(96)));
-/// assert_eq!(reconcile_shard_floor([]), None);
-/// ```
-pub fn reconcile_shard_floor(floors: impl IntoIterator<Item = Cycle>) -> Option<Cycle> {
-    floors.into_iter().min()
-}
-
 /// A pacing policy: decides how far ahead of global time core threads may
 /// run, and whether the manager services events greedily or at barriers.
 pub trait Pacer: Send {
@@ -581,29 +548,6 @@ mod tests {
             .name(),
             "lax-p2p"
         );
-    }
-
-    #[test]
-    fn reconcile_shard_floor_takes_the_minimum() {
-        assert_eq!(
-            reconcile_shard_floor([g(50), g(10), g(40)]),
-            Some(g(10)),
-            "a lagging shard holds the reconciled global back"
-        );
-        assert_eq!(reconcile_shard_floor([g(7)]), Some(g(7)));
-        assert_eq!(reconcile_shard_floor([]), None);
-    }
-
-    #[test]
-    fn reconciled_windows_never_overtake_a_lagging_shard() {
-        // Window arithmetic over the reconciled floor must be identical to
-        // evaluating the pacer at the slowest shard's clock: the window a
-        // fast shard sees is capped by the slow shard's published minimum.
-        let p = BoundedSlack::new(8);
-        let floors = [g(100), g(64), g(99)];
-        let floor = reconcile_shard_floor(floors).expect("non-empty");
-        assert_eq!(p.window_end(floor), p.window_end(g(64)));
-        assert!(p.window_end(floor) < p.window_end(g(100)));
     }
 
     #[test]

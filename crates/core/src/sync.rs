@@ -345,56 +345,6 @@ impl<T> SpscRing<T> {
         moved
     }
 
-    /// Moves every currently queued element into `out` through `f`,
-    /// preserving FIFO order, and returns how many were moved (consumer
-    /// side). Same visibility guarantees as [`drain_into`](Self::drain_into);
-    /// the shard forwarders use this to tag each event with its producing
-    /// core without an intermediate buffer.
-    pub fn drain_map_into<U>(&self, out: &mut Vec<U>, mut f: impl FnMut(T) -> U) -> usize {
-        sched_point(&self.hook, SchedSite::RingDrain);
-        let mut moved = self.drain_ring_map_into(out, &mut f);
-        if self.spill_len.load(Ordering::Acquire) != 0 {
-            // Same stale-tail hazard as `drain_into`: the spill is
-            // strictly newer than any committed ring entry, and the
-            // Acquire load (pairing with `spill_push`'s Release) makes
-            // those entries visible — sweep the ring once more first.
-            moved += self.drain_ring_map_into(out, &mut f);
-            let mut s = self.spill.lock().expect("spill poisoned");
-            let k = s.len();
-            out.extend(s.drain(..).map(&mut f));
-            self.spill_len.store(0, Ordering::Relaxed);
-            drop(s);
-            self.depth.fetch_sub(k, Ordering::Relaxed);
-            moved += k;
-        }
-        moved
-    }
-
-    /// Ring-only half of [`drain_map_into`](Self::drain_map_into); see
-    /// [`drain_ring_into`](Self::drain_ring_into) for the memory-order
-    /// argument.
-    fn drain_ring_map_into<U>(&self, out: &mut Vec<U>, f: &mut impl FnMut(T) -> U) -> usize {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        // SAFETY: consumer-private cache (see `pop`).
-        unsafe {
-            *self.tail_cache.0.get() = tail;
-        }
-        let n = tail.wrapping_sub(head);
-        out.reserve(n);
-        for i in 0..n {
-            // SAFETY: slots `head..tail` are filled and unconsumed.
-            let value =
-                unsafe { (*self.buf[head.wrapping_add(i) & self.mask].get()).assume_init_read() };
-            out.push(f(value));
-        }
-        if n > 0 {
-            self.head.0.store(tail, Ordering::Release);
-            self.depth.fetch_sub(n, Ordering::Relaxed);
-        }
-        n
-    }
-
     /// Discards every queued element (consumer side).
     pub fn clear(&self) {
         while self.pop().is_some() {}
@@ -727,23 +677,6 @@ mod tests {
         assert_eq!(q.drain_into(&mut out), 13);
         assert_eq!(out, (0..13).collect::<Vec<_>>());
         assert_eq!(q.depth_hint(), 0);
-    }
-
-    #[test]
-    fn ring_drain_map_into_tags_in_fifo_order() {
-        let q: SpscRing<u32> = SpscRing::with_capacity(4);
-        let mut batch: Vec<u32> = (0..10).collect();
-        q.push_batch(&mut batch); // 4 ring + 6 spill
-        let mut out: Vec<(u8, u32)> = vec![(7, 99)];
-        assert_eq!(q.drain_map_into(&mut out, |v| (3u8, v)), 10);
-        assert_eq!(out[0], (7, 99), "existing contents are preserved");
-        assert_eq!(
-            out[1..],
-            (0..10).map(|v| (3u8, v)).collect::<Vec<_>>(),
-            "FIFO order across the ring/spill boundary"
-        );
-        assert_eq!(q.depth_hint(), 0);
-        assert_eq!(q.drain_map_into(&mut out, |v| (0u8, v)), 0);
     }
 
     #[test]

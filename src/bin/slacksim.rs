@@ -5,7 +5,7 @@
 //! slacksim [--benchmark barnes|fft|lu|water] [--scheme cc|bounded|unbounded|quantum|adaptive|p2p]
 //!          [--bound N] [--quantum N] [--target PCT] [--band PCT]
 //!          [--engine seq|threaded|batched] [--uncore bus|directory]
-//!          [--cores N] [--shards N] [--host-threads N] [--commit N] [--seed N]
+//!          [--cores N] [--host-threads N] [--commit N] [--seed N]
 //!          [--checkpoint N] [--rollback all|map|none]
 //!          [--save-state DIR] [--resume FILE]
 //!          [--verbose] [--trace OUT.json] [--metrics OUT.csv] [--sample-every CYCLES]
@@ -42,7 +42,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--engine",
     "--uncore",
     "--cores",
-    "--shards",
     "--host-threads",
     "--commit",
     "--seed",
@@ -252,19 +251,9 @@ fn main() {
         ));
     }
 
-    // The manager tree is a property of the threaded engine's host-side
-    // consolidation; accepting it elsewhere would silently do nothing.
-    let shards = args.parsed_nonzero("--shards", 1) as usize;
-    if shards > 1 && engine != EngineKind::Threaded {
-        usage_error(&format!(
-            "--shards {shards} requires --engine threaded (the manager tree only \
-             exists in the threaded engine)"
-        ));
-    }
-
-    // Likewise the host threads the cores are folded onto: the threaded
-    // engine's lanes, the batched engine's window workers. Absent (0),
-    // the engine sizes itself from the host's available parallelism.
+    // The host threads the cores are folded onto: the threaded engine's
+    // lanes, the batched engine's window workers. Absent (0), the engine
+    // sizes itself from the host's available parallelism.
     let mut host_threads = 0;
     if args.has("--host-threads") {
         if engine == EngineKind::Sequential {
@@ -306,7 +295,6 @@ fn main() {
         .engine(engine)
         .uncore(uncore)
         .cores(cores)
-        .shards(shards)
         .host_threads(host_threads)
         .commit_target(args.parsed("--commit", 500_000))
         .seed(args.parsed("--seed", 1));
@@ -1006,8 +994,7 @@ USAGE:
   slacksim sweep --dir DIR            # resume from DIR's campaign manifest
 
 A sweep spec is one JSON document describing a {scheme x bound x quantum
-x uncore x cores x shards x workload x seed} grid plus shared per-job
-settings:
+x uncore x cores x workload x seed} grid plus shared per-job settings:
 
   {
     \"v\": 1,
@@ -1023,15 +1010,12 @@ settings:
       \"uncore\":   [\"bus\"],                 bus|directory, default [\"bus\"]
       \"cores\":    [2],                     1..=16 (bus) / 1..=1024 (directory),
                                            default [8]
-      \"shards\":   [1],                     threaded manager-tree widths; values
-                                           above 1 require \"engine\":\"threaded\"
-                                           (default [1])
       \"workload\": [\"fft\", \"water\"],        barnes|fft|lu|water
       \"seed\":     [1, 2]                   default [1]
     }
   }
 
-The grid is the full cartesian product of the eight axes. Every cores
+The grid is the full cartesian product of the seven axes. Every cores
 value must fit the most restrictive uncore on the axis (the product
 pairs each with each). Jobs run on a
 work-stealing pool (--workers, else the spec's, else host parallelism);
@@ -1077,7 +1061,7 @@ USAGE:
   slacksim [--benchmark barnes|fft|lu|water] [--scheme cc|bounded|unbounded|quantum|adaptive|p2p]
            [--bound N] [--quantum N] [--target PCT] [--band PCT] [--period N]
            [--engine seq|threaded|batched] [--uncore bus|directory]
-           [--cores N] [--shards N] [--host-threads N] [--commit N] [--seed N]
+           [--cores N] [--host-threads N] [--commit N] [--seed N]
            [--checkpoint INTERVAL] [--rollback all|map|none]
            [--save-state DIR] [--resume FILE]
            [--verbose]
@@ -1108,13 +1092,6 @@ ENGINES:
                         under --scheme cc and quantum (default: the
                         host's available parallelism, capped at the core
                         count; batched 1 = no threads at all)
-  --shards N            threaded engine only: split the manager into N
-                        shard managers, each consolidating a contiguous
-                        slice of the cores and publishing a minimum-time
-                        floor the root reconciles; a host-throughput knob
-                        for large core counts — simulated results are
-                        identical for every N (default 1, the classic
-                        single-manager loop; clamped to the core count)
 
 UNCORE:
   --uncore bus          the paper's split request/response snooping bus:
@@ -1185,7 +1162,7 @@ LIVE TELEMETRY:
 CAMPAIGNS:
   slacksim sweep --spec FILE --dir DIR
                         expand FILE's {scheme x bound x quantum x uncore x
-                        cores x shards x workload x seed} grid and run every job on a
+                        cores x workload x seed} grid and run every job on a
                         work-stealing host pool, with durable per-job
                         checkpoints and streamed aggregation into DIR;
                         rerun with --dir alone to resume after a crash
@@ -1202,7 +1179,6 @@ EXAMPLES:
   slacksim --benchmark barnes --scheme unbounded --engine threaded
   slacksim --scheme cc --engine threaded --cores 8 --host-threads 2
   slacksim --uncore directory --cores 64 --benchmark fft --scheme bounded --bound 8
-  slacksim --uncore directory --cores 64 --engine threaded --shards 4 --scheme bounded
   slacksim --benchmark fft --scheme quantum --quantum 50 --engine batched
   slacksim --uncore directory --cores 64 --scheme quantum --engine batched --host-threads 2
   slacksim --scheme adaptive --target 0.2 --band 5

@@ -117,7 +117,6 @@ pub struct Simulation {
     seed: u64,
     max_burst: u64,
     max_lead: u64,
-    shards: usize,
     host_threads: usize,
     speculation: Option<SpeculationConfig>,
     obs: Option<ObsConfig>,
@@ -142,7 +141,6 @@ impl Simulation {
             seed: 1,
             max_burst: 16,
             max_lead: 256,
-            shards: 1,
             host_threads: 0,
             speculation: None,
             obs: None,
@@ -219,19 +217,6 @@ impl Simulation {
     /// greedy schemes (see `EngineConfig::max_lead`).
     pub fn max_lead(&mut self, cycles: u64) -> &mut Self {
         self.max_lead = cycles;
-        self
-    }
-
-    /// Sets the threaded engine's manager-tree width: `shards` manager
-    /// threads each consolidating a contiguous slice of the target cores,
-    /// with the root (shard 0, folded into the manager thread)
-    /// reconciling per-shard minimum times. `1` (the default) runs the
-    /// classic single-manager loop unchanged; values above the core count
-    /// are clamped. A host knob only — simulated results are identical
-    /// for every value — so it is ignored by the other engines and
-    /// excluded from snapshot fingerprints.
-    pub fn shards(&mut self, shards: usize) -> &mut Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -344,15 +329,7 @@ impl Simulation {
         let mut writer = persist::CheckpointWriter::new(dir, self.config_fingerprint());
         Some(Box::new(
             move |view: &CheckpointView<'_, CmpCore, CmpUncore>| {
-                // Version 3 only when the payload actually carries the
-                // shard section; single-manager snapshots keep writing
-                // byte-identical version-2 containers.
-                let version = if view.shard_forwarded.is_empty() {
-                    persist::FORMAT_VERSION
-                } else {
-                    persist::FORMAT_VERSION_SHARDED
-                };
-                let mut container = writer.begin(version);
+                let mut container = writer.begin();
                 snapshot::encode_snapshot(view, &mut container);
                 Some(writer.submit(view.ordinal, container))
             },
@@ -368,11 +345,12 @@ impl Simulation {
         let bytes = std::fs::read(path).map_err(|e| {
             EngineError::Resume(format!("cannot read snapshot {}: {e}", path.display()))
         })?;
-        let (found_fp, payload) = persist::decode_container(&bytes)
+        let (version, found_fp, payload) = persist::decode_container(&bytes)
             .map_err(|e| EngineError::Resume(format!("{}: {e}", path.display())))?;
         persist::check_fingerprint(&self.config_fingerprint(), &current_fingerprint(found_fp))
             .map_err(|e| EngineError::Resume(e.to_string()))?;
         snapshot::decode_snapshot(
+            version,
             payload,
             self.build_cores(),
             CmpUncore::new(&self.cmp),
@@ -389,7 +367,6 @@ impl Simulation {
         cfg.seed = self.seed;
         cfg.burst = BurstPolicy::new(self.max_burst);
         cfg.max_lead = self.max_lead;
-        cfg.shards = self.shards;
         cfg.host_threads = self.host_threads;
         cfg.speculation = self.speculation;
         cfg.obs = self.obs;

@@ -14,7 +14,7 @@ use slacksim_cmp::event::MemEvent;
 use slacksim_cmp::uncore::CmpUncore;
 use slacksim_core::engine::{CheckpointView, EngineResume};
 use slacksim_core::event::{Inbox, Timestamped};
-use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
+use slacksim_core::persist::{ByteReader, ByteWriter, PersistError, FORMAT_VERSION_SHARDED};
 use slacksim_core::rng::Xoshiro256;
 use slacksim_core::scheme::Scheme;
 use slacksim_core::speculative::IntervalTracker;
@@ -127,23 +127,15 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>, w: 
         w.u64(bound);
     }
     w.u64(view.max_spread);
-    // Shard section (container format version 3): per-shard forwarded
-    // counters from the threaded manager tree. Omitted entirely — not
-    // written as a zero-length list — when the run has no remote shards,
-    // so `--shards 1` snapshots stay byte-identical to version-2 files.
-    if !view.shard_forwarded.is_empty() {
-        w.u32(view.shard_forwarded.len() as u32);
-        for &f in &view.shard_forwarded {
-            w.u64(f);
-        }
-    }
 }
 
-/// Decodes a snapshot payload into restored engine state. `fresh_cores`
-/// and `fresh_uncore` must be newly built from the same configuration as
-/// the persisted run (streams at position zero, empty caches); each
-/// model's `load_state` then rebuilds its exact state in place.
+/// Decodes a snapshot payload of container format `version` into restored
+/// engine state. `fresh_cores` and `fresh_uncore` must be newly built from
+/// the same configuration as the persisted run (streams at position zero,
+/// empty caches); each model's `load_state` then rebuilds its exact state
+/// in place.
 pub(crate) fn decode_snapshot(
+    version: u32,
     payload: &[u8],
     fresh_cores: Vec<CmpCore>,
     fresh_uncore: CmpUncore,
@@ -206,18 +198,13 @@ pub(crate) fn decode_snapshot(
         bound_trace.push((Cycle::new(r.u64()?), r.u64()?));
     }
     let max_spread = r.u64()?;
-    // Optional shard section: present only in sharded (version-3)
-    // snapshots, so its absence is detected by payload exhaustion.
-    let shard_forwarded = if r.remaining() > 0 {
-        let k = r.u32()? as usize;
-        let mut fwd = Vec::with_capacity(k.min(1 << 16));
-        for _ in 0..k {
-            fwd.push(r.u64()?);
+    if version == FORMAT_VERSION_SHARDED {
+        // The removed manager tree's per-shard forwarded counters:
+        // host telemetry that nothing reads any more.
+        for _ in 0..r.u32()? {
+            r.u64()?;
         }
-        fwd
-    } else {
-        Vec::new()
-    };
+    }
     r.finish()?;
     Ok(EngineResume {
         global,
@@ -234,6 +221,5 @@ pub(crate) fn decode_snapshot(
         rng,
         bound_trace,
         max_spread,
-        shard_forwarded,
     })
 }

@@ -375,7 +375,6 @@ fn build_simulation(spec: &SweepSpec, job: &Job) -> Simulation {
         slacksim_core::campaign::UncoreToken::Directory => UncoreKind::Directory,
     })
     .cores(job.cores as usize)
-    .shards(job.shards as usize)
     .scheme(job.scheme.clone())
     .engine(match spec.engine {
         slacksim_core::campaign::EngineToken::Seq => EngineKind::Sequential,

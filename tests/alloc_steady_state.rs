@@ -363,14 +363,14 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// it measure.
 #[test]
 fn checkpoint_writer_recycles_its_two_buffers() {
-    use slacksim::slacksim_core::persist::{CheckpointWriter, FORMAT_VERSION};
+    use slacksim::slacksim_core::persist::CheckpointWriter;
     let _serial = serial();
 
     let dir = scratch_dir("writer");
     std::fs::create_dir_all(&dir).unwrap();
     let mut writer = CheckpointWriter::new(dir.clone(), "fp".to_owned());
     let mut persist = |ordinal: u64, len: usize| {
-        let mut w = writer.begin(FORMAT_VERSION);
+        let mut w = writer.begin();
         for i in 0..len {
             w.u8(i as u8);
         }

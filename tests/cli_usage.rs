@@ -178,32 +178,30 @@ fn out_of_range_cores_fail_with_exit_2_not_a_panic() {
     );
 }
 
+/// The sharded manager tree is gone: its flag is an unknown argument on
+/// every engine, whatever its value.
 #[test]
-fn shards_outside_the_threaded_engine_are_rejected() {
-    // Default engine is sequential: a bare --shards must refuse rather
-    // than silently run unsharded.
+fn the_removed_shards_flag_is_an_unknown_argument_on_every_engine() {
     let out = slacksim(&["--shards", "4"]);
-    assert_usage_error(&out, &["--shards 4 requires --engine threaded"]);
+    assert_usage_error(&out, &["unknown argument '--shards'"]);
     let out = slacksim(&[
         "--engine", "batched", "--scheme", "quantum", "--shards", "2",
     ]);
-    assert_usage_error(&out, &["--shards 2 requires --engine threaded"]);
+    assert_usage_error(&out, &["unknown argument '--shards'"]);
     let out = slacksim(&["--engine", "threaded", "--shards", "0"]);
-    assert_usage_error(&out, &["--shards must be at least 1 (got 0)"]);
+    assert_usage_error(&out, &["unknown argument '--shards'"]);
 }
 
 #[test]
-fn sharded_threaded_run_succeeds_and_help_documents_shards() {
+fn a_sharded_threaded_run_is_refused_and_help_drops_shards() {
     let out = slacksim(&[
         "--engine", "threaded", "--shards", "2", "--cores", "4", "--commit", "2000",
     ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(!stdout(&out).is_empty(), "report printed to stdout");
+    assert_usage_error(&out, &["unknown argument '--shards'"]);
+    assert!(stdout(&out).is_empty(), "no report printed");
     let help = slacksim(&["--help"]);
-    assert!(
-        stdout(&help).contains("--shards N"),
-        "help documents --shards"
-    );
+    assert!(help.status.success());
+    assert!(!stdout(&help).contains("shards"), "help still lists it");
 }
 
 #[test]
@@ -665,6 +663,11 @@ fn sweep_bad_grid_values_are_rejected_with_enumerated_errors() {
             // unrunnable.
             r#"{"v":1,"commit":100,"axes":{"scheme":["cc"],"workload":["fft"],"uncore":["bus","directory"],"cores":[64]}}"#,
             &["64", "bus", "out of range"],
+        ),
+        (
+            // The removed manager tree's axis, even on the threaded engine.
+            r#"{"v":1,"commit":100,"engine":"threaded","axes":{"scheme":["cc"],"workload":["fft"],"shards":[1,4]}}"#,
+            &["unknown sweep-spec field 'axes.shards'"],
         ),
     ];
     let dir = sweep_scratch("badgrid");

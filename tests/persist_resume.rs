@@ -87,15 +87,8 @@ fn config_flags(engine: &str) -> Vec<String> {
 }
 
 fn kill_and_resume(engine: &str) {
-    kill_and_resume_with(engine, &[], engine);
-}
-
-/// [`kill_and_resume`] with extra flags appended to every run (baseline,
-/// persisting and resumed alike).
-fn kill_and_resume_with(engine: &str, extra: &[&str], tag: &str) {
-    let dir = scratch_dir(tag);
-    let mut flags = config_flags(engine);
-    flags.extend(extra.iter().map(|s| (*s).to_owned()));
+    let dir = scratch_dir(engine);
+    let flags = config_flags(engine);
 
     let baseline = slacksim(&flags.iter().map(String::as_str).collect::<Vec<_>>());
     assert!(baseline.status.success(), "baseline run exits 0");
@@ -154,13 +147,68 @@ fn kill_and_resume_matches_uninterrupted_run_threaded() {
     kill_and_resume("threaded");
 }
 
-/// Kill-and-resume through the sharded manager tree: snapshots written
-/// by a `--shards 2` run carry the shard section (container format
-/// version 3), survive a SIGKILL, and the resumed sharded run finishes
-/// bit-identical to the same run never having been interrupted.
+/// `bytes`, a version-2 container, with a two-entry shard section (`u32`
+/// count, then one `u64` forwarded-event counter per remote shard)
+/// appended to its payload, stamped `version` and resealed: at version 3,
+/// what the removed sharded manager tree wrote.
+fn with_shard_section(bytes: &[u8], version: u32) -> Vec<u8> {
+    use slacksim::slacksim_core::persist::{decode_container, encode_container};
+
+    let (_, fingerprint, payload) = decode_container(bytes).expect("valid container");
+    let mut payload = payload.to_vec();
+    payload.extend_from_slice(&2u32.to_le_bytes());
+    for forwarded in [1_871u64, 1_902] {
+        payload.extend_from_slice(&forwarded.to_le_bytes());
+    }
+    let mut out = encode_container(fingerprint, &payload);
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    out
+}
+
+/// One cycle-by-cycle configuration run to `commit`, with `extra` flags.
+fn cc_run(commit: &str, extra: &[&str]) -> Output {
+    let flags = ["--scheme", "cc", "--cores", "2", "--checkpoint", "500"];
+    slacksim(&[&flags[..], &["--commit", commit], extra].concat())
+}
+
+/// Snapshots a parent build wrote under `--shards` (format version 3)
+/// still resume: the shard section is read and dropped, and the run
+/// finishes with the report of one that was never interrupted.
 #[test]
-fn kill_and_resume_matches_uninterrupted_run_threaded_sharded() {
-    kill_and_resume_with("threaded", &["--shards", "2"], "threaded-sh2");
+fn a_version_3_snapshot_resumes_to_the_uninterrupted_report() {
+    let want = outcome_lines(&cc_run("20000", &[]));
+    assert!(!want.is_empty(), "baseline printed a report");
+    let dir = scratch_dir("v3");
+    let written = cc_run("5000", &["--save-state", dir.to_str().unwrap()]);
+    assert!(written.status.success(), "persisting run exits 0");
+    let snap = newest_checkpoint(&dir).expect("snapshot persisted");
+    let v3 = dir.join("v3");
+    std::fs::write(&v3, with_shard_section(&std::fs::read(&snap).unwrap(), 3)).unwrap();
+
+    let resumed = cc_run("20000", &["--resume", v3.to_str().unwrap()]);
+    assert!(
+        resumed.status.success(),
+        "version-3 snapshot resumes, stderr: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(outcome_lines(&resumed), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Only a version-3 payload may end in a shard section: the same bytes
+/// behind a version-2 header are trailing garbage, refused as corrupt.
+#[test]
+fn a_version_2_snapshot_with_a_shard_section_is_refused() {
+    let (dir, snap) = persisted_snapshot("v2-section");
+    let forged = dir.join("forged");
+    std::fs::write(
+        &forged,
+        with_shard_section(&std::fs::read(&snap).unwrap(), 2),
+    )
+    .unwrap();
+    let out = cc_run("5000", &["--resume", forged.to_str().unwrap()]);
+    assert_resume_refused(&out, "corrupt: trailing bytes after payload");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The batched engine's host-thread count is a host knob: it is in no
@@ -424,7 +472,7 @@ fn legacy_capture_mode_fingerprints_still_resume() {
 
     let (dir, snap) = persisted_snapshot("legacy");
     let bytes = std::fs::read(&snap).expect("read snapshot");
-    let (fingerprint, payload) = persist::decode_container(&bytes).expect("valid container");
+    let (_, fingerprint, payload) = persist::decode_container(&bytes).expect("valid container");
     let head = fingerprint
         .strip_suffix("/cpmode=500")
         .unwrap_or_else(|| panic!("unexpected fingerprint {fingerprint:?}"));
@@ -618,7 +666,7 @@ fn a_concurrent_reader_only_ever_sees_valid_checkpoints_in_order() {
             .filter_map(|e| e.file_name().to_str()?.strip_prefix("cp-")?.parse().ok())
             .max()?;
         let bytes = std::fs::read(dir.join(format!("cp-{ordinal:08}"))).ok()?;
-        let (_, payload) = decode_container(&bytes)
+        let (_, _, payload) = decode_container(&bytes)
             .unwrap_or_else(|e| panic!("cp-{ordinal:08} is not a valid container: {e}"));
         // The payload opens with the ordinal it was taken at.
         assert_eq!(payload[..8], ordinal.to_le_bytes());

@@ -609,6 +609,89 @@ fn checkpoint_files_are_byte_identical_to_the_synchronous_writers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Whole-file pins of what the 2-core bus case above never writes: the
+/// directory banks with their sharer sets, a speculative run that rolls
+/// back with locks in play, and the two pacers that carry state (the
+/// adaptive controller, the peer-to-peer pairing). Each value is the
+/// sequential engine's last checkpoint file for the flags given, as
+/// length and FNV-1a over the whole file.
+#[test]
+fn snapshot_files_are_pinned_across_uncores_and_schemes() {
+    use slacksim::slacksim_core::persist::fnv1a;
+
+    let cases: [(&str, &[&str], &str, usize, u64); 4] = [
+        (
+            "dir16-cc",
+            &[
+                "--uncore",
+                "directory",
+                "--cores",
+                "16",
+                "--scheme",
+                "cc",
+                "--commit",
+                "20000",
+            ],
+            "cp-00000006",
+            90_446,
+            0x2e96_8227_f4c7_2745,
+        ),
+        (
+            "barnes8-b16-rollback",
+            &[
+                "--benchmark",
+                "barnes",
+                "--cores",
+                "8",
+                "--scheme",
+                "bounded",
+                "--bound",
+                "16",
+                "--seed",
+                "3",
+                "--rollback",
+                "all",
+                "--commit",
+                "40000",
+            ],
+            "cp-00000015",
+            128_906,
+            0xd045_2b0f_d045_40db,
+        ),
+        (
+            "adaptive4",
+            &["--scheme", "adaptive", "--cores", "4", "--commit", "40000"],
+            "cp-00000031",
+            122_924,
+            0xac34_c2d6_6afd_3a55,
+        ),
+        (
+            "p2p4",
+            &["--scheme", "p2p", "--cores", "4", "--commit", "40000"],
+            "cp-00000030",
+            121_507,
+            0x5baa_739b_eefb_3f31,
+        ),
+    ];
+    for (name, flags, file, len, fnv) in cases {
+        let dir = scratch_dir(name);
+        let save = ["--checkpoint", "500", "--save-state", dir.to_str().unwrap()];
+        let out = slacksim(&[flags, &save[..]].concat());
+        assert!(out.status.success(), "{name}: persisting run exits 0");
+        let snap = newest_checkpoint(&dir).expect("snapshot persisted");
+        assert_eq!(snap.file_name().unwrap(), file, "{name}");
+        let bytes = std::fs::read(&snap).expect("read snapshot");
+        let found = (bytes.len(), fnv1a(&bytes));
+        assert!(
+            found == (len, fnv),
+            "{name}: snapshot is {} bytes with FNV-1a {:#018x}, pinned {len} / {fnv:#018x}",
+            found.0,
+            found.1
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// `run()` returns only once the last checkpoint is renamed into place:
 /// under every engine the directory then holds exactly one `cp-*`, it is
 /// the checkpoint the report counted last, and no `.tmp` is in sight.

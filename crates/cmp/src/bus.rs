@@ -14,7 +14,7 @@
 //! memory reply would delay an unrelated earlier-ready transfer), which
 //! the target's split-transaction bus does not have.
 
-use slacksim_core::checkpoint::Checkpointable;
+use slacksim_core::checkpoint::Tracking;
 use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
 use slacksim_core::time::Cycle;
 use slacksim_core::violation::TimestampMonitor;
@@ -218,7 +218,7 @@ pub struct BusGrant {
 /// assert_eq!(b.grant, Cycle::new(11));
 /// assert!(b.conflict && !b.violation);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bus {
     request: SlotCalendar,
     response: SlotCalendar,
@@ -227,76 +227,18 @@ pub struct Bus {
     conflicts: u64,
     violations: u64,
     busy_cycles: u64,
-    /// Mutation generation (tracking metadata: excluded from equality).
-    /// The bus is dirtied by essentially every transaction, so it tracks
-    /// one whole-struct generation instead of fine-grained stamps — its
-    /// delta is all-or-nothing.
-    gen: u64,
+    /// Mutation generation. The bus is dirtied by essentially every
+    /// transaction, so it tracks one whole-struct generation instead of
+    /// fine-grained stamps — its delta is all-or-nothing.
+    gen: Tracking<u64>,
 }
 
-/// Equality is over model state only; the generation counter is capture
-/// bookkeeping.
-impl PartialEq for Bus {
-    fn eq(&self, other: &Self) -> bool {
-        self.request == other.request
-            && self.response == other.response
-            && self.monitor == other.monitor
-            && self.transactions == other.transactions
-            && self.conflicts == other.conflicts
-            && self.violations == other.violations
-            && self.busy_cycles == other.busy_cycles
-    }
-}
+slacksim_core::impl_checkpointable_whole!(Bus);
 
-impl Eq for Bus {}
-
-/// Incremental state carrier for the [`Bus`]: whole-struct, present only
-/// when the bus mutated since the capture baseline. Capture pays one
-/// clone — the same cost the bus contributes to a full snapshot — and
-/// apply *moves* the box into place, so the delta path never clones the
-/// calendars twice.
-#[derive(Debug, Clone)]
-pub struct BusDelta {
-    gen: u64,
-    state: Option<Box<Bus>>,
-}
-
-impl BusDelta {
-    /// Whether the delta carries any state.
-    pub fn is_dirty(&self) -> bool {
-        self.state.is_some()
-    }
-}
-
-impl Checkpointable for Bus {
-    type Delta = BusDelta;
-
-    fn generation(&self) -> u64 {
-        self.gen
-    }
-
-    fn capture_delta(&mut self, since_gen: u64) -> BusDelta {
-        BusDelta {
-            gen: self.gen,
-            state: (self.gen > since_gen).then(|| Box::new(self.clone())),
-        }
-    }
-
-    fn apply_delta(&mut self, delta: BusDelta) {
-        let gen = self.gen.max(delta.gen);
-        if let Some(state) = delta.state {
-            *self = *state;
-        }
-        self.gen = gen;
-    }
-
-    fn restore_from(&mut self, base: &Self, since_gen: u64) {
-        if self.gen > since_gen {
-            let live_gen = self.gen;
-            *self = base.clone();
-            self.gen = live_gen; // generations are never rewound
-        }
-    }
+// Occupancies are configuration: the calendars validate against them.
+slacksim_core::persist_walk! {
+    Bus, |b| b.request, b.response, b.monitor,
+    b.transactions, b.conflicts, b.violations, b.busy_cycles
 }
 
 impl Bus {
@@ -314,14 +256,14 @@ impl Bus {
             conflicts: 0,
             violations: 0,
             busy_cycles: 0,
-            gen: 0,
+            gen: Tracking(0),
         }
     }
 
     /// Arbitrates the request bus for a transaction stamped `ts`,
     /// returning the grant time and the violation/conflict verdicts.
     pub fn arbitrate(&mut self, ts: Cycle) -> BusGrant {
-        self.gen += 1;
+        *self.gen += 1;
         self.transactions += 1;
         let violation = self.monitor.observe(ts);
         if violation {
@@ -349,7 +291,7 @@ impl Bus {
     /// Schedules a data transfer on the response bus once the data is
     /// ready; returns the cycle the transfer completes at the requester.
     pub fn respond(&mut self, data_ready: Cycle) -> Cycle {
-        self.gen += 1;
+        *self.gen += 1;
         let slot = self.response.reserve(data_ready.as_u64());
         Cycle::new(slot + self.response.occupancy)
     }
@@ -373,41 +315,12 @@ impl Bus {
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
-
-    /// Serializes the model state (calendar slots, monitor high-water,
-    /// counters). Occupancies are configuration, never stored.
-    pub fn save_state(&self, w: &mut ByteWriter) {
-        self.request.save_state(w);
-        self.response.save_state(w);
-        w.u64(self.monitor.high_water().as_u64());
-        w.u64(self.transactions);
-        w.u64(self.conflicts);
-        w.u64(self.violations);
-        w.u64(self.busy_cycles);
-    }
-
-    /// Restores state written by [`Bus::save_state`]. The generation
-    /// counter is reset; the caller re-seeds delta baselines on resume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] if the bytes are malformed.
-    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        self.request.load_state(r)?;
-        self.response.load_state(r)?;
-        self.monitor = TimestampMonitor::with_high_water(Cycle::new(r.u64()?));
-        self.transactions = r.u64()?;
-        self.conflicts = r.u64()?;
-        self.violations = r.u64()?;
-        self.busy_cycles = r.u64()?;
-        self.gen = 0;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slacksim_core::checkpoint::Checkpointable;
     use slacksim_core::rng::Xoshiro256;
 
     fn ts(t: u64) -> Cycle {

@@ -7,8 +7,8 @@
 //! accesses — see `DESIGN.md` §4).
 
 use crate::mesi::MesiState;
-use slacksim_core::checkpoint::Checkpointable;
-use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
+use slacksim_core::checkpoint::{Checkpointable, Tracking};
+use slacksim_core::persist::{ByteReader, ByteWriter, Persist, PersistError};
 
 /// A cache-line address: the byte address shifted right by the line-size
 /// log2. All coherence structures (L1s, L2, bus, cache status map) operate
@@ -53,6 +53,17 @@ impl LineAddr {
 impl std::fmt::Display for LineAddr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "line:0x{:x}", self.0)
+    }
+}
+
+/// The raw line number.
+impl Persist for LineAddr {
+    fn save(&self, w: &mut ByteWriter) {
+        w.u64(self.0);
+    }
+
+    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+        Ok(LineAddr(r.u64()?))
     }
 }
 
@@ -116,6 +127,18 @@ struct Way {
     lru: u32,
 }
 
+slacksim_core::persist_fields! { Way { tag, state, lru } }
+
+/// Probe statistics: the cache's untracked scalars, carried whole by
+/// every delta.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Probes {
+    hits: u64,
+    misses: u64,
+}
+
+slacksim_core::persist_fields! { Probes { hits, misses } }
+
 /// A set-associative, LRU, timing-only cache.
 ///
 /// The cache tracks which sets mutated since a capture generation so that
@@ -138,34 +161,18 @@ struct Way {
 /// c.fill(line, MesiState::Exclusive);
 /// assert_eq!(c.probe(line), Some(MesiState::Exclusive));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Way>>,
     set_mask: u64,
-    hits: u64,
-    misses: u64,
-    /// Mutation generation (tracking metadata: excluded from equality,
-    /// never rewound by restores).
-    gen: u64,
+    probes: Probes,
+    /// Mutation generation (never rewound by restores).
+    gen: Tracking<u64>,
     /// Per-set dirty stamps: `set_stamps[s] > since` means set `s` mutated
     /// after generation `since`.
-    set_stamps: Vec<u64>,
+    set_stamps: Tracking<Vec<u64>>,
 }
-
-/// Equality is over model state only; generation counters and dirty
-/// stamps are capture bookkeeping and must never influence comparisons
-/// (a delta-maintained copy and a fresh clone have to agree bit-for-bit).
-impl PartialEq for Cache {
-    fn eq(&self, other: &Self) -> bool {
-        self.cfg == other.cfg
-            && self.sets == other.sets
-            && self.hits == other.hits
-            && self.misses == other.misses
-    }
-}
-
-impl Eq for Cache {}
 
 /// Incremental state carrier for a [`Cache`]: the contents of every set
 /// mutated since the capture baseline, plus the probe statistics.
@@ -173,8 +180,7 @@ impl Eq for Cache {}
 pub struct CacheDelta {
     gen: u64,
     payload: CachePayload,
-    hits: u64,
-    misses: u64,
+    probes: Probes,
 }
 
 /// How the dirty sets travel.
@@ -237,18 +243,17 @@ impl Cache {
             cfg,
             sets: vec![Vec::with_capacity(cfg.ways); sets],
             set_mask: sets as u64 - 1,
-            hits: 0,
-            misses: 0,
-            gen: 0,
-            set_stamps: vec![0; sets],
+            probes: Probes::default(),
+            gen: Tracking(0),
+            set_stamps: Tracking(vec![0; sets]),
         }
     }
 
     /// Stamps a set as mutated at a fresh generation.
     #[inline]
     fn touch(&mut self, set: usize) {
-        self.gen += 1;
-        self.set_stamps[set] = self.gen;
+        *self.gen += 1;
+        self.set_stamps[set] = *self.gen;
     }
 
     /// The cache geometry.
@@ -280,14 +285,14 @@ impl Cache {
                 }
             }
             ways[pos].lru = 0;
-            self.hits += 1;
+            self.probes.hits += 1;
             let state = ways[pos].state;
             self.touch(set);
             Some(state)
         } else {
             // Only the miss counter moved; deltas carry the statistics
             // scalars unconditionally, so no set needs stamping.
-            self.misses += 1;
+            self.probes.misses += 1;
             None
         }
     }
@@ -312,7 +317,7 @@ impl Cache {
             }
         }
         ways[pos].lru = 0;
-        self.hits += 1;
+        self.probes.hits += 1;
         let state = ways[pos].state;
         self.touch(set);
         Some(state)
@@ -341,7 +346,7 @@ impl Cache {
         }
         ways[pos].lru = 0;
         ways[pos].state = MesiState::Modified;
-        self.hits += 1;
+        self.probes.hits += 1;
         self.touch(set);
         StoreProbe::Written
     }
@@ -362,7 +367,7 @@ impl Cache {
             Some(self.tag(line)),
             "reprobe_mru caller invariant: line must be the set's MRU"
         );
-        self.hits += 1;
+        self.probes.hits += 1;
         self.touch(set);
     }
 
@@ -458,62 +463,46 @@ impl Cache {
 
     /// Probe hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.probes.hits
     }
 
     /// Probe misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.probes.misses
     }
 
-    /// Serializes the model state (tag arrays, LRU stamps, statistics).
-    /// The geometry is construction-time configuration: it shapes the
-    /// layout and is validated on load, never stored.
+    /// Appends the cache's snapshot bytes: per set, its resident lines
+    /// (tag, MESI state, LRU stamp), then the probe statistics. The
+    /// geometry is construction-time configuration: it shapes the layout
+    /// and is validated on load, never stored.
     pub fn save_state(&self, w: &mut ByteWriter) {
         w.u32(self.sets.len() as u32);
         for ways in &self.sets {
             w.u16(ways.len() as u16);
-            for way in ways {
-                w.u64(way.tag);
-                w.u8(way.state.persist_tag());
-                w.u32(way.lru);
-            }
+            ways.iter().for_each(|way| way.save(w));
         }
-        w.u64(self.hits);
-        w.u64(self.misses);
+        self.probes.save(w);
     }
 
-    /// Restores state written by [`Cache::save_state`] into a cache of the
-    /// same geometry. Capture bookkeeping (generation, dirty stamps) is
-    /// reset; the caller re-seeds delta baselines after a resume.
+    /// Reads bytes written by [`Cache::save_state`] into a cache of the
+    /// same geometry.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError`] if the bytes are malformed or describe a
     /// different geometry.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        let n_sets = r.u32()? as usize;
-        if n_sets != self.sets.len() {
+        if r.u32()? as usize != self.sets.len() {
             return Err(PersistError::Corrupt("cache set count mismatch"));
         }
-        let ways_cap = self.cfg.ways;
         for ways in &mut self.sets {
-            let n = r.u16()? as usize;
-            if n > ways_cap {
+            let n = usize::from(r.u16()?);
+            if n > self.cfg.ways {
                 return Err(PersistError::Corrupt("cache set holds more ways than fit"));
             }
-            ways.clear();
-            for _ in 0..n {
-                let tag = r.u64()?;
-                let state = MesiState::from_persist_tag(r.u8()?)?;
-                let lru = r.u32()?;
-                ways.push(Way { tag, state, lru });
-            }
+            *ways = (0..n).map(|_| Way::load(r)).collect::<Result<_, _>>()?;
         }
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
-        self.gen = 0;
-        self.set_stamps.iter_mut().for_each(|s| *s = 0);
+        self.probes = Probes::load(r)?;
         Ok(())
     }
 }
@@ -522,7 +511,7 @@ impl Checkpointable for Cache {
     type Delta = CacheDelta;
 
     fn generation(&self) -> u64 {
-        self.gen
+        *self.gen
     }
 
     fn capture_delta(&mut self, since_gen: u64) -> CacheDelta {
@@ -534,7 +523,7 @@ impl Checkpointable for Cache {
             CachePayload::Dense {
                 dirty: n_dirty as u32,
                 sets: self.sets.clone(),
-                set_stamps: self.set_stamps.clone(),
+                set_stamps: self.set_stamps.to_vec(),
             }
         } else {
             let mut sets = Vec::with_capacity(n_dirty);
@@ -546,10 +535,9 @@ impl Checkpointable for Cache {
             CachePayload::Sparse(sets)
         };
         CacheDelta {
-            gen: self.gen,
+            gen: *self.gen,
             payload,
-            hits: self.hits,
-            misses: self.misses,
+            probes: self.probes,
         }
     }
 
@@ -566,12 +554,11 @@ impl Checkpointable for Cache {
                 sets, set_stamps, ..
             } => {
                 self.sets = sets;
-                self.set_stamps = set_stamps;
+                *self.set_stamps = set_stamps;
             }
         }
-        self.gen = self.gen.max(delta.gen);
-        self.hits = delta.hits;
-        self.misses = delta.misses;
+        *self.gen = (*self.gen).max(delta.gen);
+        self.probes = delta.probes;
     }
 
     fn restore_from(&mut self, base: &Self, since_gen: u64) {
@@ -580,8 +567,7 @@ impl Checkpointable for Cache {
                 self.sets[i].clone_from(&base.sets[i]);
             }
         }
-        self.hits = base.hits;
-        self.misses = base.misses;
+        self.probes = base.probes;
     }
 }
 

@@ -1,8 +1,6 @@
 //! The event vocabulary exchanged between core threads and the simulation
 //! manager over OutQ/InQ (paper §2).
 
-use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
-
 use crate::cache::LineAddr;
 use crate::mesi::{BusOp, MesiState};
 
@@ -107,101 +105,20 @@ impl MemEvent {
     pub const fn uses_bus(&self) -> bool {
         matches!(self, MemEvent::Request { .. } | MemEvent::Writeback { .. })
     }
-
-    /// Serializes the event with a stable one-byte variant tag for the
-    /// on-disk snapshot format.
-    pub fn save_state(&self, w: &mut ByteWriter) {
-        match *self {
-            MemEvent::Request {
-                op,
-                line,
-                req,
-                ifetch,
-            } => {
-                w.u8(0);
-                w.u8(op.persist_tag());
-                w.u64(line.raw());
-                w.u32(req);
-                w.bool(ifetch);
-            }
-            MemEvent::Writeback { line } => {
-                w.u8(1);
-                w.u64(line.raw());
-            }
-            MemEvent::BarrierArrive { id } => {
-                w.u8(2);
-                w.u32(id);
-            }
-            MemEvent::LockAcquire { id } => {
-                w.u8(3);
-                w.u32(id);
-            }
-            MemEvent::LockRelease { id } => {
-                w.u8(4);
-                w.u32(id);
-            }
-            MemEvent::Reply { req, line, grant } => {
-                w.u8(5);
-                w.u32(req);
-                w.u64(line.raw());
-                w.u8(grant.persist_tag());
-            }
-            MemEvent::Invalidate { line } => {
-                w.u8(6);
-                w.u64(line.raw());
-            }
-            MemEvent::Downgrade { line } => {
-                w.u8(7);
-                w.u64(line.raw());
-            }
-            MemEvent::BarrierRelease { id } => {
-                w.u8(8);
-                w.u32(id);
-            }
-            MemEvent::LockGranted { id } => {
-                w.u8(9);
-                w.u32(id);
-            }
-        }
-    }
-
-    /// Decodes an event written by [`MemEvent::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] for an unknown variant tag or truncated
-    /// bytes.
-    pub fn load_state(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.u8()? {
-            0 => MemEvent::Request {
-                op: BusOp::from_persist_tag(r.u8()?)?,
-                line: LineAddr::new(r.u64()?),
-                req: r.u32()?,
-                ifetch: r.bool()?,
-            },
-            1 => MemEvent::Writeback {
-                line: LineAddr::new(r.u64()?),
-            },
-            2 => MemEvent::BarrierArrive { id: r.u32()? },
-            3 => MemEvent::LockAcquire { id: r.u32()? },
-            4 => MemEvent::LockRelease { id: r.u32()? },
-            5 => MemEvent::Reply {
-                req: r.u32()?,
-                line: LineAddr::new(r.u64()?),
-                grant: MesiState::from_persist_tag(r.u8()?)?,
-            },
-            6 => MemEvent::Invalidate {
-                line: LineAddr::new(r.u64()?),
-            },
-            7 => MemEvent::Downgrade {
-                line: LineAddr::new(r.u64()?),
-            },
-            8 => MemEvent::BarrierRelease { id: r.u32()? },
-            9 => MemEvent::LockGranted { id: r.u32()? },
-            _ => return Err(PersistError::Corrupt("unknown memory-event tag")),
-        })
-    }
 }
+
+slacksim_core::persist_enum!(MemEvent, "unknown memory-event tag" {
+    0 => Request { op, line, req, ifetch },
+    1 => Writeback { line },
+    2 => BarrierArrive { id },
+    3 => LockAcquire { id },
+    4 => LockRelease { id },
+    5 => Reply { req, line, grant },
+    6 => Invalidate { line },
+    7 => Downgrade { line },
+    8 => BarrierRelease { id },
+    9 => LockGranted { id },
+});
 
 #[cfg(test)]
 mod tests {
@@ -225,6 +142,8 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips() {
+        use slacksim_core::persist::{ByteReader, ByteWriter, Persist};
+
         let events = [
             MemEvent::Request {
                 op: BusOp::RdX,
@@ -254,14 +173,14 @@ mod tests {
         ];
         for ev in &events {
             let mut w = ByteWriter::new();
-            ev.save_state(&mut w);
+            ev.save(&mut w);
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
-            assert_eq!(&MemEvent::load_state(&mut r).unwrap(), ev);
+            assert_eq!(&MemEvent::load(&mut r).unwrap(), ev);
             r.finish().unwrap();
         }
         let mut bad = ByteReader::new(&[0xff]);
-        assert!(MemEvent::load_state(&mut bad).is_err());
+        assert!(MemEvent::load(&mut bad).is_err());
     }
 
     #[test]

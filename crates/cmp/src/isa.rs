@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
-
 /// One decoded target instruction: its timing operation plus the program
 /// counter it was fetched from (drives the I-cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,24 +23,9 @@ impl Instr {
     pub const fn new(op: Op, pc: u64) -> Self {
         Instr { op, pc }
     }
-
-    /// Serializes the instruction for the on-disk snapshot format.
-    pub fn save_state(&self, w: &mut ByteWriter) {
-        self.op.save_state(w);
-        w.u64(self.pc);
-    }
-
-    /// Decodes an instruction written by [`Instr::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] for malformed bytes.
-    pub fn load_state(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let op = Op::load_state(r)?;
-        let pc = r.u64()?;
-        Ok(Instr { op, pc })
-    }
 }
+
+slacksim_core::persist_fields! { Instr { op, pc } }
 
 /// Timing operation classes, with NetBurst-like execution latencies
 /// configured in [`CoreConfig`](crate::config::CoreConfig).
@@ -107,68 +90,21 @@ impl Op {
             Op::Barrier { .. } | Op::LockAcquire { .. } | Op::LockRelease { .. }
         )
     }
-
-    /// Serializes the operation with a stable one-byte variant tag for
-    /// the on-disk snapshot format.
-    pub fn save_state(self, w: &mut ByteWriter) {
-        match self {
-            Op::IntAlu => w.u8(0),
-            Op::IntMul => w.u8(1),
-            Op::IntDiv => w.u8(2),
-            Op::FpAlu => w.u8(3),
-            Op::FpMul => w.u8(4),
-            Op::Load { addr } => {
-                w.u8(5);
-                w.u64(addr);
-            }
-            Op::Store { addr } => {
-                w.u8(6);
-                w.u64(addr);
-            }
-            Op::Branch { mispredict } => {
-                w.u8(7);
-                w.bool(mispredict);
-            }
-            Op::Barrier { id } => {
-                w.u8(8);
-                w.u32(id);
-            }
-            Op::LockAcquire { id } => {
-                w.u8(9);
-                w.u32(id);
-            }
-            Op::LockRelease { id } => {
-                w.u8(10);
-                w.u32(id);
-            }
-        }
-    }
-
-    /// Decodes an operation written by [`Op::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] for an unknown variant tag or truncated
-    /// bytes.
-    pub fn load_state(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.u8()? {
-            0 => Op::IntAlu,
-            1 => Op::IntMul,
-            2 => Op::IntDiv,
-            3 => Op::FpAlu,
-            4 => Op::FpMul,
-            5 => Op::Load { addr: r.u64()? },
-            6 => Op::Store { addr: r.u64()? },
-            7 => Op::Branch {
-                mispredict: r.bool()?,
-            },
-            8 => Op::Barrier { id: r.u32()? },
-            9 => Op::LockAcquire { id: r.u32()? },
-            10 => Op::LockRelease { id: r.u32()? },
-            _ => return Err(PersistError::Corrupt("unknown instruction tag")),
-        })
-    }
 }
+
+slacksim_core::persist_enum!(Op, "unknown instruction tag" {
+    0 => IntAlu,
+    1 => IntMul,
+    2 => IntDiv,
+    3 => FpAlu,
+    4 => FpMul,
+    5 => Load { addr },
+    6 => Store { addr },
+    7 => Branch { mispredict },
+    8 => Barrier { id },
+    9 => LockAcquire { id },
+    10 => LockRelease { id },
+});
 
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -291,6 +227,8 @@ mod tests {
 
     #[test]
     fn every_op_round_trips() {
+        use slacksim_core::persist::{ByteReader, ByteWriter, Persist};
+
         let ops = [
             Op::IntAlu,
             Op::IntMul,
@@ -307,14 +245,14 @@ mod tests {
         for (i, op) in ops.into_iter().enumerate() {
             let instr = Instr::new(op, 0x1000 + 4 * i as u64);
             let mut w = ByteWriter::new();
-            instr.save_state(&mut w);
+            instr.save(&mut w);
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
-            assert_eq!(Instr::load_state(&mut r).unwrap(), instr);
+            assert_eq!(Instr::load(&mut r).unwrap(), instr);
             r.finish().unwrap();
         }
         let mut bad = ByteReader::new(&[0xee]);
-        assert!(Instr::load_state(&mut bad).is_err());
+        assert!(Instr::load(&mut bad).is_err());
     }
 
     #[test]

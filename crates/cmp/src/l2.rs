@@ -4,7 +4,6 @@
 //! Dirty L1 writebacks land here; dirty L2 victims count as memory writes.
 
 use slacksim_core::checkpoint::Checkpointable;
-use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
 use slacksim_core::time::Cycle;
 
 use crate::cache::{Cache, CacheConfig, CacheDelta, LineAddr};
@@ -42,9 +41,21 @@ pub struct L2 {
     cache: Cache,
     hit_latency: u64,
     miss_latency: u64,
+    stats: L2Stats,
+}
+
+/// Writeback counters: the L2's untracked scalars, carried whole by every
+/// delta.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct L2Stats {
     writebacks_in: u64,
     memory_writes: u64,
 }
+
+slacksim_core::persist_fields! { L2Stats { writebacks_in, memory_writes } }
+
+// The latencies are configuration, not stored.
+slacksim_core::persist_walk! { L2, |l| l.cache, l.stats }
 
 impl L2 {
     /// Creates an empty L2 with the given geometry and latencies.
@@ -61,8 +72,7 @@ impl L2 {
             cache: Cache::new(cfg),
             hit_latency,
             miss_latency,
-            writebacks_in: 0,
-            memory_writes: 0,
+            stats: L2Stats::default(),
         }
     }
 
@@ -77,7 +87,7 @@ impl L2 {
         } else {
             if let Some((_victim, state)) = self.cache.fill(line, MesiState::Exclusive) {
                 if state.dirty() {
-                    self.memory_writes += 1;
+                    self.stats.memory_writes += 1;
                 }
             }
             L2Access {
@@ -89,10 +99,10 @@ impl L2 {
 
     /// Absorbs a dirty L1 writeback.
     pub fn write_back(&mut self, line: LineAddr) {
-        self.writebacks_in += 1;
+        self.stats.writebacks_in += 1;
         if let Some((_victim, state)) = self.cache.fill(line, MesiState::Modified) {
             if state.dirty() {
-                self.memory_writes += 1;
+                self.stats.memory_writes += 1;
             }
         }
     }
@@ -109,33 +119,12 @@ impl L2 {
 
     /// Dirty L1 writebacks absorbed.
     pub fn writebacks_in(&self) -> u64 {
-        self.writebacks_in
+        self.stats.writebacks_in
     }
 
     /// Dirty L2 victims written to memory.
     pub fn memory_writes(&self) -> u64 {
-        self.memory_writes
-    }
-
-    /// Serializes the model state (latencies are configuration and are
-    /// not stored).
-    pub fn save_state(&self, w: &mut ByteWriter) {
-        self.cache.save_state(w);
-        w.u64(self.writebacks_in);
-        w.u64(self.memory_writes);
-    }
-
-    /// Restores state written by [`L2::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] if the bytes are malformed or describe a
-    /// different geometry.
-    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        self.cache.load_state(r)?;
-        self.writebacks_in = r.u64()?;
-        self.memory_writes = r.u64()?;
-        Ok(())
+        self.stats.memory_writes
     }
 }
 
@@ -145,8 +134,7 @@ impl L2 {
 #[derive(Debug, Clone)]
 pub struct L2Delta {
     cache: CacheDelta,
-    writebacks_in: u64,
-    memory_writes: u64,
+    stats: L2Stats,
 }
 
 impl L2Delta {
@@ -166,27 +154,25 @@ impl Checkpointable for L2 {
     fn capture_delta(&mut self, since_gen: u64) -> L2Delta {
         L2Delta {
             cache: self.cache.capture_delta(since_gen),
-            writebacks_in: self.writebacks_in,
-            memory_writes: self.memory_writes,
+            stats: self.stats,
         }
     }
 
     fn apply_delta(&mut self, delta: L2Delta) {
         self.cache.apply_delta(delta.cache);
-        self.writebacks_in = delta.writebacks_in;
-        self.memory_writes = delta.memory_writes;
+        self.stats = delta.stats;
     }
 
     fn restore_from(&mut self, base: &Self, since_gen: u64) {
         self.cache.restore_from(&base.cache, since_gen);
-        self.writebacks_in = base.writebacks_in;
-        self.memory_writes = base.memory_writes;
+        self.stats = base.stats;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slacksim_core::persist::{ByteReader, ByteWriter};
 
     fn l2() -> L2 {
         L2::new(

@@ -58,6 +58,7 @@ pub mod directory;
 pub mod event;
 pub mod isa;
 pub mod l2;
+mod lines;
 pub mod map;
 pub mod mesi;
 pub mod sharers;

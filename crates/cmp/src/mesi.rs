@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use slacksim_core::persist::PersistError;
-
 /// MESI line states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MesiState {
@@ -40,32 +38,14 @@ impl MesiState {
     pub const fn dirty(self) -> bool {
         matches!(self, MesiState::Modified)
     }
-
-    /// Stable one-byte encoding for the on-disk snapshot format.
-    pub const fn persist_tag(self) -> u8 {
-        match self {
-            MesiState::Modified => 0,
-            MesiState::Exclusive => 1,
-            MesiState::Shared => 2,
-            MesiState::Invalid => 3,
-        }
-    }
-
-    /// Decodes [`MesiState::persist_tag`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Corrupt`] for an unknown tag.
-    pub const fn from_persist_tag(tag: u8) -> Result<Self, PersistError> {
-        Ok(match tag {
-            0 => MesiState::Modified,
-            1 => MesiState::Exclusive,
-            2 => MesiState::Shared,
-            3 => MesiState::Invalid,
-            _ => return Err(PersistError::Corrupt("unknown MESI state tag")),
-        })
-    }
 }
+
+slacksim_core::persist_enum!(MesiState, "unknown MESI state tag" {
+    0 => Modified,
+    1 => Exclusive,
+    2 => Shared,
+    3 => Invalid,
+});
 
 impl fmt::Display for MesiState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -113,31 +93,6 @@ impl BusOp {
         }
     }
 
-    /// Stable one-byte encoding for the on-disk snapshot format.
-    pub const fn persist_tag(self) -> u8 {
-        match self {
-            BusOp::Rd => 0,
-            BusOp::RdX => 1,
-            BusOp::Upgr => 2,
-            BusOp::Wb => 3,
-        }
-    }
-
-    /// Decodes [`BusOp::persist_tag`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Corrupt`] for an unknown tag.
-    pub const fn from_persist_tag(tag: u8) -> Result<Self, PersistError> {
-        Ok(match tag {
-            0 => BusOp::Rd,
-            1 => BusOp::RdX,
-            2 => BusOp::Upgr,
-            3 => BusOp::Wb,
-            _ => return Err(PersistError::Corrupt("unknown bus-op tag")),
-        })
-    }
-
     /// What a *remote* snooping cache holding the line must do.
     pub fn snoop_action(self, held: MesiState) -> SnoopAction {
         match (self, held) {
@@ -157,6 +112,13 @@ impl BusOp {
         }
     }
 }
+
+slacksim_core::persist_enum!(BusOp, "unknown bus-op tag" {
+    0 => Rd,
+    1 => RdX,
+    2 => Upgr,
+    3 => Wb,
+});
 
 impl fmt::Display for BusOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

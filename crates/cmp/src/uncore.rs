@@ -8,7 +8,7 @@
 //! (remote owner, L2, or memory), and delivers completion and snoop events
 //! back into core InQs — detecting bus and map violations along the way.
 
-use slacksim_core::checkpoint::Checkpointable;
+use slacksim_core::checkpoint::{Baseline, Checkpointable, WholeDelta};
 use slacksim_core::engine::{ServiceSink, UncoreModel};
 use slacksim_core::event::{CoreId, Timestamped};
 use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
@@ -16,14 +16,14 @@ use slacksim_core::stats::Counters;
 use slacksim_core::time::Cycle;
 use slacksim_core::violation::{ViolationEvent, ViolationKind};
 
-use crate::bus::{Bus, BusDelta};
+use crate::bus::Bus;
 use crate::config::{CmpConfig, UncoreKind};
 use crate::directory::{Directory, DirectoryDelta};
 use crate::event::MemEvent;
 use crate::l2::{L2Delta, L2};
 use crate::map::{CacheMap, CacheMapDelta};
 use crate::mesi::BusOp;
-use crate::sync::{SyncDevice, SyncDeviceDelta};
+use crate::sync::SyncDevice;
 
 /// The shared portion of the target CMP.
 ///
@@ -46,16 +46,25 @@ pub struct CmpUncore {
     interconnect: Interconnect,
     l2: L2,
     sync: SyncDevice,
+    stats: UncoreStats,
+    /// The components' generations at the last capture.
+    cp: Baseline<[u64; 4]>,
+}
+
+/// The uncore's own counters: its untracked scalars, carried whole by
+/// every delta.
+#[derive(Debug, Clone, Copy, Default)]
+struct UncoreStats {
     c2c_transfers: u64,
     requests: u64,
     writebacks: u64,
-    /// Tracking metadata: the component generations recorded by the last
-    /// `capture_delta`, keyed by the composite generation token returned
-    /// at that capture. Resolves the engine's single `since_gen` back to
-    /// exact per-component baselines; an unknown token degrades to a
-    /// conservative full capture/restore.
-    cp_baseline: Option<(u64, UncoreGens)>,
 }
+
+slacksim_core::persist_fields! { UncoreStats { c2c_transfers, requests, writebacks } }
+
+// Latencies and the core count are configuration; the interconnect's kind
+// tag refuses a snapshot of the other kind.
+slacksim_core::persist_walk! { CmpUncore, |u| u.interconnect, u.l2, u.sync, u.stats }
 
 /// The coherence interconnect: the paper's snooping bus (with the
 /// manager's global status map) or the sharded directory.
@@ -72,36 +81,53 @@ impl Interconnect {
             Interconnect::Directory(_) => UncoreKind::Directory,
         }
     }
-}
 
-/// Per-component generation snapshot of the uncore (tracking metadata).
-/// `ic`/`ic_aux` hold the interconnect's generations: bus and map for
-/// the snooping kind, the directory's composite (and zero) otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct UncoreGens {
-    ic: u64,
-    ic_aux: u64,
-    l2: u64,
-    sync: u64,
+    /// A `u32` kind tag (0 bus, 1 directory), then the components.
+    fn save_state(&self, w: &mut ByteWriter) {
+        match self {
+            Interconnect::Bus { bus, map } => {
+                w.u32(0);
+                bus.save_state(w);
+                map.save_state(w);
+            }
+            Interconnect::Directory(dir) => {
+                w.u32(1);
+                dir.save_state(w);
+            }
+        }
+    }
+
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
+        match (r.u32()?, self) {
+            (0, Interconnect::Bus { bus, map }) => {
+                bus.load_state(r)?;
+                map.load_state(r)
+            }
+            (1, Interconnect::Directory(dir)) => dir.load_state(r),
+            _ => Err(PersistError::Corrupt(
+                "snapshot interconnect kind does not match configuration",
+            )),
+        }
+    }
 }
 
 /// Incremental state carrier for the [`CmpUncore`]: component deltas plus
-/// the uncore's own counters (carried unconditionally — they are three
-/// words).
+/// the uncore's own counters.
 #[derive(Debug, Clone)]
 pub struct CmpUncoreDelta {
     interconnect: InterconnectDelta,
     l2: L2Delta,
-    sync: SyncDeviceDelta,
-    c2c_transfers: u64,
-    requests: u64,
-    writebacks: u64,
+    sync: WholeDelta<SyncDevice>,
+    stats: UncoreStats,
 }
 
 /// Interconnect-shaped delta matching [`Interconnect`].
 #[derive(Debug, Clone)]
 enum InterconnectDelta {
-    Bus { bus: BusDelta, map: CacheMapDelta },
+    Bus {
+        bus: WholeDelta<Bus>,
+        map: CacheMapDelta,
+    },
     Directory(DirectoryDelta),
 }
 
@@ -161,41 +187,18 @@ impl CmpUncore {
             interconnect,
             l2: L2::new(u.l2, u.l2_hit_latency, u.l2_miss_latency),
             sync: SyncDevice::new(cfg.cores, u.barrier_latency, u.lock_latency),
-            c2c_transfers: 0,
-            requests: 0,
-            writebacks: 0,
-            cp_baseline: None,
+            stats: UncoreStats::default(),
+            cp: Baseline::default(),
         }
     }
 
-    fn ic_gens(&self) -> (u64, u64) {
+    /// The components' generations: the interconnect's two (bus and map,
+    /// or the directory's and zero), the L2's and the sync device's.
+    fn part_gens(&self) -> [u64; 4] {
+        let (l2, sync) = (self.l2.generation(), self.sync.generation());
         match &self.interconnect {
-            Interconnect::Bus { bus, map } => (bus.generation(), map.generation()),
-            Interconnect::Directory(dir) => (dir.generation(), 0),
-        }
-    }
-
-    fn component_gens(&self) -> UncoreGens {
-        let (ic, ic_aux) = self.ic_gens();
-        UncoreGens {
-            ic,
-            ic_aux,
-            l2: self.l2.generation(),
-            sync: self.sync.generation(),
-        }
-    }
-
-    /// Resolves the engine's opaque `since_gen` token back to exact
-    /// per-component baselines. Three cases: the token matches the last
-    /// recorded capture (exact baselines); the token equals the *current*
-    /// composite generation (nothing mutated — current gens are exact);
-    /// anything else is unknown and degrades to since-0, which captures
-    /// or restores everything (conservative but correct).
-    fn resolve_baseline(&self, since_gen: u64) -> UncoreGens {
-        match self.cp_baseline {
-            Some((g, gens)) if g == since_gen => gens,
-            _ if since_gen == self.generation() => self.component_gens(),
-            _ => UncoreGens::default(),
+            Interconnect::Bus { bus, map } => [bus.generation(), map.generation(), l2, sync],
+            Interconnect::Directory(dir) => [dir.generation(), 0, l2, sync],
         }
     }
 
@@ -241,102 +244,35 @@ impl CmpUncore {
             Interconnect::Directory(dir) => dir,
         }
     }
-
-    /// Serializes the full uncore state for the on-disk snapshot format.
-    /// The stream leads with an interconnect-kind tag so a snapshot can
-    /// never be restored into an uncore of the other kind.
-    pub fn save_state(&self, w: &mut ByteWriter) {
-        match &self.interconnect {
-            Interconnect::Bus { bus, map } => {
-                w.u32(0);
-                bus.save_state(w);
-                map.save_state(w);
-            }
-            Interconnect::Directory(dir) => {
-                w.u32(1);
-                dir.save_state(w);
-            }
-        }
-        self.l2.save_state(w);
-        self.sync.save_state(w);
-        w.u64(self.c2c_transfers);
-        w.u64(self.requests);
-        w.u64(self.writebacks);
-    }
-
-    /// Restores state written by [`CmpUncore::save_state`] into a freshly
-    /// constructed uncore of the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] for malformed bytes or state inconsistent
-    /// with this uncore's configuration (including a snapshot taken under
-    /// the other interconnect kind).
-    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        let tag = r.u32()?;
-        match &mut self.interconnect {
-            Interconnect::Bus { bus, map } => {
-                if tag != 0 {
-                    return Err(PersistError::Corrupt(
-                        "snapshot interconnect kind does not match configuration",
-                    ));
-                }
-                bus.load_state(r)?;
-                map.load_state(r)?;
-            }
-            Interconnect::Directory(dir) => {
-                if tag != 1 {
-                    return Err(PersistError::Corrupt(
-                        "snapshot interconnect kind does not match configuration",
-                    ));
-                }
-                dir.load_state(r)?;
-            }
-        }
-        self.l2.load_state(r)?;
-        self.sync.load_state(r)?;
-        self.c2c_transfers = r.u64()?;
-        self.requests = r.u64()?;
-        self.writebacks = r.u64()?;
-        self.cp_baseline = None;
-        Ok(())
-    }
 }
 
 impl Checkpointable for CmpUncore {
     type Delta = CmpUncoreDelta;
 
-    /// The composite generation is the sum of the component generations:
-    /// monotone (every tracked mutation bumps exactly one component) and
-    /// opaque to engines, which only ever feed it back to
+    /// The sum of the component generations ([`Baseline`]): opaque to
+    /// engines, which only ever feed it back to
     /// [`capture_delta`](Checkpointable::capture_delta) /
-    /// [`restore_from`](Checkpointable::restore_from) where
-    /// `resolve_baseline` maps it to exact per-component baselines.
+    /// [`restore_from`](Checkpointable::restore_from).
     fn generation(&self) -> u64 {
-        let (ic, ic_aux) = self.ic_gens();
-        ic + ic_aux + self.l2.generation() + self.sync.generation()
+        Baseline::token(&self.part_gens())
     }
 
     fn capture_delta(&mut self, since_gen: u64) -> CmpUncoreDelta {
-        let baseline = self.resolve_baseline(since_gen);
+        let [ic, ic_aux, l2, sync] = self.cp.resolve(since_gen, self.part_gens());
         let interconnect = match &mut self.interconnect {
             Interconnect::Bus { bus, map } => InterconnectDelta::Bus {
-                bus: bus.capture_delta(baseline.ic),
-                map: map.capture_delta(baseline.ic_aux),
+                bus: bus.capture_delta(ic),
+                map: map.capture_delta(ic_aux),
             },
-            Interconnect::Directory(dir) => {
-                InterconnectDelta::Directory(dir.capture_delta(baseline.ic))
-            }
+            Interconnect::Directory(dir) => InterconnectDelta::Directory(dir.capture_delta(ic)),
         };
         let delta = CmpUncoreDelta {
             interconnect,
-            l2: self.l2.capture_delta(baseline.l2),
-            sync: self.sync.capture_delta(baseline.sync),
-            c2c_transfers: self.c2c_transfers,
-            requests: self.requests,
-            writebacks: self.writebacks,
+            l2: self.l2.capture_delta(l2),
+            sync: self.sync.capture_delta(sync),
+            stats: self.stats,
         };
-        self.cp_baseline = Some((self.generation(), self.component_gens()));
+        self.cp.record(self.part_gens());
         delta
     }
 
@@ -353,13 +289,11 @@ impl Checkpointable for CmpUncore {
         }
         self.l2.apply_delta(delta.l2);
         self.sync.apply_delta(delta.sync);
-        self.c2c_transfers = delta.c2c_transfers;
-        self.requests = delta.requests;
-        self.writebacks = delta.writebacks;
+        self.stats = delta.stats;
     }
 
     fn restore_from(&mut self, base: &Self, since_gen: u64) {
-        let baseline = self.resolve_baseline(since_gen);
+        let [ic, ic_aux, l2, sync] = self.cp.resolve(since_gen, self.part_gens());
         match (&mut self.interconnect, &base.interconnect) {
             (
                 Interconnect::Bus { bus, map },
@@ -368,22 +302,20 @@ impl Checkpointable for CmpUncore {
                     map: base_map,
                 },
             ) => {
-                bus.restore_from(base_bus, baseline.ic);
-                map.restore_from(base_map, baseline.ic_aux);
+                bus.restore_from(base_bus, ic);
+                map.restore_from(base_map, ic_aux);
             }
             (Interconnect::Directory(dir), Interconnect::Directory(base_dir)) => {
-                dir.restore_from(base_dir, baseline.ic);
+                dir.restore_from(base_dir, ic);
             }
             _ => unreachable!("checkpoint interconnect kind matches the live uncore"),
         }
-        self.l2.restore_from(&base.l2, baseline.l2);
-        self.sync.restore_from(&base.sync, baseline.sync);
-        self.c2c_transfers = base.c2c_transfers;
-        self.requests = base.requests;
-        self.writebacks = base.writebacks;
-        // cp_baseline is deliberately kept: the checkpoint it describes is
-        // still the live baseline for the next capture, and component
-        // generations are never rewound.
+        self.l2.restore_from(&base.l2, l2);
+        self.sync.restore_from(&base.sync, sync);
+        self.stats = base.stats;
+        // The recorded baseline is deliberately kept: the checkpoint it
+        // describes is still the live baseline for the next capture, and
+        // component generations are never rewound.
     }
 }
 
@@ -402,7 +334,7 @@ impl UncoreModel<MemEvent> for CmpUncore {
                 req,
                 ifetch: _,
             } => {
-                self.requests += 1;
+                self.stats.requests += 1;
                 match &mut self.interconnect {
                     Interconnect::Bus { bus, map } => {
                         let grant = bus.arbitrate(ts);
@@ -438,7 +370,7 @@ impl UncoreModel<MemEvent> for CmpUncore {
                         }
                         // Source the data.
                         let data_ready = if let Some(_owner) = outcome.data_from_owner {
-                            self.c2c_transfers += 1;
+                            self.stats.c2c_transfers += 1;
                             grant.grant + self.cache_to_cache_latency
                         } else if op == BusOp::Upgr {
                             grant.grant + self.upgrade_latency
@@ -493,7 +425,7 @@ impl UncoreModel<MemEvent> for CmpUncore {
                             );
                         }
                         let data_ready = if access.data_from_owner.is_some() {
-                            self.c2c_transfers += 1;
+                            self.stats.c2c_transfers += 1;
                             lookup_done + self.cache_to_cache_latency
                         } else if op == BusOp::Upgr {
                             lookup_done + self.upgrade_latency
@@ -516,7 +448,7 @@ impl UncoreModel<MemEvent> for CmpUncore {
                 }
             }
             MemEvent::Writeback { line } => {
-                self.writebacks += 1;
+                self.stats.writebacks += 1;
                 match &mut self.interconnect {
                     Interconnect::Bus { bus, map } => {
                         let grant = bus.arbitrate(ts);
@@ -631,9 +563,9 @@ impl UncoreModel<MemEvent> for CmpUncore {
         c.set("l2_misses", self.l2.misses());
         c.set("l2_writebacks_in", self.l2.writebacks_in());
         c.set("l2_memory_writes", self.l2.memory_writes());
-        c.set("coherence_requests", self.requests);
-        c.set("writebacks", self.writebacks);
-        c.set("cache_to_cache_transfers", self.c2c_transfers);
+        c.set("coherence_requests", self.stats.requests);
+        c.set("writebacks", self.stats.writebacks);
+        c.set("cache_to_cache_transfers", self.stats.c2c_transfers);
         c.set("barriers_completed", self.sync.barriers_completed());
         c.set("lock_grants", self.sync.lock_grants());
         c.set("lock_contended", self.sync.lock_contended());

@@ -37,11 +37,24 @@
 //! happen is the converse (a changed unit *not* included), which the
 //! monotone stamps rule out.
 //!
-//! Tracking metadata (generation counters and unit stamps) is pure
+//! Tracking metadata (generation counters, unit stamps) is pure
 //! bookkeeping: it must never influence model behaviour, and equality
-//! comparisons between model states deliberately ignore it. That is what
-//! keeps a delta-maintained base bit-identical to a fresh clone, which
-//! `crates/cmp/tests/delta_roundtrip.rs` asserts per model.
+//! between model states ignores it — models keep it in [`Tracking`]
+//! fields, which all equal one another, and derive `PartialEq`. That is
+//! what keeps a delta-maintained base bit-identical to a fresh clone,
+//! which `crates/cmp/tests/delta_roundtrip.rs` asserts per model.
+//!
+//! Two shapes recur and are implemented once, here. A model dirtied by
+//! nearly every operation tracks one generation for the whole struct and
+//! gets a [`WholeDelta`] from
+//! [`impl_checkpointable_whole!`](crate::impl_checkpointable_whole). A
+//! *composite* (a core's two L1s, the uncore's components, the
+//! directory's banks) hands out the sum of its parts' generations and
+//! keeps a [`Baseline`] that maps the sum back to each part's. A model's
+//! untracked scalars live in one sub-struct, which a delta clones and a
+//! restore assigns.
+
+use std::ops::{Deref, DerefMut};
 
 /// A model whose state can be checkpointed incrementally.
 ///
@@ -84,6 +97,164 @@ pub trait Checkpointable: Clone {
     /// `base`'s value; clean units are left untouched. Generations are
     /// not rewound.
     fn restore_from(&mut self, base: &Self, since_gen: u64);
+}
+
+/// Capture bookkeeping kept inside a model — a generation counter, unit
+/// stamps, a recorded [`Baseline`]. Every `Tracking` equals every other,
+/// so a model deriving `PartialEq` compares its state and nothing else.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tracking<T>(pub T);
+
+impl<T> PartialEq for Tracking<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> Eq for Tracking<T> {}
+
+impl<T> Deref for Tracking<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for Tracking<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// The delta of state tracked as one unit: the whole of it, boxed, when it
+/// moved since the capture baseline. Capture pays one clone — what the
+/// state costs a full snapshot — and apply moves the box into place.
+#[derive(Debug, Clone)]
+pub struct WholeDelta<T> {
+    gen: u64,
+    state: Option<Box<T>>,
+}
+
+impl<T: Clone> WholeDelta<T> {
+    /// Captures `state`, whose generation is `gen`, against `since_gen`.
+    pub fn capture(state: &T, gen: u64, since_gen: u64) -> Self {
+        WholeDelta {
+            gen,
+            state: (gen > since_gen).then(|| Box::new(state.clone())),
+        }
+    }
+
+    /// Whether the delta carries any state.
+    pub fn is_dirty(&self) -> bool {
+        self.state.is_some()
+    }
+
+    /// Moves the carried state, if any, into `state` and returns the
+    /// generation it was captured at.
+    pub fn apply_to(self, state: &mut T) -> u64 {
+        if let Some(captured) = self.state {
+            *state = *captured;
+        }
+        self.gen
+    }
+}
+
+/// Implements [`Checkpointable`] for models tracked as one unit: each
+/// type has a field `gen: Tracking<u64>` bumped by every mutation, and its
+/// delta is a [`WholeDelta`] of the whole struct.
+///
+/// # Examples
+///
+/// ```
+/// use slacksim_core::checkpoint::{Checkpointable, Tracking};
+///
+/// #[derive(Clone, Debug, PartialEq)]
+/// struct Counter {
+///     hits: u64,
+///     gen: Tracking<u64>,
+/// }
+/// slacksim_core::impl_checkpointable_whole!(Counter);
+///
+/// let mut live = Counter { hits: 0, gen: Tracking(0) };
+/// let base = live.clone();
+/// let since = live.generation();
+/// assert!(!live.capture_delta(since).is_dirty());
+/// live.hits += 1;
+/// *live.gen += 1;
+/// live.restore_from(&base, since);
+/// assert_eq!(live, base);
+/// assert_eq!(live.generation(), 1, "generations are never rewound");
+/// ```
+#[macro_export]
+macro_rules! impl_checkpointable_whole {
+    ($($ty:ty),+ $(,)?) => {
+        $(
+            impl $crate::checkpoint::Checkpointable for $ty {
+                type Delta = $crate::checkpoint::WholeDelta<$ty>;
+
+                fn generation(&self) -> u64 {
+                    *self.gen
+                }
+
+                fn capture_delta(&mut self, since_gen: u64) -> Self::Delta {
+                    $crate::checkpoint::WholeDelta::capture(self, *self.gen, since_gen)
+                }
+
+                fn apply_delta(&mut self, delta: Self::Delta) {
+                    let live = *self.gen;
+                    let captured = delta.apply_to(self);
+                    *self.gen = live.max(captured);
+                }
+
+                fn restore_from(&mut self, base: &Self, since_gen: u64) {
+                    if *self.gen > since_gen {
+                        let live = *self.gen;
+                        self.clone_from(base);
+                        *self.gen = live; // generations are never rewound
+                    }
+                }
+            }
+        )+
+    };
+}
+
+/// The per-part baselines of a composite model.
+///
+/// A composite's generation is the sum of its parts' generations —
+/// monotone, since every tracked mutation bumps exactly one part — and is
+/// all an engine ever sees. `Baseline` records the parts' generations at
+/// each capture under that token, and [`resolve`](Baseline::resolve)
+/// maps a token back to them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Baseline<G>(Tracking<Option<(u64, G)>>);
+
+impl<G: Clone + AsRef<[u64]> + AsMut<[u64]>> Baseline<G> {
+    /// The composite generation of parts at generations `parts`.
+    pub fn token(parts: &G) -> u64 {
+        parts.as_ref().iter().sum()
+    }
+
+    /// Per-part baselines for `since_gen`, given the parts' current
+    /// generations: those the last capture recorded, when `since_gen` is
+    /// the composite generation it left; the current ones when `since_gen`
+    /// is the current token, since nothing moved; otherwise zero — a full
+    /// capture or restore, conservative but never wrong.
+    pub fn resolve(&self, since_gen: u64, mut parts: G) -> G {
+        match &*self.0 {
+            Some((token, recorded)) if *token == since_gen => recorded.clone(),
+            _ if since_gen == Self::token(&parts) => parts,
+            _ => {
+                parts.as_mut().fill(0);
+                parts
+            }
+        }
+    }
+
+    /// Records the parts' generations right after a capture.
+    pub fn record(&mut self, parts: G) {
+        *self.0 = Some((Self::token(&parts), parts));
+    }
 }
 
 /// Implements [`Checkpointable`] for a `Clone` type by whole-state copy:

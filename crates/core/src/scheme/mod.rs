@@ -408,6 +408,10 @@ impl Pacer for LaxP2p {
         self.partners = (0..n)
             .map(|_| r.u32().map(|p| p as usize))
             .collect::<Result<_, _>>()?;
+        // `window_ends` indexes the cores' clocks with every partner.
+        if self.partners.iter().any(|&p| p >= n) {
+            return Err(PersistError::Corrupt("p2p partner is not a core"));
+        }
         self.next_shuffle = Cycle::new(r.u64()?);
         Ok(())
     }
@@ -529,6 +533,39 @@ mod tests {
         let mut a = LaxP2p::new(5, 50, 9);
         let mut b = LaxP2p::new(5, 50, 9);
         assert_eq!(a.window_ends(&locals), b.window_ends(&locals));
+    }
+
+    /// Pacer bytes as `LaxP2p::save_state` lays them out.
+    fn p2p_bytes(partners: &[u32], next_shuffle: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for word in [1u64, 2, 3, 4] {
+            w.u64(word);
+        }
+        w.u32(partners.len() as u32);
+        partners.iter().for_each(|&p| w.u32(p));
+        w.u64(next_shuffle);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn lax_p2p_refuses_a_partner_that_is_not_a_core() {
+        // Four cores, pairing not yet due to be redrawn: `window_ends`
+        // would index the clocks with every stored partner.
+        let locals = vec![Cycle::new(10); 4];
+        let mut p = LaxP2p::new(8, 100, 1);
+        let good = p2p_bytes(&[1, 2, 3, 0], 1000);
+        p.load_state(&mut ByteReader::new(&good))
+            .expect("valid pairing");
+        assert_eq!(p.window_ends(&locals), Some(vec![Cycle::new(18); 4]));
+
+        for bad in [[1, 2, 4, 0], [1, 2, 3, u32::MAX]] {
+            let mut p = LaxP2p::new(8, 100, 1);
+            let err = p.load_state(&mut ByteReader::new(&p2p_bytes(&bad, 1000)));
+            assert!(
+                matches!(err, Err(PersistError::Corrupt(_))),
+                "{bad:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -32,72 +32,46 @@ echo "==> speculative smoke (threaded, bounded slack, rollback on every violatio
     --commit 20000 --checkpoint 2000 --rollback all \
     > /dev/null
 
-echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run)"
+echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory)"
 # Crash-safety proof on the release binary (DESIGN §13): a threaded
 # cycle-by-cycle run persisting checkpoints is SIGKILLed as soon as the
 # first snapshot lands, resumed from the surviving cp-* file, and must
 # report the exact simulated outcome of an uninterrupted baseline.
 # The in-process twin of this check (both engines, refusal paths) runs
 # in tests/persist_resume.rs; this stage exercises the shipped binary
-# end to end, kill included.
-cps_dir="$(mktemp -d /tmp/slacksim-ci-cps.XXXXXX)"
-resume_flags=(--scheme cc --engine threaded --cores 2 --commit 200000 --checkpoint 700)
-baseline="$(./target/release/slacksim "${resume_flags[@]}" \
-    | grep -E '^(execution time|committed|violations)')"
-./target/release/slacksim "${resume_flags[@]}" --save-state "$cps_dir" \
-    > /dev/null 2>&1 &
-victim=$!
-for _ in $(seq 1 2000); do
-    compgen -G "$cps_dir/cp-*[0-9]" > /dev/null && break
-    kill -0 "$victim" 2> /dev/null || break
-    sleep 0.005
-done
-kill -KILL "$victim" 2> /dev/null || true
-wait "$victim" 2> /dev/null || true
-snapshot="$(ls "$cps_dir"/cp-* | grep -v '\.tmp$' | sort | tail -n 1)"
-resumed="$(./target/release/slacksim "${resume_flags[@]}" --resume "$snapshot" \
-    | grep -E '^(execution time|committed|violations)')"
-[ "$baseline" = "$resumed" ] || {
-    echo "ci: resumed report diverged from uninterrupted baseline" >&2
-    printf 'baseline:\n%s\nresumed:\n%s\n' "$baseline" "$resumed" >&2
-    exit 1
+# end to end, kill included. It runs twice: on the 2-core snooping bus,
+# and on a 64-core directory (DESIGN §17) — four times past the bus's
+# cap — where bank states, sharer sets and per-bank monitors must all
+# cross the versioned byte format (the in-process conformance twin,
+# {16,64} cores and all three engines, runs in crates/conformance).
+kill_and_resume() { # kill_and_resume LABEL FLAGS...
+    local label="$1"; shift
+    local cps baseline victim snapshot resumed
+    cps="$(mktemp -d /tmp/slacksim-ci-cps.XXXXXX)"
+    baseline="$(./target/release/slacksim "$@" \
+        | grep -E '^(execution time|committed|violations)')"
+    ./target/release/slacksim "$@" --save-state "$cps" > /dev/null 2>&1 &
+    victim=$!
+    for _ in $(seq 1 2000); do
+        compgen -G "$cps/cp-*[0-9]" > /dev/null && break
+        kill -0 "$victim" 2> /dev/null || break
+        sleep 0.005
+    done
+    kill -KILL "$victim" 2> /dev/null || true
+    wait "$victim" 2> /dev/null || true
+    snapshot="$(ls "$cps"/cp-* | grep -v '\.tmp$' | sort | tail -n 1)"
+    resumed="$(./target/release/slacksim "$@" --resume "$snapshot" \
+        | grep -E '^(execution time|committed|violations)')"
+    [ "$baseline" = "$resumed" ] || {
+        echo "ci: $label resumed report diverged from uninterrupted baseline" >&2
+        printf 'baseline:\n%s\nresumed:\n%s\n' "$baseline" "$resumed" >&2
+        exit 1
+    }
+    rm -rf "$cps"
 }
-rm -rf "$cps_dir"
-
-echo "==> directory smoke (64-core sharded uncore, SIGKILL kill-and-resume)"
-# Directory-uncore proof on the release binary (DESIGN §17): a 64-core
-# run — four times past the snooping bus's cap — through the sharded
-# MESI directory banks, first uninterrupted, then SIGKILLed as soon as
-# the first durable snapshot lands and resumed from it. The resumed
-# report must match the uninterrupted baseline exactly: bank states,
-# sharer sets and per-bank monitors all cross the versioned byte
-# format. The in-process conformance twin ({16,64} cores, all three
-# engines) runs in crates/conformance; this stage exercises the
-# shipped binary end to end at directory scale, kill included.
-dir_cps="$(mktemp -d /tmp/slacksim-ci-dir.XXXXXX)"
-dir_flags=(--uncore directory --cores 64 --benchmark fft --scheme cc \
-    --engine threaded --commit 200000 --checkpoint 700)
-dir_baseline="$(./target/release/slacksim "${dir_flags[@]}" \
-    | grep -E '^(execution time|committed|violations)')"
-./target/release/slacksim "${dir_flags[@]}" --save-state "$dir_cps" \
-    > /dev/null 2>&1 &
-victim=$!
-for _ in $(seq 1 2000); do
-    compgen -G "$dir_cps/cp-*[0-9]" > /dev/null && break
-    kill -0 "$victim" 2> /dev/null || break
-    sleep 0.005
-done
-kill -KILL "$victim" 2> /dev/null || true
-wait "$victim" 2> /dev/null || true
-dir_snapshot="$(ls "$dir_cps"/cp-* | grep -v '\.tmp$' | sort | tail -n 1)"
-dir_resumed="$(./target/release/slacksim "${dir_flags[@]}" --resume "$dir_snapshot" \
-    | grep -E '^(execution time|committed|violations)')"
-[ "$dir_baseline" = "$dir_resumed" ] || {
-    echo "ci: directory resumed report diverged from uninterrupted baseline" >&2
-    printf 'baseline:\n%s\nresumed:\n%s\n' "$dir_baseline" "$dir_resumed" >&2
-    exit 1
-}
-rm -rf "$dir_cps"
+kill_and_resume bus --scheme cc --engine threaded --cores 2 --commit 200000 --checkpoint 700
+kill_and_resume directory --uncore directory --cores 64 --benchmark fft --scheme cc \
+    --engine threaded --commit 200000 --checkpoint 700
 
 echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, two threads on one CPU)"
 # Host-parallel windows on the release binary (DESIGN §15.1): the
@@ -155,34 +129,6 @@ if command -v taskset > /dev/null; then
         ./target/release/slacksim "${thr_flags[@]}" --host-threads 2)" ] || {
         echo "ci: two lanes pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
-
-echo "==> bench smoke (engine_throughput, short run, checked against baseline)"
-# Short run into a scratch path, compared against the committed
-# BENCH_threaded.json: every engine/scheme row must keep at least 0.25x
-# the committed median throughput or the bench exits non-zero. The
-# tolerance is deliberately generous — the smoke run's commit target is
-# ~7x smaller than the committed full run's, so fixed startup costs weigh
-# more and shared CI hosts add noise — but it still catches the silent
-# multi-x regressions that previously drifted past this stage unnoticed.
-smoke_out="$(mktemp /tmp/BENCH_threaded_smoke.XXXXXX.json)"
-smoke_out_batched="$(mktemp /tmp/BENCH_batched_smoke.XXXXXX.json)"
-smoke_out_directory="$(mktemp /tmp/BENCH_directory_smoke.XXXXXX.json)"
-# Paths must be absolute: cargo bench runs the binary with the package
-# directory as its working directory, not the repo root.
-SLACKSIM_BENCH_SMOKE=1 SLACKSIM_BENCH_OUT="$smoke_out" \
-SLACKSIM_BENCH_OUT_BATCHED="$smoke_out_batched" \
-SLACKSIM_BENCH_OUT_DIRECTORY="$smoke_out_directory" \
-SLACKSIM_BENCH_BASELINE="$PWD/BENCH_threaded.json" \
-SLACKSIM_BENCH_BASELINE_BATCHED="$PWD/BENCH_batched.json" \
-SLACKSIM_BENCH_BASELINE_DIRECTORY="$PWD/BENCH_directory.json" \
-SLACKSIM_BENCH_TOLERANCE=0.25 \
-    cargo bench -p slacksim-bench --bench engine_throughput --offline
-test -s "$smoke_out" || { echo "ci: bench smoke produced no output" >&2; exit 1; }
-test -s "$smoke_out_batched" || {
-    echo "ci: bench smoke produced no batched output" >&2; exit 1; }
-test -s "$smoke_out_directory" || {
-    echo "ci: bench smoke produced no directory output" >&2; exit 1; }
-rm -f "$smoke_out" "$smoke_out_batched" "$smoke_out_directory"
 
 echo "==> benchmark/ self-tests + golden-fingerprint smoke"
 # The acceptance driver judges every PR with benchmark/ (BENCHMARK.json),

@@ -70,7 +70,7 @@ pub enum SchedSite {
     RingPop,
     /// Consumer-side SPSC ring batch drain.
     RingDrain,
-    /// Mutex-backed shared-queue operation.
+    /// Mutex-backed shared-queue operation (the campaign pool's job deques).
     QueueOp,
     /// Checkpoint snapshot deposited into its hand-off slot.
     SnapshotPut,

@@ -1,11 +1,10 @@
 //! Minimal std-only concurrency primitives for the threaded engine.
 //!
 //! The kernel must build in fully offline environments, so it depends on
-//! nothing outside `std`. The threaded engine needs three shared
+//! nothing outside `std`. The threaded engine needs two shared
 //! structures: a fast single-producer/single-consumer event channel for
-//! the per-core OutQ/InQ paths ([`SpscRing`]), a general mutex-backed
-//! queue for low-rate paths and tests ([`SharedQueue`]), and a
-//! single-slot snapshot mailbox ([`SnapshotSlot`]).
+//! the per-core OutQ/InQ paths ([`SpscRing`]) and a single-slot snapshot
+//! mailbox ([`SnapshotSlot`]).
 //!
 //! [`SpscRing`] is the hot path: a lock-free bounded ring of
 //! Acquire/Release atomics with cached indices (one cache-line handoff
@@ -386,95 +385,6 @@ impl<T> Drop for SpscRing<T> {
     }
 }
 
-/// An unbounded multi-producer multi-consumer FIFO queue.
-///
-/// Mutex-backed: correct under any threading, used for low-rate paths
-/// and as the reference implementation in tests. The hot OutQ/InQ paths
-/// use [`SpscRing`] instead.
-///
-/// # Examples
-///
-/// ```
-/// use slacksim_core::sync::SharedQueue;
-///
-/// let q: SharedQueue<u32> = SharedQueue::new();
-/// q.push(1);
-/// q.push(2);
-/// assert_eq!(q.len(), 2);
-/// assert_eq!(q.depth_hint(), 2);
-/// assert_eq!(q.pop(), Some(1));
-/// assert_eq!(q.pop(), Some(2));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug, Default)]
-pub struct SharedQueue<T> {
-    inner: Mutex<VecDeque<T>>,
-    /// Mirror of the queue length, updated while holding the lock, so
-    /// samplers can read the depth without contending for it.
-    depth: AtomicUsize,
-    /// Scheduling-point hook; `None` in production.
-    hook: SchedHook,
-}
-
-impl<T> SharedQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::with_sched(None)
-    }
-
-    /// Creates an empty queue with a scheduling-point hook invoked at
-    /// the top of every push/pop. Production callers pass `None`.
-    pub fn with_sched(hook: SchedHook) -> Self {
-        SharedQueue {
-            inner: Mutex::new(VecDeque::new()),
-            depth: AtomicUsize::new(0),
-            hook,
-        }
-    }
-
-    /// Appends an element at the tail.
-    pub fn push(&self, value: T) {
-        sched_point(&self.hook, SchedSite::QueueOp);
-        let mut q = self.inner.lock().expect("queue poisoned");
-        q.push_back(value);
-        self.depth.store(q.len(), Ordering::Relaxed);
-    }
-
-    /// Removes and returns the head element, if any.
-    pub fn pop(&self) -> Option<T> {
-        sched_point(&self.hook, SchedSite::QueueOp);
-        let mut q = self.inner.lock().expect("queue poisoned");
-        let value = q.pop_front();
-        self.depth.store(q.len(), Ordering::Relaxed);
-        value
-    }
-
-    /// Number of queued elements at the instant of the call (takes the
-    /// lock; use [`depth_hint`](Self::depth_hint) for sampling).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").len()
-    }
-
-    /// Approximate queue depth from a relaxed atomic mirror — never
-    /// takes the lock.
-    pub fn depth_hint(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Returns `true` when no element is queued, without taking the
-    /// lock (relaxed read of the depth mirror).
-    pub fn is_empty(&self) -> bool {
-        self.depth_hint() == 0
-    }
-
-    /// Discards every queued element.
-    pub fn clear(&self) {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        q.clear();
-        self.depth.store(0, Ordering::Relaxed);
-    }
-}
-
 /// A double-buffered mailbox used for checkpoint snapshots: the core
 /// thread deposits its state, the manager takes it.
 ///
@@ -538,55 +448,6 @@ impl<T> SnapshotSlot<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn queue_fifo_order() {
-        let q = SharedQueue::new();
-        assert!(q.is_empty());
-        for i in 0..10 {
-            q.push(i);
-        }
-        let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, (0..10).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn queue_clear() {
-        let q = SharedQueue::new();
-        q.push('a');
-        q.clear();
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.depth_hint(), 0);
-    }
-
-    #[test]
-    fn queue_depth_hint_tracks_len() {
-        let q = SharedQueue::new();
-        for i in 0..5 {
-            q.push(i);
-            assert_eq!(q.depth_hint(), q.len());
-        }
-        q.pop();
-        assert_eq!(q.depth_hint(), 4);
-    }
-
-    #[test]
-    fn queue_cross_thread() {
-        let q: Arc<SharedQueue<u64>> = Arc::new(SharedQueue::new());
-        let producer = Arc::clone(&q);
-        let handle = std::thread::spawn(move || {
-            for i in 0..1000u64 {
-                producer.push(i);
-            }
-        });
-        handle.join().expect("producer finishes");
-        let mut got = Vec::new();
-        while let Some(v) = q.pop() {
-            got.push(v);
-        }
-        assert_eq!(got, (0..1000).collect::<Vec<_>>());
-    }
 
     #[test]
     fn snapshot_slot_roundtrip() {

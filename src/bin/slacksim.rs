@@ -100,28 +100,32 @@ impl Args {
         usage_error_for(self.help_cmd, msg)
     }
 
-    /// Rejects unknown flags, stray positional arguments and value flags
-    /// missing their value — a typo must fail loudly, not silently fall
-    /// back to a default configuration.
+    /// Rejects unknown flags, stray positional arguments, repeated flags
+    /// and value flags missing their value — a typo must fail loudly, not
+    /// silently fall back to a default configuration or to whichever of
+    /// two values [`value`](Args::value) happens to find first.
     fn validate(&self) {
         self.validate_with(VALUE_FLAGS, BOOL_FLAGS);
     }
 
     /// [`validate`](Args::validate) against an explicit flag vocabulary
-    /// (subcommands bring their own).
+    /// (subcommands bring their own). A value flag followed by another
+    /// flag of the vocabulary is missing its value: `--trace --verbose`
+    /// must not write a trace file named `--verbose`.
     fn validate_with(&self, value_flags: &[&str], bool_flags: &[&str]) {
-        let mut i = 0;
-        while i < self.argv.len() {
-            let a = self.argv[i].as_str();
-            if bool_flags.contains(&a) {
-                i += 1;
-            } else if value_flags.contains(&a) {
-                if i + 1 >= self.argv.len() {
-                    self.fail(&format!("flag '{a}' expects a value"));
-                }
-                i += 2;
-            } else {
+        let is_flag = |a: &str| value_flags.contains(&a) || bool_flags.contains(&a);
+        let mut seen: Vec<&str> = Vec::new();
+        let mut args = self.argv.iter().map(String::as_str);
+        while let Some(a) = args.next() {
+            if !is_flag(a) {
                 self.fail(&format!("unknown argument '{a}'"));
+            }
+            if seen.contains(&a) {
+                self.fail(&format!("flag '{a}' given more than once"));
+            }
+            seen.push(a);
+            if value_flags.contains(&a) && args.next().is_none_or(is_flag) {
+                self.fail(&format!("flag '{a}' expects a value"));
             }
         }
     }

@@ -384,6 +384,39 @@ fn value_flag_missing_its_value_is_rejected() {
 }
 
 #[test]
+fn repeated_flag_is_rejected() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["--cores", "2", "--cores", "64", "--commit", "1000"],
+            "--cores",
+        ),
+        (&["--verbose", "--commit", "1000", "--verbose"], "--verbose"),
+    ];
+    for (args, flag) in cases {
+        let out = slacksim(args);
+        assert_usage_error(&out, &[&format!("flag '{flag}' given more than once")]);
+    }
+}
+
+#[test]
+fn value_flag_followed_by_a_flag_is_missing_its_value() {
+    // The flag after `--trace` is not its file name: no trace may be
+    // written to a file called `--verbose`.
+    let dir = sweep_scratch("swallow");
+    let out = Command::new(env!("CARGO_BIN_EXE_slacksim"))
+        .args(["--trace", "--verbose", "--commit", "1000"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn slacksim binary");
+    assert_usage_error(&out, &["flag '--trace' expects a value"]);
+    assert!(
+        !dir.join("--verbose").exists(),
+        "a trace was written to a file named after the next flag"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_numeric_value_is_rejected() {
     for (flag, bad) in [("--cores", "many"), ("--commit", "1e9"), ("--bound", "-3")] {
         let out = slacksim(&["--scheme", "bounded", flag, bad]);
@@ -596,6 +629,27 @@ fn sweep_without_dir_is_rejected() {
 fn sweep_unknown_flag_is_rejected() {
     let out = slacksim(&["sweep", "--dir", "/tmp/nowhere", "--frobnicate"]);
     assert_sweep_error(&out, &["unknown argument '--frobnicate'"]);
+}
+
+#[test]
+fn sweep_repeated_flag_is_rejected() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["sweep", "--dir", "/tmp/a", "--dir", "/tmp/b"], "--dir"),
+        (
+            &[
+                "sweep",
+                "--dir",
+                "/tmp/nowhere",
+                "--live-stderr",
+                "--live-stderr",
+            ],
+            "--live-stderr",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = slacksim(args);
+        assert_sweep_error(&out, &[&format!("flag '{flag}' given more than once")]);
+    }
 }
 
 #[test]

@@ -101,7 +101,7 @@ if command -v taskset > /dev/null; then
         echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
 
-echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU)"
+echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, unbounded rollback)"
 # Core lanes on the release binary (DESIGN §10, "Core lanes"): the
 # threaded engine's lane count is a host knob, so under cycle-by-cycle
 # the whole verbose report — everything but the two host-time lines and
@@ -109,9 +109,15 @@ echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes o
 # (park counts and the asynchronously sampled clock spread, the ones
 # tests/report_digest.rs drops) — must be byte-equal with the 8 cores on
 # one lane, on two, and on a lane each.
-# Then the oversubscribed case: two lanes and the manager pinned to one
-# CPU must still finish, with the same report. The in-process twins run
-# in crates/conformance and tests/report_digest.rs.
+# Then the oversubscribed case: the manager (stepping lane 0) and one
+# lane thread pinned to one CPU must still finish, with the same report.
+# The in-process twins run in crates/conformance and
+# tests/report_digest.rs. Last, speculative unbounded runs with every
+# core on the manager's own lane and with a lane thread beside it: a
+# manager that steps lane 0 past its own service — or, after a replay,
+# towards an uncapped window — stalls here, so it fails in seconds
+# instead of hanging tests/persist_resume.rs (two lanes roll back and
+# replay hundreds of times in 2 M commits; one lane never does).
 thr_flags=(--benchmark fft --scheme cc --engine threaded --cores 8
     --commit 200000 --verbose)
 thr_report() { # the simulated report of one run: thr_report COMMAND...
@@ -129,6 +135,11 @@ if command -v taskset > /dev/null; then
         ./target/release/slacksim "${thr_flags[@]}" --host-threads 2)" ] || {
         echo "ci: two lanes pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
+for h in 1 2; do
+    timeout 60 ./target/release/slacksim --benchmark water --scheme unbounded --engine threaded \
+        --cores 4 --checkpoint 500 --rollback all --host-threads "$h" --commit 2000000 > /dev/null || {
+        echo "ci: speculative unbounded run on $h lanes hung or failed" >&2; exit 1; }
+done
 
 echo "==> benchmark/ self-tests + golden-fingerprint smoke"
 # The acceptance driver judges every PR with benchmark/ (BENCHMARK.json),

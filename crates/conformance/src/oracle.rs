@@ -266,7 +266,10 @@ pub fn run_resumed_on(
 ///
 /// Panics if the engine reports an error.
 pub fn run_virtual(case: &VirtCase) -> (SimReport, SchedDiag) {
-    let sched = VirtualSched::new(case.cores, case.policy, case.sched_seed, case.mutation);
+    // A lane per core under a virtual scheduler, the first stepped by the
+    // manager: `cores - 1` spawned lane tasks.
+    let lanes = case.cores.saturating_sub(1);
+    let sched = VirtualSched::new(lanes, case.policy, case.sched_seed, case.mutation);
     let report = Simulation::new(case.bench)
         .cores(case.cores)
         .scheme(case.scheme.clone())

@@ -59,7 +59,8 @@ pub enum SchedPolicy {
     /// sole runnable task, maximising its clock lag and the overflow
     /// pressure on every other core's queues.
     Starve {
-        /// Task index of the starved core (0-based core id + 1).
+        /// Task index of the starved task: `core{victim - 1}`, the
+        /// threaded engine's lane `victim` (lane 0 is the manager's).
         victim: usize,
     },
     /// Adversarial: whenever the manager enters a consumer-side drain
@@ -189,11 +190,12 @@ pub struct VirtualSched {
 }
 
 impl VirtualSched {
-    /// Creates a scheduler for a threaded-engine run over `cores` target
-    /// cores (lanes, when the run folds its cores onto fewer). The
-    /// expected task set is fixed up front — `"manager"`, then
-    /// `"core0".."core{n-1}"` — so task identity never depends on thread
-    /// start-up races.
+    /// Creates a scheduler for the manager plus `cores` spawned tasks: a
+    /// threaded-engine run's lane threads (one fewer than its lanes — the
+    /// manager steps lane 0 itself, so `L` lanes are `L - 1` tasks here),
+    /// or a campaign pool's workers. The expected task set is fixed up
+    /// front — `"manager"`, then `"core0".."core{n-1}"` — so task identity
+    /// never depends on thread start-up races.
     pub fn new(cores: usize, policy: SchedPolicy, seed: u64, mutation: Mutation) -> Arc<Self> {
         let names: Vec<String> = std::iter::once("manager".to_string())
             .chain((0..cores).map(|i| format!("core{i}")))

@@ -284,13 +284,15 @@ fn threaded_cc_is_exact_at_every_lane_count() {
     }
 }
 
-/// Multi-core lanes under adversarial schedules: 4 cores folded onto 2
-/// lanes are 2 core tasks to the virtual scheduler, so every policy runs
-/// against them unchanged. Cycle-by-cycle must keep the sequential
-/// fingerprint; bounded slack — plain, and speculative so that `Snapshot`
-/// and `Rewind` carry two cores a lane — must finish, uphold the
-/// invariants and lose no wake-up (one unpark per lane per publish, none
-/// when no window moved, is all the lanes get).
+/// Multi-core lanes under adversarial schedules: 6 cores folded onto 3
+/// lanes are the manager, stepping lane 0, plus 2 spawned lane tasks of
+/// 2 cores each to the virtual scheduler, so every policy runs against
+/// them unchanged (`starve:1` starves lane 1). Cycle-by-cycle must keep
+/// the sequential fingerprint; bounded slack — plain, and speculative so
+/// that `Snapshot` and `Rewind` carry two cores a lane, on the manager and
+/// on the lane threads — must finish, uphold the invariants and lose no
+/// wake-up (one unpark per spawned lane per publish, none when no window
+/// moved, is all the lanes get).
 #[test]
 fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
     use slacksim::Simulation;
@@ -305,8 +307,8 @@ fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
     let run = |policy, sched_seed, scheme: &Scheme, speculation: Option<SpeculationConfig>| {
         let sched = VirtualSched::new(2, policy, sched_seed, Mutation::None);
         let mut sim = Simulation::new(Benchmark::Fft);
-        sim.cores(4)
-            .host_threads(2)
+        sim.cores(6)
+            .host_threads(3)
             .scheme(scheme.clone())
             .engine(EngineKind::Threaded)
             .commit_target(target())
@@ -332,7 +334,7 @@ fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
         (report, label)
     };
     let cc = Scheme::CycleByCycle;
-    let reference = run_engine(Benchmark::Fft, 4, &cc, target(), 1, EngineKind::Sequential);
+    let reference = run_engine(Benchmark::Fft, 6, &cc, target(), 1, EngineKind::Sequential);
     let b8 = Scheme::BoundedSlack { bound: 8 };
     let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
     for policy in policies {
@@ -418,8 +420,9 @@ fn adversarial_schedules_lose_no_wakeups_under_slack() {
 #[test]
 fn speculative_checkpoint_handoff_replays_deterministically() {
     let run = |sched_seed: u64| {
+        // 4 cores, a lane each: the manager steps lane 0, 3 are spawned.
         let sched = slacksim_conformance::VirtualSched::new(
-            4,
+            3,
             SchedPolicy::DrainPreempt,
             sched_seed,
             Mutation::None,
@@ -845,7 +848,7 @@ fn campaign_pool_schedule_is_deterministic_under_virtual_sched() {
         for seed in 0..smoke_seeds() {
             let run = |seed: u64| {
                 // 3 pool tasks: the manager plus 2 spawned workers, the
-                // same task vocabulary as a 2-core threaded engine.
+                // same task vocabulary as a 3-lane threaded engine.
                 let sched = VirtualSched::new(2, policy, seed, Mutation::None);
                 let sref = SchedRef::new(Arc::clone(&sched) as Arc<_>);
                 let jobs: Vec<u64> = (0..12).collect();

@@ -21,8 +21,8 @@
 //!   experiments (Figures 3) and for deterministic tests;
 //! * [`ThreadedEngine`] steps the target cores on one host thread per
 //!   host CPU ([`EngineConfig::host_threads`]; one per target core where
-//!   the host has that many) plus the manager logic, the way SlackSim
-//!   maps simulations onto a host CMP — used for the wall-clock experiments
+//!   the host has that many), the first of which also runs the manager
+//!   logic, the way SlackSim maps simulations onto a host CMP — used for the wall-clock experiments
 //!   (Figure 4, Tables 2–5);
 //! * [`BatchedEngine`] compiles the quantum scheme into an execution
 //!   strategy: each core runs a whole quantum in one
@@ -330,8 +330,8 @@ pub struct EngineConfig {
     /// thread for the duration of the run (see [`crate::obs::live`]).
     pub live: Option<crate::obs::LiveConfig>,
     /// Host threads the target cores are folded onto, a contiguous lane of
-    /// cores each: the threaded engine's lane threads (its manager is one
-    /// more), the batched engine's window workers. `0` (the default) takes
+    /// cores each: the threaded engine's lanes (its manager steps the
+    /// first), the batched engine's window workers. `0` (the default) takes
     /// the host's available parallelism — what an affinity mask restricts
     /// — and any value is capped at the core count, so a host with a CPU
     /// per target core runs the paper's one thread per core. On the

@@ -1,27 +1,31 @@
-//! The threaded engine: target cores on *lane* threads plus the
-//! simulation-manager logic, the way SlackSim maps a CMP simulation onto a
-//! host CMP (paper §2).
+//! The threaded engine: target cores on *lanes* stepped by the host's
+//! threads, one of them the simulation manager, the way SlackSim maps a
+//! CMP simulation onto a host CMP (paper §2).
 //!
-//! A lane is one host thread stepping a contiguous slice of target cores.
-//! There are as many lanes as the host has CPUs
+//! A lane is a contiguous slice of target cores stepped by one host
+//! thread. There are as many lanes as the host has CPUs
 //! ([`EngineConfig::host_threads`], capped at the core count), so with a
 //! CPU per target core every lane holds one core — the paper's one thread
 //! per core — and on a smaller host the cores fold onto the CPUs there are
-//! instead of oversubscribing them (DESIGN.md §10, "Core lanes"). A lane
-//! owns its cores' [`CoreModel`]s and advances each while its local time
-//! is below the max local time published by the manager, round-robin one
+//! instead of oversubscribing them (DESIGN.md §10, "Core lanes"). Lane 0
+//! belongs to the manager thread itself, which steps it between services
+//! as the batched manager runs its own first lane; lanes `1..L` are
+//! spawned threads, so a run is `L` host threads on `L` CPUs. A lane owns
+//! its cores' [`CoreModel`]s and advances each while its local time is
+//! below the max local time published by the manager, round-robin one
 //! cycle at a time. Events flow through per-core shared queues
 //! (OutQ/InQ); the manager consolidates OutQ entries into the global queue
 //! and services them — greedily under slack schemes, in sorted batches at
 //! window boundaries under barrier schemes (cycle-by-cycle, quantum, and
 //! post-rollback replay). Clocks, windows and queues stay per core, so
 //! the lane count is a host knob only: nothing the manager computes can
-//! tell how the cores were folded.
+//! tell how the cores were folded, or which thread stepped them.
 //!
 //! Checkpoints and rollbacks use a stop-sync protocol over per-lane command
 //! channels: *stop → run-to common local time → drain → snapshot/restore →
 //! resume*, the in-memory equivalent of the paper's `fork()`-based global
-//! checkpoints.
+//! checkpoints. The manager carries out lane 0's share of each command
+//! inline, through the same per-core code the lane threads run.
 //!
 //! Everything here is built on `std` alone: `std::sync::mpsc` channels for
 //! commands/acks (each lane's receiver is moved into its thread), the
@@ -34,7 +38,8 @@
 //!   each direction has exactly one producer and one consumer, and the
 //!   stop-sync protocol's channel acks order every role handoff (e.g. the
 //!   manager clearing a core's InQ during rollback while the core's lane
-//!   is parked in its command loop).
+//!   is parked in its command loop). Lane 0's rings have the manager on
+//!   both ends.
 //! * The manager drains each OutQ in one batch per visit and batch-inserts
 //!   into the global queue; its loop reuses persistent scratch buffers and
 //!   interned metric keys, so the steady state performs no heap
@@ -43,11 +48,12 @@
 //!   park/unpark with a timeout backstop — for both lane threads whose
 //!   cores are all capped by the window and the manager when no core made
 //!   progress.
-//! * A lane that panics ends the run instead of hanging it: its death is
-//!   visible to every manager wait (a flag on the idle ladder, the hung-up
-//!   ack channel in the stop-sync waits), after which the manager releases
-//!   and joins the other lanes and `run()` unwinds with the lane's own
-//!   panic.
+//! * A core model that panics ends the run instead of hanging it. On a
+//!   spawned lane its death is visible to every manager wait (a flag on
+//!   the idle ladder, the hung-up ack channel in the stop-sync waits); on
+//!   lane 0 it unwinds the manager loop itself. Either way the manager
+//!   releases and joins the spawned lanes and `run()` unwinds with the
+//!   core's own panic.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -216,14 +222,24 @@ impl HostThread {
     }
 }
 
-/// The manager's handle on the lane threads: lane `j` steps cores
+/// The manager's handle on the lanes: lane `j` steps cores
 /// `j * width .. (j + 1) * width`, the last lane what is left of `cores`.
-struct LaneSet<C: CoreModel> {
+/// Lane 0 is the manager's own; lanes `1..` are spawned threads.
+struct LaneSet<C: CoreModel + Checkpointable> {
+    /// Lane 0's cores, stepped on the manager thread.
+    own: Vec<LaneCore<C>>,
+    /// Lane 0's tick scratch.
+    outbox: Vec<Timestamped<C::Event>>,
+    /// Lane `j`'s thread is `hosts[j - 1]`, and so on for the channels.
     hosts: Vec<Arc<HostThread>>,
     cmd_txs: Vec<Sender<Command<C>>>,
     ack_rxs: Vec<Receiver<()>>,
-    /// Raised by a lane that panicked; read on the manager's idle path.
+    /// Raised by a spawned lane that panicked; read on the manager's idle
+    /// path.
     died: Arc<AtomicBool>,
+    /// Whether the host has fewer CPUs than lanes: every wait ladder then
+    /// skips its spin tier.
+    oversubscribed: bool,
     width: usize,
     cores: usize,
 }
@@ -233,38 +249,79 @@ struct LaneSet<C: CoreModel> {
 struct LaneDied;
 
 impl<C: CoreModel + Checkpointable> LaneSet<C> {
-    /// Sends every lane the command `cmd` builds for its core range
-    /// (waking parked lanes).
+    /// Sends every spawned lane the command `cmd` builds for its core
+    /// range (waking parked lanes).
     fn send_all(&self, sched: &dyn HostSched, mut cmd: impl FnMut(Range<usize>) -> Command<C>) {
-        for (lane, (host, tx)) in self.hosts.iter().zip(&self.cmd_txs).enumerate() {
-            let first = lane * self.width;
+        for (j, (host, tx)) in self.hosts.iter().zip(&self.cmd_txs).enumerate() {
+            let first = (j + 1) * self.width;
             let end = (first + self.width).min(self.cores);
             host.send(tx, cmd(first..end), sched);
         }
     }
 
-    /// Sends `Stop` to every lane and waits for all acknowledgements.
+    /// Has every lane carry out the command `cmd` builds for its core
+    /// range — lane 0 inline, once the spawned lanes have theirs — and
+    /// waits for the spawned lanes' acknowledgements.
+    fn obey_all(
+        &mut self,
+        sched: &dyn HostSched,
+        committed: &AtomicU64,
+        ph: &ProfHandle,
+        mut cmd: impl FnMut(Range<usize>) -> Command<C>,
+    ) -> Result<(), LaneDied> {
+        let own = cmd(0..self.own.len());
+        self.send_all(sched, cmd);
+        obey(&mut self.own, own, committed, &mut self.outbox, sched, ph);
+        await_acks(&self.ack_rxs, sched)
+    }
+
+    /// Steps lane 0 (see [`step_lane`]) until the first pass in which one
+    /// of its cores sent the manager an event, so that event waits for
+    /// service no longer than a lane thread's would. Returns whether any
+    /// core ticked.
+    fn step_own(
+        &mut self,
+        run_to: Option<u64>,
+        committed: &AtomicU64,
+        sched: &dyn HostSched,
+        ph: &ProfHandle,
+    ) -> bool {
+        step_lane(
+            &mut self.own,
+            run_to,
+            true,
+            committed,
+            &mut self.outbox,
+            sched,
+            ph,
+        )
+    }
+
+    /// Sends `Stop` to every spawned lane and waits for all
+    /// acknowledgements (lane 0 is stopped whenever the manager is not
+    /// stepping it).
     fn stop_all(&self, sched: &dyn HostSched) -> Result<(), LaneDied> {
         self.send_all(sched, |_| Command::Stop);
         await_acks(&self.ack_rxs, sched)
     }
 
-    /// Sends `Resume` to every (paused) lane.
+    /// Sends `Resume` to every (paused) spawned lane.
     fn resume_all(&self, sched: &dyn HostSched) {
         self.send_all(sched, |_| Command::Resume);
     }
 
     /// Sets core `i`'s max local time to `window(i)` for every core and
-    /// unparks each lane that had a window change — once, after its
-    /// stores, and not at all when the manager re-publishes the windows a
-    /// lane already has (most iterations while global time stands still).
+    /// unparks each spawned lane that had a window change — once, after
+    /// its stores, and not at all when the manager re-publishes the
+    /// windows a lane already has (most iterations while global time
+    /// stands still).
     fn publish(
         &self,
         shared: &[Arc<CoreShared<C>>],
         sched: &dyn HostSched,
         window: impl Fn(usize) -> Cycle,
     ) {
-        for (lane, (host, cores)) in self.hosts.iter().zip(shared.chunks(self.width)).enumerate() {
+        for (lane, cores) in shared.chunks(self.width).enumerate() {
             let mut changed = false;
             for (j, s) in cores.iter().enumerate() {
                 let w = window(lane * self.width + j).as_u64();
@@ -274,15 +331,15 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
                     changed = true;
                 }
             }
-            if changed {
-                host.wake(sched);
+            if changed && lane > 0 {
+                self.hosts[lane - 1].wake(sched);
             }
         }
     }
 }
 
-/// Parallel slack-simulation engine: the target cores on lane threads,
-/// plus the manager.
+/// Parallel slack-simulation engine: the target cores on lanes, the first
+/// stepped by the manager's own thread.
 ///
 /// Semantics are identical to
 /// [`SequentialEngine`](crate::engine::SequentialEngine); under
@@ -332,8 +389,9 @@ where
         self
     }
 
-    /// Runs the simulation to completion, spawning one lane thread per
-    /// host CPU (at most one per target core).
+    /// Runs the simulation to completion on one lane per host CPU (at
+    /// most one per target core): lane 0 on the calling thread, which is
+    /// also the manager, and a spawned thread for each other lane.
     ///
     /// # Errors
     ///
@@ -372,9 +430,10 @@ where
             uncore = res.uncore;
             start_committed = res.committed;
         }
-        // Lanes: contiguous slices of `width` cores, one host thread each.
-        // A virtual scheduler expects a fixed task set, so unless the
-        // lane count is given the host's CPU count stays out of it.
+        // Lanes: contiguous slices of `width` cores, one host thread each,
+        // the manager's own thread for lane 0. A virtual scheduler expects
+        // a fixed task set, so unless the lane count is given the host's
+        // CPU count stays out of it.
         let width = lane_width(
             match cfg.host_threads {
                 0 if sched.virtualized() => n,
@@ -382,9 +441,10 @@ where
             },
             n,
         );
+        // Host threads, every one recording profile spans: the manager
+        // (lane 0) and a spawned thread for each other lane.
         let lane_count = n.div_ceil(width);
-        // Host threads recording profile spans: the lanes and the manager.
-        let threads = lane_count as u64 + 1;
+        let threads = lane_count as u64;
 
         if cfg.commit_target == 0 {
             // Trivial run: nothing to simulate.
@@ -426,26 +486,9 @@ where
         let done = Arc::new(AtomicBool::new(false));
         let committed = Arc::new(AtomicU64::new(start_committed));
 
-        let mut lanes = LaneSet {
-            hosts: (0..lane_count)
-                .map(|_| Arc::new(HostThread::new()))
-                .collect(),
-            cmd_txs: Vec::with_capacity(lane_count),
-            ack_rxs: Vec::with_capacity(lane_count),
-            died: Arc::new(AtomicBool::new(false)),
-            width,
-            cores: n,
-        };
-
         // Cores start frozen (max local time = start time); the manager
         // publishes the first window once every thread is up.
         std::thread::scope(|scope| {
-            // --- Lane threads ------------------------------------------------
-            // std mpsc receivers are single-consumer: each lane's command
-            // receiver and ack sender are moved into its thread, along
-            // with its cores.
-            let mut handles = Vec::with_capacity(lane_count);
-            let oversubscribed = host_oversubscribed(lane_count + 1);
             let mut lane_cores = cores
                 .into_iter()
                 .zip(core_inboxes)
@@ -459,7 +502,28 @@ where
                     th: k.tracer().handle(),
                     running: false,
                 });
-            for (lane, host) in lanes.hosts.iter().enumerate() {
+            let mut own: Vec<LaneCore<C>> = lane_cores.by_ref().take(width).collect();
+            own.iter_mut().for_each(LaneCore::open_phase);
+            let spawned = lane_count - 1;
+            let mut lanes = LaneSet {
+                own,
+                outbox: Vec::new(),
+                hosts: (0..spawned).map(|_| Arc::new(HostThread::new())).collect(),
+                cmd_txs: Vec::with_capacity(spawned),
+                ack_rxs: Vec::with_capacity(spawned),
+                died: Arc::new(AtomicBool::new(false)),
+                oversubscribed: host_oversubscribed(lane_count),
+                width,
+                cores: n,
+            };
+
+            // --- Lane threads 1.. --------------------------------------------
+            // std mpsc receivers are single-consumer: each lane's command
+            // receiver and ack sender are moved into its thread, along
+            // with its cores.
+            let mut handles = Vec::with_capacity(spawned);
+            let oversubscribed = lanes.oversubscribed;
+            for (j, host) in lanes.hosts.iter().enumerate() {
                 let (cmd_tx, cmd_rx) = channel();
                 let (ack_tx, ack_rx) = channel();
                 lanes.cmd_txs.push(cmd_tx);
@@ -474,7 +538,7 @@ where
                 handles.push(scope.spawn(move || {
                     let lane = catch_unwind(AssertUnwindSafe(|| {
                         lane_thread(
-                            lane,
+                            j + 1,
                             cores,
                             &host,
                             &done,
@@ -493,25 +557,29 @@ where
                 }));
             }
 
-            // --- Manager (this thread) ---------------------------------------
+            // --- Manager and lane 0 (this thread) ----------------------------
             // Registration happens after every lane is spawned: a virtual
             // scheduler's `register` blocks until the whole expected task
             // set has arrived, so registering earlier would deadlock the
-            // spawn loop.
+            // spawn loop. A core of lane 0 that panics unwinds the manager
+            // loop itself: catch it so the spawned lanes are released
+            // first.
             sched.register("manager");
-            let exit = manager_loop(
-                &cfg,
-                &mut k,
-                &mut uncore,
-                &shared,
-                &committed,
-                &lanes,
-                start_global,
-            );
+            let exit = catch_unwind(AssertUnwindSafe(|| {
+                manager_loop(
+                    &cfg,
+                    &mut k,
+                    &mut uncore,
+                    &shared,
+                    &committed,
+                    &mut lanes,
+                    start_global,
+                )
+            }));
 
             done.store(true, Ordering::Release);
-            // A manager that left because a lane died may have left the
-            // others stop-synced in their command loops: hang up on them.
+            // A manager that left because a core died may have left the
+            // lanes stop-synced in their command loops: hang up on them.
             lanes.cmd_txs.clear();
             for host in &lanes.hosts {
                 host.wake(&*sched);
@@ -524,11 +592,13 @@ where
             // virtual scheduler's RNG stream — depend on when the OS
             // publishes thread exit).
             sched.unregister();
-            let mut finished_cores = Vec::with_capacity(n);
-            for h in handles {
-                // Hand on a dead lane's own panic (the scope joins the
-                // lanes not yet joined, all released above).
-                finished_cores.extend(h.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            // Hand on the dead core's own panic: lane 0's first (every
+            // spawned lane is joined by now), then a spawned lane's.
+            let exit = exit.unwrap_or_else(|panic| resume_unwind(panic));
+            let mut finished_cores: Vec<C> = lanes.own.drain(..).map(LaneCore::close).collect();
+            for lane in joined {
+                finished_cores.extend(lane.unwrap_or_else(|panic| resume_unwind(panic)));
             }
             let Ok(exit) = exit else {
                 unreachable!("a lane dies only by panicking, and every lane joined");
@@ -602,6 +672,24 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
         self.th.record(at, TraceEvent::PhaseBegin { core, phase });
     }
 
+    /// Opens the core's first phase span: a Wait, since cores start
+    /// frozen at their start time.
+    fn open_phase(&mut self) {
+        let (core, phase) = (self.id, self.phase());
+        self.th
+            .record(Cycle::ZERO, TraceEvent::PhaseBegin { core, phase });
+    }
+
+    /// Closes the open phase span at the core's local time and hands back
+    /// the model.
+    fn close(mut self) -> C {
+        let (core, phase) = (self.id, self.phase());
+        let l = self.shared.local.load(Ordering::Relaxed);
+        self.th
+            .record(Cycle::new(l), TraceEvent::PhaseEnd { core, phase });
+        self.model
+    }
+
     fn deliver_inq(&mut self) {
         while let Some(ev) = self.shared.inq.pop() {
             self.inbox.deliver(ev);
@@ -609,16 +697,36 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
     }
 
     /// Simulates cycle `l` and queues its events towards the manager;
-    /// returns the instructions committed. Advancing the local clock is
-    /// the caller's, so it can order its commit flush before the store.
-    fn tick(&mut self, l: u64, outbox: &mut Vec<Timestamped<C::Event>>) -> u64 {
+    /// returns the instructions committed and whether any event was
+    /// queued. Advancing the local clock is the caller's, so it can order
+    /// its commit flush before the store.
+    fn tick(&mut self, l: u64, outbox: &mut Vec<Timestamped<C::Event>>) -> (u64, bool) {
         self.deliver_inq();
         let c = {
             let mut ctx = TickCtx::new(Cycle::new(l), &mut self.inbox, outbox);
             self.model.tick(&mut ctx)
         };
+        let sent = !outbox.is_empty();
         self.shared.outq.push_batch(outbox);
-        u64::from(c)
+        (u64::from(c), sent)
+    }
+
+    /// Captures the core's delta against its generation `since` at the
+    /// previous checkpoint into its snapshot slot.
+    fn capture(&mut self, since: u64) {
+        self.deliver_inq();
+        let delta = self.model.capture_delta(since);
+        let capture = Box::new((delta, self.inbox.clone(), self.model.generation()));
+        self.shared.snapshot.put(CoreCapture::Delta(capture));
+    }
+
+    /// Rewinds the core in place onto its checkpoint base — only units
+    /// that diverged since generation `since` are copied back — and hands
+    /// the untouched base back through the snapshot slot.
+    fn rewind(&mut self, base: Box<CoreSnapshot<C>>, since: u64) {
+        self.model.restore_from(&base.0, since);
+        self.inbox.clone_from(&base.1);
+        self.shared.snapshot.put(CoreCapture::Base(base));
     }
 }
 
@@ -627,9 +735,10 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
 /// otherwise the core's published max local time, re-read every pass so a
 /// window widened mid-burst is run out without going back to the lane
 /// loop (a pending command is picked up within one window's worth of
-/// ticks). One cycle per core per pass keeps the cores of a lane within a
-/// cycle of each other under slack; under cycle-by-cycle the order cannot
-/// matter. Returns whether any core ticked.
+/// ticks) — or, with `until_event`, until the first pass in which a core
+/// queued an event. One cycle per core per pass keeps the cores of a lane
+/// within a cycle of each other under slack; under cycle-by-cycle the
+/// order cannot matter. Returns whether any core ticked.
 ///
 /// Commit counts accumulate locally and are flushed *before* any
 /// local-clock store that brings a core to its limit, so a manager that
@@ -638,6 +747,7 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
 fn step_lane<C: CoreModel + Checkpointable>(
     cores: &mut [LaneCore<C>],
     run_to: Option<u64>,
+    until_event: bool,
     committed: &AtomicU64,
     outbox: &mut Vec<Timestamped<C::Event>>,
     sched: &dyn HostSched,
@@ -647,6 +757,7 @@ fn step_lane<C: CoreModel + Checkpointable>(
     let mut burst: u64 = 0;
     loop {
         let mut stepped = false;
+        let mut sent = false;
         for core in cores.iter_mut() {
             let l = core.shared.local.load(Ordering::Relaxed);
             let m = run_to.unwrap_or_else(|| core.shared.max_local.load(Ordering::Acquire));
@@ -665,7 +776,9 @@ fn step_lane<C: CoreModel + Checkpointable>(
             if run_to.is_none() {
                 core.set_running(true, l);
             }
-            burst += core.tick(l, outbox);
+            let (c, s) = core.tick(l, outbox);
+            burst += c;
+            sent |= s;
             if l + 1 >= m && burst > 0 {
                 committed.fetch_add(burst, Ordering::Relaxed);
                 burst = 0;
@@ -673,7 +786,7 @@ fn step_lane<C: CoreModel + Checkpointable>(
             core.shared.local.store(l + 1, Ordering::Release);
             stepped = true;
         }
-        if !stepped {
+        if !stepped || (until_event && sent) {
             break;
         }
     }
@@ -683,8 +796,41 @@ fn step_lane<C: CoreModel + Checkpointable>(
     span.is_some()
 }
 
-/// Lane-thread main loop: step the lane's cores while any is below its
-/// max local time, obey manager commands, exit when the done flag rises.
+/// Carries out one stop-sync command on a lane's cores, on the lane's
+/// thread — or on the manager's for lane 0, which only gets `Snapshot`
+/// and `Rewind` this way (it is stopped whenever the manager is not
+/// stepping it, and the manager steps its run-to between services).
+fn obey<C: CoreModel + Checkpointable>(
+    cores: &mut [LaneCore<C>],
+    cmd: Command<C>,
+    committed: &AtomicU64,
+    outbox: &mut Vec<Timestamped<C::Event>>,
+    sched: &dyn HostSched,
+    ph: &ProfHandle,
+) {
+    match cmd {
+        Command::Stop | Command::Resume => {}
+        Command::RunTo(target) => {
+            step_lane(cores, Some(target), false, committed, outbox, sched, ph);
+        }
+        Command::Snapshot(since) => {
+            let _span = ph.enter(ProfSite::CheckpointCapture);
+            for (core, since) in cores.iter_mut().zip(since) {
+                core.capture(since);
+            }
+        }
+        Command::Rewind(bases) => {
+            let _span = ph.enter(ProfSite::CheckpointRestore);
+            for (core, (base, since)) in cores.iter_mut().zip(bases) {
+                core.rewind(base, since);
+            }
+        }
+    }
+}
+
+/// Main loop of the thread stepping lane `lane` (≥ 1): step the lane's
+/// cores while any is below its max local time, obey manager commands,
+/// exit when the done flag rises.
 ///
 /// Each core records Run/Wait phase spans on its own trace handle at
 /// every transition between ticking and being capped by the window.
@@ -705,9 +851,10 @@ fn lane_thread<C: CoreModel + Checkpointable>(
     ph: ProfHandle,
 ) -> Vec<C> {
     let virt = sched.virtualized();
-    // Lanes take the core task names: a lane of one core *is* that core's
-    // thread, and a virtual scheduler built for L cores drives L lanes.
-    let task = sched.register(&format!("core{lane}"));
+    // Spawned lanes take the core task names from `core0`, as the campaign
+    // pool's workers do: a lane of one core *is* that core's thread, and
+    // a virtual scheduler built for L - 1 cores drives lanes 1..L.
+    let task = sched.register(&format!("core{}", lane - 1));
     let _ = host.task.set(task);
     let mut outbox: Vec<Timestamped<C::Event>> = Vec::new();
     let mut idle_spins = 0u32;
@@ -724,12 +871,7 @@ fn lane_thread<C: CoreModel + Checkpointable>(
     } else {
         (CORE_SPIN_ITERS, CORE_YIELD_ITERS)
     };
-    // Cores start frozen at max local time 0: open a Wait span immediately.
-    for core in &mut cores {
-        let (id, phase) = (core.id, core.phase());
-        core.th
-            .record(Cycle::ZERO, TraceEvent::PhaseBegin { core: id, phase });
-    }
+    cores.iter_mut().for_each(LaneCore::open_phase);
 
     'main: loop {
         // Control channel has priority over everything. Clear the pending
@@ -740,34 +882,10 @@ fn lane_thread<C: CoreModel + Checkpointable>(
         host.cmd_pending.store(false, Ordering::Relaxed);
         match cmd_rx.try_recv() {
             Ok(mut cmd) => loop {
-                match cmd {
-                    Command::Stop => {}
-                    Command::RunTo(target) => {
-                        step_lane(&mut cores, Some(target), committed, &mut outbox, sched, &ph);
-                    }
-                    Command::Snapshot(since) => {
-                        let _span = ph.enter(ProfSite::CheckpointCapture);
-                        for (core, since) in cores.iter_mut().zip(since) {
-                            core.deliver_inq();
-                            let delta = core.model.capture_delta(since);
-                            let capture =
-                                Box::new((delta, core.inbox.clone(), core.model.generation()));
-                            core.shared.snapshot.put(CoreCapture::Delta(capture));
-                        }
-                    }
-                    Command::Rewind(bases) => {
-                        // Rewind in place: only units that diverged from
-                        // the base since `since` are copied back, and
-                        // the base goes back to the manager untouched.
-                        let _span = ph.enter(ProfSite::CheckpointRestore);
-                        for (core, (base, since)) in cores.iter_mut().zip(bases) {
-                            core.model.restore_from(&base.0, since);
-                            core.inbox.clone_from(&base.1);
-                            core.shared.snapshot.put(CoreCapture::Base(base));
-                        }
-                    }
-                    Command::Resume => continue 'main,
+                if let Command::Resume = cmd {
+                    continue 'main;
                 }
+                obey(&mut cores, cmd, committed, &mut outbox, sched, &ph);
                 ack_tx.send(()).expect("manager alive");
                 // Blocked in the control sub-loop (stop-synced for a
                 // checkpoint or rollback): attribute the host time to
@@ -786,7 +904,7 @@ fn lane_thread<C: CoreModel + Checkpointable>(
             break 'main;
         }
 
-        if step_lane(&mut cores, None, committed, &mut outbox, sched, &ph) {
+        if step_lane(&mut cores, None, false, committed, &mut outbox, sched, &ph) {
             idle_spins = 0;
             continue;
         }
@@ -812,16 +930,7 @@ fn lane_thread<C: CoreModel + Checkpointable>(
         }
     }
     sched.unregister();
-    cores
-        .into_iter()
-        .map(|mut core| {
-            let (id, phase) = (core.id, core.phase());
-            let l = core.shared.local.load(Ordering::Relaxed);
-            core.th
-                .record(Cycle::new(l), TraceEvent::PhaseEnd { core: id, phase });
-            core.model
-        })
-        .collect()
+    cores.into_iter().map(LaneCore::close).collect()
 }
 
 /// Blocks for the next command from the manager: a real blocking receive
@@ -850,16 +959,17 @@ struct ManagerExit {
 }
 
 /// The simulation-manager loop (runs on the caller's thread inside the
-/// scope): the driver half — ring drains, window publication, the wait
-/// ladder and the stop-sync command protocol — around the kernel's verbs.
-/// Leaves early, with [`LaneDied`], as soon as a wait finds a lane dead.
+/// scope): the driver half — stepping lane 0, ring drains, window
+/// publication, the wait ladder and the stop-sync command protocol —
+/// around the kernel's verbs. Leaves early, with [`LaneDied`], as soon as
+/// a wait finds a spawned lane dead.
 fn manager_loop<C, U>(
     cfg: &EngineConfig,
     k: &mut Kernel<C, U>,
     uncore: &mut U,
     shared: &[Arc<CoreShared<C>>],
     committed: &AtomicU64,
-    lanes: &LaneSet<C>,
+    lanes: &mut LaneSet<C>,
     start_global: Cycle,
 ) -> Result<ManagerExit, LaneDied>
 where
@@ -881,11 +991,12 @@ where
     let mut locals: Vec<Cycle> = Vec::with_capacity(n);
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
-    let mut backoff = Backoff::manager(host_oversubscribed(lanes.hosts.len() + 1), virt);
+    let mut backoff = Backoff::manager(lanes.oversubscribed, virt);
     // A dead lane's clocks never move again, so the idle path is where
     // every other stall ends up: the death flag is read there.
+    let died = Arc::clone(&lanes.died);
     let idle_wait = |backoff: &mut Backoff, k: &mut Kernel<C, U>| {
-        if lanes.died.load(Ordering::Acquire) {
+        if died.load(Ordering::Acquire) {
             return Err(LaneDied);
         }
         let _span = ph.enter(backoff.next_site());
@@ -893,14 +1004,12 @@ where
         Ok(())
     };
 
-    let mut window_end = k.pacer.window_end(start_global);
-    if !k.pacer.barrier_service() {
-        window_end = window_end.min(cfg.lead_cap(start_global));
-    }
+    let mut window_end = uniform_window(&*k.pacer, cfg, start_global);
     lanes.publish(shared, sched, |_| window_end);
 
     let (final_global, finish_reason) = loop {
         sched.point(SchedSite::ManagerLoop);
+        lanes.step_own(None, committed, sched, &ph);
         let drained = {
             let _span = ph.enter(ProfSite::ManagerDrain);
             drain_outqs(shared, &mut gq, &mut drain_buf)
@@ -966,7 +1075,7 @@ where
                         let _span = ph.enter(ProfSite::CheckpointCapture);
                         lanes.stop_all(sched)?;
                         drain_outqs(shared, &mut gq, &mut drain_buf);
-                        capture_all(k, shared, lanes, sched)?;
+                        capture_all(k, shared, lanes, committed, sched)?;
                         lanes.resume_all(sched);
                     }
                     k.commit_checkpoint(g, committed.load(Ordering::Acquire), uncore, None);
@@ -974,7 +1083,7 @@ where
                 window_end = if k.replaying() {
                     g + 1
                 } else {
-                    k.pacer.window_end(g)
+                    uniform_window(&*k.pacer, cfg, g)
                 };
                 lanes.publish(shared, sched, |_| window_end);
                 backoff.reset();
@@ -1020,14 +1129,13 @@ where
             // the core's snapshot slot, so no full-model clone happens on
             // either side.
             let mut bases = k.take_bases().into_iter().map(Box::new);
-            lanes.send_all(sched, |cores| {
+            lanes.obey_all(sched, committed, &ph, |cores| {
                 Command::Rewind(
                     cores
                         .map(|i| (bases.next().expect("a base per core"), k.core_gen(i)))
                         .collect(),
                 )
-            });
-            await_acks(&lanes.ack_rxs, sched)?;
+            })?;
             k.return_bases(
                 shared
                     .iter()
@@ -1068,13 +1176,20 @@ where
                 .max(k.cp_trigger());
             lanes.publish(shared, sched, |_| Cycle::new(stop_at));
             lanes.send_all(sched, |_| Command::RunTo(stop_at));
-            // Keep servicing while cores run up to the stop point.
-            let mut acked = 0usize;
-            let mut ack_iters = lanes.ack_rxs.iter().cycle();
-            while acked < lanes.ack_rxs.len() {
+            // Keep servicing while cores run up to the stop point, lane 0's
+            // stepped here between services.
+            let (mut own_busy, mut acked, mut next) = (true, 0usize, 0usize);
+            let spawned = lanes.ack_rxs.len();
+            while own_busy || acked < spawned {
+                if own_busy {
+                    own_busy = lanes.step_own(Some(stop_at), committed, sched, &ph);
+                }
                 drain_outqs(shared, &mut gq, &mut drain_buf);
                 k.service_all(&mut gq, uncore, deliver);
-                match ack_iters.next().expect("cycle never ends").try_recv() {
+                if acked == spawned {
+                    continue;
+                }
+                match lanes.ack_rxs[next % spawned].try_recv() {
                     Ok(()) => acked += 1,
                     Err(TryRecvError::Disconnected) => return Err(LaneDied),
                     // Keep the poll visible to a virtual scheduler so the
@@ -1082,6 +1197,7 @@ where
                     Err(TryRecvError::Empty) if virt => sched.idle_yield(SchedSite::AwaitAck),
                     Err(TryRecvError::Empty) => {}
                 }
+                next += 1;
             }
             drain_outqs(shared, &mut gq, &mut drain_buf);
             k.service_all(&mut gq, uncore, deliver);
@@ -1092,7 +1208,7 @@ where
                 continue;
             }
             // Lanes are paused right after their RunTo ack: capture them.
-            capture_all(k, shared, lanes, sched)?;
+            capture_all(k, shared, lanes, committed, sched)?;
             let stop_at = Cycle::new(stop_at);
             k.commit_checkpoint(stop_at, committed.load(Ordering::Acquire), uncore, None);
             locals.fill(stop_at);
@@ -1120,6 +1236,20 @@ where
     })
 }
 
+/// The uniform window over `global`, clamped by the lead cap unless the
+/// pacer services at barriers. Every window the manager publishes is
+/// capped this way, so stepping lane 0 to its window — which the manager
+/// does between services — always ends within `max_lead` cycles, even when
+/// a replay hands back to `unbounded` (whose own window never ends).
+fn uniform_window(pacer: &dyn Pacer, cfg: &EngineConfig, global: Cycle) -> Cycle {
+    let w = pacer.window_end(global);
+    if pacer.barrier_service() {
+        w
+    } else {
+        w.min(cfg.lead_cap(global))
+    }
+}
+
 /// Publishes windows for a greedy scheme: per-core when the pacer paces
 /// against peers (Lax-P2P), uniform otherwise; both clamped by the
 /// implementation lead cap over `global`, the minimum of `locals`.
@@ -1138,7 +1268,7 @@ fn publish_greedy_windows<C: CoreModel + Checkpointable>(
         lanes.publish(shared, sched, |i| wins[i].min(cap));
         wins.iter().copied().max().expect("n >= 1").min(cap)
     } else {
-        let w = pacer.window_end(global).min(cap);
+        let w = uniform_window(pacer, cfg, global);
         lanes.publish(shared, sched, |_| w);
         w
     }
@@ -1190,18 +1320,18 @@ fn await_acks(ack_rxs: &[Receiver<()>], sched: &dyn HostSched) -> Result<(), Lan
 fn capture_all<C, U>(
     k: &mut Kernel<C, U>,
     shared: &[Arc<CoreShared<C>>],
-    lanes: &LaneSet<C>,
+    lanes: &mut LaneSet<C>,
+    committed: &AtomicU64,
     sched: &dyn HostSched,
 ) -> Result<(), LaneDied>
 where
     C: CoreModel + Checkpointable,
     U: UncoreModel<C::Event> + Checkpointable,
 {
-    lanes.send_all(sched, |cores| {
-        Command::Snapshot(cores.map(|i| k.core_gen(i)).collect())
-    });
-    await_acks(&lanes.ack_rxs, sched)?;
     let ph = k.prof_handle();
+    lanes.obey_all(sched, committed, &ph, |cores| {
+        Command::Snapshot(cores.map(|i| k.core_gen(i)).collect())
+    })?;
     let _span = ph.enter(ProfSite::CheckpointApply);
     for (i, s) in shared.iter().enumerate() {
         match s.snapshot.take().expect("snapshot filled") {

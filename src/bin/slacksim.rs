@@ -1081,17 +1081,17 @@ ENGINES:
   --engine seq          deterministic single-threaded engine with a seeded
                         burst scheduler (default; accuracy experiments)
   --engine threaded     the target cores on one host thread per host CPU
-                        (one per core where there are enough) plus a
-                        manager — the paper's CMP-on-CMP execution
-                        (wall-clock runs)
+                        (one per core where there are enough), the first
+                        of them the manager's — the paper's CMP-on-CMP
+                        execution (wall-clock runs)
   --engine batched      quantum-compiled engine: steps every core a full
                         quantum per iteration and resolves cross-core
                         events only at quantum boundaries; bit-identical
                         to seq but much faster, requires --scheme quantum
   --host-threads N      threaded and batched engines: step the cores on N
                         host threads (contiguous lanes of cores, one per
-                        thread; the threaded engine's manager and the
-                        batched engine's boundaries stay on one more); a
+                        thread; the calling thread steps the first lane
+                        and also runs the manager or the boundaries); a
                         host knob — results are identical for every N
                         under --scheme cc and quantum (default: the
                         host's available parallelism, capped at the core

@@ -88,8 +88,9 @@ pub enum EngineKind {
     Sequential,
     /// The target cores on one host thread per host CPU — one per target
     /// core where the host has that many (see
-    /// [`Simulation::host_threads`]) — plus the manager: the paper's
-    /// actual CMP-on-CMP execution (wall-clock experiments).
+    /// [`Simulation::host_threads`]) — the first of which also runs the
+    /// manager: the paper's actual CMP-on-CMP execution (wall-clock
+    /// experiments).
     Threaded,
     /// Quantum-compiled engine: steps every core a full quantum per
     /// iteration over struct-of-arrays hot state — on a static partition
@@ -221,7 +222,7 @@ impl Simulation {
     }
 
     /// Sets how many host threads the cores are folded onto: the threaded
-    /// engine's lanes (the manager is one more), the batched engine's
+    /// engine's lanes (the manager steps the first), the batched engine's
     /// window workers. `0` (the default) uses the host's available
     /// parallelism; values above the core count are capped. A host knob
     /// only — under the barrier schemes simulated results are identical

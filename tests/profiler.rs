@@ -69,12 +69,17 @@ fn sequential_profile_covers_most_of_the_wall_clock() {
 
 #[test]
 fn threaded_profile_covers_most_of_the_wall_clock() {
-    // The paper's thread per core, and the same cores folded onto two
-    // lanes: the coverage denominator is the threads that were spawned.
-    for lanes in [4, 2] {
+    // The paper's thread per core, the same cores folded onto two lanes,
+    // and all of them on one: the coverage denominator is the host
+    // threads that ran, one per lane — the manager steps lane 0 itself.
+    for lanes in [4, 2, 1] {
         let report = profiled_run_on(lanes, EngineKind::Threaded, 60_000);
         let prof = report.prof.as_ref().expect("profile attached");
-        assert_eq!(prof.threads, lanes as u64 + 1, "lanes + manager record");
+        assert_eq!(prof.threads, lanes as u64, "one thread per lane records");
+        if lanes == 1 {
+            // The manager runs every core: no lane thread to park.
+            assert_eq!(report.kernel.get("core_parks"), 0);
+        }
         // Lane threads spend their time ticking or in the instrumented
         // wait ladder; the only uncovered host time is loop glue. The
         // bound is deliberately loose: on an oversubscribed host,

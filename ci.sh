@@ -79,10 +79,10 @@ echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, 
 # verbose report — headline, uncore, kernel and per-core counters,
 # everything but the two host-time lines — must be byte-equal on 1, 2
 # and 3 host threads. Then the oversubscribed case: two host threads
-# pinned to one CPU must still finish (the hand-off ladder reaches its
-# yield and park tiers instead of spinning against the thread it waits
-# for), with the same report. The in-process twins run in
-# crates/conformance and tests/report_digest.rs.
+# pinned to one CPU must still finish, with the same report. The one wait
+# ladder has no tiers of its own for this: a waiter yields from its first
+# wait, which hands the CPU to the thread it waits for. The in-process
+# twins run in crates/conformance and tests/report_digest.rs.
 bat_flags=(--uncore directory --cores 64 --benchmark fft --scheme quantum
     --quantum 50 --engine batched --commit 1000000 --verbose)
 bat_report() { # the simulated report of one run: bat_report COMMAND...
@@ -101,7 +101,7 @@ if command -v taskset > /dev/null; then
         echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
 
-echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, unbounded rollback)"
+echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, four slack lanes on one CPU, unbounded rollback)"
 # Core lanes on the release binary (DESIGN §10, "Core lanes"): the
 # threaded engine's lane count is a host knob, so under cycle-by-cycle
 # the whole verbose report — everything but the two host-time lines and
@@ -110,14 +110,17 @@ echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes o
 # tests/report_digest.rs drops) — must be byte-equal with the 8 cores on
 # one lane, on two, and on a lane each.
 # Then the oversubscribed case: the manager (stepping lane 0) and one
-# lane thread pinned to one CPU must still finish, with the same report.
-# The in-process twins run in crates/conformance and
-# tests/report_digest.rs. Last, speculative unbounded runs with every
-# core on the manager's own lane and with a lane thread beside it: a
-# manager that steps lane 0 past its own service — or, after a replay,
-# towards an uncapped window — stalls here, so it fails in seconds
-# instead of hanging tests/persist_resume.rs (two lanes roll back and
-# replay hundreds of times in 2 M commits; one lane never does).
+# lane thread pinned to one CPU must still finish, with the same report,
+# and so must bounded slack with four lanes on that CPU, where a lane
+# waits on three others and the one wait ladder yields the CPU to them
+# from its first wait. The in-process twins run in crates/conformance
+# and tests/report_digest.rs. Last, speculative unbounded runs with
+# every core on the manager's own lane and with a lane thread beside
+# it: a manager that steps lane 0 past its own service — or, after a
+# replay, towards an uncapped window — stalls here, so it fails in
+# seconds instead of hanging tests/persist_resume.rs (two lanes roll
+# back and replay hundreds of times in 2 M commits; one lane never
+# does).
 thr_flags=(--benchmark fft --scheme cc --engine threaded --cores 8
     --commit 200000 --verbose)
 thr_report() { # the simulated report of one run: thr_report COMMAND...
@@ -134,6 +137,9 @@ if command -v taskset > /dev/null; then
     [ "$thr_one" = "$(thr_report timeout 120 taskset -c 0 \
         ./target/release/slacksim "${thr_flags[@]}" --host-threads 2)" ] || {
         echo "ci: two lanes pinned to one CPU hung or changed the report" >&2; exit 1; }
+    timeout 120 taskset -c 0 ./target/release/slacksim --benchmark fft --engine threaded \
+        --scheme bounded --bound 16 --cores 4 --host-threads 4 --commit 2000000 > /dev/null || {
+        echo "ci: four slack lanes pinned to one CPU hung or failed" >&2; exit 1; }
 fi
 for h in 1 2; do
     timeout 60 ./target/release/slacksim --benchmark water --scheme unbounded --engine threaded \

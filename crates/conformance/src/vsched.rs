@@ -64,7 +64,8 @@ pub enum SchedPolicy {
         victim: usize,
     },
     /// Adversarial: whenever the manager enters a consumer-side drain
-    /// ([`SchedSite::RingDrain`] / [`SchedSite::SnapshotTake`]), a
+    /// ([`SchedSite::RingDrain`]) or waits for a lane's reply, which
+    /// carries its checkpoint captures ([`SchedSite::AwaitAck`]), a
     /// producer core runs first — interleaving drains with pushes,
     /// overflow spills and checkpoint hand-offs.
     DrainPreempt,
@@ -416,10 +417,7 @@ impl VirtualSched {
             }
             SchedPolicy::DrainPreempt => {
                 let mid_drain = Self::is_poller(entering)
-                    && matches!(
-                        site,
-                        Some(SchedSite::RingDrain) | Some(SchedSite::SnapshotTake)
-                    );
+                    && matches!(site, Some(SchedSite::RingDrain) | Some(SchedSite::AwaitAck));
                 if mid_drain {
                     let cores: Vec<usize> = ready
                         .iter()
@@ -491,10 +489,6 @@ impl HostSched for VirtualSched {
     }
 
     fn point(&self, site: SchedSite) {
-        self.enter(site, false);
-    }
-
-    fn idle_spin(&self, site: SchedSite) {
         self.enter(site, false);
     }
 

@@ -41,7 +41,7 @@ use std::thread::{Scope, ScopedJoinHandle};
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{Finish, Kernel};
 use crate::engine::merge::{arm, head_ts, sweep, NO_HEAD};
-use crate::engine::wait::{host_oversubscribed, lane_width, Backoff};
+use crate::engine::wait::{lane_width, Backoff};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
 };
@@ -405,7 +405,6 @@ struct Shared<'a, C: CoreModel> {
     /// What both sides wait through: always the host's own scheduler,
     /// whatever `EngineConfig::sched` explores in the threaded engine.
     sched: NativeSched,
-    oversubscribed: bool,
     prof: Profiler,
 }
 
@@ -439,7 +438,6 @@ impl<C: CoreModel> Shared<'_, C> {
             manager: std::thread::current(),
             seats: (0..workers).map(seat).collect(),
             sched: NativeSched::new(),
-            oversubscribed: host_oversubscribed(workers + 1),
             prof,
         }
     }
@@ -462,7 +460,7 @@ impl<'scope, 'env, 'a, C: CoreModel> Pool<'scope, 'env, 'a, C> {
             shared,
             workers: Vec::with_capacity(shared.seats.len()),
             epoch: 0,
-            ladder: Backoff::window(shared.oversubscribed),
+            ladder: Backoff::new(false),
         }
     }
 
@@ -532,7 +530,7 @@ impl<C: CoreModel> Drop for Pool<'_, '_, '_, C> {
 /// A window worker: waits for the next epoch, runs the lane seated for
 /// it, reports, repeats until `quit`.
 fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHandle) {
-    let mut ladder = Backoff::window(shared.oversubscribed);
+    let mut ladder = Backoff::new(false);
     let mut seen = 0;
     loop {
         loop {

@@ -28,9 +28,9 @@
 //! inline, through the same per-core code the lane threads run.
 //!
 //! Everything here is built on `std` alone: `std::sync::mpsc` channels for
-//! commands/acks (each lane's receiver is moved into its thread), the
-//! lock-free [`SpscRing`] for the OutQ/InQ event paths, and the
-//! mutex-backed [`SnapshotSlot`] for checkpoint hand-off.
+//! commands and their replies (each lane's receiver is moved into its
+//! thread; a lane's reply carries its cores' checkpoint captures), and the
+//! lock-free [`SpscRing`] for the OutQ/InQ event paths.
 //!
 //! ## Host-synchronization design (see DESIGN.md "Engine concurrency")
 //!
@@ -44,13 +44,14 @@
 //!   into the global queue; its loop reuses persistent scratch buffers and
 //!   interned metric keys, so the steady state performs no heap
 //!   allocation.
-//! * Waiting is an adaptive ladder — spin, then `yield_now`, then
-//!   park/unpark with a timeout backstop — for both lane threads whose
-//!   cores are all capped by the window and the manager when no core made
-//!   progress.
+//! * Waiting is the one ladder of [`Backoff`] — `yield_now`, then park
+//!   with a timeout — for both lane threads whose cores are all
+//!   capped by the window (their park tier is [`HostThread::park`]'s,
+//!   which the manager unparks) and the manager when no core made
+//!   progress (a timed poll).
 //! * A core model that panics ends the run instead of hanging it. On a
 //!   spawned lane its death is visible to every manager wait (a flag on
-//!   the idle ladder, the hung-up ack channel in the stop-sync waits); on
+//!   the idle ladder, the hung-up reply channel in the stop-sync waits); on
 //!   lane 0 it unwinds the manager loop itself. Either way the manager
 //!   releases and joins the spawned lanes and `run()` unwinds with the
 //!   core's own panic.
@@ -64,7 +65,7 @@ use std::time::Duration;
 
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
-use crate::engine::wait::{host_oversubscribed, lane_width, Backoff, VIRT_YIELD_ITERS};
+use crate::engine::wait::{lane_width, Backoff};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, TickCtx,
     UncoreModel,
@@ -74,22 +75,13 @@ use crate::obs::{Phase, ProfHandle, ProfSite, TraceEvent, TraceHandle};
 use crate::sched::{HostSched, SchedSite, TaskId};
 use crate::scheme::Pacer;
 use crate::stats::SimReport;
-use crate::sync::{SnapshotSlot, SpscRing};
+use crate::sync::SpscRing;
 use crate::time::Cycle;
 
-/// Spin iterations before a capped lane starts yielding (plenty-of-CPUs
-/// hosts only; oversubscribed hosts skip the spin tier).
-const CORE_SPIN_ITERS: u32 = 64;
-/// Yield iterations before a capped lane parks.
-const CORE_YIELD_ITERS: u32 = 64;
-/// Park-timeout backstop for lane threads: the manager unparks them on
-/// every window publish, the timeout only covers lost-wakeup races.
-const CORE_PARK_TIMEOUT: Duration = Duration::from_micros(100);
-/// Yield iterations before a capped lane parks on an oversubscribed host.
-const CORE_YIELD_ITERS_OVERSUB: u32 = 256;
-
 /// Commands the manager sends to a lane thread. Those that carry state
-/// carry it for every core of the lane, in core order.
+/// carry it for every core of the lane, in core order. A lane acknowledges
+/// each but `Resume` with a reply that carries its cores' captures, in
+/// core order, for `Snapshot` and `Rewind`, and nothing for the others.
 enum Command<C: CoreModel> {
     /// Pause at the current local times and acknowledge.
     Stop,
@@ -97,18 +89,18 @@ enum Command<C: CoreModel> {
     /// local clock reaches the given cycle, then acknowledge.
     RunTo(u64),
     /// Capture each core's delta against its generation at the previous
-    /// checkpoint (the carried values) into its snapshot slot.
+    /// checkpoint (the carried values).
     Snapshot(Vec<u64>),
     /// Rewind each model onto its checkpoint base via
     /// [`Checkpointable::restore_from`] — the paired value being the
     /// core's generation when the base was current — and hand the
-    /// untouched base back through the core's snapshot slot.
+    /// untouched base back.
     Rewind(Vec<(Box<CoreSnapshot<C>>, u64)>),
     /// Leave the control sub-loop and return to normal execution.
     Resume,
 }
 
-/// What a lane deposits in a core's snapshot slot.
+/// What a lane replies with for one of its cores.
 enum CoreCapture<C: CoreModel + Checkpointable> {
     /// Delta against the previous checkpoint, the pending inbox and the
     /// model's generation at capture.
@@ -121,14 +113,13 @@ enum CoreCapture<C: CoreModel + Checkpointable> {
 /// State shared between the manager and the lane stepping one core. It
 /// is all per core — clocks, window and queues do not know about lanes —
 /// so every manager computation is independent of the lane count.
-struct CoreShared<C: CoreModel + Checkpointable> {
+struct CoreShared<C: CoreModel> {
     local: AtomicU64,
     max_local: AtomicU64,
     /// Lane produces, manager consumes.
     outq: SpscRing<Timestamped<C::Event>>,
     /// Manager produces, lane consumes.
     inq: SpscRing<Timestamped<C::Event>>,
-    snapshot: SnapshotSlot<CoreCapture<C>>,
 }
 
 /// The park-and-command plumbing between the manager and one lane thread.
@@ -233,13 +224,10 @@ struct LaneSet<C: CoreModel + Checkpointable> {
     /// Lane `j`'s thread is `hosts[j - 1]`, and so on for the channels.
     hosts: Vec<Arc<HostThread>>,
     cmd_txs: Vec<Sender<Command<C>>>,
-    ack_rxs: Vec<Receiver<()>>,
+    ack_rxs: Vec<Receiver<Vec<CoreCapture<C>>>>,
     /// Raised by a spawned lane that panicked; read on the manager's idle
     /// path.
     died: Arc<AtomicBool>,
-    /// Whether the host has fewer CPUs than lanes: every wait ladder then
-    /// skips its spin tier.
-    oversubscribed: bool,
     width: usize,
     cores: usize,
 }
@@ -261,18 +249,35 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
 
     /// Has every lane carry out the command `cmd` builds for its core
     /// range — lane 0 inline, once the spawned lanes have theirs — and
-    /// waits for the spawned lanes' acknowledgements.
+    /// returns every core's capture in core order, lane 0's followed by
+    /// the spawned lanes' replies.
     fn obey_all(
         &mut self,
         sched: &dyn HostSched,
         committed: &AtomicU64,
         ph: &ProfHandle,
         mut cmd: impl FnMut(Range<usize>) -> Command<C>,
-    ) -> Result<(), LaneDied> {
+    ) -> Result<Vec<CoreCapture<C>>, LaneDied> {
         let own = cmd(0..self.own.len());
         self.send_all(sched, cmd);
-        obey(&mut self.own, own, committed, &mut self.outbox, sched, ph);
-        await_acks(&self.ack_rxs, sched)
+        let mut captures = obey(&mut self.own, own, committed, &mut self.outbox, sched, ph);
+        self.await_replies(sched, &mut captures)?;
+        debug_assert_eq!(captures.len(), self.cores, "a capture per core");
+        Ok(captures)
+    }
+
+    /// Waits for every spawned lane's reply to the last command, in lane
+    /// order, appending the captures each carries to `captures`. A lane
+    /// that died instead hangs up its reply channel.
+    fn await_replies(
+        &self,
+        sched: &dyn HostSched,
+        captures: &mut Vec<CoreCapture<C>>,
+    ) -> Result<(), LaneDied> {
+        for rx in &self.ack_rxs {
+            captures.extend(recv(rx, sched, SchedSite::AwaitAck).ok_or(LaneDied)?);
+        }
+        Ok(())
     }
 
     /// Steps lane 0 (see [`step_lane`]) until the first pass in which one
@@ -302,7 +307,7 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
     /// stepping it).
     fn stop_all(&self, sched: &dyn HostSched) -> Result<(), LaneDied> {
         self.send_all(sched, |_| Command::Stop);
-        await_acks(&self.ack_rxs, sched)
+        self.await_replies(sched, &mut Vec::new())
     }
 
     /// Sends `Resume` to every (paused) spawned lane.
@@ -479,7 +484,6 @@ where
                     max_local: AtomicU64::new(start_global.as_u64()),
                     outq: SpscRing::with_sched(hook.clone()),
                     inq: SpscRing::with_sched(hook.clone()),
-                    snapshot: SnapshotSlot::with_sched(hook.clone()),
                 })
             })
             .collect();
@@ -512,7 +516,6 @@ where
                 cmd_txs: Vec::with_capacity(spawned),
                 ack_rxs: Vec::with_capacity(spawned),
                 died: Arc::new(AtomicBool::new(false)),
-                oversubscribed: host_oversubscribed(lane_count),
                 width,
                 cores: n,
             };
@@ -522,7 +525,6 @@ where
             // receiver and ack sender are moved into its thread, along
             // with its cores.
             let mut handles = Vec::with_capacity(spawned);
-            let oversubscribed = lanes.oversubscribed;
             for (j, host) in lanes.hosts.iter().enumerate() {
                 let (cmd_tx, cmd_rx) = channel();
                 let (ack_tx, ack_rx) = channel();
@@ -545,7 +547,6 @@ where
                             &committed,
                             &cmd_rx,
                             &ack_tx,
-                            oversubscribed,
                             &*sched,
                             ph,
                         )
@@ -712,21 +713,24 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
     }
 
     /// Captures the core's delta against its generation `since` at the
-    /// previous checkpoint into its snapshot slot.
-    fn capture(&mut self, since: u64) {
+    /// previous checkpoint.
+    fn capture(&mut self, since: u64) -> CoreCapture<C> {
         self.deliver_inq();
         let delta = self.model.capture_delta(since);
-        let capture = Box::new((delta, self.inbox.clone(), self.model.generation()));
-        self.shared.snapshot.put(CoreCapture::Delta(capture));
+        CoreCapture::Delta(Box::new((
+            delta,
+            self.inbox.clone(),
+            self.model.generation(),
+        )))
     }
 
     /// Rewinds the core in place onto its checkpoint base — only units
     /// that diverged since generation `since` are copied back — and hands
-    /// the untouched base back through the snapshot slot.
-    fn rewind(&mut self, base: Box<CoreSnapshot<C>>, since: u64) {
+    /// the untouched base back.
+    fn rewind(&mut self, base: Box<CoreSnapshot<C>>, since: u64) -> CoreCapture<C> {
         self.model.restore_from(&base.0, since);
         self.inbox.clone_from(&base.1);
-        self.shared.snapshot.put(CoreCapture::Base(base));
+        CoreCapture::Base(base)
     }
 }
 
@@ -800,6 +804,7 @@ fn step_lane<C: CoreModel + Checkpointable>(
 /// thread — or on the manager's for lane 0, which only gets `Snapshot`
 /// and `Rewind` this way (it is stopped whenever the manager is not
 /// stepping it, and the manager steps its run-to between services).
+/// Returns the cores' captures, in core order: the reply to the command.
 fn obey<C: CoreModel + Checkpointable>(
     cores: &mut [LaneCore<C>],
     cmd: Command<C>,
@@ -807,23 +812,28 @@ fn obey<C: CoreModel + Checkpointable>(
     outbox: &mut Vec<Timestamped<C::Event>>,
     sched: &dyn HostSched,
     ph: &ProfHandle,
-) {
+) -> Vec<CoreCapture<C>> {
     match cmd {
-        Command::Stop | Command::Resume => {}
+        Command::Stop | Command::Resume => Vec::new(),
         Command::RunTo(target) => {
             step_lane(cores, Some(target), false, committed, outbox, sched, ph);
+            Vec::new()
         }
         Command::Snapshot(since) => {
             let _span = ph.enter(ProfSite::CheckpointCapture);
-            for (core, since) in cores.iter_mut().zip(since) {
-                core.capture(since);
-            }
+            cores
+                .iter_mut()
+                .zip(since)
+                .map(|(core, since)| core.capture(since))
+                .collect()
         }
         Command::Rewind(bases) => {
             let _span = ph.enter(ProfSite::CheckpointRestore);
-            for (core, (base, since)) in cores.iter_mut().zip(bases) {
-                core.rewind(base, since);
-            }
+            cores
+                .iter_mut()
+                .zip(bases)
+                .map(|(core, (base, since))| core.rewind(base, since))
+                .collect()
         }
     }
 }
@@ -834,9 +844,10 @@ fn obey<C: CoreModel + Checkpointable>(
 ///
 /// Each core records Run/Wait phase spans on its own trace handle at
 /// every transition between ticking and being capped by the window.
-/// When every core is capped the lane waits, escalating spin → yield →
-/// park; the manager unparks the thread whenever it widens one of its
-/// cores' windows or sends a command. Returns the cores' models.
+/// When every core is capped the lane waits through the [`Backoff`]
+/// ladder, whose park tier is [`HostThread::park`]; the manager unparks
+/// the thread whenever it widens one of its cores' windows or sends a
+/// command. Returns the cores' models.
 #[allow(clippy::too_many_arguments)]
 fn lane_thread<C: CoreModel + Checkpointable>(
     lane: usize,
@@ -845,32 +856,17 @@ fn lane_thread<C: CoreModel + Checkpointable>(
     done: &AtomicBool,
     committed: &AtomicU64,
     cmd_rx: &Receiver<Command<C>>,
-    ack_tx: &Sender<()>,
-    oversubscribed: bool,
+    ack_tx: &Sender<Vec<CoreCapture<C>>>,
     sched: &dyn HostSched,
     ph: ProfHandle,
 ) -> Vec<C> {
-    let virt = sched.virtualized();
     // Spawned lanes take the core task names from `core0`, as the campaign
     // pool's workers do: a lane of one core *is* that core's thread, and
     // a virtual scheduler built for L - 1 cores drives lanes 1..L.
     let task = sched.register(&format!("core{}", lane - 1));
     let _ = host.task.set(task);
     let mut outbox: Vec<Timestamped<C::Event>> = Vec::new();
-    let mut idle_spins = 0u32;
-    // On an oversubscribed host a capped lane skips the spin tier: the
-    // manager cannot widen the window until it gets the CPU this lane is
-    // holding, so spinning only delays its own wake-up. Yield stays the
-    // workhorse tier — futex park/unpark round trips cost more than a
-    // handful of scheduler passes — with parking as the long-idle backstop.
-    // Virtual schedulers pin both tiers to machine-independent depths.
-    let (spin_iters, yield_iters) = if virt {
-        (0u32, VIRT_YIELD_ITERS)
-    } else if oversubscribed {
-        (0u32, CORE_YIELD_ITERS_OVERSUB)
-    } else {
-        (CORE_SPIN_ITERS, CORE_YIELD_ITERS)
-    };
+    let mut backoff = Backoff::new(sched.virtualized());
     cores.iter_mut().for_each(LaneCore::open_phase);
 
     'main: loop {
@@ -885,13 +881,13 @@ fn lane_thread<C: CoreModel + Checkpointable>(
                 if let Command::Resume = cmd {
                     continue 'main;
                 }
-                obey(&mut cores, cmd, committed, &mut outbox, sched, &ph);
-                ack_tx.send(()).expect("manager alive");
+                let reply = obey(&mut cores, cmd, committed, &mut outbox, sched, &ph);
+                ack_tx.send(reply).expect("manager alive");
                 // Blocked in the control sub-loop (stop-synced for a
                 // checkpoint or rollback): attribute the host time to
                 // the park tier so it shows up in the profile.
                 let _span = ph.enter(ProfSite::CoreWaitPark);
-                let Some(next) = next_command(cmd_rx, virt, sched) else {
+                let Some(next) = recv(cmd_rx, sched, SchedSite::AwaitCmd) else {
                     break 'main;
                 };
                 cmd = next;
@@ -905,46 +901,40 @@ fn lane_thread<C: CoreModel + Checkpointable>(
         }
 
         if step_lane(&mut cores, None, false, committed, &mut outbox, sched, &ph) {
-            idle_spins = 0;
+            backoff.reset();
             continue;
         }
-        // Every core is capped: wait for the manager to widen a window.
-        // Ladder: spin → yield → park (the manager unparks on every
-        // publish; the timeout covers lost-wakeup races and shutdown).
-        idle_spins = idle_spins.saturating_add(1);
-        if idle_spins <= spin_iters {
-            let _span = ph.enter(ProfSite::CoreWaitSpin);
-            sched.idle_spin(SchedSite::CoreIdle);
-        } else if idle_spins <= spin_iters + yield_iters {
-            let _span = ph.enter(ProfSite::CoreWaitYield);
-            sched.idle_yield(SchedSite::CoreIdle);
-        } else {
-            let _span = ph.enter(ProfSite::CoreWaitPark);
-            host.park(sched, SchedSite::CoreIdle, CORE_PARK_TIMEOUT, || {
+        // Every core is capped: wait for the manager to widen a window
+        // (it unparks on every publish; the park timeout covers
+        // lost-wakeup races and shutdown).
+        let _span = ph.enter(backoff.next_site([ProfSite::CoreWaitYield, ProfSite::CoreWaitPark]));
+        backoff.wait_with(sched, SchedSite::CoreIdle, |timeout| {
+            host.park(sched, SchedSite::CoreIdle, timeout, || {
                 done.load(Ordering::Relaxed)
                     || cores.iter().any(|c| {
                         c.shared.local.load(Ordering::Relaxed)
                             < c.shared.max_local.load(Ordering::Relaxed)
                     })
             });
-        }
+        });
     }
     sched.unregister();
     cores.into_iter().map(LaneCore::close).collect()
 }
 
-/// Blocks for the next command from the manager: a real blocking receive
-/// natively, a scheduler-visible `try_recv` poll under a virtual scheduler
+/// Blocks for the next message on `rx` — a command on a lane thread, a
+/// lane's reply on the manager: a real blocking receive natively, a
+/// scheduler-visible `try_recv` poll at `site` under a virtual scheduler
 /// (a blocked `recv` would hold the scheduling token forever). `None`
-/// when the manager is gone.
-fn next_command<T>(cmd_rx: &Receiver<T>, virt: bool, sched: &dyn HostSched) -> Option<T> {
-    if !virt {
-        return cmd_rx.recv().ok();
+/// when the other side hung up.
+fn recv<T>(rx: &Receiver<T>, sched: &dyn HostSched, site: SchedSite) -> Option<T> {
+    if !sched.virtualized() {
+        return rx.recv().ok();
     }
     loop {
-        match cmd_rx.try_recv() {
-            Ok(cmd) => return Some(cmd),
-            Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitCmd),
+        match rx.try_recv() {
+            Ok(msg) => return Some(msg),
+            Err(TryRecvError::Empty) => sched.idle_yield(site),
             Err(TryRecvError::Disconnected) => return None,
         }
     }
@@ -991,7 +981,7 @@ where
     let mut locals: Vec<Cycle> = Vec::with_capacity(n);
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
-    let mut backoff = Backoff::manager(lanes.oversubscribed, virt);
+    let mut backoff = Backoff::new(virt);
     // A dead lane's clocks never move again, so the idle path is where
     // every other stall ends up: the death flag is read there.
     let died = Arc::clone(&lanes.died);
@@ -999,7 +989,8 @@ where
         if died.load(Ordering::Acquire) {
             return Err(LaneDied);
         }
-        let _span = ph.enter(backoff.next_site());
+        let _span =
+            ph.enter(backoff.next_site([ProfSite::ManagerWaitYield, ProfSite::ManagerWaitPark]));
         k.timed_wait(|| backoff.wait(sched, SchedSite::ManagerIdle));
         Ok(())
     };
@@ -1075,7 +1066,7 @@ where
                         let _span = ph.enter(ProfSite::CheckpointCapture);
                         lanes.stop_all(sched)?;
                         drain_outqs(shared, &mut gq, &mut drain_buf);
-                        capture_all(k, shared, lanes, committed, sched)?;
+                        capture_all(k, lanes, committed, sched)?;
                         lanes.resume_all(sched);
                     }
                     k.commit_checkpoint(g, committed.load(Ordering::Acquire), uncore, None);
@@ -1125,11 +1116,10 @@ where
             }
             // Hand each lane its cores' checkpoint bases by move; the lane
             // rewinds each core in place via `restore_from` (copying back
-            // only the units that diverged) and returns the base through
-            // the core's snapshot slot, so no full-model clone happens on
-            // either side.
+            // only the units that diverged) and returns the base in its
+            // reply, so no full-model clone happens on either side.
             let mut bases = k.take_bases().into_iter().map(Box::new);
-            lanes.obey_all(sched, committed, &ph, |cores| {
+            let returned = lanes.obey_all(sched, committed, &ph, |cores| {
                 Command::Rewind(
                     cores
                         .map(|i| (bases.next().expect("a base per core"), k.core_gen(i)))
@@ -1137,9 +1127,9 @@ where
                 )
             })?;
             k.return_bases(
-                shared
-                    .iter()
-                    .map(|s| match s.snapshot.take().expect("base returned") {
+                returned
+                    .into_iter()
+                    .map(|capture| match capture {
                         CoreCapture::Base(b) => *b,
                         CoreCapture::Delta(_) => unreachable!("a rewind hands back the base"),
                     })
@@ -1190,7 +1180,7 @@ where
                     continue;
                 }
                 match lanes.ack_rxs[next % spawned].try_recv() {
-                    Ok(()) => acked += 1,
+                    Ok(_) => acked += 1,
                     Err(TryRecvError::Disconnected) => return Err(LaneDied),
                     // Keep the poll visible to a virtual scheduler so the
                     // cores can run towards their acks.
@@ -1208,7 +1198,7 @@ where
                 continue;
             }
             // Lanes are paused right after their RunTo ack: capture them.
-            capture_all(k, shared, lanes, committed, sched)?;
+            capture_all(k, lanes, committed, sched)?;
             let stop_at = Cycle::new(stop_at);
             k.commit_checkpoint(stop_at, committed.load(Ordering::Acquire), uncore, None);
             locals.fill(stop_at);
@@ -1294,32 +1284,10 @@ fn drain_outqs<C: CoreModel + Checkpointable>(
     total
 }
 
-/// Blocks until every lane has acknowledged the last command: a real
-/// blocking receive natively, a scheduler-visible poll under a virtual
-/// scheduler. A lane that died instead hangs up its ack channel.
-fn await_acks(ack_rxs: &[Receiver<()>], sched: &dyn HostSched) -> Result<(), LaneDied> {
-    let virt = sched.virtualized();
-    for rx in ack_rxs {
-        if !virt {
-            rx.recv().map_err(|_| LaneDied)?;
-            continue;
-        }
-        loop {
-            match rx.try_recv() {
-                Ok(()) => break,
-                Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitAck),
-                Err(TryRecvError::Disconnected) => return Err(LaneDied),
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Has every (stopped) lane capture its cores' deltas since the standing
 /// checkpoint and folds the captures into the kernel's base.
 fn capture_all<C, U>(
     k: &mut Kernel<C, U>,
-    shared: &[Arc<CoreShared<C>>],
     lanes: &mut LaneSet<C>,
     committed: &AtomicU64,
     sched: &dyn HostSched,
@@ -1329,24 +1297,22 @@ where
     U: UncoreModel<C::Event> + Checkpointable,
 {
     let ph = k.prof_handle();
-    lanes.obey_all(sched, committed, &ph, |cores| {
+    let captures = lanes.obey_all(sched, committed, &ph, |cores| {
         Command::Snapshot(cores.map(|i| k.core_gen(i)).collect())
     })?;
     let _span = ph.enter(ProfSite::CheckpointApply);
-    for (i, s) in shared.iter().enumerate() {
-        match s.snapshot.take().expect("snapshot filled") {
-            CoreCapture::Delta(capture) => {
-                let (delta, inbox, gen) = *capture;
-                k.absorb_core(i, delta, inbox, gen);
-            }
-            CoreCapture::Base(_) => unreachable!("a snapshot command captures a delta"),
-        }
+    for (i, capture) in captures.into_iter().enumerate() {
+        let CoreCapture::Delta(capture) = capture else {
+            unreachable!("a snapshot command captures a delta");
+        };
+        let (delta, inbox, gen) = *capture;
+        k.absorb_core(i, delta, inbox, gen);
     }
     Ok(())
 }
 
 /// Core `s`'s (OutQ, InQ) depths, from the rings' relaxed counters.
-fn ring_depths<C: CoreModel + Checkpointable>(s: &CoreShared<C>) -> (u64, u64) {
+fn ring_depths<C: CoreModel>(s: &CoreShared<C>) -> (u64, u64) {
     (s.outq.depth_hint() as u64, s.inq.depth_hint() as u64)
 }
 
@@ -1362,7 +1328,7 @@ mod tests {
     // compared against the sequential engine on real CMP models. The
     // SPSC ring it is built on has its own stress suite in
     // crates/core/tests/spsc_stress.rs. What is left here is what those
-    // cannot reach: a core model that panics.
+    // cannot reach: a core model that panics, ticking or being captured.
 
     use std::sync::mpsc;
 
@@ -1370,6 +1336,7 @@ mod tests {
     use crate::engine::batched::tests::{Fuse, Toy, ToyCore};
     use crate::engine::ServiceSink;
     use crate::scheme::Scheme;
+    use crate::speculative::SpeculationConfig;
     use crate::stats::Counters;
 
     /// Pongs every ping back 5 cycles later, in whatever order a greedy
@@ -1389,22 +1356,21 @@ mod tests {
 
     crate::impl_checkpointable_by_clone!(Echo);
 
-    /// Runs 8 cores on 2 lanes, core `fused` blowing at cycle 2000, on a
-    /// thread of its own so that a hang fails the test instead of stalling
-    /// the suite. Returns the message `run()` unwound with.
-    fn blow_a_fuse(scheme: Scheme, fused: usize) -> String {
+    /// Runs an endless `run()` of `cores` (built on the run's thread) on 2
+    /// lanes, on a thread of its own so that a hang fails the test instead
+    /// of stalling the suite. Returns the message `run()` unwound with.
+    fn unwind_message<C: CoreModel<Event = Toy> + Checkpointable>(
+        scheme: Scheme,
+        speculation: Option<SpeculationConfig>,
+        cores: impl FnOnce() -> Vec<C> + Send + 'static,
+    ) -> String {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let mut cfg = EngineConfig::new(scheme, u64::MAX);
             cfg.host_threads = 2;
-            let cores = (0..8)
-                .map(|i| Fuse {
-                    inner: ToyCore::new(3),
-                    blow_at: (i == fused).then_some(2000),
-                })
-                .collect();
+            cfg.speculation = speculation;
             let run = catch_unwind(AssertUnwindSafe(|| {
-                ThreadedEngine::new(cores, Echo, cfg).run()
+                ThreadedEngine::new(cores(), Echo, cfg).run()
             }));
             let Err(panic) = run else {
                 panic!("an endless run returned");
@@ -1414,6 +1380,86 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(60))
             .expect("run() ends within 60 s instead of hanging")
             .expect("the lane's own panic payload")
+    }
+
+    /// 8 cores on 2 lanes, core `fused` blowing at cycle 2000.
+    fn blow_a_fuse(scheme: Scheme, fused: usize) -> String {
+        unwind_message(scheme, None, move || {
+            (0..8)
+                .map(|i| Fuse {
+                    inner: ToyCore::new(3),
+                    blow_at: (i == fused).then_some(2000),
+                })
+                .collect()
+        })
+    }
+
+    /// A toy core whose checkpoint capture panics once it has committed
+    /// 2000 instructions, if `botched`.
+    #[derive(Debug, Clone)]
+    struct Botch {
+        inner: ToyCore,
+        botched: bool,
+    }
+
+    impl CoreModel for Botch {
+        type Event = Toy;
+
+        fn tick(&mut self, ctx: &mut TickCtx<'_, Toy>) -> u32 {
+            self.inner.tick(ctx)
+        }
+
+        fn committed(&self) -> u64 {
+            self.inner.committed()
+        }
+
+        fn counters(&self) -> Counters {
+            self.inner.counters()
+        }
+    }
+
+    impl Checkpointable for Botch {
+        type Delta = Botch;
+
+        fn generation(&self) -> u64 {
+            0
+        }
+
+        fn capture_delta(&mut self, _since_gen: u64) -> Botch {
+            if self.botched && self.committed() >= 2000 {
+                panic!("toy core botched its capture");
+            }
+            self.clone()
+        }
+
+        fn apply_delta(&mut self, delta: Botch) {
+            *self = delta;
+        }
+
+        fn restore_from(&mut self, base: &Botch, _since_gen: u64) {
+            *self = base.clone();
+        }
+    }
+
+    #[test]
+    fn a_capture_that_panics_ends_the_run_from_either_lane() {
+        for scheme in [Scheme::CycleByCycle, Scheme::BoundedSlack { bound: 16 }] {
+            for (lane, core) in [(0, 0), (1, 4)] {
+                let cps = Some(SpeculationConfig::checkpoint_only(500));
+                let msg = unwind_message(scheme.clone(), cps, move || {
+                    (0..8)
+                        .map(|i| Botch {
+                            inner: ToyCore::new(3),
+                            botched: i == core,
+                        })
+                        .collect()
+                });
+                assert_eq!(
+                    msg, "toy core botched its capture",
+                    "{scheme:?}, lane {lane}"
+                );
+            }
+        }
     }
 
     #[test]

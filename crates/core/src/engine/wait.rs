@@ -1,6 +1,7 @@
-//! The spin → yield → park wait ladder of a host thread with nothing to do
-//! until another one makes progress: the threaded engine's manager, and
-//! both sides of the batched engine's window hand-off.
+//! The one yield → park wait ladder every host thread of the two
+//! host-parallel drivers waits through when it has nothing to do until
+//! another one makes progress: the threaded engine's manager and lane
+//! threads, and both sides of the batched engine's window hand-off.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -9,36 +10,22 @@ use std::time::Duration;
 use crate::obs::ProfSite;
 use crate::sched::{HostSched, SchedSite};
 
-/// Spin iterations before an idle manager starts yielding.
-const MGR_SPIN_ITERS: u32 = 32;
-/// Yield iterations before an idle manager parks.
-const MGR_YIELD_ITERS: u32 = 32;
-/// Yield iterations before an idle manager parks on an oversubscribed
-/// host (the spin tier is skipped there: spinning steals the quanta the
-/// core threads need, while yielding hands the CPU over within a few
-/// scheduler decisions).
-const MGR_YIELD_ITERS_OVERSUB: u32 = 128;
-/// Manager park timeout: nobody unparks the manager, so this is the
-/// polling cadence once the ladder bottoms out.
-const MGR_PARK_TIMEOUT: Duration = Duration::from_micros(20);
+/// Yield iterations before a waiter parks; there is no spin tier before
+/// them. A spin holds the CPU for ~20 ns that, on a host with fewer CPUs
+/// than waiters, the awaited thread needs, and costs that on every wait;
+/// a yield hands the CPU over instead (DESIGN §10, "One wait ladder").
+/// Deep enough to outlast a batched boundary resolution (~60 us at 64
+/// directory cores), whose worker would otherwise park inside it and
+/// wake the next window late (DESIGN §15.1).
+const YIELD_ITERS: u32 = 8192;
+/// Park timeout: a backstop where the other side unparks the waiter, the
+/// polling cadence of the threaded manager, whom nobody unparks.
+const PARK_TIMEOUT: Duration = Duration::from_micros(100);
 
-/// Spin and yield iterations before either side of a batched-engine
-/// window hand-off parks. Far deeper than the manager's: a worker idles
-/// through every boundary resolution (~60 us at 64 directory cores) and
-/// a park inside one costs the next window ~35 us of wake-up latency
-/// (DESIGN §15.1), so the busy tiers must outlast a resolution; parking
-/// is for the long serial stretches (a durable checkpoint, a run of
-/// windows too small to hand off).
-const WINDOW_SPIN_ITERS: u32 = 1024;
-const WINDOW_YIELD_ITERS: u32 = 8192;
-/// Park-timeout backstop of a window hand-off.
-const WINDOW_PARK_TIMEOUT: Duration = Duration::from_millis(1);
-
-/// Yield-tier depth used under a virtual scheduler (every ladder): the
-/// spin tier is skipped and the yield tier pinned to a short,
-/// machine-independent count so explored schedules do not depend on the
-/// host's core count or timing.
-pub(super) const VIRT_YIELD_ITERS: u32 = 2;
+/// Yield-tier depth under a virtual scheduler: every virtual yield is a
+/// scheduling decision, so the native depth would balloon an explored
+/// run.
+const VIRT_YIELD_ITERS: u32 = 2;
 
 /// CPUs this process may run on (its affinity mask and cgroup quota), 1
 /// where that cannot be told. Asked once per process: the answer costs a
@@ -63,58 +50,26 @@ pub(super) fn lane_width(host_threads: usize, cores: usize) -> usize {
     cores.div_ceil(want.min(cores))
 }
 
-/// True when the host cannot run `threads` engine threads concurrently.
-/// Spinning in that regime only burns the quanta the productive threads
-/// need, so the wait ladders skip their spin tier and lead with
-/// `yield_now`.
-pub(super) fn host_oversubscribed(threads: usize) -> bool {
-    host_cpus() < threads
-}
-
-/// The adaptive wait ladder: spin, then yield, then park with a timeout.
-/// Reset on any progress. On oversubscribed hosts the spin tier is
-/// skipped and the yield tier shortened: nothing can advance while the
-/// waiter holds the CPU, so burning it is counterproductive.
+/// The wait ladder: yield, then park with a timeout. Reset on any
+/// progress.
 pub(super) struct Backoff {
     idle: u32,
     pub(super) parks: u64,
-    spin_iters: u32,
-    park_after: u32,
-    park_timeout: Duration,
+    /// Yields before the park tier.
+    yields: u32,
 }
 
 impl Backoff {
-    pub(super) fn manager(oversubscribed: bool, virtualized: bool) -> Self {
-        let (spin_iters, yield_iters) = if virtualized {
-            (0, VIRT_YIELD_ITERS)
-        } else if oversubscribed {
-            (0, MGR_YIELD_ITERS_OVERSUB)
-        } else {
-            (MGR_SPIN_ITERS, MGR_YIELD_ITERS)
-        };
-        Backoff::new(spin_iters, yield_iters, MGR_PARK_TIMEOUT)
-    }
-
-    /// The ladder both sides of a batched-engine window hand-off wait
-    /// through: a worker for the next dispatched window, the manager for
-    /// the workers' lanes. Each side unparks the other when it publishes,
-    /// so the park timeout is a backstop only.
-    pub(super) fn window(oversubscribed: bool) -> Self {
-        let (spin_iters, yield_iters) = if oversubscribed {
-            (0, MGR_YIELD_ITERS_OVERSUB)
-        } else {
-            (WINDOW_SPIN_ITERS, WINDOW_YIELD_ITERS)
-        };
-        Backoff::new(spin_iters, yield_iters, WINDOW_PARK_TIMEOUT)
-    }
-
-    fn new(spin_iters: u32, yield_iters: u32, park_timeout: Duration) -> Self {
+    /// The ladder; `virtualized` pins its depth for a virtual scheduler.
+    pub(super) fn new(virtualized: bool) -> Self {
         Backoff {
             idle: 0,
             parks: 0,
-            spin_iters,
-            park_after: spin_iters + yield_iters,
-            park_timeout,
+            yields: if virtualized {
+                VIRT_YIELD_ITERS
+            } else {
+                YIELD_ITERS
+            },
         }
     }
 
@@ -123,29 +78,114 @@ impl Backoff {
         self.idle = 0;
     }
 
-    /// Profiler site the *next* `wait` call will land in, so the caller
-    /// can open the matching span before entering the ladder.
+    /// Which of a waiter's `[yield, park]` profiler sites the *next* wait
+    /// lands in, so the caller can open the matching span before entering
+    /// the ladder.
     #[inline]
-    pub(super) fn next_site(&self) -> ProfSite {
-        let next = self.idle.saturating_add(1);
-        if next <= self.spin_iters {
-            ProfSite::ManagerWaitSpin
-        } else if next <= self.park_after {
-            ProfSite::ManagerWaitYield
+    pub(super) fn next_site(&self, [yield_, park]: [ProfSite; 2]) -> ProfSite {
+        if self.idle < self.yields {
+            yield_
         } else {
-            ProfSite::ManagerWaitPark
+            park
         }
     }
 
+    /// One wait, parking on the scheduler itself at the park tier.
     pub(super) fn wait(&mut self, sched: &dyn HostSched, site: SchedSite) {
-        self.idle = self.idle.saturating_add(1);
-        if self.idle <= self.spin_iters {
-            sched.idle_spin(site);
-        } else if self.idle <= self.park_after {
+        self.wait_with(sched, site, |timeout| sched.park_timeout(site, timeout));
+    }
+
+    /// One wait, with `park` — handed the timeout — as the park tier.
+    pub(super) fn wait_with(
+        &mut self,
+        sched: &dyn HostSched,
+        site: SchedSite,
+        park: impl FnOnce(Duration),
+    ) {
+        if self.idle < self.yields {
+            self.idle += 1;
             sched.idle_yield(site);
         } else {
             self.parks += 1;
-            sched.park_timeout(site, self.park_timeout);
+            park(PARK_TIMEOUT);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use super::*;
+    use crate::sched::TaskId;
+
+    /// A scheduler that only records which tier each wait reached.
+    #[derive(Debug, Default)]
+    struct Tally(Mutex<Vec<&'static str>>);
+
+    impl Tally {
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    impl HostSched for Tally {
+        fn register(&self, _name: &str) -> TaskId {
+            TaskId(0)
+        }
+
+        fn unregister(&self) {}
+
+        fn idle_yield(&self, _site: SchedSite) {
+            self.0.lock().unwrap().push("yield");
+        }
+
+        fn park_timeout(&self, _site: SchedSite, _timeout: Duration) {
+            self.0.lock().unwrap().push("sched-park");
+        }
+
+        fn unpark(&self, _target: TaskId) {}
+    }
+
+    /// Waits `n` times through `b`, its park tier recording the timeout.
+    fn climb(b: &mut Backoff, sched: &Tally, n: usize) -> (Vec<&'static str>, Vec<Duration>) {
+        let mut parks = Vec::new();
+        for _ in 0..n {
+            b.wait_with(sched, SchedSite::CoreIdle, |t| parks.push(t));
+        }
+        (sched.take(), parks)
+    }
+
+    #[test]
+    fn the_ladder_yields_then_parks_and_reset_restarts_it() {
+        let sched = Tally::default();
+        let y = YIELD_ITERS as usize;
+        let sites = [ProfSite::CoreWaitYield, ProfSite::CoreWaitPark];
+        let mut b = Backoff::new(false);
+        for _ in 0..2 {
+            assert_eq!(b.next_site(sites), ProfSite::CoreWaitYield);
+            let (tiers, parks) = climb(&mut b, &sched, y + 3);
+            assert_eq!(tiers, vec!["yield"; y], "the park tier is the closure's");
+            assert_eq!(parks, vec![PARK_TIMEOUT; 3]);
+            assert_eq!(b.next_site(sites), ProfSite::CoreWaitPark);
+            b.reset();
+        }
+        assert_eq!(b.parks, 6);
+    }
+
+    #[test]
+    fn a_virtual_ladder_yields_twice() {
+        let sched = Tally::default();
+        let mut b = Backoff::new(true);
+        let (tiers, parks) = climb(&mut b, &sched, 4);
+        assert_eq!(tiers, ["yield", "yield"]);
+        assert_eq!(parks, vec![PARK_TIMEOUT; 2]);
+
+        // The plain wait parks on the scheduler.
+        b.reset();
+        for _ in 0..3 {
+            b.wait(&sched, SchedSite::ManagerIdle);
+        }
+        assert_eq!(sched.take(), ["yield", "yield", "sched-park"]);
     }
 }

@@ -41,7 +41,9 @@ pub enum ProfSite {
     /// A core advancing target cycles inside its slack window (both
     /// engines' burst loops).
     CoreTick = 0,
-    /// A core thread in the spin tier of the wait ladder.
+    /// A core thread in the spin tier of the wait ladder. The one ladder
+    /// has no spin tier, so nothing enters this site; it keeps its index
+    /// and name so profile artifacts stay readable and comparable.
     CoreWaitSpin = 1,
     /// A core thread in the yield tier of the wait ladder.
     CoreWaitYield = 2,
@@ -51,7 +53,8 @@ pub enum ProfSite {
     ManagerDrain = 4,
     /// The manager servicing the global queue through the uncore model.
     ManagerService = 5,
-    /// The manager in the spin tier of its wait ladder.
+    /// The manager in the spin tier of its wait ladder. Never entered,
+    /// like [`CoreWaitSpin`](Self::CoreWaitSpin).
     ManagerWaitSpin = 6,
     /// The manager in the yield tier of its wait ladder.
     ManagerWaitYield = 7,

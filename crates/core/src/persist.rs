@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic    [u8; 8]  b"SLAKSNAP"
-//! version  u32      format version (2; 3 is read-only, see below)
+//! version  u32      format version (2)
 //! fp_len   u32      length of the config-fingerprint string
 //! fp       [u8]     UTF-8 fingerprint: benchmark/scheme/cores/seed/cp-mode
 //! len      u64      payload length in bytes
@@ -47,13 +47,9 @@ use crate::violation::{KeyedMonitor, TimestampMonitor};
 
 /// File magic identifying a slacksim snapshot container.
 pub const MAGIC: [u8; 8] = *b"SLAKSNAP";
-/// The container format version every writer stamps.
+/// The container format version every writer stamps, and the only one
+/// readers accept.
 pub const FORMAT_VERSION: u32 = 2;
-/// Read-only legacy format version: a version-2 payload followed by the
-/// per-shard section of the removed sharded manager tree (`u32 k`, then
-/// `k` `u64` counters), which readers parse and discard so those
-/// snapshots still resume. Nothing writes it.
-pub const FORMAT_VERSION_SHARDED: u32 = 3;
 
 /// Everything that can go wrong while persisting or restoring a snapshot.
 #[derive(Debug)]
@@ -92,7 +88,7 @@ impl fmt::Display for PersistError {
             PersistError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot format version {v} (this build reads {FORMAT_VERSION}..={FORMAT_VERSION_SHARDED})"
+                    "unsupported snapshot format version {v} (this build reads {FORMAT_VERSION})"
                 )
             }
             PersistError::Truncated => write!(f, "snapshot file is truncated"),
@@ -744,21 +740,19 @@ fn seal_container(bytes: &mut [u8]) {
     seal[8..].copy_from_slice(&fnv1a(payload).to_le_bytes());
 }
 
-/// Validate a snapshot container and return `(version, fingerprint,
-/// payload)`.
+/// Validate a snapshot container and return `(fingerprint, payload)`.
 ///
 /// Checks magic, format version, structural completeness and the payload
 /// checksum; the caller compares the fingerprint against its own run
-/// configuration (see [`check_fingerprint`]) and decodes the payload the
-/// way its version says.
-pub fn decode_container(bytes: &[u8]) -> Result<(u32, &str, &[u8]), PersistError> {
+/// configuration (see [`check_fingerprint`]) and decodes the payload.
+pub fn decode_container(bytes: &[u8]) -> Result<(&str, &[u8]), PersistError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(8)?;
     if magic != MAGIC {
         return Err(PersistError::BadMagic);
     }
     let version = r.u32()?;
-    if !(FORMAT_VERSION..=FORMAT_VERSION_SHARDED).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let fp = std::str::from_utf8(r.bytes()?)
@@ -773,7 +767,7 @@ pub fn decode_container(bytes: &[u8]) -> Result<(u32, &str, &[u8]), PersistError
     if found != expected {
         return Err(PersistError::ChecksumMismatch { expected, found });
     }
-    Ok((version, fp, payload))
+    Ok((fp, payload))
 }
 
 /// Compare a snapshot fingerprint against the current run configuration.
@@ -1099,8 +1093,7 @@ mod tests {
     fn container_round_trip() {
         let payload = b"some payload bytes";
         let bytes = encode_container("bench=fft;cores=8", payload);
-        let (version, fp, body) = decode_container(&bytes).unwrap();
-        assert_eq!(version, FORMAT_VERSION);
+        let (fp, body) = decode_container(&bytes).unwrap();
         assert_eq!(fp, "bench=fft;cores=8");
         assert_eq!(body, payload);
     }
@@ -1140,17 +1133,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version_3_containers_decode_with_their_version() {
-        let payload = b"payload with shard section";
-        let mut bytes = encode_container("fp", payload);
+    fn version_3_containers_are_refused() {
+        let mut bytes = encode_container("fp", b"payload with shard section");
         assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
         // The checksum covers the payload only: restamping is enough.
-        bytes[8..12].copy_from_slice(&FORMAT_VERSION_SHARDED.to_le_bytes());
-        let (version, fp, body) = decode_container(&bytes).unwrap();
-        assert_eq!(
-            (version, fp, body),
-            (FORMAT_VERSION_SHARDED, "fp", &payload[..])
-        );
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = decode_container(&bytes).unwrap_err();
+        assert!(matches!(err, PersistError::UnsupportedVersion(3)));
+        assert!(err
+            .to_string()
+            .starts_with("unsupported snapshot format version 3"));
     }
 
     #[test]
@@ -1185,7 +1177,7 @@ mod tests {
                     buf == encode_container(fingerprint, &payload),
                     "{len}-byte payload, fingerprint {fingerprint:?}"
                 );
-                let (_, fp, body) = decode_container(&buf).unwrap();
+                let (fp, body) = decode_container(&buf).unwrap();
                 assert_eq!((fp, body.len()), (fingerprint, len));
             }
         }

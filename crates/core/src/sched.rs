@@ -1,20 +1,21 @@
 //! Host-scheduling abstraction for the threaded engine.
 //!
 //! The threaded engine's synchronisation protocol — SPSC ring hand-off,
-//! the spin→yield→park wait ladders, window publication and the
-//! stop-sync command channels — normally runs on the real host scheduler
-//! with real `std::thread` parking. That makes interleaving bugs (missed
-//! wakeups, reordered drains, checkpoint hand-off races) both rare and
-//! unreproducible: the park-timeout backstops mask lost wakeups as
-//! latency, and the host never replays the same schedule twice.
+//! the one yield→park wait ladder, window publication and the
+//! stop-sync command channels, whose replies carry checkpoint captures —
+//! normally runs on the real host scheduler with real `std::thread`
+//! parking. That makes interleaving bugs (missed wakeups, reordered
+//! drains, stop-sync races) both rare and unreproducible: the
+//! park-timeout backstops mask lost wakeups as latency, and the host
+//! never replays the same schedule twice.
 //!
 //! [`HostSched`] pulls every *wait* decision of the protocol behind one
 //! small trait so a test harness can substitute a deterministic
 //! scheduler:
 //!
 //! * [`NativeSched`] (the default, used by all production runs) maps each
-//!   operation 1:1 onto `std`: `spin_loop`, `yield_now`,
-//!   `park_timeout`/`unpark`. `point` is a no-op.
+//!   operation 1:1 onto `std`: `yield_now`, `park_timeout`/`unpark`.
+//!   `point` is a no-op.
 //! * A *virtual* scheduler (see the `slacksim-conformance` crate)
 //!   serialises all engine threads onto a cooperative token, decides at
 //!   every [`HostSched::point`] which thread runs next from a seeded or
@@ -72,10 +73,6 @@ pub enum SchedSite {
     RingDrain,
     /// Mutex-backed shared-queue operation (the campaign pool's job deques).
     QueueOp,
-    /// Checkpoint snapshot deposited into its hand-off slot.
-    SnapshotPut,
-    /// Checkpoint snapshot taken from its hand-off slot.
-    SnapshotTake,
     /// Top of the manager's consolidation loop.
     ManagerLoop,
     /// Manager idling in its backoff ladder.
@@ -88,7 +85,8 @@ pub enum SchedSite {
     /// sleep condition — the Dekker-style race window the wake fences
     /// protect.
     PreParkCheck,
-    /// Manager polling for a command acknowledgement.
+    /// Manager polling for a lane's reply to a command: its
+    /// acknowledgement, carrying any checkpoint captures.
     AwaitAck,
     /// Core thread polling for the next manager command.
     AwaitCmd,
@@ -115,7 +113,7 @@ pub enum SchedSite {
 pub trait HostSched: Send + Sync + fmt::Debug {
     /// Returns `true` for virtual (test) schedulers. The engine uses this
     /// to switch blocking channel receives to sched-visible polling and
-    /// to pin its wait-ladder depths to machine-independent values.
+    /// to pin the wait ladder's yield depth to a machine-independent two.
     fn virtualized(&self) -> bool {
         false
     }
@@ -131,9 +129,6 @@ pub trait HostSched: Send + Sync + fmt::Debug {
 
     /// A potential preemption point. No-op natively.
     fn point(&self, _site: SchedSite) {}
-
-    /// One spin-tier wait iteration (native: `std::hint::spin_loop`).
-    fn idle_spin(&self, site: SchedSite);
 
     /// One yield-tier wait iteration (native: `std::thread::yield_now`).
     fn idle_yield(&self, site: SchedSite);
@@ -182,11 +177,6 @@ impl HostSched for NativeSched {
     fn unregister(&self) {
         // Handles are kept: an unpark racing with task exit must still
         // find a valid `Thread` (unparking a finished thread is benign).
-    }
-
-    #[inline]
-    fn idle_spin(&self, _site: SchedSite) {
-        std::hint::spin_loop();
     }
 
     #[inline]

@@ -1,10 +1,10 @@
-//! Minimal std-only concurrency primitives for the threaded engine.
+//! The std-only event channel of the threaded engine.
 //!
 //! The kernel must build in fully offline environments, so it depends on
-//! nothing outside `std`. The threaded engine needs two shared
-//! structures: a fast single-producer/single-consumer event channel for
-//! the per-core OutQ/InQ paths ([`SpscRing`]) and a single-slot snapshot
-//! mailbox ([`SnapshotSlot`]).
+//! nothing outside `std`. The threaded engine shares one structure
+//! between threads beyond its atomics and `mpsc` command channels: a fast
+//! single-producer/single-consumer event channel for the per-core OutQ/InQ
+//! paths ([`SpscRing`]).
 //!
 //! [`SpscRing`] is the hot path: a lock-free bounded ring of
 //! Acquire/Release atomics with cached indices (one cache-line handoff
@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::sched::{HostSched, SchedSite};
 
-/// Optional scheduling-point instrumentation shared by the sync
-/// primitives: `None` (the production default) costs one predictable
+/// Optional scheduling-point instrumentation of the ring: `None` (the
+/// production default) costs one predictable
 /// branch per operation; `Some` routes a labelled [`SchedSite`] to a
 /// virtual scheduler before the operation proceeds, so a conformance
 /// harness can interleave the producer and consumer protocols at
@@ -385,89 +385,10 @@ impl<T> Drop for SpscRing<T> {
     }
 }
 
-/// A double-buffered mailbox used for checkpoint snapshots: the core
-/// thread deposits its state, the manager takes it.
-///
-/// `put` always writes into the buffer the consumer is *not* reading
-/// (the back buffer) and flips the front index afterwards, so a producer
-/// never waits on a consumer still moving a large snapshot out of the
-/// front buffer, and a displaced stale value is dropped by the producer
-/// outside any lock the consumer can observe. `take` returns the most
-/// recent `put`; older occupants are discarded lazily by the next `put`
-/// that rotates onto their buffer.
-#[derive(Debug, Default)]
-pub struct SnapshotSlot<T> {
-    bufs: [Mutex<Option<T>>; 2],
-    /// Index of the buffer holding the most recent `put` (what the next
-    /// `take` reads).
-    front: AtomicUsize,
-    /// Scheduling-point hook; `None` in production.
-    hook: SchedHook,
-}
-
-impl<T> SnapshotSlot<T> {
-    /// Creates an empty slot.
-    pub fn new() -> Self {
-        Self::with_sched(None)
-    }
-
-    /// Creates an empty slot with a scheduling-point hook invoked on
-    /// every put/take. Production callers pass `None`.
-    pub fn with_sched(hook: SchedHook) -> Self {
-        SnapshotSlot {
-            bufs: [Mutex::new(None), Mutex::new(None)],
-            front: AtomicUsize::new(0),
-            hook,
-        }
-    }
-
-    /// Stores `value`; a subsequent `take` returns it instead of any
-    /// previous occupant.
-    pub fn put(&self, value: T) {
-        sched_point(&self.hook, SchedSite::SnapshotPut);
-        let back = 1 - self.front.load(Ordering::Relaxed);
-        let displaced = {
-            let mut b = self.bufs[back].lock().expect("slot poisoned");
-            b.replace(value)
-        };
-        self.front.store(back, Ordering::Release);
-        // Dropping a stale snapshot can be expensive; do it outside the
-        // buffer lock.
-        drop(displaced);
-    }
-
-    /// Removes and returns the most recently `put` value, if any.
-    pub fn take(&self) -> Option<T> {
-        sched_point(&self.hook, SchedSite::SnapshotTake);
-        let front = self.front.load(Ordering::Acquire);
-        self.bufs[front].lock().expect("slot poisoned").take()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn snapshot_slot_roundtrip() {
-        let s = SnapshotSlot::new();
-        assert!(s.take().is_none());
-        s.put(7);
-        s.put(9); // replaces: take only ever sees the most recent put
-        assert_eq!(s.take(), Some(9));
-        assert!(s.take().is_none());
-        // The buffers rotate; stale occupants are discarded, never
-        // resurrected.
-        s.put(11);
-        assert_eq!(s.take(), Some(11));
-        assert!(s.take().is_none());
-        s.put(13);
-        s.put(15);
-        s.put(17);
-        assert_eq!(s.take(), Some(17));
-        assert!(s.take().is_none());
-    }
 
     #[test]
     fn ring_fifo_within_capacity() {

@@ -1144,7 +1144,7 @@ OBSERVABILITY:
 PROFILING:
   --profile             self-profile the host: record scoped spans at every
                         engine site (core ticks, manager drains, each tier of
-                        the spin/yield/park wait ladder, checkpoint capture/
+                        the yield/park wait ladder, checkpoint capture/
                         apply/restore, persist I/O, export) and print a
                         per-site host-time table after the run; never
                         perturbs simulation results

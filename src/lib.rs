@@ -346,12 +346,11 @@ impl Simulation {
         let bytes = std::fs::read(path).map_err(|e| {
             EngineError::Resume(format!("cannot read snapshot {}: {e}", path.display()))
         })?;
-        let (version, found_fp, payload) = persist::decode_container(&bytes)
+        let (found_fp, payload) = persist::decode_container(&bytes)
             .map_err(|e| EngineError::Resume(format!("{}: {e}", path.display())))?;
-        persist::check_fingerprint(&self.config_fingerprint(), &current_fingerprint(found_fp))
+        persist::check_fingerprint(&self.config_fingerprint(), found_fp)
             .map_err(|e| EngineError::Resume(e.to_string()))?;
         snapshot::decode_snapshot(
-            version,
             payload,
             self.build_cores(),
             CmpUncore::new(&self.cmp),
@@ -462,34 +461,9 @@ impl Simulation {
     }
 }
 
-/// Snapshots written while checkpoints still had a capture mode end their
-/// fingerprint in `cpmode=full@N` or `cpmode=delta@N`. The mode never
-/// changed what a snapshot contains, so both read as today's `cpmode=N`;
-/// a different interval is still a mismatch.
-fn current_fingerprint(found: &str) -> String {
-    for legacy in ["/cpmode=full@", "/cpmode=delta@"] {
-        if let Some((head, interval)) = found.rsplit_once(legacy) {
-            return format!("{head}/cpmode={interval}");
-        }
-    }
-    found.to_owned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_fingerprints_read_as_the_current_spelling() {
-        let now = "bench=FFT/scheme=cc/uncore=bus/cores=2/seed=1/cpmode=1000";
-        for mode in ["full", "delta"] {
-            let old = format!("bench=FFT/scheme=cc/uncore=bus/cores=2/seed=1/cpmode={mode}@1000");
-            assert_eq!(current_fingerprint(&old), now);
-        }
-        assert_eq!(current_fingerprint(now), now);
-        let off = "bench=FFT/scheme=cc/uncore=bus/cores=2/seed=1/cpmode=off";
-        assert_eq!(current_fingerprint(off), off);
-    }
 
     #[test]
     fn builder_defaults_match_paper() {

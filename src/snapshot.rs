@@ -14,9 +14,7 @@ use slacksim_cmp::event::MemEvent;
 use slacksim_cmp::uncore::CmpUncore;
 use slacksim_core::engine::{CheckpointView, EngineResume};
 use slacksim_core::event::{Inbox, Timestamped};
-use slacksim_core::persist::{
-    ByteReader, ByteWriter, Persist, PersistError, FORMAT_VERSION_SHARDED,
-};
+use slacksim_core::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use slacksim_core::rng::Xoshiro256;
 use slacksim_core::scheme::Scheme;
 use slacksim_core::speculative::IntervalTracker;
@@ -131,13 +129,11 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>, w: 
     w.u64(view.max_spread);
 }
 
-/// Decodes a snapshot payload of container format `version` into restored
-/// engine state. `fresh_cores` and `fresh_uncore` must be newly built from
+/// Decodes a snapshot payload into restored engine state. `fresh_cores` and `fresh_uncore` must be newly built from
 /// the same configuration as the persisted run (streams at position zero,
 /// empty caches); each model's `load_state` then rebuilds its exact state
 /// in place.
 pub(crate) fn decode_snapshot(
-    version: u32,
     payload: &[u8],
     fresh_cores: Vec<CmpCore>,
     fresh_uncore: CmpUncore,
@@ -200,13 +196,6 @@ pub(crate) fn decode_snapshot(
         bound_trace.push((Cycle::new(r.u64()?), r.u64()?));
     }
     let max_spread = r.u64()?;
-    if version == FORMAT_VERSION_SHARDED {
-        // The removed manager tree's per-shard forwarded counters:
-        // host telemetry that nothing reads any more.
-        for _ in 0..r.u32()? {
-            r.u64()?;
-        }
-    }
     r.finish()?;
     Ok(EngineResume {
         global,
@@ -256,11 +245,10 @@ mod tests {
 
     /// Decodes `payload` the way `--resume` does, into models freshly
     /// built for `sim`.
-    fn decode(sim: &Simulation, version: u32, payload: &[u8]) -> Result<(), PersistError> {
+    fn decode(sim: &Simulation, payload: &[u8]) -> Result<(), PersistError> {
         let spec_interval = sim.speculation.map(|s| s.interval);
         let fresh_uncore = CmpUncore::new(&sim.cmp);
         decode_snapshot(
-            version,
             payload,
             sim.build_cores(),
             fresh_uncore,
@@ -291,12 +279,12 @@ mod tests {
             let checkpoints = report.kernel.get("checkpoints");
             let bytes = std::fs::read(dir.join(format!("cp-{checkpoints:08}"))).expect("snapshot");
             let _ = std::fs::remove_dir_all(&dir);
-            let (version, _, payload) = persist::decode_container(&bytes).expect("container");
-            decode(&sim, version, payload).expect("the intact payload decodes");
+            let (_, payload) = persist::decode_container(&bytes).expect("container");
+            decode(&sim, payload).expect("the intact payload decodes");
 
             for cut in 0..payload.len() {
                 assert!(
-                    decode(&sim, version, &payload[..cut]).is_err(),
+                    decode(&sim, &payload[..cut]).is_err(),
                     "{kind}: a {cut}-byte prefix of {} decoded",
                     payload.len()
                 );
@@ -305,8 +293,7 @@ mod tests {
             for at in 0..payload.len() {
                 for mask in [0x01, 0xff] {
                     flipped[at] ^= mask;
-                    let decoded =
-                        catch_unwind(AssertUnwindSafe(|| decode(&sim, version, &flipped)));
+                    let decoded = catch_unwind(AssertUnwindSafe(|| decode(&sim, &flipped)));
                     assert!(decoded.is_ok(), "{kind}: byte {at} ^ {mask:#04x} panicked");
                     flipped[at] ^= mask;
                 }

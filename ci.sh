@@ -24,8 +24,9 @@ SLACKSIM_CONFORMANCE_SEEDS=4 \
 
 echo "==> speculative smoke (threaded, bounded slack, rollback on every violation)"
 # One end-to-end threaded speculative run through the release binary
-# under a greedy (bounded) scheme: stop-sync checkpoints, delta capture
-# on the core threads and the base-hand-back rollback all run for real.
+# under a greedy (bounded) scheme: checkpoints that cap every window at
+# the kernel's stop point, delta capture on the lanes and the
+# base-hand-back rollback all run for real.
 # (That a delta-maintained base equals a fresh clone is proven per model
 # in crates/cmp/tests/delta_roundtrip.rs, which the test tiers above run.)
 ./target/release/slacksim --scheme bounded --bound 16 --engine threaded \
@@ -101,7 +102,7 @@ if command -v taskset > /dev/null; then
         echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
 
-echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, four slack lanes on one CPU, unbounded rollback)"
+echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, four slack lanes on one CPU, unbounded/adaptive/p2p rollback)"
 # Core lanes on the release binary (DESIGN §10, "Core lanes"): the
 # threaded engine's lane count is a host knob, so under cycle-by-cycle
 # the whole verbose report — everything but the two host-time lines and
@@ -120,7 +121,10 @@ echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes o
 # replay, towards an uncapped window — stalls here, so it fails in
 # seconds instead of hanging tests/persist_resume.rs (two lanes roll
 # back and replay hundreds of times in 2 M commits; one lane never
-# does).
+# does). The same runs on two lanes under adaptive slack, whose windows
+# shrink while a checkpoint's stop point is pending, and under Lax-P2P,
+# whose windows are per core — adaptive also on one CPU: a stop point
+# that lies below some core never fills, and hangs rather than fails.
 thr_flags=(--benchmark fft --scheme cc --engine threaded --cores 8
     --commit 200000 --verbose)
 thr_report() { # the simulated report of one run: thr_report COMMAND...
@@ -141,11 +145,19 @@ if command -v taskset > /dev/null; then
         --scheme bounded --bound 16 --cores 4 --host-threads 4 --commit 2000000 > /dev/null || {
         echo "ci: four slack lanes pinned to one CPU hung or failed" >&2; exit 1; }
 fi
-for h in 1 2; do
-    timeout 60 ./target/release/slacksim --benchmark water --scheme unbounded --engine threaded \
+spec_run() { # spec_run SCHEME HOST_THREADS [COMMAND PREFIX...]
+    local scheme="$1" h="$2"; shift 2
+    timeout 60 "$@" ./target/release/slacksim --benchmark water --scheme "$scheme" --engine threaded \
         --cores 4 --checkpoint 500 --rollback all --host-threads "$h" --commit 2000000 > /dev/null || {
-        echo "ci: speculative unbounded run on $h lanes hung or failed" >&2; exit 1; }
+        echo "ci: speculative $scheme run on $h lanes ${*:+($*) }hung or failed" >&2; exit 1; }
+}
+spec_run unbounded 1
+for scheme in unbounded adaptive p2p; do
+    spec_run "$scheme" 2
 done
+if command -v taskset > /dev/null; then
+    spec_run adaptive 2 taskset -c 0
+fi
 
 echo "==> benchmark/ self-tests + golden-fingerprint smoke"
 # The acceptance driver judges every PR with benchmark/ (BENCHMARK.json),

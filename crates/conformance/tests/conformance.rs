@@ -9,7 +9,7 @@
 //! `conformance-repro v1 ...` line; paste it into
 //! `slacksim_conformance::run_repro` to replay the exact schedule.
 
-use slacksim::scheme::Scheme;
+use slacksim::scheme::{AdaptiveConfig, Scheme};
 use slacksim::{Benchmark, EngineKind, SimReport, SpeculationConfig, UncoreKind, ViolationSelect};
 use slacksim_conformance::{
     check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on, run_repro,
@@ -288,11 +288,15 @@ fn threaded_cc_is_exact_at_every_lane_count() {
 /// lanes are the manager, stepping lane 0, plus 2 spawned lane tasks of
 /// 2 cores each to the virtual scheduler, so every policy runs against
 /// them unchanged (`starve:1` starves lane 1). Cycle-by-cycle must keep
-/// the sequential fingerprint; bounded slack — plain, and speculative so
-/// that `Snapshot` and `Rewind` carry two cores a lane, on the manager and
-/// on the lane threads — must finish, uphold the invariants and lose no
-/// wake-up (one unpark per spawned lane per publish, none when no window
-/// moved, is all the lanes get).
+/// the sequential fingerprint, and so must its checkpoints, captured at
+/// the barrier where every core is already capped. The greedy schemes —
+/// bounded slack plain and speculative, so that `Snapshot` and `Rewind`
+/// carry two cores a lane on the manager and on the lane threads;
+/// adaptive, whose windows shrink while a stop point is pending; Lax-P2P,
+/// whose windows are per core — must finish, uphold the invariants and
+/// lose no wake-up (one unpark per spawned lane per publish, none when no
+/// window moved, is all the lanes get). A stop point below some core
+/// would never fill: the run would stall instead of finishing.
 #[test]
 fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
     use slacksim::Simulation;
@@ -335,16 +339,42 @@ fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
     };
     let cc = Scheme::CycleByCycle;
     let reference = run_engine(Benchmark::Fft, 6, &cc, target(), 1, EngineKind::Sequential);
+    let checkpoints = SpeculationConfig::checkpoint_only(500);
+    let cp_reference = run_speculative(
+        Benchmark::Fft,
+        6,
+        &cc,
+        target(),
+        1,
+        EngineKind::Sequential,
+        checkpoints,
+    );
     let b8 = Scheme::BoundedSlack { bound: 8 };
     let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
+    let greedy = [
+        (b8.clone(), None),
+        (b8, Some(rollback)),
+        (Scheme::Adaptive(AdaptiveConfig::default()), Some(rollback)),
+        (
+            Scheme::LaxP2p {
+                lead: 8,
+                period: 100,
+                seed: 1,
+            },
+            Some(rollback),
+        ),
+    ];
     for policy in policies {
         for sched_seed in 0..smoke_seeds() {
             let (r, label) = run(policy, sched_seed, &cc, None);
             assert_exact(&reference, &r, &label);
-            for speculation in [None, Some(rollback)] {
-                let (r, label) = run(policy, sched_seed, &b8, speculation);
+            let (r, label) = run(policy, sched_seed, &cc, Some(checkpoints));
+            assert_eq!(fingerprint(&r), fingerprint(&reference), "{label}");
+            assert_exact(&cp_reference, &r, &label);
+            for (scheme, speculation) in &greedy {
+                let (r, label) = run(policy, sched_seed, scheme, *speculation);
                 assert!(r.committed >= target(), "{label}");
-                check_invariants(&r, &b8).unwrap_or_else(|e| panic!("{label}: {e}"));
+                check_invariants(&r, scheme).unwrap_or_else(|e| panic!("{label}: {e}"));
                 if speculation.is_some() {
                     assert!(r.kernel.get("checkpoints") > 0, "{label}: no checkpoints");
                 }
@@ -414,8 +444,8 @@ fn adversarial_schedules_lose_no_wakeups_under_slack() {
 }
 
 /// Checkpoint hand-off mid-drain: speculation under the virtual
-/// scheduler exercises the stop-sync / snapshot-mailbox protocol and the
-/// base-hand-back rollback path, and a fixed case replays to the
+/// scheduler exercises the stop point, the lanes' `Snapshot` replies and
+/// the base-hand-back rollback path, and a fixed case replays to the
 /// identical final committed state.
 #[test]
 fn speculative_checkpoint_handoff_replays_deterministically() {

@@ -1,11 +1,11 @@
 //! Campaign-level heartbeats: one JSON line per beat describing fleet
 //! progress, emitted on a host-time cadence while a sweep runs.
 //!
-//! Mirrors the per-run emitter in [`obs::live`](crate::obs::live) — same
+//! Runs on the per-run emitter of [`obs::live`](crate::obs::live) — same
 //! sink vocabulary ([`LiveConfig`]: stderr / atomically-replaced status
-//! file / in-process capture), same detached-observer-thread shape, same
+//! file / in-process capture), same detached observer thread, same
 //! single-line versioned-JSON discipline, same guaranteed terminal beat —
-//! but reads a [`CampaignStats`] block of job-level gauges instead of
+//! but renders a [`CampaignStats`] block of job-level gauges instead of
 //! engine cycle counters. The discriminating field is `"campaign":true`,
 //! which is how `slacksim report` tells a campaign heartbeat from an
 //! engine heartbeat before choosing a renderer.
@@ -15,12 +15,11 @@
 //! with the host scheduler, so conformance runs are unperturbed.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::obs::live::{emit, write_f64, LiveConfig, HEARTBEAT_VERSION};
+use crate::obs::live::{spawn_emitter, write_f64, LiveConfig, LiveHandle, HEARTBEAT_VERSION};
 
 /// Job-level gauges the sweep runner publishes and the emitter reads.
 /// All accesses are relaxed; each gauge is independent and a slightly
@@ -68,79 +67,12 @@ impl CampaignStats {
     }
 }
 
-/// Handle to a running campaign emitter; [`finish`](Self::finish) (or
-/// drop) emits the terminal beat and joins.
-#[derive(Debug)]
-pub struct CampaignLiveHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl CampaignLiveHandle {
-    /// Signals the emitter to write one final beat and joins it.
-    pub fn finish(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(join) = self.join.take() {
-            self.stop.store(true, Ordering::Release);
-            join.thread().unpark();
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for CampaignLiveHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Spawns the campaign emitter thread; no-op handle when `cfg` has no
-/// sink.
-pub fn spawn(cfg: LiveConfig, stats: Arc<CampaignStats>) -> CampaignLiveHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    if !cfg.has_sink() {
-        return CampaignLiveHandle { stop, join: None };
-    }
-    let stop2 = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name("slacksim-campaign-live".into())
-        .spawn(move || emitter_loop(cfg, stats, stop2))
-        .expect("spawn campaign live emitter thread");
-    CampaignLiveHandle {
-        stop,
-        join: Some(join),
-    }
-}
-
-fn emitter_loop(cfg: LiveConfig, stats: Arc<CampaignStats>, stop: Arc<AtomicBool>) {
+/// Spawns the campaign emitter thread; no thread when `cfg` has no sink.
+pub fn spawn(cfg: LiveConfig, stats: Arc<CampaignStats>) -> LiveHandle {
     let start = Instant::now();
-    let every = cfg.cadence();
-    let tmp_path = cfg.path.as_ref().map(|p| {
-        let mut tmp = p.as_os_str().to_owned();
-        tmp.push(".tmp");
-        PathBuf::from(tmp)
-    });
-    let mut buf = String::with_capacity(512);
-    let mut next = start + every;
-    loop {
-        let stopping = stop.load(Ordering::Acquire);
-        let now = Instant::now();
-        if stopping || now >= next {
-            render_campaign_heartbeat(&mut buf, start, &stats);
-            emit(&cfg, tmp_path.as_deref(), &buf);
-            if stopping {
-                return;
-            }
-            next = now + every;
-        }
-        let now = Instant::now();
-        if now < next && !stop.load(Ordering::Acquire) {
-            std::thread::park_timeout(next - now);
-        }
-    }
+    spawn_emitter(cfg, "slacksim-campaign-live", move |buf, _| {
+        render_campaign_heartbeat(buf, start, &stats);
+    })
 }
 
 /// Writes one `\n`-terminated campaign heartbeat into `buf` (replacing

@@ -35,7 +35,7 @@ pub mod spec;
 pub use aggregate::{
     render_aggregate_csv, JobRow, Manifest, AGGREGATE_VERSION, CSV_HEADER, LEGACY_CSV_HEADER,
 };
-pub use live::{CampaignLiveHandle, CampaignStats};
+pub use live::CampaignStats;
 pub use pool::{run_jobs, PoolOutcome};
 pub use spec::{
     Axes, EngineToken, Job, SchemeKind, SpecError, SweepSpec, UncoreToken, MAX_GRID_JOBS,

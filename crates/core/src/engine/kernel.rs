@@ -21,8 +21,9 @@
 //!   one) — the only seam between the kernel and where cores live;
 //! * [`Kernel::rollback_ledger`] plus the model-restore helpers when a
 //!   selected violation is pending;
-//! * [`Kernel::commit_checkpoint`] once every core stands at one common
-//!   time with all queues empty;
+//! * [`Kernel::arm_stop`] for the common time a checkpoint stops every
+//!   core at, and [`Kernel::commit_checkpoint`] once every core stands
+//!   there with all queues empty;
 //! * [`Kernel::finish`] to turn the run into a [`SimReport`].
 //!
 //! A driver may read the kernel's state through the accessors, record
@@ -177,6 +178,10 @@ pub(super) struct Kernel<C: CoreModel, U> {
     replaying: bool,
     replay_start: Cycle,
     next_cp_trigger: u64,
+    /// The common time every core stops at for the due checkpoint, armed
+    /// by [`arm_stop`](Kernel::arm_stop) until the checkpoint commits or a
+    /// rollback rewinds.
+    stop_at: Option<Cycle>,
     pending_rollback: bool,
     max_spread: u64,
     standing: Option<Standing<C, U>>,
@@ -272,6 +277,7 @@ where
             // `u64::MAX` keeps every checkpoint site unreachable when
             // speculation is off.
             next_cp_trigger: spec.map_or(u64::MAX, |s| s.interval),
+            stop_at: None,
             pending_rollback: false,
             max_spread: 0,
             standing: None,
@@ -355,14 +361,23 @@ where
         self.pending_rollback
     }
 
-    /// Global cycle at (or past) which the next checkpoint is due.
-    pub(super) fn cp_trigger(&self) -> u64 {
-        self.next_cp_trigger
-    }
-
     /// True once global time has crossed the checkpoint trigger.
     pub(super) fn checkpoint_due(&self, global: Cycle) -> bool {
         self.spec.is_some() && global.as_u64() >= self.next_cp_trigger
+    }
+
+    /// The stop point of the due checkpoint: every core runs up to it and
+    /// no further, and the checkpoint is taken once all stand there.
+    /// Armed the first time global time is past the trigger, at
+    /// `max(furthest, trigger)`, where `furthest` is the driver's upper
+    /// bound on any core's local time — so no core is already beyond it.
+    /// Cleared when the checkpoint commits or a rollback rewinds.
+    #[inline]
+    pub(super) fn arm_stop(&mut self, global: Cycle, furthest: Cycle) -> Option<Cycle> {
+        if self.stop_at.is_none() && self.checkpoint_due(global) {
+            self.stop_at = Some(furthest.max(Cycle::new(self.next_cp_trigger)));
+        }
+        self.stop_at
     }
 
     /// Records a trace event on the manager's handle (phases only the
@@ -770,6 +785,7 @@ where
                 .gauge_by(self.ids.persist_bytes, at, bytes as f64);
         }
         self.next_cp_trigger = at.as_u64() + self.spec.expect("speculation enabled").interval;
+        self.stop_at = None;
     }
 
     /// Rolls the ledger back to the standing checkpoint and enters replay:
@@ -804,6 +820,7 @@ where
         self.replay_start = global;
         self.trace_replay_phase(global, true);
         self.next_cp_trigger = global.as_u64() + self.spec.expect("speculation enabled").interval;
+        self.stop_at = None;
         self.pending_rollback = false;
         (global, committed)
     }

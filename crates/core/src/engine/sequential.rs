@@ -7,8 +7,8 @@
 //! host OS scheduler's nondeterminism. The manager role (global queue
 //! servicing, violation accounting, adaptive sampling, checkpointing and
 //! rollback) is the shared [`Kernel`]; this file is only the driver that
-//! decides which core ticks when: window arithmetic, the burst pick and
-//! the stop-sync that aligns every core for a checkpoint.
+//! decides which core ticks when: window arithmetic, capped at the
+//! kernel's checkpoint stop point, and the burst pick.
 //!
 //! Because every run with the same configuration and seed is bit-identical,
 //! this engine is the vehicle for the accuracy experiments (Figure 3) and
@@ -119,9 +119,6 @@ where
         let mut locals = vec![start_global; n];
         k.seed_base(&mut cores, &inboxes, &mut uncore, start_global, committed);
 
-        // Checkpoint stop-sync: the common local time every core runs to
-        // once global time has crossed the trigger.
-        let mut stop_at: Option<Cycle> = None;
         let mut runnable: Vec<usize> = Vec::with_capacity(n);
         // Barrier schemes hold the window fixed until every core reaches it
         // and the batch is serviced; greedy schemes slide it with global
@@ -158,7 +155,6 @@ where
                 gq.clear();
                 locals.fill(at);
                 committed = at_committed;
-                stop_at = None;
                 window_end = at + 1;
             }
             span_age += 1;
@@ -197,10 +193,8 @@ where
             k.on_global(global, committed, &locals, gq.len() as u64, |_| (0, 0));
 
             // Checkpoint scheduling: once global time crosses the trigger,
-            // stop-sync every core at one common local time.
-            if stop_at.is_none() && k.checkpoint_due(global) {
-                stop_at = Some(furthest.max(Cycle::new(k.cp_trigger())));
-            }
+            // every window is capped at one common stop point.
+            let stop_at = k.arm_stop(global, furthest);
 
             // Effective window for this iteration. Greedy schemes slide
             // continuously (uniformly, or per core for peer-to-peer
@@ -214,15 +208,9 @@ where
             let cap = cfg.lead_cap(global);
             let win_for = |i: usize| -> Cycle {
                 let base = per_core.as_ref().map_or(window_end, |v| v[i].min(cap));
-                match stop_at {
-                    Some(s) => base.min(s),
-                    None => base,
-                }
+                stop_at.map_or(base, |s| base.min(s))
             };
-            let win = match stop_at {
-                Some(s) => window_end.min(s),
-                None => window_end,
-            };
+            let win = stop_at.map_or(window_end, |s| window_end.min(s));
 
             runnable.clear();
             runnable.extend((0..n).filter(|&i| locals[i] < win_for(i)));
@@ -241,7 +229,6 @@ where
                     if !k.rollback_pending() {
                         k.capture_cores(cores.iter_mut().zip(&inboxes));
                         k.commit_checkpoint(s, committed, &mut uncore, Some(&rng));
-                        stop_at = None;
                         window_end = k.pacer.window_end(s);
                     }
                     continue;

@@ -21,11 +21,15 @@
 //! the lane count is a host knob only: nothing the manager computes can
 //! tell how the cores were folded, or which thread stepped them.
 //!
-//! Checkpoints and rollbacks use a stop-sync protocol over per-lane command
-//! channels: *stop → run-to common local time → drain → snapshot/restore →
-//! resume*, the in-memory equivalent of the paper's `fork()`-based global
-//! checkpoints. The manager carries out lane 0's share of each command
-//! inline, through the same per-core code the lane threads run.
+//! A checkpoint stops the cores the way the sequential engine does — the
+//! in-memory equivalent of the paper's `fork()`-based global checkpoints:
+//! once one is due, every published window is capped at the kernel's stop
+//! point, and when every core stands there each lane captures its cores.
+//! A rollback caps every window at the checkpoint and has each lane rewind
+//! its cores. Lanes receive these as one-shot commands, `Snapshot` and
+//! `Rewind`, which they obey at the top of their loop and answer with a
+//! reply; the manager obeys lane 0's inline, through the same per-core
+//! code.
 //!
 //! Everything here is built on `std` alone: `std::sync::mpsc` channels for
 //! commands and their replies (each lane's receiver is moved into its
@@ -34,12 +38,12 @@
 //!
 //! ## Host-synchronization design (see DESIGN.md "Engine concurrency")
 //!
-//! * OutQ/InQ are bounded lock-free SPSC rings with an overflow spill;
-//!   each direction has exactly one producer and one consumer, and the
-//!   stop-sync protocol's channel acks order every role handoff (e.g. the
-//!   manager clearing a core's InQ during rollback while the core's lane
-//!   is parked in its command loop). Lane 0's rings have the manager on
-//!   both ends.
+//! * Every shared per-core field has one writer for the whole run: the
+//!   core's lane stores its local time, pushes its OutQ and pops its InQ
+//!   (a rewind empties it there too); the manager stores its max local
+//!   time, pushes its InQ and drains its OutQ. OutQ/InQ are bounded
+//!   lock-free SPSC rings with an overflow spill; lane 0's have the
+//!   manager thread on both ends.
 //! * The manager drains each OutQ in one batch per visit and batch-inserts
 //!   into the global queue; its loop reuses persistent scratch buffers and
 //!   interned metric keys, so the steady state performs no heap
@@ -51,7 +55,7 @@
 //!   progress (a timed poll).
 //! * A core model that panics ends the run instead of hanging it. On a
 //!   spawned lane its death is visible to every manager wait (a flag on
-//!   the idle ladder, the hung-up reply channel in the stop-sync waits); on
+//!   the idle ladder, the hung-up reply channel in a command's wait); on
 //!   lane 0 it unwinds the manager loop itself. Either way the manager
 //!   releases and joins the spawned lanes and `run()` unwinds with the
 //!   core's own panic.
@@ -78,26 +82,22 @@ use crate::stats::SimReport;
 use crate::sync::SpscRing;
 use crate::time::Cycle;
 
-/// Commands the manager sends to a lane thread. Those that carry state
-/// carry it for every core of the lane, in core order. A lane acknowledges
-/// each but `Resume` with a reply that carries its cores' captures, in
-/// core order, for `Snapshot` and `Rewind`, and nothing for the others.
+/// The one-shot commands the manager sends a lane while its cores are
+/// capped. Each carries state for every core of the lane, in core order,
+/// and the lane replies with its cores' captures, in core order.
 enum Command<C: CoreModel> {
-    /// Pause at the current local times and acknowledge.
-    Stop,
-    /// Run every core (ignoring the published max local times) until its
-    /// local clock reaches the given cycle, then acknowledge.
-    RunTo(u64),
     /// Capture each core's delta against its generation at the previous
     /// checkpoint (the carried values).
     Snapshot(Vec<u64>),
-    /// Rewind each model onto its checkpoint base via
+    /// Rewind each core onto its checkpoint base at global time `at`:
+    /// drop its undelivered events, restore the model via
     /// [`Checkpointable::restore_from`] — the paired value being the
-    /// core's generation when the base was current — and hand the
-    /// untouched base back.
-    Rewind(Vec<(Box<CoreSnapshot<C>>, u64)>),
-    /// Leave the control sub-loop and return to normal execution.
-    Resume,
+    /// core's generation when the base was current — set its local time
+    /// to `at` and hand the untouched base back.
+    Rewind {
+        at: u64,
+        bases: Vec<(Box<CoreSnapshot<C>>, u64)>,
+    },
 }
 
 /// What a lane replies with for one of its cores.
@@ -114,7 +114,9 @@ enum CoreCapture<C: CoreModel + Checkpointable> {
 /// is all per core — clocks, window and queues do not know about lanes —
 /// so every manager computation is independent of the lane count.
 struct CoreShared<C: CoreModel> {
+    /// Stored by the core's lane only.
     local: AtomicU64,
+    /// Stored by the manager only.
     max_local: AtomicU64,
     /// Lane produces, manager consumes.
     outq: SpscRing<Timestamped<C::Event>>,
@@ -177,7 +179,7 @@ impl HostThread {
     /// in its park until the timeout backstop — a stall the
     /// virtual-scheduler conformance runs (which park without timeouts)
     /// diagnose as a livelock. A send to a dead lane is dropped: the
-    /// hung-up ack channel reports the death to whoever awaits the ack.
+    /// hung-up reply channel reports the death to the manager's wait.
     fn send<T>(&self, tx: &Sender<T>, cmd: T, sched: &dyn HostSched) {
         self.cmd_pending.store(true, Ordering::SeqCst);
         let _ = tx.send(cmd);
@@ -237,82 +239,37 @@ struct LaneSet<C: CoreModel + Checkpointable> {
 struct LaneDied;
 
 impl<C: CoreModel + Checkpointable> LaneSet<C> {
-    /// Sends every spawned lane the command `cmd` builds for its core
-    /// range (waking parked lanes).
-    fn send_all(&self, sched: &dyn HostSched, mut cmd: impl FnMut(Range<usize>) -> Command<C>) {
+    /// Has every lane carry out the command `cmd` builds for its core
+    /// range — lane 0 inline, once the spawned lanes have theirs — and
+    /// returns every core's capture in core order, lane 0's followed by
+    /// the spawned lanes' replies, awaited in lane order. A lane that died
+    /// instead hangs up its reply channel.
+    fn obey_all(
+        &mut self,
+        sched: &dyn HostSched,
+        ph: &ProfHandle,
+        mut cmd: impl FnMut(Range<usize>) -> Command<C>,
+    ) -> Result<Vec<CoreCapture<C>>, LaneDied> {
+        let own = cmd(0..self.own.len());
         for (j, (host, tx)) in self.hosts.iter().zip(&self.cmd_txs).enumerate() {
             let first = (j + 1) * self.width;
             let end = (first + self.width).min(self.cores);
             host.send(tx, cmd(first..end), sched);
         }
-    }
-
-    /// Has every lane carry out the command `cmd` builds for its core
-    /// range — lane 0 inline, once the spawned lanes have theirs — and
-    /// returns every core's capture in core order, lane 0's followed by
-    /// the spawned lanes' replies.
-    fn obey_all(
-        &mut self,
-        sched: &dyn HostSched,
-        committed: &AtomicU64,
-        ph: &ProfHandle,
-        mut cmd: impl FnMut(Range<usize>) -> Command<C>,
-    ) -> Result<Vec<CoreCapture<C>>, LaneDied> {
-        let own = cmd(0..self.own.len());
-        self.send_all(sched, cmd);
-        let mut captures = obey(&mut self.own, own, committed, &mut self.outbox, sched, ph);
-        self.await_replies(sched, &mut captures)?;
+        let mut captures = obey(&mut self.own, own, ph);
+        for rx in &self.ack_rxs {
+            captures.extend(recv(rx, sched).ok_or(LaneDied)?);
+        }
         debug_assert_eq!(captures.len(), self.cores, "a capture per core");
         Ok(captures)
-    }
-
-    /// Waits for every spawned lane's reply to the last command, in lane
-    /// order, appending the captures each carries to `captures`. A lane
-    /// that died instead hangs up its reply channel.
-    fn await_replies(
-        &self,
-        sched: &dyn HostSched,
-        captures: &mut Vec<CoreCapture<C>>,
-    ) -> Result<(), LaneDied> {
-        for rx in &self.ack_rxs {
-            captures.extend(recv(rx, sched, SchedSite::AwaitAck).ok_or(LaneDied)?);
-        }
-        Ok(())
     }
 
     /// Steps lane 0 (see [`step_lane`]) until the first pass in which one
     /// of its cores sent the manager an event, so that event waits for
     /// service no longer than a lane thread's would. Returns whether any
     /// core ticked.
-    fn step_own(
-        &mut self,
-        run_to: Option<u64>,
-        committed: &AtomicU64,
-        sched: &dyn HostSched,
-        ph: &ProfHandle,
-    ) -> bool {
-        step_lane(
-            &mut self.own,
-            run_to,
-            true,
-            committed,
-            &mut self.outbox,
-            sched,
-            ph,
-        )
-    }
-
-    /// Sends `Stop` to every spawned lane and waits for all
-    /// acknowledgements (lane 0 is stopped whenever the manager is not
-    /// stepping it).
-    fn stop_all(&self, sched: &dyn HostSched) -> Result<(), LaneDied> {
-        self.send_all(sched, |_| Command::Stop);
-        self.await_replies(sched, &mut Vec::new())
-    }
-
-    /// Sends `Resume` to every (paused) spawned lane.
-    fn resume_all(&self, sched: &dyn HostSched) {
-        self.send_all(sched, |_| Command::Resume);
+    fn step_own(&mut self, committed: &AtomicU64, sched: &dyn HostSched, ph: &ProfHandle) -> bool {
+        step_lane(&mut self.own, true, committed, &mut self.outbox, sched, ph)
     }
 
     /// Sets core `i`'s max local time to `window(i)` for every core and
@@ -579,9 +536,6 @@ where
             }));
 
             done.store(true, Ordering::Release);
-            // A manager that left because a core died may have left the
-            // lanes stop-synced in their command loops: hang up on them.
-            lanes.cmd_txs.clear();
             for host in &lanes.hosts {
                 host.wake(&*sched);
             }
@@ -724,25 +678,28 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
         )))
     }
 
-    /// Rewinds the core in place onto its checkpoint base — only units
-    /// that diverged since generation `since` are copied back — and hands
-    /// the untouched base back.
-    fn rewind(&mut self, base: Box<CoreSnapshot<C>>, since: u64) -> CoreCapture<C> {
+    /// Rewinds the core in place onto its checkpoint base at global time
+    /// `at` — its undelivered events dropped, only the units that diverged
+    /// since generation `since` copied back, its clock set to `at` — and
+    /// hands the untouched base back.
+    fn rewind(&mut self, base: Box<CoreSnapshot<C>>, since: u64, at: u64) -> CoreCapture<C> {
+        self.shared.inq.clear();
         self.model.restore_from(&base.0, since);
         self.inbox.clone_from(&base.1);
+        self.shared.local.store(at, Ordering::Release);
         CoreCapture::Base(base)
     }
 }
 
 /// Steps a lane's cores round-robin, one cycle each per pass, until a pass
-/// finds none below its limit — `run_to` when the manager gave one,
-/// otherwise the core's published max local time, re-read every pass so a
-/// window widened mid-burst is run out without going back to the lane
-/// loop (a pending command is picked up within one window's worth of
-/// ticks) — or, with `until_event`, until the first pass in which a core
-/// queued an event. One cycle per core per pass keeps the cores of a lane
-/// within a cycle of each other under slack; under cycle-by-cycle the
-/// order cannot matter. Returns whether any core ticked.
+/// finds none below its published max local time — re-read every pass, so
+/// a window widened mid-burst is run out without going back to the lane
+/// loop, and one lowered (a checkpoint's stop point, a rollback) caps the
+/// lane within a pass — or, with `until_event`, until the first pass in
+/// which a core queued an event. One cycle per core per pass keeps the
+/// cores of a lane within a cycle of each other under slack; under
+/// cycle-by-cycle the order cannot matter. Returns whether any core
+/// ticked.
 ///
 /// Commit counts accumulate locally and are flushed *before* any
 /// local-clock store that brings a core to its limit, so a manager that
@@ -750,7 +707,6 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
 /// barrier-mode finish decisions stay deterministic.
 fn step_lane<C: CoreModel + Checkpointable>(
     cores: &mut [LaneCore<C>],
-    run_to: Option<u64>,
     until_event: bool,
     committed: &AtomicU64,
     outbox: &mut Vec<Timestamped<C::Event>>,
@@ -764,22 +720,16 @@ fn step_lane<C: CoreModel + Checkpointable>(
         let mut sent = false;
         for core in cores.iter_mut() {
             let l = core.shared.local.load(Ordering::Relaxed);
-            let m = run_to.unwrap_or_else(|| core.shared.max_local.load(Ordering::Acquire));
-            // Phase spans follow the window only: a run-to is part of a
-            // stop-sync, which the manager traces itself.
+            let m = core.shared.max_local.load(Ordering::Acquire);
             if l >= m {
-                if run_to.is_none() {
-                    core.set_running(false, l);
-                }
+                core.set_running(false, l);
                 continue;
             }
             if span.is_none() {
                 sched.point(SchedSite::CoreBurst);
                 span = Some(ph.enter(ProfSite::CoreTick));
             }
-            if run_to.is_none() {
-                core.set_running(true, l);
-            }
+            core.set_running(true, l);
             let (c, s) = core.tick(l, outbox);
             burst += c;
             sent |= s;
@@ -800,25 +750,15 @@ fn step_lane<C: CoreModel + Checkpointable>(
     span.is_some()
 }
 
-/// Carries out one stop-sync command on a lane's cores, on the lane's
-/// thread — or on the manager's for lane 0, which only gets `Snapshot`
-/// and `Rewind` this way (it is stopped whenever the manager is not
-/// stepping it, and the manager steps its run-to between services).
-/// Returns the cores' captures, in core order: the reply to the command.
+/// Carries out one command on a lane's capped cores, on the lane's thread
+/// — or on the manager's for lane 0. Returns the cores' captures, in core
+/// order: the reply to the command.
 fn obey<C: CoreModel + Checkpointable>(
     cores: &mut [LaneCore<C>],
     cmd: Command<C>,
-    committed: &AtomicU64,
-    outbox: &mut Vec<Timestamped<C::Event>>,
-    sched: &dyn HostSched,
     ph: &ProfHandle,
 ) -> Vec<CoreCapture<C>> {
     match cmd {
-        Command::Stop | Command::Resume => Vec::new(),
-        Command::RunTo(target) => {
-            step_lane(cores, Some(target), false, committed, outbox, sched, ph);
-            Vec::new()
-        }
         Command::Snapshot(since) => {
             let _span = ph.enter(ProfSite::CheckpointCapture);
             cores
@@ -827,26 +767,26 @@ fn obey<C: CoreModel + Checkpointable>(
                 .map(|(core, since)| core.capture(since))
                 .collect()
         }
-        Command::Rewind(bases) => {
+        Command::Rewind { at, bases } => {
             let _span = ph.enter(ProfSite::CheckpointRestore);
             cores
                 .iter_mut()
                 .zip(bases)
-                .map(|(core, (base, since))| core.rewind(base, since))
+                .map(|(core, (base, since))| core.rewind(base, since, at))
                 .collect()
         }
     }
 }
 
-/// Main loop of the thread stepping lane `lane` (≥ 1): step the lane's
-/// cores while any is below its max local time, obey manager commands,
+/// Main loop of the thread stepping lane `lane` (≥ 1): obey a manager
+/// command, step the lane's cores while any is below its max local time,
 /// exit when the done flag rises.
 ///
 /// Each core records Run/Wait phase spans on its own trace handle at
 /// every transition between ticking and being capped by the window.
 /// When every core is capped the lane waits through the [`Backoff`]
 /// ladder, whose park tier is [`HostThread::park`]; the manager unparks
-/// the thread whenever it widens one of its cores' windows or sends a
+/// the thread whenever it changes one of its cores' windows or sends a
 /// command. Returns the cores' models.
 #[allow(clippy::too_many_arguments)]
 fn lane_thread<C: CoreModel + Checkpointable>(
@@ -869,38 +809,29 @@ fn lane_thread<C: CoreModel + Checkpointable>(
     let mut backoff = Backoff::new(sched.virtualized());
     cores.iter_mut().for_each(LaneCore::open_phase);
 
-    'main: loop {
-        // Control channel has priority over everything. Clear the pending
-        // flag *before* polling: a flag raised after the clear but whose
-        // command is missed by this poll is re-derived next iteration (the
-        // send's wake guarantees this loop runs again), while a flag
-        // consumed together with its command simply skips one park.
+    loop {
+        // A command comes first: the manager sends one only while every
+        // core of the lane is capped, so a lane that is stepping reaches
+        // this point within a pass. Clear the pending flag *before*
+        // polling: a flag raised after the clear but whose command is
+        // missed by this poll is re-derived next iteration (the send's
+        // wake guarantees this loop runs again), while a flag consumed
+        // together with its command simply skips one park.
         host.cmd_pending.store(false, Ordering::Relaxed);
         match cmd_rx.try_recv() {
-            Ok(mut cmd) => loop {
-                if let Command::Resume = cmd {
-                    continue 'main;
-                }
-                let reply = obey(&mut cores, cmd, committed, &mut outbox, sched, &ph);
+            Ok(cmd) => {
+                let reply = obey(&mut cores, cmd, &ph);
                 ack_tx.send(reply).expect("manager alive");
-                // Blocked in the control sub-loop (stop-synced for a
-                // checkpoint or rollback): attribute the host time to
-                // the park tier so it shows up in the profile.
-                let _span = ph.enter(ProfSite::CoreWaitPark);
-                let Some(next) = recv(cmd_rx, sched, SchedSite::AwaitCmd) else {
-                    break 'main;
-                };
-                cmd = next;
-            },
+            }
             Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => break 'main,
+            Err(TryRecvError::Disconnected) => break,
         }
 
         if done.load(Ordering::Acquire) {
-            break 'main;
+            break;
         }
 
-        if step_lane(&mut cores, None, false, committed, &mut outbox, sched, &ph) {
+        if step_lane(&mut cores, false, committed, &mut outbox, sched, &ph) {
             backoff.reset();
             continue;
         }
@@ -922,19 +853,18 @@ fn lane_thread<C: CoreModel + Checkpointable>(
     cores.into_iter().map(LaneCore::close).collect()
 }
 
-/// Blocks for the next message on `rx` — a command on a lane thread, a
-/// lane's reply on the manager: a real blocking receive natively, a
-/// scheduler-visible `try_recv` poll at `site` under a virtual scheduler
-/// (a blocked `recv` would hold the scheduling token forever). `None`
-/// when the other side hung up.
-fn recv<T>(rx: &Receiver<T>, sched: &dyn HostSched, site: SchedSite) -> Option<T> {
+/// Blocks for a lane's reply on the manager: a real blocking receive
+/// natively, a scheduler-visible `try_recv` poll under a virtual scheduler
+/// (a blocked `recv` would hold the scheduling token forever). `None` when
+/// the lane hung up.
+fn recv<T>(rx: &Receiver<T>, sched: &dyn HostSched) -> Option<T> {
     if !sched.virtualized() {
         return rx.recv().ok();
     }
     loop {
         match rx.try_recv() {
             Ok(msg) => return Some(msg),
-            Err(TryRecvError::Empty) => sched.idle_yield(site),
+            Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitAck),
             Err(TryRecvError::Disconnected) => return None,
         }
     }
@@ -950,9 +880,9 @@ struct ManagerExit {
 
 /// The simulation-manager loop (runs on the caller's thread inside the
 /// scope): the driver half — stepping lane 0, ring drains, window
-/// publication, the wait ladder and the stop-sync command protocol —
-/// around the kernel's verbs. Leaves early, with [`LaneDied`], as soon as
-/// a wait finds a spawned lane dead.
+/// publication, the wait ladder and the lanes' commands — around the
+/// kernel's verbs. Leaves early, with [`LaneDied`], as soon as a wait finds
+/// a spawned lane dead.
 fn manager_loop<C, U>(
     cfg: &EngineConfig,
     k: &mut Kernel<C, U>,
@@ -968,7 +898,6 @@ where
 {
     let n = shared.len();
     let sched: &dyn HostSched = &**cfg.sched.get();
-    let virt = sched.virtualized();
     let ph = k.prof_handle();
     let mut gq: GlobalQueue<C::Event> = GlobalQueue::new();
     // The kernel's delivery seam: responses go into the target core's InQ.
@@ -981,7 +910,7 @@ where
     let mut locals: Vec<Cycle> = Vec::with_capacity(n);
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
-    let mut backoff = Backoff::new(virt);
+    let mut backoff = Backoff::new(sched.virtualized());
     // A dead lane's clocks never move again, so the idle path is where
     // every other stall ends up: the death flag is read there.
     let died = Arc::clone(&lanes.died);
@@ -995,12 +924,17 @@ where
         Ok(())
     };
 
+    // The highest window published since the last rollback: the barrier
+    // gate's boundary, and under greedy pacing an upper bound on every
+    // core's clock — a lane may run a core up to a window the manager has
+    // since lowered (adaptive bounds shrink, Lax-P2P partners are
+    // re-drawn), never past the highest.
     let mut window_end = uniform_window(&*k.pacer, cfg, start_global);
     lanes.publish(shared, sched, |_| window_end);
 
     let (final_global, finish_reason) = loop {
         sched.point(SchedSite::ManagerLoop);
-        lanes.step_own(None, committed, sched, &ph);
+        lanes.step_own(committed, sched, &ph);
         let drained = {
             let _span = ph.enter(ProfSite::ManagerDrain);
             drain_outqs(shared, &mut gq, &mut drain_buf)
@@ -1060,15 +994,9 @@ where
                     break (g, FinishReason::CycleCap);
                 }
                 if k.checkpoint_due(g) {
-                    // Cores are already aligned at the boundary with
-                    // nothing in flight: capture directly.
-                    {
-                        let _span = ph.enter(ProfSite::CheckpointCapture);
-                        lanes.stop_all(sched)?;
-                        drain_outqs(shared, &mut gq, &mut drain_buf);
-                        capture_all(k, lanes, committed, sched)?;
-                        lanes.resume_all(sched);
-                    }
+                    // Every core is capped at the boundary with nothing in
+                    // flight: capture here.
+                    capture_all(k, lanes, sched)?;
                     k.commit_checkpoint(g, committed.load(Ordering::Acquire), uncore, None);
                 }
                 window_end = if k.replaying() {
@@ -1097,34 +1025,20 @@ where
 
         if k.rollback_pending() {
             let _span = ph.enter(ProfSite::CheckpointRestore);
-            lanes.stop_all(sched)?;
-            // Lanes are stopped (acks received), so the manager may act as
-            // the consumer of every ring during the wipe.
-            gq.clear();
-            for s in shared {
-                s.inq.clear();
-                s.outq.clear();
-            }
-            let now = shared
-                .iter()
-                .map(|s| Cycle::new(s.local.load(Ordering::Acquire)))
-                .min()
-                .expect("n >= 1");
-            let (at, at_committed) = k.rollback_ledger(now);
-            for s in shared {
-                s.local.store(at.as_u64(), Ordering::Release);
-            }
-            // Hand each lane its cores' checkpoint bases by move; the lane
+            let (at, at_committed) = k.rollback_ledger(global);
+            // Every core is at or past the checkpoint, so this caps each
+            // lane after its current pass, and a capped lane obeys the
+            // rewind. Each lane gets its cores' checkpoint bases by move,
             // rewinds each core in place via `restore_from` (copying back
             // only the units that diverged) and returns the base in its
             // reply, so no full-model clone happens on either side.
+            lanes.publish(shared, sched, |_| at);
             let mut bases = k.take_bases().into_iter().map(Box::new);
-            let returned = lanes.obey_all(sched, committed, &ph, |cores| {
-                Command::Rewind(
-                    cores
-                        .map(|i| (bases.next().expect("a base per core"), k.core_gen(i)))
-                        .collect(),
-                )
+            let returned = lanes.obey_all(sched, &ph, |cores| Command::Rewind {
+                at: at.as_u64(),
+                bases: cores
+                    .map(|i| (bases.next().expect("a base per core"), k.core_gen(i)))
+                    .collect(),
             })?;
             k.return_bases(
                 returned
@@ -1135,11 +1049,16 @@ where
                     })
                     .collect(),
             );
+            // Every lane has replied, so none pushes again before the next
+            // publish: what its last pass queued is discarded here.
+            gq.clear();
+            for s in shared {
+                s.outq.clear();
+            }
             k.restore_uncore(uncore);
             committed.store(at_committed, Ordering::Release);
             window_end = at + 1;
             lanes.publish(shared, sched, |_| window_end);
-            lanes.resume_all(sched);
             backoff.reset();
             continue;
         }
@@ -1151,66 +1070,26 @@ where
             break (global, FinishReason::CycleCap);
         }
 
-        if k.checkpoint_due(global) {
-            // Stop-sync all cores at a common local time ≥ the trigger.
-            // The whole protocol — stop, run-to, drain, snapshot — bills
-            // to the capture site; the merge and persist open their own
-            // nested spans.
-            let _span = ph.enter(ProfSite::CheckpointCapture);
-            lanes.stop_all(sched)?;
-            let stop_at = shared
-                .iter()
-                .map(|s| s.local.load(Ordering::Acquire))
-                .max()
-                .expect("n >= 1")
-                .max(k.cp_trigger());
-            lanes.publish(shared, sched, |_| Cycle::new(stop_at));
-            lanes.send_all(sched, |_| Command::RunTo(stop_at));
-            // Keep servicing while cores run up to the stop point, lane 0's
-            // stepped here between services.
-            let (mut own_busy, mut acked, mut next) = (true, 0usize, 0usize);
-            let spawned = lanes.ack_rxs.len();
-            while own_busy || acked < spawned {
-                if own_busy {
-                    own_busy = lanes.step_own(Some(stop_at), committed, sched, &ph);
-                }
-                drain_outqs(shared, &mut gq, &mut drain_buf);
-                k.service_all(&mut gq, uncore, deliver);
-                if acked == spawned {
-                    continue;
-                }
-                match lanes.ack_rxs[next % spawned].try_recv() {
-                    Ok(_) => acked += 1,
-                    Err(TryRecvError::Disconnected) => return Err(LaneDied),
-                    // Keep the poll visible to a virtual scheduler so the
-                    // cores can run towards their acks.
-                    Err(TryRecvError::Empty) if virt => sched.idle_yield(SchedSite::AwaitAck),
-                    Err(TryRecvError::Empty) => {}
-                }
-                next += 1;
-            }
+        // A due checkpoint caps every window at its stop point, which no
+        // core has passed; once every core stands there, whatever the
+        // last ticks queued is serviced, and a rollback that raises wins
+        // over the capture.
+        let stop = k.arm_stop(global, window_end);
+        if let Some(s) = stop.filter(|&s| locals.iter().all(|&l| l == s)) {
             drain_outqs(shared, &mut gq, &mut drain_buf);
             k.service_all(&mut gq, uncore, deliver);
-            if k.rollback_pending() {
-                // A violation surfaced during stop-sync: resume and let the
-                // rollback branch at the top of the loop handle it.
-                lanes.resume_all(sched);
-                continue;
+            if !k.rollback_pending() {
+                capture_all(k, lanes, sched)?;
+                k.commit_checkpoint(s, committed.load(Ordering::Acquire), uncore, None);
             }
-            // Lanes are paused right after their RunTo ack: capture them.
-            capture_all(k, lanes, committed, sched)?;
-            let stop_at = Cycle::new(stop_at);
-            k.commit_checkpoint(stop_at, committed.load(Ordering::Acquire), uncore, None);
-            locals.fill(stop_at);
-            window_end =
-                publish_greedy_windows(&mut *k.pacer, shared, lanes, &locals, stop_at, cfg, sched);
-            lanes.resume_all(sched);
             backoff.reset();
             continue;
         }
 
-        window_end =
-            publish_greedy_windows(&mut *k.pacer, shared, lanes, &locals, global, cfg, sched);
+        let cap = cfg.lead_cap(global).min(stop.unwrap_or(Cycle::MAX));
+        let published =
+            publish_greedy_windows(&mut *k.pacer, shared, lanes, &locals, global, cap, sched);
+        window_end = window_end.max(published);
         if !progress {
             // Nothing moved this iteration: wait instead of going
             // straight back to draining.
@@ -1241,24 +1120,23 @@ fn uniform_window(pacer: &dyn Pacer, cfg: &EngineConfig, global: Cycle) -> Cycle
 }
 
 /// Publishes windows for a greedy scheme: per-core when the pacer paces
-/// against peers (Lax-P2P), uniform otherwise; both clamped by the
-/// implementation lead cap over `global`, the minimum of `locals`.
-/// Returns the largest published window for the manager's bookkeeping.
+/// against peers (Lax-P2P), uniform over `global`, the minimum of
+/// `locals`, otherwise; both clamped by `cap` (the lead cap, and a due
+/// checkpoint's stop point). Returns the largest published window.
 fn publish_greedy_windows<C: CoreModel + Checkpointable>(
     pacer: &mut dyn Pacer,
     shared: &[Arc<CoreShared<C>>],
     lanes: &LaneSet<C>,
     locals: &[Cycle],
     global: Cycle,
-    cfg: &EngineConfig,
+    cap: Cycle,
     sched: &dyn HostSched,
 ) -> Cycle {
-    let cap = cfg.lead_cap(global);
     if let Some(wins) = pacer.window_ends(locals) {
         lanes.publish(shared, sched, |i| wins[i].min(cap));
         wins.iter().copied().max().expect("n >= 1").min(cap)
     } else {
-        let w = uniform_window(pacer, cfg, global);
+        let w = pacer.window_end(global).min(cap);
         lanes.publish(shared, sched, |_| w);
         w
     }
@@ -1284,12 +1162,12 @@ fn drain_outqs<C: CoreModel + Checkpointable>(
     total
 }
 
-/// Has every (stopped) lane capture its cores' deltas since the standing
-/// checkpoint and folds the captures into the kernel's base.
+/// Has every lane, its cores capped at the checkpoint, capture their
+/// deltas since the standing checkpoint, and folds the captures into the
+/// kernel's base.
 fn capture_all<C, U>(
     k: &mut Kernel<C, U>,
     lanes: &mut LaneSet<C>,
-    committed: &AtomicU64,
     sched: &dyn HostSched,
 ) -> Result<(), LaneDied>
 where
@@ -1297,10 +1175,11 @@ where
     U: UncoreModel<C::Event> + Checkpointable,
 {
     let ph = k.prof_handle();
-    let captures = lanes.obey_all(sched, committed, &ph, |cores| {
+    let _span = ph.enter(ProfSite::CheckpointCapture);
+    let captures = lanes.obey_all(sched, &ph, |cores| {
         Command::Snapshot(cores.map(|i| k.core_gen(i)).collect())
     })?;
-    let _span = ph.enter(ProfSite::CheckpointApply);
+    let _apply = ph.enter(ProfSite::CheckpointApply);
     for (i, capture) in captures.into_iter().enumerate() {
         let CoreCapture::Delta(capture) = capture else {
             unreachable!("a snapshot command captures a delta");

@@ -173,32 +173,12 @@ impl Drop for LiveHandle {
     }
 }
 
-/// Spawns the emitter thread. `stats` is the engine-published gauge
-/// block, `prof` the run's profiler (its per-site shares appear in each
-/// beat; pass [`Profiler::disabled`] when not profiling — the `sites`
-/// object is then empty).
+/// Spawns the run's heartbeat emitter. `stats` is the engine-published
+/// gauge block, `prof` the run's profiler (its per-site shares appear in
+/// each beat; pass [`Profiler::disabled`] when not profiling — the
+/// `sites` object is then empty).
 pub fn spawn(cfg: LiveConfig, stats: Arc<LiveStats>, prof: Profiler) -> LiveHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name("slacksim-live".into())
-        .spawn(move || emitter_loop(cfg, stats, prof, stop2))
-        .expect("spawn live emitter thread");
-    LiveHandle {
-        stop,
-        join: Some(join),
-    }
-}
-
-fn emitter_loop(cfg: LiveConfig, stats: Arc<LiveStats>, prof: Profiler, stop: Arc<AtomicBool>) {
     let start = Instant::now();
-    let every = cfg.cadence();
-    let tmp_path = cfg.path.as_ref().map(|p| {
-        let mut tmp = p.as_os_str().to_owned();
-        tmp.push(".tmp");
-        PathBuf::from(tmp)
-    });
-    let mut buf = String::with_capacity(2048);
     let start_committed = stats.committed.load(Ordering::Relaxed);
     let mut prev = Beat {
         at: start,
@@ -206,14 +186,48 @@ fn emitter_loop(cfg: LiveConfig, stats: Arc<LiveStats>, prof: Profiler, stop: Ar
         start_committed,
         terminal: false,
     };
-    let mut next = start + every;
+    spawn_emitter(cfg, "slacksim-live", move |buf, terminal| {
+        prev.terminal = terminal;
+        render_heartbeat(buf, start, &stats, &prof, &mut prev);
+    })
+}
+
+/// Spawns an emitter thread named `name`: on `cfg`'s cadence it renders a
+/// beat into a reused buffer with `render` — told whether the beat is the
+/// terminal one, rendered when the handle finishes — and writes it to
+/// every sink. Without a sink no thread is spawned. The campaign
+/// heartbeat (`campaign::live`) runs on it too.
+pub(crate) fn spawn_emitter(
+    cfg: LiveConfig,
+    name: &str,
+    render: impl FnMut(&mut String, bool) + Send + 'static,
+) -> LiveHandle {
+    let stop = Arc::new(AtomicBool::new(false));
+    let join = cfg.has_sink().then(|| {
+        let stop = Arc::clone(&stop);
+        std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || emitter_loop(&cfg, render, &stop))
+            .expect("spawn live emitter thread")
+    });
+    LiveHandle { stop, join }
+}
+
+fn emitter_loop(cfg: &LiveConfig, mut render: impl FnMut(&mut String, bool), stop: &AtomicBool) {
+    let every = cfg.cadence();
+    let tmp_path = cfg.path.as_ref().map(|p| {
+        let mut tmp = p.as_os_str().to_owned();
+        tmp.push(".tmp");
+        PathBuf::from(tmp)
+    });
+    let mut buf = String::with_capacity(2048);
+    let mut next = Instant::now() + every;
     loop {
         let stopping = stop.load(Ordering::Acquire);
         let now = Instant::now();
         if stopping || now >= next {
-            prev.terminal = stopping;
-            render_heartbeat(&mut buf, start, &stats, &prof, &mut prev);
-            emit(&cfg, tmp_path.as_deref(), &buf);
+            render(&mut buf, stopping);
+            emit(cfg, tmp_path.as_deref(), &buf);
             if stopping {
                 return;
             }
@@ -361,10 +375,8 @@ pub(crate) fn write_f64(buf: &mut String, v: f64) {
     }
 }
 
-/// Writes one rendered beat line to every configured sink. Shared with
-/// the campaign emitter (`campaign::live`), which reuses the same sink
-/// vocabulary on its own schema.
-pub(crate) fn emit(cfg: &LiveConfig, tmp_path: Option<&std::path::Path>, line: &str) {
+/// Writes one rendered beat line to every configured sink.
+fn emit(cfg: &LiveConfig, tmp_path: Option<&std::path::Path>, line: &str) {
     if cfg.stderr {
         let mut err = std::io::stderr().lock();
         let _ = err.write_all(line.as_bytes());

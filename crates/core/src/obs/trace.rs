@@ -28,7 +28,7 @@ use crate::violation::ViolationKind;
 pub enum Phase {
     /// Simulating target cycles inside the current slack window.
     Run,
-    /// Blocked at the window end (or on the manager's stop-sync).
+    /// Blocked at the window end (or at a checkpoint's stop point).
     Wait,
     /// Re-executing cycles after a rollback.
     Replay,
@@ -98,14 +98,13 @@ pub enum TraceEvent {
         /// The violation rate that drove the adjustment.
         rate: f64,
     },
-    /// A checkpoint was taken; the span covers the stop-sync convergence
-    /// window from the scheduled boundary to the agreed stop cycle.
+    /// A checkpoint was taken; the span covers the convergence window
+    /// from the scheduled boundary to the stop point every core ran to.
     Checkpoint {
         /// 1-based checkpoint ordinal (how many checkpoints so far).
         ordinal: u64,
         /// Convergence overshoot past the scheduled boundary, in simulated
-        /// cycles (how far past the interval end the cores had run when the
-        /// stop-sync converged).
+        /// cycles (how far past the interval end the stop point lay).
         overshoot: u64,
     },
     /// A rollback to the previous checkpoint was triggered.

@@ -42,8 +42,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::event::CoreId;
+use crate::rng::Xoshiro256;
+use crate::speculative::SpeculationStats;
 use crate::time::Cycle;
-use crate::violation::{KeyedMonitor, TimestampMonitor};
+use crate::violation::{KeyedMonitor, TimestampMonitor, ViolationTally};
 
 /// File magic identifying a slacksim snapshot container.
 pub const MAGIC: [u8; 8] = *b"SLAKSNAP";
@@ -375,6 +377,45 @@ impl Persist for TimestampMonitor {
         Ok(TimestampMonitor::with_high_water(Cycle::load(r)?))
     }
 }
+
+/// The items alone: the length is the type's.
+impl<T: Persist + Copy + Default, const N: usize> Persist for [T; N] {
+    fn save(&self, w: &mut ByteWriter) {
+        self.iter().for_each(|item| item.save(w));
+    }
+
+    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            *item = T::load(r)?;
+        }
+        Ok(items)
+    }
+}
+
+/// The per-kind counts.
+impl Persist for ViolationTally {
+    fn save(&self, w: &mut ByteWriter) {
+        self.counts().save(w);
+    }
+
+    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+        Ok(ViolationTally::from_counts(Persist::load(r)?))
+    }
+}
+
+/// The generator's state words: the stream continues where it left off.
+impl Persist for Xoshiro256 {
+    fn save(&self, w: &mut ByteWriter) {
+        self.state().save(w);
+    }
+
+    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+        Ok(Xoshiro256::from_state(Persist::load(r)?))
+    }
+}
+
+crate::persist_fields! { SpeculationStats { checkpoints, rollbacks, wasted_cycles, replay_cycles } }
 
 impl<A: Persist, B: Persist> Persist for (A, B) {
     fn save(&self, w: &mut ByteWriter) {

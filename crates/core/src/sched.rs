@@ -1,11 +1,11 @@
 //! Host-scheduling abstraction for the threaded engine.
 //!
 //! The threaded engine's synchronisation protocol — SPSC ring hand-off,
-//! the one yield→park wait ladder, window publication and the
-//! stop-sync command channels, whose replies carry checkpoint captures —
+//! the one yield→park wait ladder, window publication and the lanes'
+//! one-shot command channels, whose replies carry checkpoint captures —
 //! normally runs on the real host scheduler with real `std::thread`
 //! parking. That makes interleaving bugs (missed wakeups, reordered
-//! drains, stop-sync races) both rare and unreproducible: the
+//! drains, checkpoint hand-off races) both rare and unreproducible: the
 //! park-timeout backstops mask lost wakeups as latency, and the host
 //! never replays the same schedule twice.
 //!
@@ -85,11 +85,9 @@ pub enum SchedSite {
     /// sleep condition — the Dekker-style race window the wake fences
     /// protect.
     PreParkCheck,
-    /// Manager polling for a lane's reply to a command: its
-    /// acknowledgement, carrying any checkpoint captures.
+    /// Manager polling for a lane's reply to a command, which carries its
+    /// cores' checkpoint captures.
     AwaitAck,
-    /// Core thread polling for the next manager command.
-    AwaitCmd,
 }
 
 /// The host-scheduling interface the threaded engine waits through.

@@ -16,7 +16,7 @@
 //! minimum most of the time and probes larger slack at a duty cycle
 //! proportional to the target.
 
-use crate::persist::{ByteReader, ByteWriter, PersistError};
+use crate::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use crate::scheme::{PaceSample, Pacer};
 use crate::time::Cycle;
 
@@ -299,11 +299,7 @@ impl Pacer for AdaptiveController {
         w.u64(self.adjustments_up);
         w.u64(self.adjustments_down);
         w.u64(self.samples);
-        w.u32(self.trace.len() as u32);
-        for &(cycle, bound) in &self.trace {
-            w.u64(cycle.as_u64());
-            w.u64(bound);
-        }
+        self.trace.save(w);
     }
 
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
@@ -314,10 +310,7 @@ impl Pacer for AdaptiveController {
         self.adjustments_up = r.u64()?;
         self.adjustments_down = r.u64()?;
         self.samples = r.u64()?;
-        let n = r.u32()? as usize;
-        self.trace = (0..n)
-            .map(|_| Ok((Cycle::new(r.u64()?), r.u64()?)))
-            .collect::<Result<_, PersistError>>()?;
+        self.trace = Persist::load(r)?;
         Ok(())
     }
 }

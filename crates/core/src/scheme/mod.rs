@@ -25,7 +25,7 @@ mod adaptive;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, StepPolicy};
 
-use crate::persist::{ByteReader, ByteWriter, PersistError};
+use crate::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use crate::time::Cycle;
 
 /// Observation window handed to [`Pacer::on_sample`] at each adaptive
@@ -388,9 +388,7 @@ impl Pacer for LaxP2p {
     }
 
     fn save_state(&self, w: &mut ByteWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
+        self.rng.save(w);
         w.u32(self.partners.len() as u32);
         for &p in &self.partners {
             w.u32(p as u32);
@@ -399,11 +397,7 @@ impl Pacer for LaxP2p {
     }
 
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        self.rng = crate::rng::Xoshiro256::from_state(s);
+        self.rng = Persist::load(r)?;
         let n = r.u32()? as usize;
         self.partners = (0..n)
             .map(|_| r.u32().map(|p| p as usize))

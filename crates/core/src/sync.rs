@@ -68,8 +68,9 @@ struct CachePadded<T>(T);
 /// At most one thread may act as producer (`push`, `push_batch`) and at
 /// most one as consumer (`pop`, `drain_into`, `clear`) at any instant.
 /// The roles may be handed between threads if the handoff itself
-/// synchronizes (e.g. over a channel ack, as the engine's stop-sync
-/// protocol does). Violating the contract is a logic error that can
+/// synchronizes (e.g. a `join` of the previous holder's thread); the
+/// engine never hands one over, so each of its rings has one producer
+/// and one consumer thread for the whole run. Violating the contract is a logic error that can
 /// lose or duplicate elements; memory safety is still preserved for the
 /// index bookkeeping but slot reads may race, which is why the type is
 /// only shared inside the engine.

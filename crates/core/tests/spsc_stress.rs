@@ -189,9 +189,9 @@ fn seeded_drain_interleaved_batches_across_spill_boundary() {
 
 #[test]
 fn producer_role_handoff_between_threads_is_safe_when_synchronized() {
-    // The engine hands the producer role across threads only through a
-    // synchronizing channel ack (stop-sync). Model that: producer A
-    // pushes, joins (synchronizes), then producer B pushes more.
+    // A ring role may pass between threads only through a synchronizing
+    // hand-off, such as a join. Model that: producer A pushes, joins
+    // (synchronizes), then producer B pushes more.
     let ring: SpscRing<u64> = SpscRing::with_capacity(4);
     std::thread::scope(|scope| {
         let r = &ring;

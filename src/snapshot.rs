@@ -15,11 +15,9 @@ use slacksim_cmp::uncore::CmpUncore;
 use slacksim_core::engine::{CheckpointView, EngineResume};
 use slacksim_core::event::{Inbox, Timestamped};
 use slacksim_core::persist::{ByteReader, ByteWriter, Persist, PersistError};
-use slacksim_core::rng::Xoshiro256;
 use slacksim_core::scheme::Scheme;
 use slacksim_core::speculative::IntervalTracker;
 use slacksim_core::time::Cycle;
-use slacksim_core::violation::ViolationTally;
 
 /// One line of the config fingerprint: the scheme with every parameter
 /// that changes simulation behaviour, so a resume under a different bound
@@ -44,22 +42,6 @@ pub(crate) fn scheme_token(scheme: &Scheme) -> String {
             format!("lax-p2p:{lead}:{period}:{seed}")
         }
     }
-}
-
-fn save_tally(w: &mut ByteWriter, tally: ViolationTally) {
-    for c in tally.counts() {
-        w.u64(c);
-    }
-}
-
-fn load_tally(r: &mut ByteReader<'_>) -> Result<ViolationTally, PersistError> {
-    Ok(ViolationTally::from_counts([
-        r.u64()?,
-        r.u64()?,
-        r.u64()?,
-        r.u64()?,
-        r.u64()?,
-    ]))
 }
 
 fn save_inbox(w: &mut ByteWriter, inbox: &Inbox<MemEvent>) {
@@ -96,14 +78,11 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>, w: 
     }
     view.uncore.save_state(w);
     w.u64(view.committed);
-    save_tally(w, view.tally);
-    save_tally(w, view.detected);
+    view.tally.save(w);
+    view.detected.save(w);
     w.u64(view.next_sample);
-    save_tally(w, view.last_sample_tally);
-    w.u64(view.spec_stats.checkpoints);
-    w.u64(view.spec_stats.rollbacks);
-    w.u64(view.spec_stats.wasted_cycles);
-    w.u64(view.spec_stats.replay_cycles);
+    view.last_sample_tally.save(w);
+    view.spec_stats.save(w);
     match view.tracker {
         Some(tr) => {
             w.bool(true);
@@ -112,20 +91,9 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>, w: 
         None => w.bool(false),
     }
     view.pacer.save_state(w);
-    match view.rng {
-        Some(rng) => {
-            w.bool(true);
-            for word in rng.state() {
-                w.u64(word);
-            }
-        }
-        None => w.bool(false),
-    }
+    view.rng.cloned().save(w);
     w.u32(view.bound_trace.len() as u32);
-    for &(cycle, bound) in view.bound_trace {
-        w.u64(cycle.as_u64());
-        w.u64(bound);
-    }
+    view.bound_trace.iter().for_each(|entry| entry.save(w));
     w.u64(view.max_spread);
 }
 
@@ -158,16 +126,11 @@ pub(crate) fn decode_snapshot(
     let mut uncore = fresh_uncore;
     uncore.load_state(&mut r)?;
     let committed = r.u64()?;
-    let tally = load_tally(&mut r)?;
-    let detected = load_tally(&mut r)?;
+    let tally = Persist::load(&mut r)?;
+    let detected = Persist::load(&mut r)?;
     let next_sample = r.u64()?;
-    let last_sample_tally = load_tally(&mut r)?;
-    let spec_stats = slacksim_core::speculative::SpeculationStats {
-        checkpoints: r.u64()?,
-        rollbacks: r.u64()?,
-        wasted_cycles: r.u64()?,
-        replay_cycles: r.u64()?,
-    };
+    let last_sample_tally = Persist::load(&mut r)?;
+    let spec_stats = Persist::load(&mut r)?;
     let tracker = if r.bool()? {
         let interval = spec_interval.ok_or(PersistError::Corrupt(
             "snapshot carries an interval tracker but speculation is off",
@@ -180,21 +143,8 @@ pub(crate) fn decode_snapshot(
     };
     let mut pacer = scheme.clone().into_pacer();
     pacer.load_state(&mut r)?;
-    let rng = if r.bool()? {
-        Some(Xoshiro256::from_state([
-            r.u64()?,
-            r.u64()?,
-            r.u64()?,
-            r.u64()?,
-        ]))
-    } else {
-        None
-    };
-    let n_bounds = r.u32()? as usize;
-    let mut bound_trace = Vec::with_capacity(n_bounds.min(1 << 20));
-    for _ in 0..n_bounds {
-        bound_trace.push((Cycle::new(r.u64()?), r.u64()?));
-    }
+    let rng = Persist::load(&mut r)?;
+    let bound_trace = Persist::load(&mut r)?;
     let max_spread = r.u64()?;
     r.finish()?;
     Ok(EngineResume {
@@ -262,16 +212,36 @@ mod tests {
     /// container checksum that would otherwise stop them first: every
     /// strict prefix of a snapshot payload is refused, and no single-byte
     /// flip makes the decoder panic — it refuses the bytes or decodes
-    /// some state.
+    /// some state. The adaptive and Lax-P2P payloads carry their pacers'
+    /// state, and the adaptive one a bound trace.
     #[test]
     fn hostile_payloads_are_refused_or_decoded_never_panic() {
-        for (kind, cores) in [(UncoreKind::Bus, 2), (UncoreKind::Directory, 4)] {
-            let dir = std::env::temp_dir()
-                .join(format!("slacksim-hostile-{kind}-{}", std::process::id()));
+        let bounded = Scheme::BoundedSlack { bound: 8 };
+        let adaptive = Scheme::Adaptive(slacksim_core::scheme::AdaptiveConfig {
+            sample_period: 64,
+            ..Default::default()
+        });
+        let p2p = Scheme::LaxP2p {
+            lead: 8,
+            period: 100,
+            seed: 1,
+        };
+        for (kind, cores, scheme) in [
+            (UncoreKind::Bus, 2, bounded.clone()),
+            (UncoreKind::Directory, 4, bounded),
+            (UncoreKind::Bus, 2, adaptive),
+            (UncoreKind::Bus, 2, p2p),
+        ] {
+            let label = format!("{kind}/{}", scheme.name());
+            let dir = std::env::temp_dir().join(format!(
+                "slacksim-hostile-{kind}-{}-{}",
+                scheme.name(),
+                std::process::id()
+            ));
             let _ = std::fs::remove_dir_all(&dir);
             let mut sim = Simulation::new(Benchmark::Barnes);
             sim.cmp_config(small_target(kind, cores))
-                .scheme(Scheme::BoundedSlack { bound: 8 })
+                .scheme(scheme)
                 .commit_target(400)
                 .speculation(SpeculationConfig::checkpoint_only(50))
                 .save_state(&dir);
@@ -285,7 +255,7 @@ mod tests {
             for cut in 0..payload.len() {
                 assert!(
                     decode(&sim, &payload[..cut]).is_err(),
-                    "{kind}: a {cut}-byte prefix of {} decoded",
+                    "{label}: a {cut}-byte prefix of {} decoded",
                     payload.len()
                 );
             }
@@ -294,7 +264,7 @@ mod tests {
                 for mask in [0x01, 0xff] {
                     flipped[at] ^= mask;
                     let decoded = catch_unwind(AssertUnwindSafe(|| decode(&sim, &flipped)));
-                    assert!(decoded.is_ok(), "{kind}: byte {at} ^ {mask:#04x} panicked");
+                    assert!(decoded.is_ok(), "{label}: byte {at} ^ {mask:#04x} panicked");
                     flipped[at] ^= mask;
                 }
             }

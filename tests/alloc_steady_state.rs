@@ -453,6 +453,65 @@ fn persisting_run_allocates_no_snapshot_buffers_at_steady_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A forged sequence length costs no memory beyond the bytes behind it: a
+/// snapshot whose bound-trace count reads `u32::MAX`, re-sealed so that
+/// its checksum holds, is refused on resume without one allocation of a
+/// snapshot's size class on the resuming thread (the trace is 16 bytes an
+/// entry, so reserving for the count would be).
+#[test]
+fn a_forged_bound_trace_length_is_refused_without_preallocating() {
+    use slacksim::slacksim_cmp::cache::CacheConfig;
+    use slacksim::slacksim_core::persist::{decode_container, encode_container};
+    let _serial = serial();
+
+    let mut cmp = slacksim::CmpConfig::with_uncore(slacksim::UncoreKind::Bus, 2);
+    let l1 = CacheConfig {
+        size_bytes: 256,
+        ways: 2,
+        line_bytes: 32,
+    };
+    (cmp.core.l1i, cmp.core.l1d) = (l1, l1);
+    cmp.uncore.l2 = CacheConfig {
+        size_bytes: 1024,
+        ..l1
+    };
+    let dir = scratch_dir("forged");
+    let mut sim = slacksim::Simulation::new(slacksim::Benchmark::Fft);
+    sim.cmp_config(cmp.clone())
+        .scheme(slacksim::scheme::Scheme::UnboundedSlack)
+        .commit_target(400)
+        .speculation(slacksim::SpeculationConfig::checkpoint_only(50))
+        .save_state(&dir);
+    let checkpoints = sim.run().expect("run").kernel.get("checkpoints");
+    let snap = dir.join(format!("cp-{checkpoints:08}"));
+    let bytes = std::fs::read(&snap).expect("snapshot");
+    let (fingerprint, payload) = decode_container(&bytes).expect("container");
+    // The payload ends with the bound trace — empty without a slack
+    // bound, so just its `u32` count — and the `u64` clock spread.
+    let mut forged = payload.to_vec();
+    let count = forged.len() - 12;
+    assert_eq!(forged[count..count + 4], [0; 4], "an empty bound trace");
+    forged[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&snap, encode_container(fingerprint, &forged)).unwrap();
+
+    let mut resumed = slacksim::Simulation::new(slacksim::Benchmark::Fft);
+    resumed
+        .cmp_config(cmp)
+        .scheme(slacksim::scheme::Scheme::UnboundedSlack)
+        .commit_target(800)
+        .speculation(slacksim::SpeculationConfig::checkpoint_only(50))
+        .resume(&snap);
+    let (here, _) = big_allocs_of(|| {
+        let err = resumed.run().expect_err("a forged bound trace is refused");
+        assert!(err.to_string().contains("truncated"), "{err}");
+    });
+    assert_eq!(
+        here, 0,
+        "snapshot-sized allocations while refusing the resume"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// True while a thread named like the checkpoint writer's exists.
 #[cfg(target_os = "linux")]
 fn checkpoint_writer_thread_is_alive() -> bool {

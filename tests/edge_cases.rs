@@ -100,7 +100,7 @@ fn checkpoint_interval_of_one_cycle_survives() {
         .speculation(SpeculationConfig::checkpoint_only(1));
     let r = sim.run().expect("run succeeds");
     assert!(r.committed >= 2_000);
-    // Each stop-sync lands on the furthest core's clock, so consecutive
+    // Each stop point lands on the furthest core's clock, so consecutive
     // checkpoints are up to a slack bound apart.
     assert!(
         r.kernel.get("checkpoints") >= r.global_cycles / 8,

@@ -310,7 +310,7 @@ fn threaded_snapshots_resume_across_lane_counts() {
     }
 }
 
-/// The stop-sync commands carry a whole lane's cores: a speculative run
+/// The lanes' commands carry a whole lane's cores: a speculative run
 /// on two lanes of two cores that rolls back (`Rewind` and `Snapshot`
 /// over multi-core lanes) persists snapshots a one-lane run resumes, and
 /// the reverse. Slack on host threads is non-deterministic, so the

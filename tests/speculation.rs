@@ -9,7 +9,7 @@ const COMMIT: u64 = 80_000;
 
 #[test]
 fn checkpoint_only_runs_barely_perturb_results() {
-    // Checkpoint stop-syncs clamp the scheduling windows, which perturbs
+    // Checkpoint stop points clamp the scheduling windows, which perturbs
     // the run slightly — the paper makes the same observation about its
     // own instrumentation (§3). The simulated outcome must stay within a
     // small tolerance of the uncheckpointed run.

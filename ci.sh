@@ -102,7 +102,7 @@ if command -v taskset > /dev/null; then
         echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
 
-echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, four slack lanes on one CPU, unbounded/adaptive/p2p rollback)"
+echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, four slack lanes on one CPU, one-lane bounded repeats, unbounded/adaptive/p2p rollback)"
 # Core lanes on the release binary (DESIGN §10, "Core lanes"): the
 # threaded engine's lane count is a host knob, so under cycle-by-cycle
 # the whole verbose report — everything but the two host-time lines and
@@ -115,16 +115,19 @@ echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes o
 # and so must bounded slack with four lanes on that CPU, where a lane
 # waits on three others and the one wait ladder yields the CPU to them
 # from its first wait. The in-process twins run in crates/conformance
-# and tests/report_digest.rs. Last, speculative unbounded runs with
-# every core on the manager's own lane and with a lane thread beside
-# it: a manager that steps lane 0 past its own service — or, after a
-# replay, towards an uncapped window — stalls here, so it fails in
-# seconds instead of hanging tests/persist_resume.rs (two lanes roll
-# back and replay hundreds of times in 2 M commits; one lane never
-# does). The same runs on two lanes under adaptive slack, whose windows
-# shrink while a checkpoint's stop point is pending, and under Lax-P2P,
-# whose windows are per core — adaptive also on one CPU: a stop point
-# that lies below some core never fills, and hangs rather than fails.
+# and tests/report_digest.rs. Then one lane under bounded slack: its
+# cores run seeded bursts on the manager's thread, so two runs print the
+# same report, and it reports violations — a lane's own cores drift
+# apart as far as the bound lets them. Last, speculative unbounded runs
+# with every core on the manager's own lane and with a lane thread
+# beside it: a manager that steps lane 0 past its own service — or,
+# after a replay, towards an uncapped window — stalls here, so it fails
+# in seconds instead of hanging tests/persist_resume.rs (both roll back
+# and replay in 2 M commits). The same runs on two lanes under adaptive
+# slack, whose windows shrink while a checkpoint's stop point is
+# pending, and under Lax-P2P, whose windows are per core — adaptive also
+# on one CPU: a stop point that lies below some core never fills, and
+# hangs rather than fails.
 thr_flags=(--benchmark fft --scheme cc --engine threaded --cores 8
     --commit 200000 --verbose)
 thr_report() { # the simulated report of one run: thr_report COMMAND...
@@ -145,6 +148,13 @@ if command -v taskset > /dev/null; then
         --scheme bounded --bound 16 --cores 4 --host-threads 4 --commit 2000000 > /dev/null || {
         echo "ci: four slack lanes pinned to one CPU hung or failed" >&2; exit 1; }
 fi
+b16_flags=(--benchmark water --scheme bounded --bound 16 --engine threaded --cores 8
+    --commit 200000 --host-threads 1 --verbose)
+b16_one="$(thr_report ./target/release/slacksim "${b16_flags[@]}")"
+[ "$b16_one" = "$(thr_report ./target/release/slacksim "${b16_flags[@]}")" ] || {
+    echo "ci: two one-lane bounded-16 runs printed different reports" >&2; exit 1; }
+grep -qE '^violations +: [1-9]' <<< "$b16_one" || {
+    echo "ci: a one-lane bounded-16 run reported no violations" >&2; exit 1; }
 spec_run() { # spec_run SCHEME HOST_THREADS [COMMAND PREFIX...]
     local scheme="$1" h="$2"; shift 2
     timeout 60 "$@" ./target/release/slacksim --benchmark water --scheme "$scheme" --engine threaded \

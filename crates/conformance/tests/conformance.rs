@@ -227,29 +227,31 @@ fn batched_is_exact_at_every_host_thread_count() {
 
 /// The threaded engine's lane count decides which host thread steps a
 /// core, never what the core computes: clocks, windows and queues are per
-/// core, and with a barrier after every cycle the order a lane steps its
-/// cores in cannot show. On 1, 2, 3 and `cores` lanes, {4, 16} cores x
-/// {bus, directory} x {FFT, WATER} x {cycle-by-cycle, cycle-by-cycle with
-/// checkpoints} all agree with the sequential engine on fingerprint and
-/// deterministic kernel counters (3 lanes asked for is 2 spawned at 4
-/// cores, 3 uneven ones at 16: 6 + 6 + 4).
+/// core, and under a barrier scheme the order a lane steps its cores in,
+/// and how long each burst is, cannot show. On 1, 2, 3 and `cores` lanes,
+/// {4, 16} cores x {bus, directory} x {FFT, WATER} x {cycle-by-cycle,
+/// cycle-by-cycle with checkpoints, quantum 50 — multi-cycle windows the
+/// lanes step in seeded bursts} all agree with the sequential engine on
+/// fingerprint and deterministic kernel counters (3 lanes asked for is 2
+/// spawned at 4 cores, 3 uneven ones at 16: 6 + 6 + 4).
 #[test]
-fn threaded_cc_is_exact_at_every_lane_count() {
+fn threaded_barrier_schemes_are_exact_at_every_lane_count() {
     use slacksim::Simulation;
 
-    let scheme = Scheme::CycleByCycle;
     let modes = [
-        ("cycle-by-cycle", None),
+        ("cycle-by-cycle", Scheme::CycleByCycle, None),
         // Often enough that 16 cores reach a few before the debug target.
         (
             "checkpoint-only",
+            Scheme::CycleByCycle,
             Some(SpeculationConfig::checkpoint_only(100)),
         ),
+        ("quantum-50", Scheme::Quantum { quantum: 50 }, None),
     ];
     for cores in [4, 16] {
         for uncore in [UncoreKind::Bus, UncoreKind::Directory] {
             for bench in BENCHES {
-                for (mode, speculation) in &modes {
+                for (mode, scheme, speculation) in &modes {
                     let run = |engine, lanes| {
                         let mut sim = Simulation::new(bench);
                         sim.uncore(uncore)

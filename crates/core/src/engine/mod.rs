@@ -120,10 +120,12 @@ pub trait CoreModel: Clone + Send + 'static {
     /// `staged` (the core's staging buffer), and returns the number of
     /// instructions committed over the window.
     ///
-    /// This is the batched engine's hot loop: within the window the core
+    /// This is how every host-parallel core runs: the batched engine's
+    /// quantum and a threaded lane's burst. Within the window the core
     /// sees only the events already in its inbox — exactly the quantum
     /// scheme's contract, where cross-core interaction is deferred to the
-    /// next boundary. The default implementation ticks cycle by cycle and
+    /// next boundary; under slack, what arrives during a burst is applied
+    /// in the next. The default implementation ticks cycle by cycle and
     /// is always semantically correct; models may override it with an
     /// equivalent fast-forwarding loop (the override must stay
     /// bit-identical to the tick loop — see the conformance oracle).
@@ -305,10 +307,13 @@ pub struct EngineConfig {
     /// cap a spinning core would race millions of cycles ahead of the
     /// manager and distort simulated time. Barrier schemes are unaffected.
     pub max_lead: u64,
-    /// Seed for the deterministic engine's burst scheduler.
+    /// Seed for the sequential engine's burst scheduler and the threaded
+    /// engine's burst lengths.
     pub seed: u64,
-    /// Burst policy for the deterministic engine (ignored by the threaded
-    /// engine, which inherits real host scheduling).
+    /// Burst policy for the sequential engine. The threaded engine's lanes
+    /// draw their burst lengths from `max_burst` too (its core order is
+    /// the host's, so `lag_bias_percent` does not apply); the batched
+    /// engine ignores it.
     pub burst: BurstPolicy,
     /// Optional observability instrumentation: when set, the engine records
     /// a trace and samples metrics, attaching the result to

@@ -11,12 +11,12 @@
 //! belongs to the manager thread itself, which steps it between services
 //! as the batched manager runs its own first lane; lanes `1..L` are
 //! spawned threads, so a run is `L` host threads on `L` CPUs. A lane owns
-//! its cores' [`CoreModel`]s and advances each while its local time is
-//! below the max local time published by the manager, round-robin one
-//! cycle at a time. Events flow through per-core shared queues
-//! (OutQ/InQ); the manager consolidates OutQ entries into the global queue
-//! and services them — greedily under slack schemes, in sorted batches at
-//! window boundaries under barrier schemes (cycle-by-cycle, quantum, and
+//! its cores' [`CoreModel`]s and runs each up to the max local time the
+//! manager publishes, round-robin in seeded [`CoreModel::run_window`]
+//! bursts. Events flow through per-core shared queues (OutQ/InQ); the
+//! manager consolidates OutQ entries into the global queue and services
+//! them — greedily under slack schemes, in sorted batches at window
+//! boundaries under barrier schemes (cycle-by-cycle, quantum, and
 //! post-rollback replay). Clocks, windows and queues stay per core, so
 //! the lane count is a host knob only: nothing the manager computes can
 //! tell how the cores were folded, or which thread stepped them.
@@ -71,11 +71,11 @@ use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
 use crate::engine::wait::{lane_width, Backoff};
 use crate::engine::{
-    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, TickCtx,
-    UncoreModel,
+    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
 };
 use crate::event::{CoreId, GlobalQueue, Inbox, Timestamped};
 use crate::obs::{Phase, ProfHandle, ProfSite, TraceEvent, TraceHandle};
+use crate::rng::Xoshiro256;
 use crate::sched::{HostSched, SchedSite, TaskId};
 use crate::scheme::Pacer;
 use crate::stats::SimReport;
@@ -221,8 +221,7 @@ impl HostThread {
 struct LaneSet<C: CoreModel + Checkpointable> {
     /// Lane 0's cores, stepped on the manager thread.
     own: Vec<LaneCore<C>>,
-    /// Lane 0's tick scratch.
-    outbox: Vec<Timestamped<C::Event>>,
+    bursts: Bursts<C::Event>,
     /// Lane `j`'s thread is `hosts[j - 1]`, and so on for the channels.
     hosts: Vec<Arc<HostThread>>,
     cmd_txs: Vec<Sender<Command<C>>>,
@@ -269,7 +268,7 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
     /// service no longer than a lane thread's would. Returns whether any
     /// core ticked.
     fn step_own(&mut self, committed: &AtomicU64, sched: &dyn HostSched, ph: &ProfHandle) -> bool {
-        step_lane(&mut self.own, true, committed, &mut self.outbox, sched, ph)
+        step_lane(&mut self.own, true, committed, &mut self.bursts, sched, ph)
     }
 
     /// Sets core `i`'s max local time to `window(i)` for every core and
@@ -468,7 +467,7 @@ where
             let spawned = lane_count - 1;
             let mut lanes = LaneSet {
                 own,
-                outbox: Vec::new(),
+                bursts: Bursts::new(&cfg, 0),
                 hosts: (0..spawned).map(|_| Arc::new(HostThread::new())).collect(),
                 cmd_txs: Vec::with_capacity(spawned),
                 ack_rxs: Vec::with_capacity(spawned),
@@ -488,6 +487,7 @@ where
                 lanes.cmd_txs.push(cmd_tx);
                 lanes.ack_rxs.push(ack_rx);
                 let cores: Vec<LaneCore<C>> = lane_cores.by_ref().take(width).collect();
+                let bursts = Bursts::new(&cfg, j + 1);
                 let host = Arc::clone(host);
                 let done = Arc::clone(&done);
                 let died = Arc::clone(&lanes.died);
@@ -499,6 +499,7 @@ where
                         lane_thread(
                             j + 1,
                             cores,
+                            bursts,
                             &host,
                             &done,
                             &committed,
@@ -559,12 +560,10 @@ where
                 unreachable!("a lane dies only by panicking, and every lane joined");
             };
 
+            let core_parks = lanes.hosts.iter().map(|h| h.parks.load(Ordering::Relaxed));
             let extras = [
                 ("manager_parks", exit.manager_parks),
-                (
-                    "core_parks",
-                    sum_relaxed(lanes.hosts.iter().map(|h| &h.parks)),
-                ),
+                ("core_parks", core_parks.sum()),
             ];
             let locals: Vec<Cycle> = shared
                 .iter()
@@ -651,19 +650,18 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
         }
     }
 
-    /// Simulates cycle `l` and queues its events towards the manager;
-    /// returns the instructions committed and whether any event was
-    /// queued. Advancing the local clock is the caller's, so it can order
-    /// its commit flush before the store.
-    fn tick(&mut self, l: u64, outbox: &mut Vec<Timestamped<C::Event>>) -> (u64, bool) {
+    /// Simulates cycles `[from, to)` in one [`CoreModel::run_window`] call
+    /// and queues their events towards the manager; returns the commits
+    /// and whether any event was queued. Advancing the local clock is the
+    /// caller's, so it can order its commit flush before the store.
+    fn run(&mut self, from: u64, to: u64, outbox: &mut Vec<Timestamped<C::Event>>) -> (u64, bool) {
         self.deliver_inq();
-        let c = {
-            let mut ctx = TickCtx::new(Cycle::new(l), &mut self.inbox, outbox);
-            self.model.tick(&mut ctx)
-        };
+        let c = self
+            .model
+            .run_window(Cycle::new(from), Cycle::new(to), &mut self.inbox, outbox);
         let sent = !outbox.is_empty();
         self.shared.outq.push_batch(outbox);
-        (u64::from(c), sent)
+        (c, sent)
     }
 
     /// Captures the core's delta against its generation `since` at the
@@ -691,15 +689,32 @@ impl<C: CoreModel + Checkpointable> LaneCore<C> {
     }
 }
 
-/// Steps a lane's cores round-robin, one cycle each per pass, until a pass
+/// A lane's burst lengths, drawn from `1..=max` ([`EngineConfig::burst`])
+/// by an RNG seeded from the run seed and the lane index, so one lane is a
+/// pure function of the seed; and its event scratch.
+struct Bursts<E> {
+    rng: Xoshiro256,
+    max: u64,
+    outbox: Vec<Timestamped<E>>,
+}
+
+impl<E> Bursts<E> {
+    fn new(cfg: &EngineConfig, lane: usize) -> Self {
+        let rng = Xoshiro256::new(cfg.seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (max, outbox) = (cfg.burst.max_burst, Vec::new());
+        Bursts { rng, max, outbox }
+    }
+}
+
+/// Steps a lane's cores round-robin, one burst each per pass, until a pass
 /// finds none below its published max local time — re-read every pass, so
-/// a window widened mid-burst is run out without going back to the lane
+/// a window widened mid-run is run out without going back to the lane
 /// loop, and one lowered (a checkpoint's stop point, a rollback) caps the
 /// lane within a pass — or, with `until_event`, until the first pass in
-/// which a core queued an event. One cycle per core per pass keeps the
-/// cores of a lane within a cycle of each other under slack; under
-/// cycle-by-cycle the order cannot matter. Returns whether any core
-/// ticked.
+/// which a core queued an event. A burst is one [`CoreModel::run_window`]
+/// of a [`Bursts`] length cut at the window read: each core runs freely
+/// up to its window, as the paper's core threads do, so a lane's cores
+/// drift apart as far as the bound lets them. Returns whether any ran.
 ///
 /// Commit counts accumulate locally and are flushed *before* any
 /// local-clock store that brings a core to its limit, so a manager that
@@ -709,12 +724,12 @@ fn step_lane<C: CoreModel + Checkpointable>(
     cores: &mut [LaneCore<C>],
     until_event: bool,
     committed: &AtomicU64,
-    outbox: &mut Vec<Timestamped<C::Event>>,
+    bursts: &mut Bursts<C::Event>,
     sched: &dyn HostSched,
     ph: &ProfHandle,
 ) -> bool {
     let mut span = None;
-    let mut burst: u64 = 0;
+    let mut pending: u64 = 0;
     loop {
         let mut stepped = false;
         let mut sent = false;
@@ -730,22 +745,27 @@ fn step_lane<C: CoreModel + Checkpointable>(
                 span = Some(ph.enter(ProfSite::CoreTick));
             }
             core.set_running(true, l);
-            let (c, s) = core.tick(l, outbox);
-            burst += c;
+            // One cycle left is the whole burst, undrawn: CC never draws.
+            let to = match m - l {
+                1 => m,
+                left => l + left.min(bursts.rng.next_range(1, bursts.max)),
+            };
+            let (c, s) = core.run(l, to, &mut bursts.outbox);
+            pending += c;
             sent |= s;
-            if l + 1 >= m && burst > 0 {
-                committed.fetch_add(burst, Ordering::Relaxed);
-                burst = 0;
+            if to >= m && pending > 0 {
+                committed.fetch_add(pending, Ordering::Relaxed);
+                pending = 0;
             }
-            core.shared.local.store(l + 1, Ordering::Release);
+            core.shared.local.store(to, Ordering::Release);
             stepped = true;
         }
         if !stepped || (until_event && sent) {
             break;
         }
     }
-    if burst > 0 {
-        committed.fetch_add(burst, Ordering::Relaxed);
+    if pending > 0 {
+        committed.fetch_add(pending, Ordering::Relaxed);
     }
     span.is_some()
 }
@@ -792,6 +812,7 @@ fn obey<C: CoreModel + Checkpointable>(
 fn lane_thread<C: CoreModel + Checkpointable>(
     lane: usize,
     mut cores: Vec<LaneCore<C>>,
+    mut bursts: Bursts<C::Event>,
     host: &HostThread,
     done: &AtomicBool,
     committed: &AtomicU64,
@@ -805,7 +826,6 @@ fn lane_thread<C: CoreModel + Checkpointable>(
     // a virtual scheduler built for L - 1 cores drives lanes 1..L.
     let task = sched.register(&format!("core{}", lane - 1));
     let _ = host.task.set(task);
-    let mut outbox: Vec<Timestamped<C::Event>> = Vec::new();
     let mut backoff = Backoff::new(sched.virtualized());
     cores.iter_mut().for_each(LaneCore::open_phase);
 
@@ -831,7 +851,7 @@ fn lane_thread<C: CoreModel + Checkpointable>(
             break;
         }
 
-        if step_lane(&mut cores, false, committed, &mut outbox, sched, &ph) {
+        if step_lane(&mut cores, false, committed, &mut bursts, sched, &ph) {
             backoff.reset();
             continue;
         }
@@ -1195,11 +1215,6 @@ fn ring_depths<C: CoreModel>(s: &CoreShared<C>) -> (u64, u64) {
     (s.outq.depth_hint() as u64, s.inq.depth_hint() as u64)
 }
 
-/// Sum of relaxed-loaded counters.
-fn sum_relaxed<'a>(counters: impl Iterator<Item = &'a AtomicU64>) -> u64 {
-    counters.map(|c| c.load(Ordering::Relaxed)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     // The threaded engine is exercised end-to-end in the workspace
@@ -1213,7 +1228,7 @@ mod tests {
 
     use super::*;
     use crate::engine::batched::tests::{Fuse, Toy, ToyCore};
-    use crate::engine::ServiceSink;
+    use crate::engine::{ServiceSink, TickCtx};
     use crate::scheme::Scheme;
     use crate::speculative::SpeculationConfig;
     use crate::stats::Counters;

@@ -201,14 +201,16 @@ impl Simulation {
         self
     }
 
-    /// Sets the run seed (workload streams and the deterministic
-    /// engine's scheduler).
+    /// Sets the run seed (workload streams, the sequential engine's
+    /// scheduler and the threaded engine's burst lengths).
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.seed = seed;
         self
     }
 
-    /// Sets the deterministic engine's maximum scheduling burst.
+    /// Sets the maximum burst, in cycles, a core runs when it is picked:
+    /// by the sequential engine's scheduler, and on each pass of a
+    /// threaded lane.
     pub fn max_burst(&mut self, cycles: u64) -> &mut Self {
         self.max_burst = cycles;
         self

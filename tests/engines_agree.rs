@@ -4,7 +4,7 @@
 //! fully determinises the parallel execution. Likewise the batched engine
 //! under a quantum scheme.
 
-use slacksim::scheme::Scheme;
+use slacksim::scheme::{AdaptiveConfig, Scheme};
 use slacksim::{Benchmark, EngineKind, Simulation};
 
 fn run(benchmark: Benchmark, engine: EngineKind, commit: u64) -> slacksim::SimReport {
@@ -122,27 +122,70 @@ fn threaded_slack_run_completes_with_sane_stats() {
 
 #[test]
 fn threaded_bounded_slack_keeps_its_cpi_at_every_lane_count() {
-    // How the cores are folded onto host threads changes which cores can
-    // drift apart (a lane's own stay within a cycle of each other), not
-    // how far the bound lets them: on one lane, two, and a lane per core
-    // a bounded-16 run stays within 2 % of the cycle-by-cycle CPI, the
-    // band the benchmark holds `thr-b16-fft4` to.
-    let cpi = |r: &slacksim::SimReport| r.global_cycles as f64 / r.committed as f64;
-    let reference = cpi(&run(Benchmark::Fft, EngineKind::Sequential, 200_000));
-    for lanes in [1, 2, 8] {
-        let r = Simulation::new(Benchmark::Fft)
-            .commit_target(200_000)
-            .scheme(Scheme::BoundedSlack { bound: 16 })
-            .engine(EngineKind::Threaded)
-            .host_threads(lanes)
-            .run()
-            .expect("run succeeds");
-        let error = (cpi(&r) - reference).abs() / reference * 100.0;
-        assert!(
-            error <= 2.0,
-            "{lanes} lanes: CPI {:.4} is {error:.2} % off the cycle-by-cycle {reference:.4}",
-            cpi(&r)
-        );
+    // The fidelity oracle for lanes that step bursts (DESIGN §10, "Lanes
+    // step seeded bursts"). How the cores are folded onto host threads changes which
+    // cores drift apart, not how far the bound lets them: on one lane and
+    // two, bounded-16 and adaptive runs of four programs stay within
+    // 2 points of the sequential emulation's own CPI error against
+    // cycle-by-cycle — and so does FFT at a lane per core, the band the
+    // benchmark holds `thr-b16-fft4` to. One lane's cores run seeded
+    // bursts, so a one-lane bounded run has violations: at least a
+    // quarter of the emulation's rate, never none. A lane per core on a
+    // small host is the host's to decide and is recorded in DESIGN, not
+    // gated, except for FFT.
+    let run = |bench, scheme: &Scheme, engine, lanes, seed| {
+        let mut sim = Simulation::new(bench);
+        sim.commit_target(200_000)
+            .scheme(scheme.clone())
+            .engine(engine)
+            .seed(seed);
+        if engine == EngineKind::Threaded {
+            sim.host_threads(lanes);
+        }
+        sim.run().expect("run succeeds")
+    };
+    let schemes = [
+        Scheme::BoundedSlack { bound: 16 },
+        Scheme::Adaptive(AdaptiveConfig::percent(0.2, 5.0)),
+    ];
+    for bench in Benchmark::ALL {
+        for seed in [1, 2] {
+            let cc = run(
+                bench,
+                &Scheme::CycleByCycle,
+                EngineKind::Sequential,
+                0,
+                seed,
+            )
+            .cpi();
+            let error = |r: &slacksim::SimReport| (r.cpi() - cc).abs() / cc * 100.0;
+            for scheme in &schemes {
+                let emulated = run(bench, scheme, EngineKind::Sequential, 0, seed);
+                let band = error(&emulated) + 2.0;
+                let lane_counts: &[usize] = if bench == Benchmark::Fft {
+                    &[1, 2, 8]
+                } else {
+                    &[1, 2]
+                };
+                for &lanes in lane_counts {
+                    let r = run(bench, scheme, EngineKind::Threaded, lanes, seed);
+                    let label = format!("{bench}/{scheme:?}/seed {seed} on {lanes} lanes");
+                    assert!(
+                        error(&r) <= band,
+                        "{label}: CPI {:.4} is {:.2} % off cycle-by-cycle {cc:.4} (band {band:.2} %)",
+                        r.cpi(),
+                        error(&r)
+                    );
+                    if lanes == 1 && matches!(scheme, Scheme::BoundedSlack { .. }) {
+                        let (rate, floor) = (r.violation_rate(), emulated.violation_rate() / 4.0);
+                        assert!(
+                            rate > 0.0 && rate >= floor,
+                            "{label}: violation rate {rate:.5} below a quarter of the emulation's"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

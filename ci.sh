@@ -33,7 +33,7 @@ echo "==> speculative smoke (threaded, bounded slack, rollback on every violatio
     --commit 20000 --checkpoint 2000 --rollback all \
     > /dev/null
 
-echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory)"
+echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory, 16-core directory with rollbacks)"
 # Crash-safety proof on the release binary (DESIGN §13): a threaded
 # cycle-by-cycle run persisting checkpoints is SIGKILLed as soon as the
 # first snapshot lands, resumed from the surviving cp-* file, and must
@@ -45,6 +45,10 @@ echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus,
 # cap — where bank states, sharer sets and per-bank monitors must all
 # cross the versioned byte format (the in-process conformance twin,
 # {16,64} cores and all three engines, runs in crates/conformance).
+# A third run takes the directory through speculation on the sequential
+# engine: 16-core Barnes under bounded slack rolls back on every
+# violation, so the snapshots carry directory entries, per-line monitors
+# and port calendars left behind by rollbacks and monitor compaction.
 kill_and_resume() { # kill_and_resume LABEL FLAGS...
     local label="$1"; shift
     local cps baseline victim snapshot resumed
@@ -73,6 +77,8 @@ kill_and_resume() { # kill_and_resume LABEL FLAGS...
 kill_and_resume bus --scheme cc --engine threaded --cores 2 --commit 200000 --checkpoint 700
 kill_and_resume directory --uncore directory --cores 64 --benchmark fft --scheme cc \
     --engine threaded --commit 200000 --checkpoint 700
+kill_and_resume directory-rollback --uncore directory --cores 16 --benchmark barnes \
+    --scheme bounded --bound 16 --seed 3 --commit 400000 --checkpoint 700 --rollback all
 
 echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, two threads on one CPU)"
 # Host-parallel windows on the release binary (DESIGN §15.1): the

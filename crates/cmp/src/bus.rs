@@ -28,9 +28,13 @@ use slacksim_core::violation::TimestampMonitor;
 /// at least [`PRUNE_WINDOW`] cycles of history. Starts rather than
 /// occupied cycles, because the durable form is the list of starts and
 /// abutting reservations would otherwise lose their boundaries when the
-/// window's trailing edge cuts through one. `reserve` costs a few word
-/// loads whatever the traffic density, never allocates, and the calendar's
-/// footprint is fixed at construction — a clone is one 4 KiB copy.
+/// window's trailing edge cuts through one. `reserve` never allocates and
+/// the calendar's footprint is fixed at construction — a clone is one
+/// 4 KiB copy.
+///
+/// A request that lands in the saturated run of back-to-back reservations
+/// ending at `horizon` jumps straight past it (see `tail`); any other
+/// request walks the starts that push it, one word scan per start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SlotCalendar {
     pub(crate) occupancy: u64,
@@ -40,6 +44,14 @@ pub(crate) struct SlotCalendar {
     starts: Box<[u64; RING_WORDS]>,
     /// The newest reservation start (0 while empty).
     horizon: u64,
+    /// A start of the *tail run*: a chain of starts ending at `horizon`
+    /// whose consecutive starts are less than `2 * occupancy` apart, so
+    /// no slot fits between two of them. Any start of the run will do —
+    /// `horizon` alone is what a load sets — and 0 on an empty calendar
+    /// is never seen, since a jump needs `slot >= base + occupancy`. A
+    /// cache derived from `starts`, so not part of equality or the
+    /// durable form.
+    tail: Tracking<u64>,
 }
 
 /// Reservations further than this many cycles in the past of the newest
@@ -64,6 +76,7 @@ impl SlotCalendar {
             occupancy,
             starts: Box::new([0; RING_WORDS]),
             horizon: 0,
+            tail: Tracking(0),
         }
     }
 
@@ -89,6 +102,16 @@ impl SlotCalendar {
         // or later is free by construction — the case for uncontended,
         // near-monotone traffic.
         while slot < self.horizon + c {
+            // A slot overlapping the tail run or inside it is pushed to
+            // its end: every candidate in `slot..horizon + c` overlaps a
+            // start of the run that lies above `slot - c`, which the walk
+            // would see because `slot - c >= base` — the case for a
+            // saturated port, where the walk would step through the whole
+            // queue ahead of the request.
+            if slot + c > *self.tail && slot >= base + c {
+                slot = self.horizon + c;
+                break;
+            }
             // A start r overlaps `slot..slot + c` iff slot - c < r < slot + c;
             // reservations never overlap each other, so only the latest
             // such start can push the slot.
@@ -100,6 +123,11 @@ impl SlotCalendar {
             }
         }
         if slot > self.horizon {
+            // A gap of `2c` or more leaves room for a slot: the new start
+            // begins a run of its own. Otherwise it extends the tail run.
+            if slot - self.horizon >= 2 * c {
+                *self.tail = slot;
+            }
             self.slide_to(slot);
         }
         self.starts[ring_index(slot >> 6)] |= 1 << (slot & 63);
@@ -162,6 +190,8 @@ impl SlotCalendar {
     pub(crate) fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
         let mut loaded = SlotCalendar::new(self.occupancy);
         loaded.horizon = r.u64()?;
+        // The horizon alone is a run: conservative, but valid.
+        *loaded.tail = loaded.horizon;
         let base = loaded.base();
         let mut next_free = 0;
         let mut newest = 0;
@@ -322,6 +352,7 @@ mod tests {
     use super::*;
     use slacksim_core::checkpoint::Checkpointable;
     use slacksim_core::rng::Xoshiro256;
+    use std::collections::BTreeSet;
 
     fn ts(t: u64) -> Cycle {
         Cycle::new(t)
@@ -689,6 +720,155 @@ mod tests {
                 assert_eq!(pair.bus, cp);
                 (pair.req, pair.resp, pair.top) = (cp_req, cp_resp, cp_top);
                 pair.drive(&mut rng, &mut now, 20_000);
+            }
+        }
+    }
+
+    /// The ring's contract by brute force: a sorted set of starts that
+    /// forgets, and ignores, every start below the same word-aligned
+    /// window base. Unlike [`RefCalendar`] it agrees with the ring on
+    /// stragglers at the window's trailing edge, and its bytes are the
+    /// ring's.
+    struct WindowRef {
+        occupancy: u64,
+        starts: BTreeSet<u64>,
+        horizon: u64,
+    }
+
+    impl WindowRef {
+        fn new(occupancy: u64) -> Self {
+            WindowRef {
+                occupancy,
+                starts: BTreeSet::new(),
+                horizon: 0,
+            }
+        }
+
+        fn base(&self) -> u64 {
+            self.horizon.saturating_sub(PRUNE_WINDOW) & !63
+        }
+
+        fn reserve(&mut self, from: u64) -> u64 {
+            let c = self.occupancy;
+            let base = self.base();
+            if from < base {
+                return from;
+            }
+            let mut slot = from;
+            while let Some(&r) = self
+                .starts
+                .range((slot + 1).saturating_sub(c).max(base)..slot + c)
+                .next_back()
+            {
+                slot = r + c;
+            }
+            self.starts.insert(slot);
+            self.horizon = self.horizon.max(slot);
+            let base = self.base();
+            while self.starts.first().is_some_and(|&r| r < base) {
+                self.starts.pop_first();
+            }
+            slot
+        }
+
+        fn save_state(&self, w: &mut ByteWriter) {
+            w.u64(self.horizon);
+            w.u32(self.starts.len() as u32);
+            self.starts.iter().for_each(|&r| w.u64(r));
+        }
+
+        fn load_state(&mut self, r: &mut ByteReader<'_>) {
+            self.horizon = r.u64().unwrap();
+            let base = self.base();
+            self.starts = (0..r.u32().unwrap())
+                .map(|_| r.u64().unwrap())
+                .filter(|&start| start >= base)
+                .collect();
+        }
+    }
+
+    fn calendar_bytes(save: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn tail_run_jump_matches_the_window_reference() {
+        for c in [1u64, 4, 7] {
+            for seed in 1..=3u64 {
+                let mut rng = Xoshiro256::new(seed * 131 + c);
+                let mut ring = SlotCalendar::new(c);
+                let mut reference = WindowRef::new(c);
+                let grant = |ring: &mut SlotCalendar, reference: &mut WindowRef, from| {
+                    assert_eq!(
+                        ring.reserve(from),
+                        reference.reserve(from),
+                        "c {c}, from {from}"
+                    );
+                };
+                // Where the current tail run began, as far as the test
+                // built it: requests are aimed inside it.
+                let mut run_start = 0u64;
+                for step in 0..30_000u32 {
+                    let horizon = ring.horizon;
+                    match rng.next_below(10_000) {
+                        // A saturated chain: the next start lands less than
+                        // `2c` after the horizon, back to back or with a
+                        // hole too short for a slot.
+                        0..=6999 => {
+                            let gap = if rng.chance(1, 2) {
+                                c
+                            } else {
+                                rng.next_range(c, 2 * c - 1)
+                            };
+                            grant(&mut ring, &mut reference, horizon + gap);
+                        }
+                        // Inside the tail run near its end, now and then
+                        // anywhere in it or just ahead of it.
+                        7000..=8949 => {
+                            let depth = rng.next_below(32 * c);
+                            grant(&mut ring, &mut reference, horizon.saturating_sub(depth));
+                        }
+                        8950..=8999 => {
+                            let lo = run_start.saturating_sub(c);
+                            grant(&mut ring, &mut reference, rng.next_range(lo, horizon));
+                        }
+                        // Same-cycle bursts at the horizon.
+                        9000..=9947 => {
+                            for _ in 0..rng.next_range(2, 6) {
+                                grant(&mut ring, &mut reference, horizon);
+                            }
+                        }
+                        // Stragglers at the window's trailing edge: within
+                        // `occupancy` of the base, where the start that
+                        // overlaps them may already be forgotten.
+                        9948..=9997 => {
+                            let base = reference.base();
+                            let from = (base + rng.next_below(c + 1)).saturating_sub(1);
+                            grant(&mut ring, &mut reference, from);
+                        }
+                        // A gap of `2c` or more begins a new run; runs
+                        // outgrow the window in between.
+                        _ => {
+                            let from = horizon + rng.next_range(2 * c, 8 * c);
+                            grant(&mut ring, &mut reference, from);
+                            run_start = from;
+                        }
+                    }
+                    // Save mid-chain; each side continues from the other's
+                    // bytes, which must be the same bytes.
+                    if step % 10_000 == 9_999 {
+                        let ring_bytes = calendar_bytes(|w| ring.save_state(w));
+                        let ref_bytes = calendar_bytes(|w| reference.save_state(w));
+                        assert_eq!(ring_bytes, ref_bytes, "c {c}, step {step}");
+                        let mut r = ByteReader::new(&ref_bytes);
+                        ring.load_state(&mut r).expect("reference bytes load");
+                        r.finish().expect("no trailing bytes");
+                        reference.load_state(&mut ByteReader::new(&ring_bytes));
+                    }
+                }
+                assert!(ring.base() > 0, "the chains must outgrow the window");
             }
         }
     }

@@ -12,10 +12,10 @@
 //!   serviced out of timestamp order **at that bank**. Sharding the
 //!   monitor is what makes slack violations per-resource: two cores
 //!   hammering different banks never conflict, exactly as on the target,
-//! - per-line [`KeyedMonitor`] entries feeding the existing map-violation
-//!   class, and
-//! - per-line dirty stamps so delta checkpoints carry only the touched
-//!   lines of the touched banks.
+//! - a line table (`lines::LineTable`) holding, per line, the MESI entry,
+//!   the line monitor feeding the existing map-violation class, and the
+//!   dirty stamp that lets delta checkpoints carry only the touched lines
+//!   of the touched banks — one slot, so an access costs one hash probe.
 //!
 //! Sharer sets use [`SharerSet`] instead of the snooping map's `u16`
 //! bitmask, lifting the core cap to [`MAX_DIRECTORY_CORES`].
@@ -28,7 +28,7 @@ use slacksim_core::violation::TimestampMonitor;
 
 use crate::bus::SlotCalendar;
 use crate::cache::LineAddr;
-use crate::lines::{LineDelta, LineTable};
+use crate::lines::{LineDelta, LineEntry, LineTable};
 use crate::mesi::{BusOp, MesiState};
 use crate::sharers::SharerSet;
 
@@ -56,6 +56,12 @@ struct DirEntry {
 }
 
 slacksim_core::persist_fields! { DirEntry { sharers, owner } }
+
+impl LineEntry for DirEntry {
+    fn is_vacant(&self) -> bool {
+        self.sharers.is_empty()
+    }
+}
 
 /// Outcome of one directory access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,12 +118,7 @@ slacksim_core::persist_walk! {
     DirBank, |b| b.global.port, b.global.order_monitor, b.lines,
     b.global.transitions, b.global.line_violations, b.global.order_violations,
     b.global.conflicts, b.global.busy_cycles;
-    cores b.n_cores;
-    then if b.lines.entries.values().any(|e| e.sharers.is_empty()) {
-        Err(PersistError::Corrupt("directory entry with no sharers"))
-    } else {
-        Ok(())
-    }
+    cores b.n_cores
 }
 
 impl DirBank {
@@ -142,7 +143,6 @@ impl DirBank {
     /// (same protocol as the snooping map, over scalable sharer sets).
     fn access(&mut self, op: BusOp, line: LineAddr, from: CoreId, ts: Cycle) -> DirAccess {
         debug_assert!(from.index() < self.n_cores, "unknown core {from}");
-        self.lines.touch(line);
         let g = &mut self.global;
         g.transitions += 1;
 
@@ -151,10 +151,6 @@ impl DirBank {
         if order_violation {
             g.order_violations += 1;
         }
-        let (line_violation, line_high_water) = self.lines.monitor.observe_high_water(line, ts);
-        if line_violation {
-            g.line_violations += 1;
-        }
         let slot = g.port.reserve(ts.as_u64());
         let conflict = slot != ts.as_u64();
         if conflict {
@@ -162,54 +158,58 @@ impl DirBank {
         }
         g.busy_cycles += g.port.occupancy;
 
-        let entry = self.lines.entries.entry(line).or_default();
-        let mut invalidate = Vec::new();
-        let mut downgrade = Vec::new();
-        let mut data_from_owner = None;
-
-        let grant_state = match op {
-            BusOp::Rd => {
-                if let Some(owner) = entry.owner {
-                    if owner != from {
-                        // Possible dirty remote copy: owner supplies and
-                        // downgrades (conservative flush, as on the bus
-                        // path).
-                        data_from_owner = Some(owner);
-                        downgrade.push(owner);
+        let (
+            line_violation,
+            line_high_water,
+            (grant_state, data_from_owner, invalidate, downgrade),
+        ) = self.lines.access(line, ts, |entry| {
+            let mut invalidate = Vec::new();
+            let mut downgrade = Vec::new();
+            let mut data_from_owner = None;
+            let grant_state = match op {
+                BusOp::Rd => {
+                    if let Some(owner) = entry.owner {
+                        if owner != from {
+                            // Possible dirty remote copy: owner supplies and
+                            // downgrades (conservative flush, as on the bus
+                            // path).
+                            data_from_owner = Some(owner);
+                            downgrade.push(owner);
+                            entry.owner = None;
+                        }
+                    }
+                    let other = entry.sharers.iter().any(|c| c != from);
+                    entry.sharers.insert(from);
+                    if other {
+                        MesiState::Shared
+                    } else {
+                        entry.owner = Some(from);
+                        MesiState::Exclusive
+                    }
+                }
+                BusOp::RdX | BusOp::Upgr => {
+                    if let Some(owner) = entry.owner {
+                        if owner != from {
+                            data_from_owner = Some(owner);
+                        }
+                    }
+                    invalidate.extend(entry.sharers.iter().filter(|&c| c != from));
+                    entry.sharers = SharerSet::only(from);
+                    entry.owner = Some(from);
+                    MesiState::Modified
+                }
+                BusOp::Wb => {
+                    entry.sharers.remove(from);
+                    if entry.owner == Some(from) {
                         entry.owner = None;
                     }
+                    MesiState::Invalid
                 }
-                let other = entry.sharers.iter().any(|c| c != from);
-                entry.sharers.insert(from);
-                if other {
-                    MesiState::Shared
-                } else {
-                    entry.owner = Some(from);
-                    MesiState::Exclusive
-                }
-            }
-            BusOp::RdX | BusOp::Upgr => {
-                if let Some(owner) = entry.owner {
-                    if owner != from {
-                        data_from_owner = Some(owner);
-                    }
-                }
-                invalidate.extend(entry.sharers.iter().filter(|&c| c != from));
-                entry.sharers = SharerSet::only(from);
-                entry.owner = Some(from);
-                MesiState::Modified
-            }
-            BusOp::Wb => {
-                entry.sharers.remove(from);
-                if entry.owner == Some(from) {
-                    entry.owner = None;
-                }
-                MesiState::Invalid
-            }
-        };
-
-        if entry.sharers.is_empty() {
-            self.lines.entries.remove(&line);
+            };
+            (grant_state, data_from_owner, invalidate, downgrade)
+        });
+        if line_violation {
+            self.global.line_violations += 1;
         }
 
         DirAccess {
@@ -377,18 +377,18 @@ impl Directory {
 
     /// Lines currently tracked across banks.
     pub fn tracked_lines(&self) -> usize {
-        self.banks.iter().map(|b| b.lines.entries.len()).sum()
+        self.banks.iter().map(|b| b.lines.entry_count()).sum()
     }
 
     /// Per-line monitors currently tracked across banks.
     pub fn monitor_entries(&self) -> usize {
-        self.banks.iter().map(|b| b.lines.monitor.len()).sum()
+        self.banks.iter().map(|b| b.lines.monitor_count()).sum()
     }
 
     /// Returns the set of cores currently holding `line` (testing aid).
     pub fn sharers(&self, line: LineAddr) -> Vec<CoreId> {
         let bank = self.bank_of(line);
-        match self.banks[bank].lines.entries.get(&line) {
+        match self.banks[bank].lines.get(line) {
             Some(e) => e.sharers.iter().collect(),
             None => Vec::new(),
         }

@@ -17,7 +17,7 @@ use slacksim_core::persist::PersistError;
 use slacksim_core::time::Cycle;
 
 use crate::cache::LineAddr;
-use crate::lines::{LineDelta, LineTable};
+use crate::lines::{LineDelta, LineEntry, LineTable};
 use crate::mesi::{BusOp, MesiState};
 
 /// Global residence state of one line.
@@ -49,6 +49,12 @@ impl MapEntry {
 
     fn others(&self, core: CoreId) -> u16 {
         self.sharers & !(1 << core.index())
+    }
+}
+
+impl LineEntry for MapEntry {
+    fn is_vacant(&self) -> bool {
+        self.sharers == 0
     }
 }
 
@@ -147,64 +153,59 @@ impl CacheMap {
     pub fn transition(&mut self, op: BusOp, line: LineAddr, from: CoreId, ts: Cycle) -> MapOutcome {
         debug_assert!(from.index() < self.n_cores, "unknown core {from}");
         self.stats.transitions += 1;
-        self.lines.touch(line);
-        let (violation, high_water) = self.lines.monitor.observe_high_water(line, ts);
+        let n_cores = self.n_cores;
+        let (violation, high_water, (grant, data_from_owner, invalidate, downgrade)) =
+            self.lines.access(line, ts, |entry| {
+                let mut invalidate = Vec::new();
+                let mut downgrade = Vec::new();
+                let mut data_from_owner = None;
+                let grant = match op {
+                    BusOp::Rd => {
+                        if let Some(owner) = entry.owner {
+                            if owner != from {
+                                // Possible dirty remote copy: owner supplies and
+                                // downgrades (E owners downgrade silently; the
+                                // conservative flush costs nothing extra in a
+                                // timing-only model).
+                                data_from_owner = Some(owner);
+                                downgrade.push(owner);
+                                entry.owner = None;
+                            }
+                        }
+                        let other = entry.others(from) != 0;
+                        entry.add(from);
+                        if other {
+                            MesiState::Shared
+                        } else {
+                            entry.owner = Some(from);
+                            MesiState::Exclusive
+                        }
+                    }
+                    BusOp::RdX | BusOp::Upgr => {
+                        if let Some(owner) = entry.owner {
+                            if owner != from {
+                                data_from_owner = Some(owner);
+                            }
+                        }
+                        for c in CoreId::all(n_cores) {
+                            if c != from && entry.has(c) {
+                                invalidate.push(c);
+                            }
+                        }
+                        entry.sharers = 1 << from.index();
+                        entry.owner = Some(from);
+                        MesiState::Modified
+                    }
+                    BusOp::Wb => {
+                        entry.remove(from);
+                        MesiState::Invalid
+                    }
+                };
+                (grant, data_from_owner, invalidate, downgrade)
+            });
         if violation {
             self.stats.violations += 1;
         }
-
-        let entry = self.lines.entries.entry(line).or_default();
-        let mut invalidate = Vec::new();
-        let mut downgrade = Vec::new();
-        let mut data_from_owner = None;
-
-        let grant = match op {
-            BusOp::Rd => {
-                if let Some(owner) = entry.owner {
-                    if owner != from {
-                        // Possible dirty remote copy: owner supplies and
-                        // downgrades (E owners downgrade silently; the
-                        // conservative flush costs nothing extra in a
-                        // timing-only model).
-                        data_from_owner = Some(owner);
-                        downgrade.push(owner);
-                        entry.owner = None;
-                    }
-                }
-                let other = entry.others(from) != 0;
-                entry.add(from);
-                if other {
-                    MesiState::Shared
-                } else {
-                    entry.owner = Some(from);
-                    MesiState::Exclusive
-                }
-            }
-            BusOp::RdX | BusOp::Upgr => {
-                if let Some(owner) = entry.owner {
-                    if owner != from {
-                        data_from_owner = Some(owner);
-                    }
-                }
-                for c in CoreId::all(self.n_cores) {
-                    if c != from && entry.has(c) {
-                        invalidate.push(c);
-                    }
-                }
-                entry.sharers = 1 << from.index();
-                entry.owner = Some(from);
-                MesiState::Modified
-            }
-            BusOp::Wb => {
-                entry.remove(from);
-                MesiState::Invalid
-            }
-        };
-
-        if entry.sharers == 0 {
-            self.lines.entries.remove(&line);
-        }
-
         MapOutcome {
             violation,
             high_water,
@@ -217,7 +218,7 @@ impl CacheMap {
 
     /// Number of lines currently tracked.
     pub fn tracked_lines(&self) -> usize {
-        self.lines.entries.len()
+        self.lines.entry_count()
     }
 
     /// Total transitions applied.
@@ -232,7 +233,7 @@ impl CacheMap {
 
     /// Returns the set of cores currently holding `line` (testing aid).
     pub fn sharers(&self, line: LineAddr) -> Vec<CoreId> {
-        match self.lines.entries.get(&line) {
+        match self.lines.get(line) {
             Some(e) => CoreId::all(self.n_cores).filter(|&c| e.has(c)).collect(),
             None => Vec::new(),
         }
@@ -240,7 +241,7 @@ impl CacheMap {
 
     /// Number of per-line violation monitors currently tracked.
     pub fn monitor_entries(&self) -> usize {
-        self.lines.monitor.len()
+        self.lines.monitor_count()
     }
 
     /// Drops per-line monitors whose high-water mark is at or below
@@ -259,7 +260,7 @@ impl CacheMap {
     /// Refuses loaded sharer masks naming a core outside this map's count.
     fn check_cores(&self) -> Result<(), PersistError> {
         let foreign = |e: &MapEntry| u32::from(e.sharers) >> self.n_cores != 0;
-        if self.lines.entries.values().any(foreign) {
+        if self.lines.entries().any(foreign) {
             return Err(PersistError::Corrupt("map entry references unknown core"));
         }
         Ok(())

@@ -1,6 +1,7 @@
 //! Randomised property tests for the target-CMP substrate: the cache
 //! against a reference model, bus slot-calendar exclusivity, cache-map
-//! protocol invariants and synchronisation-device laws. Inputs come from
+//! protocol invariants, per-line violation monitors against a reference
+//! model and synchronisation-device laws. Inputs come from
 //! the in-tree deterministic [`Xoshiro256`] RNG, so every run reproduces
 //! bit-identically without external crates.
 
@@ -11,6 +12,7 @@ use slacksim_cmp::cache::{Cache, CacheConfig, LineAddr};
 use slacksim_cmp::map::CacheMap;
 use slacksim_cmp::mesi::{BusOp, MesiState};
 use slacksim_cmp::sync::SyncDevice;
+use slacksim_core::checkpoint::Checkpointable;
 use slacksim_core::event::CoreId;
 use slacksim_core::rng::Xoshiro256;
 use slacksim_core::time::Cycle;
@@ -400,5 +402,115 @@ fn directory_save_load_round_trips_past_sixteen_cores() {
             dir.order_violations(),
             "case {case}"
         );
+    }
+}
+
+/// One uncore table's line-monitor surface, so the status map and the
+/// directory banks run the same property.
+struct LineModel<M> {
+    model: M,
+    access: fn(&mut M, BusOp, LineAddr, CoreId, Cycle) -> (bool, Cycle),
+    compact: fn(&mut M, Cycle) -> usize,
+    monitors: fn(&M) -> usize,
+}
+
+/// Per-line monitors against a `BTreeMap` reference: every access's
+/// verdict and high-water mark, each line independent of the others, the
+/// monitor count, compaction at a checkpoint horizon, and checkpoints —
+/// a delta captured and applied, and a restore, both equal to a clone.
+fn line_monitors_match_the_reference<M>(seed: u64, n_cores: u64, mut t: LineModel<M>)
+where
+    M: Checkpointable + PartialEq + std::fmt::Debug,
+{
+    use std::collections::BTreeMap;
+
+    let mut rng = Xoshiro256::new(seed);
+    // The live monitors, and monitors that are never compacted: for any
+    // timestamp at or past the last compaction horizon both must give the
+    // same verdict and mark.
+    let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut never: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut base = t.model.clone();
+    let mut base_gen = t.model.generation();
+    let mut checkpoint = (t.model.clone(), live.clone(), never.clone());
+    let mut floor = 0u64;
+    for _ in 0..600 {
+        match rng.next_below(100) {
+            // A checkpoint: capture into the base, which must equal a clone;
+            // then compact at the checkpoint's horizon. Every later access
+            // carries a timestamp at or past it.
+            0..=3 => {
+                let clone = t.model.clone();
+                base.apply_delta(t.model.capture_delta(base_gen));
+                base_gen = t.model.generation();
+                assert_eq!(base, clone, "seed {seed}: capture then apply");
+                checkpoint = (clone, live.clone(), never.clone());
+                let horizon = floor + rng.next_below(64);
+                let settled = live.values().filter(|&&hw| hw <= horizon).count();
+                assert_eq!((t.compact)(&mut t.model, Cycle::new(horizon)), settled);
+                live.retain(|_, hw| *hw > horizon);
+                floor = horizon;
+            }
+            // A rollback to the last checkpoint.
+            4..=5 => {
+                t.model.restore_from(&base, base_gen);
+                assert_eq!(t.model, checkpoint.0, "seed {seed}: restore");
+                (live, never) = (checkpoint.1.clone(), checkpoint.2.clone());
+            }
+            _ => {
+                let op =
+                    [BusOp::Rd, BusOp::RdX, BusOp::Upgr, BusOp::Wb][rng.next_below(4) as usize];
+                let line = rng.next_below(24);
+                let core = CoreId::new(rng.next_below(n_cores) as u16);
+                let ts = floor + rng.next_below(200);
+                let (violation, high_water) =
+                    (t.access)(&mut t.model, op, LineAddr::new(line), core, Cycle::new(ts));
+                for monitors in [&mut live, &mut never] {
+                    let hw = monitors.entry(line).or_insert(ts);
+                    let expected = ts < *hw;
+                    *hw = (*hw).max(ts);
+                    assert_eq!(
+                        (violation, high_water),
+                        (expected, Cycle::new(*hw)),
+                        "seed {seed}: line {line} at {ts}"
+                    );
+                }
+            }
+        }
+        assert_eq!((t.monitors)(&t.model), live.len(), "seed {seed}");
+    }
+}
+
+#[test]
+fn status_map_line_monitors_match_the_reference() {
+    for case in 0..CASES {
+        let line_model = LineModel {
+            model: CacheMap::new(8),
+            access: |m, op, line, core, ts| {
+                let out = m.transition(op, line, core, ts);
+                (out.violation, out.high_water)
+            },
+            compact: CacheMap::compact_monitor,
+            monitors: CacheMap::monitor_entries,
+        };
+        line_monitors_match_the_reference(0x11E5 + case, 8, line_model);
+    }
+}
+
+#[test]
+fn directory_line_monitors_match_the_reference() {
+    use slacksim_cmp::directory::Directory;
+
+    for case in 0..CASES {
+        let line_model = LineModel {
+            model: Directory::new(32, 4),
+            access: |d, op, line, core, ts| {
+                let out = d.access(op, line, core, ts);
+                (out.line_violation, out.line_high_water)
+            },
+            compact: Directory::compact_monitors,
+            monitors: Directory::monitor_entries,
+        };
+        line_monitors_match_the_reference(0xD1E5 + case, 32, line_model);
     }
 }

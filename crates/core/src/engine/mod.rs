@@ -216,9 +216,9 @@ pub trait UncoreModel<E>: Clone + Send + 'static {
     /// still arrive — including rollback replays, which restart from this
     /// very checkpoint — carries a timestamp at or past `horizon`, so a
     /// monitor whose high-water mark is at or below it can never flag
-    /// again and may be forgotten. Keeps keyed-monitor memory (and the
+    /// again and may be forgotten. Keeps per-line monitor memory (and the
     /// per-checkpoint re-clone cost) flat on long runs. The default does
-    /// nothing; models with keyed monitors should override.
+    /// nothing; models with per-line monitors should override.
     fn compact_monitors(&mut self, _horizon: Cycle) {}
 }
 

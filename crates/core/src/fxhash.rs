@@ -1,9 +1,9 @@
 //! A fast, non-cryptographic hasher for the simulator's hot maps.
 //!
 //! The manager-side structures keyed by line address (the cache status
-//! map, its per-line violation monitors, delta dirty stamps) sit on the
+//! map's and the directory banks' line tables) sit on the
 //! boundary-servicing critical path of every engine: each bus event costs
-//! several map probes. The standard library's default SipHash is
+//! a map probe. The standard library's default SipHash is
 //! DoS-resistant but pays ~10x the cost of a multiply-rotate mix on
 //! 8-byte keys, which profiling shows dominates `uncore.service`. Keys
 //! here are line addresses from a simulated workload, not attacker input,

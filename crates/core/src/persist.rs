@@ -45,7 +45,7 @@ use crate::event::CoreId;
 use crate::rng::Xoshiro256;
 use crate::speculative::SpeculationStats;
 use crate::time::Cycle;
-use crate::violation::{KeyedMonitor, TimestampMonitor, ViolationTally};
+use crate::violation::{TimestampMonitor, ViolationTally};
 
 /// File magic identifying a slacksim snapshot container.
 pub const MAGIC: [u8; 8] = *b"SLAKSNAP";
@@ -474,13 +474,14 @@ impl<T: Persist> Persist for VecDeque<T> {
 }
 
 /// Appends a `u32` count and the `(key, value)` pairs in ascending key
-/// order, so the bytes never depend on hash iteration order.
-fn save_sorted<K: Persist + Ord, V>(
+/// order, so the bytes never depend on hash iteration order — the form a
+/// `HashMap` loads from.
+pub fn save_sorted<K: Persist + Ord, V>(
     w: &mut ByteWriter,
-    mut pairs: Vec<(&K, V)>,
+    mut pairs: Vec<(K, V)>,
     save: impl Fn(&V, &mut ByteWriter),
 ) {
-    pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     w.u32(pairs.len() as u32);
     for (key, value) in &pairs {
         key.save(w);
@@ -513,7 +514,9 @@ where
     S: BuildHasher + Default,
 {
     fn save(&self, w: &mut ByteWriter) {
-        save_sorted(w, self.iter().collect(), |v, w| v.save(w));
+        save_sorted(w, self.iter().map(|(&k, v)| (k, v)).collect(), |v, w| {
+            v.save(w)
+        });
     }
 
     fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
@@ -522,19 +525,6 @@ where
             map.insert(k, v);
         })?;
         Ok(map)
-    }
-}
-
-/// The touched entries and their high-water marks, as a sorted map.
-impl<K: Persist + Ord + Hash + Copy> Persist for KeyedMonitor<K> {
-    fn save(&self, w: &mut ByteWriter) {
-        save_sorted(w, self.iter().collect(), Cycle::save);
-    }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let mut monitor = KeyedMonitor::new();
-        load_sorted(r, |k, high_water| monitor.set(k, Some(high_water)))?;
-        Ok(monitor)
     }
 }
 

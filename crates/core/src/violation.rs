@@ -22,7 +22,6 @@
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::fxhash::FxHashMap;
 use crate::time::Cycle;
 
 /// The class of resource on which a violation was detected.
@@ -145,140 +144,6 @@ impl TimestampMonitor {
     /// Forgets all observed operations (used on rollback).
     pub fn reset(&mut self) {
         self.max_ts = Cycle::ZERO;
-    }
-}
-
-/// A family of monitoring variables keyed by resource identity (e.g. one per
-/// cache-status-map entry), allocated lazily on first touch.
-///
-/// # Examples
-///
-/// ```
-/// use slacksim_core::time::Cycle;
-/// use slacksim_core::violation::KeyedMonitor;
-///
-/// let mut map: KeyedMonitor<u64> = KeyedMonitor::new();
-/// assert!(!map.observe(0x40, Cycle::new(9)));
-/// assert!(!map.observe(0x80, Cycle::new(3))); // different entry: no order relation
-/// assert!(map.observe(0x40, Cycle::new(5)));  // same entry, earlier ts: violation
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct KeyedMonitor<K> {
-    monitors: FxHashMap<K, TimestampMonitor>,
-}
-
-impl<K: Eq + Hash> PartialEq for KeyedMonitor<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.monitors == other.monitors
-    }
-}
-
-impl<K: Eq + Hash> Eq for KeyedMonitor<K> {}
-
-impl<K: Eq + Hash> KeyedMonitor<K> {
-    /// Creates an empty monitor family.
-    pub fn new() -> Self {
-        KeyedMonitor {
-            monitors: FxHashMap::default(),
-        }
-    }
-
-    /// Records an operation on entry `key`; returns `true` iff it violates.
-    #[inline]
-    pub fn observe(&mut self, key: K, ts: Cycle) -> bool {
-        self.monitors.entry(key).or_default().observe(ts)
-    }
-
-    /// Records an operation on entry `key` and returns the verdict
-    /// together with the entry's post-observation high-water mark, in one
-    /// table lookup. Identical to `observe` followed by `high_water` —
-    /// the single probe matters on the boundary-servicing hot path, where
-    /// every bus event consults its line's monitor.
-    #[inline]
-    pub fn observe_high_water(&mut self, key: K, ts: Cycle) -> (bool, Cycle) {
-        let m = self.monitors.entry(key).or_default();
-        let violation = m.observe(ts);
-        (violation, m.high_water())
-    }
-
-    /// The largest timestamp observed so far on entry `key`
-    /// ([`Cycle::ZERO`] for a never-touched entry).
-    #[inline]
-    pub fn high_water(&self, key: &K) -> Cycle {
-        self.monitors
-            .get(key)
-            .map(TimestampMonitor::high_water)
-            .unwrap_or(Cycle::ZERO)
-    }
-
-    /// The high-water mark of entry `key`, or `None` when the entry was
-    /// never touched. Unlike [`high_water`](Self::high_water) this
-    /// distinguishes an absent entry from one stuck at [`Cycle::ZERO`],
-    /// which checkpoint deltas need to restore entry presence exactly.
-    #[inline]
-    pub fn get(&self, key: &K) -> Option<Cycle> {
-        self.monitors.get(key).map(TimestampMonitor::high_water)
-    }
-
-    /// Overwrites entry `key` with the given high-water mark, or removes
-    /// it entirely with `None` (checkpoint restore).
-    pub fn set(&mut self, key: K, high_water: Option<Cycle>) {
-        match high_water {
-            Some(hw) => {
-                self.monitors
-                    .insert(key, TimestampMonitor::with_high_water(hw));
-            }
-            None => {
-                self.monitors.remove(&key);
-            }
-        }
-    }
-
-    /// Number of entries touched at least once.
-    pub fn len(&self) -> usize {
-        self.monitors.len()
-    }
-
-    /// Returns `true` if no entries were ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.monitors.is_empty()
-    }
-
-    /// Forgets all observed operations (used on rollback).
-    pub fn reset(&mut self) {
-        self.monitors.clear();
-    }
-
-    /// Visits every tracked entry as `(key, high_water)` in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, Cycle)> {
-        self.monitors.iter().map(|(k, m)| (k, m.high_water()))
-    }
-
-    /// Drops every entry whose high-water mark is at or below `horizon`,
-    /// returning the removed keys.
-    ///
-    /// Safe at a committed checkpoint with `horizon` equal to the
-    /// checkpoint's global cycle: every operation that can still arrive
-    /// (including rollback replays, which restart from the checkpoint)
-    /// carries a timestamp `ts >= horizon`, and a violation requires
-    /// `ts < high_water <= horizon <= ts` — a contradiction. A removed
-    /// entry's fresh re-creation on next touch therefore yields the exact
-    /// same verdicts and final high-water mark the retained entry would
-    /// have produced.
-    pub fn compact(&mut self, horizon: Cycle) -> Vec<K>
-    where
-        K: Clone,
-    {
-        let removed: Vec<K> = self
-            .monitors
-            .iter()
-            .filter(|(_, m)| m.high_water() <= horizon)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &removed {
-            self.monitors.remove(k);
-        }
-        removed
     }
 }
 
@@ -438,36 +303,6 @@ mod tests {
         m.observe(c(100));
         m.reset();
         assert!(!m.observe(c(1)));
-    }
-
-    #[test]
-    fn keyed_monitor_isolates_entries() {
-        let mut km = KeyedMonitor::new();
-        assert!(!km.observe("a", c(10)));
-        assert!(!km.observe("b", c(1)));
-        assert!(km.observe("a", c(2)));
-        assert!(!km.observe("b", c(2)));
-        assert_eq!(km.len(), 2);
-        km.reset();
-        assert!(km.is_empty());
-        assert!(!km.observe("a", c(1)));
-    }
-
-    #[test]
-    fn keyed_monitor_compacts_below_horizon() {
-        let mut km = KeyedMonitor::new();
-        km.observe("cold", c(5));
-        km.observe("warm", c(10));
-        km.observe("hot", c(20));
-        let mut removed = km.compact(c(10));
-        removed.sort_unstable();
-        assert_eq!(removed, vec!["cold", "warm"]);
-        assert_eq!(km.len(), 1);
-        assert_eq!(km.get(&"hot"), Some(c(20)));
-        // A re-touched compacted entry behaves exactly like a fresh one
-        // would for any legal post-checkpoint timestamp (ts >= horizon).
-        assert!(!km.observe("cold", c(10)));
-        assert!(km.observe("cold", c(9)));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use slacksim_core::rng::Xoshiro256;
 use slacksim_core::scheme::{AdaptiveConfig, AdaptiveController, PaceSample, Pacer, Scheme};
 use slacksim_core::speculative::IntervalTracker;
 use slacksim_core::time::Cycle;
-use slacksim_core::violation::{KeyedMonitor, TimestampMonitor, ViolationKind, ViolationTally};
+use slacksim_core::violation::{TimestampMonitor, ViolationKind, ViolationTally};
 
 const CASES: u64 = 64;
 
@@ -28,24 +28,6 @@ fn monitor_matches_brute_force_oracle() {
             let got = monitor.observe(Cycle::new(t));
             assert_eq!(got, expected, "case {case}, ts {t}");
             max_seen = max_seen.max(t);
-        }
-    }
-}
-
-/// Keyed monitors are independent per key.
-#[test]
-fn keyed_monitor_isolates_keys() {
-    for case in 0..CASES {
-        let mut rng = Xoshiro256::new(0xB22D + case);
-        let len = 1 + rng.next_below(200) as usize;
-        let mut km: KeyedMonitor<u8> = KeyedMonitor::new();
-        let mut maxes = [0u64; 4];
-        for _ in 0..len {
-            let key = rng.next_below(4) as u8;
-            let t = rng.next_below(1000);
-            let expected = t < maxes[key as usize];
-            assert_eq!(km.observe(key, Cycle::new(t)), expected, "case {case}");
-            maxes[key as usize] = maxes[key as usize].max(t);
         }
     }
 }

@@ -114,7 +114,28 @@ fn run_on(
     cores: usize,
     uncore: UncoreKind,
 ) -> u64 {
-    let mut sim = Simulation::new(Benchmark::WaterNsquared);
+    run_bench(
+        Benchmark::WaterNsquared,
+        host_threads,
+        engine,
+        scheme,
+        spec,
+        cores,
+        uncore,
+    )
+}
+
+/// [`run_on`] with the benchmark chosen.
+fn run_bench(
+    bench: Benchmark,
+    host_threads: usize,
+    engine: EngineKind,
+    scheme: &Scheme,
+    spec: Spec,
+    cores: usize,
+    uncore: UncoreKind,
+) -> u64 {
+    let mut sim = Simulation::new(bench);
     sim.cores(cores)
         .uncore(uncore)
         .scheme(scheme.clone())
@@ -169,6 +190,32 @@ fn computed() -> Vec<(String, u64)> {
         ));
     }
     let cc = Scheme::CycleByCycle;
+    // The directory's line tables under speculation: delta capture,
+    // restore and monitor compaction on 16 and 64 cores.
+    rows.push((
+        "seq/b16/rollback-all/dir16".to_owned(),
+        run_bench(
+            Benchmark::Barnes,
+            0,
+            EngineKind::Sequential,
+            &Scheme::BoundedSlack { bound: 16 },
+            Spec::RollbackAll,
+            16,
+            UncoreKind::Directory,
+        ),
+    ));
+    rows.push((
+        "bat/q50/cp-only/dir64".to_owned(),
+        run_bench(
+            Benchmark::Fft,
+            0,
+            EngineKind::Batched,
+            &q50,
+            Spec::CheckpointOnly,
+            64,
+            UncoreKind::Directory,
+        ),
+    ));
     rows.push((
         "thr/cc/bus8".to_owned(),
         run(EngineKind::Threaded, &cc, Spec::Off, 8, UncoreKind::Bus),
@@ -186,7 +233,7 @@ fn computed() -> Vec<(String, u64)> {
     rows
 }
 
-const EXPECTED: [(&str, u64); 16] = [
+const EXPECTED: [(&str, u64); 18] = [
     ("seq/cc/off", 0x28fa_b0e6_9c11_12fe),
     ("seq/cc/cp-only", 0xf7e6_0cb3_fb1b_2ea9),
     ("seq/cc/rollback-all", 0xf7e6_0cb3_fb1b_2ea9),
@@ -201,6 +248,8 @@ const EXPECTED: [(&str, u64); 16] = [
     ("seq/q50/rollback-all", 0x5e08_d44d_caa8_7305),
     ("bat/q50/off", 0x7a57_a10f_aded_d1f8),
     ("bat/q50/cp-only", 0xef09_d8c9_3307_dad1),
+    ("seq/b16/rollback-all/dir16", 0xa48f_4946_ff31_9493),
+    ("bat/q50/cp-only/dir64", 0xcfa7_2232_9793_f37a),
     ("thr/cc/bus8", 0xd760_12ca_9023_5456),
     ("thr/cc/dir16", 0x5f72_8148_45ad_5a80),
 ];
@@ -282,4 +331,17 @@ fn rollback_rows_actually_roll_back() {
         .expect("run succeeds");
     assert!(r.kernel.get("rollbacks") > 0, "no rollbacks: {}", r.kernel);
     assert!(r.kernel.get("checkpoints") > 0);
+
+    // The directory row rolls back too, and its line tables compact.
+    let r = Simulation::new(Benchmark::Barnes)
+        .cores(16)
+        .uncore(UncoreKind::Directory)
+        .scheme(Scheme::BoundedSlack { bound: 16 })
+        .commit_target(40_000)
+        .seed(7)
+        .speculation(SpeculationConfig::speculative(1000, ViolationSelect::all()))
+        .run()
+        .expect("run succeeds");
+    assert!(r.kernel.get("rollbacks") > 0, "no rollbacks: {}", r.kernel);
+    assert!(r.uncore.get("dir_transactions") > 0, "{}", r.uncore);
 }

@@ -34,10 +34,14 @@ echo "==> speculative smoke (threaded, bounded slack, rollback on every violatio
     > /dev/null
 
 echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory, 16-core directory with rollbacks)"
-# Crash-safety proof on the release binary (DESIGN §13): a threaded
+# Crash-safety proof on the release binary (DESIGN §13): a
 # cycle-by-cycle run persisting checkpoints is SIGKILLed as soon as the
 # first snapshot lands, resumed from the surviving cp-* file, and must
-# report the exact simulated outcome of an uninterrupted baseline.
+# report the exact simulated outcome of an uninterrupted baseline. The
+# `bus` and `directory` runs ask for `--engine threaded`, which hands
+# every barrier-scheme run to the batched engine (DESIGN §19), so they
+# prove the batched engine's durable path and the hand-off's save hook
+# and resume.
 # The in-process twin of this check (both engines, refusal paths) runs
 # in tests/persist_resume.rs; this stage exercises the shipped binary
 # end to end, kill included. It runs twice: on the 2-core snooping bus,
@@ -92,68 +96,72 @@ echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, 
 # twins run in crates/conformance and tests/report_digest.rs.
 bat_flags=(--uncore directory --cores 64 --benchmark fft --scheme quantum
     --quantum 50 --engine batched --commit 1000000 --verbose)
-bat_report() { # the simulated report of one run: bat_report COMMAND...
+sim_report() { # the simulated report of one run: sim_report COMMAND...
     "$@" 2> /dev/null | grep -vE '^(wall clock|speed) '
 }
-bat_one="$(bat_report ./target/release/slacksim "${bat_flags[@]}" --host-threads 1)"
+bat_one="$(sim_report ./target/release/slacksim "${bat_flags[@]}" --host-threads 1)"
 grep -q '^committed' <<< "$bat_one" || {
     echo "ci: batched run printed no report" >&2; exit 1; }
 for h in 2 3; do
-    [ "$bat_one" = "$(bat_report ./target/release/slacksim "${bat_flags[@]}" --host-threads "$h")" ] || {
+    [ "$bat_one" = "$(sim_report ./target/release/slacksim "${bat_flags[@]}" --host-threads "$h")" ] || {
         echo "ci: batched report on $h host threads differs from the one on 1" >&2; exit 1; }
 done
 if command -v taskset > /dev/null; then
-    [ "$bat_one" = "$(bat_report timeout 120 taskset -c 0 \
+    [ "$bat_one" = "$(sim_report timeout 120 taskset -c 0 \
         ./target/release/slacksim "${bat_flags[@]}" --host-threads 2)" ] || {
         echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
 
-echo "==> core-lane threaded smoke (8-core cc, --host-threads 1/2/8, two lanes on one CPU, four slack lanes on one CPU, one-lane bounded repeats, unbounded/adaptive/p2p rollback)"
-# Core lanes on the release binary (DESIGN §10, "Core lanes"): the
-# threaded engine's lane count is a host knob, so under cycle-by-cycle
-# the whole verbose report — everything but the two host-time lines and
-# the three kernel counters that record what the host's scheduler did
-# (park counts and the asynchronously sampled clock spread, the ones
-# tests/report_digest.rs drops) — must be byte-equal with the 8 cores on
-# one lane, on two, and on a lane each.
-# Then the oversubscribed case: the manager (stepping lane 0) and one
-# lane thread pinned to one CPU must still finish, with the same report,
-# and so must bounded slack with four lanes on that CPU, where a lane
-# waits on three others and the one wait ladder yields the CPU to them
-# from its first wait. The in-process twins run in crates/conformance
-# and tests/report_digest.rs. Then one lane under bounded slack: its
-# cores run seeded bursts on the manager's thread, so two runs print the
-# same report, and it reports violations — a lane's own cores drift
-# apart as far as the bound lets them. Last, speculative unbounded runs
-# with every core on the manager's own lane and with a lane thread
-# beside it: a manager that steps lane 0 past its own service — or,
-# after a replay, towards an uncapped window — stalls here, so it fails
-# in seconds instead of hanging tests/persist_resume.rs (both roll back
-# and replay in 2 M commits). The same runs on two lanes under adaptive
-# slack, whose windows shrink while a checkpoint's stop point is
-# pending, and under Lax-P2P, whose windows are per core — adaptive also
-# on one CPU: a stop point that lies below some core never fills, and
-# hangs rather than fails.
-thr_flags=(--benchmark fft --scheme cc --engine threaded --cores 8
-    --commit 200000 --verbose)
-thr_report() { # the simulated report of one run: thr_report COMMAND...
-    "$@" 2> /dev/null | grep -vE '^(wall clock|speed) |^ *(core_parks|manager_parks|max_clock_spread):'
-}
-thr_one="$(thr_report ./target/release/slacksim "${thr_flags[@]}" --host-threads 1)"
-grep -q '^committed' <<< "$thr_one" || {
-    echo "ci: threaded run printed no report" >&2; exit 1; }
-for h in 2 8; do
-    [ "$thr_one" = "$(thr_report ./target/release/slacksim "${thr_flags[@]}" --host-threads "$h")" ] || {
-        echo "ci: threaded report on $h lanes differs from the one on 1" >&2; exit 1; }
+echo "==> core-lane threaded smoke (8-core cc routed to batched at --host-threads 1/2/8, two threads on one CPU, four slack lanes on one CPU, one-lane bounded repeats, unbounded/adaptive/p2p rollback)"
+# Barrier routing on the release binary (DESIGN §19): the threaded
+# engine hands every cycle-by-cycle run to the batched engine, and
+# `--engine batched` runs cc as a quantum of one, so on 1, 2 and 8 host
+# threads both print the sequential engine's verbose report — headline,
+# uncore, kernel and per-core counters, everything but the two host-time
+# lines. Then the oversubscribed case: two host threads pinned to one
+# CPU must still finish, with the same report, and so must bounded slack
+# with four lanes on that CPU, where a lane waits on three others and
+# the one wait ladder yields the CPU to them from its first wait
+# (DESIGN §10, "Core lanes"). The in-process twins run in
+# crates/conformance and tests/report_digest.rs. Then one lane under
+# bounded slack: its cores run seeded bursts on the manager's thread, so
+# two runs print the same report, and it reports violations — a lane's
+# own cores drift apart as far as the bound lets them. Last, speculative
+# unbounded runs with every core on the manager's own lane and with a
+# lane thread beside it: a manager that steps lane 0 past its own
+# service — or, after a replay, towards an uncapped window — stalls
+# here, so it fails in seconds instead of hanging
+# tests/persist_resume.rs (both roll back and replay in 2 M commits).
+# The same runs on two lanes under adaptive slack, whose windows shrink
+# while a checkpoint's stop point is pending, and under Lax-P2P, whose
+# windows are per core — adaptive also on one CPU: a stop point that
+# lies below some core never fills, and hangs rather than fails.
+cc_flags=(--benchmark fft --scheme cc --cores 8 --commit 200000 --verbose)
+cc_seq="$(sim_report ./target/release/slacksim "${cc_flags[@]}" --engine seq)"
+grep -q '^committed' <<< "$cc_seq" || {
+    echo "ci: sequential cc run printed no report" >&2; exit 1; }
+for engine in threaded batched; do
+    for h in 1 2 8; do
+        [ "$cc_seq" = "$(sim_report ./target/release/slacksim "${cc_flags[@]}" \
+            --engine "$engine" --host-threads "$h")" ] || {
+            echo "ci: $engine cc report on $h host threads differs from the sequential one" >&2
+            exit 1
+        }
+    done
 done
 if command -v taskset > /dev/null; then
-    [ "$thr_one" = "$(thr_report timeout 120 taskset -c 0 \
-        ./target/release/slacksim "${thr_flags[@]}" --host-threads 2)" ] || {
-        echo "ci: two lanes pinned to one CPU hung or changed the report" >&2; exit 1; }
+    [ "$cc_seq" = "$(sim_report timeout 120 taskset -c 0 \
+        ./target/release/slacksim "${cc_flags[@]}" --engine threaded --host-threads 2)" ] || {
+        echo "ci: threaded cc on two host threads pinned to one CPU hung or changed the report" >&2
+        exit 1
+    }
     timeout 120 taskset -c 0 ./target/release/slacksim --benchmark fft --engine threaded \
         --scheme bounded --bound 16 --cores 4 --host-threads 4 --commit 2000000 > /dev/null || {
         echo "ci: four slack lanes pinned to one CPU hung or failed" >&2; exit 1; }
 fi
+thr_report() { # a slack run's simulated report, without host-telemetry counters
+    "$@" 2> /dev/null | grep -vE '^(wall clock|speed) |^ *(core_parks|manager_parks|max_clock_spread):'
+}
 b16_flags=(--benchmark water --scheme bounded --bound 16 --engine threaded --cores 8
     --commit 200000 --host-threads 1 --verbose)
 b16_one="$(thr_report ./target/release/slacksim "${b16_flags[@]}")"
@@ -200,15 +208,17 @@ rm -rf "$bench_out"
 
 echo "==> profiler + live-telemetry smoke (artifact validity)"
 # Self-profiling proof on the release binary (DESIGN §14): a profiled
-# run with a live status file must produce a host-time table covering
-# the run, a valid heartbeat and a valid profile CSV — both validated
+# threaded slack run — lanes stepping bursts, the manager draining,
+# servicing and waiting — with a live status file must produce a
+# host-time table covering the run, a valid heartbeat and a valid
+# profile CSV — both validated
 # through `slacksim report`, which parses them with the in-tree
 # obs::json parser and exits non-zero on any malformed artifact. What
 # profiling costs is not gated: a best-of-five plain/profiled speed ratio
 # on a shared two-CPU host passed or failed with the host's load, not
 # with the profiler.
 prof_dir="$(mktemp -d /tmp/slacksim-ci-prof.XXXXXX)"
-prof_flags=(--scheme cc --engine threaded --cores 8 --commit 500000)
+prof_flags=(--scheme bounded --bound 16 --engine threaded --cores 8 --commit 500000)
 prof_out="$(./target/release/slacksim "${prof_flags[@]}" --profile \
     --profile-csv "$prof_dir/prof.csv" --live-status "$prof_dir/live.json" \
     --live-every 50)"

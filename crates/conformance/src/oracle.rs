@@ -6,8 +6,8 @@
 //! 1. **Exact equality** where the design guarantees it: cycle-by-cycle
 //!    runs must produce identical [`Fingerprint`]s across the sequential
 //!    engine, the native threaded engine, and every virtual schedule —
-//!    with a barrier after every cycle the host interleaving cannot
-//!    matter.
+//!    a threaded barrier run is handed to the batched engine, which
+//!    never consults the host scheduler at all.
 //! 2. **Metamorphic invariants** everywhere else ([`check_invariants`]):
 //!    commit conservation, observation-counter consistency, and
 //!    violations monotone non-decreasing in the slack bound.

@@ -225,15 +225,14 @@ fn batched_is_exact_at_every_host_thread_count() {
     }
 }
 
-/// The threaded engine's lane count decides which host thread steps a
-/// core, never what the core computes: clocks, windows and queues are per
-/// core, and under a barrier scheme the order a lane steps its cores in,
-/// and how long each burst is, cannot show. On 1, 2, 3 and `cores` lanes,
-/// {4, 16} cores x {bus, directory} x {FFT, WATER} x {cycle-by-cycle,
-/// cycle-by-cycle with checkpoints, quantum 50 — multi-cycle windows the
-/// lanes step in seeded bursts} all agree with the sequential engine on
-/// fingerprint and deterministic kernel counters (3 lanes asked for is 2
-/// spawned at 4 cores, 3 uneven ones at 16: 6 + 6 + 4).
+/// A threaded barrier-scheme run is handed to the batched engine, whose
+/// host-thread count decides which thread steps a core, never what the
+/// core computes. On 1, 2, 3 and `cores` host threads, {4, 6, 16} cores x
+/// {bus, directory} x {FFT, WATER} x {cycle-by-cycle, cycle-by-cycle with
+/// checkpoints, quantum 50} all agree with the sequential engine on
+/// fingerprint and deterministic kernel counters (3 threads asked for is 2
+/// lanes at 4 cores, 3 even ones of 2 cores at 6, 3 uneven ones at 16:
+/// 6 + 6 + 4).
 #[test]
 fn threaded_barrier_schemes_are_exact_at_every_lane_count() {
     use slacksim::Simulation;
@@ -248,7 +247,7 @@ fn threaded_barrier_schemes_are_exact_at_every_lane_count() {
         ),
         ("quantum-50", Scheme::Quantum { quantum: 50 }, None),
     ];
-    for cores in [4, 16] {
+    for cores in [4, 6, 16] {
         for uncore in [UncoreKind::Bus, UncoreKind::Directory] {
             for bench in BENCHES {
                 for (mode, scheme, speculation) in &modes {
@@ -289,16 +288,18 @@ fn threaded_barrier_schemes_are_exact_at_every_lane_count() {
 /// Multi-core lanes under adversarial schedules: 6 cores folded onto 3
 /// lanes are the manager, stepping lane 0, plus 2 spawned lane tasks of
 /// 2 cores each to the virtual scheduler, so every policy runs against
-/// them unchanged (`starve:1` starves lane 1). Cycle-by-cycle must keep
-/// the sequential fingerprint, and so must its checkpoints, captured at
-/// the barrier where every core is already capped. The greedy schemes —
+/// them unchanged (`starve:1` starves lane 1). The greedy schemes —
 /// bounded slack plain and speculative, so that `Snapshot` and `Rewind`
 /// carry two cores a lane on the manager and on the lane threads;
 /// adaptive, whose windows shrink while a stop point is pending; Lax-P2P,
 /// whose windows are per core — must finish, uphold the invariants and
 /// lose no wake-up (one unpark per spawned lane per publish, none when no
 /// window moved, is all the lanes get). A stop point below some core
-/// would never fill: the run would stall instead of finishing.
+/// would never fill: the run would stall instead of finishing. Every
+/// speculative case rolls back and replays, so the replay boundary — the
+/// one place the manager waits for every core to stand at a window's end
+/// — runs under every policy. (Barrier schemes never reach the scheduler:
+/// `barrier_schemes_never_reach_the_host_scheduler`.)
 #[test]
 fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
     use slacksim::Simulation;
@@ -310,6 +311,10 @@ fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
         SchedPolicy::Starve { victim: 1 },
         SchedPolicy::DrainPreempt,
     ];
+    // Long enough, in either build profile, for every rollback case to
+    // finish a replay: its cycles count once the checkpoint that ends it
+    // commits, and a short run can end inside its only one.
+    let commits = 10_000;
     let run = |policy, sched_seed, scheme: &Scheme, speculation: Option<SpeculationConfig>| {
         let sched = VirtualSched::new(2, policy, sched_seed, Mutation::None);
         let mut sim = Simulation::new(Benchmark::Fft);
@@ -317,7 +322,7 @@ fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
             .host_threads(3)
             .scheme(scheme.clone())
             .engine(EngineKind::Threaded)
-            .commit_target(target())
+            .commit_target(commits)
             .seed(1)
             .host_sched(slacksim::SchedRef::new(sched.clone()));
         if let Some(spec) = speculation {
@@ -339,18 +344,6 @@ fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
         assert!(diag.decisions > 0 && diag.switches > 0, "{label}");
         (report, label)
     };
-    let cc = Scheme::CycleByCycle;
-    let reference = run_engine(Benchmark::Fft, 6, &cc, target(), 1, EngineKind::Sequential);
-    let checkpoints = SpeculationConfig::checkpoint_only(500);
-    let cp_reference = run_speculative(
-        Benchmark::Fft,
-        6,
-        &cc,
-        target(),
-        1,
-        EngineKind::Sequential,
-        checkpoints,
-    );
     let b8 = Scheme::BoundedSlack { bound: 8 };
     let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
     let greedy = [
@@ -368,55 +361,58 @@ fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
     ];
     for policy in policies {
         for sched_seed in 0..smoke_seeds() {
-            let (r, label) = run(policy, sched_seed, &cc, None);
-            assert_exact(&reference, &r, &label);
-            let (r, label) = run(policy, sched_seed, &cc, Some(checkpoints));
-            assert_eq!(fingerprint(&r), fingerprint(&reference), "{label}");
-            assert_exact(&cp_reference, &r, &label);
             for (scheme, speculation) in &greedy {
                 let (r, label) = run(policy, sched_seed, scheme, *speculation);
-                assert!(r.committed >= target(), "{label}");
+                assert!(r.committed >= commits, "{label}");
                 check_invariants(&r, scheme).unwrap_or_else(|e| panic!("{label}: {e}"));
                 if speculation.is_some() {
                     assert!(r.kernel.get("checkpoints") > 0, "{label}: no checkpoints");
+                    assert!(r.kernel.get("replay_cycles") > 0, "{label}: no replay");
                 }
             }
         }
     }
 }
 
-/// Under cycle-by-cycle the outcome must be *schedule*-independent: any
-/// policy, any schedule seed, same fingerprint.
+/// Barrier schemes service only at window boundaries, a schedule the
+/// batched engine compiles once: a threaded cycle-by-cycle or quantum run
+/// is handed to it and so never reaches the host scheduler. Under every
+/// policy and schedule seed the virtual scheduler makes no decision, and
+/// the run keeps the sequential fingerprint.
 #[test]
-fn cycle_by_cycle_is_schedule_independent() {
+fn barrier_schemes_never_reach_the_host_scheduler() {
     let bench = Benchmark::Fft;
     let cores = 4;
-    let reference = fingerprint(&run_engine(
-        bench,
-        cores,
-        &Scheme::CycleByCycle,
-        target(),
-        1,
-        EngineKind::Sequential,
-    ));
     let policies = [
         SchedPolicy::RandomWalk,
         SchedPolicy::ParkRace,
         SchedPolicy::Starve { victim: 2 },
         SchedPolicy::DrainPreempt,
     ];
-    for policy in policies {
-        for sched_seed in 0..smoke_seeds() {
-            let case = virt_case(policy, sched_seed, bench, cores, Scheme::CycleByCycle);
-            let (r, diag) = run_virtual(&case);
-            assert_eq!(fingerprint(&r), reference, "`{case}`");
-            assert_eq!(diag.lost_wakeups, 0, "`{case}`");
-            assert!(!diag.timeout_fallback, "`{case}`");
+    for scheme in [Scheme::CycleByCycle, Scheme::Quantum { quantum: 64 }] {
+        let reference = fingerprint(&run_engine(
+            bench,
+            cores,
+            &scheme,
+            target(),
+            1,
+            EngineKind::Sequential,
+        ));
+        for policy in policies {
+            for sched_seed in 0..smoke_seeds() {
+                let case = virt_case(policy, sched_seed, bench, cores, scheme.clone());
+                let (r, diag) = run_virtual(&case);
+                assert_eq!(fingerprint(&r), reference, "`{case}`");
+                assert_eq!(diag.decisions, 0, "`{case}`");
+                assert_eq!(diag.lost_wakeups, 0, "`{case}`");
+                assert!(!diag.timeout_fallback, "`{case}`");
+            }
         }
     }
 }
 
-/// Adversarial schedules against the slack schemes: the unmutated
+/// Adversarial schedules against the slack schemes — bounded, and
+/// `unbounded`, whose windows only the lead cap ends: the unmutated
 /// protocol must never lose a wakeup or trip the livelock fallback, and
 /// every run must uphold the invariants.
 #[test]
@@ -427,10 +423,7 @@ fn adversarial_schedules_lose_no_wakeups_under_slack() {
         SchedPolicy::Starve { victim: 1 },
         SchedPolicy::DrainPreempt,
     ];
-    for scheme in [
-        Scheme::BoundedSlack { bound: 8 },
-        Scheme::Quantum { quantum: 64 },
-    ] {
+    for scheme in [Scheme::BoundedSlack { bound: 8 }, Scheme::UnboundedSlack] {
         for policy in policies {
             for sched_seed in 0..smoke_seeds() {
                 let case = virt_case(policy, sched_seed, Benchmark::Fft, 4, scheme.clone());

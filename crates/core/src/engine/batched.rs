@@ -1,10 +1,13 @@
-//! The batched BSP engine: quantum-compiled stepping.
+//! The batched BSP engine: quantum-compiled stepping, and the one driver of
+//! every barrier-scheme window.
 //!
 //! The paper's quantum scheme is a *synchronization policy*: cores run one
 //! quantum of target cycles, then a barrier services every cross-core
-//! event in timestamp order. The other two engines still dispatch that
-//! policy cycle by cycle — burst scheduling, window bookkeeping and queue
-//! churn on every iteration. This engine compiles the policy into an
+//! event in timestamp order; cycle-by-cycle is the quantum of one. The
+//! sequential engine still dispatches that policy cycle by cycle — burst
+//! scheduling, window bookkeeping and queue churn on every iteration — and
+//! the threaded engine does not run it at all: it hands every
+//! barrier-scheme run to this one. This engine compiles the policy into an
 //! *execution strategy* (the static-scheduling trick of Manticore and the
 //! Berkeley emulation engine): each core runs its whole quantum in a
 //! single [`CoreModel::run_window`] call over its hot state, emitting
@@ -76,9 +79,10 @@ const SPAWN_AFTER: u64 = 1 << 16;
 /// count.
 ///
 /// Only meaningful under barrier schemes (`Scheme::Quantum`,
-/// `Scheme::CycleByCycle`); [`run`](BatchedEngine::run) panics on greedy
-/// schemes — the CLI validates this before construction and exits with a
-/// usage error instead.
+/// `Scheme::CycleByCycle`, a quantum of one); [`run`](BatchedEngine::run)
+/// panics on greedy schemes — the CLI validates this before construction
+/// and exits with a usage error instead. The threaded engine runs every
+/// barrier-scheme run through here, save hook and resume included.
 pub struct BatchedEngine<C: CoreModel, U: UncoreModel<C::Event>> {
     cores: Vec<C>,
     uncore: U,
@@ -150,7 +154,7 @@ where
         let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, resume)?;
         assert!(
             k.pacer.barrier_service(),
-            "BatchedEngine requires a barrier scheme (quantum): greedy \
+            "BatchedEngine requires a barrier scheme (cc or quantum): greedy \
              schemes service events mid-window, which the batched loop \
              cannot observe"
         );

@@ -23,8 +23,10 @@
 //!   host CPU ([`EngineConfig::host_threads`]; one per target core where
 //!   the host has that many), the first of which also runs the manager
 //!   logic, the way SlackSim maps simulations onto a host CMP — used for the wall-clock experiments
-//!   (Figure 4, Tables 2–5);
-//! * [`BatchedEngine`] compiles the quantum scheme into an execution
+//!   (Figure 4, Tables 2–5); it runs the slack schemes and hands every
+//!   barrier-scheme run to the batched engine;
+//! * [`BatchedEngine`] compiles the barrier schemes (quantum, and
+//!   cycle-by-cycle as a quantum of one) into an execution
 //!   strategy: each core runs a whole quantum in one
 //!   [`CoreModel::run_window`] call with cross-core events staged locally
 //!   and resolved in timestamp order only at quantum boundaries (DESIGN
@@ -323,7 +325,8 @@ pub struct EngineConfig {
     /// Host scheduler the threaded engine waits through. Defaults to the
     /// native (production) scheduler; conformance tests install a virtual
     /// scheduler here to explore thread interleavings deterministically.
-    /// Ignored by the sequential and batched engines.
+    /// Ignored by the sequential and batched engines, and so by a
+    /// threaded barrier-scheme run, which the batched engine runs.
     pub sched: crate::sched::SchedRef,
     /// Optional host-time self-profiler. When set (and enabled) the
     /// engines time every [`crate::obs::ProfSite`] with scoped spans and

@@ -2,6 +2,13 @@
 //! threads, one of them the simulation manager, the way SlackSim maps a
 //! CMP simulation onto a host CMP (paper §2).
 //!
+//! The engine exists for slack, where the manager services events as they
+//! arrive. A barrier scheme (cycle-by-cycle, quantum) services them only at
+//! window boundaries, a schedule the batched engine's window loop compiles
+//! once: [`ThreadedEngine::run`] hands every barrier-scheme run to
+//! [`BatchedEngine`], whose report is the same on any number of host
+//! threads (DESIGN.md §19).
+//!
 //! A lane is a contiguous slice of target cores stepped by one host
 //! thread. There are as many lanes as the host has CPUs
 //! ([`EngineConfig::host_threads`], capped at the core count), so with a
@@ -15,11 +22,11 @@
 //! manager publishes, round-robin in seeded [`CoreModel::run_window`]
 //! bursts. Events flow through per-core shared queues (OutQ/InQ); the
 //! manager consolidates OutQ entries into the global queue and services
-//! them — greedily under slack schemes, in sorted batches at window
-//! boundaries under barrier schemes (cycle-by-cycle, quantum, and
-//! post-rollback replay). Clocks, windows and queues stay per core, so
-//! the lane count is a host knob only: nothing the manager computes can
-//! tell how the cores were folded, or which thread stepped them.
+//! them greedily, except in a post-rollback replay (paper §5.1), whose
+//! one-cycle windows it services in one sorted batch once every core
+//! stands at the end. Clocks, windows and queues stay per core, so the
+//! lane count is a host knob only: nothing the manager computes can tell
+//! how the cores were folded, or which thread stepped them.
 //!
 //! A checkpoint stops the cores the way the sequential engine does — the
 //! in-memory equivalent of the paper's `fork()`-based global checkpoints:
@@ -71,13 +78,13 @@ use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{CoreSnapshot, Finish, Kernel};
 use crate::engine::wait::{lane_width, Backoff};
 use crate::engine::{
-    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
+    BatchedEngine, CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook,
+    UncoreModel,
 };
 use crate::event::{CoreId, GlobalQueue, Inbox, Timestamped};
 use crate::obs::{Phase, ProfHandle, ProfSite, TraceEvent, TraceHandle};
 use crate::rng::Xoshiro256;
 use crate::sched::{HostSched, SchedSite, TaskId};
-use crate::scheme::Pacer;
 use crate::stats::SimReport;
 use crate::sync::SpscRing;
 use crate::time::Cycle;
@@ -265,30 +272,31 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
 
     /// Steps lane 0 (see [`step_lane`]) until the first pass in which one
     /// of its cores sent the manager an event, so that event waits for
-    /// service no longer than a lane thread's would. Returns whether any
-    /// core ticked.
-    fn step_own(&mut self, committed: &AtomicU64, sched: &dyn HostSched, ph: &ProfHandle) -> bool {
-        step_lane(&mut self.own, true, committed, &mut self.bursts, sched, ph)
+    /// service no longer than a lane thread's would.
+    fn step_own(&mut self, committed: &AtomicU64, sched: &dyn HostSched, ph: &ProfHandle) {
+        step_lane(&mut self.own, true, committed, &mut self.bursts, sched, ph);
     }
 
     /// Sets core `i`'s max local time to `window(i)` for every core and
     /// unparks each spawned lane that had a window change — once, after
     /// its stores, and not at all when the manager re-publishes the
     /// windows a lane already has (most iterations while global time
-    /// stands still).
+    /// stands still). Returns the largest window published.
     fn publish(
         &self,
         shared: &[Arc<CoreShared<C>>],
         sched: &dyn HostSched,
         window: impl Fn(usize) -> Cycle,
-    ) {
+    ) -> Cycle {
+        let mut furthest = Cycle::ZERO;
         for (lane, cores) in shared.chunks(self.width).enumerate() {
             let mut changed = false;
             for (j, s) in cores.iter().enumerate() {
-                let w = window(lane * self.width + j).as_u64();
+                let w = window(lane * self.width + j);
+                furthest = furthest.max(w);
                 // The manager is the only writer of `max_local`.
-                if s.max_local.load(Ordering::Relaxed) != w {
-                    s.max_local.store(w, Ordering::Release);
+                if s.max_local.load(Ordering::Relaxed) != w.as_u64() {
+                    s.max_local.store(w.as_u64(), Ordering::Release);
                     changed = true;
                 }
             }
@@ -296,6 +304,7 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
                 self.hosts[lane - 1].wake(sched);
             }
         }
+        furthest
     }
 }
 
@@ -303,10 +312,10 @@ impl<C: CoreModel + Checkpointable> LaneSet<C> {
 /// stepped by the manager's own thread.
 ///
 /// Semantics are identical to
-/// [`SequentialEngine`](crate::engine::SequentialEngine); under
-/// cycle-by-cycle pacing the two produce bit-identical statistics. Under
-/// slack pacing the threaded engine inherits the host scheduler's real
-/// nondeterminism — which is the paper's point.
+/// [`SequentialEngine`](crate::engine::SequentialEngine). Barrier schemes
+/// run on [`BatchedEngine`] and so produce the sequential engine's
+/// statistics bit for bit; under slack pacing the threaded engine inherits
+/// the host scheduler's real nondeterminism — which is the paper's point.
 pub struct ThreadedEngine<C: CoreModel, U: UncoreModel<C::Event>> {
     cores: Vec<C>,
     uncore: U,
@@ -352,7 +361,9 @@ where
 
     /// Runs the simulation to completion on one lane per host CPU (at
     /// most one per target core): lane 0 on the calling thread, which is
-    /// also the manager, and a spawned thread for each other lane.
+    /// also the manager, and a spawned thread for each other lane. A
+    /// scheme whose pacer services at barriers runs on [`BatchedEngine`]
+    /// instead, with the save hook and the resume carried across.
     ///
     /// # Errors
     ///
@@ -365,6 +376,16 @@ where
             save_hook,
             resume,
         } = self;
+        if cfg.scheme.clone().into_pacer().barrier_service() {
+            let mut batched = BatchedEngine::new(cores, uncore, cfg);
+            if let Some(hook) = save_hook {
+                batched = batched.with_save_hook(hook);
+            }
+            if let Some(res) = resume {
+                batched = batched.with_resume(res);
+            }
+            return batched.run();
+        }
         let n = cores.len();
         if n == 0 {
             return Err(EngineError::NoCores);
@@ -718,8 +739,8 @@ impl<E> Bursts<E> {
 ///
 /// Commit counts accumulate locally and are flushed *before* any
 /// local-clock store that brings a core to its limit, so a manager that
-/// sees a core at a barrier boundary also sees every commit behind it —
-/// barrier-mode finish decisions stay deterministic.
+/// sees a core at a replay boundary also sees every commit behind it —
+/// replay finish decisions stay deterministic.
 fn step_lane<C: CoreModel + Checkpointable>(
     cores: &mut [LaneCore<C>],
     until_event: bool,
@@ -745,7 +766,8 @@ fn step_lane<C: CoreModel + Checkpointable>(
                 span = Some(ph.enter(ProfSite::CoreTick));
             }
             core.set_running(true, l);
-            // One cycle left is the whole burst, undrawn: CC never draws.
+            // One cycle left is the whole burst, undrawn: a replay never
+            // draws.
             let to = match m - l {
                 1 => m,
                 left => l + left.min(bursts.rng.next_range(1, bursts.max)),
@@ -944,13 +966,12 @@ where
         Ok(())
     };
 
-    // The highest window published since the last rollback: the barrier
-    // gate's boundary, and under greedy pacing an upper bound on every
-    // core's clock — a lane may run a core up to a window the manager has
-    // since lowered (adaptive bounds shrink, Lax-P2P partners are
-    // re-drawn), never past the highest.
-    let mut window_end = uniform_window(&*k.pacer, cfg, start_global);
-    lanes.publish(shared, sched, |_| window_end);
+    // The highest window published since the last rollback: a replay's
+    // boundary, and an upper bound on every core's clock — a lane may run
+    // a core up to a window the manager has since lowered (adaptive bounds
+    // shrink, Lax-P2P partners are re-drawn), never past the highest. The
+    // cores start frozen at it; the first pass publishes their windows.
+    let mut window_end = start_global;
 
     let (final_global, finish_reason) = loop {
         sched.point(SchedSite::ManagerLoop);
@@ -971,16 +992,10 @@ where
             backoff.reset();
         }
         let global = locals.iter().copied().min().expect("n >= 1");
+        let furthest = locals.iter().copied().max().expect("n >= 1");
         // The empirical slack: a lower bound on the true maximum, since
         // the manager samples the clocks asynchronously.
-        k.note_spread(
-            locals
-                .iter()
-                .copied()
-                .max()
-                .expect("n >= 1")
-                .saturating_sub(global),
-        );
+        k.note_spread(furthest - global);
 
         k.on_global(
             global,
@@ -990,54 +1005,25 @@ where
             rings,
         );
 
-        if k.barrier() {
-            // The barrier gate: every core at the boundary. A core pushes
-            // a tick's events before it stores the clock, so the drain
-            // after the gate sees every event below the boundary and the
-            // sorted barrier service stays bit-identical to the
-            // sequential engine.
-            if locals.iter().all(|&l| l == window_end) {
-                {
-                    let _span = ph.enter(ProfSite::ManagerDrain);
-                    drain_outqs(shared, &mut gq, &mut drain_buf);
-                }
-                {
-                    let _span = ph.enter(ProfSite::ManagerService);
-                    k.service_all(&mut gq, uncore, deliver);
-                }
-                debug_assert!(!k.rollback_pending(), "barrier servicing cannot violate");
-                let g = window_end;
-                if committed.load(Ordering::Acquire) >= cfg.commit_target {
-                    break (g, FinishReason::CommitTarget);
-                }
-                if g.as_u64() >= cfg.max_cycles {
-                    break (g, FinishReason::CycleCap);
-                }
-                if k.checkpoint_due(g) {
-                    // Every core is capped at the boundary with nothing in
-                    // flight: capture here.
-                    capture_all(k, lanes, sched)?;
-                    k.commit_checkpoint(g, committed.load(Ordering::Acquire), uncore, None);
-                }
-                window_end = if k.replaying() {
-                    g + 1
-                } else {
-                    uniform_window(&*k.pacer, cfg, g)
-                };
-                lanes.publish(shared, sched, |_| window_end);
-                backoff.reset();
-            } else {
-                // Even with the commit target already reached, barrier
-                // schemes run out the published window: stopping at the
-                // natural boundary keeps the finish state deterministic and
-                // identical across all three engines (the batched engine
-                // can only observe boundaries).
+        // A due checkpoint caps every window at its stop point, a replay at
+        // the cycle after global time. Once every core stands at that
+        // boundary a second drain catches what the first missed (a core
+        // pushes a tick's events before it stores its clock); a replay
+        // services nothing before, so its batch is serviced in order.
+        let replaying = k.replaying();
+        let stop = k.arm_stop(global, window_end);
+        let boundary = if replaying { Some(window_end) } else { stop };
+        let at_boundary = boundary.is_some_and(|b| locals.iter().all(|&l| l == b));
+        if at_boundary {
+            let _span = ph.enter(ProfSite::ManagerDrain);
+            drain_outqs(shared, &mut gq, &mut drain_buf);
+        } else if replaying {
+            if !progress {
                 idle_wait(&mut backoff, k)?;
             }
             continue;
         }
 
-        // --- Greedy servicing -------------------------------------------
         {
             let _span = ph.enter(ProfSite::ManagerService);
             k.service_all(&mut gq, uncore, deliver);
@@ -1090,25 +1076,30 @@ where
             break (global, FinishReason::CycleCap);
         }
 
-        // A due checkpoint caps every window at its stop point, which no
-        // core has passed; once every core stands there, whatever the
-        // last ticks queued is serviced, and a rollback that raises wins
-        // over the capture.
-        let stop = k.arm_stop(global, window_end);
-        if let Some(s) = stop.filter(|&s| locals.iter().all(|&l| l == s)) {
-            drain_outqs(shared, &mut gq, &mut drain_buf);
-            k.service_all(&mut gq, uncore, deliver);
-            if !k.rollback_pending() {
-                capture_all(k, lanes, sched)?;
-                k.commit_checkpoint(s, committed.load(Ordering::Acquire), uncore, None);
-            }
+        // Every core stands at the stop point, serviced, with no rollback
+        // raised: capture (also the checkpoint that ends a replay).
+        if let Some(s) = stop.filter(|_| at_boundary) {
+            capture_all(k, lanes, sched)?;
+            k.commit_checkpoint(s, committed.load(Ordering::Acquire), uncore, None);
             backoff.reset();
             continue;
         }
 
-        let cap = cfg.lead_cap(global).min(stop.unwrap_or(Cycle::MAX));
-        let published =
-            publish_greedy_windows(&mut *k.pacer, shared, lanes, &locals, global, cap, sched);
+        // Per-core windows for a pacer that paces against peers (Lax-P2P),
+        // uniform ones otherwise, all capped by the stop point and the lead
+        // cap — one cycle in a replay. The cap ends lane 0's steps between
+        // services within `max_lead` cycles even under `unbounded`.
+        let lead = if replaying {
+            global + 1
+        } else {
+            cfg.lead_cap(global)
+        };
+        let cap = lead.min(stop.unwrap_or(Cycle::MAX));
+        let wins = k.pacer.window_ends(&locals);
+        let uniform = k.pacer.window_end(global);
+        let published = lanes.publish(shared, sched, |i| {
+            wins.as_ref().map_or(uniform, |w| w[i]).min(cap)
+        });
         window_end = window_end.max(published);
         if !progress {
             // Nothing moved this iteration: wait instead of going
@@ -1123,43 +1114,6 @@ where
         gq_len: gq.len() as u64,
         manager_parks: backoff.parks,
     })
-}
-
-/// The uniform window over `global`, clamped by the lead cap unless the
-/// pacer services at barriers. Every window the manager publishes is
-/// capped this way, so stepping lane 0 to its window — which the manager
-/// does between services — always ends within `max_lead` cycles, even when
-/// a replay hands back to `unbounded` (whose own window never ends).
-fn uniform_window(pacer: &dyn Pacer, cfg: &EngineConfig, global: Cycle) -> Cycle {
-    let w = pacer.window_end(global);
-    if pacer.barrier_service() {
-        w
-    } else {
-        w.min(cfg.lead_cap(global))
-    }
-}
-
-/// Publishes windows for a greedy scheme: per-core when the pacer paces
-/// against peers (Lax-P2P), uniform over `global`, the minimum of
-/// `locals`, otherwise; both clamped by `cap` (the lead cap, and a due
-/// checkpoint's stop point). Returns the largest published window.
-fn publish_greedy_windows<C: CoreModel + Checkpointable>(
-    pacer: &mut dyn Pacer,
-    shared: &[Arc<CoreShared<C>>],
-    lanes: &LaneSet<C>,
-    locals: &[Cycle],
-    global: Cycle,
-    cap: Cycle,
-    sched: &dyn HostSched,
-) -> Cycle {
-    if let Some(wins) = pacer.window_ends(locals) {
-        lanes.publish(shared, sched, |i| wins[i].min(cap));
-        wins.iter().copied().max().expect("n >= 1").min(cap)
-    } else {
-        let w = pacer.window_end(global).min(cap);
-        lanes.publish(shared, sched, |_| w);
-        w
-    }
 }
 
 /// Moves every queued OutQ entry into the global queue: one batched ring
@@ -1222,7 +1176,9 @@ mod tests {
     // compared against the sequential engine on real CMP models. The
     // SPSC ring it is built on has its own stress suite in
     // crates/core/tests/spsc_stress.rs. What is left here is what those
-    // cannot reach: a core model that panics, ticking or being captured.
+    // cannot reach: a core model that panics — ticking, being captured, or
+    // replaying after a rollback — and, under a barrier scheme, that the
+    // hand-off to the batched engine still ends `run()` with the panic.
 
     use std::sync::mpsc;
 
@@ -1230,16 +1186,27 @@ mod tests {
     use crate::engine::batched::tests::{Fuse, Toy, ToyCore};
     use crate::engine::{ServiceSink, TickCtx};
     use crate::scheme::Scheme;
-    use crate::speculative::SpeculationConfig;
+    use crate::speculative::{SpeculationConfig, ViolationSelect};
     use crate::stats::Counters;
+    use crate::violation::{TimestampMonitor, ViolationEvent, ViolationKind};
 
     /// Pongs every ping back 5 cycles later, in whatever order a greedy
-    /// manager services them.
-    #[derive(Debug, Clone)]
-    struct Echo;
+    /// manager services them, and flags a ping serviced below one already
+    /// serviced, so that a speculative run rolls back.
+    #[derive(Debug, Clone, Default)]
+    struct Echo {
+        monitor: TimestampMonitor,
+    }
 
     impl UncoreModel<Toy> for Echo {
         fn service(&mut self, from: CoreId, ev: Timestamped<Toy>, sink: &mut ServiceSink<Toy>) {
+            if self.monitor.observe(ev.ts) {
+                sink.report_violation(ViolationEvent {
+                    kind: ViolationKind::Bus,
+                    ts: ev.ts,
+                    high_water: self.monitor.high_water(),
+                });
+            }
             sink.deliver(from, Timestamped::new(ev.ts + 5, Toy::Pong));
         }
 
@@ -1251,8 +1218,9 @@ mod tests {
     crate::impl_checkpointable_by_clone!(Echo);
 
     /// Runs an endless `run()` of `cores` (built on the run's thread) on 2
-    /// lanes, on a thread of its own so that a hang fails the test instead
-    /// of stalling the suite. Returns the message `run()` unwound with.
+    /// host threads, on a thread of its own so that a hang fails the test
+    /// instead of stalling the suite. Returns the message `run()` unwound
+    /// with.
     fn unwind_message<C: CoreModel<Event = Toy> + Checkpointable>(
         scheme: Scheme,
         speculation: Option<SpeculationConfig>,
@@ -1264,7 +1232,7 @@ mod tests {
             cfg.host_threads = 2;
             cfg.speculation = speculation;
             let run = catch_unwind(AssertUnwindSafe(|| {
-                ThreadedEngine::new(cores(), Echo, cfg).run()
+                ThreadedEngine::new(cores(), Echo::default(), cfg).run()
             }));
             let Err(panic) = run else {
                 panic!("an endless run returned");
@@ -1273,10 +1241,10 @@ mod tests {
         });
         rx.recv_timeout(Duration::from_secs(60))
             .expect("run() ends within 60 s instead of hanging")
-            .expect("the lane's own panic payload")
+            .expect("the core's own panic payload")
     }
 
-    /// 8 cores on 2 lanes, core `fused` blowing at cycle 2000.
+    /// 8 cores on 2 host threads, core `fused` blowing at cycle 2000.
     fn blow_a_fuse(scheme: Scheme, fused: usize) -> String {
         unwind_message(scheme, None, move || {
             (0..8)
@@ -1335,10 +1303,46 @@ mod tests {
         }
     }
 
+    /// A toy core that panics, if `armed`, the first time it ticks a cycle
+    /// it has ticked before: in the replay after a rollback. `furthest`
+    /// is the cycle after the last one it ticked; shared, so a rewind of
+    /// the model does not rewind it.
+    #[derive(Debug, Clone)]
+    struct Replayed {
+        inner: ToyCore,
+        armed: bool,
+        furthest: Arc<AtomicU64>,
+    }
+
+    impl CoreModel for Replayed {
+        type Event = Toy;
+
+        fn tick(&mut self, ctx: &mut TickCtx<'_, Toy>) -> u32 {
+            let now = ctx.now().as_u64();
+            if self.armed && now < self.furthest.fetch_max(now + 1, Ordering::Relaxed) {
+                panic!("toy core blew its fuse in a replay");
+            }
+            self.inner.tick(ctx)
+        }
+
+        fn committed(&self) -> u64 {
+            self.inner.committed()
+        }
+
+        fn counters(&self) -> Counters {
+            self.inner.counters()
+        }
+    }
+
+    crate::impl_checkpointable_by_clone!(Replayed);
+
     #[test]
     fn a_capture_that_panics_ends_the_run_from_either_lane() {
+        // Cycle-by-cycle runs on the batched engine, which captures every
+        // core on the calling thread; bounded slack captures core 0 on the
+        // manager's lane and core 4 on a spawned one.
         for scheme in [Scheme::CycleByCycle, Scheme::BoundedSlack { bound: 16 }] {
-            for (lane, core) in [(0, 0), (1, 4)] {
+            for core in [0, 4] {
                 let cps = Some(SpeculationConfig::checkpoint_only(500));
                 let msg = unwind_message(scheme.clone(), cps, move || {
                     (0..8)
@@ -1350,17 +1354,17 @@ mod tests {
                 });
                 assert_eq!(
                     msg, "toy core botched its capture",
-                    "{scheme:?}, lane {lane}"
+                    "{scheme:?}, core {core}"
                 );
             }
         }
     }
 
     #[test]
-    fn a_panicking_lane_ends_a_cycle_by_cycle_run() {
-        for (lane, core) in [(0, 0), (1, 4)] {
+    fn a_panicking_core_ends_a_handed_off_cycle_by_cycle_run() {
+        for core in [0, 4] {
             let msg = blow_a_fuse(Scheme::CycleByCycle, core);
-            assert_eq!(msg, "toy core blew its fuse", "lane {lane}");
+            assert_eq!(msg, "toy core blew its fuse", "core {core}");
         }
     }
 
@@ -1369,6 +1373,28 @@ mod tests {
         for (lane, core) in [(0, 0), (1, 4)] {
             let msg = blow_a_fuse(Scheme::BoundedSlack { bound: 16 }, core);
             assert_eq!(msg, "toy core blew its fuse", "lane {lane}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_lane_ends_a_replay() {
+        // Pings from 8 cores serviced greedily arrive out of order, so the
+        // run rolls back, and the armed core blows on its first replayed
+        // tick: on the manager's lane while the manager waits for the
+        // replay boundary, or on a spawned lane, whose death that wait
+        // must see.
+        let rollback = Some(SpeculationConfig::speculative(500, ViolationSelect::all()));
+        for (lane, core) in [(0, 0), (1, 4)] {
+            let msg = unwind_message(Scheme::BoundedSlack { bound: 16 }, rollback, move || {
+                (0..8)
+                    .map(|i| Replayed {
+                        inner: ToyCore::new(3),
+                        armed: i == core,
+                        furthest: Arc::new(AtomicU64::new(0)),
+                    })
+                    .collect()
+            });
+            assert_eq!(msg, "toy core blew its fuse in a replay", "lane {lane}");
         }
     }
 }

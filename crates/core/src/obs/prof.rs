@@ -3,7 +3,7 @@
 //! The tracer and metrics registry observe *simulated* time; this module
 //! answers the complementary question — where does the *host's* wall clock
 //! go? Every interesting stretch of engine code (a core burst, a manager
-//! drain, each tier of the spin→yield→park wait ladder, checkpoint capture
+//! drain, each tier of the yield→park wait ladder, checkpoint capture
 //! and restore, persist I/O, export) is bracketed by a [`ProfScope`] guard
 //! tagged with a [`ProfSite`]. On drop the guard reads the monotonic clock
 //! and accumulates the elapsed nanoseconds into shared per-site atomics,
@@ -41,60 +41,51 @@ pub enum ProfSite {
     /// A core advancing target cycles inside its slack window (both
     /// engines' burst loops).
     CoreTick = 0,
-    /// A core thread in the spin tier of the wait ladder. The one ladder
-    /// has no spin tier, so nothing enters this site; it keeps its index
-    /// and name so profile artifacts stay readable and comparable.
-    CoreWaitSpin = 1,
     /// A core thread in the yield tier of the wait ladder.
-    CoreWaitYield = 2,
+    CoreWaitYield = 1,
     /// A core thread parked (timed) at the bottom of the wait ladder.
-    CoreWaitPark = 3,
+    CoreWaitPark = 2,
     /// The manager moving events from core OutQs into the global queue.
-    ManagerDrain = 4,
+    ManagerDrain = 3,
     /// The manager servicing the global queue through the uncore model.
-    ManagerService = 5,
-    /// The manager in the spin tier of its wait ladder. Never entered,
-    /// like [`CoreWaitSpin`](Self::CoreWaitSpin).
-    ManagerWaitSpin = 6,
+    ManagerService = 4,
     /// The manager in the yield tier of its wait ladder.
-    ManagerWaitYield = 7,
+    ManagerWaitYield = 5,
     /// The manager parked (timed) at the bottom of its wait ladder.
-    ManagerWaitPark = 8,
+    ManagerWaitPark = 6,
     /// Capturing a checkpoint (the base clone at run start, then deltas).
-    CheckpointCapture = 9,
+    CheckpointCapture = 7,
     /// Committing a captured checkpoint into the standing base (delta
     /// merge / bookkeeping after a successful interval).
-    CheckpointApply = 10,
+    CheckpointApply = 8,
     /// Restoring model state from a checkpoint during rollback.
-    CheckpointRestore = 11,
+    CheckpointRestore = 9,
     /// Durable snapshot encode + atomic write (`--save-state`).
-    PersistIo = 12,
+    PersistIo = 10,
     /// Rendering/writing report artifacts after the run.
-    Export = 13,
+    Export = 11,
     /// The batched engine's inner loop: one core running a full quantum
     /// window in a single `run_window` call.
-    BatchedRun = 14,
+    BatchedRun = 12,
     /// The batched engine's quantum-boundary resolution: staged cross-core
     /// events serviced in timestamp order.
-    BatchedResolve = 15,
+    BatchedResolve = 13,
     /// The batched engine's manager waiting, after its own lane, for the
     /// window workers to finish theirs (host-parallel windows only).
-    BatchedBarrier = 16,
+    BatchedBarrier = 14,
 }
 
 /// Number of profiling sites (length of [`ProfSite::ALL`]).
-pub const SITE_COUNT: usize = 17;
+pub const SITE_COUNT: usize = 15;
 
 impl ProfSite {
     /// Every site, in index order.
     pub const ALL: [ProfSite; SITE_COUNT] = [
         ProfSite::CoreTick,
-        ProfSite::CoreWaitSpin,
         ProfSite::CoreWaitYield,
         ProfSite::CoreWaitPark,
         ProfSite::ManagerDrain,
         ProfSite::ManagerService,
-        ProfSite::ManagerWaitSpin,
         ProfSite::ManagerWaitYield,
         ProfSite::ManagerWaitPark,
         ProfSite::CheckpointCapture,
@@ -111,12 +102,10 @@ impl ProfSite {
     pub fn name(self) -> &'static str {
         match self {
             ProfSite::CoreTick => "core-tick",
-            ProfSite::CoreWaitSpin => "core-wait-spin",
             ProfSite::CoreWaitYield => "core-wait-yield",
             ProfSite::CoreWaitPark => "core-wait-park",
             ProfSite::ManagerDrain => "manager-drain",
             ProfSite::ManagerService => "manager-service",
-            ProfSite::ManagerWaitSpin => "manager-wait-spin",
             ProfSite::ManagerWaitYield => "manager-wait-yield",
             ProfSite::ManagerWaitPark => "manager-wait-park",
             ProfSite::CheckpointCapture => "checkpoint-capture",

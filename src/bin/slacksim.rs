@@ -246,12 +246,11 @@ fn main() {
             "unknown engine '{other}' (expected seq|threaded|batched)"
         )),
     };
-    if engine == EngineKind::Batched && !matches!(scheme, Scheme::Quantum { .. }) {
+    if engine == EngineKind::Batched && !scheme.clone().into_pacer().barrier_service() {
         let name = args.value("--scheme").unwrap_or("cc");
         usage_error(&format!(
-            "--engine batched requires --scheme quantum (got '{name}'): the \
-             quantum-compiled loop only resolves cross-core events at quantum \
-             boundaries"
+            "--engine batched requires a barrier scheme (cc or quantum), not '{name}': \
+             the batched loop only resolves cross-core events at window boundaries"
         ));
     }
 
@@ -1083,11 +1082,13 @@ ENGINES:
   --engine threaded     the target cores on one host thread per host CPU
                         (one per core where there are enough), the first
                         of them the manager's — the paper's CMP-on-CMP
-                        execution (wall-clock runs)
+                        execution of slack (wall-clock runs); cc and
+                        quantum runs go to the batched engine
   --engine batched      quantum-compiled engine: steps every core a full
                         quantum per iteration and resolves cross-core
                         events only at quantum boundaries; bit-identical
-                        to seq but much faster, requires --scheme quantum
+                        to seq but much faster, requires a barrier scheme
+                        (cc, run as quantum 1, or quantum)
   --host-threads N      threaded and batched engines: step the cores on N
                         host threads (contiguous lanes of cores, one per
                         thread; the calling thread steps the first lane

@@ -81,18 +81,52 @@ fn unknown_engine_enumerates_accepted_values() {
 
 #[test]
 fn batched_engine_rejects_non_barrier_schemes() {
-    // Explicit cycle-by-cycle, the default scheme (absent quantum), and a
-    // greedy scheme must all be turned away with the same enumerated
-    // message: the batched loop only exists at quantum boundaries.
-    let out = slacksim(&["--engine", "batched", "--scheme", "cc"]);
-    assert_usage_error(&out, &["--engine batched requires --scheme quantum", "cc"]);
-    let out = slacksim(&["--engine", "batched"]);
-    assert_usage_error(&out, &["--engine batched requires --scheme quantum"]);
+    // A greedy scheme is turned away with an enumerated message: the
+    // batched loop only exists at window boundaries.
     let out = slacksim(&["--engine", "batched", "--scheme", "bounded", "--bound", "8"]);
     assert_usage_error(
         &out,
-        &["--engine batched requires --scheme quantum", "bounded"],
+        &[
+            "--engine batched requires a barrier scheme (cc or quantum)",
+            "bounded",
+        ],
     );
+    // The default scheme, cycle-by-cycle, is a quantum of one and runs.
+    let out = slacksim(&["--engine", "batched", "--commit", "2000"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+}
+
+/// `--engine batched --scheme cc` is the sequential engine's cycle-by-cycle
+/// run: the verbose report is the same apart from the host-time lines.
+#[test]
+fn batched_cc_prints_the_sequential_report() {
+    let report = |engine: &str| {
+        let out = slacksim(&[
+            "--engine",
+            engine,
+            "--scheme",
+            "cc",
+            "--benchmark",
+            "water",
+            "--cores",
+            "8",
+            "--commit",
+            "20000",
+            "--verbose",
+        ]);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        stdout(&out)
+            .lines()
+            .filter(|l| !l.starts_with("wall clock") && !l.starts_with("speed"))
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let sequential = report("seq");
+    assert!(
+        sequential.iter().any(|l| l.contains("rollbacks")),
+        "verbose report printed: {sequential:?}"
+    );
+    assert_eq!(report("batched"), sequential);
 }
 
 #[test]

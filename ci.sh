@@ -183,6 +183,26 @@ if command -v taskset > /dev/null; then
     spec_run adaptive 2 taskset -c 0
 fi
 
+echo "==> sequential scale smoke (1024-core directory: cc on seq and batched, bounded-16 Barnes)"
+# The sequential engine's burst pick is O(log n) a burst (DESIGN §19
+# "Burst scheduler"), so it runs 1024 target cores within a fixed
+# budget: cycle-by-cycle FFT, 300 k commits, must print the batched
+# engine's verbose report apart from the two host-time lines (the CC
+# fingerprint is equal across engines at 1024 cores), and bounded-16
+# Barnes, 1 M commits, must finish. A driver that passes over every
+# core on every burst takes ~70 s and ~19 s on them on a 2-CPU host, so
+# the timeouts catch it.
+scale_cc=(--uncore directory --cores 1024 --benchmark fft --scheme cc --commit 300000 --verbose)
+scale_seq="$(sim_report timeout 20 ./target/release/slacksim "${scale_cc[@]}" --engine seq)"
+grep -q '^committed' <<< "$scale_seq" || {
+    echo "ci: 1024-core sequential cc run timed out or printed no report" >&2; exit 1; }
+[ "$scale_seq" = "$(sim_report timeout 20 ./target/release/slacksim "${scale_cc[@]}" \
+    --engine batched)" ] || {
+    echo "ci: 1024-core batched cc report differs from the sequential one" >&2; exit 1; }
+timeout 10 ./target/release/slacksim --uncore directory --cores 1024 --benchmark barnes \
+    --scheme bounded --bound 16 --commit 1000000 > /dev/null || {
+    echo "ci: 1024-core sequential bounded-16 Barnes timed out or failed" >&2; exit 1; }
+
 echo "==> benchmark/ self-tests + golden-fingerprint smoke"
 # The acceptance driver judges every PR with benchmark/ (BENCHMARK.json),
 # and that package is its own workspace, so nothing above builds or tests

@@ -166,6 +166,9 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Way>>,
     set_mask: u64,
+    /// `set_mask.count_ones()`, the tag shift: derived from the geometry
+    /// at construction (baseline x86-64 has no POPCNT instruction).
+    set_bits: u32,
     probes: Probes,
     /// Mutation generation (never rewound by restores).
     gen: Tracking<u64>,
@@ -243,6 +246,7 @@ impl Cache {
             cfg,
             sets: vec![Vec::with_capacity(cfg.ways); sets],
             set_mask: sets as u64 - 1,
+            set_bits: (sets as u64 - 1).count_ones(),
             probes: Probes::default(),
             gen: Tracking(0),
             set_stamps: Tracking(vec![0; sets]),
@@ -268,7 +272,7 @@ impl Cache {
 
     #[inline]
     fn tag(&self, line: LineAddr) -> u64 {
-        line.raw() >> self.set_mask.count_ones()
+        line.raw() >> self.set_bits
     }
 
     /// Looks the line up, updating LRU and hit/miss statistics. Returns
@@ -402,7 +406,7 @@ impl Cache {
     pub fn fill(&mut self, line: LineAddr, state: MesiState) -> Option<(LineAddr, MesiState)> {
         let set = self.set_index(line);
         let tag = self.tag(line);
-        let set_bits = self.set_mask.count_ones();
+        let set_bits = self.set_bits;
         let ways_cap = self.cfg.ways;
         let ways = &mut self.sets[set];
 

@@ -113,8 +113,8 @@ pub enum SpecError {
     },
     /// A workload axis entry that is not a non-empty string.
     BadWorkload(String),
-    /// `engine` is `batched` but the scheme axis holds a non-quantum
-    /// scheme the batched engine cannot execute.
+    /// `engine` is `batched` but the scheme axis holds a greedy scheme:
+    /// the batched engine runs barrier schemes only (cc or quantum).
     BatchedNeedsQuantum(String),
     /// The expanded grid would exceed [`MAX_GRID_JOBS`].
     GridTooLarge(u64),
@@ -175,8 +175,9 @@ impl fmt::Display for SpecError {
             }
             SpecError::BatchedNeedsQuantum(s) => write!(
                 f,
-                "engine 'batched' requires a quantum-only scheme axis (got '{s}'): the \
-                 quantum-compiled loop only resolves cross-core events at quantum boundaries"
+                "engine 'batched' requires a barrier scheme (cc or quantum) on the scheme \
+                 axis (got '{s}'): the batched loop only resolves cross-core events at window \
+                 boundaries"
             ),
             SpecError::GridTooLarge(n) => write!(
                 f,
@@ -502,7 +503,9 @@ impl SweepSpec {
                         value: format!("'{}'", kind.name()),
                     });
                 }
-                if engine == EngineToken::Batched && kind != SchemeKind::Quantum {
+                if engine == EngineToken::Batched
+                    && !matches!(kind, SchemeKind::Cc | SchemeKind::Quantum)
+                {
                     return Err(SpecError::BatchedNeedsQuantum(kind.name().to_string()));
                 }
                 out.push(kind);
@@ -867,6 +870,19 @@ mod tests {
     }
 
     #[test]
+    fn batched_engine_takes_both_barrier_schemes() {
+        let spec = SweepSpec::parse(
+            r#"{"v":1,"commit":10,"engine":"batched","axes":{
+                "scheme":["cc","quantum"],"quantum":[4],"workload":["fft"]}}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.engine, EngineToken::Batched);
+        let jobs = spec.expand();
+        assert_eq!(jobs[0].scheme, Scheme::CycleByCycle);
+        assert_eq!(jobs[1].scheme, Scheme::Quantum { quantum: 4 });
+    }
+
+    #[test]
     fn canonical_excludes_workers() {
         let with = SweepSpec::parse(
             r#"{"v":1,"commit":10,"workers":7,
@@ -955,8 +971,8 @@ mod tests {
                 "axes.scheme",
             ),
             (
-                r#"{"v":1,"commit":1,"engine":"batched","axes":{"scheme":["cc"],"workload":["fft"]}}"#,
-                "requires a quantum-only scheme axis",
+                r#"{"v":1,"commit":1,"engine":"batched","axes":{"scheme":["cc","bounded"],"workload":["fft"]}}"#,
+                "requires a barrier scheme (cc or quantum) on the scheme axis (got 'bounded')",
             ),
         ];
         for (src, expect) in cases {

@@ -10,6 +10,15 @@
 //! decides which core ticks when: window arithmetic, capped at the
 //! kernel's checkpoint stop point, and the burst pick.
 //!
+//! The burst pick reads incremental state, not scans over every core
+//! ([`BurstSched`]): a tournament tree gives global time and the laggard,
+//! a running max the furthest clock, and a Fenwick tree the runnable
+//! cores in ascending order. A burst moves one clock, so a pick costs
+//! O(log n); the runnable set is rebuilt only when the windows move (on
+//! every iteration under Lax-P2P's per-core windows) and on rollback.
+//! It answers exactly what scans over every core would (debug builds
+//! check it every iteration), so no pick or RNG draw depends on it.
+//!
 //! Because every run with the same configuration and seed is bit-identical,
 //! this engine is the vehicle for the accuracy experiments (Figure 3) and
 //! for the fully-deployed speculative rollback extension.
@@ -116,10 +125,12 @@ where
                 rng = r;
             }
         }
-        let mut locals = vec![start_global; n];
+        let mut sched = BurstSched::new(n, start_global);
         k.seed_base(&mut cores, &inboxes, &mut uncore, start_global, committed);
 
-        let mut runnable: Vec<usize> = Vec::with_capacity(n);
+        // A peer-paced pacer's per-core window ends, refilled in place
+        // every iteration (and never allocated under any other pacer).
+        let mut ends: Vec<Cycle> = Vec::new();
         // Barrier schemes hold the window fixed until every core reaches it
         // and the batch is serviced; greedy schemes slide it with global
         // time every iteration.
@@ -149,11 +160,10 @@ where
                 // A selected violation was serviced: rewind everything to
                 // the standing checkpoint and replay cycle by cycle.
                 let _span = ph.enter(ProfSite::CheckpointRestore);
-                let now = locals.iter().copied().min().expect("n >= 1");
-                let (at, at_committed) = k.rollback_ledger(now);
+                let (at, at_committed) = k.rollback_ledger(sched.global());
                 k.restore_models(&mut cores, &mut inboxes, &mut uncore);
                 gq.clear();
-                locals.fill(at);
+                sched.reset(at);
                 committed = at_committed;
                 window_end = at + 1;
             }
@@ -165,8 +175,7 @@ where
                 drop(iter_span);
                 iter_span = ph.enter(ProfSite::ManagerDrain);
             }
-            let global = locals.iter().copied().min().expect("n >= 1");
-            let furthest = locals.iter().copied().max().expect("n >= 1");
+            let (global, furthest) = (sched.global(), sched.furthest());
             // The empirical slack, reported so tests can assert the bound.
             k.note_spread(furthest.saturating_sub(global));
             let barrier = k.barrier();
@@ -179,7 +188,7 @@ where
             // equal" holds mid-window too), so the batched engine (which
             // only observes boundaries) stops in the identical state.
             if at_serviced_boundary {
-                debug_assert!(locals.iter().all(|&l| l == global) && gq.is_empty());
+                debug_assert!(furthest == global && gq.is_empty());
             }
             if committed >= cfg.commit_target && (!barrier || at_serviced_boundary) {
                 finish_reason = FinishReason::CommitTarget;
@@ -190,7 +199,9 @@ where
                 break;
             }
 
-            k.on_global(global, committed, &locals, gq.len() as u64, |_| (0, 0));
+            k.on_global(global, committed, sched.locals(), gq.len() as u64, |_| {
+                (0, 0)
+            });
 
             // Checkpoint scheduling: once global time crosses the trigger,
             // every window is capped at one common stop point.
@@ -200,24 +211,27 @@ where
             // continuously (uniformly, or per core for peer-to-peer
             // pacers); barrier schemes keep `window_end` until the batch
             // at the boundary has been serviced.
-            let mut per_core: Option<Vec<Cycle>> = None;
+            let mut per_core = false;
             if !barrier {
                 window_end = k.pacer.window_end(global).min(cfg.lead_cap(global));
-                per_core = k.pacer.window_ends(&locals);
+                per_core = k.pacer.window_ends(sched.locals(), &mut ends);
             }
             let cap = cfg.lead_cap(global);
-            let win_for = |i: usize| -> Cycle {
-                let base = per_core.as_ref().map_or(window_end, |v| v[i].min(cap));
-                stop_at.map_or(base, |s| base.min(s))
-            };
             let win = stop_at.map_or(window_end, |s| window_end.min(s));
+            let win_for = |i: usize| -> Cycle {
+                if per_core {
+                    stop_at.map_or(ends[i].min(cap), |s| ends[i].min(cap).min(s))
+                } else {
+                    win
+                }
+            };
+            sched.refresh((!per_core).then_some(win), win_for);
+            #[cfg(debug_assertions)]
+            sched.assert_matches_scans(win_for);
 
-            runnable.clear();
-            runnable.extend((0..n).filter(|&i| locals[i] < win_for(i)));
-
-            if runnable.is_empty() {
+            if sched.runnable() == 0 {
                 // Every core reached the window end (or the stop point).
-                if let Some(s) = stop_at.filter(|&s| locals.iter().all(|&l| l == s)) {
+                if let Some(s) = stop_at.filter(|&s| global == s && furthest == s) {
                     // Drain all outstanding events before snapshotting so
                     // queues are empty in the checkpoint.
                     {
@@ -259,19 +273,20 @@ where
 
             // Burst-schedule one core: mostly the laggard (host-scheduler
             // fairness), sometimes a random core (reordering noise).
+            // The laggard is the first core at `global`: every core there
+            // is runnable (the pacer's liveness contract, and the stop
+            // point is at or past `furthest`).
             let pick = if cfg.burst.lag_bias_percent > 0
                 && rng.chance(u64::from(cfg.burst.lag_bias_percent), 100)
             {
-                runnable
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| locals[i])
-                    .expect("runnable not empty")
+                sched.laggard()
             } else {
-                runnable[rng.next_below(runnable.len() as u64) as usize]
+                sched.kth_runnable(rng.next_below(sched.runnable() as u64) as usize)
             };
             let burst = rng.next_range(1, cfg.burst.max_burst);
-            let head = win_for(pick).saturating_sub(locals[pick]).min(burst);
+            let pick_win = win_for(pick);
+            let mut now = sched.local(pick);
+            let head = pick_win.saturating_sub(now).min(burst);
             if head > 0 {
                 at_serviced_boundary = false;
             }
@@ -279,15 +294,15 @@ where
             let phase = Phase::Run;
             let trace_run = head > 0 && !k.replaying();
             if trace_run {
-                k.trace(locals[pick], TraceEvent::PhaseBegin { core, phase });
+                k.trace(now, TraceEvent::PhaseBegin { core, phase });
             }
             {
                 let _span = ph.enter(ProfSite::CoreTick);
                 for _ in 0..head {
-                    let mut ctx = TickCtx::new(locals[pick], &mut inboxes[pick], &mut outbox);
+                    let mut ctx = TickCtx::new(now, &mut inboxes[pick], &mut outbox);
                     let c = cores[pick].tick(&mut ctx);
                     committed += u64::from(c);
-                    locals[pick] += 1;
+                    now += 1;
                     if !barrier && committed >= cfg.commit_target {
                         break;
                     }
@@ -298,8 +313,9 @@ where
                 // is identical to pushing tick by tick.
                 gq.push_batch(core, &mut outbox);
             }
+            sched.advance(pick, now, pick_win);
             if trace_run {
-                k.trace(locals[pick], TraceEvent::PhaseEnd { core, phase });
+                k.trace(now, TraceEvent::PhaseEnd { core, phase });
             }
 
             if !barrier {
@@ -311,12 +327,11 @@ where
         }
         drop(iter_span);
 
-        let global = locals.iter().copied().min().expect("n >= 1");
         let finish = Finish {
-            global,
+            global: sched.global(),
             committed,
             reason: finish_reason,
-            locals: &locals,
+            locals: sched.locals(),
             gq_len: gq.len() as u64,
             per_core: cores.iter().map(CoreModel::counters).collect(),
             uncore: uncore.counters(),
@@ -324,6 +339,195 @@ where
             threads: 1,
         };
         Ok(k.finish(finish, |_| (0, 0)))
+    }
+}
+
+/// The burst pick's view of the cores' clocks, updated burst by burst
+/// instead of rescanned (DESIGN §19 "Burst scheduler"). A burst moves one
+/// core's clock forward, so each piece of state has an O(log n) update:
+///
+/// - `global` and the laggard are the root of a tournament tree over
+///   `(local, core)`: the least local time, and the first core in index
+///   order that holds it;
+/// - `furthest` is a running max;
+/// - the runnable set `{i : locals[i] < win_for(i)}` is a Fenwick tree
+///   over membership bits, so the `k`-th runnable core in ascending index
+///   order and dropping one are both O(log n).
+///
+/// Clocks only move backwards on a rollback, which [`reset`](Self::reset)
+/// rebuilds from. The runnable set is rebuilt when the windows it was
+/// built for change: a uniform window when it moves, per-core windows on
+/// every iteration. Between rebuilds a burst never passes its window, so
+/// the only change to the set is the picked core reaching it.
+struct BurstSched {
+    locals: Vec<Cycle>,
+    /// Tournament tree, root at 1 and core `i`'s leaf at `leaves + i`;
+    /// padding leaves hold `(Cycle::MAX, u32::MAX)` and never win.
+    tree: Vec<(Cycle, u32)>,
+    leaves: usize,
+    furthest: Cycle,
+    /// Fenwick tree over the runnable bits, 1-based: `fen[j]` counts the
+    /// runnable cores among `j - lowbit(j) .. j` (0-based, half-open).
+    fen: Vec<u32>,
+    /// The highest power of two at most `n`: the select walk's first step.
+    top: usize,
+    runnable: usize,
+    /// The uniform window the runnable set was built for; `None` forces
+    /// the next [`refresh`](Self::refresh) to rebuild.
+    built_for: Option<Cycle>,
+}
+
+impl BurstSched {
+    /// `n >= 1` cores, every one at `at`.
+    fn new(n: usize, at: Cycle) -> Self {
+        let leaves = n.next_power_of_two();
+        let mut sched = BurstSched {
+            locals: vec![at; n],
+            tree: vec![(Cycle::MAX, u32::MAX); 2 * leaves],
+            leaves,
+            furthest: at,
+            fen: vec![0; n + 1],
+            top: 1 << n.ilog2(),
+            runnable: 0,
+            built_for: None,
+        };
+        sched.reset(at);
+        sched
+    }
+
+    /// Puts every core at `at`: run start, resume and rollback.
+    fn reset(&mut self, at: Cycle) {
+        let n = self.locals.len();
+        self.locals.fill(at);
+        for (i, leaf) in self.tree[self.leaves..self.leaves + n]
+            .iter_mut()
+            .enumerate()
+        {
+            *leaf = (at, i as u32);
+        }
+        for j in (1..self.leaves).rev() {
+            self.tree[j] = self.tree[2 * j].min(self.tree[2 * j + 1]);
+        }
+        self.furthest = at;
+        self.built_for = None;
+    }
+
+    fn locals(&self) -> &[Cycle] {
+        &self.locals
+    }
+
+    fn local(&self, i: usize) -> Cycle {
+        self.locals[i]
+    }
+
+    /// The least local time.
+    fn global(&self) -> Cycle {
+        self.tree[1].0
+    }
+
+    /// The greatest local time.
+    fn furthest(&self) -> Cycle {
+        self.furthest
+    }
+
+    /// The first core in index order at [`global`](Self::global): the
+    /// least-advanced runnable core whenever any core is runnable, since
+    /// every core at `global` is.
+    fn laggard(&self) -> usize {
+        self.tree[1].1 as usize
+    }
+
+    /// How many cores are runnable.
+    fn runnable(&self) -> usize {
+        self.runnable
+    }
+
+    /// Brings the runnable set up to date with this iteration's windows:
+    /// `uniform` is the window every core shares, `None` under per-core
+    /// windows; `win_for(i)` is core `i`'s window either way. Rebuilds
+    /// (O(n)) only when the windows differ from the ones it was built for.
+    fn refresh(&mut self, uniform: Option<Cycle>, win_for: impl Fn(usize) -> Cycle) {
+        if uniform.is_some() && uniform == self.built_for {
+            return;
+        }
+        self.built_for = uniform;
+        let n = self.locals.len();
+        self.runnable = 0;
+        for i in 0..n {
+            let bit = u32::from(self.locals[i] < win_for(i));
+            self.runnable += bit as usize;
+            self.fen[i + 1] = bit;
+        }
+        for j in 1..=n {
+            let up = j + (j & j.wrapping_neg());
+            if up <= n {
+                self.fen[up] += self.fen[j];
+            }
+        }
+    }
+
+    /// The `k`-th runnable core (from 0) in ascending index order: the
+    /// longest prefix holding at most `k` runnable cores ends just before
+    /// it.
+    fn kth_runnable(&self, mut k: usize) -> usize {
+        debug_assert!(k < self.runnable);
+        let mut pos = 0;
+        let mut step = self.top;
+        while step > 0 {
+            let next = pos + step;
+            if next < self.fen.len() && self.fen[next] as usize <= k {
+                pos = next;
+                k -= self.fen[next] as usize;
+            }
+            step >>= 1;
+        }
+        pos
+    }
+
+    /// Records runnable core `i`'s burst, which took it to `to`, and drops
+    /// it from the runnable set once `to` reaches its window `win`.
+    fn advance(&mut self, i: usize, to: Cycle, win: Cycle) {
+        self.locals[i] = to;
+        self.furthest = self.furthest.max(to);
+        let mut j = self.leaves + i;
+        self.tree[j] = (to, i as u32);
+        while j > 1 {
+            j /= 2;
+            self.tree[j] = self.tree[2 * j].min(self.tree[2 * j + 1]);
+        }
+        if to >= win {
+            self.runnable -= 1;
+            let mut j = i + 1;
+            while j < self.fen.len() {
+                self.fen[j] -= 1;
+                j += j & j.wrapping_neg();
+            }
+        }
+    }
+
+    /// Asserts that the incremental state equals what the scans it
+    /// replaces compute from the clocks and `win_for`: the reference
+    /// model, kept allocation-free so that debug builds still hold the
+    /// loop to no allocation per iteration.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_matches_scans(&self, win_for: impl Fn(usize) -> Cycle) {
+        let locals = &self.locals;
+        let runnable = (0..locals.len()).filter(|&i| locals[i] < win_for(i));
+        assert_eq!(Some(self.global()), locals.iter().copied().min(), "global");
+        assert_eq!(
+            Some(self.furthest),
+            locals.iter().copied().max(),
+            "furthest"
+        );
+        assert!(
+            runnable
+                .clone()
+                .eq((0..self.runnable).map(|k| self.kth_runnable(k))),
+            "the k-th runnable core is not the k-th in ascending order"
+        );
+        if let Some(laggard) = runnable.min_by_key(|&i| locals[i]) {
+            assert_eq!(self.laggard(), laggard, "laggard");
+        }
     }
 }
 
@@ -429,6 +633,126 @@ mod tests {
         SequentialEngine::new(toy_cores(4), ToyUncore::default(), cfg)
             .run()
             .expect("run succeeds")
+    }
+
+    /// How one round of the scheduler oracle sets its windows.
+    #[derive(Clone, Copy)]
+    enum Windows {
+        /// `global + bound`, sliding every iteration; the bound sometimes
+        /// shrinks below cores already past it, as an adaptive pacer's.
+        Greedy,
+        /// Held until every core reaches it, then moved on by `bound`.
+        Barrier,
+        /// Per core: a random peer's clock plus `bound`, under a lead cap.
+        PerCore,
+    }
+
+    /// [`BurstSched`] against the scans it replaces
+    /// ([`BurstSched::assert_matches_scans`]: `global`, `furthest`, the
+    /// runnable cores in ascending order, every `k`-th pick and the
+    /// laggard), driven the way the run loop drives it: seeded picks and
+    /// bursts under uniform and per-core windows, checkpoint stop caps,
+    /// replay windows (`win + 1`) and rebuilds after rollbacks. Bursts of
+    /// one or two cycles on every other round keep clocks bunched, so
+    /// ties are common.
+    #[test]
+    fn burst_sched_matches_the_scans_it_replaces() {
+        let mut rng = Xoshiro256::new(0x5eed);
+        // (stop points reached, barrier windows moved, replay windows,
+        // rollbacks, per-core iterations): each path must have run.
+        let mut seen = [0u32; 5];
+        for round in 0..600usize {
+            let n = rng.next_range(1, 70) as usize;
+            let mode = [Windows::Greedy, Windows::Barrier, Windows::PerCore][round % 3];
+            let max_burst = if round % 2 == 0 { 2 } else { 12 };
+            let start = Cycle::new(rng.next_below(100));
+            let mut sched = BurstSched::new(n, start);
+            let mut bound = rng.next_range(1, 16);
+            let mut window_end = start + bound;
+            let mut stop: Option<Cycle> = None;
+            let mut replay = 0;
+            let mut ends: Vec<Cycle> = Vec::new();
+            for _ in 0..300 {
+                if rng.chance(1, 60) {
+                    let back = rng.next_below(20);
+                    let at = Cycle::new(sched.global().as_u64().saturating_sub(back));
+                    sched.reset(at);
+                    stop = None;
+                    replay = rng.next_range(1, 20);
+                    window_end = at + 1;
+                    seen[3] += 1;
+                }
+                let (global, furthest) = (sched.global(), sched.furthest());
+                if stop.is_none() && rng.chance(1, 25) {
+                    stop = Some(furthest.max(global + rng.next_below(30)));
+                }
+                let barrier = replay > 0 || matches!(mode, Windows::Barrier);
+                let per_core = !barrier && matches!(mode, Windows::PerCore);
+                if !barrier {
+                    if rng.chance(1, 10) {
+                        bound = rng.next_range(1, 16);
+                    }
+                    window_end = global + bound;
+                }
+                if per_core {
+                    ends.clear();
+                    ends.extend(
+                        (0..n).map(|_| sched.local(rng.next_below(n as u64) as usize) + bound),
+                    );
+                    seen[4] += 1;
+                }
+                let cap = global + 12;
+                let win = stop.map_or(window_end, |s| window_end.min(s));
+                let win_for = |i: usize| -> Cycle {
+                    if per_core {
+                        stop.map_or(ends[i].min(cap), |s| ends[i].min(cap).min(s))
+                    } else {
+                        win
+                    }
+                };
+                sched.refresh((!per_core).then_some(win), win_for);
+                sched.assert_matches_scans(win_for);
+
+                if sched.runnable() == 0 {
+                    if let Some(s) = stop.filter(|&s| global == s && furthest == s) {
+                        // The checkpoint commits; a replay ends with it.
+                        stop = None;
+                        replay = 0;
+                        window_end = s + bound;
+                        seen[0] += 1;
+                    } else {
+                        assert!(barrier, "round {round}: greedy windows stalled at {global}");
+                        window_end = if replay > 0 {
+                            replay -= 1;
+                            seen[2] += 1;
+                            win + 1
+                        } else {
+                            win + bound
+                        };
+                        seen[1] += 1;
+                    }
+                    continue;
+                }
+                let pick = if rng.chance(1, 2) {
+                    sched.laggard()
+                } else {
+                    sched.kth_runnable(rng.next_below(sched.runnable() as u64) as usize)
+                };
+                let from = sched.local(pick);
+                let head = rng
+                    .next_range(1, max_burst)
+                    .min(win_for(pick).saturating_sub(from));
+                // Sometimes short of the burst, as one that reaches the
+                // commit target under a greedy window stops.
+                let head = if rng.chance(1, 10) {
+                    rng.next_range(1, head)
+                } else {
+                    head
+                };
+                sched.advance(pick, from + head, win_for(pick));
+            }
+        }
+        assert!(seen.iter().all(|&c| c > 0), "unexercised path: {seen:?}");
     }
 
     #[test]

@@ -947,11 +947,13 @@ where
     let rings = |i: usize| ring_depths(&shared[i]);
 
     // Persistent scratch reused every iteration: local-clock snapshots,
-    // the previous iteration's snapshot for progress detection, and the
-    // OutQ drain buffer. Steady state allocates nothing.
+    // the previous iteration's snapshot for progress detection, the OutQ
+    // drain buffer and a peer-paced pacer's per-core window ends. Steady
+    // state allocates nothing.
     let mut locals: Vec<Cycle> = Vec::with_capacity(n);
     let mut prev_locals: Vec<Cycle> = vec![Cycle::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
+    let mut ends: Vec<Cycle> = Vec::new();
     let mut backoff = Backoff::new(sched.virtualized());
     // A dead lane's clocks never move again, so the idle path is where
     // every other stall ends up: the death flag is read there.
@@ -1095,10 +1097,10 @@ where
             cfg.lead_cap(global)
         };
         let cap = lead.min(stop.unwrap_or(Cycle::MAX));
-        let wins = k.pacer.window_ends(&locals);
+        let per_core = k.pacer.window_ends(&locals, &mut ends);
         let uniform = k.pacer.window_end(global);
         let published = lanes.publish(shared, sched, |i| {
-            wins.as_ref().map_or(uniform, |w| w[i]).min(cap)
+            if per_core { ends[i] } else { uniform }.min(cap)
         });
         window_end = window_end.max(published);
         if !progress {

@@ -82,14 +82,17 @@ pub trait Pacer: Send {
 
     /// Per-core window ends, for schemes that pace each core relative to
     /// *other cores' clocks* instead of global time (e.g. peer-to-peer
-    /// synchronisation). Returning `None` (the default) keeps the uniform
+    /// synchronisation): fills `ends` with one window end per core and
+    /// returns `true`. The caller owns `ends` and reuses it, so a run
+    /// does not allocate per iteration. Returning `false` (the default)
+    /// leaves `ends` alone and keeps the uniform
     /// [`window_end`](Pacer::window_end) for every core.
     ///
     /// Implementations must keep the system live: the core holding the
     /// minimum local time must always receive a window strictly greater
     /// than its local time.
-    fn window_ends(&mut self, _locals: &[Cycle]) -> Option<Vec<Cycle>> {
-        None
+    fn window_ends(&mut self, _locals: &[Cycle], _ends: &mut Vec<Cycle>) -> bool {
+        false
     }
 
     /// Clones the pacer, including any adaptive state, into a new box.
@@ -361,18 +364,20 @@ impl Pacer for LaxP2p {
         global.saturating_add(self.lead)
     }
 
-    fn window_ends(&mut self, locals: &[Cycle]) -> Option<Vec<Cycle>> {
+    fn window_ends(&mut self, locals: &[Cycle], ends: &mut Vec<Cycle>) -> bool {
         let n = locals.len();
         let global = locals.iter().copied().min().unwrap_or(Cycle::ZERO);
         if self.partners.len() != n || global >= self.next_shuffle {
             self.reshuffle(n);
             self.next_shuffle = global.saturating_add(self.period);
         }
-        Some(
-            (0..n)
-                .map(|i| locals[self.partners[i]].saturating_add(self.lead))
-                .collect(),
-        )
+        ends.clear();
+        ends.extend(
+            self.partners
+                .iter()
+                .map(|&p| locals[p].saturating_add(self.lead)),
+        );
+        true
     }
 
     fn current_bound(&self) -> Option<u64> {
@@ -508,7 +513,8 @@ mod tests {
     fn lax_p2p_windows_follow_partners() {
         let mut p = LaxP2p::new(10, 100, 7);
         let locals = vec![Cycle::new(50), Cycle::new(80), Cycle::new(60)];
-        let wins = p.window_ends(&locals).expect("per-core windows");
+        let mut wins = Vec::new();
+        assert!(p.window_ends(&locals, &mut wins), "per-core windows");
         assert_eq!(wins.len(), 3);
         // Liveness: the slowest core can always advance.
         assert!(wins[0] > locals[0]);
@@ -526,7 +532,12 @@ mod tests {
         let locals = vec![Cycle::new(0); 4];
         let mut a = LaxP2p::new(5, 50, 9);
         let mut b = LaxP2p::new(5, 50, 9);
-        assert_eq!(a.window_ends(&locals), b.window_ends(&locals));
+        let (mut wa, mut wb) = (Vec::new(), Vec::new());
+        assert_eq!(
+            a.window_ends(&locals, &mut wa),
+            b.window_ends(&locals, &mut wb)
+        );
+        assert_eq!(wa, wb);
     }
 
     /// Pacer bytes as `LaxP2p::save_state` lays them out.
@@ -550,7 +561,9 @@ mod tests {
         let good = p2p_bytes(&[1, 2, 3, 0], 1000);
         p.load_state(&mut ByteReader::new(&good))
             .expect("valid pairing");
-        assert_eq!(p.window_ends(&locals), Some(vec![Cycle::new(18); 4]));
+        let mut wins = Vec::new();
+        assert!(p.window_ends(&locals, &mut wins));
+        assert_eq!(wins, vec![Cycle::new(18); 4]);
 
         for bad in [[1, 2, 4, 0], [1, 2, 3, u32::MAX]] {
             let mut p = LaxP2p::new(8, 100, 1);

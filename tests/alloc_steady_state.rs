@@ -1,5 +1,5 @@
-//! Proves the threaded manager loop and the batched window loop are
-//! allocation-free at steady state, and that persisting checkpoints
+//! Proves the threaded manager loop, the batched window loop and the
+//! sequential burst loop are allocation-free at steady state, and that persisting checkpoints
 //! recycles its two snapshot buffers instead of allocating per checkpoint.
 //!
 //! Strategy: a counting `#[global_allocator]` wraps the system allocator.
@@ -339,6 +339,64 @@ fn batched_window_loop_is_allocation_free_at_steady_state() {
             long,
             short,
             "{host_threads} host thread(s): 520 more windows allocated {} more times",
+            long.saturating_sub(short)
+        );
+    }
+}
+
+/// The sequential burst loop — window arithmetic, burst pick, ticks and
+/// service — allocates nothing once its buffers are warm, under a barrier
+/// scheme, a uniform greedy window and per-core (Lax-P2P) windows:
+/// tripling the run adds not one allocation. (Lax-P2P's window ends used
+/// to be a fresh `Vec` every iteration.)
+#[test]
+fn sequential_burst_loop_is_allocation_free_at_steady_state() {
+    use slacksim::scheme::Scheme;
+    use slacksim::slacksim_core::engine::SequentialEngine;
+    let _serial = serial();
+
+    let allocs = |scheme: &Scheme, commit: u64| {
+        let cores: Vec<_> = (0..12u64)
+            .map(|i| toy::Core {
+                period: 3 + i % 4,
+                committed: 0,
+            })
+            .collect();
+        let mut cfg = slacksim::EngineConfig::new(scheme.clone(), commit);
+        // No bound-trace entry per sampling window (see the batched case).
+        cfg.sample_period = 1 << 40;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = SequentialEngine::new(cores, toy::Uncore, cfg)
+            .run()
+            .expect("run");
+        assert!(report.committed >= commit);
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
+    // Strays from the harness thread only ever add: take the least.
+    let least = |scheme: &Scheme, commit| {
+        (0..3)
+            .map(|_| allocs(scheme, commit))
+            .min()
+            .expect("three runs")
+    };
+    let schemes = [
+        Scheme::CycleByCycle,
+        Scheme::BoundedSlack { bound: 16 },
+        Scheme::LaxP2p {
+            lead: 16,
+            period: 100,
+            seed: 1,
+        },
+    ];
+    for scheme in &schemes {
+        let _ = allocs(scheme, 5_000);
+        let short = least(scheme, 60_000);
+        let long = least(scheme, 180_000);
+        assert_eq!(
+            long,
+            short,
+            "{}: 10 000 more cycles a core allocated {} more times",
+            scheme.name(),
             long.saturating_sub(short)
         );
     }

@@ -738,8 +738,8 @@ fn sweep_bad_grid_values_are_rejected_with_enumerated_errors() {
             &["repeats value 8"],
         ),
         (
-            r#"{"v":1,"commit":100,"engine":"batched","axes":{"scheme":["cc"],"workload":["fft"]}}"#,
-            &["batched", "quantum-only scheme axis"],
+            r#"{"v":1,"commit":100,"engine":"batched","axes":{"scheme":["bounded"],"workload":["fft"]}}"#,
+            &["batched", "a barrier scheme (cc or quantum)", "bounded"],
         ),
         (
             r#"{"v":1,"commit":100,"axes":{"scheme":["cc"],"workload":["fft"],"uncore":["ring"]}}"#,
@@ -771,6 +771,43 @@ fn sweep_bad_grid_values_are_rejected_with_enumerated_errors() {
         ]);
         assert_sweep_error(&out, expect);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batched campaign runs a `cc` axis as quantum 1: its job settles with
+/// the sequential engine's cycle-by-cycle numbers.
+#[test]
+fn sweep_batched_engine_runs_a_cc_axis() {
+    let dir = sweep_scratch("batchedcc");
+    let outcome = |engine: &str| {
+        let spec = dir.join(format!("{engine}.json"));
+        std::fs::write(
+            &spec,
+            format!(
+                r#"{{"v":1,"commit":2000,"engine":"{engine}","axes":{{
+                    "scheme":["cc"],"cores":[4],"workload":["fft"],"seed":[1]}}}}"#
+            ),
+        )
+        .unwrap();
+        let camp = dir.join(engine);
+        let out = slacksim(&[
+            "sweep",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--dir",
+            camp.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{engine}: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("campaign: 1 jobs settled (0 skipped, 0 resumed, 0 failed)"),
+            "{engine}: {}",
+            stdout(&out)
+        );
+        let row = std::fs::read_to_string(camp.join("aggregate.jsonl")).unwrap();
+        let at = row.find("\"cycles\"").expect("a cycles field");
+        row[at..].to_owned()
+    };
+    assert_eq!(outcome("batched"), outcome("seq"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -14,26 +14,26 @@ cargo test --workspace -q --offline
 echo "==> cargo test -q --release"
 cargo test --workspace -q --release --offline
 
-echo "==> conformance smoke (adversarial schedules, bounded seeds)"
-# Bounded-time schedule-fuzzing pass: the virtual-scheduler matrix from
-# crates/conformance runs in release with a pinned seed count per
-# adversarial schedule so wall time stays inside the CI budget. Raise
-# SLACKSIM_CONFORMANCE_SEEDS locally for a deeper exploration.
+echo "==> conformance smoke (exact matrices, campaign-pool schedules with bounded seeds)"
+# The conformance matrices from crates/conformance in release, with a
+# pinned seed count per adversarial campaign-pool schedule so wall time
+# stays inside the CI budget. Raise SLACKSIM_CONFORMANCE_SEEDS locally
+# for a deeper exploration.
 SLACKSIM_CONFORMANCE_SEEDS=4 \
     cargo test -p slacksim-conformance -q --release --offline
 
 echo "==> speculative smoke (threaded, bounded slack, rollback on every violation)"
 # One end-to-end threaded speculative run through the release binary
-# under a greedy (bounded) scheme: checkpoints that cap every window at
-# the kernel's stop point, delta capture on the lanes and the
-# base-hand-back rollback all run for real.
+# under a greedy (bounded) scheme: checkpoints that cap every round at
+# the kernel's stop point, delta capture and rollback with its
+# one-cycle replay all run for real.
 # (That a delta-maintained base equals a fresh clone is proven per model
 # in crates/cmp/tests/delta_roundtrip.rs, which the test tiers above run.)
 ./target/release/slacksim --scheme bounded --bound 16 --engine threaded \
     --commit 20000 --checkpoint 2000 --rollback all \
     > /dev/null
 
-echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory, 16-core directory with rollbacks)"
+echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory, 16-core directory with rollbacks, threaded greedy rounds with rollbacks)"
 # Crash-safety proof on the release binary (DESIGN §13): a
 # cycle-by-cycle run persisting checkpoints is SIGKILLed as soon as the
 # first snapshot lands, resumed from the surviving cp-* file, and must
@@ -53,6 +53,9 @@ echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus,
 # engine: 16-core Barnes under bounded slack rolls back on every
 # violation, so the snapshots carry directory entries, per-line monitors
 # and port calendars left behind by rollbacks and monitor compaction.
+# A fourth does the same on the threaded engine's greedy rounds, whose
+# bursts and service order are stateless draws a resumed run draws again
+# (DESIGN §10, "Seeded rounds").
 kill_and_resume() { # kill_and_resume LABEL FLAGS...
     local label="$1"; shift
     local cps baseline victim snapshot resumed
@@ -83,6 +86,8 @@ kill_and_resume directory --uncore directory --cores 64 --benchmark fft --scheme
     --engine threaded --commit 200000 --checkpoint 700
 kill_and_resume directory-rollback --uncore directory --cores 16 --benchmark barnes \
     --scheme bounded --bound 16 --seed 3 --commit 400000 --checkpoint 700 --rollback all
+kill_and_resume threaded-greedy --engine threaded --scheme bounded --bound 16 --cores 8 \
+    --checkpoint 700 --rollback all
 
 echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, two threads on one CPU)"
 # Host-parallel windows on the release binary (DESIGN §15.1): the
@@ -112,30 +117,22 @@ if command -v taskset > /dev/null; then
         echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
 fi
 
-echo "==> core-lane threaded smoke (8-core cc routed to batched at --host-threads 1/2/8, two threads on one CPU, four slack lanes on one CPU, one-lane bounded repeats, unbounded/adaptive/p2p rollback)"
-# Barrier routing on the release binary (DESIGN §19): the threaded
-# engine hands every cycle-by-cycle run to the batched engine, and
-# `--engine batched` runs cc as a quantum of one, so on 1, 2 and 8 host
-# threads both print the sequential engine's verbose report — headline,
-# uncore, kernel and per-core counters, everything but the two host-time
-# lines. Then the oversubscribed case: two host threads pinned to one
-# CPU must still finish, with the same report, and so must bounded slack
-# with four lanes on that CPU, where a lane waits on three others and
-# the one wait ladder yields the CPU to them from its first wait
-# (DESIGN §10, "Core lanes"). The in-process twins run in
-# crates/conformance and tests/report_digest.rs. Then one lane under
-# bounded slack: its cores run seeded bursts on the manager's thread, so
-# two runs print the same report, and it reports violations — a lane's
-# own cores drift apart as far as the bound lets them. Last, speculative
-# unbounded runs with every core on the manager's own lane and with a
-# lane thread beside it: a manager that steps lane 0 past its own
-# service — or, after a replay, towards an uncapped window — stalls
-# here, so it fails in seconds instead of hanging
-# tests/persist_resume.rs (both roll back and replay in 2 M commits).
-# The same runs on two lanes under adaptive slack, whose windows shrink
-# while a checkpoint's stop point is pending, and under Lax-P2P, whose
-# windows are per core — adaptive also on one CPU: a stop point that
-# lies below some core never fills, and hangs rather than fails.
+echo "==> greedy-exactness smoke (8-core cc routed to batched and bounded-16/adaptive/p2p rounds, each at --host-threads 1/2/8 and on one CPU; unbounded/adaptive/p2p rollback)"
+# The window loop's results never depend on the host-thread count
+# (DESIGN §10, §19): on 1, 2 and 8 host threads, and with two threads
+# pinned to one CPU, the verbose report — headline, uncore, kernel and
+# per-core counters, everything but the two host-time lines — is
+# byte-equal. Cycle-by-cycle on the threaded and the batched engine
+# prints the sequential engine's report; bounded-16, adaptive and
+# Lax-P2P Water run as seeded rounds, whose bursts and service order are
+# stateless draws from the seed, and must report violations. The
+# in-process twins run in crates/conformance and tests/report_digest.rs.
+# Last, speculative runs under unbounded, adaptive and Lax-P2P (adaptive
+# also on one CPU): a stop point that lies below some core never fills,
+# and would hang rather than fail, so each runs under a timeout.
+one_cpu() { # one_cpu COMMAND...: the command pinned to one CPU, if taskset exists
+    if command -v taskset > /dev/null; then timeout 120 taskset -c 0 "$@"; else "$@"; fi
+}
 cc_flags=(--benchmark fft --scheme cc --cores 8 --commit 200000 --verbose)
 cc_seq="$(sim_report ./target/release/slacksim "${cc_flags[@]}" --engine seq)"
 grep -q '^committed' <<< "$cc_seq" || {
@@ -149,31 +146,36 @@ for engine in threaded batched; do
         }
     done
 done
-if command -v taskset > /dev/null; then
-    [ "$cc_seq" = "$(sim_report timeout 120 taskset -c 0 \
-        ./target/release/slacksim "${cc_flags[@]}" --engine threaded --host-threads 2)" ] || {
-        echo "ci: threaded cc on two host threads pinned to one CPU hung or changed the report" >&2
+[ "$cc_seq" = "$(sim_report one_cpu ./target/release/slacksim "${cc_flags[@]}" \
+    --engine threaded --host-threads 2)" ] || {
+    echo "ci: threaded cc on two host threads pinned to one CPU hung or changed the report" >&2
+    exit 1
+}
+for scheme in "bounded --bound 16" adaptive p2p; do
+    # shellcheck disable=SC2206 # the scheme and its bound are two words
+    greedy_flags=(--benchmark water --scheme $scheme --engine threaded --cores 8
+        --commit 200000 --verbose)
+    greedy_one="$(sim_report ./target/release/slacksim "${greedy_flags[@]}" --host-threads 1)"
+    grep -qE '^violations +: [1-9]' <<< "$greedy_one" || {
+        echo "ci: threaded $scheme rounds reported no violations" >&2; exit 1; }
+    for h in 2 8; do
+        [ "$greedy_one" = "$(sim_report ./target/release/slacksim "${greedy_flags[@]}" \
+            --host-threads "$h")" ] || {
+            echo "ci: threaded $scheme report on $h host threads differs from the one on 1" >&2
+            exit 1
+        }
+    done
+    [ "$greedy_one" = "$(sim_report one_cpu ./target/release/slacksim "${greedy_flags[@]}" \
+        --host-threads 2)" ] || {
+        echo "ci: threaded $scheme on two host threads pinned to one CPU hung or changed the report" >&2
         exit 1
     }
-    timeout 120 taskset -c 0 ./target/release/slacksim --benchmark fft --engine threaded \
-        --scheme bounded --bound 16 --cores 4 --host-threads 4 --commit 2000000 > /dev/null || {
-        echo "ci: four slack lanes pinned to one CPU hung or failed" >&2; exit 1; }
-fi
-thr_report() { # a slack run's simulated report, without host-telemetry counters
-    "$@" 2> /dev/null | grep -vE '^(wall clock|speed) |^ *(core_parks|manager_parks|max_clock_spread):'
-}
-b16_flags=(--benchmark water --scheme bounded --bound 16 --engine threaded --cores 8
-    --commit 200000 --host-threads 1 --verbose)
-b16_one="$(thr_report ./target/release/slacksim "${b16_flags[@]}")"
-[ "$b16_one" = "$(thr_report ./target/release/slacksim "${b16_flags[@]}")" ] || {
-    echo "ci: two one-lane bounded-16 runs printed different reports" >&2; exit 1; }
-grep -qE '^violations +: [1-9]' <<< "$b16_one" || {
-    echo "ci: a one-lane bounded-16 run reported no violations" >&2; exit 1; }
+done
 spec_run() { # spec_run SCHEME HOST_THREADS [COMMAND PREFIX...]
     local scheme="$1" h="$2"; shift 2
     timeout 60 "$@" ./target/release/slacksim --benchmark water --scheme "$scheme" --engine threaded \
         --cores 4 --checkpoint 500 --rollback all --host-threads "$h" --commit 2000000 > /dev/null || {
-        echo "ci: speculative $scheme run on $h lanes ${*:+($*) }hung or failed" >&2; exit 1; }
+        echo "ci: speculative $scheme run on $h host threads ${*:+($*) }hung or failed" >&2; exit 1; }
 }
 spec_run unbounded 1
 for scheme in unbounded adaptive p2p; do
@@ -228,8 +230,8 @@ rm -rf "$bench_out"
 
 echo "==> profiler + live-telemetry smoke (artifact validity)"
 # Self-profiling proof on the release binary (DESIGN §14): a profiled
-# threaded slack run — lanes stepping bursts, the manager draining,
-# servicing and waiting — with a live status file must produce a
+# threaded slack run — seeded rounds of bursts and their service — with
+# a live status file must produce a
 # host-time table covering the run, a valid heartbeat and a valid
 # profile CSV — both validated
 # through `slacksim report`, which parses them with the in-tree

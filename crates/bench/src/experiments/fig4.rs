@@ -7,15 +7,14 @@
 //! counterpart (the price of the safety net); wider bands shorten
 //! simulation time.
 //!
-//! Protocol on this host (see `EXPERIMENTS.md`): violation rates come from
-//! the deterministic engine; wall-clock times from the threaded engine,
-//! whose adaptive controller uses the deterministic calibration
-//! ([`crate::runner::calibrated_adaptive`]).
+//! Every point is one threaded run: its greedy rounds are deterministic,
+//! so the violation rate, the CPI error against cycle-by-cycle and the
+//! wall time all come from the same run.
 
 use slacksim::scheme::Scheme;
-use slacksim::Benchmark;
+use slacksim::{Benchmark, SimReport};
 
-use crate::runner::{calibrated_adaptive, mean_bound, run_sequential, run_threaded};
+use crate::runner::{adaptive, cpi_error, mean_bound, run_threaded};
 use crate::scale::Scale;
 use crate::table::Table;
 
@@ -31,9 +30,11 @@ pub struct Fig4Point {
     pub series: String,
     /// Configuration label (bound or target).
     pub label: String,
-    /// Measured violation rate (fraction per cycle, deterministic engine).
+    /// Measured violation rate (fraction per cycle).
     pub rate: f64,
-    /// Wall-clock seconds (threaded engine).
+    /// CPI error against the cycle-by-cycle run, in percent.
+    pub cpi_err: f64,
+    /// Wall-clock seconds.
     pub wall_secs: f64,
     /// Mean adaptive bound (0 for non-adaptive points).
     pub mean_bound: f64,
@@ -41,37 +42,35 @@ pub struct Fig4Point {
 
 /// Measures all three series for one benchmark.
 pub fn measure(scale: &Scale, benchmark: Benchmark) -> Vec<Fig4Point> {
-    let mut points = Vec::new();
+    let cc = run_threaded(scale, benchmark, Scheme::CycleByCycle);
+    let cc_cpi = cc.cpi();
+    let point = |series: String, label: String, run: &SimReport, bound: f64| {
+        eprintln!(
+            "fig4: {benchmark} {series} {label}: rate={:.4}% err={:.2}% wall={:.3}s bound={bound:.1}",
+            run.violation_rate() * 100.0,
+            cpi_error(run, cc_cpi),
+            run.wall.as_secs_f64()
+        );
+        Fig4Point {
+            series,
+            label,
+            rate: run.violation_rate(),
+            cpi_err: cpi_error(run, cc_cpi),
+            wall_secs: run.wall.as_secs_f64(),
+            mean_bound: bound,
+        }
+    };
 
     // Cycle-by-cycle plus the bounded-slack frontier S1–S9.
-    let cc_rate = run_sequential(scale, benchmark, Scheme::CycleByCycle).violation_rate();
-    let cc_wall = run_threaded(scale, benchmark, Scheme::CycleByCycle)
-        .wall
-        .as_secs_f64();
-    points.push(Fig4Point {
-        series: "bounded".into(),
-        label: "CC".into(),
-        rate: cc_rate,
-        wall_secs: cc_wall,
-        mean_bound: 0.0,
-    });
+    let mut points = vec![point("bounded".into(), "CC".into(), &cc, 0.0)];
     for bound in 1..=9u64 {
-        let rate =
-            run_sequential(scale, benchmark, Scheme::BoundedSlack { bound }).violation_rate();
-        let wall = run_threaded(scale, benchmark, Scheme::BoundedSlack { bound })
-            .wall
-            .as_secs_f64();
-        eprintln!(
-            "fig4: {benchmark} S{bound}: rate={:.4}% wall={wall:.3}s",
-            rate * 100.0
-        );
-        points.push(Fig4Point {
-            series: "bounded".into(),
-            label: format!("S{bound}"),
-            rate,
-            wall_secs: wall,
-            mean_bound: bound as f64,
-        });
+        let run = run_threaded(scale, benchmark, Scheme::BoundedSlack { bound });
+        points.push(point(
+            "bounded".into(),
+            format!("S{bound}"),
+            &run,
+            bound as f64,
+        ));
     }
 
     // Adaptive series at both violation bands: once at the paper's
@@ -83,22 +82,13 @@ pub fn measure(scale: &Scale, benchmark: Benchmark) -> Vec<Fig4Point> {
         for band in [0.0, 5.0] {
             for target in TARGETS_PERCENT {
                 let scaled = target * factor;
-                let (threaded_cfg, seq) = calibrated_adaptive(scale, benchmark, scaled, band);
-                let wall = run_threaded(scale, benchmark, Scheme::Adaptive(threaded_cfg))
-                    .wall
-                    .as_secs_f64();
-                eprintln!(
-                    "fig4: {benchmark} adaptive {scaled}%/{band}%: rate={:.4}% wall={wall:.3}s bound={:.1}",
-                    seq.violation_rate() * 100.0,
-                    mean_bound(&seq)
-                );
-                points.push(Fig4Point {
-                    series: format!("adaptive {band:.0}%{suffix}"),
-                    label: format!("{scaled:.2}%"),
-                    rate: seq.violation_rate(),
-                    wall_secs: wall,
-                    mean_bound: mean_bound(&seq),
-                });
+                let run = run_threaded(scale, benchmark, Scheme::Adaptive(adaptive(scaled, band)));
+                points.push(point(
+                    format!("adaptive {band:.0}%{suffix}"),
+                    format!("{scaled:.2}%"),
+                    &run,
+                    mean_bound(&run),
+                ));
             }
         }
     }
@@ -114,6 +104,7 @@ pub fn render(benchmark: Benchmark, points: &[Fig4Point]) -> Table {
         "series",
         "config",
         "violation rate",
+        "CPI err",
         "sim time (s)",
         "mean bound",
     ]);
@@ -122,12 +113,12 @@ pub fn render(benchmark: Benchmark, points: &[Fig4Point]) -> Table {
             p.series.clone(),
             p.label.clone(),
             format!("{:.4}%", p.rate * 100.0),
+            format!("{:.2}%", p.cpi_err),
             format!("{:.3}", p.wall_secs),
             format!("{:.1}", p.mean_bound),
         ]);
     }
-    t.note("rates: deterministic engine; times: threaded engine (1 host thread per target core)");
-    t.note("adaptive runs use deterministic-engine calibration for the threaded bound clamp");
+    t.note("threaded engine, one run per point: rate, CPI error against CC and wall time");
     t
 }
 
@@ -150,6 +141,7 @@ mod tests {
                 series: "bounded".into(),
                 label: "CC".into(),
                 rate: 0.0,
+                cpi_err: 0.0,
                 wall_secs: 1.0,
                 mean_bound: 0.0,
             },
@@ -157,6 +149,7 @@ mod tests {
                 series: "adaptive 5%".into(),
                 label: "0.01%".into(),
                 rate: 1e-4,
+                cpi_err: 0.2,
                 wall_secs: 0.5,
                 mean_bound: 1.2,
             },

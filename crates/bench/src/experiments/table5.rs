@@ -11,7 +11,7 @@ use slacksim::scheme::Scheme;
 use slacksim::{Benchmark, SpeculationConfig};
 
 use crate::experiments::table34::{interval_stats, IntervalStats};
-use crate::runner::{calibrated_adaptive, run_threaded};
+use crate::runner::{adaptive, run_threaded};
 use crate::scale::Scale;
 use crate::table::Table;
 
@@ -39,7 +39,7 @@ pub fn measure(scale: &Scale) -> Vec<Table5Row> {
             let t_cc = run_threaded(scale, benchmark, Scheme::CycleByCycle)
                 .wall
                 .as_secs_f64();
-            let (adaptive_cfg, _) = calibrated_adaptive(scale, benchmark, 0.01, 5.0);
+            let adaptive_cfg = adaptive(0.01, 5.0);
             let mut t_spec = [0.0; 2];
             let mut profitable = [false; 2];
             for (i, &interval) in INTERVALS.iter().enumerate() {

@@ -63,32 +63,9 @@ pub fn adaptive(target_percent: f64, band_percent: f64) -> AdaptiveConfig {
     AdaptiveConfig::percent(target_percent, band_percent)
 }
 
-/// Calibrates an adaptive configuration for the threaded engine on this
-/// host: runs the deterministic engine (whose emulated 8-context host
-/// detects violations realistically), then clamps the threaded
-/// controller's `max_bound` to just above the bound region the loop
-/// settled in.
-///
-/// Rationale (documented in `EXPERIMENTS.md`): on a single-CPU container
-/// the manager thread only runs between core-thread time slices, so its
-/// global queue sorts each backlog and on-line violation detection
-/// under-reports; without the clamp the threaded controller would drift to
-/// its maximum bound and behave like unbounded slack instead of like the
-/// throttled loop the paper measures.
-pub fn calibrated_adaptive(
-    scale: &Scale,
-    benchmark: Benchmark,
-    target_percent: f64,
-    band_percent: f64,
-) -> (AdaptiveConfig, SimReport) {
-    let cfg = adaptive(target_percent, band_percent);
-    let seq = run_sequential(scale, benchmark, Scheme::Adaptive(cfg.clone()));
-    let clamp = (mean_bound(&seq).ceil() as u64 + 2).clamp(cfg.min_bound, cfg.max_bound);
-    let threaded_cfg = AdaptiveConfig {
-        max_bound: clamp,
-        ..cfg
-    };
-    (threaded_cfg, seq)
+/// CPI error of `run` against the cycle-by-cycle CPI `cc`, in percent.
+pub fn cpi_error(run: &SimReport, cc: f64) -> f64 {
+    (run.cpi() - cc).abs() / cc * 100.0
 }
 
 /// Formats a violation rate as a percentage with enough digits for the

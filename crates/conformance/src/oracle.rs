@@ -1,31 +1,18 @@
-//! The differential oracle: cross-engine equivalence checks, metamorphic
-//! invariants, and the greedy failure minimizer.
+//! The differential oracle: cross-engine equivalence checks and
+//! metamorphic invariants.
 //!
-//! Three layers of checking, from strongest to weakest guarantee:
+//! Two layers of checking, from stronger to weaker guarantee:
 //!
-//! 1. **Exact equality** where the design guarantees it: cycle-by-cycle
+//! 1. **Exact equality** where the design guarantees it: barrier-scheme
 //!    runs must produce identical [`Fingerprint`]s across the sequential
-//!    engine, the native threaded engine, and every virtual schedule —
-//!    a threaded barrier run is handed to the batched engine, which
-//!    never consults the host scheduler at all.
+//!    and the window-loop engines, and every window-loop run — greedy
+//!    rounds included — the same report at every host-thread count.
 //! 2. **Metamorphic invariants** everywhere else ([`check_invariants`]):
 //!    commit conservation, observation-counter consistency, and
 //!    violations monotone non-decreasing in the slack bound.
-//! 3. **Schedule diagnostics**: any virtual run of the unmutated
-//!    protocol must finish with [`SchedDiag::lost_wakeups`]` == 0`.
-//!
-//! When a check fails, [`shrink`] minimizes the case and the test prints
-//! the one-line repro (see [`crate::repro`]).
-
-use std::sync::Arc;
 
 use slacksim::scheme::Scheme;
-use slacksim::{
-    Benchmark, EngineKind, SchedRef, SimReport, Simulation, SpeculationConfig, UncoreKind,
-};
-
-use crate::repro::VirtCase;
-use crate::vsched::{SchedDiag, VirtualSched};
+use slacksim::{Benchmark, EngineKind, SimReport, Simulation, SpeculationConfig, UncoreKind};
 
 /// The schedule-independent observable outcome of one run: everything a
 /// correct engine must reproduce exactly, and nothing (wall time, obs
@@ -64,8 +51,8 @@ pub fn fingerprint(report: &SimReport) -> Fingerprint {
 
 /// Kernel counters that are a function of the simulated run alone, so
 /// engines that must agree on a [`Fingerprint`] must agree on these too.
-/// Host-side telemetry (park counts, the asynchronously sampled clock
-/// spread) is deliberately absent.
+/// The clock spread is deliberately absent: the engines sample it at
+/// different points of their loops.
 pub const DETERMINISTIC_KERNEL_COUNTERS: [&str; 11] = [
     "checkpoints",
     "rollbacks",
@@ -88,8 +75,8 @@ pub fn kernel_fingerprint(report: &SimReport) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// Runs one configuration on the given engine with the native host
-/// scheduler.
+/// Runs one configuration on the given engine, at its default
+/// host-thread count.
 ///
 /// # Panics
 ///
@@ -135,8 +122,8 @@ pub fn run_engine_on(
         })
 }
 
-/// Runs one *speculative* configuration on the given engine with the
-/// native host scheduler (checkpointing, with or without rollback).
+/// Runs one *speculative* configuration on the given engine
+/// (checkpointing, with or without rollback).
 ///
 /// # Panics
 ///
@@ -167,9 +154,9 @@ pub fn run_speculative(
 /// first run persists every committed checkpoint to a scratch directory,
 /// then a second run resumes from the newest snapshot file — state having
 /// crossed a process-independent byte format — and continues to `target`.
-/// Returns the resumed run's report; under cycle-by-cycle the caller
-/// compares its [`Fingerprint`] against an uninterrupted run, which
-/// proves save/load restores every model bit-identically.
+/// Returns the resumed run's report; the caller compares its
+/// [`Fingerprint`] against an uninterrupted run, which proves save/load
+/// restores every model bit-identically.
 ///
 /// # Panics
 ///
@@ -259,40 +246,6 @@ pub fn run_resumed_on(
     resumed
 }
 
-/// Runs one case on the threaded engine under the virtual scheduler and
-/// returns the report together with the schedule diagnostics.
-///
-/// # Panics
-///
-/// Panics if the engine reports an error.
-pub fn run_virtual(case: &VirtCase) -> (SimReport, SchedDiag) {
-    // A lane per core under a virtual scheduler, the first stepped by the
-    // manager: `cores - 1` spawned lane tasks.
-    let lanes = case.cores.saturating_sub(1);
-    let sched = VirtualSched::new(lanes, case.policy, case.sched_seed, case.mutation);
-    let report = Simulation::new(case.bench)
-        .cores(case.cores)
-        .scheme(case.scheme.clone())
-        .engine(EngineKind::Threaded)
-        .commit_target(case.target)
-        .seed(case.seed)
-        .host_sched(SchedRef::new(Arc::clone(&sched) as Arc<_>))
-        .run()
-        .unwrap_or_else(|e| panic!("virtual run failed for `{case}`: {e}"));
-    let diag = sched.diagnostics();
-    (report, diag)
-}
-
-/// Parses a repro line and replays it.
-///
-/// # Errors
-///
-/// Returns the parse error for a malformed line.
-pub fn run_repro(line: &str) -> Result<(SimReport, SchedDiag), String> {
-    let case = crate::repro::parse_repro(line)?;
-    Ok(run_virtual(&case))
-}
-
 /// Checks the metamorphic invariants every engine must uphold for every
 /// scheme.
 ///
@@ -322,97 +275,9 @@ pub fn check_invariants(report: &SimReport, scheme: &Scheme) -> Result<(), Strin
     Ok(())
 }
 
-/// Greedy failure minimizer: repeatedly tries smaller variants of `case`
-/// and keeps any for which `fails` still returns `true`, until no
-/// shrinking step applies. The predicate is the *failure* — shrinking
-/// preserves it.
-pub fn shrink<F: Fn(&VirtCase) -> bool>(case: VirtCase, fails: F) -> VirtCase {
-    debug_assert!(fails(&case), "shrink needs a failing case to start from");
-    let mut best = case;
-    loop {
-        let mut candidates: Vec<VirtCase> = Vec::new();
-        if best.target > 500 {
-            let mut c = best.clone();
-            c.target = (best.target / 2).max(500);
-            candidates.push(c);
-        }
-        if best.cores > 1 {
-            let mut c = best.clone();
-            c.cores = best.cores - 1;
-            candidates.push(c);
-            let mut c = best.clone();
-            c.cores = 1;
-            candidates.push(c);
-        }
-        if let Scheme::BoundedSlack { bound } = best.scheme {
-            if bound > 1 {
-                let mut c = best.clone();
-                c.scheme = Scheme::BoundedSlack { bound: bound / 2 };
-                candidates.push(c);
-            }
-        }
-        if let crate::vsched::Mutation::DropUnpark { nth } = best.mutation {
-            if nth > 0 {
-                let mut c = best.clone();
-                c.mutation = crate::vsched::Mutation::DropUnpark { nth: nth / 2 };
-                candidates.push(c);
-                let mut c = best.clone();
-                c.mutation = crate::vsched::Mutation::DropUnpark { nth: nth - 1 };
-                candidates.push(c);
-            }
-        }
-        // First still-failing candidate wins this round; none → done.
-        match candidates.into_iter().find(|c| *c != best && fails(c)) {
-            Some(c) => best = c,
-            None => return best,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vsched::{Mutation, SchedPolicy};
-
-    fn case() -> VirtCase {
-        VirtCase {
-            policy: SchedPolicy::RandomWalk,
-            sched_seed: 1,
-            mutation: Mutation::DropUnpark { nth: 7 },
-            bench: Benchmark::Fft,
-            cores: 8,
-            scheme: Scheme::BoundedSlack { bound: 16 },
-            target: 8_000,
-            seed: 1,
-        }
-    }
-
-    #[test]
-    fn shrink_reaches_minimal_case_when_everything_fails() {
-        let shrunk = shrink(case(), |_| true);
-        assert_eq!(shrunk.target, 500);
-        assert_eq!(shrunk.cores, 1);
-        assert_eq!(shrunk.scheme, Scheme::BoundedSlack { bound: 1 });
-        assert_eq!(shrunk.mutation, Mutation::DropUnpark { nth: 0 });
-    }
-
-    #[test]
-    fn shrink_keeps_the_bound_the_failure_needs() {
-        let shrunk = shrink(
-            case(),
-            |c| matches!(c.scheme, Scheme::BoundedSlack { bound } if bound >= 4),
-        );
-        assert_eq!(shrunk.scheme, Scheme::BoundedSlack { bound: 4 });
-        assert_eq!((shrunk.cores, shrunk.target), (1, 500));
-    }
-
-    #[test]
-    fn shrink_respects_the_predicate() {
-        // Failure requires >= 4 cores and target >= 4000.
-        let shrunk = shrink(case(), |c| c.cores >= 4 && c.target >= 4_000);
-        assert_eq!(shrunk.cores, 4);
-        assert_eq!(shrunk.target, 4_000);
-    }
 
     #[test]
     fn invariants_hold_for_a_sequential_run() {

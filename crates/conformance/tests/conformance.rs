@@ -1,20 +1,18 @@
-//! The conformance suite: differential oracle matrix, deterministic
-//! schedule fuzzing, and the seeded-mutation detection proof.
+//! The conformance suite: the differential oracle matrix, the exact
+//! matrices of the window loop at every host-thread count, and
+//! deterministic schedule fuzzing of the campaign pool.
 //!
 //! Budget control: commit targets scale with the build profile, and the
-//! number of schedule seeds per loop comes from
-//! [`smoke_seeds`] (`SLACKSIM_CONFORMANCE_SEEDS` in CI).
-//!
-//! Any failing virtual-schedule assertion prints a
-//! `conformance-repro v1 ...` line; paste it into
-//! `slacksim_conformance::run_repro` to replay the exact schedule.
+//! number of schedule seeds per pool loop comes from [`smoke_seeds`]
+//! (`SLACKSIM_CONFORMANCE_SEEDS` in CI).
 
 use slacksim::scheme::{AdaptiveConfig, Scheme};
-use slacksim::{Benchmark, EngineKind, SimReport, SpeculationConfig, UncoreKind, ViolationSelect};
+use slacksim::{
+    Benchmark, EngineKind, SimReport, Simulation, SpeculationConfig, UncoreKind, ViolationSelect,
+};
 use slacksim_conformance::{
-    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on, run_repro,
-    run_resumed, run_resumed_on, run_speculative, run_virtual, shrink, smoke_seeds, Mutation,
-    SchedPolicy, VirtCase,
+    check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on, run_resumed,
+    run_resumed_on, run_speculative, smoke_seeds, SchedPolicy,
 };
 
 /// Commit target for matrix cells: small enough for debug CI, larger in
@@ -51,39 +49,18 @@ fn assert_exact(a: &SimReport, b: &SimReport, label: &str) {
     );
 }
 
-fn virt_case(
-    policy: SchedPolicy,
-    sched_seed: u64,
-    bench: Benchmark,
-    cores: usize,
-    scheme: Scheme,
-) -> VirtCase {
-    VirtCase {
-        policy,
-        sched_seed,
-        mutation: Mutation::None,
-        bench,
-        cores,
-        scheme,
-        target: target(),
-        seed: 1,
-    }
-}
-
-/// Sequential vs threaded-native across the full
-/// {scheme x workload x cores} matrix — plus the batched engine on the
-/// quantum cells, the only scheme it accepts: every cell completes and
-/// upholds the metamorphic invariants on every engine.
+/// Every engine across the full {scheme x workload x cores} matrix:
+/// every cell completes and upholds the metamorphic invariants.
 #[test]
-fn differential_matrix_upholds_invariants_on_both_engines() {
+fn differential_matrix_upholds_invariants_on_every_engine() {
     for bench in BENCHES {
         for scheme in schemes() {
             for cores in CORE_COUNTS {
-                let mut engines = vec![EngineKind::Sequential, EngineKind::Threaded];
-                if matches!(scheme, Scheme::Quantum { .. }) {
-                    engines.push(EngineKind::Batched);
-                }
-                for engine in engines {
+                for engine in [
+                    EngineKind::Sequential,
+                    EngineKind::Threaded,
+                    EngineKind::Batched,
+                ] {
                     let r = run_engine(bench, cores, &scheme, target(), 1, engine);
                     assert!(
                         r.committed >= target(),
@@ -99,29 +76,22 @@ fn differential_matrix_upholds_invariants_on_both_engines() {
     }
 }
 
-/// Cycle-by-cycle runs are engine-independent: the sequential engine,
-/// the native threaded engine and a virtually-scheduled threaded run
-/// must be fingerprint-identical.
+/// Cycle-by-cycle runs are engine-independent: the sequential, the
+/// threaded and the batched engine must be fingerprint-identical.
 #[test]
 fn cycle_by_cycle_is_exact_across_all_three_engines() {
     for bench in BENCHES {
         for cores in [1, 4] {
             let scheme = Scheme::CycleByCycle;
             let seq = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Sequential);
-            let thr = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Threaded);
-            let case = virt_case(SchedPolicy::RandomWalk, 1, bench, cores, scheme);
-            let (virt, diag) = run_virtual(&case);
-            assert_exact(
-                &seq,
-                &thr,
-                &format!("{bench}/{cores}c: sequential vs threaded-native"),
-            );
-            assert_exact(
-                &seq,
-                &virt,
-                &format!("{bench}/{cores}c: sequential vs threaded-virtual (`{case}`)"),
-            );
-            assert_eq!(diag.lost_wakeups, 0, "`{case}`");
+            for engine in [EngineKind::Threaded, EngineKind::Batched] {
+                let r = run_engine(bench, cores, &scheme, target(), 1, engine);
+                assert_exact(
+                    &seq,
+                    &r,
+                    &format!("{bench}/{cores}c: sequential vs {engine:?}"),
+                );
+            }
         }
     }
 }
@@ -167,8 +137,6 @@ fn quantum_is_exact_between_sequential_and_batched_engines() {
 /// workers.)
 #[test]
 fn batched_is_exact_at_every_host_thread_count() {
-    use slacksim::Simulation;
-
     let commits = if cfg!(debug_assertions) {
         60_000
     } else {
@@ -235,8 +203,6 @@ fn batched_is_exact_at_every_host_thread_count() {
 /// 6 + 6 + 4).
 #[test]
 fn threaded_barrier_schemes_are_exact_at_every_lane_count() {
-    use slacksim::Simulation;
-
     let modes = [
         ("cycle-by-cycle", Scheme::CycleByCycle, None),
         // Often enough that 16 cores reach a few before the debug target.
@@ -285,202 +251,97 @@ fn threaded_barrier_schemes_are_exact_at_every_lane_count() {
     }
 }
 
-/// Multi-core lanes under adversarial schedules: 6 cores folded onto 3
-/// lanes are the manager, stepping lane 0, plus 2 spawned lane tasks of
-/// 2 cores each to the virtual scheduler, so every policy runs against
-/// them unchanged (`starve:1` starves lane 1). The greedy schemes —
-/// bounded slack plain and speculative, so that `Snapshot` and `Rewind`
-/// carry two cores a lane on the manager and on the lane threads;
-/// adaptive, whose windows shrink while a stop point is pending; Lax-P2P,
-/// whose windows are per core — must finish, uphold the invariants and
-/// lose no wake-up (one unpark per spawned lane per publish, none when no
-/// window moved, is all the lanes get). A stop point below some core
-/// would never fill: the run would stall instead of finishing. Every
-/// speculative case rolls back and replays, so the replay boundary — the
-/// one place the manager waits for every core to stand at a window's end
-/// — runs under every policy. (Barrier schemes never reach the scheduler:
-/// `barrier_schemes_never_reach_the_host_scheduler`.)
+/// Greedy slack on the window loop is exact: its seeded rounds draw
+/// every burst from (seed, core, local time) and every service order from
+/// (seed, global time), so no host-thread count — and so no lane cut, no
+/// hand-off — can show in a result. On 8-core bus Water and 64-core
+/// directory FFT, bounded-16, adaptive, Lax-P2P, `unbounded` and
+/// speculative bounded-8 rolling back on every violation each print one
+/// report (fingerprint, every kernel, core and uncore counter) at 1, 2, 3
+/// and `cores` host threads. The runs are long enough for the workers to
+/// take rounds: past the first 64 K core-cycles, every round above 96
+/// core-cycles a lane goes to them.
 #[test]
-fn adversarial_schedules_lose_no_wakeups_on_multi_core_lanes() {
-    use slacksim::Simulation;
-    use slacksim_conformance::VirtualSched;
-
-    let policies = [
-        SchedPolicy::RandomWalk,
-        SchedPolicy::ParkRace,
-        SchedPolicy::Starve { victim: 1 },
-        SchedPolicy::DrainPreempt,
-    ];
-    // Long enough, in either build profile, for every rollback case to
-    // finish a replay: its cycles count once the checkpoint that ends it
-    // commits, and a short run can end inside its only one.
-    let commits = 10_000;
-    let run = |policy, sched_seed, scheme: &Scheme, speculation: Option<SpeculationConfig>| {
-        let sched = VirtualSched::new(2, policy, sched_seed, Mutation::None);
-        let mut sim = Simulation::new(Benchmark::Fft);
-        sim.cores(6)
-            .host_threads(3)
-            .scheme(scheme.clone())
-            .engine(EngineKind::Threaded)
-            .commit_target(commits)
-            .seed(1)
-            .host_sched(slacksim::SchedRef::new(sched.clone()));
-        if let Some(spec) = speculation {
-            sim.speculation(spec);
-        }
-        let label = format!(
-            "{policy:?}/sched seed {sched_seed}/{}/{}",
-            scheme.name(),
-            if speculation.is_some() {
-                "speculative"
-            } else {
-                "plain"
-            }
-        );
-        let report = sim.run().unwrap_or_else(|e| panic!("{label}: {e}"));
-        let diag = sched.diagnostics();
-        assert_eq!(diag.lost_wakeups, 0, "{label}");
-        assert!(!diag.timeout_fallback, "{label}");
-        assert!(diag.decisions > 0 && diag.switches > 0, "{label}");
-        (report, label)
+fn greedy_schemes_are_exact_at_every_host_thread_count() {
+    let commits = if cfg!(debug_assertions) {
+        30_000
+    } else {
+        100_000
     };
-    let b8 = Scheme::BoundedSlack { bound: 8 };
     let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
-    let greedy = [
-        (b8.clone(), None),
-        (b8, Some(rollback)),
-        (Scheme::Adaptive(AdaptiveConfig::default()), Some(rollback)),
+    let cells = [
+        ("bounded-16", Scheme::BoundedSlack { bound: 16 }, None),
         (
+            "adaptive",
+            Scheme::Adaptive(AdaptiveConfig::default()),
+            None,
+        ),
+        (
+            "p2p",
             Scheme::LaxP2p {
-                lead: 8,
-                period: 100,
+                lead: 16,
+                period: 500,
                 seed: 1,
             },
+            None,
+        ),
+        ("unbounded", Scheme::UnboundedSlack, None),
+        (
+            "speculative bounded-8",
+            Scheme::BoundedSlack { bound: 8 },
             Some(rollback),
         ),
     ];
-    for policy in policies {
-        for sched_seed in 0..smoke_seeds() {
-            for (scheme, speculation) in &greedy {
-                let (r, label) = run(policy, sched_seed, scheme, *speculation);
-                assert!(r.committed >= commits, "{label}");
-                check_invariants(&r, scheme).unwrap_or_else(|e| panic!("{label}: {e}"));
-                if speculation.is_some() {
-                    assert!(r.kernel.get("checkpoints") > 0, "{label}: no checkpoints");
-                    assert!(r.kernel.get("replay_cycles") > 0, "{label}: no replay");
+    for (cores, uncore, bench) in [
+        (8, UncoreKind::Bus, Benchmark::WaterNsquared),
+        (64, UncoreKind::Directory, Benchmark::Fft),
+    ] {
+        for (name, scheme, speculation) in &cells {
+            let run = |host_threads| {
+                let mut sim = Simulation::new(bench);
+                sim.uncore(uncore)
+                    .cores(cores)
+                    .scheme(scheme.clone())
+                    .engine(EngineKind::Threaded)
+                    .host_threads(host_threads)
+                    .commit_target(commits)
+                    .seed(1);
+                if let Some(spec) = speculation {
+                    sim.speculation(*spec);
                 }
+                sim.run()
+                    .unwrap_or_else(|e| panic!("{bench}/{cores}c/{name}: {e}"))
+            };
+            let solo = run(1);
+            let label = format!("{bench}/{cores}c/{name}");
+            assert!(solo.committed >= commits, "{label}: commit target missed");
+            check_invariants(&solo, scheme).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(
+                solo.kernel.get("violations_detected_total") > 0,
+                "{label}: a greedy run reordered nothing"
+            );
+            if speculation.is_some() {
+                assert!(solo.kernel.get("rollbacks") > 0, "{label}: no rollback");
+            }
+            for host_threads in [2, 3, cores] {
+                let r = run(host_threads);
+                let label = format!("{label} on {host_threads} host threads");
+                assert_exact(&solo, &r, &label);
+                assert_eq!(solo.kernel, r.kernel, "{label}: kernel counters");
+                assert_eq!(solo.per_core, r.per_core, "{label}: core counters");
+                assert_eq!(solo.uncore, r.uncore, "{label}: uncore counters");
+                assert_eq!(solo.bound_trace, r.bound_trace, "{label}: bound trace");
             }
         }
     }
-}
-
-/// Barrier schemes service only at window boundaries, a schedule the
-/// batched engine compiles once: a threaded cycle-by-cycle or quantum run
-/// is handed to it and so never reaches the host scheduler. Under every
-/// policy and schedule seed the virtual scheduler makes no decision, and
-/// the run keeps the sequential fingerprint.
-#[test]
-fn barrier_schemes_never_reach_the_host_scheduler() {
-    let bench = Benchmark::Fft;
-    let cores = 4;
-    let policies = [
-        SchedPolicy::RandomWalk,
-        SchedPolicy::ParkRace,
-        SchedPolicy::Starve { victim: 2 },
-        SchedPolicy::DrainPreempt,
-    ];
-    for scheme in [Scheme::CycleByCycle, Scheme::Quantum { quantum: 64 }] {
-        let reference = fingerprint(&run_engine(
-            bench,
-            cores,
-            &scheme,
-            target(),
-            1,
-            EngineKind::Sequential,
-        ));
-        for policy in policies {
-            for sched_seed in 0..smoke_seeds() {
-                let case = virt_case(policy, sched_seed, bench, cores, scheme.clone());
-                let (r, diag) = run_virtual(&case);
-                assert_eq!(fingerprint(&r), reference, "`{case}`");
-                assert_eq!(diag.decisions, 0, "`{case}`");
-                assert_eq!(diag.lost_wakeups, 0, "`{case}`");
-                assert!(!diag.timeout_fallback, "`{case}`");
-            }
-        }
-    }
-}
-
-/// Adversarial schedules against the slack schemes — bounded, and
-/// `unbounded`, whose windows only the lead cap ends: the unmutated
-/// protocol must never lose a wakeup or trip the livelock fallback, and
-/// every run must uphold the invariants.
-#[test]
-fn adversarial_schedules_lose_no_wakeups_under_slack() {
-    let policies = [
-        SchedPolicy::RandomWalk,
-        SchedPolicy::ParkRace,
-        SchedPolicy::Starve { victim: 1 },
-        SchedPolicy::DrainPreempt,
-    ];
-    for scheme in [Scheme::BoundedSlack { bound: 8 }, Scheme::UnboundedSlack] {
-        for policy in policies {
-            for sched_seed in 0..smoke_seeds() {
-                let case = virt_case(policy, sched_seed, Benchmark::Fft, 4, scheme.clone());
-                let (r, diag) = run_virtual(&case);
-                assert!(r.committed >= target(), "`{case}`");
-                check_invariants(&r, &scheme).unwrap_or_else(|e| panic!("`{case}`: {e}"));
-                assert_eq!(diag.lost_wakeups, 0, "`{case}`");
-                assert!(!diag.timeout_fallback, "`{case}`");
-                assert!(diag.decisions > 0 && diag.switches > 0, "`{case}`");
-            }
-        }
-    }
-}
-
-/// Checkpoint hand-off mid-drain: speculation under the virtual
-/// scheduler exercises the stop point, the lanes' `Snapshot` replies and
-/// the base-hand-back rollback path, and a fixed case replays to the
-/// identical final committed state.
-#[test]
-fn speculative_checkpoint_handoff_replays_deterministically() {
-    let run = |sched_seed: u64| {
-        // 4 cores, a lane each: the manager steps lane 0, 3 are spawned.
-        let sched = slacksim_conformance::VirtualSched::new(
-            3,
-            SchedPolicy::DrainPreempt,
-            sched_seed,
-            Mutation::None,
-        );
-        let report = slacksim::Simulation::new(Benchmark::Fft)
-            .cores(4)
-            .scheme(Scheme::BoundedSlack { bound: 16 })
-            .engine(EngineKind::Threaded)
-            .commit_target(target())
-            .seed(1)
-            .speculation(SpeculationConfig::speculative(500, ViolationSelect::all()))
-            .host_sched(slacksim::SchedRef::new(sched.clone()))
-            .run()
-            .expect("speculative virtual run");
-        (report, sched.diagnostics())
-    };
-    let (a, diag_a) = run(3);
-    let (b, diag_b) = run(3);
-    assert!(a.committed >= target());
-    assert!(a.kernel.get("checkpoints") > 0, "checkpoints taken");
-    assert_eq!(diag_a.lost_wakeups, 0);
-    assert!(!diag_a.timeout_fallback);
-    // Same schedule seed -> bit-identical run, including diagnostics.
-    assert_exact(&a, &b, "same schedule seed");
-    assert_eq!(diag_a, diag_b);
 }
 
 /// Greedy (bounded-slack) speculation across the engine matrix: every
 /// cell completes past its commit target, takes checkpoints, and upholds
 /// the metamorphic invariants. Cross-engine equality is deliberately not
-/// asserted — threaded slack timing is host-nondeterministic; that the
-/// delta-maintained checkpoint base equals a fresh clone is proven per
-/// model in `crates/cmp/tests/delta_roundtrip.rs`.
+/// asserted — the window loop's rounds are not the sequential emulation's
+/// bursts; that the delta-maintained checkpoint base equals a fresh clone
+/// is proven per model in `crates/cmp/tests/delta_roundtrip.rs`.
 #[test]
 fn speculative_greedy_matrix_upholds_invariants_on_both_engines() {
     let scheme = Scheme::BoundedSlack { bound: 16 };
@@ -537,25 +398,42 @@ fn checkpoint_only_cc_has_the_plain_cc_fingerprint_on_all_three_engines() {
     }
 }
 
-/// Durable-snapshot oracle (DESIGN §13): persist a cycle-by-cycle run's
-/// checkpoints to disk, resume the newest snapshot — state having
-/// round-tripped through the versioned byte format — and continue to the
-/// full commit target. On both engines the resumed run must reproduce
-/// the uninterrupted run's fingerprint exactly, which proves every model
-/// save/load pair restores bit-identical state.
+/// The durable-snapshot cells: cycle-by-cycle on both engines, and the
+/// window loop's greedy rounds, whose stateless draws a resumed run
+/// draws again.
+fn resume_cells() -> [(EngineKind, Scheme); 4] {
+    [
+        (EngineKind::Sequential, Scheme::CycleByCycle),
+        (EngineKind::Threaded, Scheme::CycleByCycle),
+        (EngineKind::Threaded, Scheme::BoundedSlack { bound: 16 }),
+        (
+            EngineKind::Threaded,
+            Scheme::Adaptive(AdaptiveConfig::default()),
+        ),
+    ]
+}
+
+/// Durable-snapshot oracle (DESIGN §13): persist a run's checkpoints to
+/// disk, resume the newest snapshot — state having round-tripped through
+/// the versioned byte format — and continue to the full commit target.
+/// In every cell the resumed run must reproduce the uninterrupted run's
+/// fingerprint and deterministic kernel counters exactly, which proves
+/// every model save/load pair restores bit-identical state.
 #[test]
 fn durable_snapshot_resume_matches_uninterrupted_run() {
-    let scheme = Scheme::CycleByCycle;
     let interval = 300;
     for bench in BENCHES {
-        for engine in [EngineKind::Sequential, EngineKind::Threaded] {
+        for (engine, scheme) in resume_cells() {
             let spec = SpeculationConfig::checkpoint_only(interval);
             let baseline = run_speculative(bench, 4, &scheme, target(), 1, engine, spec);
             let resumed = run_resumed(bench, 4, &scheme, target(), 1, engine, interval);
-            assert_eq!(
-                fingerprint(&resumed),
-                fingerprint(&baseline),
-                "{engine:?}/{bench}: resumed run diverged from uninterrupted run"
+            assert_exact(
+                &resumed,
+                &baseline,
+                &format!(
+                    "{engine:?}/{bench}/{}: resumed run diverged from uninterrupted run",
+                    scheme.name()
+                ),
             );
         }
     }
@@ -661,16 +539,16 @@ fn directory_uncore_upholds_invariants_under_slack_at_scale() {
     }
 }
 
-/// Durable-snapshot oracle for the directory uncore: a 64-core
-/// cycle-by-cycle run persists checkpoints, a second process-independent
-/// run resumes the newest snapshot — bank states, sharer sets and
-/// per-bank monitors having crossed the versioned byte format — and
-/// must reproduce the uninterrupted fingerprint exactly.
+/// Durable-snapshot oracle for the directory uncore: a 64-core run
+/// persists checkpoints, a second process-independent run resumes the
+/// newest snapshot — bank states, sharer sets and per-bank monitors
+/// having crossed the versioned byte format — and must reproduce the
+/// uninterrupted fingerprint and kernel counters exactly, in every cell
+/// of [`resume_cells`].
 #[test]
 fn directory_durable_resume_matches_uninterrupted_run() {
-    let scheme = Scheme::CycleByCycle;
     let interval = 300;
-    for engine in [EngineKind::Sequential, EngineKind::Threaded] {
+    for (engine, scheme) in resume_cells() {
         let spec = SpeculationConfig::checkpoint_only(interval);
         let baseline = slacksim::Simulation::new(Benchmark::Fft)
             .uncore(UncoreKind::Directory)
@@ -692,29 +570,15 @@ fn directory_durable_resume_matches_uninterrupted_run() {
             engine,
             interval,
         );
-        assert_eq!(
-            fingerprint(&resumed),
-            fingerprint(&baseline),
-            "{engine:?}: directory resumed run diverged from uninterrupted run"
+        assert_exact(
+            &resumed,
+            &baseline,
+            &format!(
+                "{engine:?}/{}: directory resumed run diverged from uninterrupted run",
+                scheme.name()
+            ),
         );
     }
-}
-
-/// Identical repro line -> identical run: the whole virtual execution is
-/// a pure function of the case.
-#[test]
-fn virtual_runs_replay_bit_identically() {
-    let case = virt_case(
-        SchedPolicy::RandomWalk,
-        5,
-        Benchmark::WaterNsquared,
-        4,
-        Scheme::BoundedSlack { bound: 8 },
-    );
-    let (a, diag_a) = run_virtual(&case);
-    let (b, diag_b) = run_repro(&case.to_string()).expect("line replays");
-    assert_eq!(fingerprint(&a), fingerprint(&b), "`{case}`");
-    assert_eq!(diag_a, diag_b, "`{case}`");
 }
 
 /// Violations are monotone non-decreasing as the slack bound grows
@@ -742,61 +606,17 @@ fn violations_monotone_in_slack_bound() {
     }
 }
 
-/// The harness catches a seeded protocol mutation: dropping one unpark
-/// delivery strands a core, which the no-timeout virtual parks surface
-/// as `lost_wakeups > 0`. The failure then shrinks to a minimal case
-/// with a replayable one-line repro.
-#[test]
-fn dropped_unpark_is_caught_and_shrinks_to_a_repro_line() {
-    let fails = |c: &VirtCase| run_virtual(c).1.lost_wakeups > 0;
-    let mut found = None;
-    'search: for sched_seed in 0..smoke_seeds() {
-        for nth in 0..48 {
-            let case = VirtCase {
-                policy: SchedPolicy::ParkRace,
-                sched_seed,
-                mutation: Mutation::DropUnpark { nth },
-                bench: Benchmark::Fft,
-                cores: 2,
-                scheme: Scheme::BoundedSlack { bound: 8 },
-                target: target(),
-                seed: 1,
-            };
-            if fails(&case) {
-                found = Some(case);
-                break 'search;
-            }
-        }
-    }
-    let found = found.expect("schedule explorer must catch the dropped-unpark mutation");
-    let shrunk = shrink(found.clone(), fails);
-    let line = shrunk.to_string();
-    println!("shrunk repro: {line}");
-    let (_, diag) = run_repro(&line).expect("shrunk line replays");
-    assert!(diag.dropped_unparks > 0, "{line}");
-    assert!(diag.timeout_fallback, "{line}");
-    assert!(diag.lost_wakeups > 0, "{line}");
-    assert!(shrunk.target <= found.target && shrunk.cores <= found.cores);
-}
-
 /// Self-profiling and live telemetry are observation-only: a run with
 /// `--profile` and a live heartbeat emitter attached must be
-/// bit-identical to an uninstrumented run. The assertion is only
-/// meaningful on configurations that are deterministic to begin with —
-/// cycle-by-cycle on any engine (its fingerprint is
-/// schedule-independent, so any perturbation would surface exactly),
-/// plus everything on the sequential and batched engines. The threaded
-/// engine under real slack is host-nondeterministic *by design*: two
-/// uninstrumented runs may already differ, so bit-identity there would
-/// test the host scheduler's mood, not the instrumentation — that combo
-/// still runs instrumented and asserts the observation-side contract
-/// (run completes, profile attached, heartbeat emitted).
+/// bit-identical to an uninstrumented run, on every engine under
+/// cycle-by-cycle, bounded slack and a quantum — every one of them is
+/// deterministic, so any perturbation would surface exactly.
 #[test]
 fn profiling_and_live_telemetry_leave_fingerprints_bit_identical() {
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
-    use slacksim::{LiveConfig, Simulation};
+    use slacksim::LiveConfig;
 
     for engine in [
         EngineKind::Sequential,
@@ -805,14 +625,10 @@ fn profiling_and_live_telemetry_leave_fingerprints_bit_identical() {
     ] {
         let schemes = [
             Scheme::CycleByCycle,
-            if engine == EngineKind::Batched {
-                Scheme::Quantum { quantum: 50 }
-            } else {
-                Scheme::BoundedSlack { bound: 8 }
-            },
+            Scheme::BoundedSlack { bound: 8 },
+            Scheme::Quantum { quantum: 50 },
         ];
         for scheme in schemes {
-            let deterministic = engine != EngineKind::Threaded || scheme == Scheme::CycleByCycle;
             let plain = run_engine(Benchmark::Fft, 4, &scheme, target(), 1, engine);
             let capture = Arc::new(Mutex::new(String::new()));
             let mut sim = Simulation::new(Benchmark::Fft);
@@ -828,18 +644,11 @@ fn profiling_and_live_telemetry_leave_fingerprints_bit_identical() {
                         .to_capture(Arc::clone(&capture)),
                 );
             let instrumented = sim.run().expect("instrumented run completes");
-            if deterministic {
-                assert_eq!(
-                    fingerprint(&plain),
-                    fingerprint(&instrumented),
-                    "{engine:?}/{scheme:?}: instrumentation perturbed the simulation"
-                );
-            } else {
-                assert!(
-                    instrumented.committed >= target(),
-                    "{engine:?}/{scheme:?}: instrumented run fell short of its target"
-                );
-            }
+            assert_eq!(
+                fingerprint(&plain),
+                fingerprint(&instrumented),
+                "{engine:?}/{scheme:?}: instrumentation perturbed the simulation"
+            );
             let prof = instrumented.prof.as_ref().expect("profile attached");
             assert!(prof.total_self_ns() > 0, "profile recorded host time");
             assert!(
@@ -862,19 +671,13 @@ fn campaign_pool_schedule_is_deterministic_under_virtual_sched() {
     use slacksim::SchedRef;
     use slacksim_conformance::VirtualSched;
 
-    let policies = [
-        SchedPolicy::RandomWalk,
-        SchedPolicy::ParkRace,
-        SchedPolicy::Starve { victim: 1 },
-        SchedPolicy::DrainPreempt,
-    ];
+    let policies = [SchedPolicy::RandomWalk, SchedPolicy::Starve { victim: 1 }];
     let mut schedules = Vec::new();
     for policy in policies {
         for seed in 0..smoke_seeds() {
             let run = |seed: u64| {
-                // 3 pool tasks: the manager plus 2 spawned workers, the
-                // same task vocabulary as a 3-lane threaded engine.
-                let sched = VirtualSched::new(2, policy, seed, Mutation::None);
+                // 3 pool tasks: the manager plus 2 spawned workers.
+                let sched = VirtualSched::new(2, policy, seed);
                 let sref = SchedRef::new(Arc::clone(&sched) as Arc<_>);
                 let jobs: Vec<u64> = (0..12).collect();
                 run_jobs(jobs, 3, &sref, |_, idx, j| {
@@ -942,7 +745,7 @@ fn pooled_simulation_jobs_match_solo_fingerprints_under_virtual_sched() {
         })
         .collect();
     for sched_seed in 0..smoke_seeds() {
-        let sched = VirtualSched::new(1, SchedPolicy::RandomWalk, sched_seed, Mutation::None);
+        let sched = VirtualSched::new(1, SchedPolicy::RandomWalk, sched_seed);
         let sref = SchedRef::new(Arc::clone(&sched) as Arc<_>);
         let (reports, outcome) = run_jobs(seeds.clone(), 2, &sref, |_, _, seed| {
             run_engine(

@@ -9,13 +9,12 @@
 //! before any worker starts, an empty sweep of every deque is a
 //! termination proof: no parking or rendezvous is needed.
 //!
-//! All waits and deque operations route through the [`HostSched`] seam
+//! Every deque operation routes through the [`HostSched`] seam
 //! ([`SchedSite::QueueOp`] before every lock), and the pool registers
-//! its threads under the same role names the threaded engine uses —
-//! the calling thread is `"manager"` (and doubles as worker 0), spawned
-//! workers are `"core0"`, `"core1"`, … — so the conformance crate's
-//! `VirtualSched` can serialise and fuzz pool schedules exactly as it
-//! fuzzes engine schedules, with no pool-specific task vocabulary.
+//! its threads under fixed role names — the calling thread is
+//! `"manager"` (and doubles as worker 0), spawned workers are `"core0"`,
+//! `"core1"`, … — so the conformance crate's `VirtualSched` can
+//! serialise and fuzz pool schedules.
 //!
 //! [`HostSched`]: crate::sched::HostSched
 

@@ -113,9 +113,6 @@ pub enum SpecError {
     },
     /// A workload axis entry that is not a non-empty string.
     BadWorkload(String),
-    /// `engine` is `batched` but the scheme axis holds a greedy scheme:
-    /// the batched engine runs barrier schemes only (cc or quantum).
-    BatchedNeedsQuantum(String),
     /// The expanded grid would exceed [`MAX_GRID_JOBS`].
     GridTooLarge(u64),
 }
@@ -173,12 +170,6 @@ impl fmt::Display for SpecError {
                     "workload axis entries must be non-empty strings (got {s})"
                 )
             }
-            SpecError::BatchedNeedsQuantum(s) => write!(
-                f,
-                "engine 'batched' requires a barrier scheme (cc or quantum) on the scheme \
-                 axis (got '{s}'): the batched loop only resolves cross-core events at window \
-                 boundaries"
-            ),
             SpecError::GridTooLarge(n) => write!(
                 f,
                 "expanded grid holds {n} jobs, over the {MAX_GRID_JOBS} cap"
@@ -198,9 +189,9 @@ pub enum EngineToken {
     /// Deterministic single-threaded engine.
     #[default]
     Seq,
-    /// One host thread per target core plus a manager.
+    /// The window loop, under the wall-clock experiments' name.
     Threaded,
-    /// Quantum-compiled batched engine (quantum schemes only).
+    /// The window loop: target cores on host threads, every scheme.
     Batched,
 }
 
@@ -502,11 +493,6 @@ impl SweepSpec {
                         axis: "scheme",
                         value: format!("'{}'", kind.name()),
                     });
-                }
-                if engine == EngineToken::Batched
-                    && !matches!(kind, SchemeKind::Cc | SchemeKind::Quantum)
-                {
-                    return Err(SpecError::BatchedNeedsQuantum(kind.name().to_string()));
                 }
                 out.push(kind);
             }
@@ -870,16 +856,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_takes_both_barrier_schemes() {
+    fn batched_engine_takes_every_scheme() {
         let spec = SweepSpec::parse(
             r#"{"v":1,"commit":10,"engine":"batched","axes":{
-                "scheme":["cc","quantum"],"quantum":[4],"workload":["fft"]}}"#,
+                "scheme":["cc","quantum","bounded"],"quantum":[4],"bound":[16],
+                "workload":["fft"]}}"#,
         )
         .unwrap();
         assert_eq!(spec.engine, EngineToken::Batched);
         let jobs = spec.expand();
         assert_eq!(jobs[0].scheme, Scheme::CycleByCycle);
         assert_eq!(jobs[1].scheme, Scheme::Quantum { quantum: 4 });
+        assert_eq!(jobs[2].scheme, Scheme::BoundedSlack { bound: 16 });
     }
 
     #[test]
@@ -969,10 +957,6 @@ mod tests {
             (
                 r#"{"v":1,"commit":1,"axes":{"workload":["fft"]}}"#,
                 "axes.scheme",
-            ),
-            (
-                r#"{"v":1,"commit":1,"engine":"batched","axes":{"scheme":["cc","bounded"],"workload":["fft"]}}"#,
-                "requires a barrier scheme (cc or quantum) on the scheme axis (got 'bounded')",
             ),
         ];
         for (src, expect) in cases {

@@ -1,41 +1,47 @@
-//! The batched BSP engine: quantum-compiled stepping, and the one driver of
-//! every barrier-scheme window.
+//! The window loop: the one host-parallel driver, for every scheme.
 //!
 //! The paper's quantum scheme is a *synchronization policy*: cores run one
 //! quantum of target cycles, then a barrier services every cross-core
-//! event in timestamp order; cycle-by-cycle is the quantum of one. The
-//! sequential engine still dispatches that policy cycle by cycle — burst
-//! scheduling, window bookkeeping and queue churn on every iteration — and
-//! the threaded engine does not run it at all: it hands every
-//! barrier-scheme run to this one. This engine compiles the policy into an
-//! *execution strategy* (the static-scheduling trick of Manticore and the
-//! Berkeley emulation engine): each core runs its whole quantum in a
-//! single [`CoreModel::run_window`] call over its hot state, emitting
-//! cross-core events into a per-core staging buffer, and the engine only
-//! exists at quantum boundaries — where the staged buffers are merged into
-//! the global queue and serviced in timestamp order, exactly as the
-//! barrier would have.
+//! event in timestamp order; cycle-by-cycle is the quantum of one. This
+//! engine compiles the policy into an *execution strategy* (the
+//! static-scheduling trick of Manticore and the Berkeley emulation
+//! engine): each core runs its whole quantum in a single
+//! [`CoreModel::run_window`] call over its hot state, emitting cross-core
+//! events into a per-core staging buffer, and the engine only exists at
+//! quantum boundaries — where the staged buffers are serviced in
+//! timestamp order, exactly as the barrier would have. The result is
+//! bit-identical to the sequential engine under any barrier scheme (see
+//! the conformance oracle) at a fraction of the host cost.
 //!
-//! Because a quantum run services events in timestamp order, the paper's
-//! monitoring variables still run at every boundary: violation detection,
-//! the adaptive controller's sampling cadence and the interval tracker all
-//! observe the same state they would under the sequential engine. The
-//! result is bit-identical to the sequential engine under any barrier
-//! scheme (see the conformance oracle) at a fraction of the host cost.
+//! The greedy schemes (bounded, unbounded, adaptive, Lax-P2P) run on the
+//! same loop as *seeded rounds* (DESIGN §10). In a round each core below
+//! its window runs one burst, `[l, min(window, l + b))`, with `b` drawn
+//! from `1..=max_burst` by a stateless hash of the run seed, the core and
+//! its local time `l`, and cut in proportion to the core's lead over
+//! global time. The staged events are then serviced core by core
+//! in a seeded order drawn from the seed and global time, each core's in
+//! staging order — deliberately *not* in timestamp order: a core that ran
+//! ahead has its events serviced before a laggard's earlier ones, and the
+//! monitors see the reordering, which is what slack is about. A service
+//! that selects a rollback ends the round; the replay after it runs as
+//! one-cycle barrier windows until the next checkpoint commits.
 //!
-//! Inside a window the cores are independent, so with more than one host
-//! thread they run on a static partition of contiguous *lanes* — lane 0
-//! on the manager thread, the rest on persistent workers — and meet at a
-//! barrier before the merge, which stays on the manager thread with every
-//! kernel verb: the result is bit-identical at every host-thread count by
+//! Inside a window or a round the cores are independent, so with more
+//! than one host thread they run on a static partition of contiguous
+//! *lanes* — lane 0 on the manager thread, the rest on persistent workers
+//! — and meet at a barrier before the service, which stays on the manager
+//! thread with every kernel verb. No draw depends on which lane ran a
+//! core, so the result is the same at every host-thread count by
 //! construction (DESIGN §15.1).
 //!
-//! Documented divergences (all invisible to the simulated outcome):
+//! Documented divergences from the sequential engine:
 //!
-//! * the cycle cap and checkpoint trigger are honoured at the first
-//!   quantum boundary at or past them, never mid-window;
-//! * metrics/trace sampling happens at boundaries, where every core's
-//!   drift is zero by construction.
+//! * the cycle cap, the commit target and a greedy run's checkpoint stop
+//!   point are honoured at the first window or round end at or past them,
+//!   never mid-window;
+//! * metrics/trace sampling happens at window and round ends;
+//! * greedy runs draw their own bursts and service order, so they are
+//!   exact against themselves, not against the sequential emulation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -50,7 +56,7 @@ use crate::engine::{
 };
 use crate::event::{CoreId, Inbox, Timestamped};
 use crate::obs::{Phase, ProfHandle, ProfSite, Profiler, TraceEvent};
-use crate::sched::{NativeSched, SchedSite};
+use crate::rng::{below, hash_words, SplitMix64};
 use crate::stats::SimReport;
 use crate::time::Cycle;
 
@@ -70,19 +76,17 @@ const DISPATCH_FLOOR: u64 = 96;
 /// run that has come this far has, as a rule, further to go.
 const SPAWN_AFTER: u64 = 1 << 16;
 
-/// Quantum-compiled BSP engine: steps all cores a full quantum per
-/// iteration over their hot state, resolving cross-core interaction only
-/// at quantum boundaries. With more than one host thread
-/// ([`EngineConfig::host_threads`]) the cores of a window run on a static
-/// partition of lanes, one per thread; everything at the boundary stays
-/// on the calling thread, so the result does not depend on the thread
-/// count.
-///
-/// Only meaningful under barrier schemes (`Scheme::Quantum`,
-/// `Scheme::CycleByCycle`, a quantum of one); [`run`](BatchedEngine::run)
-/// panics on greedy schemes — the CLI validates this before construction
-/// and exits with a usage error instead. The threaded engine runs every
-/// barrier-scheme run through here, save hook and resume included.
+/// Domain tags of a round's two stateless draws.
+const BURST_DRAW: u64 = 0x0062_7572_7374; // "burst"
+const ORDER_DRAW: u64 = 0x006f_7264_6572; // "order"
+
+/// The window-loop engine: steps every core a whole window (a quantum, or
+/// a greedy round's burst) per iteration over its hot state, resolving
+/// cross-core interaction only at window ends. With more than one host
+/// thread ([`EngineConfig::host_threads`]) the cores of a window run on a
+/// static partition of lanes, one per thread; everything at the window's
+/// end stays on the calling thread, so the result does not depend on the
+/// thread count.
 pub struct BatchedEngine<C: CoreModel, U: UncoreModel<C::Event>> {
     cores: Vec<C>,
     uncore: U,
@@ -129,16 +133,13 @@ where
     /// # Errors
     ///
     /// Returns [`EngineError::NoCores`] for an empty core set and
-    /// [`EngineError::Stalled`] if (defensively) the pacer publishes an
-    /// empty window.
+    /// [`EngineError::Stalled`] if (defensively) the pacer leaves every
+    /// core without headroom.
     ///
     /// # Panics
     ///
-    /// Panics if the configured scheme is not a barrier scheme: the
-    /// quantum-compiled loop is only equivalent to the paper's semantics
-    /// when every cross-core event defers to a window boundary. A panic
-    /// inside a core model's `run_window` surfaces from here whichever
-    /// host thread the core ran on.
+    /// A panic inside a core model's `run_window` or checkpoint capture
+    /// surfaces from here, whichever host thread the core ran on.
     pub fn run(self) -> Result<SimReport, EngineError> {
         let BatchedEngine {
             mut cores,
@@ -152,41 +153,36 @@ where
             return Err(EngineError::NoCores);
         }
         let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, resume)?;
-        assert!(
-            k.pacer.barrier_service(),
-            "BatchedEngine requires a barrier scheme (cc or quantum): greedy \
-             schemes service events mid-window, which the batched loop \
-             cannot observe"
-        );
 
         let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
         let mut staged: Vec<Vec<Timestamped<C::Event>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut spans = vec![(Cycle::ZERO, Cycle::ZERO); n];
         let mut committed: u64 = 0;
         let mut global = Cycle::ZERO;
         if let Some(res) = resumed {
-            // res.rng is ignored: this engine has no burst scheduler.
+            // res.rng is ignored: a round's draws are stateless.
             global = res.global;
             cores = res.cores;
             inboxes = res.inboxes;
             uncore = res.uncore;
             committed = res.committed;
         }
-        // The quantum scheme is violation-free by construction (every
-        // boundary services in timestamp order), so this driver uses the
-        // checkpoint half of speculation only — it never rolls back.
         k.seed_base(&mut cores, &inboxes, &mut uncore, global, committed);
 
         // Static partition: contiguous lanes of `chunk` cores, one per
-        // host thread, each with its cores' inboxes and staging buffers.
+        // host thread, each with its cores' inboxes, staging buffers and
+        // window spans.
         let chunk = lane_width(cfg.host_threads, n);
         let lanes: Vec<Lane<'_, C>> = cores
             .chunks_mut(chunk)
             .zip(inboxes.chunks_mut(chunk))
             .zip(staged.chunks_mut(chunk))
-            .map(|((cores, inboxes), staged)| Lane {
+            .zip(spans.chunks_mut(chunk))
+            .map(|(((cores, inboxes), staged), spans)| Lane {
                 cores,
                 inboxes,
                 staged,
+                spans,
             })
             .collect();
         let workers = lanes.len() - 1;
@@ -196,9 +192,9 @@ where
             uncore: &mut uncore,
             lanes,
             chunk,
-            n,
-            global,
+            locals: vec![global; n],
             committed,
+            draws: Draws::new(&cfg, n),
         };
         let (reason, threads) = if workers == 0 {
             // One lane: no thread, lock or atomic anywhere on the path.
@@ -212,14 +208,11 @@ where
             })?
         };
         let Windows {
-            global, committed, ..
+            locals, committed, ..
         } = run;
 
-        // At a boundary every core's local clock equals global time; the
-        // per-core drift gauges are zero by construction.
-        let locals = vec![global; n];
         let finish = Finish {
-            global,
+            global: locals.iter().copied().min().expect("n >= 1"),
             committed,
             reason,
             locals: &locals,
@@ -233,46 +226,105 @@ where
     }
 }
 
-/// A contiguous run of cores with their inboxes and staging buffers: what
-/// one host thread steps through a window. Between windows every lane is
-/// back with the manager.
+/// A contiguous run of cores with their inboxes, staging buffers and the
+/// span `[from, to)` each runs next: what one host thread steps through a
+/// window. Between windows every lane is back with the manager.
 struct Lane<'a, C: CoreModel> {
     cores: &'a mut [C],
     inboxes: &'a mut [Inbox<C::Event>],
     staged: &'a mut [Vec<Timestamped<C::Event>>],
+    spans: &'a mut [(Cycle, Cycle)],
 }
 
 impl<C: CoreModel> Lane<'_, C> {
-    /// The hot loop: every core of the lane runs the whole window in one
-    /// call, staging cross-core events locally. No scheduler, no queue
-    /// touch, no bookkeeping between cycles.
-    fn run(&mut self, from: Cycle, to: Cycle, ph: &ProfHandle) -> u64 {
+    /// The hot loop: every core of the lane runs its span in one call,
+    /// staging cross-core events locally. No scheduler, no queue touch,
+    /// no bookkeeping between cycles.
+    fn run(&mut self, ph: &ProfHandle) -> u64 {
         let mut committed = 0;
-        for ((core, inbox), staged) in self
+        for (((core, inbox), staged), &(from, to)) in self
             .cores
             .iter_mut()
             .zip(self.inboxes.iter_mut())
             .zip(self.staged.iter_mut())
+            .zip(self.spans.iter())
         {
-            let _span = ph.enter(ProfSite::BatchedRun);
-            committed += core.run_window(from, to, inbox, staged);
+            if from < to {
+                let _span = ph.enter(ProfSite::BatchedRun);
+                committed += core.run_window(from, to, inbox, staged);
+            }
         }
         committed
     }
 }
 
-/// The manager's side of a run: the kernel, the uncore and — between
-/// windows — every lane.
+/// A greedy round's two stateless draws (DESIGN §10): a core's burst from
+/// the seed, the core and its local time, and the round's service order
+/// from the seed and global time. Each is one SplitMix64 step over the
+/// time folded into a key hashed once per core, or once per round.
+struct Draws {
+    /// `hash(seed, core)` per core.
+    cores: Vec<u64>,
+    seed: u64,
+    max_burst: u64,
+    max_lead: u64,
+}
+
+impl Draws {
+    fn new(cfg: &EngineConfig, n: usize) -> Self {
+        Draws {
+            cores: (0..n)
+                .map(|i| hash_words(&[BURST_DRAW, cfg.seed, i as u64]))
+                .collect(),
+            seed: cfg.seed,
+            max_burst: cfg.burst.max_burst,
+            max_lead: cfg.max_lead.max(1),
+        }
+    }
+
+    /// The burst of `core` in the round that finds it at `local`, `lead`
+    /// cycles past global time (`lead < max_lead`): a draw `d` from
+    /// `1..=max_burst`, cut to `d · (max_lead − lead) / max_lead`, at
+    /// least 1. The cut is the host's long-run fairness, which the
+    /// sequential engine models by favouring its laggard: without it,
+    /// independent bursts random-walk every core to the lead cap under a
+    /// wide window (DESIGN §10, "The lead cut").
+    fn burst(&self, core: usize, local: Cycle, lead: u64) -> u64 {
+        let bits = SplitMix64::new(self.cores[core] ^ local.as_u64()).next_u64();
+        let d = 1 + below(bits, self.max_burst);
+        let left = self.max_lead - lead;
+        let cut = d.checked_mul(left).map_or_else(
+            || (u128::from(d) * u128::from(left) / u128::from(self.max_lead)) as u64,
+            |x| x / self.max_lead,
+        );
+        cut.max(1)
+    }
+
+    /// Puts `order` in the service order of the round starting at
+    /// `global`: a Fisher–Yates shuffle whose every swap is a draw.
+    fn shuffle(&self, order: &mut [usize], global: Cycle) {
+        let key = hash_words(&[ORDER_DRAW, self.seed, global.as_u64()]);
+        for i in (1..order.len()).rev() {
+            let bits = SplitMix64::new(key ^ i as u64).next_u64();
+            order.swap(i, below(bits, i as u64 + 1) as usize);
+        }
+    }
+}
+
+/// The manager's side of a run: the kernel, the uncore, every core's
+/// local clock and — between windows — every lane.
 struct Windows<'r, 'a, C: CoreModel, U> {
     k: &'r mut Kernel<C, U>,
     cfg: &'r EngineConfig,
     uncore: &'r mut U,
     lanes: Vec<Lane<'a, C>>,
-    /// Cores per lane (the last lane may hold fewer) and in all.
+    /// Cores per lane (the last lane may hold fewer).
     chunk: usize,
-    n: usize,
-    global: Cycle,
+    /// Each core's local clock: all equal at a barrier window's end, apart
+    /// by up to the window under greedy rounds.
+    locals: Vec<Cycle>,
     committed: u64,
+    draws: Draws,
 }
 
 impl<'a, C, U> Windows<'_, 'a, C, U>
@@ -288,38 +340,36 @@ where
         mut pool: Option<&mut Pool<'_, '_, 'a, C>>,
     ) -> Result<FinishReason, EngineError> {
         let ph = self.k.prof_handle();
-        let n = self.n;
+        let n = self.locals.len();
         // Core-cycles stepped so far.
         let mut stepped = 0u64;
-        // Still sampled so CSV exports keep the same column set as the
-        // other engines.
-        let mut locals = vec![self.global; n];
         // Timestamp of each core's next staged event during the merge.
         let mut heads = vec![NO_HEAD; n];
+        // A peer-paced pacer's per-core window ends and a round's service
+        // order, refilled in place.
+        let mut ends: Vec<Cycle> = Vec::new();
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let (mut global, mut furthest) = (self.locals[0], self.locals[0]);
         loop {
-            let global = self.global;
-            // `global` is always a serviced boundary here: all locals
-            // equal, the global queue empty. These are exactly the states
-            // at which the sequential engine's finish checks can pass
-            // under a barrier scheme, so stopping here is bit-identical.
+            // Every staged event is serviced here. Under a barrier scheme
+            // every local equals `global` and the queues are empty: exactly
+            // the states at which the sequential engine's finish checks can
+            // pass, so stopping here is bit-identical.
             if self.committed >= self.cfg.commit_target {
                 return Ok(FinishReason::CommitTarget);
             }
             if global.as_u64() >= self.cfg.max_cycles {
                 return Ok(FinishReason::CycleCap);
             }
-
-            // Under a barrier scheme the tally only changes at boundaries,
-            // so firing the sampling crossings here (instead of
-            // mid-window) hands the pacer identical samples.
-            locals.fill(global);
             self.k
-                .on_global(global, self.committed, &locals, 0, |_| (0, 0));
+                .on_global(global, self.committed, &self.locals, 0, |_| (0, 0));
+            self.k.note_spread(furthest - global);
 
-            // Checkpoint at the first boundary at or past the trigger.
-            // Every event at or below the boundary has been serviced, so
-            // queues are empty and the state is restorable as-is.
-            if self.k.checkpoint_due(global) {
+            // A due checkpoint stops every core at one point, no core
+            // being past it; once all stand there — at once, at a barrier
+            // window's end — the state is restorable as-is.
+            let mut stop = self.k.arm_stop(global, furthest);
+            if stop == Some(global) {
                 self.k.capture_cores(
                     self.lanes
                         .iter_mut()
@@ -327,88 +377,182 @@ where
                 );
                 self.k
                     .commit_checkpoint(global, self.committed, self.uncore, None);
+                stop = None;
             }
 
-            let window_end = self.k.pacer.window_end(global);
-            if window_end <= global {
-                return Err(EngineError::Stalled { at: global });
-            }
-            self.k.note_spread(window_end - global);
+            // Each core's span: one window for all under a barrier scheme
+            // (and in a replay, one cycle), one seeded burst each in a
+            // greedy round.
+            let barrier = self.k.barrier();
+            let start = global;
+            let work = if barrier {
+                let end = if self.k.replaying() {
+                    global + 1
+                } else {
+                    self.k.pacer.window_end(global)
+                };
+                if end <= global {
+                    return Err(EngineError::Stalled { at: global });
+                }
+                self.k.note_spread(end - global);
+                for span in self.lanes.iter_mut().flat_map(|l| l.spans.iter_mut()) {
+                    *span = (global, end);
+                }
+                self.locals.fill(end);
+                (global, furthest) = (end, end);
+                (end - start) * n as u64
+            } else {
+                let cap = self.cfg.lead_cap(global).min(stop.unwrap_or(Cycle::MAX));
+                let uniform = self.k.pacer.window_end(global).min(cap);
+                let per_core = self.k.pacer.window_ends(&self.locals, &mut ends);
+                let spans = self.lanes.iter_mut().flat_map(|l| l.spans.iter_mut());
+                let mut work = 0;
+                (global, furthest) = (Cycle::MAX, Cycle::ZERO);
+                for (i, (local, span)) in self.locals.iter_mut().zip(spans).enumerate() {
+                    let win = if per_core { ends[i].min(cap) } else { uniform };
+                    let from = *local;
+                    // `from < win` keeps the lead below `max_lead`.
+                    let to = if from < win {
+                        win.min(from + self.draws.burst(i, from, from - start))
+                    } else {
+                        from
+                    };
+                    *span = (from, to);
+                    *local = to;
+                    work += to - from;
+                    (global, furthest) = (global.min(to), furthest.max(to));
+                }
+                if work == 0 {
+                    return Err(EngineError::Stalled { at: start });
+                }
+                work
+            };
 
-            // Run every core over the window.
-            let work = (window_end - global) * n as u64;
+            // Run every core over its span.
             let per_lane = work / self.lanes.len() as u64;
             match pool.as_deref_mut() {
                 Some(pool) if stepped >= SPAWN_AFTER && per_lane >= DISPATCH_FLOOR => {
-                    self.committed += pool.run(&mut self.lanes, global, window_end, &ph);
+                    self.committed += pool.run(&mut self.lanes, &ph);
                 }
                 _ => {
                     for lane in &mut self.lanes {
-                        self.committed += lane.run(global, window_end, &ph);
+                        self.committed += lane.run(&ph);
                     }
                 }
             }
             stepped += work;
             // The trace is the manager's, in core order, whoever ran the
             // cores: the record stream does not depend on the thread count.
-            for core in CoreId::all(n) {
-                let phase = Phase::Run;
-                self.k.trace(global, TraceEvent::PhaseBegin { core, phase });
-                self.k
-                    .trace(window_end, TraceEvent::PhaseEnd { core, phase });
-            }
-
-            // Boundary resolution: service the staged events in
-            // (timestamp, core id, staging order) — identical to the
-            // sequential engine's pop order (timestamp, then core id as
-            // fixed bus arbitration priority, then FIFO).
-            {
-                let _span = ph.enter(ProfSite::BatchedResolve);
-                let bufs = self.lanes.iter_mut().flat_map(|l| l.staged.iter_mut());
-                for (head, buf) in heads.iter_mut().zip(bufs) {
-                    *head = arm(buf);
+            if self.k.tracing() && !self.k.replaying() {
+                let spans = self.lanes.iter().flat_map(|l| l.spans.iter());
+                for (core, &(from, to)) in CoreId::all(n).zip(spans) {
+                    if from < to {
+                        let phase = Phase::Run;
+                        self.k.trace(from, TraceEvent::PhaseBegin { core, phase });
+                        self.k.trace(to, TraceEvent::PhaseEnd { core, phase });
+                    }
                 }
-                let (k, uncore, lanes, chunk) =
-                    (&mut *self.k, &mut *self.uncore, &mut self.lanes, self.chunk);
-                sweep(&mut heads, global.as_u64(), |i| {
-                    let buf = &mut lanes[i / chunk].staged[i % chunk];
-                    let ev = buf.pop().expect("a finite head names an event");
-                    let head = head_ts(buf);
-                    let rollback = k.service(CoreId::new(i as u16), ev, uncore, |to, out| {
-                        let to = to.index();
-                        lanes[to / chunk].inboxes[to % chunk].deliver(out);
-                    });
-                    debug_assert!(
-                        !rollback,
-                        "timestamp-ordered boundary servicing cannot produce \
-                         rollback-selected violations"
-                    );
-                    head
-                });
             }
 
-            self.global = window_end;
+            let rollback = {
+                let _span = ph.enter(ProfSite::BatchedResolve);
+                if barrier {
+                    self.service_in_timestamp_order(start, &mut heads);
+                    false
+                } else {
+                    self.service_in_seeded_order(start, &mut order)
+                }
+            };
+            if rollback {
+                let _span = ph.enter(ProfSite::CheckpointRestore);
+                let (at, at_committed) = self.k.rollback_ledger(global);
+                for lane in &mut self.lanes {
+                    lane.staged.iter_mut().for_each(Vec::clear);
+                }
+                self.k.restore_cores(
+                    self.lanes
+                        .iter_mut()
+                        .flat_map(|l| l.cores.iter_mut().zip(l.inboxes.iter_mut())),
+                );
+                self.k.restore_uncore(self.uncore);
+                self.locals.fill(at);
+                (global, furthest) = (at, at);
+                self.committed = at_committed;
+            }
         }
+    }
+
+    /// A barrier window's end: services the staged events in (timestamp,
+    /// core id, staging order) — identical to the sequential engine's pop
+    /// order (timestamp, then core id as fixed bus arbitration priority,
+    /// then FIFO).
+    fn service_in_timestamp_order(&mut self, from: Cycle, heads: &mut [u64]) {
+        let bufs = self.lanes.iter_mut().flat_map(|l| l.staged.iter_mut());
+        for (head, buf) in heads.iter_mut().zip(bufs) {
+            *head = arm(buf);
+        }
+        let (k, uncore, lanes, chunk) =
+            (&mut *self.k, &mut *self.uncore, &mut self.lanes, self.chunk);
+        sweep(heads, from.as_u64(), |i| {
+            let buf = &mut lanes[i / chunk].staged[i % chunk];
+            let ev = buf.pop().expect("a finite head names an event");
+            let head = head_ts(buf);
+            let rollback = k.service(CoreId::new(i as u16), ev, uncore, |to, out| {
+                let to = to.index();
+                lanes[to / chunk].inboxes[to % chunk].deliver(out);
+            });
+            debug_assert!(
+                !rollback,
+                "timestamp-ordered servicing cannot produce rollback-selected violations"
+            );
+            head
+        });
+    }
+
+    /// A greedy round's end: services each core's staged events in staging
+    /// order, the cores in the round's seeded order. Stops at the first
+    /// service that selects a rollback and returns whether one did; the
+    /// rest of the round is then doomed, and left staged.
+    fn service_in_seeded_order(&mut self, start: Cycle, order: &mut Vec<usize>) -> bool {
+        order.clear();
+        order.extend(0..self.locals.len());
+        self.draws.shuffle(order, start);
+        let (k, uncore, lanes, chunk) =
+            (&mut *self.k, &mut *self.uncore, &mut self.lanes, self.chunk);
+        for &i in order.iter() {
+            let mut buf = std::mem::take(&mut lanes[i / chunk].staged[i % chunk]);
+            let mut rollback = false;
+            for ev in buf.drain(..) {
+                rollback = k.service(CoreId::new(i as u16), ev, uncore, |to, out| {
+                    let to = to.index();
+                    lanes[to / chunk].inboxes[to % chunk].deliver(out);
+                });
+                if rollback {
+                    break;
+                }
+            }
+            // Handing the drained buffer back keeps its capacity.
+            lanes[i / chunk].staged[i % chunk] = buf;
+            if rollback {
+                return true;
+            }
+        }
+        false
     }
 }
 
 /// What the manager and its window workers share.
 struct Shared<'a, C: CoreModel> {
-    /// Window generation. The manager bumps it (Release) once the window
-    /// bounds are stored and every worker's lane is seated; a worker that
-    /// reads the new value (Acquire) therefore sees both.
+    /// Window generation. The manager bumps it (Release) once every
+    /// worker's lane, spans included, is seated; a worker that reads the
+    /// new value (Acquire) therefore sees its lane.
     epoch: AtomicU64,
-    from: AtomicU64,
-    to: AtomicU64,
     /// Raised (Release) when the manager leaves the window loop, by
     /// return or unwind; workers read it (Acquire) in their wait loop.
     quit: AtomicBool,
     /// The manager's thread, for a worker to wake it at the barrier.
     manager: std::thread::Thread,
     seats: Vec<Seat<'a, C>>,
-    /// What both sides wait through: always the host's own scheduler,
-    /// whatever `EngineConfig::sched` explores in the threaded engine.
-    sched: NativeSched,
     prof: Profiler,
 }
 
@@ -436,12 +580,9 @@ impl<C: CoreModel> Shared<'_, C> {
         };
         Shared {
             epoch: AtomicU64::new(0),
-            from: AtomicU64::new(0),
-            to: AtomicU64::new(0),
             quit: AtomicBool::new(false),
             manager: std::thread::current(),
             seats: (0..workers).map(seat).collect(),
-            sched: NativeSched::new(),
             prof,
         }
     }
@@ -464,20 +605,14 @@ impl<'scope, 'env, 'a, C: CoreModel> Pool<'scope, 'env, 'a, C> {
             shared,
             workers: Vec::with_capacity(shared.seats.len()),
             epoch: 0,
-            ladder: Backoff::new(false),
+            ladder: Backoff::new(),
         }
     }
 
     /// Runs one window with a lane per host thread — the last
     /// `seats.len()` lanes on the workers, the first here — and returns
     /// the instructions committed once every lane is back in `lanes`.
-    fn run(
-        &mut self,
-        lanes: &mut Vec<Lane<'a, C>>,
-        from: Cycle,
-        to: Cycle,
-        ph: &ProfHandle,
-    ) -> u64 {
+    fn run(&mut self, lanes: &mut Vec<Lane<'a, C>>, ph: &ProfHandle) -> u64 {
         let shared = self.shared;
         if self.workers.is_empty() {
             for seat in &shared.seats {
@@ -489,14 +624,12 @@ impl<'scope, 'env, 'a, C: CoreModel> Pool<'scope, 'env, 'a, C> {
         for seat in shared.seats.iter().rev() {
             *seat.lane.lock().expect("no worker is in a window") = lanes.pop();
         }
-        shared.from.store(from.as_u64(), Ordering::Relaxed);
-        shared.to.store(to.as_u64(), Ordering::Relaxed);
         self.epoch += 1;
         shared.epoch.store(self.epoch, Ordering::Release);
         for w in &self.workers {
             w.thread().unpark();
         }
-        let mut committed = lanes[0].run(from, to, ph);
+        let mut committed = lanes[0].run(ph);
 
         let wait = ph.enter(ProfSite::BatchedBarrier);
         for (i, seat) in shared.seats.iter().enumerate() {
@@ -506,7 +639,7 @@ impl<'scope, 'env, 'a, C: CoreModel> Pool<'scope, 'env, 'a, C> {
                     let worker = self.workers.swap_remove(i);
                     std::panic::resume_unwind(worker.join().expect_err("worker left early"));
                 }
-                self.ladder.wait(&shared.sched, SchedSite::ManagerIdle);
+                self.ladder.wait();
             }
             self.ladder.reset();
         }
@@ -534,7 +667,7 @@ impl<C: CoreModel> Drop for Pool<'_, '_, '_, C> {
 /// A window worker: waits for the next epoch, runs the lane seated for
 /// it, reports, repeats until `quit`.
 fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHandle) {
-    let mut ladder = Backoff::new(false);
+    let mut ladder = Backoff::new();
     let mut seen = 0;
     loop {
         loop {
@@ -546,15 +679,13 @@ fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHan
                 seen = epoch;
                 break;
             }
-            ladder.wait(&shared.sched, SchedSite::CoreIdle);
+            ladder.wait();
         }
         ladder.reset();
-        let from = Cycle::new(shared.from.load(Ordering::Relaxed));
-        let to = Cycle::new(shared.to.load(Ordering::Relaxed));
         let committed = {
             let mut seated = seat.lane.lock().expect("the manager is done seating");
             let lane = seated.as_mut().expect("a lane is seated before the epoch");
-            lane.run(from, to, ph)
+            lane.run(ph)
         };
         seat.committed.store(committed, Ordering::Relaxed);
         seat.done.store(seen, Ordering::Release);
@@ -562,18 +693,17 @@ fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHan
     }
 }
 
-/// The toy models are shared with the threaded engine's tests.
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::*;
-    use crate::engine::{SequentialEngine, ServiceSink, TickCtx};
+    use crate::engine::{BurstPolicy, SequentialEngine, ServiceSink, TickCtx};
     use crate::scheme::Scheme;
     use crate::speculative::SpeculationConfig;
     use crate::stats::Counters;
     use crate::violation::{TimestampMonitor, ViolationEvent, ViolationKind};
 
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub(in crate::engine) enum Toy {
+    enum Toy {
         Ping,
         Pong,
     }
@@ -583,14 +713,14 @@ pub(super) mod tests {
     /// tick-by-tick loop), so these tests pin the engine machinery, not a
     /// model's fast-forward override.
     #[derive(Debug, Clone)]
-    pub(in crate::engine) struct ToyCore {
+    struct ToyCore {
         period: u64,
         committed: u64,
         pongs: u64,
     }
 
     impl ToyCore {
-        pub(in crate::engine) fn new(period: u64) -> Self {
+        fn new(period: u64) -> Self {
             ToyCore {
                 period,
                 committed: 0,
@@ -692,12 +822,6 @@ pub(super) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a barrier scheme")]
-    fn greedy_schemes_are_rejected() {
-        let _ = run_batched(Scheme::BoundedSlack { bound: 16 }, 1000);
-    }
-
-    #[test]
     fn quantum_matches_the_sequential_engine_bit_identically() {
         // The whole point of the engine: same quantum scheme, same
         // simulated outcome, regardless of the sequential engine's seed.
@@ -770,9 +894,9 @@ pub(super) mod tests {
 
     /// A toy core that blows up in the middle of a window.
     #[derive(Debug, Clone)]
-    pub(in crate::engine) struct Fuse {
-        pub(in crate::engine) inner: ToyCore,
-        pub(in crate::engine) blow_at: Option<u64>,
+    struct Fuse {
+        inner: ToyCore,
+        blow_at: Option<u64>,
     }
 
     impl CoreModel for Fuse {
@@ -796,29 +920,38 @@ pub(super) mod tests {
 
     crate::impl_checkpointable_by_clone!(Fuse);
 
-    fn run_with_a_fuse_in(core: usize) {
-        let mut cfg = EngineConfig::new(Scheme::Quantum { quantum: 64 }, u64::MAX);
+    /// 8 cores on 2 host threads, `core` blowing at cycle 10 000. Both
+    /// schemes hand their windows to the workers from cycle 8192: 8 cores
+    /// x 64 cycles, or x 32.5 on average in a round of bursts up to 64.
+    fn run_with_a_fuse_in(core: usize, scheme: Scheme) {
+        let mut cfg = EngineConfig::new(scheme, u64::MAX);
         cfg.host_threads = 2;
+        cfg.burst = BurstPolicy::new(64);
         let cores = (0..8)
             .map(|i| Fuse {
                 inner: ToyCore::new(3),
-                // 8 cores x 64 cycles: the workers are up from cycle 8192.
                 blow_at: (i == core).then_some(10_000),
             })
             .collect();
-        let _ = BatchedEngine::new(cores, ToyUncore::default(), cfg).run();
+        let _ = BatchedEngine::new(cores, Echo::default(), cfg).run();
     }
 
     #[test]
     #[should_panic(expected = "toy core blew its fuse")]
     fn a_panic_on_a_worker_surfaces_from_run_instead_of_hanging_the_barrier() {
-        run_with_a_fuse_in(7);
+        run_with_a_fuse_in(7, Scheme::Quantum { quantum: 64 });
     }
 
     #[test]
     #[should_panic(expected = "toy core blew its fuse")]
     fn a_panic_on_the_manager_lane_releases_the_workers() {
-        run_with_a_fuse_in(0);
+        run_with_a_fuse_in(0, Scheme::Quantum { quantum: 64 });
+    }
+
+    #[test]
+    #[should_panic(expected = "toy core blew its fuse")]
+    fn a_panic_on_a_worker_ends_a_greedy_run() {
+        run_with_a_fuse_in(7, Scheme::BoundedSlack { bound: 128 });
     }
 
     #[test]
@@ -919,5 +1052,148 @@ pub(super) mod tests {
     fn per_core_counters_sum_to_committed() {
         let r = run_batched(Scheme::Quantum { quantum: 32 }, 5000);
         assert_eq!(r.core_total("committed"), r.committed);
+    }
+
+    /// Pongs every ping back 5 cycles later, in whatever order the
+    /// window loop services them, and flags a ping serviced below one
+    /// already serviced, so that a speculative run rolls back.
+    #[derive(Debug, Clone, Default)]
+    struct Echo {
+        monitor: TimestampMonitor,
+        serviced: u64,
+    }
+
+    impl UncoreModel<Toy> for Echo {
+        fn service(&mut self, from: CoreId, ev: Timestamped<Toy>, sink: &mut ServiceSink<Toy>) {
+            self.serviced += 1;
+            if self.monitor.observe(ev.ts) {
+                sink.report_violation(ViolationEvent {
+                    kind: ViolationKind::Bus,
+                    ts: ev.ts,
+                    high_water: self.monitor.high_water(),
+                });
+            }
+            sink.deliver(from, Timestamped::new(ev.ts + 5, Toy::Pong));
+        }
+
+        fn counters(&self) -> Counters {
+            let mut c = Counters::new();
+            c.set("serviced", self.serviced);
+            c
+        }
+    }
+
+    crate::impl_checkpointable_by_clone!(Echo);
+
+    fn greedy_schemes() -> [Scheme; 4] {
+        [
+            Scheme::BoundedSlack { bound: 64 },
+            Scheme::UnboundedSlack,
+            Scheme::Adaptive(crate::scheme::AdaptiveConfig::default()),
+            Scheme::LaxP2p {
+                lead: 32,
+                period: 100,
+                seed: 3,
+            },
+        ]
+    }
+
+    fn run_greedy(
+        host_threads: usize,
+        scheme: &Scheme,
+        spec: Option<SpeculationConfig>,
+    ) -> SimReport {
+        let mut cfg = EngineConfig::new(scheme.clone(), 150_000);
+        cfg.host_threads = host_threads;
+        cfg.burst = BurstPolicy::new(64);
+        cfg.speculation = spec;
+        cfg.prof = Some(crate::obs::Profiler::enabled());
+        BatchedEngine::new(toy_cores(12), Echo::default(), cfg)
+            .run()
+            .expect("run succeeds")
+    }
+
+    fn assert_same_run(a: &SimReport, b: &SimReport, label: &str) {
+        assert_eq!(a.global_cycles, b.global_cycles, "{label}");
+        assert_eq!(a.committed, b.committed, "{label}");
+        assert_eq!(a.violations, b.violations, "{label}");
+        assert_eq!(a.per_core, b.per_core, "{label}");
+        assert_eq!(a.uncore, b.uncore, "{label}");
+        assert_eq!(a.kernel, b.kernel, "{label}");
+        assert_eq!(a.bound_trace, b.bound_trace, "{label}");
+    }
+
+    #[test]
+    fn greedy_rounds_are_the_same_at_every_host_thread_count() {
+        // 12 cores in rounds of bursts up to 64 cycles: past `SPAWN_AFTER`
+        // every round clears the floor on 2 and 3 threads and goes to
+        // the workers, so the draws meet every partition.
+        for scheme in greedy_schemes() {
+            let solo = run_greedy(1, &scheme, None);
+            assert!(solo.committed >= 150_000);
+            assert!(solo.violations.total() > 0, "{scheme:?}: no reordering");
+            for threads in [2, 3, 12] {
+                let r = run_greedy(threads, &scheme, None);
+                assert_same_run(&solo, &r, &format!("{scheme:?} on {threads} threads"));
+                // An adaptive bound throttles its rounds below the floor.
+                if !matches!(scheme, Scheme::Adaptive(_)) {
+                    let used = r.prof.expect("profile attached").threads;
+                    assert_eq!(used > 1, threads < 12, "{scheme:?} on {threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_rollbacks_replay_the_same_at_every_host_thread_count() {
+        use crate::speculative::ViolationSelect;
+        let spec = Some(SpeculationConfig::speculative(500, ViolationSelect::all()));
+        for scheme in greedy_schemes() {
+            let solo = run_greedy(1, &scheme, spec);
+            assert!(solo.committed >= 150_000, "{scheme:?}: no forward progress");
+            assert!(solo.kernel.get("rollbacks") > 0, "{scheme:?}: no rollback");
+            assert!(
+                solo.kernel.get("replay_cycles") > 0,
+                "{scheme:?}: no replay"
+            );
+            assert_eq!(solo.core_total("committed"), solo.committed);
+            let r = run_greedy(3, &scheme, spec);
+            assert_same_run(&solo, &r, &format!("{scheme:?} on 3 threads"));
+        }
+    }
+
+    #[test]
+    fn a_bounded_round_keeps_every_core_within_the_bound() {
+        let r = run_greedy(2, &Scheme::BoundedSlack { bound: 16 }, None);
+        let spread = r.kernel.get("max_clock_spread");
+        assert!(spread > 0 && spread <= 16, "spread {spread}");
+    }
+
+    #[test]
+    fn a_greedy_checkpoint_stops_every_core_at_one_point() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let seen: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
+        let mut cfg = EngineConfig::new(Scheme::BoundedSlack { bound: 16 }, 40_000);
+        cfg.speculation = Some(SpeculationConfig::checkpoint_only(700));
+        let hook: SaveHook<ToyCore, Echo> = Box::new(move |view| {
+            sink.borrow_mut().push(view.global.as_u64());
+            Some(1)
+        });
+        let r = BatchedEngine::new(toy_cores(4), Echo::default(), cfg)
+            .with_save_hook(hook)
+            .run()
+            .unwrap();
+        let globals = seen.borrow();
+        assert_eq!(globals.len() as u64, r.kernel.get("checkpoints"));
+        assert!(globals.len() >= 10, "{globals:?}");
+        // Each stops at the trigger or at the furthest core when it was
+        // armed: global time overshoots the trigger by less than a burst,
+        // and the furthest core leads it by at most the bound.
+        for pair in globals.windows(2) {
+            let gap = pair[1] - pair[0];
+            assert!((700..=700 + 16 + 16).contains(&gap), "{globals:?}");
+        }
     }
 }

@@ -17,8 +17,7 @@
 //!   pacer feedback, metrics sample, live publish);
 //! * [`Kernel::service`] / [`Kernel::service_all`] for every event, with
 //!   deliveries handed back through a driver-supplied closure (an inbox
-//!   push in the single-threaded drivers, an InQ ring push in the threaded
-//!   one) — the only seam between the kernel and where cores live;
+//!   push) — the only seam between the kernel and where cores live;
 //! * [`Kernel::rollback_ledger`] plus the model-restore helpers when a
 //!   selected violation is pending;
 //! * [`Kernel::arm_stop`] for the common time a checkpoint stops every
@@ -54,7 +53,7 @@ use crate::time::Cycle;
 use crate::violation::{ViolationKind, ViolationTally};
 
 /// A core's checkpointed state: the model plus its undelivered inbox events.
-pub(super) type CoreSnapshot<C> = (C, Inbox<<C as CoreModel>::Event>);
+type CoreSnapshot<C> = (C, Inbox<<C as CoreModel>::Event>);
 
 /// The last committed checkpoint. Always holds *full* model state: each
 /// checkpoint patches it forward with the models' capture deltas, and a
@@ -87,22 +86,10 @@ struct MetricIds {
     /// Cumulative trace records dropped to ring overflow, sampled live so
     /// a mid-run overflow is diagnosable from the metrics CSV.
     trace_dropped: GaugeId,
-    /// Present only for drivers with host rings (the threaded engine):
-    /// interning a histogram adds its summary rows to every CSV export.
-    rings: Option<RingIds>,
-}
-
-/// Metric keys that only exist where cores run on their own host threads.
-struct RingIds {
-    core_drift: HistId,
-    outq_depth: HistId,
-    inq_depth: HistId,
-    manager_wait: GaugeId,
-    manager_wait_h: HistId,
 }
 
 impl MetricIds {
-    fn intern(metrics: &mut MetricsRegistry, n: usize, host_rings: bool) -> Self {
+    fn intern(metrics: &mut MetricsRegistry, n: usize) -> Self {
         MetricIds {
             drift: (0..n)
                 .map(|i| metrics.intern_gauge(&format!("drift.core{i}")))
@@ -113,13 +100,6 @@ impl MetricIds {
             globalq_depth_h: metrics.intern_histogram("globalq_depth"),
             persist_bytes: metrics.intern_gauge("persist_bytes"),
             trace_dropped: metrics.intern_gauge("trace_dropped"),
-            rings: host_rings.then(|| RingIds {
-                core_drift: metrics.intern_histogram("core_drift"),
-                outq_depth: metrics.intern_histogram("outq_depth"),
-                inq_depth: metrics.intern_histogram("inq_depth"),
-                manager_wait: metrics.intern_gauge("manager_wait_ns"),
-                manager_wait_h: metrics.intern_histogram("manager_wait_ns"),
-            }),
         }
     }
 }
@@ -146,7 +126,7 @@ pub(super) struct Finish<'a> {
     pub(super) gq_len: u64,
     pub(super) per_core: Vec<Counters>,
     pub(super) uncore: Counters,
-    /// Driver-specific kernel counters (park counts).
+    /// Driver-specific kernel counters.
     pub(super) extras: &'a [(&'static str, u64)],
     /// Host threads that recorded profile spans (coverage denominator).
     pub(super) threads: u64,
@@ -193,8 +173,6 @@ pub(super) struct Kernel<C: CoreModel, U> {
     ids: MetricIds,
     last_metrics_cycle: u64,
     last_metrics_detected: u64,
-    mgr_wait_ns: u64,
-    last_wait_ns: u64,
     prof: Profiler,
     ph: Rc<ProfHandle>,
     live_stats: Arc<LiveStats>,
@@ -212,14 +190,13 @@ where
 {
     /// Builds the manager for an `n`-core run, seeding the ledger from
     /// `resume` when the run continues a persisted snapshot (the model
-    /// half comes back as [`Resumed`]). `host_rings` says the driver runs
-    /// cores on their own host threads (adds ring-depth and manager-wait
-    /// metrics).
+    /// half comes back as [`Resumed`]). The `bool` is unused: no driver
+    /// runs its cores behind host rings any more.
     pub(super) fn new(
         cfg: &EngineConfig,
         n: usize,
         save_hook: Option<SaveHook<C, U>>,
-        host_rings: bool,
+        _: bool,
         resume: Option<EngineResume<C, U>>,
     ) -> Result<(Self, Option<Resumed<C, U>>), EngineError> {
         if let Some(res) = &resume {
@@ -242,7 +219,7 @@ where
         };
         let prof = cfg.prof.clone().unwrap_or_else(Profiler::disabled);
         let mut metrics = MetricsRegistry::new(cfg.obs.map_or(1024, |o| o.sample_every));
-        let ids = MetricIds::intern(&mut metrics, n, host_rings);
+        let ids = MetricIds::intern(&mut metrics, n);
 
         // Live telemetry: the emitter is a plain observer thread reading
         // relaxed-published atomics; the simulation never blocks on it.
@@ -287,8 +264,6 @@ where
             ids,
             last_metrics_cycle: 0,
             last_metrics_detected: 0,
-            mgr_wait_ns: 0,
-            last_wait_ns: 0,
             ph: Rc::new(prof.handle()),
             prof,
             live_stats,
@@ -329,12 +304,7 @@ where
 
     // --- What a driver may read ------------------------------------------
 
-    /// The run's tracer (core threads take their own handles from it).
-    pub(super) fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The run's profiler (core threads take their own handles from it).
+    /// The run's profiler (worker threads take their own handles from it).
     pub(super) fn prof(&self) -> &Profiler {
         &self.prof
     }
@@ -343,6 +313,11 @@ where
     /// kernel spans nest on one stack.
     pub(super) fn prof_handle(&self) -> Rc<ProfHandle> {
         Rc::clone(&self.ph)
+    }
+
+    /// True when the run records a trace (`trace` is a no-op otherwise).
+    pub(super) fn tracing(&self) -> bool {
+        self.obs_on
     }
 
     /// True while replaying cycle-by-cycle after a rollback.
@@ -362,7 +337,7 @@ where
     }
 
     /// True once global time has crossed the checkpoint trigger.
-    pub(super) fn checkpoint_due(&self, global: Cycle) -> bool {
+    fn checkpoint_due(&self, global: Cycle) -> bool {
         self.spec.is_some() && global.as_u64() >= self.next_cp_trigger
     }
 
@@ -393,25 +368,12 @@ where
         self.max_spread = self.max_spread.max(spread);
     }
 
-    /// Runs a manager wait, accumulating the host time it took when
-    /// metrics are being sampled (it feeds the `manager_wait_ns` gauge).
-    pub(super) fn timed_wait(&mut self, wait: impl FnOnce()) {
-        if self.obs_on {
-            let started = Instant::now();
-            wait();
-            self.mgr_wait_ns += started.elapsed().as_nanos() as u64;
-        } else {
-            wait();
-        }
-    }
-
     // --- The manager's verbs ---------------------------------------------
 
     /// Once per manager iteration at global time `global`: closes elapsed
     /// checkpoint intervals, feeds the pacer every sampling window that
     /// ended, samples metrics on the observability cadence and publishes
-    /// the live gauges. `rings(i)` returns core `i`'s (OutQ, InQ) depths
-    /// and is only called for drivers built with `host_rings`.
+    /// the live gauges. The last argument is unused, as `new`'s `bool`.
     ///
     /// Runs once per manager iteration — once per core-cycle under
     /// cycle-by-cycle — so the four checks are forced inline and everything
@@ -423,7 +385,7 @@ where
         committed: u64,
         locals: &[Cycle],
         gq_len: u64,
-        rings: impl Fn(usize) -> (u64, u64),
+        _: impl Fn(usize) -> (u64, u64),
     ) {
         // Interval accounting for Tables 3/4 follows the fixed grid.
         if let Some(tr) = &mut self.tracker {
@@ -435,10 +397,10 @@ where
         // Metrics sampling (observability cadence, independent of the
         // pacer's feedback period).
         if self.obs_on && self.metrics.sample_ready(global) {
-            self.sample_metrics(global, locals, gq_len, &rings);
+            self.sample_metrics(global, locals, gq_len);
         }
         if self.live_handle.is_some() {
-            self.publish_live(global, committed, gq_len, &rings);
+            self.publish_live(global, committed, gq_len);
         }
     }
 
@@ -472,15 +434,9 @@ where
         }
     }
 
-    /// Emits one metrics sample: per-core drift (and ring depths where
-    /// cores have rings) plus the manager-side aggregates.
-    fn sample_metrics(
-        &mut self,
-        global: Cycle,
-        locals: &[Cycle],
-        gq_len: u64,
-        rings: &impl Fn(usize) -> (u64, u64),
-    ) {
+    /// Emits one metrics sample: per-core drift plus the manager-side
+    /// aggregates.
+    fn sample_metrics(&mut self, global: Cycle, locals: &[Cycle], gq_len: u64) {
         let metrics = &mut self.metrics;
         let ids = &self.ids;
         for (i, &l) in locals.iter().enumerate() {
@@ -489,15 +445,6 @@ where
             metrics.gauge_by(ids.drift[i], global, drift as f64);
             self.th
                 .record(global, TraceEvent::LocalTimeSample { core, cycle: l });
-            if let Some(r) = &ids.rings {
-                metrics.histogram_by(r.core_drift).record(drift);
-                let (outq, inq) = rings(i);
-                metrics.histogram_by(r.outq_depth).record(outq);
-                metrics.histogram_by(r.inq_depth).record(inq);
-                for (q, len) in [(QueueKind::OutQ(core), outq), (QueueKind::InQ(core), inq)] {
-                    self.th.record(global, TraceEvent::QueueDepth { q, len });
-                }
-            }
         }
         if let Some(b) = self.pacer.current_bound() {
             metrics.gauge_by(ids.slack_bound, global, b as f64);
@@ -527,25 +474,12 @@ where
         );
         let dropped = self.tracer.dropped_so_far();
         metrics.gauge_by(ids.trace_dropped, global, dropped as f64);
-        if let Some(r) = &ids.rings {
-            let wait = self.mgr_wait_ns - self.last_wait_ns;
-            self.last_wait_ns = self.mgr_wait_ns;
-            metrics.gauge_by(r.manager_wait, global, wait as f64);
-            metrics.histogram_by(r.manager_wait_h).record(wait);
-            self.th.record(global, TraceEvent::ManagerWait { ns: wait });
-        }
     }
 
     /// Publishes every live gauge the manager owns: relaxed stores the
     /// emitter thread samples on its own host-time cadence. Used in-loop
     /// and for the terminal beat, so the last heartbeat equals the report.
-    fn publish_live(
-        &self,
-        global: Cycle,
-        committed: u64,
-        gq_len: u64,
-        rings: &impl Fn(usize) -> (u64, u64),
-    ) {
+    fn publish_live(&self, global: Cycle, committed: u64, gq_len: u64) {
         let ls = &*self.live_stats;
         let bound = self.pacer.current_bound().unwrap_or(NO_BOUND);
         ls.global.store(global.as_u64(), Ordering::Relaxed);
@@ -553,13 +487,6 @@ where
         ls.bound.store(bound, Ordering::Relaxed);
         ls.violations.store(self.tally.total(), Ordering::Relaxed);
         ls.globalq_depth.store(gq_len, Ordering::Relaxed);
-        if self.ids.rings.is_some() {
-            let (outq, inq) = (0..self.n)
-                .map(rings)
-                .fold((0, 0), |(o, i), (a, b)| (o + a, i + b));
-            ls.outq_depth.store(outq, Ordering::Relaxed);
-            ls.inq_depth.store(inq, Ordering::Relaxed);
-        }
         ls.dropped_traces
             .store(self.tracer.dropped_so_far(), Ordering::Relaxed);
         ls.checkpoints
@@ -668,20 +595,14 @@ where
 
     /// Generation core `i` had at the standing checkpoint: the `since`
     /// token for its next capture or restore.
-    pub(super) fn core_gen(&self, i: usize) -> u64 {
+    fn core_gen(&self, i: usize) -> u64 {
         self.standing().core_gens[i]
     }
 
     /// Patches core `i`'s base forward with a capture delta taken at
     /// generation `gen`, and replaces its pending inbox (inboxes are tiny
     /// at checkpoint boundaries; deltas do not pay to diff them).
-    pub(super) fn absorb_core(
-        &mut self,
-        i: usize,
-        delta: C::Delta,
-        inbox: Inbox<C::Event>,
-        gen: u64,
-    ) {
+    fn absorb_core(&mut self, i: usize, delta: C::Delta, inbox: Inbox<C::Event>, gen: u64) {
         let st = self.standing_mut();
         st.cores[i].0.apply_delta(delta);
         st.cores[i].1 = inbox;
@@ -689,7 +610,7 @@ where
     }
 
     /// Captures every core, given in index order with its inbox, into the
-    /// standing base (drivers whose cores live on the manager thread).
+    /// standing base.
     pub(super) fn capture_cores<'a>(
         &mut self,
         cores: impl Iterator<Item = (&'a mut C, &'a Inbox<C::Event>)>,
@@ -846,34 +767,31 @@ where
         uncore.restore_from(&st.uncore, st.uncore_gen);
     }
 
+    /// Rewinds every core, given in index order with its inbox, onto the
+    /// standing checkpoint, copying back only the units that diverged.
+    pub(super) fn restore_cores<'a>(
+        &self,
+        cores: impl Iterator<Item = (&'a mut C, &'a mut Inbox<C::Event>)>,
+    ) {
+        let st = self.standing();
+        for ((core, inbox), ((base, base_inbox), &gen)) in
+            cores.zip(st.cores.iter().zip(&st.core_gens))
+        {
+            core.restore_from(base, gen);
+            inbox.clone_from(base_inbox);
+        }
+    }
+
     /// Rewinds live cores, their inboxes and the uncore onto the standing
-    /// checkpoint (drivers whose cores live on the manager thread).
+    /// checkpoint.
     pub(super) fn restore_models(
         &self,
         cores: &mut [C],
         inboxes: &mut [Inbox<C::Event>],
         uncore: &mut U,
     ) {
-        let st = self.standing();
-        for (i, (base, inbox)) in st.cores.iter().enumerate() {
-            cores[i].restore_from(base, st.core_gens[i]);
-            inboxes[i].clone_from(inbox);
-        }
+        self.restore_cores(cores.iter_mut().zip(inboxes.iter_mut()));
         self.restore_uncore(uncore);
-    }
-
-    /// Lends the core bases out by move (the threaded driver hands each
-    /// to its core thread to restore from); [`return_bases`] takes them
-    /// back untouched, so no full-model clone happens on either side.
-    ///
-    /// [`return_bases`]: Kernel::return_bases
-    pub(super) fn take_bases(&mut self) -> Vec<CoreSnapshot<C>> {
-        std::mem::take(&mut self.standing_mut().cores)
-    }
-
-    /// Returns the bases lent out by [`take_bases`](Kernel::take_bases).
-    pub(super) fn return_bases(&mut self, bases: Vec<CoreSnapshot<C>>) {
-        self.standing_mut().cores = bases;
     }
 
     fn standing(&self) -> &Standing<C, U> {
@@ -889,12 +807,9 @@ where
     /// Ends the run: closes the interval grid at the final global time,
     /// flushes a terminal metrics sample, assembles the kernel counters
     /// (plus the driver's `extras`), drains the trace, publishes the
-    /// terminal heartbeat and builds the report. `rings` as in
-    /// [`on_global`](Kernel::on_global).
-    pub(super) fn finish<R>(mut self, f: Finish<'_>, rings: R) -> SimReport
-    where
-        R: Fn(usize) -> (u64, u64),
-    {
+    /// terminal heartbeat and builds the report. The last argument is
+    /// unused, as in [`on_global`](Kernel::on_global).
+    pub(super) fn finish(mut self, f: Finish<'_>, _: impl Fn(usize) -> (u64, u64)) -> SimReport {
         let global = f.global;
         // A write-behind save hook still owns the last checkpoint: dropping
         // it waits until that one is durable, inside the run's wall.
@@ -912,7 +827,7 @@ where
         // a sample that already landed on this exact cycle is not
         // duplicated — gauge series are strictly increasing in cycle.
         if self.obs_on && global.as_u64() > self.last_metrics_cycle {
-            self.sample_metrics(global, f.locals, f.gq_len, &rings);
+            self.sample_metrics(global, f.locals, f.gq_len);
         }
 
         let mut kernel = Counters::new();
@@ -950,7 +865,7 @@ where
         // Publish the final tallies before the terminal heartbeat so the
         // last emitted line reports the finished run exactly.
         if let Some(h) = self.live_handle.take() {
-            self.publish_live(global, f.committed, f.gq_len, &rings);
+            self.publish_live(global, f.committed, f.gq_len);
             h.finish();
         }
 

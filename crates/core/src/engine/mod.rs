@@ -9,40 +9,39 @@
 //!   levels, interconnect, synchronisation device), advanced by the
 //!   simulation manager as events arrive.
 //!
-//! Three engines execute the same semantics. The simulation manager's
+//! Two drivers execute the same semantics. The simulation manager's
 //! work — event service, violation accounting, adaptive sampling,
 //! checkpoint, rollback and replay, observation, the report — lives once,
-//! in the `kernel` module (DESIGN §19); each engine is a driver that only
-//! decides which core ticks when and on which host thread:
+//! in the `kernel` module (DESIGN §19); each driver only decides which
+//! core ticks when and on which host thread:
 //!
 //! * [`SequentialEngine`] runs everything
 //!   on the calling thread, emulating host-scheduling nondeterminism with a
 //!   seeded burst scheduler — fully reproducible, used for the accuracy
-//!   experiments (Figures 3) and for deterministic tests;
-//! * [`ThreadedEngine`] steps the target cores on one host thread per
-//!   host CPU ([`EngineConfig::host_threads`]; one per target core where
-//!   the host has that many), the first of which also runs the manager
-//!   logic, the way SlackSim maps simulations onto a host CMP — used for the wall-clock experiments
-//!   (Figure 4, Tables 2–5); it runs the slack schemes and hands every
-//!   barrier-scheme run to the batched engine;
-//! * [`BatchedEngine`] compiles the barrier schemes (quantum, and
-//!   cycle-by-cycle as a quantum of one) into an execution
-//!   strategy: each core runs a whole quantum in one
-//!   [`CoreModel::run_window`] call with cross-core events staged locally
-//!   and resolved in timestamp order only at quantum boundaries (DESIGN
-//!   §15) — on a static partition of host threads where the host has them
+//!   experiments (Figures 3) and as the reference the others are checked
+//!   against;
+//! * [`BatchedEngine`] is the host-parallel one: each core runs a whole
+//!   window in one [`CoreModel::run_window`] call with cross-core events
+//!   staged locally and serviced only at the window's end — a quantum
+//!   (cycle-by-cycle being a quantum of one) serviced in timestamp order,
+//!   or a greedy scheme's seeded round serviced in a seeded core order
+//!   (DESIGN §10, §15) — on a static partition of host threads
 //!   ([`EngineConfig::host_threads`]), with the same result at any count.
+//!   [`ThreadedEngine`] is its name for the wall-clock experiments
+//!   (Figure 4, Tables 2–5).
 
 mod batched;
 mod kernel;
 mod merge;
 mod sequential;
-mod threaded;
 mod wait;
 
 pub use batched::BatchedEngine;
 pub use sequential::SequentialEngine;
-pub use threaded::ThreadedEngine;
+
+/// The paper's CMP-on-CMP execution, target cores on host threads: the
+/// [`BatchedEngine`] under the name the wall-clock experiments use.
+pub type ThreadedEngine<C, U> = BatchedEngine<C, U>;
 
 use std::fmt;
 
@@ -104,7 +103,7 @@ impl<'a, E> TickCtx<'a, E> {
 /// caches, workload position) and advances one cycle per [`tick`] call.
 ///
 /// Models must be [`Clone`] so the engines can take checkpoint snapshots,
-/// and [`Send`] so the threaded engine can move them onto core threads.
+/// and [`Send`] so the window loop can step them on its worker threads.
 ///
 /// [`tick`]: CoreModel::tick
 pub trait CoreModel: Clone + Send + 'static {
@@ -122,12 +121,11 @@ pub trait CoreModel: Clone + Send + 'static {
     /// `staged` (the core's staging buffer), and returns the number of
     /// instructions committed over the window.
     ///
-    /// This is how every host-parallel core runs: the batched engine's
-    /// quantum and a threaded lane's burst. Within the window the core
-    /// sees only the events already in its inbox — exactly the quantum
-    /// scheme's contract, where cross-core interaction is deferred to the
-    /// next boundary; under slack, what arrives during a burst is applied
-    /// in the next. The default implementation ticks cycle by cycle and
+    /// This is how every host-parallel core runs: a quantum, or a greedy
+    /// round's burst. Within the window the core sees only the events
+    /// already in its inbox — exactly the quantum scheme's contract, where
+    /// cross-core interaction is deferred to the next boundary; under
+    /// slack, what arrives during a burst is applied in the next. The default implementation ticks cycle by cycle and
     /// is always semantically correct; models may override it with an
     /// equivalent fast-forwarding loop (the override must stay
     /// bit-identical to the tick loop — see the conformance oracle).
@@ -309,25 +307,18 @@ pub struct EngineConfig {
     /// cap a spinning core would race millions of cycles ahead of the
     /// manager and distort simulated time. Barrier schemes are unaffected.
     pub max_lead: u64,
-    /// Seed for the sequential engine's burst scheduler and the threaded
-    /// engine's burst lengths.
+    /// Seed for the sequential engine's burst scheduler and the window
+    /// loop's greedy rounds (their bursts and service order).
     pub seed: u64,
-    /// Burst policy for the sequential engine. The threaded engine's lanes
-    /// draw their burst lengths from `max_burst` too (its core order is
-    /// the host's, so `lag_bias_percent` does not apply); the batched
-    /// engine ignores it.
+    /// Burst policy for the sequential engine. The window loop's greedy
+    /// rounds draw their burst lengths from `max_burst` too (their core
+    /// order is a seeded shuffle, so `lag_bias_percent` does not apply).
     pub burst: BurstPolicy,
     /// Optional observability instrumentation: when set, the engine records
     /// a trace and samples metrics, attaching the result to
     /// `SimReport::obs`. When `None`, instrumentation sites cost one
     /// relaxed atomic load each.
     pub obs: Option<crate::obs::ObsConfig>,
-    /// Host scheduler the threaded engine waits through. Defaults to the
-    /// native (production) scheduler; conformance tests install a virtual
-    /// scheduler here to explore thread interleavings deterministically.
-    /// Ignored by the sequential and batched engines, and so by a
-    /// threaded barrier-scheme run, which the batched engine runs.
-    pub sched: crate::sched::SchedRef,
     /// Optional host-time self-profiler. When set (and enabled) the
     /// engines time every [`crate::obs::ProfSite`] with scoped spans and
     /// attach the per-site profile to `SimReport::prof`. When `None`,
@@ -337,19 +328,15 @@ pub struct EngineConfig {
     /// engines publish progress atomics and spawn a heartbeat emitter
     /// thread for the duration of the run (see [`crate::obs::live`]).
     pub live: Option<crate::obs::LiveConfig>,
-    /// Host threads the target cores are folded onto, a contiguous lane of
-    /// cores each: the threaded engine's lanes (its manager steps the
-    /// first), the batched engine's window workers. `0` (the default) takes
-    /// the host's available parallelism — what an affinity mask restricts
-    /// — and any value is capped at the core count, so a host with a CPU
-    /// per target core runs the paper's one thread per core. On the
-    /// batched engine `1` is the single-threaded loop with no thread, lock
-    /// or atomic on it. A host knob only: under the barrier schemes
-    /// results are bit-identical for every value (under slack the lanes
-    /// are the host nondeterminism the threaded engine inherits). Under a
-    /// virtual scheduler the threaded engine reads `0` as the core count,
-    /// so explored schedules never depend on the host. Ignored by the
-    /// sequential engine.
+    /// Host threads the window loop folds the target cores onto, a
+    /// contiguous lane of cores each (the calling thread steps the first).
+    /// `0` (the default) takes the host's available parallelism — what an
+    /// affinity mask restricts — and any value is capped at the core
+    /// count, so a host with a CPU per target core runs the paper's one
+    /// thread per core. `1` is the single-threaded loop with no thread,
+    /// lock or atomic on it. A host knob only: results are bit-identical
+    /// for every value, under every scheme. Ignored by the sequential
+    /// engine.
     pub host_threads: usize,
 }
 
@@ -367,7 +354,6 @@ impl EngineConfig {
             burst: BurstPolicy::default(),
             max_lead: 256,
             obs: None,
-            sched: crate::sched::SchedRef::native(),
             prof: None,
             live: None,
             host_threads: 0,
@@ -428,7 +414,7 @@ impl std::error::Error for EngineError {}
 
 /// A borrowed view of one committed checkpoint, handed to the engine's
 /// save hook (see [`SequentialEngine::with_save_hook`] and
-/// [`ThreadedEngine::with_save_hook`]) right after the checkpoint commits.
+/// [`BatchedEngine::with_save_hook`]) right after the checkpoint commits.
 ///
 /// The view exposes exactly the state a durable snapshot needs: the full
 /// model state (cores, pending inboxes, uncore) plus the engine-side
@@ -460,8 +446,8 @@ pub struct CheckpointView<'a, C: CoreModel, U> {
     pub tracker: Option<&'a IntervalTracker>,
     /// The pacer, carrying any adaptive/peer state.
     pub pacer: &'a dyn Pacer,
-    /// The deterministic engine's burst-scheduler RNG (`None` on the
-    /// threaded engine, which inherits real host scheduling).
+    /// The sequential engine's burst-scheduler RNG (`None` on the window
+    /// loop, whose draws are stateless).
     pub rng: Option<&'a Xoshiro256>,
     /// Adaptive bound trace accumulated so far.
     pub bound_trace: &'a [(Cycle, u64)],

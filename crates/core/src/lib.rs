@@ -117,7 +117,7 @@ pub use engine::{
     UncoreModel,
 };
 pub use event::{CoreId, Timestamped};
-pub use sched::{HostSched, SchedRef, SchedSite, TaskId};
+pub use sched::{HostSched, SchedRef, SchedSite};
 pub use scheme::Scheme;
 pub use speculative::{SpeculationConfig, ViolationSelect};
 pub use stats::SimReport;

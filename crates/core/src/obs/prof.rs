@@ -240,8 +240,8 @@ impl Profiler {
 
     /// Freezes the accumulated totals into a [`ProfData`] for the final
     /// report. `wall` is the run's measured wall-clock and `threads` the
-    /// number of host threads that were recording (cores + manager on the
-    /// threaded engine, 1 on the sequential engine) — together they define
+    /// number of host threads that were recording (the calling thread plus
+    /// any window workers; 1 on the sequential engine) — together they define
     /// the coverage denominator.
     pub fn snapshot(&self, wall: Duration, threads: u64) -> ProfData {
         let mut sites = Vec::new();

@@ -1,8 +1,8 @@
 //! The trace recorder: typed events, bounded per-thread ring buffers, and a
 //! shared collector.
 //!
-//! Every simulation thread (the sequential engine's single loop, each
-//! threaded-engine core thread, the manager) owns a [`TraceHandle`] — a
+//! Every thread that records (in both engines, the manager's: the window
+//! loop's workers record nothing) owns a [`TraceHandle`] — a
 //! private bounded ring buffer of [`TraceRecord`]s. Recording never takes a
 //! lock: a handle checks one shared `AtomicBool` with a relaxed load and, if
 //! tracing is enabled, pushes into its own ring. When the ring is full the

@@ -43,6 +43,40 @@ impl SplitMix64 {
     }
 }
 
+/// A stateless draw: SplitMix64 run over `words`, each folded into the
+/// state before the next step. The value depends on the words alone, not
+/// on where, when or on which thread it is computed, nor on how many draws
+/// came before it.
+///
+/// # Examples
+///
+/// ```
+/// use slacksim_core::rng::{below, hash_words};
+///
+/// let h = hash_words(&[7, 3, 1000]);
+/// assert_eq!(h, hash_words(&[7, 3, 1000]));
+/// assert_ne!(h, hash_words(&[7, 3, 1001]));
+/// assert!(below(h, 16) < 16);
+/// ```
+#[inline]
+pub fn hash_words(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(0, |h, &w| SplitMix64::new(h ^ w).next_u64())
+}
+
+/// Maps 64 random bits onto `0..bound` by multiply-shift (bias below
+/// `bound / 2^64`).
+///
+/// # Panics
+///
+/// Panics if `bound` is zero.
+#[inline]
+pub fn below(bits: u64, bound: u64) -> u64 {
+    assert!(bound > 0, "bound must be non-zero");
+    ((u128::from(bits) * u128::from(bound)) >> 64) as u64
+}
+
 /// xoshiro256\*\* — the workhorse generator for workload streams and the
 /// deterministic engine's burst scheduler.
 ///

@@ -1,39 +1,20 @@
-//! The std-only event channel of the threaded engine.
+//! A std-only single-producer/single-consumer event channel.
 //!
-//! The kernel must build in fully offline environments, so it depends on
-//! nothing outside `std`. The threaded engine shares one structure
-//! between threads beyond its atomics and `mpsc` command channels: a fast
-//! single-producer/single-consumer event channel for the per-core OutQ/InQ
-//! paths ([`SpscRing`]).
+//! No engine uses it any more: the window loop hands whole lanes between
+//! threads instead of streaming events. It stays while the benchmark's
+//! layer table still measures it.
 //!
-//! [`SpscRing`] is the hot path: a lock-free bounded ring of
+//! [`SpscRing`] is a lock-free bounded ring of
 //! Acquire/Release atomics with cached indices (one cache-line handoff
 //! per batch in the common case) backed by a mutex-protected overflow
-//! spill, so the queue keeps the unbounded FIFO semantics the engine was
-//! built on while the steady state never takes a lock or allocates.
+//! spill, so the queue keeps unbounded FIFO semantics while the
+//! steady state never takes a lock or allocates.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crate::sched::{HostSched, SchedSite};
-
-/// Optional scheduling-point instrumentation of the ring: `None` (the
-/// production default) costs one predictable
-/// branch per operation; `Some` routes a labelled [`SchedSite`] to a
-/// virtual scheduler before the operation proceeds, so a conformance
-/// harness can interleave the producer and consumer protocols at
-/// operation granularity.
-type SchedHook = Option<Arc<dyn HostSched>>;
-
-#[inline]
-fn sched_point(hook: &SchedHook, site: SchedSite) {
-    if let Some(h) = hook {
-        h.point(site);
-    }
-}
+use std::sync::Mutex;
 
 /// Pads a value to its own cache line so the producer and consumer
 /// indices of a ring never false-share.
@@ -68,12 +49,10 @@ struct CachePadded<T>(T);
 /// At most one thread may act as producer (`push`, `push_batch`) and at
 /// most one as consumer (`pop`, `drain_into`, `clear`) at any instant.
 /// The roles may be handed between threads if the handoff itself
-/// synchronizes (e.g. a `join` of the previous holder's thread); the
-/// engine never hands one over, so each of its rings has one producer
-/// and one consumer thread for the whole run. Violating the contract is a logic error that can
-/// lose or duplicate elements; memory safety is still preserved for the
-/// index bookkeeping but slot reads may race, which is why the type is
-/// only shared inside the engine.
+/// synchronizes (e.g. a `join` of the previous holder's thread).
+/// Violating the contract is a logic error that can lose or duplicate
+/// elements; memory safety is still preserved for the index bookkeeping
+/// but slot reads may race.
 ///
 /// # Examples
 ///
@@ -107,8 +86,6 @@ pub struct SpscRing<T> {
     spill_len: AtomicUsize,
     /// Relaxed element counter for `depth_hint`.
     depth: AtomicUsize,
-    /// Scheduling-point hook; `None` in production.
-    hook: SchedHook,
 }
 
 // SAFETY: the SPSC contract above restricts each field to one role;
@@ -119,7 +96,7 @@ unsafe impl<T: Send> Send for SpscRing<T> {}
 unsafe impl<T: Send> Sync for SpscRing<T> {}
 
 impl<T> SpscRing<T> {
-    /// Default ring capacity used by the engine's OutQ/InQ channels.
+    /// Default ring capacity.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// Creates a ring with at least `capacity` lock-free slots (rounded
@@ -127,14 +104,6 @@ impl<T> SpscRing<T> {
     /// spill to the mutex-backed overflow, so the queue as a whole is
     /// unbounded.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_sched(capacity, None)
-    }
-
-    /// Like [`with_capacity`](Self::with_capacity), with a
-    /// scheduling-point hook invoked at the top of every queue operation.
-    /// Production callers pass `None` (see
-    /// [`SchedRef::instrumentation_hook`](crate::sched::SchedRef::instrumentation_hook)).
-    pub fn with_capacity_and_sched(capacity: usize, hook: SchedHook) -> Self {
         let cap = capacity.max(2).next_power_of_two();
         let buf = (0..cap)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
@@ -150,19 +119,12 @@ impl<T> SpscRing<T> {
             spill: Mutex::new(VecDeque::new()),
             spill_len: AtomicUsize::new(0),
             depth: AtomicUsize::new(0),
-            hook,
         }
     }
 
-    /// Creates a ring with the engine's default capacity.
+    /// Creates a ring with the default capacity.
     pub fn new() -> Self {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates a ring with the engine's default capacity and a
-    /// scheduling-point hook. Production callers pass `None`.
-    pub fn with_sched(hook: SchedHook) -> Self {
-        Self::with_capacity_and_sched(Self::DEFAULT_CAPACITY, hook)
     }
 
     /// Number of lock-free slots.
@@ -172,7 +134,6 @@ impl<T> SpscRing<T> {
 
     /// Appends one element (producer side).
     pub fn push(&self, value: T) {
-        sched_point(&self.hook, SchedSite::RingPush);
         if self.spill_len.load(Ordering::Relaxed) == 0 {
             let tail = self.tail.0.load(Ordering::Relaxed);
             // SAFETY: head_cache is touched only by the (single) producer.
@@ -202,7 +163,6 @@ impl<T> SpscRing<T> {
         if src.is_empty() {
             return;
         }
-        sched_point(&self.hook, SchedSite::RingPush);
         let n = src.len();
         let mut drained = src.drain(..);
         if self.spill_len.load(Ordering::Relaxed) == 0 {
@@ -268,7 +228,6 @@ impl<T> SpscRing<T> {
 
     /// Removes and returns the oldest element, if any (consumer side).
     pub fn pop(&self) -> Option<T> {
-        sched_point(&self.hook, SchedSite::RingPop);
         if let Some(value) = self.pop_ring() {
             return Some(value);
         }
@@ -326,7 +285,6 @@ impl<T> SpscRing<T> {
     /// order, and returns how many were moved (consumer side). The ring
     /// portion is consumed with a single Release store.
     pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
-        sched_point(&self.hook, SchedSite::RingDrain);
         let mut moved = self.drain_ring_into(out);
         if self.spill_len.load(Ordering::Acquire) != 0 {
             // Same stale-tail hazard as `pop`: the spill is strictly

@@ -246,17 +246,8 @@ fn main() {
             "unknown engine '{other}' (expected seq|threaded|batched)"
         )),
     };
-    if engine == EngineKind::Batched && !scheme.clone().into_pacer().barrier_service() {
-        let name = args.value("--scheme").unwrap_or("cc");
-        usage_error(&format!(
-            "--engine batched requires a barrier scheme (cc or quantum), not '{name}': \
-             the batched loop only resolves cross-core events at window boundaries"
-        ));
-    }
-
-    // The host threads the cores are folded onto: the threaded engine's
-    // lanes, the batched engine's window workers. Absent (0), the engine
-    // sizes itself from the host's available parallelism.
+    // The host threads the window loop folds the cores onto. Absent (0),
+    // the engine sizes itself from the host's available parallelism.
     let mut host_threads = 0;
     if args.has("--host-threads") {
         if engine == EngineKind::Sequential {
@@ -1080,23 +1071,24 @@ ENGINES:
   --engine seq          deterministic single-threaded engine with a seeded
                         burst scheduler (default; accuracy experiments)
   --engine threaded     the target cores on one host thread per host CPU
-                        (one per core where there are enough), the first
-                        of them the manager's — the paper's CMP-on-CMP
-                        execution of slack (wall-clock runs); cc and
-                        quantum runs go to the batched engine
-  --engine batched      quantum-compiled engine: steps every core a full
-                        quantum per iteration and resolves cross-core
-                        events only at quantum boundaries; bit-identical
-                        to seq but much faster, requires a barrier scheme
-                        (cc, run as quantum 1, or quantum)
+                        (one per core where there are enough) — the
+                        paper's CMP-on-CMP execution (wall-clock runs);
+                        the same window loop as batched
+  --engine batched      window loop: every core runs a whole window per
+                        step and cross-core events are serviced only at
+                        its end — a quantum in timestamp order (cc runs as
+                        quantum 1, bit-identical to seq but much faster),
+                        or, under bounded, unbounded, adaptive and p2p, a
+                        round of seeded bursts serviced in a seeded core
+                        order (deterministic, but not seq's schedule)
   --host-threads N      threaded and batched engines: step the cores on N
                         host threads (contiguous lanes of cores, one per
                         thread; the calling thread steps the first lane
-                        and also runs the manager or the boundaries); a
-                        host knob — results are identical for every N
-                        under --scheme cc and quantum (default: the
-                        host's available parallelism, capped at the core
-                        count; batched 1 = no threads at all)
+                        and also services every window); a host knob —
+                        the report is identical for every N, under every
+                        scheme (default: the host's available
+                        parallelism, capped at the core count; 1 = no
+                        threads at all)
 
 UNCORE:
   --uncore bus          the paper's split request/response snooping bus:

@@ -49,7 +49,7 @@ pub use slacksim_core::model;
 pub use slacksim_core::obs::{
     LiveConfig, LiveStats, ObsConfig, ObsData, ProfData, ProfSite, Profiler, HEARTBEAT_VERSION,
 };
-pub use slacksim_core::sched::{HostSched, SchedRef, SchedSite, TaskId};
+pub use slacksim_core::sched::{HostSched, SchedRef, SchedSite};
 pub use slacksim_core::scheme;
 pub use slacksim_core::speculative::{SpeculationConfig, ViolationSelect};
 pub use slacksim_core::stats::{percent_error, SimReport};
@@ -70,7 +70,7 @@ use slacksim_cmp::core::CmpCore;
 use slacksim_cmp::isa::InstrStream;
 use slacksim_cmp::uncore::CmpUncore;
 use slacksim_core::engine::{
-    BatchedEngine, CheckpointView, EngineResume, SaveHook, SequentialEngine, ThreadedEngine,
+    BatchedEngine, CheckpointView, EngineResume, SaveHook, SequentialEngine,
 };
 use slacksim_core::persist;
 use slacksim_core::scheme::Scheme;
@@ -88,18 +88,19 @@ pub enum EngineKind {
     Sequential,
     /// The target cores on one host thread per host CPU — one per target
     /// core where the host has that many (see
-    /// [`Simulation::host_threads`]) — the first of which also runs the
-    /// manager: the paper's actual CMP-on-CMP execution (wall-clock
-    /// experiments).
+    /// [`Simulation::host_threads`]): the paper's CMP-on-CMP execution
+    /// (wall-clock experiments). The same window loop as
+    /// [`Batched`](EngineKind::Batched), under the name those experiments
+    /// use.
     Threaded,
-    /// Quantum-compiled engine: steps every core a full quantum per
-    /// iteration over struct-of-arrays hot state — on a static partition
-    /// of host threads when the host has more than one (see
-    /// [`Simulation::host_threads`]) — resolving cross-core events only
-    /// at quantum boundaries, on one thread. Bit-identical to
-    /// [`Sequential`](EngineKind::Sequential) under barrier schemes at
-    /// every host-thread count, at a fraction of the host cost; requires
-    /// `--scheme quantum`.
+    /// The window loop: steps every core a whole window per iteration —
+    /// a quantum, or a greedy scheme's seeded round — on a static
+    /// partition of host threads when the host has more than one (see
+    /// [`Simulation::host_threads`]), resolving cross-core events only at
+    /// window ends, on one thread. The report is the same at every
+    /// host-thread count; under barrier schemes it is bit-identical to
+    /// [`Sequential`](EngineKind::Sequential)'s, at a fraction of the
+    /// host cost.
     Batched,
 }
 
@@ -123,7 +124,6 @@ pub struct Simulation {
     obs: Option<ObsConfig>,
     profile: bool,
     live: Option<LiveConfig>,
-    sched: Option<SchedRef>,
     save_state: Option<PathBuf>,
     resume: Option<PathBuf>,
 }
@@ -147,7 +147,6 @@ impl Simulation {
             obs: None,
             profile: false,
             live: None,
-            sched: None,
             save_state: None,
             resume: None,
         }
@@ -202,15 +201,15 @@ impl Simulation {
     }
 
     /// Sets the run seed (workload streams, the sequential engine's
-    /// scheduler and the threaded engine's burst lengths).
+    /// scheduler and the window loop's greedy rounds).
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.seed = seed;
         self
     }
 
     /// Sets the maximum burst, in cycles, a core runs when it is picked:
-    /// by the sequential engine's scheduler, and on each pass of a
-    /// threaded lane.
+    /// by the sequential engine's scheduler, and in each greedy round of
+    /// the window loop.
     pub fn max_burst(&mut self, cycles: u64) -> &mut Self {
         self.max_burst = cycles;
         self
@@ -223,13 +222,12 @@ impl Simulation {
         self
     }
 
-    /// Sets how many host threads the cores are folded onto: the threaded
-    /// engine's lanes (the manager steps the first), the batched engine's
-    /// window workers. `0` (the default) uses the host's available
-    /// parallelism; values above the core count are capped. A host knob
-    /// only — under the barrier schemes simulated results are identical
-    /// for every value — so it is ignored by the sequential engine and
-    /// excluded from snapshot fingerprints.
+    /// Sets how many host threads the window loop folds the cores onto
+    /// (the calling thread steps the first lane). `0` (the default) uses
+    /// the host's available parallelism; values above the core count are
+    /// capped. A host knob only — simulated results are identical for
+    /// every value, under every scheme — so it is ignored by the
+    /// sequential engine and excluded from snapshot fingerprints.
     pub fn host_threads(&mut self, threads: usize) -> &mut Self {
         self.host_threads = threads;
         self
@@ -267,14 +265,6 @@ impl Simulation {
     /// atomics, so simulation threads are never stalled.
     pub fn live(&mut self, live: LiveConfig) -> &mut Self {
         self.live = Some(live);
-        self
-    }
-
-    /// Installs a custom host scheduler for the threaded engine's wait
-    /// paths (used by the conformance harness to explore interleavings
-    /// deterministically; production runs keep the native default).
-    pub fn host_sched(&mut self, sched: SchedRef) -> &mut Self {
-        self.sched = Some(sched);
         self
     }
 
@@ -376,9 +366,6 @@ impl Simulation {
             cfg.prof = Some(Profiler::enabled());
         }
         cfg.live = self.live.clone();
-        if let Some(sched) = &self.sched {
-            cfg.sched = sched.clone();
-        }
         cfg
     }
 
@@ -439,17 +426,7 @@ impl Simulation {
                 }
                 engine.run()
             }
-            EngineKind::Threaded => {
-                let mut engine = ThreadedEngine::new(cores, uncore, cfg);
-                if let Some(hook) = hook {
-                    engine = engine.with_save_hook(hook);
-                }
-                if let Some(res) = resume {
-                    engine = engine.with_resume(res);
-                }
-                engine.run()
-            }
-            EngineKind::Batched => {
+            EngineKind::Threaded | EngineKind::Batched => {
                 let mut engine = BatchedEngine::new(cores, uncore, cfg);
                 if let Some(hook) = hook {
                     engine = engine.with_save_hook(hook);

@@ -1,5 +1,6 @@
-//! Proves the threaded manager loop, the batched window loop and the
-//! sequential burst loop are allocation-free at steady state, and that persisting checkpoints
+//! Proves the window loop (under its threaded and batched names, barrier
+//! windows and greedy rounds) and the sequential burst loop are
+//! allocation-free at steady state, and that persisting checkpoints
 //! recycles its two snapshot buffers instead of allocating per checkpoint.
 //!
 //! Strategy: a counting `#[global_allocator]` wraps the system allocator.
@@ -8,16 +9,15 @@
 //! extra ~2X of simulated work cost. Under cycle-by-cycle pacing the two
 //! engines perform bit-identical simulation work, so the *models*
 //! (caches, MSHRs, bus bookkeeping) contribute the same allocation growth
-//! to both — any scaling difference is the threaded engine's own
-//! machinery: the manager loop, the SPSC event transport, and the wait
-//! ladders.
+//! to both — any scaling difference is the window loop's own machinery:
+//! the per-core spans, the staged-event service, a round's service order
+//! and the hand-off to its workers.
 //!
-//! The manager loop drains rings into persistent scratch buffers,
-//! batch-inserts into the global queue, and records metrics through
-//! pre-interned keys, so its steady state performs no heap allocation.
-//! One allocation per serviced event would add ~5% to the threaded delta
-//! below; one per manager iteration (manager iterations far outnumber
-//! cycles) would multiply it. Both trip the threshold.
+//! The loop reuses its staging buffers, spans and order scratch, and
+//! records metrics through pre-interned keys, so its steady state performs
+//! no heap allocation. One allocation per serviced event would add ~5% to
+//! the delta below; one per window or round (they far outnumber events)
+//! would multiply it. Both trip the threshold.
 //!
 //! This lives in its own integration-test binary so the allocator wrapper
 //! cannot perturb any other test; the engine tests in it share one
@@ -135,14 +135,11 @@ fn threaded_manager_loop_is_allocation_free_at_steady_state() {
 
     // Two lanes of four cores each, and the paper's lane per core.
     for lanes in [2, 8] {
-        // The threaded engine's extra growth over sequential must stay a
-        // small fraction: per-event or per-iteration allocation anywhere
-        // in the manager loop, the lane loop or the ring transport would
-        // exceed this immediately (measured headroom is ~1.10x; one alloc
-        // per serviced event alone pushes past 1.19x, per manager
-        // iteration far beyond). A cycle-by-cycle run is handed to the
-        // batched engine, so this half holds its window loop to the same
-        // bound.
+        // The window loop's extra growth over sequential must stay a
+        // small fraction: per-event or per-window allocation anywhere in
+        // it would exceed this immediately (measured headroom was ~1.10x;
+        // one alloc per serviced event alone pushes past 1.19x, per
+        // window far beyond).
         let thr = steady_delta(EngineKind::Threaded, lanes, &Scheme::CycleByCycle);
         assert!(
             thr as f64 <= seq_cc as f64 * 1.15,
@@ -151,9 +148,9 @@ fn threaded_manager_loop_is_allocation_free_at_steady_state() {
              or event transport is allocating per unit of work"
         );
 
-        // Slack pacing exercises the greedy manager path (per-core window
-        // publication, adaptive backoff). Interleavings are
-        // nondeterministic, so the threshold is looser, but per-iteration
+        // Slack pacing exercises the greedy rounds (per-core spans, the
+        // seeded service order). Their schedule is not the sequential
+        // emulation's, so the threshold is looser, but per-round
         // allocation would still blow far past it.
         let thr = steady_delta(EngineKind::Threaded, lanes, &b16);
         assert!(

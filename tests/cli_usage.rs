@@ -79,18 +79,31 @@ fn unknown_engine_enumerates_accepted_values() {
     assert_usage_error(&out, &["turbo", "seq|threaded|batched"]);
 }
 
+/// `--engine batched` takes the greedy schemes too, as seeded rounds on
+/// its window loop: a bounded run prints a report with violations in it,
+/// the same one `--engine threaded` prints.
 #[test]
-fn batched_engine_rejects_non_barrier_schemes() {
-    // A greedy scheme is turned away with an enumerated message: the
-    // batched loop only exists at window boundaries.
-    let out = slacksim(&["--engine", "batched", "--scheme", "bounded", "--bound", "8"]);
-    assert_usage_error(
-        &out,
-        &[
-            "--engine batched requires a barrier scheme (cc or quantum)",
-            "bounded",
-        ],
+fn batched_engine_runs_greedy_schemes() {
+    let report = |engine: &str| {
+        let out = slacksim(&[
+            "--engine", engine, "--scheme", "bounded", "--bound", "8", "--commit", "20000",
+        ]);
+        assert!(out.status.success(), "{engine}: {}", stderr(&out));
+        stdout(&out)
+            .lines()
+            .filter(|l| !l.starts_with("wall clock") && !l.starts_with("speed"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let batched = report("batched");
+    assert!(batched.contains("committed"), "{batched}");
+    assert!(
+        batched
+            .lines()
+            .any(|l| l.starts_with("violations") && !l.contains(": 0 ")),
+        "{batched}"
     );
+    assert_eq!(batched, report("threaded"));
     // The default scheme, cycle-by-cycle, is a quantum of one and runs.
     let out = slacksim(&["--engine", "batched", "--commit", "2000"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
@@ -738,10 +751,6 @@ fn sweep_bad_grid_values_are_rejected_with_enumerated_errors() {
             &["repeats value 8"],
         ),
         (
-            r#"{"v":1,"commit":100,"engine":"batched","axes":{"scheme":["bounded"],"workload":["fft"]}}"#,
-            &["batched", "a barrier scheme (cc or quantum)", "bounded"],
-        ),
-        (
             r#"{"v":1,"commit":100,"axes":{"scheme":["cc"],"workload":["fft"],"uncore":["ring"]}}"#,
             &["ring", "bus|directory"],
         ),
@@ -808,6 +817,43 @@ fn sweep_batched_engine_runs_a_cc_axis() {
         row[at..].to_owned()
     };
     assert_eq!(outcome("batched"), outcome("seq"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batched campaign takes a greedy axis: its one bounded job settles,
+/// with the threaded engine's numbers, which are the same window loop's.
+#[test]
+fn sweep_batched_engine_runs_a_greedy_axis() {
+    let dir = sweep_scratch("batchedgreedy");
+    let outcome = |engine: &str| {
+        let spec = dir.join(format!("{engine}.json"));
+        std::fs::write(
+            &spec,
+            format!(
+                r#"{{"v":1,"commit":2000,"engine":"{engine}","axes":{{
+                    "scheme":["bounded"],"bound":[16],"cores":[4],"workload":["fft"],"seed":[1]}}}}"#
+            ),
+        )
+        .unwrap();
+        let camp = dir.join(engine);
+        let out = slacksim(&[
+            "sweep",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--dir",
+            camp.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{engine}: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("campaign: 1 jobs settled (0 skipped, 0 resumed, 0 failed)"),
+            "{engine}: {}",
+            stdout(&out)
+        );
+        let row = std::fs::read_to_string(camp.join("aggregate.jsonl")).unwrap();
+        let at = row.find("\"cycles\"").expect("a cycles field");
+        row[at..].to_owned()
+    };
+    assert_eq!(outcome("batched"), outcome("threaded"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

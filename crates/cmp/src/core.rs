@@ -123,8 +123,7 @@ slacksim_core::persist_fields! { Mshr { req, line, op, ifetch, waiters } }
 
 /// The hot per-core scalars: the state the quantum-compiled stepping loop
 /// reads and writes every simulated cycle, split out of the cold bulk
-/// (caches, MSHRs, window contents, event plumbing) so the batched engine
-/// can mirror them in dense arrays (see [`CoreHotSoA`]).
+/// (caches, MSHRs, window contents, event plumbing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoreHot {
     /// Cycles simulated so far (the core's local clock).
@@ -138,76 +137,6 @@ pub struct CoreHot {
     pub fetched: u64,
     /// Front-end stall deadline after a branch mispredict.
     pub fetch_stall_until: Cycle,
-}
-
-/// Struct-of-arrays mirror of every core's hot scalars: per-core local
-/// clocks, commit counters, window occupancy and next-fetch cursors in
-/// dense parallel arrays, indexed by core.
-///
-/// [`gather`](CoreHotSoA::gather) projects a core slice into the arrays
-/// and [`scatter_into`](CoreHotSoA::scatter_into) writes the owned scalars
-/// back. `window_len` is a *derived* projection (the instruction window's
-/// occupancy lives in the window itself), so scatter checks it for
-/// consistency in debug builds rather than writing it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoreHotSoA {
-    /// Per-core local clocks ([`CoreHot::cycles`]).
-    pub local_clock: Vec<u64>,
-    /// Per-core commit counters ([`CoreHot::committed`]).
-    pub committed: Vec<u64>,
-    /// Per-core instruction-window occupancy (derived).
-    pub window_len: Vec<u32>,
-    /// Per-core next-fetch cursors ([`CoreHot::fetched`]).
-    pub next_fetch: Vec<u64>,
-    /// Per-core front-end stall deadlines ([`CoreHot::fetch_stall_until`]).
-    pub fetch_stall_until: Vec<u64>,
-}
-
-impl CoreHotSoA {
-    /// Projects the hot scalars of `cores` into dense parallel arrays.
-    pub fn gather(cores: &[CmpCore]) -> Self {
-        CoreHotSoA {
-            local_clock: cores.iter().map(|c| c.pipe.hot.cycles).collect(),
-            committed: cores.iter().map(|c| c.pipe.hot.committed).collect(),
-            window_len: cores.iter().map(|c| c.pipe.window.len() as u32).collect(),
-            next_fetch: cores.iter().map(|c| c.pipe.hot.fetched).collect(),
-            fetch_stall_until: cores
-                .iter()
-                .map(|c| c.pipe.hot.fetch_stall_until.as_u64())
-                .collect(),
-        }
-    }
-
-    /// Writes the owned hot scalars back into `cores`, field for field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array lengths do not match the core count.
-    pub fn scatter_into(&self, cores: &mut [CmpCore]) {
-        assert_eq!(self.local_clock.len(), cores.len(), "SoA/core count");
-        for (i, core) in cores.iter_mut().enumerate() {
-            let hot = &mut core.pipe.hot;
-            hot.cycles = self.local_clock[i];
-            hot.committed = self.committed[i];
-            hot.fetched = self.next_fetch[i];
-            hot.fetch_stall_until = Cycle::new(self.fetch_stall_until[i]);
-            debug_assert_eq!(
-                self.window_len[i] as usize,
-                core.pipe.window.len(),
-                "window occupancy is derived from the window contents"
-            );
-        }
-    }
-
-    /// Number of cores mirrored.
-    pub fn len(&self) -> usize {
-        self.local_clock.len()
-    }
-
-    /// Whether the mirror is empty.
-    pub fn is_empty(&self) -> bool {
-        self.local_clock.is_empty()
-    }
 }
 
 /// Declares the core's event counters: the struct, its byte form, and
@@ -262,8 +191,7 @@ core_stats!(
 struct Pipeline {
     stream: Box<dyn InstrStream>,
     /// The per-cycle hot scalars (local clock, commit counter, next-fetch
-    /// cursor, front-end stall deadline), split out so [`CoreHotSoA`] can
-    /// mirror them densely.
+    /// cursor, front-end stall deadline).
     hot: CoreHot,
     pending: Option<Instr>,
     window: std::collections::VecDeque<WinEntry>,
@@ -1524,106 +1452,6 @@ mod tests {
             CoreModel::counters(&core),
             "identical histories must give identical statistics"
         );
-    }
-
-    #[test]
-    fn core_hot_soa_round_trips_against_live_cores() {
-        // Three heterogeneous cores: plain ALU, a mispredicting branch
-        // stream (nonzero front-end stall deadline), and unserviced loads
-        // (occupied window) — every SoA column gets a distinct value.
-        let mut cores = vec![
-            core_with(vec![Op::IntAlu]),
-            core_with(vec![Op::Branch { mispredict: true }, Op::IntAlu]),
-            core_with(vec![Op::Load { addr: 0x8000 }, Op::Load { addr: 0x9000 }]),
-        ];
-        for (i, core) in cores.iter_mut().enumerate() {
-            let mut inbox = Inbox::new();
-            prime_icache(core, &mut inbox);
-            // Different histories per core so the columns differ.
-            for t in 1..(10 + 13 * i as u64) {
-                tick_at(core, &mut inbox, t);
-            }
-        }
-        assert!(
-            cores[1].pipe.stats.mispredicts > 0,
-            "branch core must have stalled"
-        );
-        assert!(
-            !cores[2].pipe.window.is_empty(),
-            "load core must hold entries"
-        );
-
-        let soa = CoreHotSoA::gather(&cores);
-        assert_eq!(soa.len(), 3);
-        assert!(!soa.is_empty());
-        for (i, core) in cores.iter().enumerate() {
-            assert_eq!(soa.local_clock[i], core.pipe.hot.cycles);
-            assert_eq!(soa.committed[i], core.pipe.hot.committed);
-            assert_eq!(soa.window_len[i] as usize, core.pipe.window.len());
-            assert_eq!(soa.next_fetch[i], core.pipe.hot.fetched);
-            assert_eq!(
-                soa.fetch_stall_until[i],
-                core.pipe.hot.fetch_stall_until.as_u64()
-            );
-        }
-
-        // Scatter writes every owned column back field-for-field; a
-        // second gather reproduces the mutated arrays exactly.
-        let mut mutated = soa.clone();
-        for i in 0..mutated.len() {
-            mutated.local_clock[i] += 7;
-            mutated.committed[i] += 3;
-            mutated.next_fetch[i] += 1;
-            mutated.fetch_stall_until[i] += 5;
-        }
-        mutated.scatter_into(&mut cores);
-        for (i, core) in cores.iter().enumerate() {
-            assert_eq!(core.pipe.hot.cycles, mutated.local_clock[i]);
-            assert_eq!(core.pipe.hot.committed, mutated.committed[i]);
-            assert_eq!(core.pipe.hot.fetched, mutated.next_fetch[i]);
-            assert_eq!(
-                core.pipe.hot.fetch_stall_until.as_u64(),
-                mutated.fetch_stall_until[i]
-            );
-        }
-        assert_eq!(CoreHotSoA::gather(&cores), mutated);
-    }
-
-    #[test]
-    fn core_hot_soa_survives_delta_and_byte_persistence() {
-        // The hot/cold split must be invisible to both checkpoint paths:
-        // a delta-reconstructed clone and a byte-round-tripped core
-        // project to the same SoA columns as the live core.
-        let ops = vec![
-            Op::IntAlu,
-            Op::Load { addr: 0x8000 },
-            Op::Branch { mispredict: true },
-        ];
-        let mut live = core_with(ops.clone());
-        let mut inbox = Inbox::new();
-        prime_icache(&mut live, &mut inbox);
-        for t in 1..15 {
-            tick_at(&mut live, &mut inbox, t);
-        }
-        let mut snap = live.clone();
-        let g0 = Checkpointable::generation(&live);
-        let _ = live.capture_delta(g0);
-        for t in 15..60 {
-            tick_at(&mut live, &mut inbox, t);
-        }
-        snap.apply_delta(live.capture_delta(g0));
-
-        let mut w = ByteWriter::new();
-        live.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = core_with(ops);
-        let mut r = ByteReader::new(&bytes);
-        restored.load_state(&mut r).unwrap();
-
-        let expect = CoreHotSoA::gather(std::slice::from_ref(&live));
-        assert_eq!(CoreHotSoA::gather(std::slice::from_ref(&snap)), expect);
-        assert_eq!(CoreHotSoA::gather(std::slice::from_ref(&restored)), expect);
-        assert!(expect.committed[0] > 0, "the run actually progressed");
     }
 
     /// Drives two clones of the same core through `windows` quanta — one

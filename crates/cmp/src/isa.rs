@@ -148,7 +148,7 @@ impl Clone for Box<dyn InstrStream> {
 }
 
 /// A trivial stream for tests and smoke runs: a fixed sequence repeated
-/// forever, with PCs advancing 4 bytes per instruction within one page.
+/// forever, with PCs advancing 4 bytes per instruction from `0x1000`.
 ///
 /// # Examples
 ///
@@ -164,7 +164,6 @@ impl Clone for Box<dyn InstrStream> {
 pub struct LoopStream {
     ops: Vec<Op>,
     pos: usize,
-    base_pc: u64,
 }
 
 impl LoopStream {
@@ -175,25 +174,14 @@ impl LoopStream {
     /// Panics if `ops` is empty.
     pub fn new(ops: Vec<Op>) -> Self {
         assert!(!ops.is_empty(), "loop body must not be empty");
-        LoopStream {
-            ops,
-            pos: 0,
-            base_pc: 0x1000,
-        }
-    }
-
-    /// Sets the base program counter (default `0x1000`).
-    #[must_use]
-    pub fn with_base_pc(mut self, base_pc: u64) -> Self {
-        self.base_pc = base_pc;
-        self
+        LoopStream { ops, pos: 0 }
     }
 }
 
 impl InstrStream for LoopStream {
     fn next_instr(&mut self) -> Instr {
         let op = self.ops[self.pos];
-        let pc = self.base_pc + 4 * self.pos as u64;
+        let pc = 0x1000 + 4 * self.pos as u64;
         self.pos = (self.pos + 1) % self.ops.len();
         Instr::new(op, pc)
     }

@@ -1,10 +1,7 @@
-//! The conformance suite: the differential oracle matrix, the exact
-//! matrices of the window loop at every host-thread count, and
-//! deterministic schedule fuzzing of the campaign pool.
+//! The conformance suite: the differential oracle matrix and the exact
+//! matrices of the window loop at every host-thread count.
 //!
-//! Budget control: commit targets scale with the build profile, and the
-//! number of schedule seeds per pool loop comes from [`smoke_seeds`]
-//! (`SLACKSIM_CONFORMANCE_SEEDS` in CI).
+//! Budget control: commit targets scale with the build profile.
 
 use slacksim::scheme::{AdaptiveConfig, Scheme};
 use slacksim::{
@@ -12,7 +9,7 @@ use slacksim::{
 };
 use slacksim_conformance::{
     check_invariants, fingerprint, kernel_fingerprint, run_engine, run_engine_on, run_resumed,
-    run_resumed_on, run_speculative, smoke_seeds, SchedPolicy,
+    run_resumed_on, run_speculative,
 };
 
 /// Commit target for matrix cells: small enough for debug CI, larger in
@@ -654,115 +651,6 @@ fn profiling_and_live_telemetry_leave_fingerprints_bit_identical() {
             assert!(
                 !capture.lock().unwrap().is_empty(),
                 "emitter produced at least the terminal beat"
-            );
-        }
-    }
-}
-
-/// The campaign pool under the virtual scheduler: replaying the same
-/// schedule seed reproduces the exact per-worker job schedule (steal
-/// decisions and all), while job *results* are schedule-independent —
-/// the pool may only decide where a job runs, never what it computes.
-#[test]
-fn campaign_pool_schedule_is_deterministic_under_virtual_sched() {
-    use std::sync::Arc;
-
-    use slacksim::slacksim_core::campaign::run_jobs;
-    use slacksim::SchedRef;
-    use slacksim_conformance::VirtualSched;
-
-    let policies = [SchedPolicy::RandomWalk, SchedPolicy::Starve { victim: 1 }];
-    let mut schedules = Vec::new();
-    for policy in policies {
-        for seed in 0..smoke_seeds() {
-            let run = |seed: u64| {
-                // 3 pool tasks: the manager plus 2 spawned workers.
-                let sched = VirtualSched::new(2, policy, seed);
-                let sref = SchedRef::new(Arc::clone(&sched) as Arc<_>);
-                let jobs: Vec<u64> = (0..12).collect();
-                run_jobs(jobs, 3, &sref, |_, idx, j| {
-                    assert_eq!(idx as u64, j);
-                    j.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                })
-            };
-            let (results_a, outcome_a) = run(seed);
-            let (results_b, outcome_b) = run(seed);
-            assert_eq!(
-                outcome_a.per_worker_jobs, outcome_b.per_worker_jobs,
-                "{policy:?}/seed {seed}: same seed must replay the same schedule"
-            );
-            // Exactly-once execution and schedule-independent results,
-            // whatever interleaving the policy forced.
-            let mut seen: Vec<usize> = outcome_a.per_worker_jobs.concat();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..12).collect::<Vec<usize>>());
-            assert_eq!(
-                results_a,
-                (0..12u64)
-                    .map(|j| j.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .collect::<Vec<u64>>(),
-                "{policy:?}/seed {seed}: results depend only on the job"
-            );
-            assert_eq!(results_a, results_b);
-            schedules.push(outcome_a.per_worker_jobs);
-        }
-    }
-    // The explorer must actually explore: across policies and seeds at
-    // least two distinct pool schedules were exercised.
-    schedules.sort();
-    schedules.dedup();
-    assert!(
-        schedules.len() > 1,
-        "schedule fuzzing never varied the pool schedule"
-    );
-}
-
-/// Campaign-vs-solo oracle under adversarial pool schedules: simulation
-/// jobs run on a virtually-scheduled work-stealing pool must produce
-/// reports bit-identical to the same configurations run solo on the
-/// native host, for every explored pool interleaving.
-#[test]
-fn pooled_simulation_jobs_match_solo_fingerprints_under_virtual_sched() {
-    use std::sync::Arc;
-
-    use slacksim::slacksim_core::campaign::run_jobs;
-    use slacksim::SchedRef;
-    use slacksim_conformance::VirtualSched;
-
-    let scheme = Scheme::BoundedSlack { bound: 8 };
-    let seeds: Vec<u64> = (1..=4).collect();
-    let solo: Vec<_> = seeds
-        .iter()
-        .map(|&s| {
-            fingerprint(&run_engine(
-                Benchmark::Fft,
-                2,
-                &scheme,
-                target(),
-                s,
-                EngineKind::Sequential,
-            ))
-        })
-        .collect();
-    for sched_seed in 0..smoke_seeds() {
-        let sched = VirtualSched::new(1, SchedPolicy::RandomWalk, sched_seed);
-        let sref = SchedRef::new(Arc::clone(&sched) as Arc<_>);
-        let (reports, outcome) = run_jobs(seeds.clone(), 2, &sref, |_, _, seed| {
-            run_engine(
-                Benchmark::Fft,
-                2,
-                &scheme,
-                target(),
-                seed,
-                EngineKind::Sequential,
-            )
-        });
-        assert_eq!(outcome.counts().iter().sum::<usize>(), 4);
-        for (i, report) in reports.iter().enumerate() {
-            assert_eq!(
-                fingerprint(report),
-                solo[i],
-                "sched seed {sched_seed}: pooled job {i} diverged from its solo run"
             );
         }
     }

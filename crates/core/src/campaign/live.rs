@@ -11,8 +11,7 @@
 //! engine heartbeat before choosing a renderer.
 //!
 //! Workers publish with one relaxed atomic increment per job transition;
-//! the emitter never takes a lock shared with workers and never registers
-//! with the host scheduler, so conformance runs are unperturbed.
+//! the emitter never takes a lock shared with workers.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};

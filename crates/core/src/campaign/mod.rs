@@ -10,9 +10,8 @@
 //! * [`spec`] — the sweep-spec format (parsed with the in-tree
 //!   [`obs::json`](crate::obs::json) parser) and its expansion into a
 //!   deterministic, stably-ordered job grid with unique job IDs.
-//! * [`pool`] — a work-stealing worker pool over the
-//!   [`sched`](crate::sched) seam, so pool schedules are fuzzable under
-//!   the conformance crate's virtual scheduler like engine schedules.
+//! * [`pool`] — a worker pool that hands out jobs from one shared
+//!   atomic cursor and returns results in job order.
 //! * [`live`] — campaign heartbeats through the
 //!   [`obs::live`](crate::obs::live) sink machinery (`"campaign":true`
 //!   discriminates them from engine heartbeats).

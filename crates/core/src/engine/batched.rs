@@ -152,7 +152,7 @@ where
         if n == 0 {
             return Err(EngineError::NoCores);
         }
-        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, resume)?;
+        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, resume)?;
 
         let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
         let mut staged: Vec<Vec<Timestamped<C::Event>>> = (0..n).map(|_| Vec::new()).collect();
@@ -219,10 +219,9 @@ where
             gq_len: 0,
             per_core: cores.iter().map(CoreModel::counters).collect(),
             uncore: uncore.counters(),
-            extras: &[],
             threads,
         };
-        Ok(k.finish(finish, |_| (0, 0)))
+        Ok(k.finish(finish))
     }
 }
 
@@ -361,8 +360,7 @@ where
             if global.as_u64() >= self.cfg.max_cycles {
                 return Ok(FinishReason::CycleCap);
             }
-            self.k
-                .on_global(global, self.committed, &self.locals, 0, |_| (0, 0));
+            self.k.on_global(global, self.committed, &self.locals, 0);
             self.k.note_spread(furthest - global);
 
             // A due checkpoint stops every core at one point, no core

@@ -126,8 +126,6 @@ pub(super) struct Finish<'a> {
     pub(super) gq_len: u64,
     pub(super) per_core: Vec<Counters>,
     pub(super) uncore: Counters,
-    /// Driver-specific kernel counters.
-    pub(super) extras: &'a [(&'static str, u64)],
     /// Host threads that recorded profile spans (coverage denominator).
     pub(super) threads: u64,
 }
@@ -190,13 +188,11 @@ where
 {
     /// Builds the manager for an `n`-core run, seeding the ledger from
     /// `resume` when the run continues a persisted snapshot (the model
-    /// half comes back as [`Resumed`]). The `bool` is unused: no driver
-    /// runs its cores behind host rings any more.
+    /// half comes back as [`Resumed`]).
     pub(super) fn new(
         cfg: &EngineConfig,
         n: usize,
         save_hook: Option<SaveHook<C, U>>,
-        _: bool,
         resume: Option<EngineResume<C, U>>,
     ) -> Result<(Self, Option<Resumed<C, U>>), EngineError> {
         if let Some(res) = &resume {
@@ -373,7 +369,7 @@ where
     /// Once per manager iteration at global time `global`: closes elapsed
     /// checkpoint intervals, feeds the pacer every sampling window that
     /// ended, samples metrics on the observability cadence and publishes
-    /// the live gauges. The last argument is unused, as `new`'s `bool`.
+    /// the live gauges.
     ///
     /// Runs once per manager iteration — once per core-cycle under
     /// cycle-by-cycle — so the four checks are forced inline and everything
@@ -385,7 +381,6 @@ where
         committed: u64,
         locals: &[Cycle],
         gq_len: u64,
-        _: impl Fn(usize) -> (u64, u64),
     ) {
         // Interval accounting for Tables 3/4 follows the fixed grid.
         if let Some(tr) = &mut self.tracker {
@@ -805,11 +800,10 @@ where
     // --- Report ------------------------------------------------------------
 
     /// Ends the run: closes the interval grid at the final global time,
-    /// flushes a terminal metrics sample, assembles the kernel counters
-    /// (plus the driver's `extras`), drains the trace, publishes the
-    /// terminal heartbeat and builds the report. The last argument is
-    /// unused, as in [`on_global`](Kernel::on_global).
-    pub(super) fn finish(mut self, f: Finish<'_>, _: impl Fn(usize) -> (u64, u64)) -> SimReport {
+    /// flushes a terminal metrics sample, assembles the kernel counters,
+    /// drains the trace, publishes the terminal heartbeat and builds the
+    /// report.
+    pub(super) fn finish(mut self, f: Finish<'_>) -> SimReport {
         let global = f.global;
         // A write-behind save hook still owns the last checkpoint: dropping
         // it waits until that one is durable, inside the run's wall.
@@ -857,9 +851,6 @@ where
                 "mean_first_violation_distance_x1000",
                 (tr.mean_first_distance() * 1000.0).round() as u64,
             );
-        }
-        for &(name, value) in f.extras {
-            kernel.set(name, value);
         }
 
         // Publish the final tallies before the terminal heartbeat so the

@@ -256,13 +256,6 @@ impl BurstPolicy {
             lag_bias_percent: 50,
         }
     }
-
-    /// Sets the fairness bias (clamped to 100).
-    #[must_use]
-    pub fn with_lag_bias(mut self, percent: u8) -> Self {
-        self.lag_bias_percent = percent.min(100);
-        self
-    }
 }
 
 impl Default for BurstPolicy {

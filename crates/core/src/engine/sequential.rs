@@ -103,7 +103,7 @@ where
         }
         // The whole run is one thread, so the profile's coverage
         // denominator is wall * 1.
-        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, false, resume)?;
+        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, resume)?;
         let ph = k.prof_handle();
 
         let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
@@ -199,9 +199,7 @@ where
                 break;
             }
 
-            k.on_global(global, committed, sched.locals(), gq.len() as u64, |_| {
-                (0, 0)
-            });
+            k.on_global(global, committed, sched.locals(), gq.len() as u64);
 
             // Checkpoint scheduling: once global time crosses the trigger,
             // every window is capped at one common stop point.
@@ -335,10 +333,9 @@ where
             gq_len: gq.len() as u64,
             per_core: cores.iter().map(CoreModel::counters).collect(),
             uncore: uncore.counters(),
-            extras: &[],
             threads: 1,
         };
-        Ok(k.finish(finish, |_| (0, 0)))
+        Ok(k.finish(finish))
     }
 }
 

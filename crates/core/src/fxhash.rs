@@ -16,7 +16,7 @@
 //! `CacheMap::save_state`) — equality, deltas and fingerprints are all
 //! order-independent.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The rustc/Firefox FxHash multiplier (a large odd constant close to
@@ -94,9 +94,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// Drop-in `HashMap` with the fast hasher. Construct with
 /// `FxHashMap::default()`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// Drop-in `HashSet` with the fast hasher.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

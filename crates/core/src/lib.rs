@@ -103,7 +103,6 @@ pub mod model;
 pub mod obs;
 pub mod persist;
 pub mod rng;
-pub mod sched;
 pub mod scheme;
 pub mod speculative;
 pub mod stats;
@@ -117,7 +116,6 @@ pub use engine::{
     UncoreModel,
 };
 pub use event::{CoreId, Timestamped};
-pub use sched::{HostSched, SchedRef, SchedSite};
 pub use scheme::Scheme;
 pub use speculative::{SpeculationConfig, ViolationSelect};
 pub use stats::SimReport;

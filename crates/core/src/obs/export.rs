@@ -225,11 +225,8 @@ pub fn chrome_trace_json_with_prof(obs: &ObsData, prof: Option<&ProfData>) -> St
                     &args,
                 );
             }
-            TraceEvent::ManagerWait { ns } => {
-                w.counter("manager_wait_ns", ts, "ns", &format!("{ns}"));
-            }
             TraceEvent::QueueDepth { q, len } => {
-                w.counter(&q.label(), ts, "len", &format!("{len}"));
+                w.counter(q.label(), ts, "len", &format!("{len}"));
             }
             TraceEvent::LocalTimeSample { core, cycle } => {
                 let drift = cycle.as_u64().saturating_sub(ts);
@@ -538,7 +535,7 @@ mod tests {
                 10,
                 TraceEvent::PhaseEnd {
                     core: CoreId::new(0),
-                    phase: Phase::Wait,
+                    phase: Phase::Run,
                 },
             )],
             dropped: 5,

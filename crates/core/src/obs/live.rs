@@ -6,9 +6,8 @@
 //! already make, or one extra relaxed store per manager iteration) and the
 //! emitter reads those atomics — plus the profiler's shared per-site
 //! accumulators — on its own clock. Cores are never stalled: no lock is
-//! shared with the simulation, and the emitter never registers with the
-//! host scheduler, so conformance runs under a virtual scheduler are
-//! unperturbed.
+//! shared with the simulation, so a run with a heartbeat attached is
+//! bit-identical to one without.
 //!
 //! Each beat is one line of JSON (schema version
 //! [`HEARTBEAT_VERSION`]) written to any combination of three sinks:

@@ -131,7 +131,6 @@ impl ObsData {
                 TraceEvent::Checkpoint { .. } => "checkpoints",
                 TraceEvent::Rollback { .. } => "rollbacks",
                 TraceEvent::ReplayEnd { .. } => "replays",
-                TraceEvent::ManagerWait { .. } => "manager waits",
                 TraceEvent::QueueDepth { .. } => "queue-depth samples",
                 TraceEvent::PhaseBegin { .. } | TraceEvent::PhaseEnd { .. } => "phase marks",
                 TraceEvent::StatePersist { .. } => "state persists",

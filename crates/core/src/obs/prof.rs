@@ -41,53 +41,41 @@ pub enum ProfSite {
     /// A core advancing target cycles inside its slack window (both
     /// engines' burst loops).
     CoreTick = 0,
-    /// A core thread in the yield tier of the wait ladder.
-    CoreWaitYield = 1,
-    /// A core thread parked (timed) at the bottom of the wait ladder.
-    CoreWaitPark = 2,
     /// The manager moving events from core OutQs into the global queue.
-    ManagerDrain = 3,
+    ManagerDrain = 1,
     /// The manager servicing the global queue through the uncore model.
-    ManagerService = 4,
-    /// The manager in the yield tier of its wait ladder.
-    ManagerWaitYield = 5,
-    /// The manager parked (timed) at the bottom of its wait ladder.
-    ManagerWaitPark = 6,
+    ManagerService = 2,
     /// Capturing a checkpoint (the base clone at run start, then deltas).
-    CheckpointCapture = 7,
+    CheckpointCapture = 3,
     /// Committing a captured checkpoint into the standing base (delta
     /// merge / bookkeeping after a successful interval).
-    CheckpointApply = 8,
+    CheckpointApply = 4,
     /// Restoring model state from a checkpoint during rollback.
-    CheckpointRestore = 9,
+    CheckpointRestore = 5,
     /// Durable snapshot encode + atomic write (`--save-state`).
-    PersistIo = 10,
+    PersistIo = 6,
     /// Rendering/writing report artifacts after the run.
-    Export = 11,
+    Export = 7,
     /// The batched engine's inner loop: one core running a full quantum
     /// window in a single `run_window` call.
-    BatchedRun = 12,
+    BatchedRun = 8,
     /// The batched engine's quantum-boundary resolution: staged cross-core
     /// events serviced in timestamp order.
-    BatchedResolve = 13,
+    BatchedResolve = 9,
     /// The batched engine's manager waiting, after its own lane, for the
     /// window workers to finish theirs (host-parallel windows only).
-    BatchedBarrier = 14,
+    BatchedBarrier = 10,
 }
 
 /// Number of profiling sites (length of [`ProfSite::ALL`]).
-pub const SITE_COUNT: usize = 15;
+pub const SITE_COUNT: usize = 11;
 
 impl ProfSite {
     /// Every site, in index order.
     pub const ALL: [ProfSite; SITE_COUNT] = [
         ProfSite::CoreTick,
-        ProfSite::CoreWaitYield,
-        ProfSite::CoreWaitPark,
         ProfSite::ManagerDrain,
         ProfSite::ManagerService,
-        ProfSite::ManagerWaitYield,
-        ProfSite::ManagerWaitPark,
         ProfSite::CheckpointCapture,
         ProfSite::CheckpointApply,
         ProfSite::CheckpointRestore,
@@ -102,12 +90,8 @@ impl ProfSite {
     pub fn name(self) -> &'static str {
         match self {
             ProfSite::CoreTick => "core-tick",
-            ProfSite::CoreWaitYield => "core-wait-yield",
-            ProfSite::CoreWaitPark => "core-wait-park",
             ProfSite::ManagerDrain => "manager-drain",
             ProfSite::ManagerService => "manager-service",
-            ProfSite::ManagerWaitYield => "manager-wait-yield",
-            ProfSite::ManagerWaitPark => "manager-wait-park",
             ProfSite::CheckpointCapture => "checkpoint-capture",
             ProfSite::CheckpointApply => "checkpoint-apply",
             ProfSite::CheckpointRestore => "checkpoint-restore",

@@ -28,8 +28,6 @@ use crate::violation::ViolationKind;
 pub enum Phase {
     /// Simulating target cycles inside the current slack window.
     Run,
-    /// Blocked at the window end (or at a checkpoint's stop point).
-    Wait,
     /// Re-executing cycles after a rollback.
     Replay,
 }
@@ -39,7 +37,6 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::Run => "run",
-            Phase::Wait => "wait",
             Phase::Replay => "replay",
         }
     }
@@ -48,21 +45,15 @@ impl Phase {
 /// Which queue a [`TraceEvent::QueueDepth`] sample refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// A core's outgoing event queue (core thread → manager).
-    OutQ(CoreId),
-    /// A core's incoming event queue (manager → core thread).
-    InQ(CoreId),
     /// The manager's global arrival-ordered queue.
     Global,
 }
 
 impl QueueKind {
-    /// Stable label used as the counter-track name, e.g. `outq.core3`.
-    pub fn label(&self) -> String {
+    /// Stable label used as the counter-track name.
+    pub fn label(&self) -> &'static str {
         match self {
-            QueueKind::OutQ(c) => format!("outq.core{}", c.index()),
-            QueueKind::InQ(c) => format!("inq.core{}", c.index()),
-            QueueKind::Global => "globalq".to_string(),
+            QueueKind::Global => "globalq",
         }
     }
 }
@@ -123,11 +114,6 @@ pub enum TraceEvent {
         /// Simulated cycles actually re-executed under the conservative
         /// scheme before speculation resumed.
         replay_cycles: u64,
-    },
-    /// Host-time nanoseconds the manager spent blocked waiting on cores.
-    ManagerWait {
-        /// Blocked wall-clock time in nanoseconds.
-        ns: u64,
     },
     /// Instantaneous depth of one event queue.
     QueueDepth {
@@ -422,8 +408,6 @@ mod tests {
 
     #[test]
     fn queue_labels_are_stable() {
-        assert_eq!(QueueKind::OutQ(CoreId::new(3)).label(), "outq.core3");
-        assert_eq!(QueueKind::InQ(CoreId::new(0)).label(), "inq.core0");
         assert_eq!(QueueKind::Global.label(), "globalq");
     }
 }

@@ -42,7 +42,6 @@ pub mod lu;
 pub mod mix;
 pub mod params;
 pub mod stream_testkit;
-pub mod synthetic;
 pub mod water;
 
 pub use barnes::BarnesStream;

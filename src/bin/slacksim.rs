@@ -1011,13 +1011,14 @@ x uncore x cores x workload x seed} grid plus shared per-job settings:
 
 The grid is the full cartesian product of the seven axes. Every cores
 value must fit the most restrictive uncore on the axis (the product
-pairs each with each). Jobs run on a
-work-stealing pool (--workers, else the spec's, else host parallelism);
-each job writes durable checkpoints (when \"checkpoint\" is set) and an
-atomic report.json under DIR/jobs/<job>/. Kill the campaign at any
-point and rerun `slacksim sweep --dir DIR`: settled jobs are skipped,
-in-flight jobs resume from their newest checkpoint, and the final
-aggregate is byte-identical to an uninterrupted campaign's.
+pairs each with each). Jobs run on a pool of workers (--workers, else
+the spec's, else host parallelism); each worker takes the next unclaimed
+job from one shared counter. Each job writes durable checkpoints (when
+\"checkpoint\" is set) and an atomic report.json under DIR/jobs/<job>/.
+Kill the campaign at any point and rerun `slacksim sweep --dir DIR`:
+settled jobs are skipped, in-flight jobs resume from their newest
+checkpoint, and the final aggregate is byte-identical to an
+uninterrupted campaign's.
 
 Artifacts in DIR: manifest.json (grid identity), aggregate.jsonl
 (streamed, one row per settled job — `tail -f`-able), aggregate.csv
@@ -1160,7 +1161,7 @@ CAMPAIGNS:
   slacksim sweep --spec FILE --dir DIR
                         expand FILE's {scheme x bound x quantum x uncore x
                         cores x workload x seed} grid and run every job on a
-                        work-stealing host pool, with durable per-job
+                        pool of host workers, with durable per-job
                         checkpoints and streamed aggregation into DIR;
                         rerun with --dir alone to resume after a crash
                         (see `slacksim sweep --help`)

@@ -49,7 +49,6 @@ pub use slacksim_core::model;
 pub use slacksim_core::obs::{
     LiveConfig, LiveStats, ObsConfig, ObsData, ProfData, ProfSite, Profiler, HEARTBEAT_VERSION,
 };
-pub use slacksim_core::sched::{HostSched, SchedRef, SchedSite};
 pub use slacksim_core::scheme;
 pub use slacksim_core::speculative::{SpeculationConfig, ViolationSelect};
 pub use slacksim_core::stats::{percent_error, SimReport};

@@ -1,5 +1,5 @@
 //! The campaign runner: executes a sweep-spec grid as a fleet of
-//! [`Simulation`] jobs on a work-stealing host pool.
+//! [`Simulation`] jobs on a host worker pool.
 //!
 //! This is the target-aware half of the campaign subsystem. The
 //! target-agnostic half — spec parsing, grid expansion, the pool, the
@@ -37,7 +37,6 @@ use slacksim_core::campaign::{
 };
 use slacksim_core::obs::LiveConfig;
 use slacksim_core::persist;
-use slacksim_core::sched::SchedRef;
 use slacksim_core::speculative::SpeculationConfig;
 use slacksim_core::stats::SimReport;
 use slacksim_workloads::Benchmark;
@@ -119,9 +118,6 @@ pub struct SweepOptions {
     pub workers: Option<usize>,
     /// Campaign heartbeat sinks; `None` emits nothing.
     pub live: Option<LiveConfig>,
-    /// Host scheduler for the pool's wait seam (conformance runs install
-    /// a virtual one; production keeps the native default).
-    pub sched: Option<SchedRef>,
 }
 
 /// What one `run_sweep` invocation did.
@@ -134,7 +130,7 @@ pub struct SweepOutcome {
     /// index; `None` for jobs skipped as already settled (their rows
     /// come from disk) and for failed jobs.
     pub reports: Vec<Option<SimReport>>,
-    /// Jobs-per-worker counts and steal schedule from the pool.
+    /// Which jobs each worker ran, and the pool's concurrency high-water mark.
     pub pool: PoolOutcome,
     /// Jobs resumed from a durable checkpoint instead of starting fresh.
     pub resumed: u64,
@@ -256,7 +252,6 @@ pub fn run_sweep(
     // pool leaves over: a pool as wide as the host runs every job on one. A host knob like the pool width — in no token, manifest
     // or fingerprint.
     let host_threads = (cpus / workers.max(1)).max(1);
-    let sched = opts.sched.clone().unwrap_or_default();
     let total = settled_rows.len() + pending.len();
 
     let exec = |_worker: usize, _idx: usize, job: Job| -> JobResult {
@@ -272,7 +267,7 @@ pub fn run_sweep(
         stats.job_finished(outcome.is_ok());
         JobResult { job, outcome }
     };
-    let (results, pool) = run_jobs(pending, workers, &sched, exec);
+    let (results, pool) = run_jobs(pending, workers, exec);
 
     if let Some(live) = live {
         live.finish();

@@ -280,6 +280,10 @@ rm -rf "$camp_dir"
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Broken intra-doc links are errors, as clippy's lints are.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

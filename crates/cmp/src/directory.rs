@@ -8,8 +8,9 @@
 //! - its own slot-reservation port (occupancy = the directory lookup
 //!   latency) — the contended resource replacing the request bus,
 //! - its own bank-order [`TimestampMonitor`] — the source of
-//!   *directory violations* ([`ViolationKind::Directory`]): a request
-//!   serviced out of timestamp order **at that bank**. Sharding the
+//!   *directory violations*
+//!   ([`ViolationKind::Directory`](slacksim_core::violation::ViolationKind::Directory)):
+//!   a request serviced out of timestamp order **at that bank**. Sharding the
 //!   monitor is what makes slack violations per-resource: two cores
 //!   hammering different banks never conflict, exactly as on the target,
 //! - a line table (`lines::LineTable`) holding, per line, the MESI entry,
@@ -41,7 +42,7 @@ const MAX_BANKS: usize = 64;
 
 /// Number of address-interleaved banks for a given core count: one bank
 /// per four cores, rounded up to a power of two (interleaving needs a
-/// mask), clamped to `1..=`[`MAX_BANKS`].
+/// mask), clamped to `1..=MAX_BANKS` (64).
 pub fn bank_count(n_cores: usize) -> usize {
     (n_cores / 4).next_power_of_two().clamp(1, MAX_BANKS)
 }
@@ -265,7 +266,7 @@ impl Checkpointable for DirBank {
     }
 }
 
-/// The sharded directory: N address-interleaved [`DirBank`]s behind one
+/// The sharded directory: N address-interleaved banks (`DirBank`) behind one
 /// facade with the same checkpoint/persist surface as the other uncore
 /// components.
 ///

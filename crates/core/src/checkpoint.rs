@@ -68,9 +68,9 @@ use std::ops::{Deref, DerefMut};
 /// whole-state implementation with
 /// [`impl_checkpointable_by_clone!`](crate::impl_checkpointable_by_clone).
 pub trait Checkpointable: Clone {
-    /// The incremental state carrier produced by [`capture_delta`]
-    /// (`Self::capture_delta`) and consumed by [`apply_delta`]
-    /// (`Self::apply_delta`).
+    /// The incremental state carrier produced by
+    /// [`capture_delta`](Self::capture_delta) and consumed by
+    /// [`apply_delta`](Self::apply_delta).
     type Delta: Send + 'static;
 
     /// Current generation: a monotonic counter of mutations applied to

@@ -152,21 +152,18 @@ where
         if n == 0 {
             return Err(EngineError::NoCores);
         }
-        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, resume)?;
-
         let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
+        let (mut global, mut committed, mut ledger) = (Cycle::ZERO, 0, None);
+        if let Some(res) = resume {
+            res.check_cores(n)?;
+            (global, committed) = (res.global, res.committed);
+            (cores, inboxes) = res.cores.into_iter().unzip();
+            (uncore, ledger) = (res.uncore, Some(res.ledger));
+        }
+        // A resumed ledger's RNG goes unused: a round's draws are stateless.
+        let mut k = Kernel::new(&cfg, n, save_hook, (global, committed), ledger);
         let mut staged: Vec<Vec<Timestamped<C::Event>>> = (0..n).map(|_| Vec::new()).collect();
         let mut spans = vec![(Cycle::ZERO, Cycle::ZERO); n];
-        let mut committed: u64 = 0;
-        let mut global = Cycle::ZERO;
-        if let Some(res) = resumed {
-            // res.rng is ignored: a round's draws are stateless.
-            global = res.global;
-            cores = res.cores;
-            inboxes = res.inboxes;
-            uncore = res.uncore;
-            committed = res.committed;
-        }
         k.seed_base(&mut cores, &inboxes, &mut uncore, global, committed);
 
         // Static partition: contiguous lanes of `chunk` cores, one per
@@ -387,7 +384,7 @@ where
                 let end = if self.k.replaying() {
                     global + 1
                 } else {
-                    self.k.pacer.window_end(global)
+                    self.k.pacer().window_end(global)
                 };
                 if end <= global {
                     return Err(EngineError::Stalled { at: global });
@@ -401,8 +398,8 @@ where
                 (end - start) * n as u64
             } else {
                 let cap = self.cfg.lead_cap(global).min(stop.unwrap_or(Cycle::MAX));
-                let uniform = self.k.pacer.window_end(global).min(cap);
-                let per_core = self.k.pacer.window_ends(&self.locals, &mut ends);
+                let uniform = self.k.pacer().window_end(global).min(cap);
+                let per_core = self.k.pacer_mut().window_ends(&self.locals, &mut ends);
                 let spans = self.lanes.iter_mut().flat_map(|l| l.spans.iter_mut());
                 let mut work = 0;
                 (global, furthest) = (Cycle::MAX, Cycle::ZERO);
@@ -467,12 +464,12 @@ where
                 for lane in &mut self.lanes {
                     lane.staged.iter_mut().for_each(Vec::clear);
                 }
-                self.k.restore_cores(
+                self.k.restore_models(
                     self.lanes
                         .iter_mut()
                         .flat_map(|l| l.cores.iter_mut().zip(l.inboxes.iter_mut())),
+                    self.uncore,
                 );
-                self.k.restore_uncore(self.uncore);
                 self.locals.fill(at);
                 (global, furthest) = (at, at);
                 self.committed = at_committed;
@@ -1030,7 +1027,10 @@ mod tests {
         let mut cfg = EngineConfig::new(Scheme::Quantum { quantum: 50 }, 20_000);
         cfg.speculation = Some(SpeculationConfig::checkpoint_only(700));
         let hook: SaveHook<ToyCore, ToyUncore> = Box::new(move |view| {
-            assert!(view.rng.is_none(), "the batched engine has no burst RNG");
+            assert!(
+                view.ledger.rng.is_none(),
+                "the batched engine has no burst RNG"
+            );
             sink.borrow_mut().push(view.global.as_u64());
             Some(1)
         });

@@ -3,12 +3,13 @@
 //! adaptive sampling; §5 checkpoint → rollback → cycle-by-cycle replay),
 //! shared by all three engines.
 //!
-//! A [`Kernel`] **owns** the manager-side restorable ledger (violation
-//! tallies, sampling cursor, bound trace, interval tracker, speculation
-//! statistics, Base/Replay mode, checkpoint trigger, pending-rollback flag,
-//! clock spread), the pacer, the standing checkpoint (the model base plus
-//! the ledger values a rollback restores) and every observer (trace
-//! handle, interned metric ids, live gauges, profiler, save hook). The
+//! A [`Kernel`] **owns** the manager's [`Ledger`] (violation tallies,
+//! sampling cursor, speculation statistics, interval tracker, pacer, bound
+//! trace, clock spread), its mode (Base/Replay, checkpoint trigger and
+//! stop point, pending-rollback flag), the standing checkpoint (the model
+//! base plus the ledger values a rollback restores) and every observer
+//! (trace handle, interned metric ids, live gauges, profiler, save hook).
+//! The
 //! engines are *drivers*: they decide which core ticks when and on which
 //! host thread, and call the kernel's verbs at the points where the
 //! manager acts —
@@ -27,7 +28,8 @@
 //!
 //! A driver may read the kernel's state through the accessors, record
 //! trace events for phases only it can see (`trace`), time its waits and
-//! report clock spread; it never writes the ledger.
+//! report clock spread; it writes the ledger only by asking the pacer for
+//! per-core windows (peer-to-peer pacing redraws its pairing as it goes).
 
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -36,30 +38,31 @@ use std::time::Instant;
 
 use crate::checkpoint::Checkpointable;
 use crate::engine::{
-    CheckpointView, CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook,
-    ServiceSink, UncoreModel,
+    CheckpointView, CoreModel, EngineConfig, FinishReason, Ledger, SaveHook, ServiceSink,
+    UncoreModel,
 };
 use crate::event::{CoreId, GlobalQueue, Inbox, Timestamped};
 use crate::obs::live::{LiveHandle, NO_BOUND};
 use crate::obs::{
     GaugeId, HistId, LiveStats, MetricsRegistry, ObsData, Phase, ProfHandle, ProfSite, Profiler,
-    QueueKind, TraceEvent, TraceHandle, Tracer,
+    TraceEvent, TraceHandle, Tracer,
 };
 use crate::rng::Xoshiro256;
 use crate::scheme::{PaceSample, Pacer};
-use crate::speculative::{IntervalTracker, SpeculationConfig, SpeculationStats};
+use crate::speculative::SpeculationConfig;
 use crate::stats::{Counters, SimReport};
 use crate::time::Cycle;
 use crate::violation::{ViolationKind, ViolationTally};
 
-/// A core's checkpointed state: the model plus its undelivered inbox events.
-type CoreSnapshot<C> = (C, Inbox<<C as CoreModel>::Event>);
-
 /// The last committed checkpoint. Always holds *full* model state: each
 /// checkpoint patches it forward with the models' capture deltas, and a
 /// rollback copies back only the units that diverged (`restore_from`).
+/// Of the ledger it keeps what a rollback restores; the monotone rest
+/// (detected violations, speculation statistics, tracker, bound trace,
+/// clock spread) lives only in the kernel's live ledger.
 struct Standing<C: CoreModel, U> {
-    cores: Vec<CoreSnapshot<C>>,
+    /// Each core's model and undelivered inbox events.
+    cores: Vec<(C, Inbox<C::Event>)>,
     /// Per-core model generation at the checkpoint: the baseline the next
     /// capture diffs against and the token a restore rewinds to.
     core_gens: Vec<u64>,
@@ -68,7 +71,7 @@ struct Standing<C: CoreModel, U> {
     global: Cycle,
     committed: u64,
     tally: ViolationTally,
-    pacer: Box<dyn Pacer>,
+    pacer: Pacer,
     next_sample: u64,
     last_sample_tally: ViolationTally,
 }
@@ -104,18 +107,6 @@ impl MetricIds {
     }
 }
 
-/// Model state handed back to the driver when a run resumes from a
-/// persisted snapshot (the ledger half of the snapshot stays in the
-/// kernel).
-pub(super) struct Resumed<C: CoreModel, U> {
-    pub(super) global: Cycle,
-    pub(super) cores: Vec<C>,
-    pub(super) inboxes: Vec<Inbox<C::Event>>,
-    pub(super) uncore: U,
-    pub(super) committed: u64,
-    pub(super) rng: Option<Xoshiro256>,
-}
-
 /// What a driver knows at the end of a run, for [`Kernel::finish`].
 pub(super) struct Finish<'a> {
     pub(super) global: Cycle,
@@ -137,20 +128,11 @@ pub(super) struct Kernel<C: CoreModel, U> {
     spec: Option<SpeculationConfig>,
     sample_period: u64,
     obs_on: bool,
-    /// The pacer, carrying any adaptive/peer state; drivers read windows
-    /// from it, the kernel feeds it samples and checkpoints it.
-    pub(super) pacer: Box<dyn Pacer>,
+    /// The live ledger. Its pacer is the one drivers read windows from;
+    /// the kernel feeds it samples and checkpoints it.
+    ledger: Ledger,
 
-    // --- Restorable ledger ---------------------------------------------
-    /// Violations surviving in the committed timeline (rolled back).
-    tally: ViolationTally,
-    /// Violations detected overall, including rolled-back work (monotone).
-    detected: ViolationTally,
-    next_sample: u64,
-    last_sample_tally: ViolationTally,
-    bound_trace: Vec<(Cycle, u64)>,
-    tracker: Option<IntervalTracker>,
-    spec_stats: SpeculationStats,
+    // --- Mode ----------------------------------------------------------
     /// True while replaying cycle-by-cycle after a rollback, until the
     /// next checkpoint commits (guarantees forward progress, paper §5.1).
     replaying: bool,
@@ -161,7 +143,6 @@ pub(super) struct Kernel<C: CoreModel, U> {
     /// rollback rewinds.
     stop_at: Option<Cycle>,
     pending_rollback: bool,
-    max_spread: u64,
     standing: Option<Standing<C, U>>,
 
     // --- Observers -----------------------------------------------------
@@ -186,25 +167,18 @@ where
     C: CoreModel + Checkpointable,
     U: UncoreModel<C::Event> + Checkpointable,
 {
-    /// Builds the manager for an `n`-core run, seeding the ledger from
-    /// `resume` when the run continues a persisted snapshot (the model
-    /// half comes back as [`Resumed`]).
+    /// Builds the manager for an `n`-core run that starts at global time
+    /// `start` with `committed` instructions committed: at cycle 0 with a
+    /// fresh ledger, or from a persisted snapshot with its ledger
+    /// (`resumed`).
     pub(super) fn new(
         cfg: &EngineConfig,
         n: usize,
         save_hook: Option<SaveHook<C, U>>,
-        resume: Option<EngineResume<C, U>>,
-    ) -> Result<(Self, Option<Resumed<C, U>>), EngineError> {
-        if let Some(res) = &resume {
-            if res.cores.len() != n {
-                return Err(EngineError::Resume(format!(
-                    "snapshot holds {} cores but the engine was built with {n}",
-                    res.cores.len()
-                )));
-            }
-        }
+        (start, committed): (Cycle, u64),
+        resumed: Option<Ledger>,
+    ) -> Self {
         let started = Instant::now();
-        let sample_period = cfg.effective_sample_period();
         let spec = cfg.speculation;
 
         // Observability: a disabled tracer/profiler keeps every record
@@ -223,43 +197,34 @@ where
         live_stats
             .commit_target
             .store(cfg.commit_target, Ordering::Relaxed);
-        if let Some(res) = &resume {
-            live_stats.committed.store(res.committed, Ordering::Relaxed);
-        }
+        live_stats.committed.store(committed, Ordering::Relaxed);
         let live_handle = cfg
             .live
             .as_ref()
             .filter(|l| l.has_sink())
             .map(|l| crate::obs::live::spawn(l.clone(), Arc::clone(&live_stats), prof.clone()));
 
+        let restored = resumed.is_some();
+        let ledger = resumed.unwrap_or_else(|| Ledger::new(cfg));
         let mut k = Kernel {
             n,
             spec,
-            sample_period,
+            sample_period: cfg.effective_sample_period(),
             obs_on: cfg.obs.is_some(),
-            pacer: cfg.scheme.clone().into_pacer(),
-            tally: ViolationTally::new(),
-            detected: ViolationTally::new(),
-            next_sample: sample_period,
-            last_sample_tally: ViolationTally::new(),
-            bound_trace: Vec::new(),
-            tracker: spec.map(|s| IntervalTracker::new(s.interval)),
-            spec_stats: SpeculationStats::default(),
             replaying: false,
             replay_start: Cycle::ZERO,
             // `u64::MAX` keeps every checkpoint site unreachable when
             // speculation is off.
-            next_cp_trigger: spec.map_or(u64::MAX, |s| s.interval),
+            next_cp_trigger: spec.map_or(u64::MAX, |s| start.as_u64() + s.interval),
             stop_at: None,
             pending_rollback: false,
-            max_spread: 0,
             standing: None,
             th: tracer.handle(),
             tracer,
             metrics,
             ids,
-            last_metrics_cycle: 0,
-            last_metrics_detected: 0,
+            last_metrics_cycle: start.as_u64(),
+            last_metrics_detected: ledger.detected.total(),
             ph: Rc::new(prof.handle()),
             prof,
             live_stats,
@@ -267,35 +232,12 @@ where
             save_hook,
             sink: ServiceSink::new(),
             started,
+            ledger,
         };
-
-        let resumed = resume.map(|res| {
-            k.pacer = res.pacer;
-            k.tally = res.tally;
-            k.detected = res.detected;
-            k.next_sample = res.next_sample;
-            k.last_sample_tally = res.last_sample_tally;
-            k.spec_stats = res.spec_stats;
-            if let Some(tr) = res.tracker {
-                k.tracker = Some(tr);
-            }
-            k.bound_trace = res.bound_trace;
-            k.max_spread = res.max_spread;
-            k.last_metrics_detected = k.detected.total();
-            k.last_metrics_cycle = res.global.as_u64();
-            k.next_cp_trigger = spec.map_or(u64::MAX, |s| res.global.as_u64() + s.interval);
-            k.th.record(res.global, TraceEvent::StateRestore { global: res.global });
-            let (cores, inboxes) = res.cores.into_iter().unzip();
-            Resumed {
-                global: res.global,
-                cores,
-                inboxes,
-                uncore: res.uncore,
-                committed: res.committed,
-                rng: res.rng,
-            }
-        });
-        Ok((k, resumed))
+        if restored {
+            k.th.record(start, TraceEvent::StateRestore { global: start });
+        }
+        k
     }
 
     // --- What a driver may read ------------------------------------------
@@ -311,6 +253,23 @@ where
         Rc::clone(&self.ph)
     }
 
+    /// The live ledger.
+    pub(super) fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    /// The pacer drivers read windows from.
+    #[inline]
+    pub(super) fn pacer(&self) -> &Pacer {
+        &self.ledger.pacer
+    }
+
+    /// The pacer, for per-core windows.
+    #[inline]
+    pub(super) fn pacer_mut(&mut self) -> &mut Pacer {
+        &mut self.ledger.pacer
+    }
+
     /// True when the run records a trace (`trace` is a no-op otherwise).
     pub(super) fn tracing(&self) -> bool {
         self.obs_on
@@ -324,7 +283,7 @@ where
     /// True when events must be serviced in sorted batches at window
     /// boundaries: barrier schemes, and every scheme during replay.
     pub(super) fn barrier(&self) -> bool {
-        self.replaying || self.pacer.barrier_service()
+        self.replaying || self.ledger.pacer.barrier_service()
     }
 
     /// True once a selected violation has been serviced in base mode.
@@ -361,7 +320,7 @@ where
     /// Reports an observed clock spread (max local − min local).
     #[inline]
     pub(super) fn note_spread(&mut self, spread: u64) {
-        self.max_spread = self.max_spread.max(spread);
+        self.ledger.max_spread = self.ledger.max_spread.max(spread);
     }
 
     // --- The manager's verbs ---------------------------------------------
@@ -383,10 +342,10 @@ where
         gq_len: u64,
     ) {
         // Interval accounting for Tables 3/4 follows the fixed grid.
-        if let Some(tr) = &mut self.tracker {
+        if let Some(tr) = &mut self.ledger.tracker {
             tr.close_intervals_up_to(global);
         }
-        if global.as_u64() >= self.next_sample {
+        if global.as_u64() >= self.ledger.next_sample {
             self.feed_pacer(global);
         }
         // Metrics sampling (observability cadence, independent of the
@@ -402,18 +361,19 @@ where
     /// Violation-rate sampling and adaptive feedback: hands the pacer one
     /// sample per sampling window that ended at or before `global`.
     fn feed_pacer(&mut self, global: Cycle) {
-        while global.as_u64() >= self.next_sample {
-            let at = Cycle::new(self.next_sample);
+        let l = &mut self.ledger;
+        while global.as_u64() >= l.next_sample {
+            let at = Cycle::new(l.next_sample);
             let sample = PaceSample {
                 global: at,
                 window_cycles: self.sample_period,
-                window_violations: self.tally.since(&self.last_sample_tally).total(),
+                window_violations: l.tally.since(&l.last_sample_tally).total(),
             };
-            let bound_before = self.pacer.current_bound();
-            self.pacer.on_sample(&sample);
-            self.last_sample_tally = self.tally;
-            if let Some(b) = self.pacer.current_bound() {
-                self.bound_trace.push((at, b));
+            let bound_before = l.pacer.current_bound();
+            l.pacer.on_sample(&sample);
+            l.last_sample_tally = l.tally;
+            if let Some(b) = l.pacer.current_bound() {
+                l.bound_trace.push((at, b));
                 if let Some(old) = bound_before.filter(|&old| old != b) {
                     self.th.record(
                         at,
@@ -425,7 +385,7 @@ where
                     );
                 }
             }
-            self.next_sample += self.sample_period;
+            l.next_sample += self.sample_period;
         }
     }
 
@@ -441,14 +401,14 @@ where
             self.th
                 .record(global, TraceEvent::LocalTimeSample { core, cycle: l });
         }
-        if let Some(b) = self.pacer.current_bound() {
+        if let Some(b) = self.ledger.pacer.current_bound() {
             metrics.gauge_by(ids.slack_bound, global, b as f64);
         }
         // Rate over the cycles actually elapsed since the previous sample:
         // a fixed divisor misstates the rate whenever the sampler fires
         // off-cadence, and an elapsed count of zero (e.g. the first
         // crossing after a resume) must not produce a NaN/inf gauge value.
-        let detected_total = self.detected.total();
+        let detected_total = self.ledger.detected.total();
         let elapsed = global.as_u64().saturating_sub(self.last_metrics_cycle);
         let rate = if elapsed == 0 {
             0.0
@@ -460,13 +420,8 @@ where
         metrics.gauge_by(ids.violation_rate, global, rate);
         metrics.gauge_by(ids.globalq_depth, global, gq_len as f64);
         metrics.histogram_by(ids.globalq_depth_h).record(gq_len);
-        self.th.record(
-            global,
-            TraceEvent::QueueDepth {
-                q: QueueKind::Global,
-                len: gq_len,
-            },
-        );
+        self.th
+            .record(global, TraceEvent::QueueDepth { len: gq_len });
         let dropped = self.tracer.dropped_so_far();
         metrics.gauge_by(ids.trace_dropped, global, dropped as f64);
     }
@@ -476,18 +431,19 @@ where
     /// and for the terminal beat, so the last heartbeat equals the report.
     fn publish_live(&self, global: Cycle, committed: u64, gq_len: u64) {
         let ls = &*self.live_stats;
-        let bound = self.pacer.current_bound().unwrap_or(NO_BOUND);
+        let l = &self.ledger;
+        let bound = l.pacer.current_bound().unwrap_or(NO_BOUND);
         ls.global.store(global.as_u64(), Ordering::Relaxed);
         ls.committed.store(committed, Ordering::Relaxed);
         ls.bound.store(bound, Ordering::Relaxed);
-        ls.violations.store(self.tally.total(), Ordering::Relaxed);
+        ls.violations.store(l.tally.total(), Ordering::Relaxed);
         ls.globalq_depth.store(gq_len, Ordering::Relaxed);
         ls.dropped_traces
             .store(self.tracer.dropped_so_far(), Ordering::Relaxed);
         ls.checkpoints
-            .store(self.spec_stats.checkpoints, Ordering::Relaxed);
+            .store(l.spec_stats.checkpoints, Ordering::Relaxed);
         ls.rollbacks
-            .store(self.spec_stats.rollbacks, Ordering::Relaxed);
+            .store(l.spec_stats.rollbacks, Ordering::Relaxed);
     }
 
     /// Services one event through the uncore: deliveries go back through
@@ -507,8 +463,8 @@ where
             deliver(to, out);
         }
         for v in self.sink.take_violations() {
-            self.tally.record(v.kind);
-            self.detected.record(v.kind);
+            self.ledger.tally.record(v.kind);
+            self.ledger.detected.record(v.kind);
             self.th.record(
                 v.ts,
                 TraceEvent::Violation {
@@ -518,7 +474,7 @@ where
                     high_water: v.high_water,
                 },
             );
-            if let Some(tr) = self.tracker.as_mut() {
+            if let Some(tr) = self.ledger.tracker.as_mut() {
                 tr.observe_violation(v.ts);
             }
             if !self.replaying && self.spec.is_some_and(|sc| sc.rollback_on.selects(v.kind)) {
@@ -581,50 +537,41 @@ where
             uncore_gen,
             global,
             committed,
-            tally: self.tally,
-            pacer: self.pacer.clone_box(),
-            next_sample: self.next_sample,
-            last_sample_tally: self.last_sample_tally,
+            tally: self.ledger.tally,
+            pacer: self.ledger.pacer.clone(),
+            next_sample: self.ledger.next_sample,
+            last_sample_tally: self.ledger.last_sample_tally,
         });
     }
 
-    /// Generation core `i` had at the standing checkpoint: the `since`
-    /// token for its next capture or restore.
-    fn core_gen(&self, i: usize) -> u64 {
-        self.standing().core_gens[i]
-    }
-
-    /// Patches core `i`'s base forward with a capture delta taken at
-    /// generation `gen`, and replaces its pending inbox (inboxes are tiny
-    /// at checkpoint boundaries; deltas do not pay to diff them).
-    fn absorb_core(&mut self, i: usize, delta: C::Delta, inbox: Inbox<C::Event>, gen: u64) {
-        let st = self.standing_mut();
-        st.cores[i].0.apply_delta(delta);
-        st.cores[i].1 = inbox;
-        st.core_gens[i] = gen;
-    }
-
     /// Captures every core, given in index order with its inbox, into the
-    /// standing base.
+    /// standing base: patches each base forward with a capture delta
+    /// against the generation it had there, and replaces its pending inbox
+    /// (inboxes are tiny at checkpoint boundaries; deltas do not pay to
+    /// diff them).
     pub(super) fn capture_cores<'a>(
         &mut self,
         cores: impl Iterator<Item = (&'a mut C, &'a Inbox<C::Event>)>,
     ) {
-        let ph = Rc::clone(&self.ph);
-        let _span = ph.enter(ProfSite::CheckpointCapture);
-        for (i, (c, inbox)) in cores.enumerate() {
-            let d = c.capture_delta(self.core_gen(i));
-            let gen = c.generation();
-            let _apply = ph.enter(ProfSite::CheckpointApply);
-            self.absorb_core(i, d, inbox.clone(), gen);
+        let _span = self.ph.enter(ProfSite::CheckpointCapture);
+        let st = self.standing.as_mut().expect("speculation enabled");
+        for ((c, inbox), ((base, base_inbox), gen)) in
+            cores.zip(st.cores.iter_mut().zip(&mut st.core_gens))
+        {
+            let d = c.capture_delta(*gen);
+            *gen = c.generation();
+            let _apply = self.ph.enter(ProfSite::CheckpointApply);
+            base.apply_delta(d);
+            base_inbox.clone_from(inbox);
         }
     }
 
     /// Commits a checkpoint at `at`, where every core stands with all
     /// queues empty and the cores' captures have been absorbed: ends a
     /// replay, counts and traces the checkpoint, compacts settled
-    /// monitors, captures the uncore and the ledger into the standing
-    /// checkpoint, fires the save hook and arms the next trigger.
+    /// monitors, captures the uncore and the ledger (with the sequential
+    /// driver's `rng`) into the standing checkpoint, fires the save hook
+    /// and arms the next trigger.
     pub(super) fn commit_checkpoint(
         &mut self,
         at: Cycle,
@@ -634,19 +581,20 @@ where
     ) {
         if self.replaying {
             let replayed = at.saturating_sub(self.replay_start);
-            self.spec_stats.replay_cycles += replayed;
+            self.ledger.spec_stats.replay_cycles += replayed;
             self.replaying = false;
             self.th.record(
                 at,
                 TraceEvent::ReplayEnd {
-                    ordinal: self.spec_stats.rollbacks,
+                    ordinal: self.ledger.spec_stats.rollbacks,
                     replay_cycles: replayed,
                 },
             );
             self.trace_replay_phase(at, false);
         }
-        self.spec_stats.checkpoints += 1;
-        let ordinal = self.spec_stats.checkpoints;
+        self.ledger.spec_stats.checkpoints += 1;
+        self.ledger.rng = rng.cloned();
+        let ordinal = self.ledger.spec_stats.checkpoints;
         let trigger = self.next_cp_trigger;
         self.th.record(
             Cycle::new(trigger.min(at.as_u64())),
@@ -669,10 +617,10 @@ where
             st.uncore_gen = uncore.generation();
             st.global = at;
             st.committed = committed;
-            st.tally = self.tally;
-            st.pacer = self.pacer.clone_box();
-            st.next_sample = self.next_sample;
-            st.last_sample_tally = self.last_sample_tally;
+            st.tally = self.ledger.tally;
+            st.pacer = self.ledger.pacer.clone();
+            st.next_sample = self.ledger.next_sample;
+            st.last_sample_tally = self.ledger.last_sample_tally;
         }
         if let Some(hook) = self.save_hook.as_mut() {
             let _span = ph.enter(ProfSite::PersistIo);
@@ -680,19 +628,10 @@ where
             let view = CheckpointView {
                 ordinal,
                 global: at,
-                cores: st.cores.iter().map(|(c, ib)| (c, ib)).collect(),
-                uncore: &st.uncore,
                 committed,
-                tally: self.tally,
-                detected: self.detected,
-                next_sample: self.next_sample,
-                last_sample_tally: self.last_sample_tally,
-                spec_stats: self.spec_stats,
-                tracker: self.tracker.as_ref(),
-                pacer: &*self.pacer,
-                rng,
-                bound_trace: &self.bound_trace,
-                max_spread: self.max_spread,
+                cores: &st.cores,
+                uncore: &st.uncore,
+                ledger: &self.ledger,
             };
             let bytes = hook(&view).unwrap_or(0);
             self.th
@@ -716,22 +655,23 @@ where
             .as_ref()
             .expect("rollback requires a snapshot");
         let (global, committed) = (st.global, st.committed);
-        self.spec_stats.rollbacks += 1;
+        let l = &mut self.ledger;
+        l.spec_stats.rollbacks += 1;
         let wasted = now.saturating_sub(global);
-        self.spec_stats.wasted_cycles += wasted;
+        l.spec_stats.wasted_cycles += wasted;
         // Recorded at the rollback instant: the exporter renders the
         // discarded region as the span [now - wasted, now).
         self.th.record(
             now,
             TraceEvent::Rollback {
-                ordinal: self.spec_stats.rollbacks,
+                ordinal: l.spec_stats.rollbacks,
                 wasted_cycles: wasted,
             },
         );
-        self.tally = st.tally;
-        self.pacer = st.pacer.clone_box();
-        self.next_sample = st.next_sample;
-        self.last_sample_tally = st.last_sample_tally;
+        l.tally = st.tally;
+        l.pacer = st.pacer.clone();
+        l.next_sample = st.next_sample;
+        l.last_sample_tally = st.last_sample_tally;
         self.replaying = true;
         self.replay_start = global;
         self.trace_replay_phase(global, true);
@@ -755,46 +695,22 @@ where
         }
     }
 
-    /// Rewinds the live uncore onto the standing checkpoint, copying back
-    /// only the units that diverged since.
-    pub(super) fn restore_uncore(&self, uncore: &mut U) {
-        let st = self.standing();
-        uncore.restore_from(&st.uncore, st.uncore_gen);
-    }
-
-    /// Rewinds every core, given in index order with its inbox, onto the
-    /// standing checkpoint, copying back only the units that diverged.
-    pub(super) fn restore_cores<'a>(
+    /// Rewinds every core, given in index order with its inbox, and the
+    /// uncore onto the standing checkpoint, copying back only the units
+    /// that diverged since.
+    pub(super) fn restore_models<'a>(
         &self,
         cores: impl Iterator<Item = (&'a mut C, &'a mut Inbox<C::Event>)>,
+        uncore: &mut U,
     ) {
-        let st = self.standing();
+        let st = self.standing.as_ref().expect("speculation enabled");
         for ((core, inbox), ((base, base_inbox), &gen)) in
             cores.zip(st.cores.iter().zip(&st.core_gens))
         {
             core.restore_from(base, gen);
             inbox.clone_from(base_inbox);
         }
-    }
-
-    /// Rewinds live cores, their inboxes and the uncore onto the standing
-    /// checkpoint.
-    pub(super) fn restore_models(
-        &self,
-        cores: &mut [C],
-        inboxes: &mut [Inbox<C::Event>],
-        uncore: &mut U,
-    ) {
-        self.restore_cores(cores.iter_mut().zip(inboxes.iter_mut()));
-        self.restore_uncore(uncore);
-    }
-
-    fn standing(&self) -> &Standing<C, U> {
-        self.standing.as_ref().expect("speculation enabled")
-    }
-
-    fn standing_mut(&mut self) -> &mut Standing<C, U> {
-        self.standing.as_mut().expect("speculation enabled")
+        uncore.restore_from(&st.uncore, st.uncore_gen);
     }
 
     // --- Report ------------------------------------------------------------
@@ -811,7 +727,7 @@ where
             let _span = self.ph.enter(ProfSite::PersistIo);
             drop(hook);
         }
-        if let Some(tr) = &mut self.tracker {
+        if let Some(tr) = &mut self.ledger.tracker {
             tr.close_intervals_up_to(global);
         }
 
@@ -824,25 +740,26 @@ where
             self.sample_metrics(global, f.locals, f.gq_len);
         }
 
+        let l = &self.ledger;
         let mut kernel = Counters::new();
-        kernel.set("checkpoints", self.spec_stats.checkpoints);
-        kernel.set("rollbacks", self.spec_stats.rollbacks);
-        kernel.set("wasted_cycles", self.spec_stats.wasted_cycles);
-        kernel.set("replay_cycles", self.spec_stats.replay_cycles);
-        kernel.set("violations_detected_total", self.detected.total());
+        kernel.set("checkpoints", l.spec_stats.checkpoints);
+        kernel.set("rollbacks", l.spec_stats.rollbacks);
+        kernel.set("wasted_cycles", l.spec_stats.wasted_cycles);
+        kernel.set("replay_cycles", l.spec_stats.replay_cycles);
+        kernel.set("violations_detected_total", l.detected.total());
         for (name, kind) in [
             ("violations_detected_bus", ViolationKind::Bus),
             ("violations_detected_map", ViolationKind::Map),
             ("violations_detected_directory", ViolationKind::Directory),
         ] {
-            kernel.set(name, self.detected.count(kind));
+            kernel.set(name, l.detected.count(kind));
         }
         kernel.set(
             "finish_commit_target",
             u64::from(f.reason == FinishReason::CommitTarget),
         );
-        kernel.set("max_clock_spread", self.max_spread);
-        if let Some(tr) = &self.tracker {
+        kernel.set("max_clock_spread", l.max_spread);
+        if let Some(tr) = &l.tracker {
             kernel.set("intervals_total", tr.intervals_total());
             kernel.set("intervals_violating", tr.intervals_violating());
             // Fixed-point (x1000) so the f64 statistics survive the counter
@@ -874,12 +791,12 @@ where
         SimReport {
             global_cycles: global.as_u64(),
             committed: f.committed,
-            violations: self.tally,
+            violations: self.ledger.tally,
             wall,
             per_core: f.per_core,
             uncore: f.uncore,
             kernel,
-            bound_trace: self.bound_trace,
+            bound_trace: self.ledger.bound_trace,
             obs,
             prof: self
                 .prof

@@ -46,6 +46,7 @@ pub type ThreadedEngine<C, U> = BatchedEngine<C, U>;
 use std::fmt;
 
 use crate::event::{CoreId, Inbox, Timestamped};
+use crate::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use crate::rng::Xoshiro256;
 use crate::scheme::{Pacer, Scheme};
 use crate::speculative::{IntervalTracker, SpeculationConfig, SpeculationStats};
@@ -405,27 +406,14 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// A borrowed view of one committed checkpoint, handed to the engine's
-/// save hook (see [`SequentialEngine::with_save_hook`] and
-/// [`BatchedEngine::with_save_hook`]) right after the checkpoint commits.
-///
-/// The view exposes exactly the state a durable snapshot needs: the full
-/// model state (cores, pending inboxes, uncore) plus the engine-side
-/// bookkeeping that must survive a process restart. At a committed
-/// checkpoint every core's local clock equals `global` and the manager's
-/// global queue is empty, so the inboxes are the only in-flight events.
-pub struct CheckpointView<'a, C: CoreModel, U> {
-    /// 1-based checkpoint ordinal (total checkpoints taken so far).
-    pub ordinal: u64,
-    /// Global cycle the checkpoint was committed at.
-    pub global: Cycle,
-    /// Per-core model state and pending (undelivered) events.
-    pub cores: Vec<(&'a C, &'a Inbox<C::Event>)>,
-    /// The shared uncore state.
-    pub uncore: &'a U,
-    /// Aggregate committed instructions at the checkpoint.
-    pub committed: u64,
-    /// Violations surviving in the committed timeline.
+/// The manager's ledger: the bookkeeping a checkpoint saves beside the
+/// models and a durable resume restores — the paper's `fork()` copies it
+/// with them. The kernel keeps the live one; [`CheckpointView`] lends it
+/// to the save hook and [`EngineResume`] hands a persisted one back. The
+/// fields are in the order [`save`](Ledger::save) writes them.
+#[derive(Debug, Clone)]
+pub struct Ledger {
+    /// Violations surviving in the committed timeline (rolled back).
     pub tally: ViolationTally,
     /// Violations detected overall, including rolled-back work.
     pub detected: ViolationTally,
@@ -436,16 +424,122 @@ pub struct CheckpointView<'a, C: CoreModel, U> {
     /// Speculation activity so far (checkpoints, rollbacks, …).
     pub spec_stats: SpeculationStats,
     /// Interval statistics (Tables 3/4), when speculation is on.
-    pub tracker: Option<&'a IntervalTracker>,
+    pub tracker: Option<IntervalTracker>,
     /// The pacer, carrying any adaptive/peer state.
-    pub pacer: &'a dyn Pacer,
-    /// The sequential engine's burst-scheduler RNG (`None` on the window
-    /// loop, whose draws are stateless).
-    pub rng: Option<&'a Xoshiro256>,
+    pub pacer: Pacer,
+    /// The sequential engine's burst-scheduler RNG as of the last
+    /// checkpoint (`None` on the window loop, whose draws are stateless).
+    pub rng: Option<Xoshiro256>,
     /// Adaptive bound trace accumulated so far.
-    pub bound_trace: &'a [(Cycle, u64)],
-    /// Largest clock spread observed so far (kernel counter).
+    pub bound_trace: Vec<(Cycle, u64)>,
+    /// Largest clock spread observed so far.
     pub max_spread: u64,
+}
+
+impl Ledger {
+    /// The ledger of a run that starts at cycle 0.
+    pub fn new(cfg: &EngineConfig) -> Self {
+        Ledger {
+            tally: ViolationTally::new(),
+            detected: ViolationTally::new(),
+            next_sample: cfg.effective_sample_period(),
+            last_sample_tally: ViolationTally::new(),
+            spec_stats: SpeculationStats::default(),
+            tracker: cfg.speculation.map(|s| IntervalTracker::new(s.interval)),
+            pacer: cfg.scheme.clone().into_pacer(),
+            rng: None,
+            bound_trace: Vec::new(),
+            max_spread: 0,
+        }
+    }
+
+    /// Appends the ledger's bytes to a snapshot payload.
+    pub fn save(&self, w: &mut ByteWriter) {
+        self.tally.save(w);
+        self.detected.save(w);
+        w.u64(self.next_sample);
+        self.last_sample_tally.save(w);
+        self.spec_stats.save(w);
+        match &self.tracker {
+            Some(tr) => {
+                w.bool(true);
+                tr.save_state(w);
+            }
+            None => w.bool(false),
+        }
+        self.pacer.save_state(w);
+        self.rng.save(w);
+        self.bound_trace.save(w);
+        w.u64(self.max_spread);
+    }
+
+    /// Reads a ledger written by [`save`](Ledger::save) for a run under
+    /// `scheme`, with checkpoints every `spec_interval` cycles (`None`:
+    /// speculation off). The tracker is there exactly when speculation is.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError`] when the bytes are short or do not describe a
+    /// ledger of that run.
+    pub fn load(
+        r: &mut ByteReader<'_>,
+        scheme: &Scheme,
+        spec_interval: Option<u64>,
+    ) -> Result<Self, PersistError> {
+        // A struct expression evaluates its fields in the order written.
+        Ok(Ledger {
+            tally: Persist::load(r)?,
+            detected: Persist::load(r)?,
+            next_sample: r.u64()?,
+            last_sample_tally: Persist::load(r)?,
+            spec_stats: Persist::load(r)?,
+            tracker: match (r.bool()?, spec_interval) {
+                (true, Some(interval)) => {
+                    let mut tr = IntervalTracker::new(interval);
+                    tr.load_state(r)?;
+                    Some(tr)
+                }
+                (false, None) => None,
+                _ => {
+                    return Err(PersistError::Corrupt(
+                        "snapshot's interval tracker does not match the speculation setting",
+                    ))
+                }
+            },
+            pacer: {
+                let mut pacer = scheme.clone().into_pacer();
+                pacer.load_state(r)?;
+                pacer
+            },
+            rng: Persist::load(r)?,
+            bound_trace: Persist::load(r)?,
+            max_spread: r.u64()?,
+        })
+    }
+}
+
+/// A borrowed view of one committed checkpoint, handed to the engine's
+/// save hook (see [`SequentialEngine::with_save_hook`] and
+/// [`BatchedEngine::with_save_hook`]) right after the checkpoint commits.
+///
+/// The view exposes exactly the state a durable snapshot needs: the full
+/// model state (cores, pending inboxes, uncore) plus the manager's
+/// [`Ledger`]. At a committed checkpoint every core's local clock equals
+/// `global` and the manager's global queue is empty, so the inboxes are
+/// the only in-flight events.
+pub struct CheckpointView<'a, C: CoreModel, U> {
+    /// 1-based checkpoint ordinal (total checkpoints taken so far).
+    pub ordinal: u64,
+    /// Global cycle the checkpoint was committed at.
+    pub global: Cycle,
+    /// Aggregate committed instructions at the checkpoint.
+    pub committed: u64,
+    /// Per-core model state and pending (undelivered) events.
+    pub cores: &'a [(C, Inbox<C::Event>)],
+    /// The shared uncore state.
+    pub uncore: &'a U,
+    /// The manager's ledger at the checkpoint.
+    pub ledger: &'a Ledger,
 }
 
 /// Called at every committed checkpoint with a [`CheckpointView`]; returns
@@ -464,32 +558,28 @@ pub type SaveHook<C, U> = Box<dyn FnMut(&CheckpointView<'_, C, U>) -> Option<u64
 pub struct EngineResume<C: CoreModel, U> {
     /// Global cycle to resume from.
     pub global: Cycle,
+    /// Aggregate committed instructions at the snapshot.
+    pub committed: u64,
     /// Per-core model state and pending events.
     pub cores: Vec<(C, Inbox<C::Event>)>,
     /// The shared uncore state.
     pub uncore: U,
-    /// Pacer rebuilt from the run's scheme with its dynamic state restored.
-    pub pacer: Box<dyn Pacer>,
-    /// Aggregate committed instructions at the snapshot.
-    pub committed: u64,
-    /// Violations surviving in the committed timeline.
-    pub tally: ViolationTally,
-    /// Violations detected overall, including rolled-back work.
-    pub detected: ViolationTally,
-    /// Next sampling point in global cycles.
-    pub next_sample: u64,
-    /// Tally snapshot at the start of the current sampling window.
-    pub last_sample_tally: ViolationTally,
-    /// Speculation activity up to the snapshot.
-    pub spec_stats: SpeculationStats,
-    /// Interval statistics, when the snapshot was taken with speculation.
-    pub tracker: Option<IntervalTracker>,
-    /// Burst-scheduler RNG state (sequential-engine snapshots only).
-    pub rng: Option<Xoshiro256>,
-    /// Adaptive bound trace up to the snapshot.
-    pub bound_trace: Vec<(Cycle, u64)>,
-    /// Largest clock spread observed up to the snapshot.
-    pub max_spread: u64,
+    /// The manager's ledger at the snapshot, its pacer rebuilt from the
+    /// run's scheme with its dynamic state restored.
+    pub ledger: Ledger,
+}
+
+impl<C: CoreModel, U> EngineResume<C, U> {
+    /// Refuses a snapshot of another core count than the engine's `n`.
+    pub(super) fn check_cores(&self, n: usize) -> Result<(), EngineError> {
+        if self.cores.len() == n {
+            return Ok(());
+        }
+        Err(EngineError::Resume(format!(
+            "snapshot holds {} cores but the engine was built with {n}",
+            self.cores.len()
+        )))
+    }
 }
 
 #[cfg(test)]

@@ -101,30 +101,24 @@ where
         if n == 0 {
             return Err(EngineError::NoCores);
         }
-        // The whole run is one thread, so the profile's coverage
-        // denominator is wall * 1.
-        let (mut k, resumed) = Kernel::new(&cfg, n, save_hook, resume)?;
-        let ph = k.prof_handle();
-
-        let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
-        let mut gq: GlobalQueue<C::Event> = GlobalQueue::new();
-        let mut outbox: Vec<Timestamped<C::Event>> = Vec::new();
-        let mut rng = Xoshiro256::new(cfg.seed);
-        let mut committed: u64 = 0;
         // Resume: replace the freshly-built state wholesale with the
         // persisted snapshot before the checkpoint base is taken, so
         // rollback and delta capture both measure from restored state.
-        let mut start_global = Cycle::ZERO;
-        if let Some(res) = resumed {
-            start_global = res.global;
-            cores = res.cores;
-            inboxes = res.inboxes;
-            uncore = res.uncore;
-            committed = res.committed;
-            if let Some(r) = res.rng {
-                rng = r;
-            }
+        let mut inboxes: Vec<Inbox<C::Event>> = (0..n).map(|_| Inbox::new()).collect();
+        let (mut start_global, mut committed, mut ledger) = (Cycle::ZERO, 0, None);
+        if let Some(res) = resume {
+            res.check_cores(n)?;
+            (start_global, committed) = (res.global, res.committed);
+            (cores, inboxes) = res.cores.into_iter().unzip();
+            (uncore, ledger) = (res.uncore, Some(res.ledger));
         }
+        let mut k = Kernel::new(&cfg, n, save_hook, (start_global, committed), ledger);
+        // The whole run is one thread, so the profile's coverage
+        // denominator is wall * 1.
+        let ph = k.prof_handle();
+        let mut gq: GlobalQueue<C::Event> = GlobalQueue::new();
+        let mut outbox: Vec<Timestamped<C::Event>> = Vec::new();
+        let mut rng = k.ledger().rng.clone().unwrap_or(Xoshiro256::new(cfg.seed));
         let mut sched = BurstSched::new(n, start_global);
         k.seed_base(&mut cores, &inboxes, &mut uncore, start_global, committed);
 
@@ -134,7 +128,7 @@ where
         // Barrier schemes hold the window fixed until every core reaches it
         // and the batch is serviced; greedy schemes slide it with global
         // time every iteration.
-        let mut window_end = k.pacer.window_end(start_global);
+        let mut window_end = k.pacer().window_end(start_global);
         let finish_reason;
 
         // The sequential engine has no out-queues to drain; the manager
@@ -161,7 +155,7 @@ where
                 // the standing checkpoint and replay cycle by cycle.
                 let _span = ph.enter(ProfSite::CheckpointRestore);
                 let (at, at_committed) = k.rollback_ledger(sched.global());
-                k.restore_models(&mut cores, &mut inboxes, &mut uncore);
+                k.restore_models(cores.iter_mut().zip(inboxes.iter_mut()), &mut uncore);
                 gq.clear();
                 sched.reset(at);
                 committed = at_committed;
@@ -211,8 +205,8 @@ where
             // at the boundary has been serviced.
             let mut per_core = false;
             if !barrier {
-                window_end = k.pacer.window_end(global).min(cfg.lead_cap(global));
-                per_core = k.pacer.window_ends(sched.locals(), &mut ends);
+                window_end = k.pacer().window_end(global).min(cfg.lead_cap(global));
+                per_core = k.pacer_mut().window_ends(sched.locals(), &mut ends);
             }
             let cap = cfg.lead_cap(global);
             let win = stop_at.map_or(window_end, |s| window_end.min(s));
@@ -241,7 +235,7 @@ where
                     if !k.rollback_pending() {
                         k.capture_cores(cores.iter_mut().zip(&inboxes));
                         k.commit_checkpoint(s, committed, &mut uncore, Some(&rng));
-                        window_end = k.pacer.window_end(s);
+                        window_end = k.pacer().window_end(s);
                     }
                     continue;
                 }
@@ -259,7 +253,7 @@ where
                     window_end = if k.replaying() {
                         win + 1
                     } else {
-                        k.pacer.window_end(win)
+                        k.pacer().window_end(win)
                     };
                     continue;
                 }

@@ -225,8 +225,8 @@ pub fn chrome_trace_json_with_prof(obs: &ObsData, prof: Option<&ProfData>) -> St
                     &args,
                 );
             }
-            TraceEvent::QueueDepth { q, len } => {
-                w.counter(q.label(), ts, "len", &format!("{len}"));
+            TraceEvent::QueueDepth { len } => {
+                w.counter("globalq", ts, "len", &format!("{len}"));
             }
             TraceEvent::LocalTimeSample { core, cycle } => {
                 let drift = cycle.as_u64().saturating_sub(ts);
@@ -461,6 +461,7 @@ mod tests {
                         replay_cycles: 100,
                     },
                 ),
+                rec(260, TraceEvent::QueueDepth { len: 3 }),
             ],
             dropped: 0,
             metrics,
@@ -488,6 +489,7 @@ mod tests {
         assert!(names.contains(&"checkpoint"));
         assert!(names.contains(&"rollback"));
         assert!(names.contains(&"cc_replay"));
+        assert!(names.contains(&"globalq"), "the queue-depth counter track");
     }
 
     #[test]

@@ -120,10 +120,6 @@ pub struct LiveStats {
     pub bound: AtomicU64,
     /// Violations surviving in the committed timeline so far.
     pub violations: AtomicU64,
-    /// Events queued core→manager (sum over cores' OutQs).
-    pub outq_depth: AtomicU64,
-    /// Events queued manager→core (sum over cores' InQs).
-    pub inq_depth: AtomicU64,
     /// Events in the manager's global arrival-ordered queue.
     pub globalq_depth: AtomicU64,
     /// Trace records dropped to ring overflow so far.
@@ -337,9 +333,7 @@ fn render_heartbeat(
     write_f64(buf, violation_rate);
     let _ = write!(
         buf,
-        r#","queues":{{"outq":{},"inq":{},"globalq":{}}},"dropped_traces":{},"checkpoints":{},"rollbacks":{}"#,
-        stats.outq_depth.load(Ordering::Relaxed),
-        stats.inq_depth.load(Ordering::Relaxed),
+        r#","queues":{{"outq":0,"inq":0,"globalq":{}}},"dropped_traces":{},"checkpoints":{},"rollbacks":{}"#,
         stats.globalq_depth.load(Ordering::Relaxed),
         stats.dropped_traces.load(Ordering::Relaxed),
         stats.checkpoints.load(Ordering::Relaxed),
@@ -499,7 +493,6 @@ mod tests {
     #[test]
     fn queues_hold_exactly_the_three_depths() {
         let stats = Arc::new(LiveStats::new());
-        stats.outq_depth.store(5, Ordering::Relaxed);
         stats.globalq_depth.store(7, Ordering::Relaxed);
         let prof = Profiler::disabled();
         let mut buf = String::new();
@@ -517,7 +510,7 @@ mod tests {
             .iter()
             .map(|(k, d)| (k.as_str(), d.as_f64().unwrap()))
             .collect();
-        assert_eq!(depths, [("globalq", 7.0), ("inq", 0.0), ("outq", 5.0)]);
+        assert_eq!(depths, [("globalq", 7.0), ("inq", 0.0), ("outq", 0.0)]);
     }
 
     #[test]

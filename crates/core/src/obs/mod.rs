@@ -37,7 +37,7 @@ pub use export::{chrome_trace_json, escape_json, metrics_csv, prof_csv, prof_tab
 pub use live::{LiveConfig, LiveStats, HEARTBEAT_VERSION};
 pub use metrics::{GaugeId, HistId, Histogram, MetricsRegistry, SeriesPoint};
 pub use prof::{ProfData, ProfHandle, ProfScope, ProfSite, Profiler};
-pub use trace::{Phase, QueueKind, TraceEvent, TraceHandle, TraceRecord, Tracer};
+pub use trace::{Phase, TraceEvent, TraceHandle, TraceRecord, Tracer};
 
 /// Configuration for a run's observability instrumentation.
 ///

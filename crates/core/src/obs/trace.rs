@@ -42,22 +42,6 @@ impl Phase {
     }
 }
 
-/// Which queue a [`TraceEvent::QueueDepth`] sample refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The manager's global arrival-ordered queue.
-    Global,
-}
-
-impl QueueKind {
-    /// Stable label used as the counter-track name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueKind::Global => "globalq",
-        }
-    }
-}
-
 /// One typed observation. Every variant is `Copy`-cheap; the recorder adds
 /// the timestamp separately (see [`TraceRecord`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,10 +99,9 @@ pub enum TraceEvent {
         /// scheme before speculation resumed.
         replay_cycles: u64,
     },
-    /// Instantaneous depth of one event queue.
+    /// Instantaneous depth of the manager's global arrival-ordered queue
+    /// (the `globalq` counter track).
     QueueDepth {
-        /// Which queue.
-        q: QueueKind,
         /// Elements queued at the sample instant.
         len: u64,
     },
@@ -404,10 +387,5 @@ mod tests {
         let (records, dropped) = tracer.drain();
         assert_eq!(records.len(), 400);
         assert_eq!(dropped, 0);
-    }
-
-    #[test]
-    fn queue_labels_are_stable() {
-        assert_eq!(QueueKind::Global.label(), "globalq");
     }
 }

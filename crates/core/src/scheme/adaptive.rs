@@ -17,7 +17,7 @@
 //! proportional to the target.
 
 use crate::persist::{ByteReader, ByteWriter, Persist, PersistError};
-use crate::scheme::{PaceSample, Pacer};
+use crate::scheme::PaceSample;
 use crate::time::Cycle;
 
 /// How the bound moves when an adjustment is warranted.
@@ -133,7 +133,7 @@ impl Default for AdaptiveConfig {
 /// # Examples
 ///
 /// ```
-/// use slacksim_core::scheme::{AdaptiveConfig, AdaptiveController, PaceSample, Pacer};
+/// use slacksim_core::scheme::{AdaptiveConfig, AdaptiveController, PaceSample};
 /// use slacksim_core::time::Cycle;
 ///
 /// let mut ctl = AdaptiveController::new(AdaptiveConfig::default());
@@ -182,11 +182,6 @@ impl AdaptiveController {
             samples: 0,
             trace: Vec::new(),
         }
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
     }
 
     /// The internal fractional bound (the published bound is its floor).
@@ -239,20 +234,18 @@ impl AdaptiveController {
         self.bound = next;
     }
 
-    fn integer_bound(&self) -> u64 {
+    /// The published slack bound: the fractional bound's floor, within
+    /// `[min_bound, max_bound]`.
+    pub fn bound(&self) -> u64 {
         if self.bound < self.cfg.min_bound as f64 {
             return self.cfg.min_bound;
         }
         (self.bound.floor() as u64).clamp(self.cfg.min_bound, self.cfg.max_bound)
     }
-}
 
-impl Pacer for AdaptiveController {
-    fn window_end(&self, global: Cycle) -> Cycle {
-        global.saturating_add(self.integer_bound())
-    }
-
-    fn on_sample(&mut self, sample: &PaceSample) {
+    /// Feedback: moves the bound by the configured rule for one sampling
+    /// window's violation rate, and records the result in the trace.
+    pub fn on_sample(&mut self, sample: &PaceSample) {
         self.samples += 1;
         let rate = sample.rate();
         let target = self.cfg.target_rate;
@@ -279,22 +272,10 @@ impl Pacer for AdaptiveController {
             };
             self.apply(delta);
         }
-        self.trace.push((sample.global, self.integer_bound()));
+        self.trace.push((sample.global, self.bound()));
     }
 
-    fn current_bound(&self) -> Option<u64> {
-        Some(self.integer_bound())
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "adaptive-slack"
-    }
-
-    fn clone_box(&self) -> Box<dyn Pacer> {
-        Box::new(self.clone())
-    }
-
-    fn save_state(&self, w: &mut ByteWriter) {
+    pub(super) fn save_state(&self, w: &mut ByteWriter) {
         w.f64(self.bound);
         w.u64(self.adjustments_up);
         w.u64(self.adjustments_down);
@@ -302,7 +283,7 @@ impl Pacer for AdaptiveController {
         self.trace.save(w);
     }
 
-    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
+    pub(super) fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
         self.bound = r.f64()?;
         if !self.bound.is_finite() {
             return Err(PersistError::Corrupt("non-finite adaptive bound"));
@@ -343,7 +324,7 @@ mod tests {
     fn quiet_windows_widen_the_bound() {
         let mut c = controller(1e-4, 0.0, StepPolicy::Additive { up: 4.0, down: 4.0 });
         c.on_sample(&sample(1000, 0));
-        assert_eq!(c.current_bound(), Some(20));
+        assert_eq!(c.bound(), 20);
         assert_eq!(c.adjustments_up(), 1);
         assert_eq!(c.adjustments_down(), 0);
     }
@@ -352,7 +333,7 @@ mod tests {
     fn noisy_windows_throttle_the_bound() {
         let mut c = controller(1e-4, 0.0, StepPolicy::Additive { up: 4.0, down: 4.0 });
         c.on_sample(&sample(1000, 100));
-        assert_eq!(c.current_bound(), Some(12));
+        assert_eq!(c.bound(), 12);
         assert_eq!(c.adjustments_down(), 1);
     }
 
@@ -363,22 +344,22 @@ mod tests {
         c.on_sample(&sample(1000, 100)); // rate exactly on target
         c.on_sample(&sample(1000, 104)); // inside band
         c.on_sample(&sample(1000, 96)); // inside band
-        assert_eq!(c.current_bound(), Some(16));
+        assert_eq!(c.bound(), 16);
         assert_eq!(c.adjustments_up() + c.adjustments_down(), 0);
         c.on_sample(&sample(1000, 110)); // above band
-        assert_eq!(c.current_bound(), Some(12));
+        assert_eq!(c.bound(), 12);
     }
 
     #[test]
     fn zero_band_reacts_to_any_deviation() {
         let mut c = controller(0.1, 0.0, StepPolicy::Additive { up: 1.0, down: 1.0 });
         c.on_sample(&sample(1000, 101));
-        assert_eq!(c.current_bound(), Some(15));
+        assert_eq!(c.bound(), 15);
         c.on_sample(&sample(1000, 99));
-        assert_eq!(c.current_bound(), Some(16));
+        assert_eq!(c.bound(), 16);
         // Exactly on target: no adjustment even with zero band.
         c.on_sample(&sample(1000, 100));
-        assert_eq!(c.current_bound(), Some(16));
+        assert_eq!(c.bound(), 16);
     }
 
     #[test]
@@ -387,20 +368,20 @@ mod tests {
         for _ in 0..64 {
             c.on_sample(&sample(1000, 1000)); // violent throttling
         }
-        assert_eq!(c.current_bound(), Some(1));
+        assert_eq!(c.bound(), 1);
         for _ in 0..64 {
             c.on_sample(&sample(1_000_000_000, 0)); // violent widening
         }
-        assert_eq!(c.current_bound(), Some(256));
+        assert_eq!(c.bound(), 256);
     }
 
     #[test]
     fn aimd_halves_on_throttle() {
         let mut c = controller(1e-4, 0.0, StepPolicy::Aimd { up: 4.0 });
         c.on_sample(&sample(1000, 50));
-        assert_eq!(c.current_bound(), Some(8));
+        assert_eq!(c.bound(), 8);
         c.on_sample(&sample(1000, 50));
-        assert_eq!(c.current_bound(), Some(4));
+        assert_eq!(c.bound(), 4);
     }
 
     #[test]
@@ -444,9 +425,9 @@ mod tests {
         let mut at_one = 0u32;
         let n = 2000;
         for _ in 0..n {
-            let violations = if c.current_bound() == Some(1) { 0 } else { 10 };
+            let violations = if c.bound() == 1 { 0 } else { 10 };
             c.on_sample(&sample(1000, violations));
-            if c.current_bound() == Some(1) {
+            if c.bound() == 1 {
                 at_one += 1;
             }
         }
@@ -480,7 +461,7 @@ mod tests {
             max_bound: 64,
             ..AdaptiveConfig::default()
         });
-        assert_eq!(c.current_bound(), Some(64));
+        assert_eq!(c.bound(), 64);
     }
 
     #[test]
@@ -511,9 +492,10 @@ mod tests {
 
     #[test]
     fn window_end_uses_current_bound() {
-        let mut c = controller(1e-4, 0.0, StepPolicy::Additive { up: 4.0, down: 4.0 });
-        assert_eq!(c.window_end(Cycle::new(100)), Cycle::new(116));
-        c.on_sample(&sample(1000, 0));
-        assert_eq!(c.window_end(Cycle::new(100)), Cycle::new(120));
+        let c = controller(1e-4, 0.0, StepPolicy::Additive { up: 4.0, down: 4.0 });
+        let mut p = crate::scheme::Pacer::Adaptive(c);
+        assert_eq!(p.window_end(Cycle::new(100)), Cycle::new(116));
+        p.on_sample(&sample(1000, 0));
+        assert_eq!(p.window_end(Cycle::new(100)), Cycle::new(120));
     }
 }

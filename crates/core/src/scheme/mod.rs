@@ -1,17 +1,18 @@
 //! Slack schemes: the policies that pace core-thread progress.
 //!
-//! Every scheme is expressed through the [`Pacer`] trait: given the current
-//! global time it yields the *window end* — the exclusive upper limit on all
-//! core local times. A core thread may simulate cycle `t` only while
+//! Every scheme is a [`Pacer`], a closed enum: given the current global
+//! time it yields the *window end* — the exclusive upper limit on all core
+//! local times. A core thread may simulate cycle `t` only while
 //! `t < window_end(global)`. The schemes of the paper map to:
 //!
-//! | Scheme | window end | event servicing |
-//! |---|---|---|
-//! | cycle-by-cycle | `g + 1` | barrier: batched & sorted each cycle |
-//! | bounded slack `B` | `g + B` | greedy, in arrival order |
-//! | unbounded slack | `∞` | greedy |
-//! | quantum `Q` | next multiple of `Q` | barrier at each boundary |
-//! | adaptive | `g + B(t)`, `B` retuned by feedback | greedy |
+//! | Scheme | pacer | window end | event servicing |
+//! |---|---|---|---|
+//! | cycle-by-cycle | `Quantum(1)` | `g + 1` | barrier: batched & sorted each cycle |
+//! | bounded slack `B` | `Bounded(B)` | `g + B` | greedy, in arrival order |
+//! | unbounded slack | `Unbounded` | `∞` | greedy |
+//! | quantum `Q` | `Quantum(Q)` | next multiple of `Q` | barrier at each boundary |
+//! | adaptive | `Adaptive` | `g + B(t)`, `B` retuned by feedback | greedy |
+//! | Lax-P2P | `LaxP2p` | per core: a peer's clock `+ lead` | greedy |
 //!
 //! Barrier servicing means the manager defers event processing until every
 //! core has reached the window end, then services the whole batch in
@@ -54,71 +55,103 @@ impl PaceSample {
 
 /// A pacing policy: decides how far ahead of global time core threads may
 /// run, and whether the manager services events greedily or at barriers.
-pub trait Pacer: Send {
+/// Built from a [`Scheme`] by [`Scheme::into_pacer`]; cycle-by-cycle is a
+/// quantum of one.
+#[derive(Debug, Clone)]
+pub enum Pacer {
+    /// Bounded slack: all clocks within the bound of the slowest.
+    Bounded(u64),
+    /// Unbounded slack: cores never wait for each other.
+    Unbounded,
+    /// Barrier at every multiple of the quantum.
+    Quantum(u64),
+    /// Bounded slack whose bound follows the feedback rule.
+    Adaptive(AdaptiveController),
+    /// Each core paced against a randomly chosen peer.
+    LaxP2p(LaxP2p),
+}
+
+impl Pacer {
     /// Exclusive upper limit on local times given the current global time.
     ///
-    /// Every implementation must be monotone in `global` and must return a
-    /// value strictly greater than `global` (otherwise no core could ever
-    /// advance and the simulation would deadlock).
-    fn window_end(&self, global: Cycle) -> Cycle;
+    /// Monotone in `global` and strictly greater than it (otherwise no
+    /// core could ever advance and the simulation would deadlock).
+    #[inline]
+    pub fn window_end(&self, global: Cycle) -> Cycle {
+        match self {
+            Pacer::Bounded(bound) => global.saturating_add(*bound),
+            Pacer::Unbounded => Cycle::MAX,
+            Pacer::Quantum(quantum) => global.next_multiple_of(*quantum),
+            Pacer::Adaptive(ctl) => global.saturating_add(ctl.bound()),
+            // Fallback uniform window (used by engines only before the
+            // first per-core computation): bounded slack at `lead`.
+            Pacer::LaxP2p(p2p) => global.saturating_add(p2p.lead),
+        }
+    }
 
     /// When `true`, the manager defers event servicing until all cores have
     /// reached the window end, then services the batch in timestamp order.
-    fn barrier_service(&self) -> bool {
-        false
+    #[inline]
+    pub fn barrier_service(&self) -> bool {
+        matches!(self, Pacer::Quantum(_))
     }
 
     /// Feedback hook, invoked once per sampling period with the violation
-    /// observations of that window. Only adaptive schemes react.
-    fn on_sample(&mut self, _sample: &PaceSample) {}
+    /// observations of that window. Only the adaptive pacer reacts.
+    pub fn on_sample(&mut self, sample: &PaceSample) {
+        if let Pacer::Adaptive(ctl) = self {
+            ctl.on_sample(sample);
+        }
+    }
 
     /// The current slack bound in cycles, when the concept applies.
-    fn current_bound(&self) -> Option<u64> {
-        None
+    pub fn current_bound(&self) -> Option<u64> {
+        match self {
+            Pacer::Bounded(bound) | Pacer::Quantum(bound) => Some(*bound),
+            Pacer::Unbounded => None,
+            Pacer::Adaptive(ctl) => Some(ctl.bound()),
+            Pacer::LaxP2p(p2p) => Some(p2p.lead),
+        }
     }
 
-    /// Short human-readable scheme name for reports.
-    fn scheme_name(&self) -> &'static str;
-
-    /// Per-core window ends, for schemes that pace each core relative to
-    /// *other cores' clocks* instead of global time (e.g. peer-to-peer
-    /// synchronisation): fills `ends` with one window end per core and
-    /// returns `true`. The caller owns `ends` and reuses it, so a run
-    /// does not allocate per iteration. Returning `false` (the default)
-    /// leaves `ends` alone and keeps the uniform
-    /// [`window_end`](Pacer::window_end) for every core.
-    ///
-    /// Implementations must keep the system live: the core holding the
-    /// minimum local time must always receive a window strictly greater
-    /// than its local time.
-    fn window_ends(&mut self, _locals: &[Cycle], _ends: &mut Vec<Cycle>) -> bool {
-        false
+    /// Per-core window ends under peer-to-peer pacing: fills `ends` (the
+    /// caller's, reused across iterations) with one window end per core
+    /// and returns `true`; the core holding the minimum local time always
+    /// gets a window above it. Every other pacer returns `false` and keeps
+    /// the uniform [`window_end`](Pacer::window_end) for every core.
+    pub fn window_ends(&mut self, locals: &[Cycle], ends: &mut Vec<Cycle>) -> bool {
+        match self {
+            Pacer::LaxP2p(p2p) => {
+                p2p.window_ends(locals, ends);
+                true
+            }
+            _ => false,
+        }
     }
-
-    /// Clones the pacer, including any adaptive state, into a new box.
-    /// Required so the engines can snapshot pacer state at checkpoints.
-    fn clone_box(&self) -> Box<dyn Pacer>;
 
     /// Serializes the pacer's *dynamic* state for durable checkpoints.
-    /// Stateless pacers (everything reconstructible from the [`Scheme`]
-    /// configuration) write nothing, which is the default.
-    fn save_state(&self, _w: &mut ByteWriter) {}
+    /// Pacers whose state the [`Scheme`] rebuilds write nothing.
+    pub fn save_state(&self, w: &mut ByteWriter) {
+        match self {
+            Pacer::Adaptive(ctl) => ctl.save_state(w),
+            Pacer::LaxP2p(p2p) => p2p.save_state(w),
+            Pacer::Bounded(_) | Pacer::Unbounded | Pacer::Quantum(_) => {}
+        }
+    }
 
     /// Restores dynamic state captured by [`save_state`](Pacer::save_state)
     /// into a pacer freshly built from the same [`Scheme`] configuration.
-    fn load_state(&mut self, _r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        Ok(())
-    }
-}
-
-impl Clone for Box<dyn Pacer> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
+        match self {
+            Pacer::Adaptive(ctl) => ctl.load_state(r),
+            Pacer::LaxP2p(p2p) => p2p.load_state(r),
+            Pacer::Bounded(_) | Pacer::Unbounded | Pacer::Quantum(_) => Ok(()),
+        }
     }
 }
 
 /// Configuration enum covering every scheme in the paper; converts into a
-/// boxed [`Pacer`] via [`Scheme::into_pacer`].
+/// [`Pacer`] via [`Scheme::into_pacer`].
 ///
 /// # Examples
 ///
@@ -166,15 +199,22 @@ impl Scheme {
     ///
     /// # Panics
     ///
-    /// Panics if a bound or quantum of 0 is configured.
-    pub fn into_pacer(self) -> Box<dyn Pacer> {
+    /// Panics if a bound, quantum, p2p lead or p2p period of 0 is
+    /// configured, or an inconsistent [`AdaptiveConfig`].
+    pub fn into_pacer(self) -> Pacer {
         match self {
-            Scheme::CycleByCycle => Box::new(CycleByCycle),
-            Scheme::BoundedSlack { bound } => Box::new(BoundedSlack::new(bound)),
-            Scheme::UnboundedSlack => Box::new(UnboundedSlack),
-            Scheme::Quantum { quantum } => Box::new(Quantum::new(quantum)),
-            Scheme::Adaptive(cfg) => Box::new(AdaptiveController::new(cfg)),
-            Scheme::LaxP2p { lead, period, seed } => Box::new(LaxP2p::new(lead, period, seed)),
+            Scheme::CycleByCycle => Pacer::Quantum(1),
+            Scheme::BoundedSlack { bound } => {
+                assert!(bound >= 1, "slack bound must be at least 1");
+                Pacer::Bounded(bound)
+            }
+            Scheme::UnboundedSlack => Pacer::Unbounded,
+            Scheme::Quantum { quantum } => {
+                assert!(quantum >= 1, "quantum must be at least 1");
+                Pacer::Quantum(quantum)
+            }
+            Scheme::Adaptive(cfg) => Pacer::Adaptive(AdaptiveController::new(cfg)),
+            Scheme::LaxP2p { lead, period, seed } => Pacer::LaxP2p(LaxP2p::new(lead, period, seed)),
         }
     }
 
@@ -188,126 +228,6 @@ impl Scheme {
             Scheme::Adaptive(_) => "adaptive-slack",
             Scheme::LaxP2p { .. } => "lax-p2p",
         }
-    }
-}
-
-/// Cycle-by-cycle pacer: lockstep with barrier servicing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleByCycle;
-
-impl Pacer for CycleByCycle {
-    fn window_end(&self, global: Cycle) -> Cycle {
-        global + 1
-    }
-
-    fn barrier_service(&self) -> bool {
-        true
-    }
-
-    fn current_bound(&self) -> Option<u64> {
-        Some(1)
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "cycle-by-cycle"
-    }
-
-    fn clone_box(&self) -> Box<dyn Pacer> {
-        Box::new(*self)
-    }
-}
-
-/// Bounded-slack pacer: all clocks within `bound` of the slowest.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedSlack {
-    bound: u64,
-}
-
-impl BoundedSlack {
-    /// Creates a pacer with the given slack bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is 0.
-    pub fn new(bound: u64) -> Self {
-        assert!(bound >= 1, "slack bound must be at least 1");
-        BoundedSlack { bound }
-    }
-}
-
-impl Pacer for BoundedSlack {
-    fn window_end(&self, global: Cycle) -> Cycle {
-        global.saturating_add(self.bound)
-    }
-
-    fn current_bound(&self) -> Option<u64> {
-        Some(self.bound)
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "bounded-slack"
-    }
-
-    fn clone_box(&self) -> Box<dyn Pacer> {
-        Box::new(*self)
-    }
-}
-
-/// Unbounded-slack pacer: cores never wait for each other.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnboundedSlack;
-
-impl Pacer for UnboundedSlack {
-    fn window_end(&self, _global: Cycle) -> Cycle {
-        Cycle::MAX
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "unbounded-slack"
-    }
-
-    fn clone_box(&self) -> Box<dyn Pacer> {
-        Box::new(*self)
-    }
-}
-
-/// Quantum pacer: barrier at every multiple of the quantum.
-#[derive(Debug, Clone, Copy)]
-pub struct Quantum {
-    quantum: u64,
-}
-
-impl Quantum {
-    /// Creates a pacer with the given quantum length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is 0.
-    pub fn new(quantum: u64) -> Self {
-        assert!(quantum >= 1, "quantum must be at least 1");
-        Quantum { quantum }
-    }
-}
-
-impl Pacer for Quantum {
-    fn window_end(&self, global: Cycle) -> Cycle {
-        global.next_multiple_of(self.quantum)
-    }
-
-    fn barrier_service(&self) -> bool {
-        true
-    }
-
-    fn current_bound(&self) -> Option<u64> {
-        Some(self.quantum)
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "quantum"
-    }
-
-    fn clone_box(&self) -> Box<dyn Pacer> {
-        Box::new(*self)
     }
 }
 
@@ -327,12 +247,7 @@ pub struct LaxP2p {
 }
 
 impl LaxP2p {
-    /// Creates a pacer with the given lead and re-pairing period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lead` or `period` is 0.
-    pub fn new(lead: u64, period: u64, seed: u64) -> Self {
+    fn new(lead: u64, period: u64, seed: u64) -> Self {
         assert!(lead >= 1, "p2p lead must be at least 1");
         assert!(period >= 1, "p2p period must be at least 1");
         LaxP2p {
@@ -344,31 +259,21 @@ impl LaxP2p {
         }
     }
 
-    fn reshuffle(&mut self, n: usize) {
-        self.partners.clear();
-        for i in 0..n {
-            // Pick a peer other than yourself (any peer for n == 1).
-            let mut p = self.rng.next_below(n as u64) as usize;
-            if p == i && n > 1 {
-                p = (p + 1) % n;
-            }
-            self.partners.push(p);
-        }
-    }
-}
-
-impl Pacer for LaxP2p {
-    fn window_end(&self, global: Cycle) -> Cycle {
-        // Fallback uniform window (used by engines only before the first
-        // per-core computation): behave like bounded slack at `lead`.
-        global.saturating_add(self.lead)
-    }
-
-    fn window_ends(&mut self, locals: &[Cycle], ends: &mut Vec<Cycle>) -> bool {
+    /// Fills `ends` with each core's window: its peer's clock plus the
+    /// lead, re-drawing the pairing every `period` global cycles.
+    fn window_ends(&mut self, locals: &[Cycle], ends: &mut Vec<Cycle>) {
         let n = locals.len();
         let global = locals.iter().copied().min().unwrap_or(Cycle::ZERO);
         if self.partners.len() != n || global >= self.next_shuffle {
-            self.reshuffle(n);
+            self.partners.clear();
+            for i in 0..n {
+                // Pick a peer other than yourself (any peer for n == 1).
+                let mut p = self.rng.next_below(n as u64) as usize;
+                if p == i && n > 1 {
+                    p = (p + 1) % n;
+                }
+                self.partners.push(p);
+            }
             self.next_shuffle = global.saturating_add(self.period);
         }
         ends.clear();
@@ -377,19 +282,6 @@ impl Pacer for LaxP2p {
                 .iter()
                 .map(|&p| locals[p].saturating_add(self.lead)),
         );
-        true
-    }
-
-    fn current_bound(&self) -> Option<u64> {
-        Some(self.lead)
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "lax-p2p"
-    }
-
-    fn clone_box(&self) -> Box<dyn Pacer> {
-        Box::new(self.clone())
     }
 
     fn save_state(&self, w: &mut ByteWriter) {
@@ -426,7 +318,7 @@ mod tests {
 
     #[test]
     fn cycle_by_cycle_window_is_one() {
-        let p = CycleByCycle;
+        let p = Scheme::CycleByCycle.into_pacer();
         assert_eq!(p.window_end(g(0)), g(1));
         assert_eq!(p.window_end(g(41)), g(42));
         assert!(p.barrier_service());
@@ -435,7 +327,7 @@ mod tests {
 
     #[test]
     fn bounded_window_tracks_global() {
-        let p = BoundedSlack::new(5);
+        let p = Scheme::BoundedSlack { bound: 5 }.into_pacer();
         assert_eq!(p.window_end(g(0)), g(5));
         assert_eq!(p.window_end(g(100)), g(105));
         assert!(!p.barrier_service());
@@ -444,26 +336,26 @@ mod tests {
 
     #[test]
     fn bounded_saturates_at_max() {
-        let p = BoundedSlack::new(10);
+        let p = Scheme::BoundedSlack { bound: 10 }.into_pacer();
         assert_eq!(p.window_end(Cycle::MAX), Cycle::MAX);
     }
 
     #[test]
     #[should_panic(expected = "slack bound must be at least 1")]
     fn bounded_rejects_zero() {
-        let _ = BoundedSlack::new(0);
+        let _ = Scheme::BoundedSlack { bound: 0 }.into_pacer();
     }
 
     #[test]
     fn unbounded_window_is_max() {
-        let p = UnboundedSlack;
+        let p = Scheme::UnboundedSlack.into_pacer();
         assert_eq!(p.window_end(g(7)), Cycle::MAX);
         assert_eq!(p.current_bound(), None);
     }
 
     #[test]
     fn quantum_window_snaps_to_boundary() {
-        let p = Quantum::new(10);
+        let p = Scheme::Quantum { quantum: 10 }.into_pacer();
         assert_eq!(p.window_end(g(0)), g(10));
         assert_eq!(p.window_end(g(9)), g(10));
         assert_eq!(p.window_end(g(10)), g(20));
@@ -473,32 +365,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantum must be at least 1")]
     fn quantum_rejects_zero() {
-        let _ = Quantum::new(0);
+        let _ = Scheme::Quantum { quantum: 0 }.into_pacer();
     }
 
     #[test]
     fn windows_always_exceed_global() {
         // Liveness invariant shared by all pacers.
-        let pacers: Vec<Box<dyn Pacer>> = vec![
-            Scheme::CycleByCycle.into_pacer(),
-            Scheme::BoundedSlack { bound: 3 }.into_pacer(),
-            Scheme::UnboundedSlack.into_pacer(),
-            Scheme::Quantum { quantum: 7 }.into_pacer(),
-            Scheme::Adaptive(AdaptiveConfig::default()).into_pacer(),
-        ];
-        for p in &pacers {
+        for scheme in [
+            Scheme::CycleByCycle,
+            Scheme::BoundedSlack { bound: 3 },
+            Scheme::UnboundedSlack,
+            Scheme::Quantum { quantum: 7 },
+            Scheme::Adaptive(AdaptiveConfig::default()),
+        ] {
+            let p = scheme.clone().into_pacer();
             for t in [0u64, 1, 6, 7, 8, 63, 64, 1000] {
-                assert!(
-                    p.window_end(g(t)) > g(t),
-                    "{} stalls at {t}",
-                    p.scheme_name()
-                );
+                assert!(p.window_end(g(t)) > g(t), "{} stalls at {t}", scheme.name());
             }
         }
     }
 
     #[test]
-    fn scheme_names() {
+    fn schemes_have_short_table_names() {
         assert_eq!(Scheme::CycleByCycle.name(), "cycle-by-cycle");
         assert_eq!(Scheme::BoundedSlack { bound: 2 }.name(), "bounded-slack");
         assert_eq!(Scheme::UnboundedSlack.name(), "unbounded-slack");
@@ -509,9 +397,13 @@ mod tests {
         );
     }
 
+    fn p2p(lead: u64, period: u64, seed: u64) -> Pacer {
+        Scheme::LaxP2p { lead, period, seed }.into_pacer()
+    }
+
     #[test]
     fn lax_p2p_windows_follow_partners() {
-        let mut p = LaxP2p::new(10, 100, 7);
+        let mut p = p2p(10, 100, 7);
         let locals = vec![Cycle::new(50), Cycle::new(80), Cycle::new(60)];
         let mut wins = Vec::new();
         assert!(p.window_ends(&locals, &mut wins), "per-core windows");
@@ -530,8 +422,8 @@ mod tests {
     #[test]
     fn lax_p2p_reshuffles_deterministically() {
         let locals = vec![Cycle::new(0); 4];
-        let mut a = LaxP2p::new(5, 50, 9);
-        let mut b = LaxP2p::new(5, 50, 9);
+        let mut a = p2p(5, 50, 9);
+        let mut b = p2p(5, 50, 9);
         let (mut wa, mut wb) = (Vec::new(), Vec::new());
         assert_eq!(
             a.window_ends(&locals, &mut wa),
@@ -540,7 +432,7 @@ mod tests {
         assert_eq!(wa, wb);
     }
 
-    /// Pacer bytes as `LaxP2p::save_state` lays them out.
+    /// Pacer bytes as `LaxP2p`'s `save_state` lays them out.
     fn p2p_bytes(partners: &[u32], next_shuffle: u64) -> Vec<u8> {
         let mut w = ByteWriter::new();
         for word in [1u64, 2, 3, 4] {
@@ -557,7 +449,7 @@ mod tests {
         // Four cores, pairing not yet due to be redrawn: `window_ends`
         // would index the clocks with every stored partner.
         let locals = vec![Cycle::new(10); 4];
-        let mut p = LaxP2p::new(8, 100, 1);
+        let mut p = p2p(8, 100, 1);
         let good = p2p_bytes(&[1, 2, 3, 0], 1000);
         p.load_state(&mut ByteReader::new(&good))
             .expect("valid pairing");
@@ -566,7 +458,7 @@ mod tests {
         assert_eq!(wins, vec![Cycle::new(18); 4]);
 
         for bad in [[1, 2, 4, 0], [1, 2, 3, u32::MAX]] {
-            let mut p = LaxP2p::new(8, 100, 1);
+            let mut p = p2p(8, 100, 1);
             let err = p.load_state(&mut ByteReader::new(&p2p_bytes(&bad, 1000)));
             assert!(
                 matches!(err, Err(PersistError::Corrupt(_))),
@@ -578,7 +470,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "p2p lead must be at least 1")]
     fn lax_p2p_rejects_zero_lead() {
-        let _ = LaxP2p::new(0, 10, 1);
+        let _ = p2p(0, 10, 1);
     }
 
     #[test]

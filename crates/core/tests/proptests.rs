@@ -176,7 +176,9 @@ fn tally_merge_since_roundtrip() {
 }
 
 /// Every pacer keeps its window strictly ahead of global time (liveness)
-/// and monotone in global time.
+/// and monotone in global time; Lax-P2P's per-core windows always give a
+/// core at the minimum local time a window above its local time, whatever
+/// the clocks and however often the pairing is redrawn.
 #[test]
 fn pacer_windows_are_live_and_monotone() {
     for case in 0..CASES {
@@ -186,20 +188,52 @@ fn pacer_windows_are_live_and_monotone() {
         let len = 2 + rng.next_below(48) as usize;
         let mut sorted: Vec<u64> = (0..len).map(|_| rng.next_below(100_000)).collect();
         sorted.sort_unstable();
-        let pacers: Vec<Box<dyn Pacer>> = vec![
-            Scheme::CycleByCycle.into_pacer(),
-            Scheme::BoundedSlack { bound }.into_pacer(),
-            Scheme::UnboundedSlack.into_pacer(),
-            Scheme::Quantum { quantum }.into_pacer(),
-            Scheme::Adaptive(AdaptiveConfig::default()).into_pacer(),
-        ];
-        for p in &pacers {
+        let p2p = Scheme::LaxP2p {
+            lead: rng.next_range(1, 8),
+            period: rng.next_range(1, 200),
+            seed: case,
+        };
+        for scheme in [
+            Scheme::CycleByCycle,
+            Scheme::BoundedSlack { bound },
+            Scheme::UnboundedSlack,
+            Scheme::Quantum { quantum },
+            Scheme::Adaptive(AdaptiveConfig::default()),
+            p2p.clone(),
+        ] {
+            let p = scheme.clone().into_pacer();
             let mut last = Cycle::ZERO;
             for &g in &sorted {
                 let w = p.window_end(Cycle::new(g));
-                assert!(w > Cycle::new(g), "case {case}: {} stalls", p.scheme_name());
-                assert!(w >= last, "case {case}: {} regressed", p.scheme_name());
+                assert!(w > Cycle::new(g), "case {case}: {} stalls", scheme.name());
+                assert!(w >= last, "case {case}: {} regressed", scheme.name());
                 last = w;
+            }
+        }
+
+        // Per-core windows over clocks that move as a run moves them: each
+        // core to somewhere in `[local, window end]`.
+        let mut pacer: Pacer = p2p.into_pacer();
+        let n = 1 + rng.next_below(16) as usize;
+        let mut locals: Vec<Cycle> = (0..n).map(|_| Cycle::new(rng.next_below(4))).collect();
+        let mut ends = Vec::new();
+        for step in 0..64 {
+            assert!(
+                pacer.window_ends(&locals, &mut ends),
+                "case {case}: p2p paces per core"
+            );
+            assert_eq!(ends.len(), n, "case {case} step {step}");
+            let min = locals.iter().copied().min().expect("n >= 1");
+            for (i, (&local, &end)) in locals.iter().zip(&ends).enumerate() {
+                assert!(
+                    local != min || end > local,
+                    "case {case} step {step}: core {i} at the minimum {local} got window {end}"
+                );
+            }
+            for (local, &end) in locals.iter_mut().zip(&ends) {
+                if end > *local {
+                    *local += rng.next_below((end - *local).min(100) + 1);
+                }
             }
         }
     }
@@ -230,7 +264,7 @@ fn adaptive_bound_stays_in_limits() {
                 window_cycles: cycles,
                 window_violations: violations,
             });
-            let b = ctl.current_bound().expect("adaptive bound");
+            let b = ctl.bound();
             assert!(
                 b >= min_bound && b <= max_bound,
                 "case {case}: bound {b} outside [{min_bound}, {max_bound}]"

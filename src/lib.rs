@@ -117,7 +117,6 @@ pub struct Simulation {
     max_cycles: u64,
     seed: u64,
     max_burst: u64,
-    max_lead: u64,
     host_threads: usize,
     speculation: Option<SpeculationConfig>,
     obs: Option<ObsConfig>,
@@ -140,7 +139,6 @@ impl Simulation {
             max_cycles: 1 << 40,
             seed: 1,
             max_burst: 16,
-            max_lead: 256,
             host_threads: 0,
             speculation: None,
             obs: None,
@@ -211,13 +209,6 @@ impl Simulation {
     /// the window loop.
     pub fn max_burst(&mut self, cycles: u64) -> &mut Self {
         self.max_burst = cycles;
-        self
-    }
-
-    /// Sets the implementation cap on core lead over global time under
-    /// greedy schemes (see `EngineConfig::max_lead`).
-    pub fn max_lead(&mut self, cycles: u64) -> &mut Self {
-        self.max_lead = cycles;
         self
     }
 
@@ -357,7 +348,6 @@ impl Simulation {
         cfg.max_cycles = self.max_cycles;
         cfg.seed = self.seed;
         cfg.burst = BurstPolicy::new(self.max_burst);
-        cfg.max_lead = self.max_lead;
         cfg.host_threads = self.host_threads;
         cfg.speculation = self.speculation;
         cfg.obs = self.obs;

@@ -12,11 +12,10 @@
 use slacksim_cmp::core::CmpCore;
 use slacksim_cmp::event::MemEvent;
 use slacksim_cmp::uncore::CmpUncore;
-use slacksim_core::engine::{CheckpointView, EngineResume};
+use slacksim_core::engine::{CheckpointView, EngineResume, Ledger};
 use slacksim_core::event::{Inbox, Timestamped};
 use slacksim_core::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use slacksim_core::scheme::Scheme;
-use slacksim_core::speculative::IntervalTracker;
 use slacksim_core::time::Cycle;
 
 /// One line of the config fingerprint: the scheme with every parameter
@@ -72,29 +71,13 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>, w: 
     w.u64(view.ordinal);
     w.u64(view.global.as_u64());
     w.u32(view.cores.len() as u32);
-    for (core, inbox) in &view.cores {
+    for (core, inbox) in view.cores {
         core.save_state(w);
         save_inbox(w, inbox);
     }
     view.uncore.save_state(w);
     w.u64(view.committed);
-    view.tally.save(w);
-    view.detected.save(w);
-    w.u64(view.next_sample);
-    view.last_sample_tally.save(w);
-    view.spec_stats.save(w);
-    match view.tracker {
-        Some(tr) => {
-            w.bool(true);
-            tr.save_state(w);
-        }
-        None => w.bool(false),
-    }
-    view.pacer.save_state(w);
-    view.rng.cloned().save(w);
-    w.u32(view.bound_trace.len() as u32);
-    view.bound_trace.iter().for_each(|entry| entry.save(w));
-    w.u64(view.max_spread);
+    view.ledger.save(w);
 }
 
 /// Decodes a snapshot payload into restored engine state. `fresh_cores` and `fresh_uncore` must be newly built from
@@ -126,42 +109,14 @@ pub(crate) fn decode_snapshot(
     let mut uncore = fresh_uncore;
     uncore.load_state(&mut r)?;
     let committed = r.u64()?;
-    let tally = Persist::load(&mut r)?;
-    let detected = Persist::load(&mut r)?;
-    let next_sample = r.u64()?;
-    let last_sample_tally = Persist::load(&mut r)?;
-    let spec_stats = Persist::load(&mut r)?;
-    let tracker = if r.bool()? {
-        let interval = spec_interval.ok_or(PersistError::Corrupt(
-            "snapshot carries an interval tracker but speculation is off",
-        ))?;
-        let mut tr = IntervalTracker::new(interval);
-        tr.load_state(&mut r)?;
-        Some(tr)
-    } else {
-        None
-    };
-    let mut pacer = scheme.clone().into_pacer();
-    pacer.load_state(&mut r)?;
-    let rng = Persist::load(&mut r)?;
-    let bound_trace = Persist::load(&mut r)?;
-    let max_spread = r.u64()?;
+    let ledger = Ledger::load(&mut r, scheme, spec_interval)?;
     r.finish()?;
     Ok(EngineResume {
         global,
+        committed,
         cores,
         uncore,
-        pacer,
-        committed,
-        tally,
-        detected,
-        next_sample,
-        last_sample_tally,
-        spec_stats,
-        tracker,
-        rng,
-        bound_trace,
-        max_spread,
+        ledger,
     })
 }
 
@@ -171,6 +126,7 @@ mod tests {
 
     use slacksim_cmp::cache::CacheConfig;
     use slacksim_core::persist;
+    use slacksim_core::rng::Xoshiro256;
 
     use super::*;
     use crate::{Benchmark, CmpConfig, Simulation, SpeculationConfig, UncoreKind};
@@ -213,7 +169,10 @@ mod tests {
     /// strict prefix of a snapshot payload is refused, and no single-byte
     /// flip makes the decoder panic — it refuses the bytes or decodes
     /// some state. The adaptive and Lax-P2P payloads carry their pacers'
-    /// state, and the adaptive one a bound trace.
+    /// state, and the adaptive one a bound trace. Last, seeded splices —
+    /// the head of one payload joined to the tail of another, at one
+    /// offset in both or at two — decoded as either run's snapshot never
+    /// panic either.
     #[test]
     fn hostile_payloads_are_refused_or_decoded_never_panic() {
         let bounded = Scheme::BoundedSlack { bound: 8 };
@@ -226,6 +185,7 @@ mod tests {
             period: 100,
             seed: 1,
         };
+        let mut runs = Vec::new();
         for (kind, cores, scheme) in [
             (UncoreKind::Bus, 2, bounded.clone()),
             (UncoreKind::Directory, 4, bounded),
@@ -251,6 +211,7 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let (_, payload) = persist::decode_container(&bytes).expect("container");
             decode(&sim, payload).expect("the intact payload decodes");
+            let payload = payload.to_vec();
 
             for cut in 0..payload.len() {
                 assert!(
@@ -267,6 +228,30 @@ mod tests {
                     assert!(decoded.is_ok(), "{label}: byte {at} ^ {mask:#04x} panicked");
                     flipped[at] ^= mask;
                 }
+            }
+            runs.push((label, sim, payload));
+        }
+
+        let mut rng = Xoshiro256::new(0x5911ce);
+        for splice in 0..400 {
+            let i = rng.next_below(runs.len() as u64) as usize;
+            let j = rng.next_below(runs.len() as u64) as usize;
+            let (head, tail) = (&runs[i].2, &runs[j].2);
+            let cut = rng.next_below(head.len() as u64 + 1) as usize;
+            let resume_at = if splice % 2 == 0 {
+                cut.min(tail.len())
+            } else {
+                rng.next_below(tail.len() as u64 + 1) as usize
+            };
+            let spliced = [&head[..cut], &tail[resume_at..]].concat();
+            for (label, sim, _) in [&runs[i], &runs[j]] {
+                let decoded = catch_unwind(AssertUnwindSafe(|| decode(sim, &spliced)));
+                assert!(
+                    decoded.is_ok(),
+                    "{label}: {} head {cut} + {} tail from {resume_at} panicked",
+                    runs[i].0,
+                    runs[j].0
+                );
             }
         }
     }

@@ -254,14 +254,13 @@ rm -rf "$prof_dir"
 echo "==> campaign smoke (6-job sweep, kill-free resume, report validation)"
 # Campaign-runner proof on the release binary (DESIGN §16): a tiny
 # 6-job design-space sweep — the {cc, bounded, quantum} x 2-seed grid
-# emitted by the bench harness's gen_sweep — runs to completion on 3
+# committed as experiments/campaign-smoke.json — runs to completion on 3
 # workers, its streamed and final aggregates validate through
 # `slacksim report`, and an immediate rerun against the same directory
 # skips every settled job. The SIGKILL variant of this stage (campaign
 # kill-and-resume, aggregate bit-identity) runs in tests/campaign.rs.
 camp_dir="$(mktemp -d /tmp/slacksim-ci-camp.XXXXXX)"
-./target/release/gen_sweep --commit 20000 --cores 2 > "$camp_dir/sweep.json"
-./target/release/slacksim sweep --spec "$camp_dir/sweep.json" \
+./target/release/slacksim sweep --spec experiments/campaign-smoke.json \
     --dir "$camp_dir/campaign" --workers 3 \
     --live-status "$camp_dir/beats.jsonl" --live-every 50 > /dev/null
 [ "$(tail -n +2 "$camp_dir/campaign/aggregate.csv" | wc -l)" -eq 6 ] || {

@@ -80,39 +80,6 @@ impl Scale {
     pub fn from_env(default_commit: u64) -> Self {
         Scale::parse(std::env::args().skip(1), default_commit)
     }
-
-    /// Renders a campaign sweep-spec document seeded from this scale:
-    /// the given schemes crossed with `seeds` consecutive run seeds
-    /// starting at `self.seed`, every job at this scale's commit target
-    /// and core count. The output is the `slacksim sweep --spec` JSON
-    /// format (grid size = `schemes.len() * seeds`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use slacksim_bench::scale::Scale;
-    ///
-    /// let s = Scale { commit: 5000, seed: 1, cores: 2 };
-    /// let spec = s.sweep_spec(&["cc", "bounded", "quantum"], 2);
-    /// assert!(spec.contains("\"seed\": [1, 2]"));
-    /// ```
-    pub fn sweep_spec(&self, schemes: &[&str], seeds: u64) -> String {
-        let scheme_list = schemes
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let seed_list = (self.seed..self.seed + seeds.max(1))
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"v\": 1,\n  \"commit\": {},\n  \"engine\": \"seq\",\n  \"axes\": {{\n    \
-             \"scheme\": [{scheme_list}],\n    \"cores\": [{}],\n    \
-             \"workload\": [\"fft\"],\n    \"seed\": [{seed_list}]\n  }}\n}}\n",
-            self.commit, self.cores,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -159,23 +126,5 @@ mod tests {
     #[test]
     fn commit_never_zero() {
         assert_eq!(parse(&["--commit", "0"], 1000).commit, 1);
-    }
-
-    #[test]
-    fn sweep_spec_is_a_valid_grid_of_the_expected_size() {
-        use slacksim_core::campaign::SweepSpec;
-
-        let s = Scale {
-            commit: 4000,
-            seed: 7,
-            cores: 2,
-        };
-        let spec = SweepSpec::parse(&s.sweep_spec(&["cc", "bounded", "quantum"], 2))
-            .expect("generated spec parses");
-        assert_eq!(spec.cardinality(), 6, "3 schemes x 2 seeds");
-        assert_eq!(spec.commit, 4000);
-        let jobs = spec.expand();
-        assert!(jobs.iter().all(|j| j.cores == 2));
-        assert!(jobs.iter().any(|j| j.seed == 7) && jobs.iter().any(|j| j.seed == 8));
     }
 }

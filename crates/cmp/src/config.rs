@@ -20,6 +20,10 @@ pub enum UncoreKind {
 }
 
 impl UncoreKind {
+    /// Every spelling [`parse`](UncoreKind::parse) accepts, for error
+    /// messages.
+    pub const TOKENS: &'static str = "bus|directory";
+
     /// Largest supported target core count for this interconnect.
     pub fn max_cores(self) -> usize {
         match self {

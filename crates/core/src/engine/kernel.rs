@@ -8,7 +8,8 @@
 //! trace, clock spread), its mode (Base/Replay, checkpoint trigger and
 //! stop point, pending-rollback flag), the standing checkpoint (the model
 //! base plus the ledger values a rollback restores) and every observer
-//! (trace handle, interned metric ids, live gauges, profiler, save hook).
+//! (trace ring and metrics when the run asks for them, live gauges,
+//! profiler, save hook).
 //! The
 //! engines are *drivers*: they decide which core ticks when and on which
 //! host thread, and call the kernel's verbs at the points where the
@@ -45,7 +46,7 @@ use crate::event::{CoreId, GlobalQueue, Inbox, Timestamped};
 use crate::obs::live::{LiveHandle, NO_BOUND};
 use crate::obs::{
     GaugeId, HistId, LiveStats, MetricsRegistry, ObsData, Phase, ProfHandle, ProfSite, Profiler,
-    TraceEvent, TraceHandle, Tracer,
+    TraceEvent, TraceRing,
 };
 use crate::rng::Xoshiro256;
 use crate::scheme::{PaceSample, Pacer};
@@ -107,6 +108,65 @@ impl MetricIds {
     }
 }
 
+/// What a run that asks for observability records: the trace ring, the
+/// metrics registry with its interned series, and where the last metrics
+/// sample stood.
+struct Obs {
+    trace: TraceRing,
+    metrics: MetricsRegistry,
+    ids: MetricIds,
+    last_cycle: u64,
+    last_detected: u64,
+}
+
+impl Obs {
+    /// Emits one metrics sample: per-core drift plus the manager-side
+    /// aggregates. Out of line: it runs once per `sample_every` cycles,
+    /// and [`Kernel::on_global`], inlined into every driver loop, only
+    /// branches to it.
+    #[inline(never)]
+    fn sample(&mut self, global: Cycle, locals: &[Cycle], gq_len: u64, ledger: &Ledger) {
+        let (metrics, ids) = (&mut self.metrics, &self.ids);
+        for (i, &l) in locals.iter().enumerate() {
+            let core = CoreId::new(i as u16);
+            let drift = l.saturating_sub(global);
+            metrics.gauge_by(ids.drift[i], global, drift as f64);
+            self.trace
+                .record(global, TraceEvent::LocalTimeSample { core, cycle: l });
+        }
+        if let Some(b) = ledger.pacer.current_bound() {
+            metrics.gauge_by(ids.slack_bound, global, b as f64);
+        }
+        // Rate over the cycles actually elapsed since the previous sample:
+        // a fixed divisor misstates the rate whenever the sampler fires
+        // off-cadence, and an elapsed count of zero (e.g. the first
+        // crossing after a resume) must not produce a NaN/inf gauge value.
+        let detected = ledger.detected.total();
+        let elapsed = global.as_u64().saturating_sub(self.last_cycle);
+        let rate = if elapsed == 0 {
+            0.0
+        } else {
+            (detected - self.last_detected) as f64 / elapsed as f64
+        };
+        self.last_cycle = global.as_u64();
+        self.last_detected = detected;
+        metrics.gauge_by(ids.violation_rate, global, rate);
+        metrics.gauge_by(ids.globalq_depth, global, gq_len as f64);
+        metrics.histogram_by(ids.globalq_depth_h).record(gq_len);
+        self.trace
+            .record(global, TraceEvent::QueueDepth { len: gq_len });
+        metrics.gauge_by(ids.trace_dropped, global, self.trace.dropped() as f64);
+    }
+}
+
+/// Records on the run's trace ring, if it has one.
+#[inline]
+fn record(obs: &mut Option<Obs>, cycle: Cycle, event: TraceEvent) {
+    if let Some(o) = obs {
+        o.trace.record(cycle, event);
+    }
+}
+
 /// What a driver knows at the end of a run, for [`Kernel::finish`].
 pub(super) struct Finish<'a> {
     pub(super) global: Cycle,
@@ -127,7 +187,6 @@ pub(super) struct Kernel<C: CoreModel, U> {
     n: usize,
     spec: Option<SpeculationConfig>,
     sample_period: u64,
-    obs_on: bool,
     /// The live ledger. Its pacer is the one drivers read windows from;
     /// the kernel feeds it samples and checkpoints it.
     ledger: Ledger,
@@ -146,12 +205,8 @@ pub(super) struct Kernel<C: CoreModel, U> {
     standing: Option<Standing<C, U>>,
 
     // --- Observers -----------------------------------------------------
-    tracer: Tracer,
-    th: TraceHandle,
-    metrics: MetricsRegistry,
-    ids: MetricIds,
-    last_metrics_cycle: u64,
-    last_metrics_detected: u64,
+    /// Built only when the run asks for observability.
+    obs: Option<Obs>,
     prof: Profiler,
     ph: Rc<ProfHandle>,
     live_stats: Arc<LiveStats>,
@@ -181,15 +236,9 @@ where
         let started = Instant::now();
         let spec = cfg.speculation;
 
-        // Observability: a disabled tracer/profiler keeps every record
-        // call and span site at one relaxed atomic load.
-        let tracer = match cfg.obs {
-            Some(o) => Tracer::new(o.trace_capacity),
-            None => Tracer::disabled(),
-        };
+        // A disabled profiler keeps every span site at one relaxed atomic
+        // load.
         let prof = cfg.prof.clone().unwrap_or_else(Profiler::disabled);
-        let mut metrics = MetricsRegistry::new(cfg.obs.map_or(1024, |o| o.sample_every));
-        let ids = MetricIds::intern(&mut metrics, n);
 
         // Live telemetry: the emitter is a plain observer thread reading
         // relaxed-published atomics; the simulation never blocks on it.
@@ -206,11 +255,21 @@ where
 
         let restored = resumed.is_some();
         let ledger = resumed.unwrap_or_else(|| Ledger::new(cfg));
+        let obs = cfg.obs.map(|o| {
+            let mut metrics = MetricsRegistry::new(o.sample_every);
+            let ids = MetricIds::intern(&mut metrics, n);
+            Obs {
+                trace: TraceRing::new(o.trace_capacity),
+                metrics,
+                ids,
+                last_cycle: start.as_u64(),
+                last_detected: ledger.detected.total(),
+            }
+        });
         let mut k = Kernel {
             n,
             spec,
             sample_period: cfg.effective_sample_period(),
-            obs_on: cfg.obs.is_some(),
             replaying: false,
             replay_start: Cycle::ZERO,
             // `u64::MAX` keeps every checkpoint site unreachable when
@@ -219,12 +278,7 @@ where
             stop_at: None,
             pending_rollback: false,
             standing: None,
-            th: tracer.handle(),
-            tracer,
-            metrics,
-            ids,
-            last_metrics_cycle: start.as_u64(),
-            last_metrics_detected: ledger.detected.total(),
+            obs,
             ph: Rc::new(prof.handle()),
             prof,
             live_stats,
@@ -235,7 +289,7 @@ where
             ledger,
         };
         if restored {
-            k.th.record(start, TraceEvent::StateRestore { global: start });
+            k.trace(start, TraceEvent::StateRestore { global: start });
         }
         k
     }
@@ -272,7 +326,7 @@ where
 
     /// True when the run records a trace (`trace` is a no-op otherwise).
     pub(super) fn tracing(&self) -> bool {
-        self.obs_on
+        self.obs.is_some()
     }
 
     /// True while replaying cycle-by-cycle after a rollback.
@@ -310,11 +364,10 @@ where
         self.stop_at
     }
 
-    /// Records a trace event on the manager's handle (phases only the
-    /// driver can see).
+    /// Records a trace event (phases only the driver can see).
     #[inline]
     pub(super) fn trace(&mut self, cycle: Cycle, event: TraceEvent) {
-        self.th.record(cycle, event);
+        record(&mut self.obs, cycle, event);
     }
 
     /// Reports an observed clock spread (max local − min local).
@@ -350,8 +403,10 @@ where
         }
         // Metrics sampling (observability cadence, independent of the
         // pacer's feedback period).
-        if self.obs_on && self.metrics.sample_ready(global) {
-            self.sample_metrics(global, locals, gq_len);
+        if let Some(o) = &mut self.obs {
+            if o.metrics.sample_ready(global) {
+                o.sample(global, locals, gq_len, &self.ledger);
+            }
         }
         if self.live_handle.is_some() {
             self.publish_live(global, committed, gq_len);
@@ -375,7 +430,8 @@ where
             if let Some(b) = l.pacer.current_bound() {
                 l.bound_trace.push((at, b));
                 if let Some(old) = bound_before.filter(|&old| old != b) {
-                    self.th.record(
+                    record(
+                        &mut self.obs,
                         at,
                         TraceEvent::BoundChange {
                             old,
@@ -387,43 +443,6 @@ where
             }
             l.next_sample += self.sample_period;
         }
-    }
-
-    /// Emits one metrics sample: per-core drift plus the manager-side
-    /// aggregates.
-    fn sample_metrics(&mut self, global: Cycle, locals: &[Cycle], gq_len: u64) {
-        let metrics = &mut self.metrics;
-        let ids = &self.ids;
-        for (i, &l) in locals.iter().enumerate() {
-            let core = CoreId::new(i as u16);
-            let drift = l.saturating_sub(global);
-            metrics.gauge_by(ids.drift[i], global, drift as f64);
-            self.th
-                .record(global, TraceEvent::LocalTimeSample { core, cycle: l });
-        }
-        if let Some(b) = self.ledger.pacer.current_bound() {
-            metrics.gauge_by(ids.slack_bound, global, b as f64);
-        }
-        // Rate over the cycles actually elapsed since the previous sample:
-        // a fixed divisor misstates the rate whenever the sampler fires
-        // off-cadence, and an elapsed count of zero (e.g. the first
-        // crossing after a resume) must not produce a NaN/inf gauge value.
-        let detected_total = self.ledger.detected.total();
-        let elapsed = global.as_u64().saturating_sub(self.last_metrics_cycle);
-        let rate = if elapsed == 0 {
-            0.0
-        } else {
-            (detected_total - self.last_metrics_detected) as f64 / elapsed as f64
-        };
-        self.last_metrics_cycle = global.as_u64();
-        self.last_metrics_detected = detected_total;
-        metrics.gauge_by(ids.violation_rate, global, rate);
-        metrics.gauge_by(ids.globalq_depth, global, gq_len as f64);
-        metrics.histogram_by(ids.globalq_depth_h).record(gq_len);
-        self.th
-            .record(global, TraceEvent::QueueDepth { len: gq_len });
-        let dropped = self.tracer.dropped_so_far();
-        metrics.gauge_by(ids.trace_dropped, global, dropped as f64);
     }
 
     /// Publishes every live gauge the manager owns: relaxed stores the
@@ -438,8 +457,8 @@ where
         ls.bound.store(bound, Ordering::Relaxed);
         ls.violations.store(l.tally.total(), Ordering::Relaxed);
         ls.globalq_depth.store(gq_len, Ordering::Relaxed);
-        ls.dropped_traces
-            .store(self.tracer.dropped_so_far(), Ordering::Relaxed);
+        let dropped = self.obs.as_ref().map_or(0, |o| o.trace.dropped());
+        ls.dropped_traces.store(dropped, Ordering::Relaxed);
         ls.checkpoints
             .store(l.spec_stats.checkpoints, Ordering::Relaxed);
         ls.rollbacks
@@ -465,7 +484,8 @@ where
         for v in self.sink.take_violations() {
             self.ledger.tally.record(v.kind);
             self.ledger.detected.record(v.kind);
-            self.th.record(
+            record(
+                &mut self.obs,
                 v.ts,
                 TraceEvent::Violation {
                     kind: v.kind,
@@ -583,7 +603,7 @@ where
             let replayed = at.saturating_sub(self.replay_start);
             self.ledger.spec_stats.replay_cycles += replayed;
             self.replaying = false;
-            self.th.record(
+            self.trace(
                 at,
                 TraceEvent::ReplayEnd {
                     ordinal: self.ledger.spec_stats.rollbacks,
@@ -596,7 +616,7 @@ where
         self.ledger.rng = rng.cloned();
         let ordinal = self.ledger.spec_stats.checkpoints;
         let trigger = self.next_cp_trigger;
-        self.th.record(
+        self.trace(
             Cycle::new(trigger.min(at.as_u64())),
             TraceEvent::Checkpoint {
                 ordinal,
@@ -634,10 +654,11 @@ where
                 ledger: &self.ledger,
             };
             let bytes = hook(&view).unwrap_or(0);
-            self.th
-                .record(at, TraceEvent::StatePersist { ordinal, bytes });
-            self.metrics
-                .gauge_by(self.ids.persist_bytes, at, bytes as f64);
+            if let Some(o) = &mut self.obs {
+                o.trace
+                    .record(at, TraceEvent::StatePersist { ordinal, bytes });
+                o.metrics.gauge_by(o.ids.persist_bytes, at, bytes as f64);
+            }
         }
         self.next_cp_trigger = at.as_u64() + self.spec.expect("speculation enabled").interval;
         self.stop_at = None;
@@ -661,7 +682,8 @@ where
         l.spec_stats.wasted_cycles += wasted;
         // Recorded at the rollback instant: the exporter renders the
         // discarded region as the span [now - wasted, now).
-        self.th.record(
+        record(
+            &mut self.obs,
             now,
             TraceEvent::Rollback {
                 ordinal: l.spec_stats.rollbacks,
@@ -684,7 +706,7 @@ where
     fn trace_replay_phase(&mut self, at: Cycle, begin: bool) {
         for core in CoreId::all(self.n) {
             let phase = Phase::Replay;
-            self.th.record(
+            self.trace(
                 at,
                 if begin {
                     TraceEvent::PhaseBegin { core, phase }
@@ -736,8 +758,8 @@ where
         // run length is not a multiple of the sampling cadence. Guarded so
         // a sample that already landed on this exact cycle is not
         // duplicated — gauge series are strictly increasing in cycle.
-        if self.obs_on && global.as_u64() > self.last_metrics_cycle {
-            self.sample_metrics(global, f.locals, f.gq_len);
+        if let Some(o) = self.obs.as_mut().filter(|o| global.as_u64() > o.last_cycle) {
+            o.sample(global, f.locals, f.gq_len, &self.ledger);
         }
 
         let l = &self.ledger;
@@ -777,14 +799,13 @@ where
             h.finish();
         }
 
-        self.th.flush();
-        let obs = self.obs_on.then(|| {
-            let (records, dropped) = self.tracer.drain();
+        let obs = self.obs.map(|o| {
+            let (records, dropped) = o.trace.into_parts();
             ObsData {
                 cores: self.n,
                 records,
                 dropped,
-                metrics: self.metrics,
+                metrics: o.metrics,
             }
         });
         let wall = self.started.elapsed();

@@ -94,7 +94,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod campaign;
 pub mod checkpoint;
 pub mod engine;
 pub mod event;

@@ -190,9 +190,9 @@ pub fn spawn(cfg: LiveConfig, stats: Arc<LiveStats>, prof: Profiler) -> LiveHand
 /// Spawns an emitter thread named `name`: on `cfg`'s cadence it renders a
 /// beat into a reused buffer with `render` — told whether the beat is the
 /// terminal one, rendered when the handle finishes — and writes it to
-/// every sink. Without a sink no thread is spawned. The campaign
-/// heartbeat (`campaign::live`) runs on it too.
-pub(crate) fn spawn_emitter(
+/// every sink. Without a sink no thread is spawned. The facade's
+/// campaign heartbeat runs on it too.
+pub fn spawn_emitter(
     cfg: LiveConfig,
     name: &str,
     render: impl FnMut(&mut String, bool) + Send + 'static,
@@ -360,7 +360,7 @@ fn render_heartbeat(
 }
 
 /// Formats a float as a finite JSON number (non-finite become 0).
-pub(crate) fn write_f64(buf: &mut String, v: f64) {
+pub fn write_f64(buf: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(buf, "{v:.6}");
     } else {

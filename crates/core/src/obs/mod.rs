@@ -3,9 +3,8 @@
 //!
 //! The subsystem has five layers, all dependency-free:
 //!
-//! * [`trace`] — a [`Tracer`] handing out per-thread [`TraceHandle`]s, each
-//!   a bounded ring buffer of typed [`TraceEvent`]s. Recording while
-//!   disabled costs one relaxed atomic load.
+//! * [`trace`] — the run's [`TraceRing`], a bounded ring buffer of typed
+//!   [`TraceEvent`]s owned by the engine kernel.
 //! * [`metrics`] — a [`MetricsRegistry`] of named gauge time series and
 //!   log2-bucketed [`Histogram`]s, sampled every N global cycles.
 //! * [`prof`] — a scoped host-time span profiler ([`Profiler`] /
@@ -20,11 +19,11 @@
 //!   long-format CSV dump, and the host-time profile table; [`json`] is the
 //!   matching minimal parser used to validate emitted documents in tests.
 //!
-//! The engines own the wiring: when [`ObsConfig`] is present in the engine
-//! configuration they create an enabled tracer plus registry, instrument
-//! their loops, and attach the drained [`ObsData`] to the final
-//! `SimReport`. When absent, a disabled tracer keeps every instrumentation
-//! site effectively free.
+//! The engine kernel owns the wiring: when [`ObsConfig`] is present in the
+//! engine configuration it builds a trace ring plus registry, records at
+//! the manager's verbs and the drivers' phase marks, and attaches the
+//! resulting [`ObsData`] to the final `SimReport`. When absent, neither is
+//! built and every instrumentation site is one branch on an `Option`.
 
 pub mod export;
 pub mod json;
@@ -37,7 +36,7 @@ pub use export::{chrome_trace_json, escape_json, metrics_csv, prof_csv, prof_tab
 pub use live::{LiveConfig, LiveStats, HEARTBEAT_VERSION};
 pub use metrics::{GaugeId, HistId, Histogram, MetricsRegistry, SeriesPoint};
 pub use prof::{ProfData, ProfHandle, ProfScope, ProfSite, Profiler};
-pub use trace::{Phase, TraceEvent, TraceHandle, TraceRecord, Tracer};
+pub use trace::{Phase, TraceEvent, TraceRecord, TraceRing};
 
 /// Configuration for a run's observability instrumentation.
 ///
@@ -52,9 +51,9 @@ pub use trace::{Phase, TraceEvent, TraceHandle, TraceRecord, Tracer};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Ring-buffer capacity of each per-thread trace handle; when a ring
-    /// fills, the oldest records are dropped (and counted) so memory stays
-    /// bounded on arbitrarily long runs.
+    /// Capacity of the run's trace ring; when it fills, the oldest records
+    /// are dropped (and counted) so memory stays bounded on arbitrarily
+    /// long runs.
     pub trace_capacity: usize,
     /// Gauge sampling cadence in global simulated cycles.
     pub sample_every: u64,
@@ -77,7 +76,7 @@ impl ObsConfig {
         self
     }
 
-    /// Overrides the per-thread trace ring capacity.
+    /// Overrides the trace ring capacity.
     ///
     /// # Panics
     ///
@@ -180,16 +179,15 @@ mod tests {
 
     #[test]
     fn summary_counts_event_classes() {
-        let tracer = Tracer::new(16);
-        let mut h = tracer.handle();
-        h.record(
+        let mut ring = TraceRing::new(16);
+        ring.record(
             Cycle::new(1),
             TraceEvent::PhaseBegin {
                 core: CoreId::new(0),
                 phase: Phase::Run,
             },
         );
-        h.record(
+        ring.record(
             Cycle::new(2),
             TraceEvent::BoundChange {
                 old: 4,
@@ -197,8 +195,7 @@ mod tests {
                 rate: 0.0,
             },
         );
-        h.flush();
-        let (records, dropped) = tracer.drain();
+        let (records, dropped) = ring.into_parts();
         let obs = ObsData {
             cores: 1,
             records,

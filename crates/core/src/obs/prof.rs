@@ -10,7 +10,7 @@
 //! splitting *total* time from *self* time (total minus time spent in
 //! nested scopes on the same thread).
 //!
-//! The cost model mirrors [`super::trace::Tracer`]:
+//! The cost model:
 //!
 //! * **disabled** (the default): entering a scope is one relaxed atomic
 //!   load and the guard is inert — cheap enough to leave in release-mode

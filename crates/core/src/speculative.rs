@@ -84,11 +84,6 @@ pub struct SpeculationConfig {
     /// [`ViolationSelect::none`] the engine only takes checkpoints and
     /// measures their overhead (Table 2's 5K–100K columns).
     pub rollback_on: ViolationSelect,
-    /// Upper bound on rollbacks per interval; after this many the interval
-    /// is replayed in cycle-by-cycle mode regardless (defence in depth for
-    /// forward progress — CC replay cannot re-violate, so 1 suffices in
-    /// practice).
-    pub max_rollbacks_per_interval: u32,
 }
 
 impl SpeculationConfig {
@@ -98,7 +93,6 @@ impl SpeculationConfig {
         SpeculationConfig {
             interval,
             rollback_on: ViolationSelect::none(),
-            max_rollbacks_per_interval: 1,
         }
     }
 
@@ -108,7 +102,6 @@ impl SpeculationConfig {
         SpeculationConfig {
             interval,
             rollback_on,
-            max_rollbacks_per_interval: 1,
         }
     }
 }

@@ -20,7 +20,6 @@
 //!   completeness ([`ViolationKind::Workload`]).
 
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::time::Cycle;
 
@@ -228,56 +227,6 @@ impl ViolationTally {
     }
 }
 
-/// Thread-safe violation counters shared between the manager thread and
-/// observers (progress reporting, the adaptive controller).
-#[derive(Debug, Default)]
-pub struct SharedViolationTally {
-    counts: [AtomicU64; 5],
-}
-
-impl SharedViolationTally {
-    /// Creates a zeroed shared tally.
-    pub fn new() -> Self {
-        SharedViolationTally::default()
-    }
-
-    /// Records one violation of `kind`.
-    #[inline]
-    pub fn record(&self, kind: ViolationKind) {
-        self.counts[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Returns the current count for one kind.
-    #[inline]
-    pub fn count(&self, kind: ViolationKind) -> u64 {
-        self.counts[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Takes a consistent-enough snapshot of all counters.
-    pub fn snapshot(&self) -> ViolationTally {
-        let mut t = ViolationTally::new();
-        for kind in ViolationKind::ALL {
-            t.counts[kind.index()] = self.count(kind);
-        }
-        t
-    }
-
-    /// Resets all counters to zero (used on rollback).
-    pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Overwrites the counters with `tally` (used when restoring a
-    /// checkpoint).
-    pub fn restore(&self, tally: &ViolationTally) {
-        for kind in ViolationKind::ALL {
-            self.counts[kind.index()].store(tally.count(kind), Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,26 +281,5 @@ mod tests {
         assert_eq!(d.count(ViolationKind::Map), 1);
         a.merge(&d);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn shared_tally_roundtrip() {
-        let s = SharedViolationTally::new();
-        s.record(ViolationKind::Map);
-        s.record(ViolationKind::Bus);
-        s.record(ViolationKind::Bus);
-        let snap = s.snapshot();
-        assert_eq!(snap.count(ViolationKind::Bus), 2);
-        assert_eq!(snap.count(ViolationKind::Map), 1);
-        s.reset();
-        assert_eq!(s.snapshot().total(), 0);
-        s.restore(&snap);
-        assert_eq!(s.snapshot(), snap);
-    }
-
-    #[test]
-    fn shared_tally_is_send_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedViolationTally>();
     }
 }

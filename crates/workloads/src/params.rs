@@ -43,6 +43,10 @@ impl Benchmark {
         Benchmark::WaterNsquared,
     ];
 
+    /// The canonical spellings [`parse`](Benchmark::parse) accepts, for
+    /// error messages.
+    pub const TOKENS: &'static str = "barnes|fft|lu|water";
+
     /// Short name used in experiment tables.
     pub fn name(self) -> &'static str {
         match self {

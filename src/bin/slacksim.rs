@@ -20,14 +20,13 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use slacksim::scheme::{AdaptiveConfig, Scheme};
-use slacksim::slacksim_core::campaign::{JobRow, Manifest, CSV_HEADER, LEGACY_CSV_HEADER};
 use slacksim::slacksim_core::obs::json::Json;
 use slacksim::slacksim_core::obs::prof::SiteStat;
-use slacksim::sweep::{run_sweep, SweepOptions};
+use slacksim::sweep::{run_sweep, JobRow, Manifest, SweepOptions, CSV_HEADER, LEGACY_CSV_HEADER};
 use slacksim::{
-    Benchmark, EngineError, EngineKind, LiveConfig, ObsConfig, ProfData, ProfSite, Simulation,
-    SpeculationConfig, UncoreKind, ViolationKind, ViolationSelect, HEARTBEAT_VERSION,
+    Benchmark, EngineError, EngineKind, LiveConfig, ObsConfig, ProfData, ProfSite, SchemeKind,
+    SchemeParams, Simulation, SpeculationConfig, UncoreKind, ViolationKind, ViolationSelect,
+    HEARTBEAT_VERSION,
 };
 
 /// Flags that take a value in the following argument.
@@ -201,50 +200,55 @@ fn main() {
         None => Benchmark::Fft,
         Some(name) => Benchmark::parse(name).unwrap_or_else(|| {
             usage_error(&format!(
-                "unknown benchmark '{name}' (expected barnes|fft|lu|water)"
+                "unknown benchmark '{name}' (expected {})",
+                Benchmark::TOKENS
             ))
         }),
     };
-    let scheme = match args.value("--scheme").unwrap_or("cc") {
-        "cc" | "cycle" => Scheme::CycleByCycle,
-        "bounded" => Scheme::BoundedSlack {
-            bound: args.parsed_nonzero("--bound", 8),
-        },
-        "unbounded" | "su" => Scheme::UnboundedSlack,
-        "quantum" => Scheme::Quantum {
-            quantum: args.parsed_nonzero("--quantum", 50),
-        },
-        "adaptive" => {
-            let target: f64 = args.parsed("--target", 0.2);
+    let name = args.value("--scheme").unwrap_or("cc");
+    let kind = SchemeKind::parse(name).unwrap_or_else(|| {
+        usage_error(&format!(
+            "unknown scheme '{name}' (expected {})",
+            SchemeKind::TOKENS
+        ))
+    });
+    // Each scheme reads (and validates) only the flags it uses.
+    let d = SchemeParams::default();
+    let mut params = d;
+    match kind {
+        SchemeKind::Cc | SchemeKind::Unbounded => {}
+        SchemeKind::Bounded => params.bound = args.parsed_nonzero("--bound", d.bound),
+        SchemeKind::Quantum => params.quantum = args.parsed_nonzero("--quantum", d.quantum),
+        SchemeKind::Adaptive => {
+            let target: f64 = args.parsed("--target", d.target_pct);
             if !target.is_finite() || target <= 0.0 {
                 usage_error(&format!(
                     "--target must be a finite percentage > 0 (got {target})"
                 ));
             }
-            let band: f64 = args.parsed("--band", 5.0);
+            let band: f64 = args.parsed("--band", d.band_pct);
             if !band.is_finite() || band < 0.0 {
                 usage_error(&format!(
                     "--band must be a finite percentage >= 0 (got {band})"
                 ));
             }
-            Scheme::Adaptive(AdaptiveConfig::percent(target, band))
+            (params.target_pct, params.band_pct) = (target, band);
         }
-        "p2p" => Scheme::LaxP2p {
-            lead: args.parsed_nonzero("--bound", 8),
-            period: args.parsed_nonzero("--period", 500),
-            seed: args.parsed("--seed", 1),
-        },
-        other => usage_error(&format!(
-            "unknown scheme '{other}' (expected cc|bounded|unbounded|quantum|adaptive|p2p)"
-        )),
-    };
-    let engine = match args.value("--engine").unwrap_or("seq") {
-        "seq" | "sequential" => EngineKind::Sequential,
-        "threaded" | "thr" => EngineKind::Threaded,
-        "batched" | "bsp" => EngineKind::Batched,
-        other => usage_error(&format!(
-            "unknown engine '{other}' (expected seq|threaded|batched)"
-        )),
+        SchemeKind::P2p => {
+            params.bound = args.parsed_nonzero("--bound", d.bound);
+            params.period = args.parsed_nonzero("--period", d.period);
+            params.seed = args.parsed("--seed", d.seed);
+        }
+    }
+    let scheme = kind.build(&params);
+    let engine = match args.value("--engine") {
+        None => EngineKind::Sequential,
+        Some(name) => EngineKind::parse(name).unwrap_or_else(|| {
+            usage_error(&format!(
+                "unknown engine '{name}' (expected {})",
+                EngineKind::TOKENS
+            ))
+        }),
     };
     // The host threads the window loop folds the cores onto. Absent (0),
     // the engine sizes itself from the host's available parallelism.
@@ -262,7 +266,10 @@ fn main() {
     let uncore = match args.value("--uncore") {
         None => UncoreKind::Bus,
         Some(name) => UncoreKind::parse(name).unwrap_or_else(|| {
-            usage_error(&format!("unknown uncore '{name}' (expected bus|directory)"))
+            usage_error(&format!(
+                "unknown uncore '{name}' (expected {})",
+                UncoreKind::TOKENS
+            ))
         }),
     };
     // Range-check the core count here, before any CmpConfig exists: an

@@ -72,7 +72,7 @@ use slacksim_core::engine::{
     BatchedEngine, CheckpointView, EngineResume, SaveHook, SequentialEngine,
 };
 use slacksim_core::persist;
-use slacksim_core::scheme::Scheme;
+use slacksim_core::scheme::{AdaptiveConfig, Scheme};
 
 mod snapshot;
 pub mod sweep;
@@ -101,6 +101,132 @@ pub enum EngineKind {
     /// [`Sequential`](EngineKind::Sequential)'s, at a fraction of the
     /// host cost.
     Batched,
+}
+
+impl EngineKind {
+    /// Every canonical name [`parse`](EngineKind::parse) accepts, for error
+    /// messages.
+    pub const TOKENS: &'static str = "seq|threaded|batched";
+
+    /// Parses an engine name: the `--engine` flag's and a sweep spec's
+    /// vocabulary, with the aliases `sequential`, `thr` and `bsp`.
+    pub fn parse(name: &str) -> Option<EngineKind> {
+        match name {
+            "seq" | "sequential" => Some(EngineKind::Sequential),
+            "threaded" | "thr" => Some(EngineKind::Threaded),
+            "batched" | "bsp" => Some(EngineKind::Batched),
+            _ => None,
+        }
+    }
+
+    /// The canonical name.
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineKind::Sequential => "seq",
+            EngineKind::Threaded => "threaded",
+            EngineKind::Batched => "batched",
+        }
+    }
+}
+
+/// A scheme by name: the `--scheme` flag's and a sweep's `scheme` axis's
+/// vocabulary. [`build`](SchemeKind::build) turns it into a [`Scheme`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchemeKind {
+    /// Barrier every cycle.
+    Cc,
+    /// Bounded slack (reads `bound`).
+    Bounded,
+    /// No synchronisation.
+    Unbounded,
+    /// Barrier every quantum (reads `quantum`).
+    Quantum,
+    /// Feedback-controlled adaptive slack (reads the target and band).
+    Adaptive,
+    /// Lax peer-to-peer sync (reads `bound` as the lead, the re-pick
+    /// period and the seed).
+    P2p,
+}
+
+impl SchemeKind {
+    /// Every canonical name [`parse`](SchemeKind::parse) accepts, for error
+    /// messages.
+    pub const TOKENS: &'static str = "cc|bounded|unbounded|quantum|adaptive|p2p";
+
+    /// Parses a scheme name, with the aliases `cycle` and `su`.
+    pub fn parse(name: &str) -> Option<SchemeKind> {
+        match name {
+            "cc" | "cycle" => Some(SchemeKind::Cc),
+            "bounded" => Some(SchemeKind::Bounded),
+            "unbounded" | "su" => Some(SchemeKind::Unbounded),
+            "quantum" => Some(SchemeKind::Quantum),
+            "adaptive" => Some(SchemeKind::Adaptive),
+            "p2p" => Some(SchemeKind::P2p),
+            _ => None,
+        }
+    }
+
+    /// The canonical name.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchemeKind::Cc => "cc",
+            SchemeKind::Bounded => "bounded",
+            SchemeKind::Unbounded => "unbounded",
+            SchemeKind::Quantum => "quantum",
+            SchemeKind::Adaptive => "adaptive",
+            SchemeKind::P2p => "p2p",
+        }
+    }
+
+    /// The fully parameterised scheme, reading the knobs this kind uses.
+    pub fn build(self, p: &SchemeParams) -> Scheme {
+        match self {
+            SchemeKind::Cc => Scheme::CycleByCycle,
+            SchemeKind::Bounded => Scheme::BoundedSlack { bound: p.bound },
+            SchemeKind::Unbounded => Scheme::UnboundedSlack,
+            SchemeKind::Quantum => Scheme::Quantum { quantum: p.quantum },
+            SchemeKind::Adaptive => {
+                Scheme::Adaptive(AdaptiveConfig::percent(p.target_pct, p.band_pct))
+            }
+            SchemeKind::P2p => Scheme::LaxP2p {
+                lead: p.bound,
+                period: p.period,
+                seed: p.seed,
+            },
+        }
+    }
+}
+
+/// The knobs [`SchemeKind::build`] reads. The defaults are the ones the
+/// CLI and a sweep share: bound 8, quantum 50, adaptive target 0.2 % in
+/// a 5 % band, p2p re-pick period 500, seed 1.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SchemeParams {
+    /// Slack bound, and the p2p lead.
+    pub bound: u64,
+    /// Quantum length.
+    pub quantum: u64,
+    /// Adaptive target violation rate, in percent.
+    pub target_pct: f64,
+    /// Adaptive tolerance band, in percent of the target.
+    pub band_pct: f64,
+    /// P2p re-pick period, in cycles.
+    pub period: u64,
+    /// P2p pairing seed.
+    pub seed: u64,
+}
+
+impl Default for SchemeParams {
+    fn default() -> Self {
+        SchemeParams {
+            bound: 8,
+            quantum: 50,
+            target_pct: 0.2,
+            band_pct: 5.0,
+            period: 500,
+            seed: 1,
+        }
+    }
 }
 
 /// Builder for a complete slack-simulation run: target CMP + workload +

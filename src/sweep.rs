@@ -1,11 +1,17 @@
-//! The campaign runner: executes a sweep-spec grid as a fleet of
+//! Design-space campaigns: a sweep-spec grid run as a fleet of
 //! [`Simulation`] jobs on a host worker pool.
 //!
-//! This is the target-aware half of the campaign subsystem. The
-//! target-agnostic half — spec parsing, grid expansion, the pool, the
-//! heartbeats and the artifact formats — lives in
-//! [`slacksim_core::campaign`]; this module wires each expanded
-//! [`Job`] to a concrete [`Simulation`] with durable per-job
+//! * `spec` — the [`SweepSpec`] format and its expansion into a stably
+//!   ordered grid of [`Job`]s with unique identity tokens;
+//! * `pool` — a worker pool that hands out jobs from one shared atomic
+//!   cursor and returns results in job order;
+//! * `live` — campaign heartbeats on the run heartbeat's emitter
+//!   (`"campaign":true` tells them apart);
+//! * `aggregate` — the durable artifacts: [`Manifest`], per-job
+//!   [`JobRow`]s, streamed JSONL and final CSV aggregates, all free of
+//!   wall-clock time.
+//!
+//! This file wires each job to a [`Simulation`] with durable per-job
 //! checkpoints and assembles the campaign directory:
 //!
 //! ```text
@@ -23,6 +29,11 @@
 //! skips every settled job — the final aggregate is byte-identical to an
 //! uninterrupted campaign's (enforced by `tests/campaign.rs`).
 
+mod aggregate;
+mod live;
+mod pool;
+mod spec;
+
 use std::fmt;
 use std::fs::File;
 use std::io::Write as _;
@@ -30,21 +41,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use slacksim_core::campaign::live as campaign_live;
-use slacksim_core::campaign::{
-    render_aggregate_csv, run_jobs, CampaignStats, Job, JobRow, Manifest, PoolOutcome, SpecError,
-    SweepSpec,
-};
 use slacksim_core::obs::LiveConfig;
 use slacksim_core::persist;
 use slacksim_core::speculative::SpeculationConfig;
 use slacksim_core::stats::SimReport;
-use slacksim_workloads::Benchmark;
 
-use crate::{EngineKind, Simulation, UncoreKind};
+pub use aggregate::{JobRow, Manifest, AGGREGATE_VERSION, CSV_HEADER, LEGACY_CSV_HEADER};
+pub use pool::PoolOutcome;
+pub use spec::{Axes, Job, SpecError, SweepSpec, MAX_GRID_JOBS, SPEC_VERSION};
 
-/// Workload tokens [`Benchmark::parse`] accepts, for error messages.
-pub const WORKLOAD_TOKENS: &str = "barnes|fft|lu|water";
+use aggregate::render_aggregate_csv;
+use live::CampaignStats;
+use pool::run_jobs;
+
+use crate::Simulation;
 
 /// Everything that can stop a campaign before any job runs. All
 /// variants are usage-class errors (the CLI maps them to exit 2);
@@ -65,8 +75,6 @@ pub enum SweepError {
     },
     /// The directory holds a manifest this build cannot read.
     Manifest(String),
-    /// A workload axis value the target does not provide.
-    UnknownWorkload(String),
     /// Campaign-directory I/O failed (manifest or aggregate writes).
     Io(String),
 }
@@ -88,12 +96,6 @@ impl fmt::Display for SweepError {
                 dir.join("manifest.json").display()
             ),
             SweepError::Manifest(e) => write!(f, "{e}"),
-            SweepError::UnknownWorkload(w) => {
-                write!(
-                    f,
-                    "unknown workload '{w}' in axis (expected {WORKLOAD_TOKENS})"
-                )
-            }
             SweepError::Io(e) => write!(f, "{e}"),
         }
     }
@@ -187,14 +189,6 @@ pub fn run_sweep(
         (None, None) => return Err(SweepError::MissingSpec(dir.to_path_buf())),
     };
 
-    // Workload names are target vocabulary, so the target-agnostic spec
-    // parser cannot check them; refuse here, before any directory write.
-    for name in &spec.axes.workloads {
-        if Benchmark::parse(name).is_none() {
-            return Err(SweepError::UnknownWorkload(name.clone()));
-        }
-    }
-
     let jobs = spec.expand();
     std::fs::create_dir_all(dir.join("jobs"))
         .map_err(|e| SweepError::Io(format!("cannot create {}: {e}", dir.display())))?;
@@ -230,7 +224,7 @@ pub fn run_sweep(
     let live = opts
         .live
         .clone()
-        .map(|cfg| campaign_live::spawn(cfg, Arc::clone(&stats)));
+        .map(|cfg| live::spawn(cfg, Arc::clone(&stats)));
 
     // Rebuild the streaming aggregate from scratch: settled rows first
     // (grid order), then one appended line per job as it finishes. A
@@ -361,22 +355,13 @@ fn newest_checkpoint(dir: &Path) -> Option<PathBuf> {
 
 /// Builds the `Simulation` for one grid point.
 fn build_simulation(spec: &SweepSpec, job: &Job) -> Simulation {
-    let benchmark =
-        Benchmark::parse(&job.workload).expect("workload axis validated before expansion");
-    let mut sim = Simulation::new(benchmark);
-    sim.uncore(match job.uncore {
-        slacksim_core::campaign::UncoreToken::Bus => UncoreKind::Bus,
-        slacksim_core::campaign::UncoreToken::Directory => UncoreKind::Directory,
-    })
-    .cores(job.cores as usize)
-    .scheme(job.scheme.clone())
-    .engine(match spec.engine {
-        slacksim_core::campaign::EngineToken::Seq => EngineKind::Sequential,
-        slacksim_core::campaign::EngineToken::Threaded => EngineKind::Threaded,
-        slacksim_core::campaign::EngineToken::Batched => EngineKind::Batched,
-    })
-    .commit_target(spec.commit)
-    .seed(job.seed);
+    let mut sim = Simulation::new(job.benchmark);
+    sim.uncore(job.uncore)
+        .cores(job.cores as usize)
+        .scheme(job.scheme.clone())
+        .engine(spec.engine)
+        .commit_target(spec.commit)
+        .seed(job.seed);
     if let Some(mc) = spec.max_cycles {
         sim.max_cycles(mc);
     }
@@ -457,7 +442,7 @@ fn execute_job(
         token: job.token(),
         workload: job.workload.clone(),
         scheme: job.kind.name().to_string(),
-        uncore: job.uncore.name().to_string(),
+        uncore: job.uncore.as_str().to_string(),
         bound: job.bound,
         quantum: job.quantum,
         cores: job.cores,

@@ -25,8 +25,8 @@
 //! the campaign ran uninterrupted or was SIGKILLed and resumed. That
 //! byte-identity is the crash-safety acceptance test.
 
-use crate::obs::escape_json;
-use crate::obs::json::Json;
+use slacksim_core::obs::escape_json;
+use slacksim_core::obs::json::Json;
 
 /// Version of the manifest / row JSON schemas (their `v` fields).
 pub const AGGREGATE_VERSION: u64 = 1;
@@ -114,7 +114,7 @@ pub struct JobRow {
     pub workload: String,
     /// Scheme-axis token (`SchemeKind::name`).
     pub scheme: String,
-    /// Uncore-axis token (`UncoreToken::name`); rows written before the
+    /// Uncore-axis token (`UncoreKind::as_str`); rows written before the
     /// uncore axis existed parse back as `bus`.
     pub uncore: String,
     /// Bound-axis value.

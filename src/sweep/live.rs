@@ -1,13 +1,14 @@
 //! Campaign-level heartbeats: one JSON line per beat describing fleet
 //! progress, emitted on a host-time cadence while a sweep runs.
 //!
-//! Runs on the per-run emitter of [`obs::live`](crate::obs::live) — same
-//! sink vocabulary ([`LiveConfig`]: stderr / atomically-replaced status
-//! file / in-process capture), same detached observer thread, same
-//! single-line versioned-JSON discipline, same guaranteed terminal beat —
-//! but renders a [`CampaignStats`] block of job-level gauges instead of
-//! engine cycle counters. The discriminating field is `"campaign":true`,
-//! which is how `slacksim report` tells a campaign heartbeat from an
+//! Runs on the per-run emitter of
+//! [`obs::live`](slacksim_core::obs::live) — same sink vocabulary
+//! ([`LiveConfig`]: stderr / atomically-replaced status file / in-process
+//! capture), same detached observer thread, same single-line
+//! versioned-JSON discipline, same guaranteed terminal beat — but renders
+//! a [`CampaignStats`] block of job-level gauges instead of engine cycle
+//! counters. The discriminating field is `"campaign":true`, which is how
+//! `slacksim report` tells a campaign heartbeat from an
 //! engine heartbeat before choosing a renderer.
 //!
 //! Workers publish with one relaxed atomic increment per job transition;
@@ -18,7 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::obs::live::{spawn_emitter, write_f64, LiveConfig, LiveHandle, HEARTBEAT_VERSION};
+use slacksim_core::obs::live::{
+    spawn_emitter, write_f64, LiveConfig, LiveHandle, HEARTBEAT_VERSION,
+};
 
 /// Job-level gauges the sweep runner publishes and the emitter reads.
 /// All accesses are relaxed; each gauge is independent and a slightly
@@ -133,7 +136,7 @@ pub fn render_campaign_heartbeat(buf: &mut String, start: Instant, stats: &Campa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::json::Json;
+    use slacksim_core::obs::json::Json;
     use std::sync::Mutex;
     use std::time::Duration;
 

@@ -1,10 +1,10 @@
 //! Sweep-spec parsing and design-space grid expansion.
 //!
 //! A sweep spec is one JSON document (parsed with the in-tree
-//! [`obs::json`](crate::obs::json) parser, matching the no-external-crates
-//! policy) describing a {scheme × bound × quantum × uncore × cores ×
-//! workload × seed} grid plus the fixed per-job settings every point
-//! shares:
+//! [`obs::json`](slacksim_core::obs::json) parser, matching the
+//! no-external-crates policy) describing a {scheme × bound × quantum ×
+//! uncore × cores × workload × seed} grid plus the fixed per-job settings
+//! every point shares:
 //!
 //! ```json
 //! {
@@ -39,11 +39,15 @@
 //! job IDs), zero quantities and out-of-range core counts are all
 //! refused with a [`SpecError`] naming the accepted values, never
 //! silently defaulted — the same contract as the CLI's flag validation.
+//! Scheme, engine, uncore and workload names go through the same parse
+//! functions as the CLI's flags.
 
 use std::fmt;
 
-use crate::obs::json::Json;
-use crate::scheme::{AdaptiveConfig, Scheme};
+use slacksim_core::obs::json::Json;
+use slacksim_core::scheme::Scheme;
+
+use crate::{Benchmark, EngineKind, SchemeKind, SchemeParams, UncoreKind};
 
 /// Version of the sweep-spec JSON schema (the `v` field).
 pub const SPEC_VERSION: u64 = 1;
@@ -51,13 +55,6 @@ pub const SPEC_VERSION: u64 = 1;
 /// Hard cap on expanded grid size: a runaway product (seven axes multiply
 /// fast) is refused at parse time instead of exhausting memory.
 pub const MAX_GRID_JOBS: u64 = 100_000;
-
-/// Accepted `scheme` axis values, in canonical order.
-pub const SCHEME_TOKENS: &str = "cc|bounded|unbounded|quantum|adaptive|p2p";
-/// Accepted `uncore` axis values.
-pub const UNCORE_TOKENS: &str = "bus|directory";
-/// Accepted `engine` values.
-pub const ENGINE_TOKENS: &str = "seq|threaded|batched";
 
 /// Everything that can be wrong with a sweep spec. Every variant's
 /// `Display` names the offending value and enumerates what is accepted.
@@ -96,6 +93,8 @@ pub enum SpecError {
     UnknownUncore(String),
     /// An unknown `engine` value.
     UnknownEngine(String),
+    /// A `workload` axis value no benchmark answers to.
+    UnknownWorkload(String),
     /// A top-level or axis field this schema version does not define —
     /// refused so a typo cannot silently drop an axis.
     UnknownField(String),
@@ -143,13 +142,28 @@ impl fmt::Display for SpecError {
                 )
             }
             SpecError::UnknownScheme(s) => {
-                write!(f, "unknown scheme '{s}' in axis (expected {SCHEME_TOKENS})")
+                write!(
+                    f,
+                    "unknown scheme '{s}' in axis (expected {})",
+                    SchemeKind::TOKENS
+                )
             }
             SpecError::UnknownUncore(s) => {
-                write!(f, "unknown uncore '{s}' in axis (expected {UNCORE_TOKENS})")
+                write!(
+                    f,
+                    "unknown uncore '{s}' in axis (expected {})",
+                    UncoreKind::TOKENS
+                )
             }
             SpecError::UnknownEngine(s) => {
-                write!(f, "unknown engine '{s}' (expected {ENGINE_TOKENS})")
+                write!(f, "unknown engine '{s}' (expected {})", EngineKind::TOKENS)
+            }
+            SpecError::UnknownWorkload(s) => {
+                write!(
+                    f,
+                    "unknown workload '{s}' in axis (expected {})",
+                    Benchmark::TOKENS
+                )
             }
             SpecError::UnknownField(s) => {
                 write!(f, "unknown sweep-spec field '{s}'")
@@ -180,129 +194,6 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Which execution engine runs every job of the sweep.
-///
-/// Mirrors the facade's engine selection by name; the campaign layer is
-/// target-agnostic and treats the token as opaque beyond validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineToken {
-    /// Deterministic single-threaded engine.
-    #[default]
-    Seq,
-    /// The window loop, under the wall-clock experiments' name.
-    Threaded,
-    /// The window loop: target cores on host threads, every scheme.
-    Batched,
-}
-
-impl EngineToken {
-    /// Parses an engine token (the CLI's `--engine` vocabulary).
-    pub fn parse(name: &str) -> Option<EngineToken> {
-        match name {
-            "seq" | "sequential" => Some(EngineToken::Seq),
-            "threaded" | "thr" => Some(EngineToken::Threaded),
-            "batched" | "bsp" => Some(EngineToken::Batched),
-            _ => None,
-        }
-    }
-
-    /// The canonical token name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineToken::Seq => "seq",
-            EngineToken::Threaded => "threaded",
-            EngineToken::Batched => "batched",
-        }
-    }
-}
-
-/// One point on the uncore axis: which interconnect every core of a job
-/// shares. Mirrors the target's uncore selection by name (like
-/// [`EngineToken`] mirrors engine selection); the campaign layer only
-/// needs the token and its core ceiling for validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UncoreToken {
-    /// The snooping bus: one shared resource, at most 16 cores.
-    #[default]
-    Bus,
-    /// Sharded directory-MESI: up to 1024 cores.
-    Directory,
-}
-
-impl UncoreToken {
-    /// Parses an uncore axis token.
-    pub fn parse(name: &str) -> Option<UncoreToken> {
-        match name {
-            "bus" => Some(UncoreToken::Bus),
-            "directory" => Some(UncoreToken::Directory),
-            _ => None,
-        }
-    }
-
-    /// The canonical token name.
-    pub fn name(self) -> &'static str {
-        match self {
-            UncoreToken::Bus => "bus",
-            UncoreToken::Directory => "directory",
-        }
-    }
-
-    /// Largest core count this uncore supports (must agree with the
-    /// target's `UncoreKind::max_cores`).
-    pub fn max_cores(self) -> u64 {
-        match self {
-            UncoreToken::Bus => 16,
-            UncoreToken::Directory => 1024,
-        }
-    }
-}
-
-/// One point on the scheme axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchemeKind {
-    /// Barrier every cycle.
-    Cc,
-    /// Bounded slack (consumes the `bound` axis).
-    Bounded,
-    /// No synchronisation.
-    Unbounded,
-    /// Barrier every quantum (consumes the `quantum` axis).
-    Quantum,
-    /// Feedback-controlled adaptive slack (paper defaults: 0.2% target,
-    /// 5% band).
-    Adaptive,
-    /// Lax peer-to-peer sync (consumes the `bound` axis as the lead; the
-    /// re-pick period is fixed at 500 cycles).
-    P2p,
-}
-
-impl SchemeKind {
-    /// Parses a scheme axis token.
-    pub fn parse(name: &str) -> Option<SchemeKind> {
-        match name {
-            "cc" | "cycle" => Some(SchemeKind::Cc),
-            "bounded" => Some(SchemeKind::Bounded),
-            "unbounded" | "su" => Some(SchemeKind::Unbounded),
-            "quantum" => Some(SchemeKind::Quantum),
-            "adaptive" => Some(SchemeKind::Adaptive),
-            "p2p" => Some(SchemeKind::P2p),
-            _ => None,
-        }
-    }
-
-    /// The canonical token name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Cc => "cc",
-            SchemeKind::Bounded => "bounded",
-            SchemeKind::Unbounded => "unbounded",
-            SchemeKind::Quantum => "quantum",
-            SchemeKind::Adaptive => "adaptive",
-            SchemeKind::P2p => "p2p",
-        }
-    }
-}
-
 /// The seven sweep axes. Missing axes default to one neutral value so a
 /// spec only spells out what it varies.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,12 +207,13 @@ pub struct Axes {
     /// Uncore interconnects (default `[bus]`). Every `cores` value must
     /// fit the most restrictive uncore on this axis, so every expanded
     /// (uncore, cores) pair is runnable.
-    pub uncores: Vec<UncoreToken>,
+    pub uncores: Vec<UncoreKind>,
     /// Target core counts (default `[8]`).
     pub cores: Vec<u64>,
-    /// Workload names (required, at least one; validated against the
-    /// target's benchmark set by the embedder).
-    pub workloads: Vec<String>,
+    /// Workloads (required, at least one), each with the author's
+    /// lowercased spelling, which names its jobs: `water` and `water-nsq`
+    /// are two axis values running the same benchmark.
+    pub workloads: Vec<(String, Benchmark)>,
     /// Run seeds (default `[1]`).
     pub seeds: Vec<u64>,
 }
@@ -332,7 +224,7 @@ pub struct SweepSpec {
     /// Committed-instruction target per job.
     pub commit: u64,
     /// Engine every job runs under.
-    pub engine: EngineToken,
+    pub engine: EngineKind,
     /// Durable per-job checkpoint interval in global cycles (enables
     /// crash-safe job resume).
     pub checkpoint: Option<u64>,
@@ -360,11 +252,13 @@ pub struct Job {
     /// The quantum-axis value (ditto).
     pub quantum: u64,
     /// The uncore-axis point.
-    pub uncore: UncoreToken,
+    pub uncore: UncoreKind,
     /// Target core count.
     pub cores: u64,
-    /// Workload name.
+    /// Workload name, as the spec spells it (lowercased).
     pub workload: String,
+    /// The benchmark that name parses to.
+    pub benchmark: Benchmark,
     /// Run seed.
     pub seed: u64,
 }
@@ -378,14 +272,14 @@ impl Job {
     pub fn token(&self) -> String {
         let mut token = format!(
             "{}-{}-b{}-q{}-c{}-s{}",
-            self.workload.to_ascii_lowercase(),
+            self.workload,
             self.kind.name(),
             self.bound,
             self.quantum,
             self.cores,
             self.seed,
         );
-        if self.uncore == UncoreToken::Directory {
+        if self.uncore == UncoreKind::Directory {
             token.push_str("-dir");
         }
         token
@@ -424,11 +318,10 @@ impl SweepSpec {
         }
 
         let engine = match doc.get("engine") {
-            None => EngineToken::Seq,
+            None => EngineKind::Sequential,
             Some(j) => {
                 let name = j.as_str().ok_or(SpecError::UnknownEngine(render(j)))?;
-                EngineToken::parse(name)
-                    .ok_or_else(|| SpecError::UnknownEngine(name.to_string()))?
+                EngineKind::parse(name).ok_or_else(|| SpecError::UnknownEngine(name.to_string()))?
             }
         };
 
@@ -499,14 +392,15 @@ impl SweepSpec {
             out
         };
 
-        let bounds = numeric_axis(axes_doc, "bound", 8, |v| {
+        let defaults = SchemeParams::default();
+        let bounds = numeric_axis(axes_doc, "bound", defaults.bound, |v| {
             if v == 0 {
                 Err(SpecError::ZeroValue("bound"))
             } else {
                 Ok(())
             }
         })?;
-        let quantums = numeric_axis(axes_doc, "quantum", 50, |v| {
+        let quantums = numeric_axis(axes_doc, "quantum", defaults.quantum, |v| {
             if v == 0 {
                 Err(SpecError::ZeroValue("quantum"))
             } else {
@@ -514,7 +408,7 @@ impl SweepSpec {
             }
         })?;
         let uncores = match axis_array(axes_doc, "uncore")? {
-            None => vec![UncoreToken::Bus],
+            None => vec![UncoreKind::Bus],
             Some(arr) => {
                 if arr.is_empty() {
                     return Err(SpecError::EmptyAxis("uncore"));
@@ -524,15 +418,15 @@ impl SweepSpec {
                     let name = j
                         .as_str()
                         .ok_or_else(|| SpecError::UnknownUncore(render(j)))?;
-                    let tok = UncoreToken::parse(name)
+                    let kind = UncoreKind::parse(name)
                         .ok_or_else(|| SpecError::UnknownUncore(name.to_string()))?;
-                    if out.contains(&tok) {
+                    if out.contains(&kind) {
                         return Err(SpecError::DuplicateAxisValue {
                             axis: "uncore",
-                            value: format!("'{}'", tok.name()),
+                            value: format!("'{kind}'"),
                         });
                     }
-                    out.push(tok);
+                    out.push(kind);
                 }
                 out
             }
@@ -545,23 +439,24 @@ impl SweepSpec {
             .iter()
             .min_by_key(|u| u.max_cores())
             .expect("uncore axis is non-empty");
+        let max = strictest.max_cores() as u64;
         let cores = numeric_axis(axes_doc, "cores", 8, |v| {
-            if !(1..=strictest.max_cores()).contains(&v) {
+            if !(1..=max).contains(&v) {
                 Err(SpecError::CoresOutOfRange {
                     value: v,
-                    uncore: strictest.name(),
-                    max: strictest.max_cores(),
+                    uncore: strictest.as_str(),
+                    max,
                 })
             } else {
                 Ok(())
             }
         })?;
-        let seeds = numeric_axis(axes_doc, "seed", 1, |_| Ok(()))?;
+        let seeds = numeric_axis(axes_doc, "seed", defaults.seed, |_| Ok(()))?;
 
         let workloads = {
             let arr = axis_array(axes_doc, "workload")?
                 .ok_or(SpecError::MissingField("axes.workload"))?;
-            let mut out: Vec<String> = Vec::with_capacity(arr.len());
+            let mut out: Vec<(String, Benchmark)> = Vec::with_capacity(arr.len());
             for j in arr {
                 let name = j
                     .as_str()
@@ -570,13 +465,15 @@ impl SweepSpec {
                     return Err(SpecError::BadWorkload("\"\"".to_string()));
                 }
                 let canon = name.to_ascii_lowercase();
-                if out.contains(&canon) {
+                if out.iter().any(|(n, _)| *n == canon) {
                     return Err(SpecError::DuplicateAxisValue {
                         axis: "workload",
                         value: format!("'{canon}'"),
                     });
                 }
-                out.push(canon);
+                let benchmark = Benchmark::parse(&canon)
+                    .ok_or_else(|| SpecError::UnknownWorkload(canon.clone()))?;
+                out.push((canon, benchmark));
             }
             out
         };
@@ -628,9 +525,14 @@ impl SweepSpec {
                 for &quantum in &a.quantums {
                     for &uncore in &a.uncores {
                         for &cores in &a.cores {
-                            for workload in &a.workloads {
+                            for (workload, benchmark) in &a.workloads {
                                 for &seed in &a.seeds {
-                                    let scheme = build_scheme(kind, bound, quantum, seed);
+                                    let scheme = kind.build(&SchemeParams {
+                                        bound,
+                                        quantum,
+                                        seed,
+                                        ..SchemeParams::default()
+                                    });
                                     jobs.push(Job {
                                         index: jobs.len() as u64,
                                         kind,
@@ -640,6 +542,7 @@ impl SweepSpec {
                                         uncore,
                                         cores,
                                         workload: workload.clone(),
+                                        benchmark: *benchmark,
                                         seed,
                                     });
                                 }
@@ -685,30 +588,14 @@ impl SweepSpec {
         let _ = write!(out, ";quantum=");
         join(&mut out, a.quantums.iter().map(u64::to_string));
         let _ = write!(out, ";uncore=");
-        join(&mut out, a.uncores.iter().map(|u| u.name().to_string()));
+        join(&mut out, a.uncores.iter().map(|u| u.as_str().to_string()));
         let _ = write!(out, ";cores=");
         join(&mut out, a.cores.iter().map(u64::to_string));
         let _ = write!(out, ";workload=");
-        join(&mut out, a.workloads.iter().cloned());
+        join(&mut out, a.workloads.iter().map(|(name, _)| name.clone()));
         let _ = write!(out, ";seed=");
         join(&mut out, a.seeds.iter().map(u64::to_string));
         out
-    }
-}
-
-/// Builds the fully parameterised scheme for one grid point.
-fn build_scheme(kind: SchemeKind, bound: u64, quantum: u64, seed: u64) -> Scheme {
-    match kind {
-        SchemeKind::Cc => Scheme::CycleByCycle,
-        SchemeKind::Bounded => Scheme::BoundedSlack { bound },
-        SchemeKind::Unbounded => Scheme::UnboundedSlack,
-        SchemeKind::Quantum => Scheme::Quantum { quantum },
-        SchemeKind::Adaptive => Scheme::Adaptive(AdaptiveConfig::percent(0.2, 5.0)),
-        SchemeKind::P2p => Scheme::LaxP2p {
-            lead: bound,
-            period: 500,
-            seed,
-        },
     }
 }
 
@@ -817,9 +704,15 @@ mod tests {
         assert_eq!(jobs[0].index, 0);
         assert_eq!(jobs[0].kind, SchemeKind::Cc);
         assert_eq!(jobs[0].workload, "fft");
+        assert_eq!(jobs[0].benchmark, Benchmark::Fft);
         assert_eq!(jobs.last().unwrap().index, 15);
         assert_eq!(jobs.last().unwrap().kind, SchemeKind::Bounded);
         assert_eq!(jobs.last().unwrap().bound, 16);
+
+        // The committed CI smoke spec: {cc, bounded, quantum} x 2 seeds.
+        let smoke = SweepSpec::parse(include_str!("../../experiments/campaign-smoke.json"))
+            .expect("the smoke spec parses");
+        assert_eq!(smoke.expand().len(), 6);
     }
 
     #[test]
@@ -831,6 +724,15 @@ mod tests {
         tokens.sort();
         tokens.dedup();
         assert_eq!(tokens.len(), a.len(), "job IDs are unique");
+
+        // Two spellings of one benchmark are two axis values.
+        let both = SweepSpec::parse(
+            r#"{"v":1,"commit":10,"axes":{"scheme":["cc"],"workload":["water","water-nsq"]}}"#,
+        )
+        .unwrap()
+        .expand();
+        assert_eq!(both[0].token(), "water-cc-b8-q50-c8-s1");
+        assert_eq!(both[1].token(), "water-nsq-cc-b8-q50-c8-s1");
     }
 
     #[test]
@@ -863,7 +765,7 @@ mod tests {
                 "workload":["fft"]}}"#,
         )
         .unwrap();
-        assert_eq!(spec.engine, EngineToken::Batched);
+        assert_eq!(spec.engine, EngineKind::Batched);
         let jobs = spec.expand();
         assert_eq!(jobs[0].scheme, Scheme::CycleByCycle);
         assert_eq!(jobs[1].scheme, Scheme::Quantum { quantum: 4 });
@@ -977,11 +879,11 @@ mod tests {
                 "workload":["fft"]}}"#,
         )
         .unwrap();
-        assert_eq!(spec.axes.uncores, vec![UncoreToken::Directory]);
+        assert_eq!(spec.axes.uncores, vec![UncoreKind::Directory]);
         let jobs = spec.expand();
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[1].cores, 64);
-        assert_eq!(jobs[1].uncore, UncoreToken::Directory);
+        assert_eq!(jobs[1].uncore, UncoreKind::Directory);
         assert!(
             jobs[1].token().ends_with("-dir"),
             "directory jobs are suffixed: {}",
@@ -1081,6 +983,29 @@ mod tests {
         .unwrap();
         assert!(bus.canonical().contains(";uncore=bus;"));
         assert_ne!(bus.canonical(), dir.canonical());
+
+        // Every axis at once. A campaign directory resumes only if its
+        // manifest's canonical string and its job directory names are
+        // spelled as they were when it started: these literals were
+        // written by an earlier build and must never change.
+        let every = SweepSpec::parse(
+            r#"{"v":1,"commit":3000,"engine":"batched","checkpoint":500,"max_cycles":10000000,
+                "axes":{"scheme":["cc","bounded","unbounded","quantum","adaptive","p2p"],
+                "bound":[8],"quantum":[50],"uncore":["bus","directory"],"cores":[2],
+                "workload":["fft","Water-Nsq"],"seed":[3]}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            every.canonical(),
+            "v1;commit=3000;engine=batched;checkpoint=500;max_cycles=10000000;\
+             scheme=cc,bounded,unbounded,quantum,adaptive,p2p;bound=8;quantum=50;\
+             uncore=bus,directory;cores=2;workload=fft,water-nsq;seed=3"
+        );
+        let jobs = every.expand();
+        assert_eq!(jobs.len(), 24);
+        assert_eq!(jobs[0].token(), "fft-cc-b8-q50-c2-s3");
+        assert_eq!(jobs[23].token(), "water-nsq-p2p-b8-q50-c2-s3-dir");
+        assert_eq!(jobs[23].benchmark, Benchmark::WaterNsquared);
     }
 
     #[test]

@@ -20,8 +20,7 @@ use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use slacksim::slacksim_core::campaign::SweepSpec;
-use slacksim::sweep::{run_sweep, SweepOptions};
+use slacksim::sweep::{run_sweep, SweepOptions, SweepSpec};
 use slacksim::{Benchmark, EngineKind, SimReport, Simulation};
 
 /// Fresh scratch directory for one test's campaign files.

@@ -13,8 +13,8 @@
 //! * a randomly corrupted spec is rejected with an error message that
 //!   names the offence — never silently defaulted or reordered.
 
-use slacksim_core::campaign::{Job, SpecError, SweepSpec};
-use slacksim_core::rng::Xoshiro256;
+use slacksim::slacksim_core::rng::Xoshiro256;
+use slacksim::sweep::{Job, SpecError, SweepSpec};
 
 const CASES: u64 = 64;
 

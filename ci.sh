@@ -5,6 +5,20 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+echo "==> non-test line counts (report only)"
+# The counts ROADMAP's simplicity claims quote: Rust outside benchmark/
+# and every tests/ directory, each file counted up to its first
+# `#[cfg(test)]` line.
+count_lines() { # count_lines DIR...
+    find "$@" -name '*.rs' -not -path '*/target/*' -not -path '*/benchmark/*' \
+        -not -path '*/tests/*' -print0 |
+        xargs -0 awk 'FNR == 1 { stop = 0 } /^#\[cfg\(test\)\]/ { stop = 1 }
+            !stop { n++ } END { print n + 0 }' |
+        awk '{ sum += $1 } END { print sum + 0 }'
+}
+echo "tree $(count_lines .), crates/core/src/engine $(count_lines crates/core/src/engine)," \
+    "src $(count_lines src)"
+
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 

@@ -1,21 +1,7 @@
 //! `slacksim` — command-line front end: run one configured slack
-//! simulation and print the report.
-//!
-//! ```text
-//! slacksim [--benchmark barnes|fft|lu|water] [--scheme cc|bounded|unbounded|quantum|adaptive|p2p]
-//!          [--bound N] [--quantum N] [--target PCT] [--band PCT]
-//!          [--engine seq|threaded|batched] [--uncore bus|directory]
-//!          [--cores N] [--host-threads N] [--commit N] [--seed N]
-//!          [--checkpoint N] [--rollback all|map|none]
-//!          [--save-state DIR] [--resume FILE]
-//!          [--verbose] [--trace OUT.json] [--metrics OUT.csv] [--sample-every CYCLES]
-//!          [--profile] [--profile-csv OUT.csv]
-//!          [--live-stderr] [--live-status FILE] [--live-every MS]
-//! slacksim sweep --spec FILE --dir DIR [--workers N]
-//!          [--live-stderr] [--live-status FILE] [--live-every MS]
-//! slacksim sweep --dir DIR            # resume from the campaign manifest
-//! slacksim report PATH...
-//! ```
+//! simulation and print the report, run a sweep campaign, or render saved
+//! artifacts. The usage text is `HELP` (`slacksim --help`), with
+//! `SWEEP_HELP` and `REPORT_HELP` for the subcommands.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -24,9 +10,8 @@ use slacksim::slacksim_core::obs::json::Json;
 use slacksim::slacksim_core::obs::prof::SiteStat;
 use slacksim::sweep::{run_sweep, JobRow, Manifest, SweepOptions, CSV_HEADER, LEGACY_CSV_HEADER};
 use slacksim::{
-    Benchmark, EngineError, EngineKind, LiveConfig, ObsConfig, ProfData, ProfSite, SchemeKind,
-    SchemeParams, Simulation, SpeculationConfig, UncoreKind, ViolationKind, ViolationSelect,
-    HEARTBEAT_VERSION,
+    Benchmark, EngineError, EngineKind, LiveConfig, ObsConfig, ProfData, ProfSite, RunError,
+    RunSpec, SchemeKind, UncoreKind, ViolationKind, ViolationSelect, HEARTBEAT_VERSION,
 };
 
 /// Flags that take a value in the following argument.
@@ -56,6 +41,10 @@ const VALUE_FLAGS: &[&str] = &[
     "--live-every",
 ];
 
+/// The scheme knobs: each scheme reads only its own
+/// ([`SchemeKind::knobs`]) and refuses the others.
+const SCHEME_FLAGS: &[&str] = &["--bound", "--quantum", "--target", "--band", "--period"];
+
 /// Flags that stand alone.
 const BOOL_FLAGS: &[&str] = &["--verbose", "--help", "-h", "--profile", "--live-stderr"];
 
@@ -80,18 +69,9 @@ struct Args {
 }
 
 impl Args {
-    fn new(argv: Vec<String>) -> Self {
-        Args {
-            argv,
-            help_cmd: "slacksim",
-        }
-    }
-
-    fn sweep(argv: Vec<String>) -> Self {
-        Args {
-            argv,
-            help_cmd: "slacksim sweep",
-        }
+    fn new(help_cmd: &'static str, argv: &[String]) -> Self {
+        let argv = argv.to_vec();
+        Args { argv, help_cmd }
     }
 
     /// Prints a usage error citing this command's help and exits 2.
@@ -100,18 +80,13 @@ impl Args {
     }
 
     /// Rejects unknown flags, stray positional arguments, repeated flags
-    /// and value flags missing their value — a typo must fail loudly, not
-    /// silently fall back to a default configuration or to whichever of
-    /// two values [`value`](Args::value) happens to find first.
-    fn validate(&self) {
-        self.validate_with(VALUE_FLAGS, BOOL_FLAGS);
-    }
-
-    /// [`validate`](Args::validate) against an explicit flag vocabulary
-    /// (subcommands bring their own). A value flag followed by another
-    /// flag of the vocabulary is missing its value: `--trace --verbose`
-    /// must not write a trace file named `--verbose`.
-    fn validate_with(&self, value_flags: &[&str], bool_flags: &[&str]) {
+    /// and value flags missing their value against a command's flag
+    /// vocabulary — a typo must fail loudly, not silently fall back to a
+    /// default configuration or to whichever of two values
+    /// [`value`](Args::value) happens to find first. A value flag followed
+    /// by another flag is missing its value: `--trace --verbose` must not
+    /// write a trace file named `--verbose`.
+    fn validate(&self, value_flags: &[&str], bool_flags: &[&str]) {
         let is_flag = |a: &str| value_flags.contains(&a) || bool_flags.contains(&a);
         let mut seen: Vec<&str> = Vec::new();
         let mut args = self.argv.iter().map(String::as_str);
@@ -137,20 +112,39 @@ impl Args {
             .map(String::as_str)
     }
 
-    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        match self.value(flag) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| self.fail(&format!("invalid value '{v}' for {flag}"))),
-        }
+    /// The value of `flag` parsed as a `T`, `None` when the flag is absent;
+    /// a malformed value is a usage error.
+    fn parsed_opt<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| self.fail(&format!("invalid value '{v}' for {flag}")))
+        })
     }
 
-    /// Like [`parsed`](Args::parsed) for cycle counts and other quantities
-    /// where zero is degenerate: a zero checkpoint interval would commit a
-    /// checkpoint every cycle boundary check, a zero slack bound is
-    /// cycle-by-cycle in disguise, and a zero sampling period divides by
-    /// zero downstream. All are rejected here instead.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        self.parsed_opt(flag).unwrap_or(default)
+    }
+
+    /// The value of a name flag through `parse`, `None` when the flag is
+    /// absent; an unknown name is a usage error listing `tokens`.
+    fn named<T>(
+        &self,
+        flag: &str,
+        noun: &str,
+        tokens: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Option<T> {
+        self.value(flag).map(|name| {
+            parse(name).unwrap_or_else(|| {
+                self.fail(&format!("unknown {noun} '{name}' (expected {tokens})"))
+            })
+        })
+    }
+
+    /// Like [`parsed`](Args::parsed) for the host-side counts where zero
+    /// is degenerate: thread and worker counts, and the sampling and
+    /// heartbeat periods (a zero period divides by zero downstream). The
+    /// run's own values are [`RunSpec::check`]'s.
     fn parsed_nonzero(&self, flag: &str, default: u64) -> u64 {
         let v: u64 = self.parsed(flag, default);
         if v == 0 {
@@ -171,9 +165,88 @@ fn usage_error_for(help_cmd: &str, msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Prints a main-command usage error and exits non-zero.
-fn usage_error(msg: &str) -> ! {
-    usage_error_for("slacksim", msg)
+/// Parses the run flags into a checked [`RunSpec`]. An unknown name, a
+/// malformed number, a scheme knob the scheme does not read and every
+/// fault [`RunSpec::check`] finds are usage errors.
+fn run_spec(args: &Args) -> RunSpec {
+    let d = RunSpec::default();
+    let benchmark = args.named(
+        "--benchmark",
+        "benchmark",
+        Benchmark::TOKENS,
+        Benchmark::parse,
+    );
+    let scheme = args
+        .named("--scheme", "scheme", SchemeKind::TOKENS, SchemeKind::parse)
+        .unwrap_or(d.scheme);
+    let unread =
+        |a: &&String| SCHEME_FLAGS.contains(&a.as_str()) && !scheme.knobs().contains(&&a[2..]);
+    if let Some(flag) = args.argv.iter().find(unread) {
+        args.fail(&format!("--scheme {} does not read {flag}", scheme.name()));
+    }
+    let run = RunSpec {
+        benchmark: benchmark.unwrap_or(d.benchmark),
+        scheme,
+        bound: args.parsed("--bound", d.bound),
+        quantum: args.parsed("--quantum", d.quantum),
+        target_pct: args.parsed("--target", d.target_pct),
+        band_pct: args.parsed("--band", d.band_pct),
+        period: args.parsed("--period", d.period),
+        engine: args
+            .named("--engine", "engine", EngineKind::TOKENS, EngineKind::parse)
+            .unwrap_or(d.engine),
+        uncore: args
+            .named("--uncore", "uncore", UncoreKind::TOKENS, UncoreKind::parse)
+            .unwrap_or(d.uncore),
+        cores: args.parsed("--cores", d.cores),
+        commit: args.parsed("--commit", d.commit),
+        seed: args.parsed("--seed", d.seed),
+        max_cycles: d.max_cycles,
+        rollback: args.named("--rollback", "rollback selection", "all|map|none", rollback),
+        checkpoint: args.parsed_opt("--checkpoint"),
+    };
+    // A RunError's message starts with the name of the value, which is
+    // also its flag's.
+    if let Err(e) = run.check() {
+        let hint = match e {
+            RunError::RollbackWithoutCheckpoint => {
+                args.fail("--rollback requires --checkpoint INTERVAL")
+            }
+            RunError::Cores(cores, UncoreKind::Bus) if cores > 16 => {
+                "; use --uncore directory for up to 1024 cores"
+            }
+            _ => "",
+        };
+        args.fail(&format!("--{e}{hint}"));
+    }
+    run
+}
+
+/// The `--rollback` vocabulary.
+fn rollback(name: &str) -> Option<ViolationSelect> {
+    match name {
+        "all" => Some(ViolationSelect::all()),
+        "map" => Some(ViolationSelect::only(&[ViolationKind::Map])),
+        "none" => Some(ViolationSelect::none()),
+        _ => None,
+    }
+}
+
+/// The live-telemetry flags a run and a sweep share: heartbeat sinks and
+/// their cadence, `None` without a sink.
+fn live_config(args: &Args) -> Option<LiveConfig> {
+    let every = args.parsed_nonzero("--live-every", 250);
+    let mut live = LiveConfig::new().every(Duration::from_millis(every));
+    if args.has("--live-stderr") {
+        live = live.to_stderr();
+    }
+    if let Some(path) = args.value("--live-status") {
+        live = live.to_file(path);
+    }
+    if !live.has_sink() && args.has("--live-every") {
+        args.fail("--live-every requires --live-stderr or --live-status FILE");
+    }
+    live.has_sink().then_some(live)
 }
 
 fn main() {
@@ -189,163 +262,49 @@ fn main() {
         sweep_main(&raw[1..]);
         return;
     }
-    let args = Args::new(raw);
+    let args = Args::new("slacksim", &raw);
     if args.has("--help") || args.has("-h") {
         println!("{}", HELP);
         return;
     }
-    args.validate();
+    args.validate(VALUE_FLAGS, BOOL_FLAGS);
 
-    let benchmark = match args.value("--benchmark") {
-        None => Benchmark::Fft,
-        Some(name) => Benchmark::parse(name).unwrap_or_else(|| {
-            usage_error(&format!(
-                "unknown benchmark '{name}' (expected {})",
-                Benchmark::TOKENS
-            ))
-        }),
-    };
-    let name = args.value("--scheme").unwrap_or("cc");
-    let kind = SchemeKind::parse(name).unwrap_or_else(|| {
-        usage_error(&format!(
-            "unknown scheme '{name}' (expected {})",
-            SchemeKind::TOKENS
-        ))
-    });
-    // Each scheme reads (and validates) only the flags it uses.
-    let d = SchemeParams::default();
-    let mut params = d;
-    match kind {
-        SchemeKind::Cc | SchemeKind::Unbounded => {}
-        SchemeKind::Bounded => params.bound = args.parsed_nonzero("--bound", d.bound),
-        SchemeKind::Quantum => params.quantum = args.parsed_nonzero("--quantum", d.quantum),
-        SchemeKind::Adaptive => {
-            let target: f64 = args.parsed("--target", d.target_pct);
-            if !target.is_finite() || target <= 0.0 {
-                usage_error(&format!(
-                    "--target must be a finite percentage > 0 (got {target})"
-                ));
-            }
-            let band: f64 = args.parsed("--band", d.band_pct);
-            if !band.is_finite() || band < 0.0 {
-                usage_error(&format!(
-                    "--band must be a finite percentage >= 0 (got {band})"
-                ));
-            }
-            (params.target_pct, params.band_pct) = (target, band);
-        }
-        SchemeKind::P2p => {
-            params.bound = args.parsed_nonzero("--bound", d.bound);
-            params.period = args.parsed_nonzero("--period", d.period);
-            params.seed = args.parsed("--seed", d.seed);
-        }
-    }
-    let scheme = kind.build(&params);
-    let engine = match args.value("--engine") {
-        None => EngineKind::Sequential,
-        Some(name) => EngineKind::parse(name).unwrap_or_else(|| {
-            usage_error(&format!(
-                "unknown engine '{name}' (expected {})",
-                EngineKind::TOKENS
-            ))
-        }),
-    };
-    // The host threads the window loop folds the cores onto. Absent (0),
-    // the engine sizes itself from the host's available parallelism.
-    let mut host_threads = 0;
+    let run = run_spec(&args);
+    let mut sim = run.simulation();
+    // The host threads the window loop folds the cores onto. Absent, the
+    // engine sizes itself from the host's available parallelism.
     if args.has("--host-threads") {
-        if engine == EngineKind::Sequential {
-            usage_error(
+        if run.engine == EngineKind::Sequential {
+            args.fail(
                 "--host-threads requires --engine threaded or batched (the sequential \
                  engine steps every core on one thread)",
             );
         }
-        host_threads = args.parsed_nonzero("--host-threads", 1) as usize;
-    }
-
-    let uncore = match args.value("--uncore") {
-        None => UncoreKind::Bus,
-        Some(name) => UncoreKind::parse(name).unwrap_or_else(|| {
-            usage_error(&format!(
-                "unknown uncore '{name}' (expected {})",
-                UncoreKind::TOKENS
-            ))
-        }),
-    };
-    // Range-check the core count here, before any CmpConfig exists: an
-    // out-of-range --cores must be an enumerated usage error (exit 2),
-    // never a library assertion with a raw backtrace.
-    let cores: usize = args.parsed("--cores", 8);
-    if cores == 0 || cores > uncore.max_cores() {
-        let hint = if uncore == UncoreKind::Bus && cores > 16 {
-            "; use --uncore directory for up to 1024 cores"
-        } else {
-            ""
-        };
-        usage_error(&format!(
-            "--cores must be between 1 and {} for the {uncore} uncore (got {cores}){hint}",
-            uncore.max_cores(),
-        ));
-    }
-
-    let trace_path = args.value("--trace").map(str::to_string);
-    let metrics_path = args.value("--metrics").map(str::to_string);
-
-    let mut sim = Simulation::new(benchmark);
-    sim.scheme(scheme.clone())
-        .engine(engine)
-        .uncore(uncore)
-        .cores(cores)
-        .host_threads(host_threads)
-        .commit_target(args.parsed("--commit", 500_000))
-        .seed(args.parsed("--seed", 1));
-    let select = match args.value("--rollback") {
-        None | Some("none") => ViolationSelect::none(),
-        Some("all") => ViolationSelect::all(),
-        Some("map") => ViolationSelect::only(&[ViolationKind::Map]),
-        Some(other) => usage_error(&format!(
-            "unknown rollback selection '{other}' (expected all|map|none)"
-        )),
-    };
-    if args.has("--checkpoint") {
-        let interval = args.parsed_nonzero("--checkpoint", 1);
-        sim.speculation(SpeculationConfig::speculative(interval, select));
-    } else if args.has("--rollback") {
-        usage_error("--rollback requires --checkpoint INTERVAL");
-    } else if args.has("--save-state") {
-        usage_error("--save-state requires --checkpoint INTERVAL");
+        sim.host_threads(args.parsed_nonzero("--host-threads", 1) as usize);
     }
     if let Some(dir) = args.value("--save-state") {
+        if run.checkpoint.is_none() {
+            args.fail("--save-state requires --checkpoint INTERVAL");
+        }
         sim.save_state(dir);
     }
     if let Some(path) = args.value("--resume") {
         sim.resume(path);
     }
+    let trace_path = args.value("--trace");
+    let metrics_path = args.value("--metrics");
     if trace_path.is_some() || metrics_path.is_some() || args.has("--sample-every") {
-        sim.observability(
-            ObsConfig::default().with_sample_every(args.parsed_nonzero("--sample-every", 1024)),
-        );
+        let every = args.parsed_nonzero("--sample-every", 1024);
+        sim.observability(ObsConfig::default().with_sample_every(every));
     }
-    let profile_csv_path = args.value("--profile-csv").map(str::to_string);
-    if args.has("--profile") || profile_csv_path.is_some() {
-        sim.profile(true);
-    }
-    let mut live = LiveConfig::new().every(Duration::from_millis(
-        args.parsed_nonzero("--live-every", 250),
-    ));
-    if args.has("--live-stderr") {
-        live = live.to_stderr();
-    }
-    if let Some(path) = args.value("--live-status") {
-        live = live.to_file(path);
-    }
-    if live.has_sink() {
+    let profile_csv_path = args.value("--profile-csv");
+    sim.profile(args.has("--profile") || profile_csv_path.is_some());
+    if let Some(live) = live_config(&args) {
         sim.live(live);
-    } else if args.has("--live-every") {
-        usage_error("--live-every requires --live-stderr or --live-status FILE");
     }
 
-    eprintln!("running {benchmark} under {} ...", scheme.name());
+    let scheme = run.build_scheme();
+    eprintln!("running {} under {} ...", run.benchmark, scheme.name());
     match sim.run() {
         Ok(mut report) => {
             println!("{report}");
@@ -355,30 +314,22 @@ fn main() {
             let mut export_writes = 0u64;
             let mut export_ns = 0u64;
             if let Some(obs) = &report.obs {
-                if let Some(path) = &trace_path {
+                if let Some(path) = trace_path {
                     let t0 = Instant::now();
                     let body = slacksim::slacksim_core::obs::export::chrome_trace_json_with_prof(
                         obs,
                         report.prof.as_ref(),
                     );
-                    let wrote = std::fs::write(path, body);
+                    write_artifact(path, body, "trace");
                     export_writes += 1;
                     export_ns += t0.elapsed().as_nanos() as u64;
-                    if let Err(e) = wrote {
-                        eprintln!("failed to write trace {path}: {e}");
-                        std::process::exit(1);
-                    }
                     eprintln!("trace written to {path} (open in https://ui.perfetto.dev)");
                 }
-                if let Some(path) = &metrics_path {
+                if let Some(path) = metrics_path {
                     let t0 = Instant::now();
-                    let wrote = std::fs::write(path, obs.metrics_csv());
+                    write_artifact(path, obs.metrics_csv(), "metrics");
                     export_writes += 1;
                     export_ns += t0.elapsed().as_nanos() as u64;
-                    if let Err(e) = wrote {
-                        eprintln!("failed to write metrics {path}: {e}");
-                        std::process::exit(1);
-                    }
                     eprintln!("metrics written to {path}");
                 }
             }
@@ -389,11 +340,8 @@ fn main() {
             }
             if let Some(prof) = &report.prof {
                 println!("\nhost-time profile:\n{}", prof.table().trim_end());
-                if let Some(path) = &profile_csv_path {
-                    if let Err(e) = std::fs::write(path, prof.csv()) {
-                        eprintln!("failed to write profile {path}: {e}");
-                        std::process::exit(1);
-                    }
+                if let Some(path) = profile_csv_path {
+                    write_artifact(path, prof.csv(), "profile");
                     eprintln!("profile written to {path}");
                 }
             }
@@ -412,14 +360,20 @@ fn main() {
             // Bad snapshot, mismatched configuration or unusable save
             // directory: a usage-class failure, same exit code as flag
             // validation so scripts can tell it from a simulation fault.
-            eprintln!("error: {e}");
-            eprintln!("run `slacksim --help` for usage");
-            std::process::exit(2);
+            args.fail(&e.to_string());
         }
         Err(e) => {
             eprintln!("simulation failed: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// Writes one run artifact, or exits 1 naming it.
+fn write_artifact(path: &str, body: String, what: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("failed to write {what} {path}: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -437,8 +391,8 @@ fn sweep_main(raw: &[String]) {
         println!("{}", SWEEP_HELP);
         return;
     }
-    let args = Args::sweep(raw.to_vec());
-    args.validate_with(SWEEP_VALUE_FLAGS, SWEEP_BOOL_FLAGS);
+    let args = Args::new("slacksim sweep", raw);
+    args.validate(SWEEP_VALUE_FLAGS, SWEEP_BOOL_FLAGS);
 
     let Some(dir) = args.value("--dir") else {
         args.fail("sweep requires --dir DIR (the campaign directory)");
@@ -448,24 +402,12 @@ fn sweep_main(raw: &[String]) {
             .unwrap_or_else(|e| args.fail(&format!("cannot read sweep spec {path}: {e}")))
     });
 
-    let mut opts = SweepOptions::default();
-    if args.has("--workers") {
-        opts.workers = Some(args.parsed_nonzero("--workers", 1) as usize);
-    }
-    let mut live = LiveConfig::new().every(Duration::from_millis(
-        args.parsed_nonzero("--live-every", 250),
-    ));
-    if args.has("--live-stderr") {
-        live = live.to_stderr();
-    }
-    if let Some(path) = args.value("--live-status") {
-        live = live.to_file(path);
-    }
-    if live.has_sink() {
-        opts.live = Some(live);
-    } else if args.has("--live-every") {
-        args.fail("--live-every requires --live-stderr or --live-status FILE");
-    }
+    let opts = SweepOptions {
+        workers: args
+            .has("--workers")
+            .then(|| args.parsed_nonzero("--workers", 1) as usize),
+        live: live_config(&args),
+    };
 
     match run_sweep(spec_src.as_deref(), Path::new(dir), &opts) {
         Ok(outcome) => {
@@ -505,11 +447,7 @@ fn sweep_main(raw: &[String]) {
                 std::process::exit(1);
             }
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("run `slacksim sweep --help` for usage");
-            std::process::exit(2);
-        }
+        Err(e) => args.fail(&e.to_string()),
     }
 }
 
@@ -528,9 +466,7 @@ fn report_main(paths: &[String]) {
         return;
     }
     if paths.is_empty() {
-        eprintln!("error: report expects at least one PATH");
-        eprintln!("run `slacksim report --help` for usage");
-        std::process::exit(2);
+        usage_error_for("slacksim report", "report expects at least one PATH");
     }
     let mut failed = false;
     for (i, path) in paths.iter().enumerate() {
@@ -631,18 +567,22 @@ fn render_manifest(path: &str, body: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Summarizes a campaign heartbeat log: beat count plus the final
-/// beat's fleet state.
-fn render_campaign_heartbeats(path: &str, body: &str) -> Result<String, String> {
-    use std::fmt::Write as _;
+/// Parses a heartbeat log: one beat of this build's version per non-empty
+/// line, each a campaign beat when `campaign` is set.
+fn parse_beats(body: &str, campaign: bool) -> Result<Vec<Json>, String> {
+    let kind = if campaign {
+        "campaign heartbeat"
+    } else {
+        "heartbeat"
+    };
     let mut beats = Vec::new();
     for (ln, line) in body.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let beat = Json::parse(line)
-            .map_err(|e| format!("line {}: invalid campaign heartbeat JSON: {e}", ln + 1))?;
+        let beat =
+            Json::parse(line).map_err(|e| format!("line {}: invalid {kind} JSON: {e}", ln + 1))?;
         let v = beat
             .get("v")
             .and_then(Json::as_f64)
@@ -653,11 +593,19 @@ fn render_campaign_heartbeats(path: &str, body: &str) -> Result<String, String> 
                 ln + 1
             ));
         }
-        if beat.get("campaign").and_then(Json::as_bool) != Some(true) {
+        if campaign && beat.get("campaign").and_then(Json::as_bool) != Some(true) {
             return Err(format!("line {}: not a campaign heartbeat", ln + 1));
         }
         beats.push(beat);
     }
+    Ok(beats)
+}
+
+/// Summarizes a campaign heartbeat log: beat count plus the final
+/// beat's fleet state.
+fn render_campaign_heartbeats(path: &str, body: &str) -> Result<String, String> {
+    use std::fmt::Write as _;
+    let beats = parse_beats(body, true)?;
     let last = beats.last().ok_or("no campaign heartbeat lines")?;
     let num = |k: &str| last.get(k).and_then(Json::as_f64).unwrap_or(0.0);
     let mut out = String::new();
@@ -700,14 +648,7 @@ fn render_campaign_jsonl(path: &str, body: &str) -> Result<String, String> {
         }
         rows.push(JobRow::parse_json(line).map_err(|e| format!("line {}: {e}", ln + 1))?);
     }
-    if rows.is_empty() {
-        return Err("no campaign aggregate rows".to_string());
-    }
-    Ok(render_campaign_rows(
-        path,
-        "streamed campaign aggregate",
-        rows,
-    ))
+    render_campaign_rows(path, "streamed campaign aggregate", rows)
 }
 
 /// Summarizes a final campaign aggregate (`aggregate.csv`). Aggregates
@@ -753,16 +694,16 @@ fn render_campaign_csv(path: &str, body: &str) -> Result<String, String> {
             violations: num(10 + off)?,
         });
     }
+    render_campaign_rows(path, "campaign aggregate", rows)
+}
+
+/// Shared summary body for both aggregate renderings; no rows is an error.
+fn render_campaign_rows(path: &str, kind: &str, rows: Vec<JobRow>) -> Result<String, String> {
+    use std::collections::BTreeMap;
+    use std::fmt::Write as _;
     if rows.is_empty() {
         return Err("no campaign aggregate rows".to_string());
     }
-    Ok(render_campaign_rows(path, "campaign aggregate", rows))
-}
-
-/// Shared summary body for both aggregate renderings.
-fn render_campaign_rows(path: &str, kind: &str, rows: Vec<JobRow>) -> String {
-    use std::collections::BTreeMap;
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "{path}: {kind}");
     let _ = writeln!(out, "  jobs: {}", rows.len());
@@ -782,33 +723,14 @@ fn render_campaign_rows(path: &str, kind: &str, rows: Vec<JobRow>) -> String {
             cycles / n.max(&1),
         );
     }
-    out
+    Ok(out)
 }
 
 /// Summarizes a `--live-status` heartbeat log: beat count plus the final
 /// beat's progress, speed, slack bound, violation and queue state.
 fn render_heartbeats(path: &str, body: &str) -> Result<String, String> {
     use std::fmt::Write as _;
-    let mut beats = Vec::new();
-    for (ln, line) in body.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let beat = Json::parse(line)
-            .map_err(|e| format!("line {}: invalid heartbeat JSON: {e}", ln + 1))?;
-        let v = beat
-            .get("v")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("line {}: missing heartbeat version field 'v'", ln + 1))?;
-        if v as u64 != HEARTBEAT_VERSION {
-            return Err(format!(
-                "line {}: unsupported heartbeat version {v} (expected {HEARTBEAT_VERSION})",
-                ln + 1
-            ));
-        }
-        beats.push(beat);
-    }
+    let beats = parse_beats(body, false)?;
     let last = beats.last().ok_or("no heartbeat lines")?;
     let num = |k: &str| last.get(k).and_then(Json::as_f64).unwrap_or(0.0);
     let mut out = String::new();
@@ -1074,6 +996,13 @@ USAGE:
            [--live-stderr] [--live-status FILE] [--live-every MS]
   slacksim sweep --dir DIR
   slacksim report PATH...
+
+SCHEMES:
+  --scheme S            each scheme reads only its own knobs and refuses the
+                        others: bounded --bound (8), quantum --quantum (50),
+                        adaptive --target --band (0.2, 5), p2p --bound
+                        --period (8, 500; paired by --seed); cc and
+                        unbounded none
 
 ENGINES:
   --engine seq          deterministic single-threaded engine with a seeded

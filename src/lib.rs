@@ -72,10 +72,13 @@ use slacksim_core::engine::{
     BatchedEngine, CheckpointView, EngineResume, SaveHook, SequentialEngine,
 };
 use slacksim_core::persist;
-use slacksim_core::scheme::{AdaptiveConfig, Scheme};
+use slacksim_core::scheme::Scheme;
 
+mod run;
 mod snapshot;
 pub mod sweep;
+
+pub use run::{RunError, RunSpec};
 
 /// Which execution engine drives the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,7 +133,7 @@ impl EngineKind {
 }
 
 /// A scheme by name: the `--scheme` flag's and a sweep's `scheme` axis's
-/// vocabulary. [`build`](SchemeKind::build) turns it into a [`Scheme`].
+/// vocabulary. [`RunSpec::build_scheme`] turns it into a [`Scheme`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeKind {
     /// Barrier every cycle.
@@ -178,53 +181,15 @@ impl SchemeKind {
         }
     }
 
-    /// The fully parameterised scheme, reading the knobs this kind uses.
-    pub fn build(self, p: &SchemeParams) -> Scheme {
+    /// The [`RunSpec`] knobs this scheme reads, named as their flags
+    /// without the dashes. The p2p pairing seed is the run seed.
+    pub fn knobs(self) -> &'static [&'static str] {
         match self {
-            SchemeKind::Cc => Scheme::CycleByCycle,
-            SchemeKind::Bounded => Scheme::BoundedSlack { bound: p.bound },
-            SchemeKind::Unbounded => Scheme::UnboundedSlack,
-            SchemeKind::Quantum => Scheme::Quantum { quantum: p.quantum },
-            SchemeKind::Adaptive => {
-                Scheme::Adaptive(AdaptiveConfig::percent(p.target_pct, p.band_pct))
-            }
-            SchemeKind::P2p => Scheme::LaxP2p {
-                lead: p.bound,
-                period: p.period,
-                seed: p.seed,
-            },
-        }
-    }
-}
-
-/// The knobs [`SchemeKind::build`] reads. The defaults are the ones the
-/// CLI and a sweep share: bound 8, quantum 50, adaptive target 0.2 % in
-/// a 5 % band, p2p re-pick period 500, seed 1.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchemeParams {
-    /// Slack bound, and the p2p lead.
-    pub bound: u64,
-    /// Quantum length.
-    pub quantum: u64,
-    /// Adaptive target violation rate, in percent.
-    pub target_pct: f64,
-    /// Adaptive tolerance band, in percent of the target.
-    pub band_pct: f64,
-    /// P2p re-pick period, in cycles.
-    pub period: u64,
-    /// P2p pairing seed.
-    pub seed: u64,
-}
-
-impl Default for SchemeParams {
-    fn default() -> Self {
-        SchemeParams {
-            bound: 8,
-            quantum: 50,
-            target_pct: 0.2,
-            band_pct: 5.0,
-            period: 500,
-            seed: 1,
+            SchemeKind::Cc | SchemeKind::Unbounded => &[],
+            SchemeKind::Bounded => &["bound"],
+            SchemeKind::Quantum => &["quantum"],
+            SchemeKind::Adaptive => &["target", "band"],
+            SchemeKind::P2p => &["bound", "period"],
         }
     }
 }

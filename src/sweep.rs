@@ -1,5 +1,5 @@
 //! Design-space campaigns: a sweep-spec grid run as a fleet of
-//! [`Simulation`] jobs on a host worker pool.
+//! [`Simulation`](crate::Simulation) jobs on a host worker pool.
 //!
 //! * `spec` — the [`SweepSpec`] format and its expansion into a stably
 //!   ordered grid of [`Job`]s with unique identity tokens;
@@ -11,8 +11,8 @@
 //!   [`JobRow`]s, streamed JSONL and final CSV aggregates, all free of
 //!   wall-clock time.
 //!
-//! This file wires each job to a [`Simulation`] with durable per-job
-//! checkpoints and assembles the campaign directory:
+//! This file runs each job's [`RunSpec`](crate::RunSpec) with durable
+//! per-job checkpoints and assembles the campaign directory:
 //!
 //! ```text
 //! <dir>/manifest.json        grid identity (written once, atomically)
@@ -43,7 +43,6 @@ use std::sync::{Arc, Mutex};
 
 use slacksim_core::obs::LiveConfig;
 use slacksim_core::persist;
-use slacksim_core::speculative::SpeculationConfig;
 use slacksim_core::stats::SimReport;
 
 pub use aggregate::{JobRow, Manifest, AGGREGATE_VERSION, CSV_HEADER, LEGACY_CSV_HEADER};
@@ -53,8 +52,6 @@ pub use spec::{Axes, Job, SpecError, SweepSpec, MAX_GRID_JOBS, SPEC_VERSION};
 use aggregate::render_aggregate_csv;
 use live::CampaignStats;
 use pool::run_jobs;
-
-use crate::Simulation;
 
 /// Everything that can stop a campaign before any job runs. All
 /// variants are usage-class errors (the CLI maps them to exit 2);
@@ -243,8 +240,9 @@ pub fn run_sweep(
         .or(spec.workers.map(|w| w as usize))
         .unwrap_or(cpus);
     // A job's own host threads (the window loop's lanes) get the CPUs the
-    // pool leaves over: a pool as wide as the host runs every job on one. A host knob like the pool width — in no token, manifest
-    // or fingerprint.
+    // pool leaves over: a pool as wide as the host runs every job on one.
+    // A host knob like the pool width — in no token, manifest or
+    // fingerprint.
     let host_threads = (cpus / workers.max(1)).max(1);
     let total = settled_rows.len() + pending.len();
 
@@ -255,7 +253,7 @@ pub fn run_sweep(
         // still settles. (Without this the unwind would poison shared
         // state and take the whole fleet down with exit-101 noise.)
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(dir, &spec, &job, host_threads, &stats, &jsonl)
+            execute_job(dir, &job, host_threads, &stats, &jsonl)
         }))
         .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&panic))));
         stats.job_finished(outcome.is_ok());
@@ -341,36 +339,22 @@ fn read_finished_report(dir: &Path, job: &Job) -> Option<JobRow> {
 /// half-written side of an interrupted atomic write — never durable,
 /// and it would sort *after* its renamed sibling.
 fn newest_checkpoint(dir: &Path) -> Option<PathBuf> {
-    let entries = std::fs::read_dir(dir).ok()?;
+    checkpoint_files(dir)
+        .filter(|p| !p.to_string_lossy().ends_with(".tmp"))
+        .max()
+}
+
+/// The `cp-*` files in a job directory, none when it cannot be read.
+fn checkpoint_files(dir: &Path) -> impl Iterator<Item = PathBuf> {
+    let entries = std::fs::read_dir(dir).into_iter().flatten();
     entries
         .filter_map(Result::ok)
         .map(|e| e.path())
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("cp-") && !n.ends_with(".tmp"))
+                .is_some_and(|n| n.starts_with("cp-"))
         })
-        .max()
-}
-
-/// Builds the `Simulation` for one grid point.
-fn build_simulation(spec: &SweepSpec, job: &Job) -> Simulation {
-    let mut sim = Simulation::new(job.benchmark);
-    sim.uncore(job.uncore)
-        .cores(job.cores as usize)
-        .scheme(job.scheme.clone())
-        .engine(spec.engine)
-        .commit_target(spec.commit)
-        .seed(job.seed);
-    if let Some(mc) = spec.max_cycles {
-        sim.max_cycles(mc);
-    }
-    if let Some(interval) = spec.checkpoint {
-        // Checkpoints only, never rollback: the campaign uses the
-        // speculation machinery purely as its durability heartbeat.
-        sim.speculation(SpeculationConfig::checkpoint_only(interval));
-    }
-    sim
 }
 
 /// Runs one job to a settled report: resume from the newest durable
@@ -379,7 +363,6 @@ fn build_simulation(spec: &SweepSpec, job: &Job) -> Simulation {
 /// prune the checkpoints it supersedes and stream the row.
 fn execute_job(
     dir: &Path,
-    spec: &SweepSpec,
     job: &Job,
     host_threads: usize,
     stats: &CampaignStats,
@@ -393,9 +376,12 @@ fn execute_job(
     }
 
     let jdir = job_dir(dir, job);
-    let mut sim = build_simulation(spec, job);
+    let run = &job.run;
+    // A job's checkpoints never roll back: the campaign uses them only
+    // as its durability heartbeat.
+    let mut sim = run.simulation();
     sim.host_threads(host_threads);
-    if spec.checkpoint.is_some() {
+    if run.checkpoint.is_some() {
         sim.save_state(&jdir);
     }
 
@@ -430,10 +416,10 @@ fn execute_job(
     // reaching its commit target is a terminal failure, not a settled
     // result — a stalled grid point must be visible, never averaged
     // into the aggregate as if it had finished.
-    if report.committed < spec.commit {
+    if report.committed < run.commit {
         return Err(format!(
             "stopped at the max_cycles cap ({} cycles) with {} of {} instructions committed",
-            report.global_cycles, report.committed, spec.commit
+            report.global_cycles, report.committed, run.commit
         ));
     }
 
@@ -441,12 +427,12 @@ fn execute_job(
         index: job.index,
         token: job.token(),
         workload: job.workload.clone(),
-        scheme: job.kind.name().to_string(),
-        uncore: job.uncore.as_str().to_string(),
-        bound: job.bound,
-        quantum: job.quantum,
-        cores: job.cores,
-        seed: job.seed,
+        scheme: run.scheme.name().to_string(),
+        uncore: run.uncore.as_str().to_string(),
+        bound: run.bound,
+        quantum: run.quantum,
+        cores: run.cores,
+        seed: run.seed,
         cycles: report.global_cycles,
         committed: report.committed,
         violations: report.violations.total(),
@@ -465,18 +451,8 @@ fn execute_job(
 
 /// Removes a settled job's `cp-*` files (its report supersedes them).
 fn prune_job_checkpoints(jdir: &Path) {
-    let Ok(entries) = std::fs::read_dir(jdir) else {
-        return;
-    };
-    for entry in entries.filter_map(Result::ok) {
-        let path = entry.path();
-        let is_cp = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("cp-"));
-        if is_cp {
-            let _ = std::fs::remove_file(&path);
-        }
+    for path in checkpoint_files(jdir) {
+        let _ = std::fs::remove_file(&path);
     }
 }
 

@@ -35,19 +35,20 @@
 //! author does not want multiplied out simply stay single-valued.
 //!
 //! Validation is strict and errors are enumerated: unknown fields,
-//! unknown axis names, duplicate axis values (which would mint duplicate
-//! job IDs), zero quantities and out-of-range core counts are all
-//! refused with a [`SpecError`] naming the accepted values, never
-//! silently defaulted — the same contract as the CLI's flag validation.
-//! Scheme, engine, uncore and workload names go through the same parse
-//! functions as the CLI's flags.
+//! unknown axis names and duplicate axis values (which would mint
+//! duplicate job IDs) are refused with a [`SpecError`] naming the
+//! accepted values, never silently defaulted — the same contract as the
+//! CLI's flag validation. Scheme, engine, uncore and workload names go
+//! through the same parse functions as the CLI's flags, and every
+//! expanded job's [`RunSpec`] passes the CLI's value rules,
+//! [`RunSpec::check`], so zero quantities and out-of-range core counts
+//! are refused too.
 
 use std::fmt;
 
 use slacksim_core::obs::json::Json;
-use slacksim_core::scheme::Scheme;
 
-use crate::{Benchmark, EngineKind, SchemeKind, SchemeParams, UncoreKind};
+use crate::{Benchmark, EngineKind, RunError, RunSpec, SchemeKind, UncoreKind};
 
 /// Version of the sweep-spec JSON schema (the `v` field).
 pub const SPEC_VERSION: u64 = 1;
@@ -77,12 +78,12 @@ pub enum SpecError {
     },
     /// A quantity that must be at least 1 was 0.
     ZeroValue(&'static str),
-    /// A `cores` axis value outside the range supported by every uncore
-    /// on the `uncore` axis.
+    /// A `cores` axis value outside the range of an uncore it is paired
+    /// with.
     CoresOutOfRange {
         /// The offending core count.
         value: u64,
-        /// The most restrictive uncore on the axis.
+        /// The uncore of the first job it fails.
         uncore: &'static str,
         /// That uncore's core ceiling.
         max: u64,
@@ -205,8 +206,8 @@ pub struct Axes {
     /// Quantum lengths (default `[50]`).
     pub quantums: Vec<u64>,
     /// Uncore interconnects (default `[bus]`). Every `cores` value must
-    /// fit the most restrictive uncore on this axis, so every expanded
-    /// (uncore, cores) pair is runnable.
+    /// fit every uncore on this axis, so every expanded (uncore, cores)
+    /// pair is runnable.
     pub uncores: Vec<UncoreKind>,
     /// Target core counts (default `[8]`).
     pub cores: Vec<u64>,
@@ -242,25 +243,12 @@ pub struct SweepSpec {
 pub struct Job {
     /// Dense grid index in expansion order (stable across parses).
     pub index: u64,
-    /// The scheme-axis point.
-    pub kind: SchemeKind,
-    /// The fully parameterised scheme this job runs under.
-    pub scheme: Scheme,
-    /// The bound-axis value (carried even by schemes that ignore it, so
-    /// job IDs stay unique over the full product).
-    pub bound: u64,
-    /// The quantum-axis value (ditto).
-    pub quantum: u64,
-    /// The uncore-axis point.
-    pub uncore: UncoreKind,
-    /// Target core count.
-    pub cores: u64,
     /// Workload name, as the spec spells it (lowercased).
     pub workload: String,
-    /// The benchmark that name parses to.
-    pub benchmark: Benchmark,
-    /// Run seed.
-    pub seed: u64,
+    /// The run: the spec's shared settings and this point's axis values.
+    /// It carries the bound and quantum even when its scheme ignores
+    /// them, so job IDs stay unique over the full product.
+    pub run: RunSpec,
 }
 
 impl Job {
@@ -270,16 +258,17 @@ impl Job {
     /// the historical six-part shape so existing campaign directories
     /// still resume; only directory jobs carry the `-dir` suffix.
     pub fn token(&self) -> String {
+        let run = &self.run;
         let mut token = format!(
             "{}-{}-b{}-q{}-c{}-s{}",
             self.workload,
-            self.kind.name(),
-            self.bound,
-            self.quantum,
-            self.cores,
-            self.seed,
+            run.scheme.name(),
+            run.bound,
+            run.quantum,
+            run.cores,
+            run.seed,
         );
-        if self.uncore == UncoreKind::Directory {
+        if run.uncore == UncoreKind::Directory {
             token.push_str("-dir");
         }
         token
@@ -313,50 +302,23 @@ impl SweepSpec {
         }
 
         let commit = required_u64(&doc, "commit")?;
-        if commit == 0 {
-            return Err(SpecError::ZeroValue("commit"));
-        }
 
+        let defaults = RunSpec::default();
         let engine = match doc.get("engine") {
-            None => EngineKind::Sequential,
+            None => defaults.engine,
             Some(j) => {
                 let name = j.as_str().ok_or(SpecError::UnknownEngine(render(j)))?;
                 EngineKind::parse(name).ok_or_else(|| SpecError::UnknownEngine(name.to_string()))?
             }
         };
 
-        let checkpoint = match doc.get("checkpoint") {
-            None => None,
-            Some(j) => {
-                let interval = json_u64(j, "checkpoint")?;
-                if interval == 0 {
-                    return Err(SpecError::ZeroValue("checkpoint"));
-                }
-                Some(interval)
-            }
-        };
+        let checkpoint = optional_u64(&doc, "checkpoint")?;
+        let max_cycles = optional_u64(&doc, "max_cycles")?;
 
-        let max_cycles = match doc.get("max_cycles") {
-            None => None,
-            Some(j) => {
-                let v = json_u64(j, "max_cycles")?;
-                if v == 0 {
-                    return Err(SpecError::ZeroValue("max_cycles"));
-                }
-                Some(v)
-            }
-        };
-
-        let workers = match doc.get("workers") {
-            None => None,
-            Some(j) => {
-                let v = json_u64(j, "workers")?;
-                if v == 0 {
-                    return Err(SpecError::ZeroValue("workers"));
-                }
-                Some(v)
-            }
-        };
+        let workers = optional_u64(&doc, "workers")?;
+        if workers == Some(0) {
+            return Err(SpecError::ZeroValue("workers"));
+        }
 
         let axes_doc = doc.get("axes").ok_or(SpecError::MissingField("axes"))?;
         let axes_obj = axes_doc
@@ -371,87 +333,22 @@ impl SweepSpec {
             }
         }
 
-        let schemes = {
-            let arr =
-                axis_array(axes_doc, "scheme")?.ok_or(SpecError::MissingField("axes.scheme"))?;
-            let mut out = Vec::with_capacity(arr.len());
-            for j in arr {
-                let name = j
-                    .as_str()
-                    .ok_or_else(|| SpecError::UnknownScheme(render(j)))?;
-                let kind = SchemeKind::parse(name)
-                    .ok_or_else(|| SpecError::UnknownScheme(name.to_string()))?;
-                if out.contains(&kind) {
-                    return Err(SpecError::DuplicateAxisValue {
-                        axis: "scheme",
-                        value: format!("'{}'", kind.name()),
-                    });
-                }
-                out.push(kind);
-            }
-            out
-        };
-
-        let defaults = SchemeParams::default();
-        let bounds = numeric_axis(axes_doc, "bound", defaults.bound, |v| {
-            if v == 0 {
-                Err(SpecError::ZeroValue("bound"))
-            } else {
-                Ok(())
-            }
-        })?;
-        let quantums = numeric_axis(axes_doc, "quantum", defaults.quantum, |v| {
-            if v == 0 {
-                Err(SpecError::ZeroValue("quantum"))
-            } else {
-                Ok(())
-            }
-        })?;
+        let schemes =
+            axis_array(axes_doc, "scheme")?.ok_or(SpecError::MissingField("axes.scheme"))?;
+        let (parse, name) = (SchemeKind::parse, SchemeKind::name);
+        let schemes = name_axis(schemes, "scheme", parse, name, SpecError::UnknownScheme)?;
+        let bounds = numeric_axis(axes_doc, "bound", defaults.bound)?;
+        let quantums = numeric_axis(axes_doc, "quantum", defaults.quantum)?;
         let uncores = match axis_array(axes_doc, "uncore")? {
-            None => vec![UncoreKind::Bus],
+            None => vec![defaults.uncore],
+            Some([]) => return Err(SpecError::EmptyAxis("uncore")),
             Some(arr) => {
-                if arr.is_empty() {
-                    return Err(SpecError::EmptyAxis("uncore"));
-                }
-                let mut out = Vec::with_capacity(arr.len());
-                for j in arr {
-                    let name = j
-                        .as_str()
-                        .ok_or_else(|| SpecError::UnknownUncore(render(j)))?;
-                    let kind = UncoreKind::parse(name)
-                        .ok_or_else(|| SpecError::UnknownUncore(name.to_string()))?;
-                    if out.contains(&kind) {
-                        return Err(SpecError::DuplicateAxisValue {
-                            axis: "uncore",
-                            value: format!("'{kind}'"),
-                        });
-                    }
-                    out.push(kind);
-                }
-                out
+                let (parse, name) = (UncoreKind::parse, UncoreKind::as_str);
+                name_axis(arr, "uncore", parse, name, SpecError::UnknownUncore)?
             }
         };
-
-        // Every cores value must fit the most restrictive uncore on the
-        // axis: the grid is a full product, so a 64-core point paired
-        // with the 16-core bus would mint an unrunnable job.
-        let strictest = *uncores
-            .iter()
-            .min_by_key(|u| u.max_cores())
-            .expect("uncore axis is non-empty");
-        let max = strictest.max_cores() as u64;
-        let cores = numeric_axis(axes_doc, "cores", 8, |v| {
-            if !(1..=max).contains(&v) {
-                Err(SpecError::CoresOutOfRange {
-                    value: v,
-                    uncore: strictest.as_str(),
-                    max,
-                })
-            } else {
-                Ok(())
-            }
-        })?;
-        let seeds = numeric_axis(axes_doc, "seed", defaults.seed, |_| Ok(()))?;
+        let cores = numeric_axis(axes_doc, "cores", defaults.cores)?;
+        let seeds = numeric_axis(axes_doc, "seed", defaults.seed)?;
 
         let workloads = {
             let arr = axis_array(axes_doc, "workload")?
@@ -498,6 +395,11 @@ impl SweepSpec {
         if total > MAX_GRID_JOBS {
             return Err(SpecError::GridTooLarge(total));
         }
+        // The grid is a full product, so a value that fails one pairing
+        // (a 64-core point with the 16-core bus) mints an unrunnable job.
+        for job in spec.expand() {
+            job.run.check().map_err(spec_error)?;
+        }
         Ok(spec)
     }
 
@@ -520,30 +422,33 @@ impl SweepSpec {
     pub fn expand(&self) -> Vec<Job> {
         let mut jobs = Vec::with_capacity(self.cardinality() as usize);
         let a = &self.axes;
-        for &kind in &a.schemes {
+        let shared = RunSpec {
+            engine: self.engine,
+            commit: self.commit,
+            max_cycles: self.max_cycles,
+            checkpoint: self.checkpoint,
+            ..RunSpec::default()
+        };
+        for &scheme in &a.schemes {
             for &bound in &a.bounds {
                 for &quantum in &a.quantums {
                     for &uncore in &a.uncores {
                         for &cores in &a.cores {
                             for (workload, benchmark) in &a.workloads {
                                 for &seed in &a.seeds {
-                                    let scheme = kind.build(&SchemeParams {
-                                        bound,
-                                        quantum,
-                                        seed,
-                                        ..SchemeParams::default()
-                                    });
                                     jobs.push(Job {
                                         index: jobs.len() as u64,
-                                        kind,
-                                        scheme,
-                                        bound,
-                                        quantum,
-                                        uncore,
-                                        cores,
                                         workload: workload.clone(),
-                                        benchmark: *benchmark,
-                                        seed,
+                                        run: RunSpec {
+                                            benchmark: *benchmark,
+                                            scheme,
+                                            bound,
+                                            quantum,
+                                            uncore,
+                                            cores,
+                                            seed,
+                                            ..shared
+                                        },
                                     });
                                 }
                             }
@@ -625,6 +530,26 @@ fn required_u64(doc: &Json, field: &'static str) -> Result<u64, SpecError> {
     json_u64(doc.get(field).ok_or(SpecError::MissingField(field))?, field)
 }
 
+/// Reads an optional non-negative integer field.
+fn optional_u64(doc: &Json, field: &'static str) -> Result<Option<u64>, SpecError> {
+    doc.get(field).map(|j| json_u64(j, field)).transpose()
+}
+
+/// The spec's wording of a job's [`RunSpec::check`] fault.
+fn spec_error(e: RunError) -> SpecError {
+    match e {
+        RunError::Zero(field) => SpecError::ZeroValue(field),
+        RunError::Cores(value, uncore) => SpecError::CoresOutOfRange {
+            value,
+            uncore: uncore.as_str(),
+            max: uncore.max_cores() as u64,
+        },
+        RunError::Target(_) | RunError::Band(_) | RunError::RollbackWithoutCheckpoint => {
+            unreachable!("a sweep spec sets no adaptive target, band or rollback: {e}")
+        }
+    }
+}
+
 /// Converts one JSON value to a non-negative integer.
 fn json_u64(j: &Json, field: &'static str) -> Result<u64, SpecError> {
     let v = j.as_f64().ok_or(SpecError::NotAnInteger {
@@ -648,14 +573,31 @@ fn axis_array<'a>(axes: &'a Json, name: &'static str) -> Result<Option<&'a [Json
     }
 }
 
+/// Parses a name axis through `parse`, refusing a value it does not know
+/// (as `unknown`) and a value given twice.
+fn name_axis<T: Copy + PartialEq>(
+    arr: &[Json],
+    axis: &'static str,
+    parse: fn(&str) -> Option<T>,
+    name: fn(T) -> &'static str,
+    unknown: fn(String) -> SpecError,
+) -> Result<Vec<T>, SpecError> {
+    let mut out = Vec::with_capacity(arr.len());
+    for j in arr {
+        let text = j.as_str().ok_or_else(|| unknown(render(j)))?;
+        let kind = parse(text).ok_or_else(|| unknown(text.to_string()))?;
+        if out.contains(&kind) {
+            let value = format!("'{}'", name(kind));
+            return Err(SpecError::DuplicateAxisValue { axis, value });
+        }
+        out.push(kind);
+    }
+    Ok(out)
+}
+
 /// Parses one numeric axis, defaulting to `[default]` when absent, and
-/// rejecting duplicates and per-value range violations.
-fn numeric_axis(
-    axes: &Json,
-    name: &'static str,
-    default: u64,
-    check: impl Fn(u64) -> Result<(), SpecError>,
-) -> Result<Vec<u64>, SpecError> {
+/// rejecting duplicates.
+fn numeric_axis(axes: &Json, name: &'static str, default: u64) -> Result<Vec<u64>, SpecError> {
     let Some(arr) = axis_array(axes, name)? else {
         return Ok(vec![default]);
     };
@@ -665,7 +607,6 @@ fn numeric_axis(
     let mut out = Vec::with_capacity(arr.len());
     for j in arr {
         let v = json_u64(j, name)?;
-        check(v)?;
         if out.contains(&v) {
             return Err(SpecError::DuplicateAxisValue {
                 axis: name,
@@ -680,6 +621,7 @@ fn numeric_axis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slacksim_core::scheme::Scheme;
 
     const SPEC: &str = r#"{
         "v": 1,
@@ -702,12 +644,12 @@ mod tests {
         let jobs = spec.expand();
         assert_eq!(jobs.len(), 16);
         assert_eq!(jobs[0].index, 0);
-        assert_eq!(jobs[0].kind, SchemeKind::Cc);
+        assert_eq!(jobs[0].run.scheme, SchemeKind::Cc);
         assert_eq!(jobs[0].workload, "fft");
-        assert_eq!(jobs[0].benchmark, Benchmark::Fft);
+        assert_eq!(jobs[0].run.benchmark, Benchmark::Fft);
         assert_eq!(jobs.last().unwrap().index, 15);
-        assert_eq!(jobs.last().unwrap().kind, SchemeKind::Bounded);
-        assert_eq!(jobs.last().unwrap().bound, 16);
+        assert_eq!(jobs.last().unwrap().run.scheme, SchemeKind::Bounded);
+        assert_eq!(jobs.last().unwrap().run.bound, 16);
 
         // The committed CI smoke spec: {cc, bounded, quantum} x 2 seeds.
         let smoke = SweepSpec::parse(include_str!("../../experiments/campaign-smoke.json"))
@@ -745,10 +687,13 @@ mod tests {
         )
         .unwrap();
         let jobs = spec.expand();
-        assert_eq!(jobs[0].scheme, Scheme::BoundedSlack { bound: 32 });
-        assert_eq!(jobs[1].scheme, Scheme::Quantum { quantum: 77 });
         assert_eq!(
-            jobs[2].scheme,
+            jobs[0].run.build_scheme(),
+            Scheme::BoundedSlack { bound: 32 }
+        );
+        assert_eq!(jobs[1].run.build_scheme(), Scheme::Quantum { quantum: 77 });
+        assert_eq!(
+            jobs[2].run.build_scheme(),
             Scheme::LaxP2p {
                 lead: 32,
                 period: 500,
@@ -767,9 +712,12 @@ mod tests {
         .unwrap();
         assert_eq!(spec.engine, EngineKind::Batched);
         let jobs = spec.expand();
-        assert_eq!(jobs[0].scheme, Scheme::CycleByCycle);
-        assert_eq!(jobs[1].scheme, Scheme::Quantum { quantum: 4 });
-        assert_eq!(jobs[2].scheme, Scheme::BoundedSlack { bound: 16 });
+        assert_eq!(jobs[0].run.build_scheme(), Scheme::CycleByCycle);
+        assert_eq!(jobs[1].run.build_scheme(), Scheme::Quantum { quantum: 4 });
+        assert_eq!(
+            jobs[2].run.build_scheme(),
+            Scheme::BoundedSlack { bound: 16 }
+        );
     }
 
     #[test]
@@ -882,8 +830,8 @@ mod tests {
         assert_eq!(spec.axes.uncores, vec![UncoreKind::Directory]);
         let jobs = spec.expand();
         assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[1].cores, 64);
-        assert_eq!(jobs[1].uncore, UncoreKind::Directory);
+        assert_eq!(jobs[1].run.cores, 64);
+        assert_eq!(jobs[1].run.uncore, UncoreKind::Directory);
         assert!(
             jobs[1].token().ends_with("-dir"),
             "directory jobs are suffixed: {}",
@@ -1005,7 +953,7 @@ mod tests {
         assert_eq!(jobs.len(), 24);
         assert_eq!(jobs[0].token(), "fft-cc-b8-q50-c2-s3");
         assert_eq!(jobs[23].token(), "water-nsq-p2p-b8-q50-c2-s3-dir");
-        assert_eq!(jobs[23].benchmark, Benchmark::WaterNsquared);
+        assert_eq!(jobs[23].run.benchmark, Benchmark::WaterNsquared);
     }
 
     #[test]

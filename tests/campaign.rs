@@ -115,11 +115,11 @@ fn oversubscribed_campaign_is_fair_and_bit_identical_to_solo_runs() {
             .as_ref()
             .expect("fresh campaign ran every job");
         let solo = Simulation::new(Benchmark::parse(&job.workload).unwrap())
-            .cores(job.cores as usize)
-            .scheme(job.scheme.clone())
+            .cores(job.run.cores as usize)
+            .scheme(job.run.build_scheme())
             .engine(EngineKind::Sequential)
             .commit_target(spec.commit)
-            .seed(job.seed)
+            .seed(job.run.seed)
             .run()
             .expect("solo run");
         assert_eq!(

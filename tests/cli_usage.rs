@@ -480,6 +480,7 @@ fn zero_valued_quantities_are_rejected() {
         (&["--scheme", "p2p", "--bound", "0"], "--bound"),
         (&["--scheme", "p2p", "--period", "0"], "--period"),
         (&["--sample-every", "0"], "--sample-every"),
+        (&["--commit", "0"], "--commit"),
     ];
     for (args, flag) in cases {
         let out = slacksim(args);
@@ -1020,4 +1021,139 @@ fn report_on_unreadable_or_empty_artifacts_exits_2_naming_the_file() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("cannot read"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- scheme knobs and the one run description -----------------------
+
+/// Every scheme against every scheme knob: a knob the scheme reads is
+/// accepted and runs; any other is refused by name, even when its value
+/// would be valid.
+#[test]
+fn each_scheme_accepts_only_the_knobs_it_reads() {
+    let knobs = [
+        ("--bound", "4"),
+        ("--quantum", "20"),
+        ("--target", "0.5"),
+        ("--band", "10"),
+        ("--period", "100"),
+    ];
+    let reads: &[(&str, &[&str])] = &[
+        ("cc", &[]),
+        ("bounded", &["--bound"]),
+        ("unbounded", &[]),
+        ("quantum", &["--quantum"]),
+        ("adaptive", &["--target", "--band"]),
+        ("p2p", &["--bound", "--period"]),
+    ];
+    for (scheme, read) in reads {
+        for (flag, value) in knobs {
+            let args = [
+                "--scheme", scheme, flag, value, "--cores", "2", "--commit", "2000",
+            ];
+            let out = slacksim(&args);
+            if read.contains(&flag) {
+                assert!(
+                    out.status.success(),
+                    "{args:?} must run, got {}",
+                    stderr(&out)
+                );
+            } else {
+                assert_usage_error(&out, &[&format!("--scheme {scheme} does not read {flag}")]);
+            }
+        }
+    }
+}
+
+/// Unread knobs are refused before their values are read, so the first
+/// one on the line is named even when a later one is malformed.
+#[test]
+fn the_first_unread_knob_is_named() {
+    let out = slacksim(&[
+        "--scheme",
+        "cc",
+        "--bound",
+        "0",
+        "--quantum",
+        "x",
+        "--period",
+        "0",
+    ]);
+    assert_usage_error(&out, &["--scheme cc does not read --bound"]);
+    let out = slacksim(&["--scheme", "bounded", "--period", "7", "--bound", "0"]);
+    assert_usage_error(&out, &["--scheme bounded does not read --period"]);
+}
+
+/// The number after `label` on the report line that starts with it.
+fn report_number(report: &str, label: &str) -> u64 {
+    let line = report
+        .lines()
+        .find(|l| l.starts_with(label))
+        .unwrap_or_else(|| panic!("no {label:?} line in {report:?}"));
+    let value = line.split(':').nth(1).expect("a value after the colon");
+    value.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+/// The CLI and a sweep build a run through the same `RunSpec`: the same
+/// job given as flags and as a one-job spec reports the same cycles,
+/// commits and violations, under every scheme.
+#[test]
+fn the_cli_and_a_one_job_sweep_run_the_same_job() {
+    let dir = sweep_scratch("differential");
+    for scheme in ["cc", "bounded", "unbounded", "quantum", "adaptive", "p2p"] {
+        let mut args = vec![
+            "--benchmark",
+            "fft",
+            "--cores",
+            "2",
+            "--commit",
+            "20000",
+            "--seed",
+            "7",
+            "--scheme",
+            scheme,
+        ];
+        match scheme {
+            "bounded" | "p2p" => args.extend(["--bound", "12"]),
+            "quantum" => args.extend(["--quantum", "30"]),
+            _ => {}
+        }
+        let out = slacksim(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let report = stdout(&out);
+
+        let spec = dir.join(format!("{scheme}.json"));
+        std::fs::write(
+            &spec,
+            format!(
+                r#"{{"v":1,"commit":20000,"axes":{{"scheme":["{scheme}"],"bound":[12],
+                "quantum":[30],"cores":[2],"workload":["fft"],"seed":[7]}}}}"#
+            ),
+        )
+        .unwrap();
+        let camp = dir.join(scheme);
+        let out = slacksim(&[
+            "sweep",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--dir",
+            camp.to_str().unwrap(),
+            "--workers",
+            "1",
+        ]);
+        assert!(out.status.success(), "{scheme} sweep: {}", stderr(&out));
+        let token = format!("fft-{scheme}-b12-q30-c2-s7");
+        let row = std::fs::read_to_string(camp.join("jobs").join(&token).join("report.json"))
+            .expect("the job's report.json");
+        let row = slacksim::sweep::JobRow::parse_json(&row).unwrap();
+        assert_eq!(
+            (row.cycles, row.committed, row.violations),
+            (
+                report_number(&report, "execution time"),
+                report_number(&report, "committed"),
+                report_number(&report, "violations"),
+            ),
+            "{scheme}: the CLI and the sweep ran different jobs"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

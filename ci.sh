@@ -28,6 +28,11 @@ cargo test --workspace -q --offline
 echo "==> cargo test -q --release"
 cargo test --workspace -q --release --offline
 
+echo "==> cache differential soak (flat tag store against the per-set oracle, 1 M operations)"
+# The tier-1 run of crates/cmp/tests/cache_differential.rs drives 10 k
+# operations per geometry; its ignored twin drives a million, in release.
+cargo test -p slacksim-cmp -q --release --offline --test cache_differential -- --ignored
+
 echo "==> conformance smoke (exact matrices)"
 # The conformance matrices from crates/conformance in release.
 cargo test -p slacksim-conformance -q --release --offline

@@ -118,16 +118,33 @@ impl CacheConfig {
     }
 }
 
-/// One resident line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    tag: u64,
-    state: MesiState,
-    /// Smaller = more recently used.
-    lru: u32,
+/// Bits of a slot's packed metadata word that hold its MESI state; the
+/// LRU stamp (smaller = more recently used) sits above them, so stamps
+/// compare and step on the packed word directly.
+const STATE_BITS: u32 = 2;
+const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
+/// One LRU step in the packed word.
+const LRU_ONE: u32 = 1 << STATE_BITS;
+/// The largest LRU stamp a packed word holds.
+const MAX_LRU: u32 = u32::MAX >> STATE_BITS;
+
+/// Packs a slot's state and LRU stamp (`lru <= MAX_LRU`).
+#[inline]
+fn pack(state: MesiState, lru: u32) -> u32 {
+    (lru << STATE_BITS) | state as u32
 }
 
-slacksim_core::persist_fields! { Way { tag, state, lru } }
+/// The state half of a packed word: the inverse of the declaration-order
+/// code `pack` stores.
+#[inline]
+fn state_of(meta: u32) -> MesiState {
+    match meta & STATE_MASK {
+        0 => MesiState::Modified,
+        1 => MesiState::Exclusive,
+        2 => MesiState::Shared,
+        _ => MesiState::Invalid,
+    }
+}
 
 /// Probe statistics: the cache's untracked scalars, carried whole by
 /// every delta.
@@ -140,6 +157,14 @@ struct Probes {
 slacksim_core::persist_fields! { Probes { hits, misses } }
 
 /// A set-associative, LRU, timing-only cache.
+///
+/// The tag store is three flat arrays: set `s` owns slots
+/// `s * ways .. s * ways + lens[s]` of `tags` (the line tags) and `meta`
+/// (each slot's MESI state and LRU stamp, packed in one word). Slots past
+/// a set's length are stale and never read. A fill appends at the set's
+/// length and a removal moves the set's last slot into the hole, so the
+/// slot order — which decides LRU ties and the snapshot bytes — is that
+/// of a vector per set under `push` and `swap_remove`.
 ///
 /// The cache tracks which sets mutated since a capture generation so that
 /// speculative-slack checkpoints can capture per-set deltas instead of
@@ -161,10 +186,15 @@ slacksim_core::persist_fields! { Probes { hits, misses } }
 /// c.fill(line, MesiState::Exclusive);
 /// assert_eq!(c.probe(line), Some(MesiState::Exclusive));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Line tags, `ways` slots per set.
+    tags: Vec<u64>,
+    /// Packed state and LRU stamp per slot, parallel to `tags`.
+    meta: Vec<u32>,
+    /// Resident lines per set.
+    lens: Vec<u8>,
     set_mask: u64,
     /// `set_mask.count_ones()`, the tag shift: derived from the geometry
     /// at construction (baseline x86-64 has no POPCNT instruction).
@@ -176,6 +206,23 @@ pub struct Cache {
     /// after generation `since`.
     set_stamps: Tracking<Vec<u64>>,
 }
+
+/// Equal geometry, probe statistics and resident slots; stale slots and
+/// tracking metadata are not state.
+impl PartialEq for Cache {
+    fn eq(&self, other: &Self) -> bool {
+        self.cfg == other.cfg
+            && self.probes == other.probes
+            && self.lens == other.lens
+            && (0..self.lens.len()).all(|set| {
+                let live = self.live(set);
+                self.tags[live.clone()] == other.tags[live.clone()]
+                    && self.meta[live.clone()] == other.meta[live]
+            })
+    }
+}
+
+impl Eq for Cache {}
 
 /// Incremental state carrier for a [`Cache`]: the contents of every set
 /// mutated since the capture baseline, plus the probe statistics.
@@ -189,19 +236,23 @@ pub struct CacheDelta {
 /// How the dirty sets travel.
 #[derive(Debug, Clone)]
 enum CachePayload {
-    /// Per dirty set: the set index and its resident lines. Each set
-    /// owns its allocation, so capture costs exactly the dirty slice of
-    /// a full clone and apply *moves* the lines into place instead of
-    /// copying them a second time.
-    Sparse(Vec<(u32, Vec<Way>)>),
+    /// Per dirty set in ascending order, its index and length; the sets'
+    /// resident slots follow one another in `tags` and `meta`. Capture
+    /// copies exactly the dirty slices and apply copies them back.
+    Sparse {
+        sets: Vec<(u32, u8)>,
+        tags: Vec<u64>,
+        meta: Vec<u32>,
+    },
     /// Bulk fallback once almost every set is dirty (short checkpoint
-    /// intervals leave L1 tag arrays fully churned): the whole tag array
-    /// and its stamps, applied by moving the outer vectors — one pointer
-    /// move instead of per-set bookkeeping across thousands of sets.
+    /// intervals leave L1 tag arrays fully churned): clones of the flat
+    /// arrays and the stamps, which apply moves into place.
     Dense {
         /// Dirty-set count at capture (observability only).
         dirty: u32,
-        sets: Vec<Vec<Way>>,
+        tags: Vec<u64>,
+        meta: Vec<u32>,
+        lens: Vec<u8>,
         set_stamps: Vec<u64>,
     },
 }
@@ -210,7 +261,7 @@ impl CacheDelta {
     /// Number of sets dirty since the capture baseline.
     pub fn dirty_sets(&self) -> usize {
         match &self.payload {
-            CachePayload::Sparse(sets) => sets.len(),
+            CachePayload::Sparse { sets, .. } => sets.len(),
             CachePayload::Dense { dirty, .. } => *dirty as usize,
         }
     }
@@ -218,8 +269,8 @@ impl CacheDelta {
     /// Number of resident lines carried in the payload.
     pub fn payload_lines(&self) -> usize {
         match &self.payload {
-            CachePayload::Sparse(sets) => sets.iter().map(|(_, ways)| ways.len()).sum(),
-            CachePayload::Dense { sets, .. } => sets.iter().map(Vec::len).sum(),
+            CachePayload::Sparse { tags, .. } => tags.len(),
+            CachePayload::Dense { lens, .. } => lens.iter().map(|&n| usize::from(n)).sum(),
         }
     }
 }
@@ -239,12 +290,16 @@ pub enum StoreProbe {
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. The tag store is
+    /// allocated zeroed and written by nothing until lines arrive.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        assert!(cfg.ways <= usize::from(u8::MAX), "too many ways per set");
         Cache {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.ways); sets],
+            tags: vec![0; sets * cfg.ways],
+            meta: vec![0; sets * cfg.ways],
+            lens: vec![0; sets],
             set_mask: sets as u64 - 1,
             set_bits: (sets as u64 - 1).count_ones(),
             probes: Probes::default(),
@@ -275,30 +330,48 @@ impl Cache {
         line.raw() >> self.set_bits
     }
 
+    /// The flat-array range of a set's resident slots.
+    #[inline]
+    fn live(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.cfg.ways;
+        base..base + usize::from(self.lens[set])
+    }
+
+    /// The set and flat slot index of a resident line.
+    #[inline]
+    fn find(&self, line: LineAddr) -> (usize, Option<usize>) {
+        let set = self.set_index(line);
+        let tag = self.tag(line);
+        let live = self.live(set);
+        let base = live.start;
+        let slot = self.tags[live].iter().position(|&t| t == tag);
+        (set, slot.map(|pos| base + pos))
+    }
+
+    /// Makes `slot` its set's most recently used line: every more recent
+    /// line ages one step.
+    #[inline]
+    fn make_mru(&mut self, set: usize, slot: usize) {
+        let touched = self.meta[slot] & !STATE_MASK;
+        let live = self.live(set);
+        for m in &mut self.meta[live] {
+            if *m < touched {
+                *m += LRU_ONE;
+            }
+        }
+        self.meta[slot] &= STATE_MASK;
+    }
+
     /// Looks the line up, updating LRU and hit/miss statistics. Returns
     /// the line's state if resident.
     pub fn probe(&mut self, line: LineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| w.tag == tag) {
-            let touched = ways[pos].lru;
-            for w in ways.iter_mut() {
-                if w.lru < touched {
-                    w.lru += 1;
-                }
-            }
-            ways[pos].lru = 0;
-            self.probes.hits += 1;
-            let state = ways[pos].state;
-            self.touch(set);
-            Some(state)
-        } else {
+        let state = self.probe_if_resident(line);
+        if state.is_none() {
             // Only the miss counter moved; deltas carry the statistics
             // scalars unconditionally, so no set needs stamping.
             self.probes.misses += 1;
-            None
         }
+        state
     }
 
     /// Combined lookup for the issue path: behaves exactly like a pure
@@ -310,21 +383,12 @@ impl Cache {
     /// `probe` call sites never reached on a miss either).
     #[inline]
     pub fn probe_if_resident(&mut self, line: LineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        let ways = &mut self.sets[set];
-        let pos = ways.iter().position(|w| w.tag == tag)?;
-        let touched = ways[pos].lru;
-        for w in ways.iter_mut() {
-            if w.lru < touched {
-                w.lru += 1;
-            }
-        }
-        ways[pos].lru = 0;
+        let (set, slot) = self.find(line);
+        let slot = slot?;
+        self.make_mru(set, slot);
         self.probes.hits += 1;
-        let state = ways[pos].state;
         self.touch(set);
-        Some(state)
+        Some(state_of(self.meta[slot]))
     }
 
     /// Combined store lookup: one set scan deciding the write path. A
@@ -333,23 +397,15 @@ impl Cache {
     /// matching the pure `peek` those call sites used to issue.
     #[inline]
     pub fn probe_writable_modify(&mut self, line: LineAddr) -> StoreProbe {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        let ways = &mut self.sets[set];
-        let Some(pos) = ways.iter().position(|w| w.tag == tag) else {
+        let (set, slot) = self.find(line);
+        let Some(slot) = slot else {
             return StoreProbe::Absent;
         };
-        if !ways[pos].state.writable() {
+        if !state_of(self.meta[slot]).writable() {
             return StoreProbe::NeedsUpgrade;
         }
-        let touched = ways[pos].lru;
-        for w in ways.iter_mut() {
-            if w.lru < touched {
-                w.lru += 1;
-            }
-        }
-        ways[pos].lru = 0;
-        ways[pos].state = MesiState::Modified;
+        self.make_mru(set, slot);
+        self.meta[slot] = pack(MesiState::Modified, 0);
         self.probes.hits += 1;
         self.touch(set);
         StoreProbe::Written
@@ -367,7 +423,9 @@ impl Cache {
     pub fn reprobe_mru(&mut self, line: LineAddr) {
         let set = self.set_index(line);
         debug_assert_eq!(
-            self.sets[set].iter().find(|w| w.lru == 0).map(|w| w.tag),
+            self.live(set)
+                .find(|&slot| self.meta[slot] & !STATE_MASK == 0)
+                .map(|slot| self.tags[slot]),
             Some(self.tag(line)),
             "reprobe_mru caller invariant: line must be the set's MRU"
         );
@@ -377,26 +435,20 @@ impl Cache {
 
     /// Looks the line up without touching LRU or statistics (snoops).
     pub fn peek(&self, line: LineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        self.sets[set]
-            .iter()
-            .find(|w| w.tag == tag)
-            .map(|w| w.state)
+        let (_, slot) = self.find(line);
+        slot.map(|slot| state_of(self.meta[slot]))
     }
 
     /// Changes the state of a resident line; no-op when absent. Returns
     /// whether the line was resident.
     pub fn set_state(&mut self, line: LineAddr, state: MesiState) -> bool {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.tag == tag) {
-            w.state = state;
-            self.touch(set);
-            true
-        } else {
-            false
-        }
+        let (set, slot) = self.find(line);
+        let Some(slot) = slot else {
+            return false;
+        };
+        self.meta[slot] = pack(state, self.meta[slot] >> STATE_BITS);
+        self.touch(set);
+        true
     }
 
     /// Inserts a line in the given state, evicting the LRU way if the set
@@ -404,65 +456,62 @@ impl Cache {
     ///
     /// Filling a line that is already resident just updates its state.
     pub fn fill(&mut self, line: LineAddr, state: MesiState) -> Option<(LineAddr, MesiState)> {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        let set_bits = self.set_bits;
-        let ways_cap = self.cfg.ways;
-        let ways = &mut self.sets[set];
-
-        if let Some(pos) = ways.iter().position(|w| w.tag == tag) {
-            ways[pos].state = state;
-            let touched = ways[pos].lru;
-            for w in ways.iter_mut() {
-                if w.lru < touched {
-                    w.lru += 1;
-                }
-            }
-            ways[pos].lru = 0;
+        let (set, slot) = self.find(line);
+        if let Some(slot) = slot {
+            self.make_mru(set, slot);
+            self.meta[slot] = pack(state, 0);
             self.touch(set);
             return None;
         }
 
-        let victim = if ways.len() == ways_cap {
-            let pos = ways
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
+        let victim = if usize::from(self.lens[set]) == self.cfg.ways {
+            // The last of equally old slots, as `Iterator::max_by_key`
+            // picks it.
+            let live = self.live(set);
+            let slot = live
+                .max_by_key(|&slot| self.meta[slot] >> STATE_BITS)
                 .expect("full set has ways");
-            let v = ways.swap_remove(pos);
-            let victim_line = LineAddr::new((v.tag << set_bits) | set as u64);
-            Some((victim_line, v.state))
+            let (tag, meta) = (self.tags[slot], self.meta[slot]);
+            self.swap_remove(set, slot);
+            let victim_line = LineAddr::new((tag << self.set_bits) | set as u64);
+            Some((victim_line, state_of(meta)))
         } else {
             None
         };
 
-        for w in ways.iter_mut() {
-            w.lru += 1;
+        let live = self.live(set);
+        for m in &mut self.meta[live.clone()] {
+            *m += LRU_ONE;
         }
-        ways.push(Way { tag, state, lru: 0 });
+        self.tags[live.end] = self.tag(line);
+        self.meta[live.end] = pack(state, 0);
+        self.lens[set] += 1;
         self.touch(set);
         victim
     }
 
+    /// Removes `slot` from `set` by moving the set's last slot into it.
+    #[inline]
+    fn swap_remove(&mut self, set: usize, slot: usize) {
+        let last = self.live(set).end - 1;
+        self.tags[slot] = self.tags[last];
+        self.meta[slot] = self.meta[last];
+        self.lens[set] -= 1;
+    }
+
     /// Removes a line, returning its state if it was resident.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        let ways = &mut self.sets[set];
-        let removed = ways
-            .iter()
-            .position(|w| w.tag == tag)
-            .map(|pos| ways.swap_remove(pos).state);
-        if removed.is_some() {
-            self.touch(set);
-        }
-        removed
+        let (set, slot) = self.find(line);
+        let slot = slot?;
+        let state = state_of(self.meta[slot]);
+        self.swap_remove(set, slot);
+        self.touch(set);
+        Some(state)
     }
 
     /// Number of resident lines.
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| usize::from(n)).sum()
     }
 
     /// Probe hits so far.
@@ -480,10 +529,14 @@ impl Cache {
     /// geometry is construction-time configuration: it shapes the layout
     /// and is validated on load, never stored.
     pub fn save_state(&self, w: &mut ByteWriter) {
-        w.u32(self.sets.len() as u32);
-        for ways in &self.sets {
-            w.u16(ways.len() as u16);
-            ways.iter().for_each(|way| way.save(w));
+        w.u32(self.lens.len() as u32);
+        for set in 0..self.lens.len() {
+            w.u16(u16::from(self.lens[set]));
+            for slot in self.live(set) {
+                w.u64(self.tags[slot]);
+                state_of(self.meta[slot]).save(w);
+                w.u32(self.meta[slot] >> STATE_BITS);
+            }
         }
         self.probes.save(w);
     }
@@ -496,15 +549,25 @@ impl Cache {
     /// Returns [`PersistError`] if the bytes are malformed or describe a
     /// different geometry.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        if r.u32()? as usize != self.sets.len() {
+        if r.u32()? as usize != self.lens.len() {
             return Err(PersistError::Corrupt("cache set count mismatch"));
         }
-        for ways in &mut self.sets {
+        for set in 0..self.lens.len() {
             let n = usize::from(r.u16()?);
             if n > self.cfg.ways {
                 return Err(PersistError::Corrupt("cache set holds more ways than fit"));
             }
-            *ways = (0..n).map(|_| Way::load(r)).collect::<Result<_, _>>()?;
+            let base = set * self.cfg.ways;
+            for slot in base..base + n {
+                self.tags[slot] = r.u64()?;
+                let state = MesiState::load(r)?;
+                let lru = r.u32()?;
+                if lru > MAX_LRU {
+                    return Err(PersistError::Corrupt("cache LRU stamp out of range"));
+                }
+                self.meta[slot] = pack(state, lru);
+            }
+            self.lens[set] = n as u8;
         }
         self.probes = Probes::load(r)?;
         Ok(())
@@ -521,22 +584,28 @@ impl Checkpointable for Cache {
     fn capture_delta(&mut self, since_gen: u64) -> CacheDelta {
         let n_dirty = self.set_stamps.iter().filter(|&&s| s > since_gen).count();
         // Past ~7/8 dirty, the per-set index bookkeeping outweighs what
-        // cloning the few clean sets would cost; carry the whole array
-        // and let apply move it in wholesale.
-        let payload = if n_dirty * 8 >= self.sets.len() * 7 {
+        // cloning the few clean sets would cost; carry the whole arrays
+        // and let apply move them in wholesale.
+        let payload = if n_dirty * 8 >= self.lens.len() * 7 {
             CachePayload::Dense {
                 dirty: n_dirty as u32,
-                sets: self.sets.clone(),
+                tags: self.tags.clone(),
+                meta: self.meta.clone(),
+                lens: self.lens.clone(),
                 set_stamps: self.set_stamps.to_vec(),
             }
         } else {
             let mut sets = Vec::with_capacity(n_dirty);
-            for (i, &stamp) in self.set_stamps.iter().enumerate() {
+            let mut tags = Vec::with_capacity(n_dirty * self.cfg.ways);
+            let mut meta = Vec::with_capacity(n_dirty * self.cfg.ways);
+            for (set, &stamp) in self.set_stamps.iter().enumerate() {
                 if stamp > since_gen {
-                    sets.push((i as u32, self.sets[i].clone()));
+                    sets.push((set as u32, self.lens[set]));
+                    tags.extend_from_slice(&self.tags[self.live(set)]);
+                    meta.extend_from_slice(&self.meta[self.live(set)]);
                 }
             }
-            CachePayload::Sparse(sets)
+            CachePayload::Sparse { sets, tags, meta }
         };
         CacheDelta {
             gen: *self.gen,
@@ -547,17 +616,29 @@ impl Checkpointable for Cache {
 
     fn apply_delta(&mut self, delta: CacheDelta) {
         match delta.payload {
-            CachePayload::Sparse(sets) => {
-                for (i, ways) in sets {
-                    let i = i as usize;
-                    self.sets[i] = ways;
-                    self.set_stamps[i] = delta.gen;
+            CachePayload::Sparse { sets, tags, meta } => {
+                let mut from = 0;
+                for (set, n) in sets {
+                    let set = set as usize;
+                    let to = set * self.cfg.ways;
+                    let n_slots = usize::from(n);
+                    self.tags[to..to + n_slots].copy_from_slice(&tags[from..from + n_slots]);
+                    self.meta[to..to + n_slots].copy_from_slice(&meta[from..from + n_slots]);
+                    self.lens[set] = n;
+                    self.set_stamps[set] = delta.gen;
+                    from += n_slots;
                 }
             }
             CachePayload::Dense {
-                sets, set_stamps, ..
+                tags,
+                meta,
+                lens,
+                set_stamps,
+                ..
             } => {
-                self.sets = sets;
+                self.tags = tags;
+                self.meta = meta;
+                self.lens = lens;
                 *self.set_stamps = set_stamps;
             }
         }
@@ -566,9 +647,12 @@ impl Checkpointable for Cache {
     }
 
     fn restore_from(&mut self, base: &Self, since_gen: u64) {
-        for (i, &stamp) in self.set_stamps.iter().enumerate() {
-            if stamp > since_gen {
-                self.sets[i].clone_from(&base.sets[i]);
+        for set in 0..self.lens.len() {
+            if self.set_stamps[set] > since_gen {
+                let live = base.live(set);
+                self.tags[live.clone()].copy_from_slice(&base.tags[live.clone()]);
+                self.meta[live.clone()].copy_from_slice(&base.meta[live]);
+                self.lens[set] = base.lens[set];
             }
         }
         self.probes = base.probes;

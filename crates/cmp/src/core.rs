@@ -12,6 +12,8 @@
 //!    misses, branches may stall the front end, and barrier/lock ops drain
 //!    the window, notify the manager, and spin.
 
+use std::collections::VecDeque;
+
 use slacksim_core::checkpoint::{Baseline, Checkpointable};
 use slacksim_core::engine::{CoreModel, TickCtx};
 use slacksim_core::event::{Inbox, Timestamped};
@@ -42,15 +44,101 @@ slacksim_core::persist_enum!(Wait, "unknown core wait tag" {
     3 => Ifetch(req),
 });
 
-/// One in-flight instruction window entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WinEntry {
-    id: u64,
-    /// Completion time; `None` while waiting on a memory reply.
-    done_at: Option<Cycle>,
+/// The in-flight instruction window. Entry ids are consecutive — the
+/// pipeline hands them out in order and retires them in order — so the
+/// window holds the oldest id and each entry's completion cycle, and an
+/// id finds its entry by subtraction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Window {
+    /// Id of the oldest entry: `front + len` is always the pipeline's
+    /// next entry id.
+    front: u64,
+    /// Completion cycles, oldest first; [`Window::WAITING`] while an entry
+    /// waits on a memory reply.
+    done: VecDeque<u64>,
 }
 
-slacksim_core::persist_fields! { WinEntry { id, done_at } }
+impl Window {
+    /// The completion cycle of an entry still waiting on memory.
+    const WAITING: u64 = u64::MAX;
+
+    fn len(&self) -> usize {
+        self.done.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.done.is_empty()
+    }
+
+    /// The head entry's completion cycle; [`Window::WAITING`] when it has
+    /// none or the window is empty.
+    #[inline]
+    fn head_ready(&self) -> u64 {
+        self.done.front().copied().unwrap_or(Self::WAITING)
+    }
+
+    /// Appends the successor of the newest entry.
+    #[inline]
+    fn push_back(&mut self, done_at: Option<Cycle>) {
+        self.done
+            .push_back(done_at.map_or(Self::WAITING, Cycle::as_u64));
+    }
+
+    #[inline]
+    fn pop_front(&mut self) {
+        self.done.pop_front();
+        self.front += 1;
+    }
+
+    /// Records entry `id`'s completion; no-op when it is not in flight.
+    #[inline]
+    fn mark_done(&mut self, id: u64, at: Cycle) {
+        let slot = id
+            .checked_sub(self.front)
+            .and_then(|i| usize::try_from(i).ok())
+            .and_then(|i| self.done.get_mut(i));
+        if let Some(done) = slot {
+            *done = at.as_u64();
+        }
+    }
+}
+
+/// The `(id, completion)` pairs, oldest first, as a sequence; loading
+/// refuses ids that are not consecutive.
+impl Persist for Window {
+    fn save(&self, w: &mut ByteWriter) {
+        w.u32(self.done.len() as u32);
+        for (id, &done) in (self.front..).zip(&self.done) {
+            w.u64(id);
+            (done != Self::WAITING).then(|| Cycle::new(done)).save(w);
+        }
+    }
+
+    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+        let mut window = Window {
+            front: 0,
+            done: VecDeque::new(),
+        };
+        for _ in 0..r.u32()? {
+            let id = r.u64()?;
+            let done_at = Option::<Cycle>::load(r)?;
+            if window.is_empty() {
+                window.front = id;
+            } else if window.front.checked_add(window.len() as u64) != Some(id) {
+                return Err(PersistError::Corrupt(
+                    "window entry ids are not consecutive",
+                ));
+            }
+            if done_at.is_some_and(|d| d.as_u64() == Self::WAITING) {
+                return Err(PersistError::Corrupt(
+                    "window completion cycle out of range",
+                ));
+            }
+            window.push_back(done_at);
+        }
+        Ok(window)
+    }
+}
 
 /// Window entries waiting on one miss, in issue order. The first
 /// [`Waiters::INLINE`] ids live in the MSHR itself — as many as the
@@ -190,11 +278,17 @@ core_stats!(
 #[derive(Clone)]
 struct Pipeline {
     stream: Box<dyn InstrStream>,
+    /// Instructions drawn from `stream` but not yet fetched, from
+    /// `block[block_pos]` on: the stream is called once per block.
+    /// Cloned with the stream, never persisted — `hot.fetched` counts
+    /// only what left the block.
+    block: [Instr; Pipeline::BLOCK],
+    block_pos: u8,
     /// The per-cycle hot scalars (local clock, commit counter, next-fetch
     /// cursor, front-end stall deadline).
     hot: CoreHot,
     pending: Option<Instr>,
-    window: std::collections::VecDeque<WinEntry>,
+    window: Window,
     mshrs: Vec<Mshr>,
     next_entry_id: u64,
     next_req: ReqId,
@@ -278,9 +372,14 @@ impl CmpCore {
             l1d: Cache::new(cfg.l1d),
             pipe: Pipeline {
                 stream,
+                block: [Instr::new(Op::IntAlu, 0); Pipeline::BLOCK],
+                block_pos: Pipeline::BLOCK as u8,
                 hot: CoreHot::default(),
                 pending: None,
-                window: std::collections::VecDeque::with_capacity(cfg.window),
+                window: Window {
+                    front: 0,
+                    done: VecDeque::with_capacity(cfg.window),
+                },
                 mshrs: Vec::with_capacity(cfg.mshrs),
                 next_entry_id: 0,
                 next_req: 0,
@@ -317,6 +416,17 @@ impl CmpCore {
         if pipe.window.len() > self.cfg.window {
             return Err(PersistError::Corrupt("window holds more entries than fit"));
         }
+        // The window's ids end where the next entry's begins.
+        match pipe.next_entry_id.checked_sub(pipe.window.len() as u64) {
+            Some(front) if pipe.window.is_empty() || front == pipe.window.front => {
+                pipe.window.front = front;
+            }
+            _ => {
+                return Err(PersistError::Corrupt(
+                    "window entry ids disagree with the next entry id",
+                ))
+            }
+        }
         if pipe.mshrs.len() > self.cfg.mshrs {
             return Err(PersistError::Corrupt("more MSHRs than the core has"));
         }
@@ -339,12 +449,22 @@ impl CmpCore {
 }
 
 impl Pipeline {
+    /// Instructions drawn from the stream per call.
+    const BLOCK: usize = 16;
+
     fn peek(&mut self) -> Instr {
-        if self.pending.is_none() {
-            self.pending = Some(self.stream.next_instr());
-            self.hot.fetched += 1;
+        if let Some(instr) = self.pending {
+            return instr;
         }
-        self.pending.expect("just filled")
+        if usize::from(self.block_pos) == Self::BLOCK {
+            self.stream.fill(&mut self.block);
+            self.block_pos = 0;
+        }
+        let instr = self.block[usize::from(self.block_pos)];
+        self.block_pos += 1;
+        self.pending = Some(instr);
+        self.hot.fetched += 1;
+        instr
     }
 
     fn consume(&mut self) {
@@ -360,14 +480,9 @@ impl Pipeline {
     fn push_entry(&mut self, done_at: Option<Cycle>) -> u64 {
         let id = self.next_entry_id;
         self.next_entry_id += 1;
-        self.window.push_back(WinEntry { id, done_at });
+        debug_assert_eq!(id, self.window.front + self.window.len() as u64);
+        self.window.push_back(done_at);
         id
-    }
-
-    fn mark_done(&mut self, entry_id: u64, at: Cycle) {
-        if let Some(e) = self.window.iter_mut().find(|e| e.id == entry_id) {
-            e.done_at = Some(at);
-        }
     }
 }
 
@@ -395,7 +510,7 @@ impl CmpCore {
                         }
                     }
                     for waiter in mshr.waiters.iter() {
-                        self.pipe.mark_done(waiter, now);
+                        self.pipe.window.mark_done(waiter, now);
                     }
                 }
             }
@@ -706,14 +821,12 @@ impl CmpCore {
     fn retire_and_issue(&mut self, now: Cycle, outbox: &mut Vec<MemEvent>) -> u32 {
         let mut committed_now = 0u32;
         while committed_now < self.cfg.issue_width {
-            match self.pipe.window.front() {
-                Some(e) if e.done_at.is_some_and(|d| d <= now) => {
-                    self.pipe.window.pop_front();
-                    self.pipe.hot.committed += 1;
-                    committed_now += 1;
-                }
-                _ => break,
+            if self.pipe.window.head_ready() > now.as_u64() {
+                break;
             }
+            self.pipe.window.pop_front();
+            self.pipe.hot.committed += 1;
+            committed_now += 1;
         }
 
         if self.pipe.wait != Wait::Nothing {
@@ -846,11 +959,7 @@ impl CoreModel for CmpCore {
                 // and the front end is blocked (sync spin, mispredict
                 // stall, or a full window). Every other cycle runs the
                 // real pipeline.
-                let head_ready = self
-                    .pipe
-                    .window
-                    .front()
-                    .map_or(u64::MAX, |e| e.done_at.map_or(u64::MAX, Cycle::as_u64));
+                let head_ready = self.pipe.window.head_ready();
                 if head_ready > now.as_u64() {
                     let bound = seg_end.min(head_ready);
                     let stop = if self.pipe.wait != Wait::Nothing {
@@ -1428,6 +1537,129 @@ mod tests {
             }),
             Err(PersistError::Corrupt("more MSHRs than the core has"))
         ));
+    }
+
+    #[test]
+    fn mark_done_outside_the_window_is_a_no_op() {
+        let mut window = Window {
+            front: 10,
+            done: VecDeque::from([Window::WAITING; 3]),
+        };
+        for id in [0, 9, 13, u64::MAX] {
+            window.mark_done(id, Cycle::new(5));
+        }
+        assert!(window.done.iter().all(|&d| d == Window::WAITING));
+        window.mark_done(11, Cycle::new(5));
+        assert_eq!(window.done, [Window::WAITING, 5, Window::WAITING]);
+    }
+
+    /// Runs `live` to a cycle with at least two window entries, and
+    /// returns its bytes before the window and after it.
+    fn bytes_around_the_window(live: &mut CmpCore) -> (Vec<u8>, Vec<u8>) {
+        let mut inbox = Inbox::new();
+        prime_icache(live, &mut inbox);
+        for t in 1..10 {
+            tick_at(live, &mut inbox, t);
+        }
+        assert!(live.pipe.window.len() >= 2, "a miss holds the window");
+        let mut w = ByteWriter::new();
+        live.pipe.hot.fetched.save(&mut w);
+        live.pipe.pending.save(&mut w);
+        let head = w.into_bytes();
+        let mut w = ByteWriter::new();
+        live.pipe.window.save(&mut w);
+        let window = w.into_bytes().len();
+        let mut w = ByteWriter::new();
+        live.save_state(&mut w);
+        let bytes = w.into_bytes();
+        (
+            bytes[..head.len()].to_vec(),
+            bytes[head.len() + window..].to_vec(),
+        )
+    }
+
+    #[test]
+    fn load_refuses_a_window_whose_ids_have_a_gap() {
+        let ops = vec![Op::Load { addr: 0x4000 }, Op::IntAlu, Op::IntAlu];
+        let mut live = core_with(ops.clone());
+        let (head, tail) = bytes_around_the_window(&mut live);
+        let window = &live.pipe.window;
+        let forge = |ids: &dyn Fn(u64) -> u64| {
+            let mut w = ByteWriter::new();
+            w.u32(window.len() as u32);
+            for (i, &done) in window.done.iter().enumerate() {
+                w.u64(ids(window.front + i as u64));
+                (done != Window::WAITING)
+                    .then(|| Cycle::new(done))
+                    .save(&mut w);
+            }
+            [head.as_slice(), &w.into_bytes(), &tail].concat()
+        };
+        let load = |bytes: &[u8]| core_with(ops.clone()).load_state(&mut ByteReader::new(bytes));
+        assert!(load(&forge(&|id| id)).is_ok(), "the unforged bytes load");
+        let last = window.front + window.len() as u64 - 1;
+        assert!(matches!(
+            load(&forge(&|id| if id == last { id + 1 } else { id })),
+            Err(PersistError::Corrupt(
+                "window entry ids are not consecutive"
+            ))
+        ));
+        assert!(matches!(
+            load(&forge(&|id| id + 1)),
+            Err(PersistError::Corrupt(
+                "window entry ids disagree with the next entry id"
+            ))
+        ));
+    }
+
+    #[test]
+    fn a_core_saved_mid_block_resumes_identically() {
+        let ops: Vec<Op> = (0..23)
+            .map(|i| match i % 5 {
+                0 => Op::Load {
+                    addr: 0x8000 + 64 * i,
+                },
+                3 => Op::Store {
+                    addr: 0x9000 + 32 * i,
+                },
+                _ => Op::IntAlu,
+            })
+            .collect();
+        let mut live = core_with(ops.clone());
+        let mut inbox = Inbox::new();
+        // Grants every request 20 cycles on.
+        let serve = |inbox: &mut Inbox<MemEvent>, t: u64, evs: Vec<MemEvent>| {
+            for ev in evs {
+                if let MemEvent::Request { req, line, .. } = ev {
+                    let grant = MesiState::Exclusive;
+                    let reply = MemEvent::Reply { req, line, grant };
+                    inbox.deliver(Timestamped::new(Cycle::new(t + 20), reply));
+                }
+            }
+        };
+        let mut t = 0;
+        // Stop with part of a drawn block still unfetched.
+        while t < 40 || live.pipe.hot.fetched.is_multiple_of(Pipeline::BLOCK as u64) {
+            let (_, evs) = tick_at(&mut live, &mut inbox, t);
+            serve(&mut inbox, t, evs);
+            t += 1;
+        }
+        let mut w = ByteWriter::new();
+        live.save_state(&mut w);
+        let mut restored = core_with(ops);
+        restored
+            .load_state(&mut ByteReader::new(&w.into_bytes()))
+            .unwrap();
+        // The restored core's inbox holds the same pending replies.
+        let mut inbox_b = inbox.clone();
+        for t in t..t + 300 {
+            let (ca, ea) = tick_at(&mut live, &mut inbox, t);
+            let (cb, eb) = tick_at(&mut restored, &mut inbox_b, t);
+            assert_eq!((ca, &ea), (cb, &eb), "divergence at cycle {t}");
+            serve(&mut inbox, t, ea);
+            serve(&mut inbox_b, t, eb);
+        }
+        assert_eq!(CoreModel::counters(&restored), CoreModel::counters(&live));
     }
 
     #[test]

@@ -137,6 +137,17 @@ pub trait InstrStream: Send {
     /// Produces the next instruction. Never ends.
     fn next_instr(&mut self) -> Instr;
 
+    /// Fills `out` with the next `out.len()` instructions, exactly as that
+    /// many [`next_instr`](InstrStream::next_instr) calls would. Through a
+    /// `dyn InstrStream` this is one dynamic call per block, and the
+    /// default body is compiled per implementation, so the calls inside it
+    /// are static.
+    fn fill(&mut self, out: &mut [Instr]) {
+        for slot in out {
+            *slot = self.next_instr();
+        }
+    }
+
     /// Clones the stream, preserving its exact position.
     fn clone_box(&self) -> Box<dyn InstrStream>;
 }

@@ -9,12 +9,10 @@
 //! the highest bus density and the highest fraction of violating
 //! checkpoint intervals in the paper (Table 3: 83–94 %).
 
-use std::collections::VecDeque;
-
 use slacksim_cmp::isa::{Instr, InstrStream, Op};
 use slacksim_core::rng::Xoshiro256;
 
-use crate::mix::{CodeWalker, FillerMix, Regions};
+use crate::mix::{CodeWalker, FillerMix, OpQueue, Regions};
 use crate::params::WorkloadParams;
 
 /// Shared octree size (1024 bodies ≈ 2k cells × 128 B ≈ 256 KiB).
@@ -36,7 +34,7 @@ pub struct BarnesStream {
     tid: usize,
     rng: Xoshiro256,
     code: CodeWalker,
-    queue: VecDeque<Op>,
+    queue: OpQueue,
     episode: u32,
     phase_left: i64,
     until_lock: u64,
@@ -57,7 +55,7 @@ impl BarnesStream {
             tid: params.thread_id,
             rng,
             code: CodeWalker::new(Regions::code(4), 3072),
-            queue: VecDeque::new(),
+            queue: OpQueue::new(),
             episode: 0,
             phase_left: PHASE_LEN as i64,
             until_lock: LOCK_PERIOD,
@@ -160,7 +158,7 @@ impl InstrStream for BarnesStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream_testkit::{barrier_ids, determinism_check, op_census};
+    use crate::stream_testkit::{barrier_ids, block_fill_check, determinism_check, op_census};
 
     fn stream(tid: usize) -> BarnesStream {
         BarnesStream::new(&WorkloadParams::new(tid, 8, 42))
@@ -169,6 +167,11 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         determinism_check(|| Box::new(stream(4)));
+    }
+
+    #[test]
+    fn block_fills_match_single_draws() {
+        block_fill_check(|| Box::new(stream(4)));
     }
 
     #[test]

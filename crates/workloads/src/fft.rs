@@ -9,12 +9,10 @@
 //! threads' exported matrix regions (cache-to-cache transfers and
 //! invalidation traffic), with a barrier between every phase.
 
-use std::collections::VecDeque;
-
 use slacksim_cmp::isa::{Instr, InstrStream, Op};
 use slacksim_core::rng::Xoshiro256;
 
-use crate::mix::{CodeWalker, FillerMix, Regions};
+use crate::mix::{CodeWalker, FillerMix, OpQueue, Regions};
 use crate::params::WorkloadParams;
 
 /// Instructions per compute phase.
@@ -39,7 +37,7 @@ pub struct FftStream {
     n_threads: usize,
     rng: Xoshiro256,
     code: CodeWalker,
-    queue: VecDeque<Op>,
+    queue: OpQueue,
     phase: Phase,
     phase_left: i64,
     episode: u32,
@@ -57,7 +55,7 @@ impl FftStream {
             n_threads: params.n_threads,
             rng: Xoshiro256::new(params.thread_seed(0xFF7)),
             code: CodeWalker::new(Regions::code(0), 2048),
-            queue: VecDeque::new(),
+            queue: OpQueue::new(),
             phase: Phase::Compute,
             phase_left: COMPUTE_LEN as i64,
             episode: 0,
@@ -189,7 +187,7 @@ impl InstrStream for FftStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream_testkit::{barrier_ids, determinism_check, op_census};
+    use crate::stream_testkit::{barrier_ids, block_fill_check, determinism_check, op_census};
 
     fn stream(tid: usize) -> FftStream {
         FftStream::new(&WorkloadParams::new(tid, 8, 42))
@@ -198,6 +196,11 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         determinism_check(|| Box::new(stream(3)));
+    }
+
+    #[test]
+    fn block_fills_match_single_draws() {
+        block_fill_check(|| Box::new(stream(3)));
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! LU the lowest bus density and the lowest fraction of violating
 //! checkpoint intervals in the paper (Table 3: 13–31 %).
 
-use std::collections::VecDeque;
-
 use slacksim_cmp::isa::{Instr, InstrStream, Op};
 use slacksim_core::rng::Xoshiro256;
 
-use crate::mix::{CodeWalker, FillerMix, Regions};
+use crate::mix::{CodeWalker, FillerMix, OpQueue, Regions};
 use crate::params::WorkloadParams;
 
 /// Instructions spent reading the pivot block per step.
@@ -38,7 +36,7 @@ pub struct LuStream {
     tid: usize,
     rng: Xoshiro256,
     code: CodeWalker,
-    queue: VecDeque<Op>,
+    queue: OpQueue,
     phase: Phase,
     phase_left: i64,
     episode: u32,
@@ -54,7 +52,7 @@ impl LuStream {
             tid: params.thread_id,
             rng: Xoshiro256::new(params.thread_seed(0x1_0)),
             code: CodeWalker::new(Regions::code(2), 1024),
-            queue: VecDeque::new(),
+            queue: OpQueue::new(),
             phase: Phase::Pivot,
             phase_left: PIVOT_LEN as i64,
             episode: 0,
@@ -164,7 +162,7 @@ impl InstrStream for LuStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream_testkit::{barrier_ids, determinism_check, op_census};
+    use crate::stream_testkit::{barrier_ids, block_fill_check, determinism_check, op_census};
 
     fn stream(tid: usize) -> LuStream {
         LuStream::new(&WorkloadParams::new(tid, 8, 42))
@@ -173,6 +171,11 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         determinism_check(|| Box::new(stream(2)));
+    }
+
+    #[test]
+    fn block_fills_match_single_draws() {
+        block_fill_check(|| Box::new(stream(2)));
     }
 
     #[test]

@@ -55,6 +55,59 @@ impl CodeWalker {
     }
 }
 
+/// A generator's refill queue: the operations of one refill, held inline
+/// in a ring. Generators refill only once it is drained, so it holds at
+/// most one refill — Water's 27 operations are the largest.
+#[derive(Debug, Clone)]
+pub(crate) struct OpQueue {
+    ops: [Op; OpQueue::CAPACITY],
+    /// Read and write cursors; they wrap, and index modulo the capacity.
+    head: u8,
+    tail: u8,
+}
+
+impl OpQueue {
+    /// Operations the queue holds.
+    const CAPACITY: usize = 32;
+
+    /// An empty queue.
+    pub(crate) fn new() -> Self {
+        OpQueue {
+            ops: [Op::IntAlu; Self::CAPACITY],
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    /// Whether every queued operation has been taken.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    /// Appends an operation.
+    #[inline]
+    pub(crate) fn push_back(&mut self, op: Op) {
+        debug_assert!(
+            usize::from(self.tail.wrapping_sub(self.head)) < Self::CAPACITY,
+            "a refill overflowed the op queue"
+        );
+        self.ops[usize::from(self.tail) % Self::CAPACITY] = op;
+        self.tail = self.tail.wrapping_add(1);
+    }
+
+    /// Takes the oldest operation.
+    #[inline]
+    pub(crate) fn pop_front(&mut self) -> Option<Op> {
+        if self.is_empty() {
+            return None;
+        }
+        let op = self.ops[usize::from(self.head) % Self::CAPACITY];
+        self.head = self.head.wrapping_add(1);
+        Some(op)
+    }
+}
+
 /// Ratios (out of 256) of filler operation classes between memory
 /// references; the remainder is integer ALU work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! Shared test helpers for stream generators (compiled into unit tests
 //! and usable by downstream integration tests).
 
-use slacksim_cmp::isa::{InstrStream, Op};
+use slacksim_cmp::isa::{Instr, InstrStream, Op};
 
 /// Operation counts observed over a stream prefix.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,5 +67,25 @@ pub fn determinism_check(make: impl Fn() -> Box<dyn InstrStream>) {
     let mut c = a.clone_box();
     for i in 0..5_000 {
         assert_eq!(a.next_instr(), c.next_instr(), "clone diverged at {i}");
+    }
+}
+
+/// Asserts that drawing a stream through [`InstrStream::fill`] in blocks
+/// of 1, 7 and 16 yields exactly its [`InstrStream::next_instr`] sequence.
+///
+/// # Panics
+///
+/// Panics at the first instruction where a block fill diverges.
+pub fn block_fill_check(make: impl Fn() -> Box<dyn InstrStream>) {
+    const N: usize = 20_000;
+    let mut one_by_one = make();
+    let expected: Vec<Instr> = (0..N).map(|_| one_by_one.next_instr()).collect();
+    for block in [1, 7, 16] {
+        let mut stream = make();
+        let mut got = vec![Instr::new(Op::IntAlu, 0); N.next_multiple_of(block)];
+        got.chunks_mut(block).for_each(|chunk| stream.fill(chunk));
+        if let Some(i) = (0..N).find(|&i| got[i] != expected[i]) {
+            panic!("blocks of {block} diverged at instruction {i}");
+        }
     }
 }

@@ -8,12 +8,10 @@
 //! read-modify-writes — an intermediate violation profile between Barnes
 //! and LU (Table 3: 55–100 %).
 
-use std::collections::VecDeque;
-
 use slacksim_cmp::isa::{Instr, InstrStream, Op};
 use slacksim_core::rng::Xoshiro256;
 
-use crate::mix::{CodeWalker, FillerMix, Regions};
+use crate::mix::{CodeWalker, FillerMix, OpQueue, Regions};
 use crate::params::WorkloadParams;
 
 /// Number of molecules (paper input set).
@@ -39,7 +37,7 @@ pub struct WaterStream {
     tid: usize,
     rng: Xoshiro256,
     code: CodeWalker,
-    queue: VecDeque<Op>,
+    queue: OpQueue,
     phase: Phase,
     phase_left: i64,
     episode: u32,
@@ -56,7 +54,7 @@ impl WaterStream {
             tid: params.thread_id,
             rng: Xoshiro256::new(params.thread_seed(0x3A7E2)),
             code: CodeWalker::new(Regions::code(6), 2048),
-            queue: VecDeque::new(),
+            queue: OpQueue::new(),
             phase: Phase::Force,
             phase_left: FORCE_LEN as i64,
             episode: 0,
@@ -165,7 +163,7 @@ impl InstrStream for WaterStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream_testkit::{barrier_ids, determinism_check, op_census};
+    use crate::stream_testkit::{barrier_ids, block_fill_check, determinism_check, op_census};
 
     fn stream(tid: usize) -> WaterStream {
         WaterStream::new(&WorkloadParams::new(tid, 8, 42))
@@ -174,6 +172,11 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         determinism_check(|| Box::new(stream(6)));
+    }
+
+    #[test]
+    fn block_fills_match_single_draws() {
+        block_fill_check(|| Box::new(stream(6)));
     }
 
     #[test]

@@ -341,7 +341,6 @@ impl SweepSpec {
         let quantums = numeric_axis(axes_doc, "quantum", defaults.quantum)?;
         let uncores = match axis_array(axes_doc, "uncore")? {
             None => vec![defaults.uncore],
-            Some([]) => return Err(SpecError::EmptyAxis("uncore")),
             Some(arr) => {
                 let (parse, name) = (UncoreKind::parse, UncoreKind::as_str);
                 name_axis(arr, "uncore", parse, name, SpecError::UnknownUncore)?
@@ -353,6 +352,9 @@ impl SweepSpec {
         let workloads = {
             let arr = axis_array(axes_doc, "workload")?
                 .ok_or(SpecError::MissingField("axes.workload"))?;
+            if arr.is_empty() {
+                return Err(SpecError::EmptyAxis("workload"));
+            }
             let mut out: Vec<(String, Benchmark)> = Vec::with_capacity(arr.len());
             for j in arr {
                 let name = j
@@ -573,8 +575,8 @@ fn axis_array<'a>(axes: &'a Json, name: &'static str) -> Result<Option<&'a [Json
     }
 }
 
-/// Parses a name axis through `parse`, refusing a value it does not know
-/// (as `unknown`) and a value given twice.
+/// Parses a name axis through `parse`, refusing an empty axis, a value
+/// it does not know (as `unknown`) and a value given twice.
 fn name_axis<T: Copy + PartialEq>(
     arr: &[Json],
     axis: &'static str,
@@ -582,6 +584,9 @@ fn name_axis<T: Copy + PartialEq>(
     name: fn(T) -> &'static str,
     unknown: fn(String) -> SpecError,
 ) -> Result<Vec<T>, SpecError> {
+    if arr.is_empty() {
+        return Err(SpecError::EmptyAxis(axis));
+    }
     let mut out = Vec::with_capacity(arr.len());
     for j in arr {
         let text = j.as_str().ok_or_else(|| unknown(render(j)))?;
@@ -779,6 +784,14 @@ mod tests {
             (
                 r#"{"v":1,"commit":1,"axes":{"scheme":["cc"],"workload":["fft"],"bound":[]}}"#,
                 "at least one value",
+            ),
+            (
+                r#"{"v":1,"commit":1,"axes":{"scheme":[],"workload":["fft"]}}"#,
+                "axis 'scheme' must hold at least one value",
+            ),
+            (
+                r#"{"v":1,"commit":1,"axes":{"scheme":["cc"],"workload":[]}}"#,
+                "axis 'workload' must hold at least one value",
             ),
             (
                 r#"{"v":1,"commit":1,"axes":{"scheme":["cc"],"workload":["fft"],"bound":[8,8]}}"#,

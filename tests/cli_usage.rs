@@ -752,6 +752,14 @@ fn sweep_bad_grid_values_are_rejected_with_enumerated_errors() {
             &["repeats value 8"],
         ),
         (
+            r#"{"v":1,"commit":100,"axes":{"scheme":[],"workload":["fft"]}}"#,
+            &["axis 'scheme' must hold at least one value"],
+        ),
+        (
+            r#"{"v":1,"commit":100,"axes":{"scheme":["cc"],"workload":[]}}"#,
+            &["axis 'workload' must hold at least one value"],
+        ),
+        (
             r#"{"v":1,"commit":100,"axes":{"scheme":["cc"],"workload":["fft"],"uncore":["ring"]}}"#,
             &["ring", "bus|directory"],
         ),

@@ -48,7 +48,7 @@ echo "==> speculative smoke (threaded, bounded slack, rollback on every violatio
     --commit 20000 --checkpoint 2000 --rollback all \
     > /dev/null
 
-echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory, 16-core directory with rollbacks, threaded greedy rounds with rollbacks)"
+echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus, 64-core directory, 16-core directory with rollbacks, threaded greedy rounds with rollbacks, sequential cc)"
 # Crash-safety proof on the release binary (DESIGN §13): a
 # cycle-by-cycle run persisting checkpoints is SIGKILLed as soon as the
 # first snapshot lands, resumed from the surviving cp-* file, and must
@@ -71,6 +71,10 @@ echo "==> kill-and-resume smoke (durable snapshots, SIGKILL mid-run; 2-core bus,
 # A fourth does the same on the threaded engine's greedy rounds, whose
 # bursts and service order are stateless draws a resumed run draws again
 # (DESIGN §10, "Seeded rounds").
+# A fifth takes cc through the sequential engine (the default), whose
+# snapshots carry its burst RNG as the one-cycle windows left it (DESIGN
+# §19, "One-cycle windows"); the `bus` and `directory` runs never reach
+# that engine.
 kill_and_resume() { # kill_and_resume LABEL FLAGS...
     local label="$1"; shift
     local cps baseline victim snapshot resumed
@@ -103,6 +107,7 @@ kill_and_resume directory-rollback --uncore directory --cores 16 --benchmark bar
     --scheme bounded --bound 16 --seed 3 --commit 400000 --checkpoint 700 --rollback all
 kill_and_resume threaded-greedy --engine threaded --scheme bounded --bound 16 --cores 8 \
     --checkpoint 700 --rollback all
+kill_and_resume seq-cc --scheme cc --cores 8 --benchmark water --commit 200000 --checkpoint 700
 
 echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, two threads on one CPU)"
 # Host-parallel windows on the release binary (DESIGN §15.1): the

@@ -235,8 +235,9 @@ struct Lane<'a, C: CoreModel> {
 impl<C: CoreModel> Lane<'_, C> {
     /// The hot loop: every core of the lane runs its span in one call,
     /// staging cross-core events locally. No scheduler, no queue touch,
-    /// no bookkeeping between cycles.
+    /// no bookkeeping between cycles, and one profiler span for the lane.
     fn run(&mut self, ph: &ProfHandle) -> u64 {
+        let _span = ph.enter(ProfSite::BatchedRun);
         let mut committed = 0;
         for (((core, inbox), staged), &(from, to)) in self
             .cores
@@ -246,7 +247,6 @@ impl<C: CoreModel> Lane<'_, C> {
             .zip(self.spans.iter())
         {
             if from < to {
-                let _span = ph.enter(ProfSite::BatchedRun);
                 committed += core.run_window(from, to, inbox, staged);
             }
         }

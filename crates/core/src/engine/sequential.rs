@@ -19,6 +19,13 @@
 //! It answers exactly what scans over every core would (debug builds
 //! check it every iteration), so no pick or RNG draw depends on it.
 //!
+//! A one-cycle barrier window that finds every core at its start — every
+//! cycle-by-cycle window, and every replay window after a rollback — needs
+//! no burst emulation at all: each burst lasts the one cycle whichever
+//! core it picks, so the window's draws depend only on the core count
+//! ([`one_cycle_draws`]). The driver makes them, ticks each core once in
+//! index order and rebuilds the scheduler once per window.
+//!
 //! Because every run with the same configuration and seed is bit-identical,
 //! this engine is the vehicle for the accuracy experiments (Figure 3) and
 //! for the fully-deployed speculative rollback extension.
@@ -26,8 +33,8 @@
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{Finish, Kernel};
 use crate::engine::{
-    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, TickCtx,
-    UncoreModel,
+    BurstPolicy, CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook,
+    TickCtx, UncoreModel,
 };
 use crate::event::{CoreId, GlobalQueue, Inbox, Timestamped};
 use crate::obs::{Phase, ProfSite, TraceEvent};
@@ -210,6 +217,46 @@ where
             }
             let cap = cfg.lead_cap(global);
             let win = stop_at.map_or(window_end, |s| window_end.min(s));
+
+            // A one-cycle barrier window with every core at its start:
+            // whichever core a burst picks, the burst lasts the one cycle,
+            // so the window is one tick per core, and only the number of
+            // bursts decides the draws (DESIGN §19 "One-cycle windows").
+            // Cycle-by-cycle and every replay run here.
+            if barrier && furthest == global && win == global + 1 {
+                let traced = k.tracing() && !k.replaying();
+                if traced {
+                    sched.refresh(Some(win), |_| win);
+                }
+                one_cycle_draws(&mut rng, &cfg.burst, n, |rank| {
+                    if traced {
+                        let pick = sched.kth_runnable(rank);
+                        sched.take(pick);
+                        let (core, phase) = (CoreId::new(pick as u16), Phase::Run);
+                        k.trace(global, TraceEvent::PhaseBegin { core, phase });
+                        k.trace(win, TraceEvent::PhaseEnd { core, phase });
+                    }
+                });
+                {
+                    let _span = ph.enter(ProfSite::CoreTick);
+                    // Index order: the global queue orders cores by id, and
+                    // each core's own events by arrival, so the service
+                    // order is the per-burst loop's.
+                    for (i, (core, inbox)) in cores.iter_mut().zip(&mut inboxes).enumerate() {
+                        let mut ctx = TickCtx::new(global, inbox, &mut outbox);
+                        committed += u64::from(core.tick(&mut ctx));
+                        gq.push_batch(CoreId::new(i as u16), &mut outbox);
+                    }
+                }
+                sched.close_window(win);
+                // The spread the per-burst loop saw after its first burst.
+                if n > 1 {
+                    k.note_spread(1);
+                }
+                at_serviced_boundary = false;
+                continue;
+            }
+
             let win_for = |i: usize| -> Cycle {
                 if per_core {
                     stop_at.map_or(ends[i].min(cap), |s| ends[i].min(cap).min(s))
@@ -268,12 +315,9 @@ where
             // The laggard is the first core at `global`: every core there
             // is runnable (the pacer's liveness contract, and the stop
             // point is at or past `furthest`).
-            let pick = if cfg.burst.lag_bias_percent > 0
-                && rng.chance(u64::from(cfg.burst.lag_bias_percent), 100)
-            {
-                sched.laggard()
-            } else {
-                sched.kth_runnable(rng.next_below(sched.runnable() as u64) as usize)
+            let pick = match draw_rank(&mut rng, &cfg.burst, sched.runnable()) {
+                Some(rank) => sched.kth_runnable(rank),
+                None => sched.laggard(),
             };
             let burst = rng.next_range(1, cfg.burst.max_burst);
             let pick_win = win_for(pick);
@@ -330,6 +374,38 @@ where
             threads: 1,
         };
         Ok(k.finish(finish))
+    }
+}
+
+/// A burst's pick among `runnable` cores: the laggard (`None`) with the
+/// policy's bias, else the rank of a uniformly drawn runnable core in
+/// ascending index order.
+#[inline]
+fn draw_rank(rng: &mut Xoshiro256, burst: &BurstPolicy, runnable: usize) -> Option<usize> {
+    if burst.lag_bias_percent > 0 && rng.chance(u64::from(burst.lag_bias_percent), 100) {
+        None
+    } else {
+        Some(rng.next_below(runnable as u64) as usize)
+    }
+}
+
+/// The draws of a one-cycle barrier window's `n` bursts, every core
+/// standing at the window's start: the per-burst loop's pick and burst
+/// length for `n, n − 1, …, 1` runnable cores, in its order. Every burst
+/// lasts the window's one cycle, whatever its pick and length, so nothing
+/// else feeds the draws. Hands `pick` each burst's rank among the cores
+/// not yet picked, in ascending index order; the laggard, the first of
+/// them, is rank 0.
+fn one_cycle_draws(
+    rng: &mut Xoshiro256,
+    burst: &BurstPolicy,
+    n: usize,
+    mut pick: impl FnMut(usize),
+) {
+    for runnable in (1..=n).rev() {
+        let rank = draw_rank(rng, burst, runnable).unwrap_or(0);
+        let _ = rng.next_range(1, burst.max_burst);
+        pick(rank);
     }
 }
 
@@ -487,13 +563,27 @@ impl BurstSched {
             self.tree[j] = self.tree[2 * j].min(self.tree[2 * j + 1]);
         }
         if to >= win {
-            self.runnable -= 1;
-            let mut j = i + 1;
-            while j < self.fen.len() {
-                self.fen[j] -= 1;
-                j += j & j.wrapping_neg();
-            }
+            self.take(i);
         }
+    }
+
+    /// Drops runnable core `i` from the runnable set.
+    fn take(&mut self, i: usize) {
+        self.runnable -= 1;
+        let mut j = i + 1;
+        while j < self.fen.len() {
+            self.fen[j] -= 1;
+            j += j & j.wrapping_neg();
+        }
+    }
+
+    /// Puts every core at `at`, the end of the one-cycle window all of
+    /// them just ran: one rebuild per window, in which none is runnable.
+    fn close_window(&mut self, at: Cycle) {
+        self.reset(at);
+        self.fen.fill(0);
+        self.runnable = 0;
+        self.built_for = Some(at);
     }
 
     /// Asserts that the incremental state equals what the scans it
@@ -744,6 +834,62 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&c| c > 0), "unexercised path: {seen:?}");
+    }
+
+    /// [`one_cycle_draws`] against the per-burst loop it stands in for:
+    /// `n` bursts through [`BurstSched`] with the loop's three draws, in a
+    /// one-cycle window with every core at its start. Both must leave the
+    /// RNG in one state and pick the cores in one order, whatever the
+    /// core count, fairness bias, burst cap and seed.
+    #[test]
+    fn one_cycle_draws_match_the_per_burst_picks() {
+        let (at, win) = (Cycle::new(40), Cycle::new(41));
+        for n in 1..=70usize {
+            for lag_bias_percent in [0u8, 30, 100] {
+                for max_burst in [1u64, 16] {
+                    for seed in [1u64, 7, 0x5eed] {
+                        let policy = BurstPolicy {
+                            max_burst,
+                            lag_bias_percent,
+                        };
+                        let mut rng = Xoshiro256::new(seed);
+                        let mut sched = BurstSched::new(n, at);
+                        sched.refresh(Some(win), |_| win);
+                        let mut want = Vec::new();
+                        while sched.runnable() > 0 {
+                            let pick = if lag_bias_percent > 0
+                                && rng.chance(u64::from(lag_bias_percent), 100)
+                            {
+                                sched.laggard()
+                            } else {
+                                sched.kth_runnable(rng.next_below(sched.runnable() as u64) as usize)
+                            };
+                            let burst = rng.next_range(1, max_burst);
+                            let from = sched.local(pick);
+                            sched.advance(pick, from + win.saturating_sub(from).min(burst), win);
+                            want.push(pick);
+                        }
+
+                        let mut pass_rng = Xoshiro256::new(seed);
+                        let mut pass = BurstSched::new(n, at);
+                        pass.refresh(Some(win), |_| win);
+                        let mut got = Vec::new();
+                        one_cycle_draws(&mut pass_rng, &policy, n, |rank| {
+                            let pick = pass.kth_runnable(rank);
+                            pass.take(pick);
+                            got.push(pick);
+                        });
+                        pass.close_window(win);
+
+                        let case = format!("n {n}, bias {lag_bias_percent}, max {max_burst}");
+                        assert_eq!(got, want, "{case}, seed {seed}: pick order");
+                        assert_eq!(pass_rng.state(), rng.state(), "{case}: RNG state");
+                        assert_eq!(pass.locals(), sched.locals(), "{case}: clocks");
+                        pass.assert_matches_scans(|_| win);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub enum ProfSite {
     PersistIo = 6,
     /// Rendering/writing report artifacts after the run.
     Export = 7,
-    /// The batched engine's inner loop: one core running a full quantum
-    /// window in a single `run_window` call.
+    /// The batched engine's inner loop: one lane of cores each running
+    /// its whole window in a single `run_window` call.
     BatchedRun = 8,
     /// The batched engine's quantum-boundary resolution: staged cross-core
     /// events serviced in timestamp order.

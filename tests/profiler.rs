@@ -324,6 +324,14 @@ fn batched_terminal_heartbeat_equals_the_report() {
     }
 }
 
+/// How many spans a profile recorded at `site`.
+fn count(prof: &slacksim::ProfData, site: ProfSite) -> u64 {
+    prof.sites
+        .iter()
+        .find(|s| s.site == site)
+        .map_or(0, |s| s.count)
+}
+
 #[test]
 fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
     let profiled = |threads: usize| {
@@ -337,12 +345,6 @@ fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
             .profile(true);
         sim.run().expect("profiled run completes").prof.unwrap()
     };
-    let count = |prof: &slacksim::ProfData, site| {
-        prof.sites
-            .iter()
-            .find(|s| s.site == site)
-            .map_or(0, |s| s.count)
-    };
 
     let solo = profiled(1);
     assert_eq!(solo.threads, 1);
@@ -352,7 +354,7 @@ fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
         "nobody to wait for"
     );
     let windows = count(&solo, ProfSite::BatchedResolve);
-    assert_eq!(count(&solo, ProfSite::BatchedRun), windows * 8);
+    assert_eq!(count(&solo, ProfSite::BatchedRun), windows, "one lane");
 
     // Two threads: the same spans, whichever thread recorded them, plus
     // one barrier wait per window handed off — every one after the 164
@@ -361,7 +363,7 @@ fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
     let duo = profiled(2);
     assert_eq!(duo.threads, 2, "the manager and one worker ran cores");
     assert_eq!(count(&duo, ProfSite::BatchedResolve), windows);
-    assert_eq!(count(&duo, ProfSite::BatchedRun), windows * 8);
+    assert_eq!(count(&duo, ProfSite::BatchedRun), windows * 2, "two lanes");
     assert!(windows > 164, "the run is long enough to hand windows off");
     assert_eq!(count(&duo, ProfSite::BatchedBarrier), windows - 164);
     // `slacksim report` renders this table: the split is in it.
@@ -369,6 +371,51 @@ fn batched_profile_tells_run_from_barrier_wait_from_resolve() {
     for part in ["batched windows: run", "barrier wait", "resolve"] {
         assert!(split.contains(part), "{part:?} missing from {split:?}");
     }
+}
+
+#[test]
+fn profile_spans_are_per_lane_and_per_window_not_per_core_cycle() {
+    // Counts only, no timings: a span costs two clock reads, so the
+    // window loop opens one per lane per window and the sequential
+    // engine's one-cycle windows one per window, never one per core.
+    for lanes in [1, 2] {
+        let mut sim = Simulation::new(Benchmark::Fft);
+        sim.cores(8)
+            .commit_target(50_000)
+            .seed(7)
+            .scheme(Scheme::Quantum { quantum: 50 })
+            .engine(EngineKind::Batched)
+            .host_threads(lanes)
+            .profile(true);
+        let prof = sim.run().expect("profiled run completes").prof.unwrap();
+        let (run, resolve) = (
+            count(&prof, ProfSite::BatchedRun),
+            count(&prof, ProfSite::BatchedResolve),
+        );
+        assert!(resolve > 0, "{lanes} lanes: no windows");
+        assert!(
+            run <= resolve * lanes as u64,
+            "{lanes} lanes: {run} run spans over {resolve} windows"
+        );
+    }
+
+    let mut sim = Simulation::new(Benchmark::Fft);
+    sim.cores(8)
+        .commit_target(50_000)
+        .seed(7)
+        .scheme(Scheme::CycleByCycle)
+        .engine(EngineKind::Sequential)
+        .profile(true);
+    let r = sim.run().expect("profiled run completes");
+    let ticks = count(
+        r.prof.as_ref().expect("profile attached"),
+        ProfSite::CoreTick,
+    );
+    assert!(
+        ticks > 0 && ticks <= r.global_cycles,
+        "{ticks} core-tick spans over {} cycles",
+        r.global_cycles
+    );
 }
 
 #[test]

@@ -109,7 +109,7 @@ kill_and_resume threaded-greedy --engine threaded --scheme bounded --bound 16 --
     --checkpoint 700 --rollback all
 kill_and_resume seq-cc --scheme cc --cores 8 --benchmark water --commit 200000 --checkpoint 700
 
-echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, two threads on one CPU)"
+echo "==> host-parallel batched smoke (64-core directory quantum-50 FFT and bounded-16 Barnes rolling back on every violation, --host-threads 1/2/3, two threads on one CPU)"
 # Host-parallel windows on the release binary (DESIGN §15.1): the
 # batched engine's host-thread count is a host knob, so the whole
 # verbose report — headline, uncore, kernel and per-core counters,
@@ -117,25 +117,33 @@ echo "==> host-parallel batched smoke (64-core directory, --host-threads 1/2/3, 
 # and 3 host threads. Then the oversubscribed case: two host threads
 # pinned to one CPU must still finish, with the same report. The one wait
 # ladder has no tiers of its own for this: a waiter yields from its first
-# wait, which hands the CPU to the thread it waits for. The in-process
-# twins run in crates/conformance and tests/report_digest.rs.
-bat_flags=(--uncore directory --cores 64 --benchmark fft --scheme quantum
-    --quantum 50 --engine batched --commit 1000000 --verbose)
+# wait, which hands the CPU to the thread it waits for. Past one thread
+# the directory's homes are serviced on the threads that ran the window;
+# the Barnes rounds select rollbacks in the middle of merging their
+# homes' outputs. The in-process twins run in crates/conformance and
+# tests/report_digest.rs.
 sim_report() { # the simulated report of one run: sim_report COMMAND...
     "$@" 2> /dev/null | grep -vE '^(wall clock|speed) '
 }
-bat_one="$(sim_report ./target/release/slacksim "${bat_flags[@]}" --host-threads 1)"
-grep -q '^committed' <<< "$bat_one" || {
-    echo "ci: batched run printed no report" >&2; exit 1; }
-for h in 2 3; do
-    [ "$bat_one" = "$(sim_report ./target/release/slacksim "${bat_flags[@]}" --host-threads "$h")" ] || {
-        echo "ci: batched report on $h host threads differs from the one on 1" >&2; exit 1; }
-done
-if command -v taskset > /dev/null; then
-    [ "$bat_one" = "$(sim_report timeout 120 taskset -c 0 \
-        ./target/release/slacksim "${bat_flags[@]}" --host-threads 2)" ] || {
-        echo "ci: two host threads pinned to one CPU hung or changed the report" >&2; exit 1; }
-fi
+host_parallel_exact() { # host_parallel_exact FLAGS...: one report at 1/2/3 threads and on one CPU
+    local one
+    one="$(sim_report ./target/release/slacksim "$@" --host-threads 1)"
+    grep -q '^committed' <<< "$one" || {
+        echo "ci: batched run printed no report" >&2; exit 1; }
+    for h in 2 3; do
+        [ "$one" = "$(sim_report ./target/release/slacksim "$@" --host-threads "$h")" ] || {
+            echo "ci: batched report on $h host threads differs from the one on 1 ($*)" >&2; exit 1; }
+    done
+    if command -v taskset > /dev/null; then
+        [ "$one" = "$(sim_report timeout 120 taskset -c 0 \
+            ./target/release/slacksim "$@" --host-threads 2)" ] || {
+            echo "ci: two host threads pinned to one CPU hung or changed the report ($*)" >&2; exit 1; }
+    fi
+}
+host_parallel_exact --uncore directory --cores 64 --benchmark fft --scheme quantum \
+    --quantum 50 --engine batched --commit 1000000 --verbose
+host_parallel_exact --uncore directory --cores 64 --benchmark barnes --scheme bounded \
+    --bound 16 --engine batched --commit 1000000 --checkpoint 500 --rollback all --verbose
 
 echo "==> greedy-exactness smoke (8-core cc routed to batched and bounded-16/adaptive/p2p rounds, each at --host-threads 1/2/8 and on one CPU; unbounded/adaptive/p2p rollback)"
 # The window loop's results never depend on the host-thread count

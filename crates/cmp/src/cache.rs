@@ -531,14 +531,25 @@ impl Cache {
     pub fn save_state(&self, w: &mut ByteWriter) {
         w.u32(self.lens.len() as u32);
         for set in 0..self.lens.len() {
-            w.u16(u16::from(self.lens[set]));
-            for slot in self.live(set) {
-                w.u64(self.tags[slot]);
-                state_of(self.meta[slot]).save(w);
-                w.u32(self.meta[slot] >> STATE_BITS);
-            }
+            self.save_set(set, w);
         }
         self.probes.save(w);
+    }
+
+    /// Number of sets.
+    pub(crate) fn sets(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Appends one set's snapshot bytes: its length, then per resident
+    /// line its tag, MESI state and LRU stamp.
+    pub(crate) fn save_set(&self, set: usize, w: &mut ByteWriter) {
+        w.u16(u16::from(self.lens[set]));
+        for slot in self.live(set) {
+            w.u64(self.tags[slot]);
+            state_of(self.meta[slot]).save(w);
+            w.u32(self.meta[slot] >> STATE_BITS);
+        }
     }
 
     /// Reads bytes written by [`Cache::save_state`] into a cache of the
@@ -553,24 +564,40 @@ impl Cache {
             return Err(PersistError::Corrupt("cache set count mismatch"));
         }
         for set in 0..self.lens.len() {
-            let n = usize::from(r.u16()?);
-            if n > self.cfg.ways {
-                return Err(PersistError::Corrupt("cache set holds more ways than fit"));
-            }
-            let base = set * self.cfg.ways;
-            for slot in base..base + n {
-                self.tags[slot] = r.u64()?;
-                let state = MesiState::load(r)?;
-                let lru = r.u32()?;
-                if lru > MAX_LRU {
-                    return Err(PersistError::Corrupt("cache LRU stamp out of range"));
-                }
-                self.meta[slot] = pack(state, lru);
-            }
-            self.lens[set] = n as u8;
+            self.load_set(set, r)?;
         }
         self.probes = Probes::load(r)?;
         Ok(())
+    }
+
+    /// Reads one set written by [`save_set`](Cache::save_set).
+    pub(crate) fn load_set(
+        &mut self,
+        set: usize,
+        r: &mut ByteReader<'_>,
+    ) -> Result<(), PersistError> {
+        let n = usize::from(r.u16()?);
+        if n > self.cfg.ways {
+            return Err(PersistError::Corrupt("cache set holds more ways than fit"));
+        }
+        let base = set * self.cfg.ways;
+        for slot in base..base + n {
+            self.tags[slot] = r.u64()?;
+            let state = MesiState::load(r)?;
+            let lru = r.u32()?;
+            if lru > MAX_LRU {
+                return Err(PersistError::Corrupt("cache LRU stamp out of range"));
+            }
+            self.meta[slot] = pack(state, lru);
+        }
+        self.lens[set] = n as u8;
+        Ok(())
+    }
+
+    /// Overwrites the probe statistics (a split L2's totals, loaded into
+    /// one of its slices).
+    pub(crate) fn set_probes(&mut self, hits: u64, misses: u64) {
+        self.probes = Probes { hits, misses };
     }
 }
 

@@ -86,10 +86,13 @@ pub struct DirAccess {
     pub data_from_owner: Option<CoreId>,
     /// State granted to the requester's L1.
     pub grant_state: MesiState,
-    /// Remote copies to invalidate (ascending core order).
-    pub invalidate: Vec<CoreId>,
-    /// Remote copies to downgrade to S (ascending core order).
-    pub downgrade: Vec<CoreId>,
+    /// Remote copies to invalidate (iterated in ascending core order):
+    /// the line's former sharer set itself, moved out of its entry, so
+    /// naming the targets allocates nothing.
+    pub invalidate: SharerSet,
+    /// The remote copy to downgrade to S (a read of a line another core
+    /// owns).
+    pub downgrade: Option<CoreId>,
 }
 
 /// One directory bank: sharded MESI state, port, and monitors.
@@ -164,8 +167,8 @@ impl DirBank {
             line_high_water,
             (grant_state, data_from_owner, invalidate, downgrade),
         ) = self.lines.access(line, ts, |entry| {
-            let mut invalidate = Vec::new();
-            let mut downgrade = Vec::new();
+            let mut invalidate = SharerSet::new();
+            let mut downgrade = None;
             let mut data_from_owner = None;
             let grant_state = match op {
                 BusOp::Rd => {
@@ -175,7 +178,7 @@ impl DirBank {
                             // downgrades (conservative flush, as on the bus
                             // path).
                             data_from_owner = Some(owner);
-                            downgrade.push(owner);
+                            downgrade = Some(owner);
                             entry.owner = None;
                         }
                     }
@@ -194,8 +197,8 @@ impl DirBank {
                             data_from_owner = Some(owner);
                         }
                     }
-                    invalidate.extend(entry.sharers.iter().filter(|&c| c != from));
-                    entry.sharers = SharerSet::only(from);
+                    invalidate = std::mem::replace(&mut entry.sharers, SharerSet::only(from));
+                    invalidate.remove(from);
                     entry.owner = Some(from);
                     MesiState::Modified
                 }
@@ -288,6 +291,10 @@ impl Checkpointable for DirBank {
 pub struct Directory {
     n_cores: usize,
     banks: Vec<DirBank>,
+    /// Line bits below the bank index: 0 for a whole directory, the
+    /// share count's log2 for one share of a [split](Directory::split)
+    /// directory.
+    shift: u32,
     /// The banks' generations at the last capture.
     cp: Baseline<Vec<u64>>,
 }
@@ -320,23 +327,43 @@ impl Directory {
     /// Panics if `n_cores` is 0 or exceeds [`MAX_DIRECTORY_CORES`], or if
     /// `lookup_latency` is 0.
     pub fn new(n_cores: usize, lookup_latency: u64) -> Self {
+        Directory::split(n_cores, lookup_latency, 1)
+            .next()
+            .expect("one share")
+    }
+
+    /// The directory of [`Directory::new`] split into `shares` (a power
+    /// of two no larger than the bank count) that hold no state in
+    /// common: share `h` holds the banks `b` with `b % shares == h`, as
+    /// its banks `b / shares` in order, and so every line `l` with
+    /// `l % shares == h`.
+    pub(crate) fn split(
+        n_cores: usize,
+        lookup_latency: u64,
+        shares: usize,
+    ) -> impl Iterator<Item = Directory> {
         assert!(
             (1..=MAX_DIRECTORY_CORES).contains(&n_cores),
             "core count must be between 1 and {MAX_DIRECTORY_CORES}"
         );
         let n_banks = bank_count(n_cores);
-        Directory {
+        assert!(
+            shares.is_power_of_two() && shares <= n_banks,
+            "{shares} shares of {n_banks} banks"
+        );
+        (0..shares).map(move |_| Directory {
             n_cores,
-            banks: (0..n_banks)
+            banks: (0..n_banks / shares)
                 .map(|_| DirBank::new(n_cores, lookup_latency))
                 .collect(),
+            shift: shares.trailing_zeros(),
             cp: Baseline::default(),
-        }
+        })
     }
 
     /// The bank index `line` interleaves to.
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        (line.raw() as usize) & (self.banks.len() - 1)
+        ((line.raw() >> self.shift) as usize) & (self.banks.len() - 1)
     }
 
     /// Number of banks.
@@ -414,6 +441,22 @@ impl Directory {
     pub fn save_state(&self, w: &mut ByteWriter) {
         w.u32(self.banks.len() as u32);
         self.banks.iter().for_each(|bank| bank.save_state(w));
+    }
+
+    /// Appends bank `bank`'s snapshot bytes: how a split directory writes
+    /// the bytes of the whole, bank by bank in global order.
+    pub(crate) fn save_bank(&self, bank: usize, w: &mut ByteWriter) {
+        self.banks[bank].save_state(w);
+    }
+
+    /// Reads bytes written by [`save_bank`](Directory::save_bank) into
+    /// bank `bank`.
+    pub(crate) fn load_bank(
+        &mut self,
+        bank: usize,
+        r: &mut ByteReader<'_>,
+    ) -> Result<(), PersistError> {
+        self.banks[bank].load_state(r)
     }
 
     /// Restores state written by [`Directory::save_state`] into a freshly
@@ -517,11 +560,14 @@ mod tests {
         assert_eq!(first.grant_state, MesiState::Exclusive);
         let second = d.access(BusOp::Rd, line, c(33), ts(20));
         assert_eq!(second.grant_state, MesiState::Shared);
-        assert_eq!(second.downgrade, vec![c(0)]);
+        assert_eq!(second.downgrade, Some(c(0)));
         assert_eq!(second.data_from_owner, Some(c(0)));
         let third = d.access(BusOp::RdX, line, c(63), ts(30));
         assert_eq!(third.grant_state, MesiState::Modified);
-        assert_eq!(third.invalidate, vec![c(0), c(33)]);
+        assert_eq!(
+            third.invalidate.iter().collect::<Vec<_>>(),
+            vec![c(0), c(33)]
+        );
         assert_eq!(d.sharers(line), vec![c(63)]);
         let wb = d.access(BusOp::Wb, line, c(63), ts(40));
         assert_eq!(wb.grant_state, MesiState::Invalid);
@@ -584,9 +630,10 @@ mod tests {
         }
         assert_eq!(d.sharers(line).len(), 256);
         let w = d.access(BusOp::RdX, line, c(200), ts(1000));
-        assert_eq!(w.invalidate.len(), 255);
+        let invalidate: Vec<CoreId> = w.invalidate.iter().collect();
+        assert_eq!(invalidate.len(), 255);
         // Ascending core order for deterministic snoop delivery.
-        assert!(w.invalidate.windows(2).all(|p| p[0] < p[1]));
+        assert!(invalidate.windows(2).all(|p| p[0] < p[1]));
         assert_eq!(d.sharers(line), vec![c(200)]);
     }
 

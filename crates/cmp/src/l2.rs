@@ -4,6 +4,7 @@
 //! Dirty L1 writebacks land here; dirty L2 victims count as memory writes.
 
 use slacksim_core::checkpoint::Checkpointable;
+use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
 use slacksim_core::time::Cycle;
 
 use crate::cache::{Cache, CacheConfig, CacheDelta, LineAddr};
@@ -41,6 +42,9 @@ pub struct L2 {
     cache: Cache,
     hit_latency: u64,
     miss_latency: u64,
+    /// Line bits that chose this slice of a [split](L2::split) L2 (0 for
+    /// a whole one): the cache sees line `l` as `l >> shift`.
+    shift: u32,
     stats: L2Stats,
 }
 
@@ -64,21 +68,49 @@ impl L2 {
     ///
     /// Panics if `miss_latency < hit_latency` (a miss includes the lookup).
     pub fn new(cfg: CacheConfig, hit_latency: u64, miss_latency: u64) -> Self {
+        L2::split(cfg, hit_latency, miss_latency, 1)
+            .next()
+            .expect("one slice")
+    }
+
+    /// The L2 of [`L2::new`] split into `slices` (a power of two no larger
+    /// than the set count) that hold no state in common: slice `h` holds
+    /// the sets `s` with `s % slices == h`, as its sets `s / slices`, and
+    /// so every line `l` with `l % slices == h`. Seen as `l / slices`,
+    /// such a line keeps its set's tag, so a slice's sets are the whole
+    /// L2's sets, byte for byte.
+    pub(crate) fn split(
+        cfg: CacheConfig,
+        hit_latency: u64,
+        miss_latency: u64,
+        slices: usize,
+    ) -> impl Iterator<Item = L2> {
         assert!(
             miss_latency >= hit_latency,
             "miss latency must cover the lookup"
         );
-        L2 {
-            cache: Cache::new(cfg),
+        assert!(
+            slices.is_power_of_two() && slices <= cfg.sets(),
+            "{slices} slices of {} sets",
+            cfg.sets()
+        );
+        let slice = CacheConfig {
+            size_bytes: cfg.size_bytes / slices as u64,
+            ..cfg
+        };
+        (0..slices).map(move |_| L2 {
+            cache: Cache::new(slice),
             hit_latency,
             miss_latency,
+            shift: slices.trailing_zeros(),
             stats: L2Stats::default(),
-        }
+        })
     }
 
     /// Performs a lookup-and-fill for a line requested on the bus at
     /// `grant`; misses fetch from memory and install the line.
     pub fn access(&mut self, line: LineAddr, grant: Cycle) -> L2Access {
+        let line = LineAddr::new(line.raw() >> self.shift);
         if self.cache.probe(line).is_some() {
             L2Access {
                 data_ready: grant + self.hit_latency,
@@ -99,6 +131,7 @@ impl L2 {
 
     /// Absorbs a dirty L1 writeback.
     pub fn write_back(&mut self, line: LineAddr) {
+        let line = LineAddr::new(line.raw() >> self.shift);
         self.stats.writebacks_in += 1;
         if let Some((_victim, state)) = self.cache.fill(line, MesiState::Modified) {
             if state.dirty() {
@@ -125,6 +158,46 @@ impl L2 {
     /// Dirty L2 victims written to memory.
     pub fn memory_writes(&self) -> u64 {
         self.stats.memory_writes
+    }
+
+    /// Number of sets (of this slice).
+    pub(crate) fn sets(&self) -> usize {
+        self.cache.sets()
+    }
+
+    /// Appends one set's snapshot bytes, as [`L2::save_state`] writes it.
+    pub(crate) fn save_set(&self, set: usize, w: &mut ByteWriter) {
+        self.cache.save_set(set, w);
+    }
+
+    /// Reads one set written by [`save_set`](L2::save_set).
+    pub(crate) fn load_set(
+        &mut self,
+        set: usize,
+        r: &mut ByteReader<'_>,
+    ) -> Result<(), PersistError> {
+        self.cache.load_set(set, r)
+    }
+
+    /// The counters in snapshot order: probe hits and misses, writebacks
+    /// in, memory writes.
+    pub(crate) fn counts(&self) -> [u64; 4] {
+        [
+            self.hits(),
+            self.misses(),
+            self.stats.writebacks_in,
+            self.stats.memory_writes,
+        ]
+    }
+
+    /// Overwrites the counters ([`counts`](L2::counts) order): how a split
+    /// L2's totals load into one of its slices.
+    pub(crate) fn set_counts(&mut self, [hits, misses, writebacks_in, memory_writes]: [u64; 4]) {
+        self.cache.set_probes(hits, misses);
+        self.stats = L2Stats {
+            writebacks_in,
+            memory_writes,
+        };
     }
 }
 
@@ -172,7 +245,6 @@ impl Checkpointable for L2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slacksim_core::persist::{ByteReader, ByteWriter};
 
     fn l2() -> L2 {
         L2::new(

@@ -1,7 +1,8 @@
 //! Randomised property tests for the target-CMP substrate: the cache
 //! against a reference model, bus slot-calendar exclusivity, cache-map
 //! protocol invariants, per-line violation monitors against a reference
-//! model and synchronisation-device laws. Inputs come from
+//! model, synchronisation-device laws and the directory uncore's homes
+//! against the whole uncore. Inputs come from
 //! the in-tree deterministic [`Xoshiro256`] RNG, so every run reproduces
 //! bit-identically without external crates.
 
@@ -9,11 +10,16 @@ use std::collections::HashMap;
 
 use slacksim_cmp::bus::Bus;
 use slacksim_cmp::cache::{Cache, CacheConfig, LineAddr};
+use slacksim_cmp::config::{CmpConfig, UncoreKind};
+use slacksim_cmp::event::MemEvent;
 use slacksim_cmp::map::CacheMap;
 use slacksim_cmp::mesi::{BusOp, MesiState};
 use slacksim_cmp::sync::SyncDevice;
+use slacksim_cmp::uncore::CmpUncore;
 use slacksim_core::checkpoint::Checkpointable;
-use slacksim_core::event::CoreId;
+use slacksim_core::engine::{Home, ServiceSink, UncoreModel};
+use slacksim_core::event::{CoreId, Timestamped};
+use slacksim_core::persist::ByteWriter;
 use slacksim_core::rng::Xoshiro256;
 use slacksim_core::time::Cycle;
 
@@ -512,5 +518,203 @@ fn directory_line_monitors_match_the_reference() {
             monitors: Directory::monitor_entries,
         };
         line_monitors_match_the_reference(0xD1E5 + case, 32, line_model);
+    }
+}
+
+/// A group of lent homes, each with its index.
+type HomeRun = Vec<(usize, Box<dyn Home<MemEvent>>)>;
+
+/// What servicing one event produced: deliveries, then violations.
+type Outputs = (
+    Vec<(CoreId, Timestamped<MemEvent>)>,
+    Vec<slacksim_core::violation::ViolationEvent>,
+);
+
+/// A 64-core directory uncore over an L2 of 16 sets of two ways, so that
+/// a small line range evicts: 16 homes, each one bank and one set.
+fn small_directory() -> CmpUncore {
+    let mut cfg = CmpConfig::with_uncore(UncoreKind::Directory, 64);
+    cfg.uncore.l2 = CacheConfig {
+        size_bytes: 16 * 2 * 32,
+        ways: 2,
+        line_bytes: 32,
+    };
+    CmpUncore::new(&cfg)
+}
+
+/// A stream of requests (reads, writes, upgrades), writebacks, barrier
+/// arrivals and lock traffic from 64 cores over 96 lines, in timestamps
+/// that mostly climb and sometimes fall back, as a greedy round's
+/// service order has them.
+fn uncore_stream(rng: &mut Xoshiro256, len: usize) -> Vec<(CoreId, Timestamped<MemEvent>)> {
+    let mut ts = 100u64;
+    (0..len)
+        .map(|i| {
+            ts += rng.next_below(3);
+            let at = ts.saturating_sub(if rng.chance(1, 8) {
+                rng.next_below(40)
+            } else {
+                0
+            });
+            let line = LineAddr::new(rng.next_below(96));
+            let op = match rng.next_below(20) {
+                0..=8 => BusOp::Rd,
+                9..=12 => BusOp::RdX,
+                13..=15 => BusOp::Upgr,
+                _ => BusOp::Wb,
+            };
+            let payload = match (rng.next_below(20), op) {
+                (0, _) => MemEvent::BarrierArrive { id: 0 },
+                (1, _) => MemEvent::LockAcquire {
+                    id: rng.next_below(3) as u32,
+                },
+                (2, _) => MemEvent::LockRelease {
+                    id: rng.next_below(3) as u32,
+                },
+                (_, BusOp::Wb) => MemEvent::Writeback { line },
+                (_, op) => MemEvent::Request {
+                    op,
+                    line,
+                    req: i as u32,
+                    ifetch: false,
+                },
+            };
+            let from = CoreId::new(rng.next_below(64) as u16);
+            (from, Timestamped::new(Cycle::new(at), payload))
+        })
+        .collect()
+}
+
+fn snapshot(u: &CmpUncore) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    u.save_state(&mut w);
+    w.into_bytes()
+}
+
+/// The stream through the whole uncore, one event after another.
+fn serviced_serially(stream: &[(CoreId, Timestamped<MemEvent>)]) -> (CmpUncore, Vec<Outputs>) {
+    let mut u = small_directory();
+    let mut sink = ServiceSink::new();
+    let outputs = stream
+        .iter()
+        .map(|(from, ev)| {
+            u.service(*from, ev.clone(), &mut sink);
+            (
+                sink.take_deliveries().collect(),
+                sink.take_violations().collect(),
+            )
+        })
+        .collect();
+    (u, outputs)
+}
+
+/// The stream as the window loop services it on `groups` threads: the
+/// homes lent out in contiguous runs, each run servicing its own events in
+/// stream order on its own thread, the home-less events serviced by the
+/// uncore itself, and every event's outputs read back by position.
+fn serviced_by_groups(
+    stream: &[(CoreId, Timestamped<MemEvent>)],
+    groups: usize,
+) -> (CmpUncore, Vec<Outputs>) {
+    let mut u = small_directory();
+    let homes = u.homes();
+    let group_of = |h: usize| h * groups / homes;
+    let route: Vec<Option<usize>> = stream
+        .iter()
+        .map(|(from, ev)| u.home_of(*from, &ev.payload))
+        .collect();
+    let mut lent = Vec::new();
+    u.lend_homes(&mut lent);
+    assert_eq!(lent.len(), homes);
+    let mut runs: Vec<HomeRun> = (0..groups).map(|_| Vec::new()).collect();
+    for (h, home) in lent.drain(..).enumerate() {
+        runs[group_of(h)].push((h, home));
+    }
+    let mut outputs: Vec<Option<Outputs>> = vec![None; stream.len()];
+    let by_group: Vec<Vec<(usize, Outputs)>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = runs
+            .iter_mut()
+            .map(|run| {
+                let route = &route;
+                scope.spawn(move || {
+                    let mut sink = ServiceSink::new();
+                    let mut out = Vec::new();
+                    for (pos, (from, ev)) in stream.iter().enumerate() {
+                        let Some(h) = route[pos] else { continue };
+                        let Some((_, home)) = run.iter_mut().find(|(id, _)| *id == h) else {
+                            continue;
+                        };
+                        home.service(*from, ev.clone(), &mut sink);
+                        out.push((
+                            pos,
+                            (
+                                sink.take_deliveries().collect(),
+                                sink.take_violations().collect(),
+                            ),
+                        ));
+                    }
+                    out
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("group"))
+            .collect()
+    });
+    let mut sink = ServiceSink::new();
+    for (pos, (from, ev)) in stream.iter().enumerate() {
+        if route[pos].is_none() {
+            u.service(*from, ev.clone(), &mut sink);
+            outputs[pos] = Some((
+                sink.take_deliveries().collect(),
+                sink.take_violations().collect(),
+            ));
+        }
+    }
+    for (pos, out) in by_group.into_iter().flatten() {
+        assert!(
+            outputs[pos].replace(out).is_none(),
+            "position {pos} serviced twice"
+        );
+    }
+    lent.extend(runs.into_iter().flatten().map(|(_, home)| home));
+    u.return_homes(&mut lent);
+    let outputs = outputs
+        .into_iter()
+        .enumerate()
+        .map(|(pos, out)| out.unwrap_or_else(|| panic!("position {pos} never serviced")))
+        .collect();
+    (u, outputs)
+}
+
+#[test]
+fn uncore_homes_service_a_stream_as_the_whole_uncore_does() {
+    let mut rng = Xoshiro256::new(0x4e0e5);
+    for case in 0..CASES / 4 {
+        let stream = uncore_stream(&mut rng, 3000);
+        let (whole, want) = serviced_serially(&stream);
+        let c = whole.counters();
+        // The stream reaches what a home holds: shared lines, owners,
+        // port conflicts, L2 victims, and violations of both classes.
+        assert!(c.get("cache_to_cache_transfers") > 0, "case {case}");
+        assert!(c.get("dir_conflicts") > 0, "case {case}");
+        assert!(c.get("l2_memory_writes") > 0, "case {case}");
+        assert!(
+            c.get("dir_violations") > 0 && c.get("map_violations") > 0,
+            "case {case}"
+        );
+        assert!(c.get("lock_grants") > 0, "case {case}");
+        for groups in [1, 2, 3, 16] {
+            let (split, got) = serviced_by_groups(&stream, groups);
+            assert!(
+                snapshot(&split) == snapshot(&whole),
+                "case {case}, {groups} groups: snapshot bytes differ"
+            );
+            assert_eq!(split.counters(), c, "case {case}, {groups} groups");
+            for (pos, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(w, g, "case {case}, {groups} groups: event {pos}");
+            }
+        }
     }
 }

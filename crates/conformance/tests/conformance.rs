@@ -333,6 +333,84 @@ fn greedy_schemes_are_exact_at_every_host_thread_count() {
     }
 }
 
+/// The directory uncore's homes are serviced on the threads that ran the
+/// window, each home's events in the window's order and the outputs
+/// merged back into it (DESIGN §15.1). At 64 cores a quantum-50 FFT run
+/// and a bounded-16 Barnes run rolling back on every violation — whose
+/// rounds on several threads select their rollbacks in the middle of a
+/// merge — print one report at 1, 2, 3 and 4 host threads; and from 2 up
+/// the homes did go to the workers: the runs are past the first 64 K
+/// core-cycles with every lane above the hand-off floor, and the profile
+/// counts worker-side home services.
+#[test]
+fn directory_homes_are_exact_at_every_host_thread_count() {
+    let rollback = SpeculationConfig::speculative(500, ViolationSelect::all());
+    let cells = [
+        (
+            Benchmark::Fft,
+            Scheme::Quantum { quantum: 50 },
+            None,
+            if cfg!(debug_assertions) {
+                60_000
+            } else {
+                300_000
+            },
+        ),
+        (
+            Benchmark::Barnes,
+            Scheme::BoundedSlack { bound: 16 },
+            Some(rollback),
+            100_000,
+        ),
+    ];
+    for (bench, scheme, speculation, commits) in cells {
+        let run = |host_threads| {
+            let mut sim = Simulation::new(bench);
+            sim.uncore(UncoreKind::Directory)
+                .cores(64)
+                .scheme(scheme.clone())
+                .engine(EngineKind::Batched)
+                .host_threads(host_threads)
+                .commit_target(commits)
+                .seed(1)
+                .profile(true);
+            if let Some(spec) = speculation {
+                sim.speculation(spec);
+            }
+            sim.run()
+                .unwrap_or_else(|e| panic!("{bench}/64c/{scheme:?}: {e}"))
+        };
+        let home_services = |r: &SimReport| {
+            let prof = r.prof.as_ref().expect("profile attached");
+            prof.sites
+                .iter()
+                .find(|s| s.site == slacksim::ProfSite::BatchedHome)
+                .map_or(0, |s| s.count)
+        };
+        let solo = run(1);
+        let label = format!("{bench}/64c/{scheme:?}");
+        assert!(solo.committed >= commits, "{label}: commit target missed");
+        check_invariants(&solo, &scheme).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(
+            home_services(&solo),
+            0,
+            "{label}: one thread has no workers"
+        );
+        if speculation.is_some() {
+            assert!(solo.kernel.get("rollbacks") > 0, "{label}: no rollback");
+        }
+        for host_threads in [2, 3, 4] {
+            let r = run(host_threads);
+            let label = format!("{label} on {host_threads} host threads");
+            assert_exact(&solo, &r, &label);
+            assert_eq!(solo.kernel, r.kernel, "{label}: kernel counters");
+            assert_eq!(solo.per_core, r.per_core, "{label}: core counters");
+            assert_eq!(solo.uncore, r.uncore, "{label}: uncore counters");
+            assert!(home_services(&r) > 0, "{label}: no home went to a worker");
+        }
+    }
+}
+
 /// Greedy (bounded-slack) speculation across the engine matrix: every
 /// cell completes past its commit target, takes checkpoints, and upholds
 /// the metamorphic invariants. Cross-engine equality is deliberately not

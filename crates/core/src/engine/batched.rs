@@ -29,10 +29,18 @@
 //! Inside a window or a round the cores are independent, so with more
 //! than one host thread they run on a static partition of contiguous
 //! *lanes* — lane 0 on the manager thread, the rest on persistent workers
-//! — and meet at a barrier before the service, which stays on the manager
-//! thread with every kernel verb. No draw depends on which lane ran a
-//! core, so the result is the same at every host-thread count by
-//! construction (DESIGN §15.1).
+//! — and meet at a barrier before the service. Both kinds of window end
+//! in one service routine: the manager puts the staged events in the
+//! window's service order, one array of (core, staging index), and
+//! services them in it. An uncore split into *homes* that share no state
+//! (the directory's banks, DESIGN §17) has a handed-off window's events
+//! serviced home by home on the threads that ran its lanes, each group of
+//! homes on the same thread every time and each home's events in service
+//! order; the manager then hands every output on in that order, to the
+//! kernel and to the inboxes. Every kernel verb stays on the manager
+//! thread. No draw depends on which lane ran a
+//! core and no output on which thread serviced a home, so the result is
+//! the same at every host-thread count by construction (DESIGN §15.1).
 //!
 //! Documented divergences from the sequential engine:
 //!
@@ -49,16 +57,18 @@ use std::thread::{Scope, ScopedJoinHandle};
 
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{Finish, Kernel};
-use crate::engine::merge::{arm, head_ts, sweep, NO_HEAD};
+use crate::engine::merge::{by_timestamp, Staged};
 use crate::engine::wait::{lane_width, Backoff};
 use crate::engine::{
-    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, SaveHook, UncoreModel,
+    CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, Home, SaveHook, ServiceSink,
+    UncoreModel,
 };
 use crate::event::{CoreId, Inbox, Timestamped};
 use crate::obs::{Phase, ProfHandle, ProfSite, Profiler, TraceEvent};
 use crate::rng::{below, hash_words, SplitMix64};
 use crate::stats::SimReport;
 use crate::time::Cycle;
+use crate::violation::ViolationEvent;
 
 /// Core-cycles one lane must have to run in a window for the window to be
 /// handed to the workers; below it every lane runs inline on the manager
@@ -84,9 +94,10 @@ const ORDER_DRAW: u64 = 0x006f_7264_6572; // "order"
 /// a greedy round's burst) per iteration over its hot state, resolving
 /// cross-core interaction only at window ends. With more than one host
 /// thread ([`EngineConfig::host_threads`]) the cores of a window run on a
-/// static partition of lanes, one per thread; everything at the window's
-/// end stays on the calling thread, so the result does not depend on the
-/// thread count.
+/// static partition of lanes, one per thread, and the uncore's homes
+/// ([`UncoreModel::homes`]) service the window's events on those threads;
+/// the order of service and every kernel verb stay on the calling
+/// thread, so the result does not depend on the thread count.
 pub struct BatchedEngine<C: CoreModel, U: UncoreModel<C::Event>> {
     cores: Vec<C>,
     uncore: U,
@@ -183,15 +194,17 @@ where
             })
             .collect();
         let workers = lanes.len() - 1;
+        let service = Service::new(uncore.homes(), lanes.len());
         let mut run = Windows {
             k: &mut k,
             cfg: &cfg,
             uncore: &mut uncore,
             lanes,
-            chunk,
+            place: (0..n).map(|i| (i / chunk, i % chunk)).collect(),
             locals: vec![global; n],
             committed,
             draws: Draws::new(&cfg, n),
+            service,
         };
         let (reason, threads) = if workers == 0 {
             // One lane: no thread, lock or atomic anywhere on the path.
@@ -314,13 +327,145 @@ struct Windows<'r, 'a, C: CoreModel, U> {
     cfg: &'r EngineConfig,
     uncore: &'r mut U,
     lanes: Vec<Lane<'a, C>>,
-    /// Cores per lane (the last lane may hold fewer).
-    chunk: usize,
+    /// Each core's lane and its index there, looked up rather than
+    /// divided out on every event and delivery.
+    place: Vec<(usize, usize)>,
     /// Each core's local clock: all equal at a barrier window's end, apart
     /// by up to the window under greedy rounds.
     locals: Vec<Cycle>,
     committed: u64,
     draws: Draws,
+    service: Service<C::Event>,
+}
+
+/// What a window's end services its events with: the service order and
+/// its scratch, and the home groups of a parallel service.
+struct Service<E> {
+    /// The window's service order.
+    order: Vec<Staged>,
+    /// The counting sort's buckets.
+    counts: Vec<u32>,
+    /// A greedy round's core order.
+    cores: Vec<usize>,
+    /// One group per host thread (never more than the uncore has homes),
+    /// group 0 the manager's; none when the uncore is one home or the
+    /// run one thread.
+    groups: Vec<HomeGroup<E>>,
+    /// Each home's group and its index there.
+    home_at: Vec<(usize, usize)>,
+    /// The group that services each position of `order`.
+    route: Vec<usize>,
+    /// The homes between the uncore and the groups.
+    lent: Vec<Box<dyn Home<E>>>,
+}
+
+impl<E> Service<E> {
+    /// The service of an uncore of `homes` homes on `threads` host
+    /// threads: contiguous runs of homes, one group per thread — home `h`
+    /// in group `h·n / homes` of `n`, which starts at home
+    /// `⌈g·homes / n⌉`.
+    fn new(homes: usize, threads: usize) -> Self {
+        let n = homes.min(threads);
+        let home_at = (0..homes)
+            .map(|h| {
+                let g = h * n / homes;
+                (g, h - (g * homes).div_ceil(n))
+            })
+            .collect();
+        let groups = if n > 1 {
+            (0..n)
+                .map(|_| HomeGroup {
+                    homes: Vec::with_capacity(homes),
+                    jobs: Vec::new(),
+                    sink: ServiceSink::new(),
+                    ends: Vec::new(),
+                    merged: (0, 0, 0),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Service {
+            order: Vec::new(),
+            counts: Vec::new(),
+            cores: Vec::new(),
+            groups,
+            home_at,
+            route: Vec::new(),
+            lent: Vec::with_capacity(homes),
+        }
+    }
+}
+
+/// A run of homes and the events they service in a parallel resolution,
+/// with what servicing them produced: what one host thread services.
+/// Between resolutions it is back with the manager, its homes with the
+/// uncore.
+struct HomeGroup<E> {
+    homes: Vec<Box<dyn Home<E>>>,
+    /// The group's events, in the window's service order.
+    jobs: Vec<Job<E>>,
+    /// Every job's deliveries and violations, one job after the other.
+    sink: ServiceSink<E>,
+    /// Per serviced job, where its deliveries and violations end in `sink`.
+    ends: Vec<(usize, usize)>,
+    /// The merge's place: jobs merged, and where their deliveries and
+    /// violations end.
+    merged: (usize, usize, usize),
+}
+
+/// One event of a home group: the group's home that services it
+/// ([`NO_HOME`] for the uncore itself), where it came from, and the
+/// event.
+struct Job<E> {
+    home: usize,
+    from: CoreId,
+    ev: Timestamped<E>,
+}
+
+/// [`Job::home`] of an event no home holds.
+const NO_HOME: usize = usize::MAX;
+
+impl<E: 'static> HomeGroup<E> {
+    /// Services every job in order, a home's through the home and a
+    /// home-less one through `rest`, and notes where each one's outputs
+    /// end.
+    fn service(&mut self, mut rest: impl FnMut(CoreId, Timestamped<E>, &mut ServiceSink<E>)) {
+        let HomeGroup {
+            homes,
+            jobs,
+            sink,
+            ends,
+            ..
+        } = self;
+        for Job { home, from, ev } in jobs.drain(..) {
+            match home {
+                NO_HOME => rest(from, ev, sink),
+                home => homes[home].service(from, ev, sink),
+            }
+            ends.push((sink.deliveries.len(), sink.violations.len()));
+        }
+    }
+
+    /// The deliveries and violations of the next job not yet merged.
+    fn next_outputs(&mut self) -> (&[(CoreId, Timestamped<E>)], &[ViolationEvent]) {
+        let (job, deliveries, violations) = self.merged;
+        let (d_end, v_end) = self.ends[job];
+        self.merged = (job + 1, d_end, v_end);
+        (
+            &self.sink.deliveries[deliveries..d_end],
+            &self.sink.violations[violations..v_end],
+        )
+    }
+
+    /// Forgets the resolution's jobs and outputs, keeping every buffer.
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.sink.deliveries.clear();
+        self.sink.violations.clear();
+        self.ends.clear();
+        self.merged = (0, 0, 0);
+    }
 }
 
 impl<'a, C, U> Windows<'_, 'a, C, U>
@@ -329,8 +474,9 @@ where
     U: UncoreModel<C::Event> + Checkpointable,
 {
     /// The window loop. With a `pool`, windows that clear
-    /// [`DISPATCH_FLOOR`] run one lane per host thread; everything else —
-    /// and every kernel verb — runs here, on the calling thread.
+    /// [`DISPATCH_FLOOR`] run one lane per host thread, and so does their
+    /// uncore's homes' service; everything else — and every kernel verb —
+    /// runs here, on the calling thread.
     fn drive(
         &mut self,
         mut pool: Option<&mut Pool<'_, '_, 'a, C>>,
@@ -339,12 +485,8 @@ where
         let n = self.locals.len();
         // Core-cycles stepped so far.
         let mut stepped = 0u64;
-        // Timestamp of each core's next staged event during the merge.
-        let mut heads = vec![NO_HEAD; n];
-        // A peer-paced pacer's per-core window ends and a round's service
-        // order, refilled in place.
+        // A peer-paced pacer's per-core window ends, refilled in place.
         let mut ends: Vec<Cycle> = Vec::new();
-        let mut order: Vec<usize> = Vec::with_capacity(n);
         let (mut global, mut furthest) = (self.locals[0], self.locals[0]);
         loop {
             // Every staged event is serviced here. Under a barrier scheme
@@ -423,13 +565,16 @@ where
                 work
             };
 
-            // Run every core over its span.
+            // Run every core over its span, on a lane per host thread when
+            // the window is worth handing off — and then service its
+            // events on those threads too.
             let per_lane = work / self.lanes.len() as u64;
-            match pool.as_deref_mut() {
-                Some(pool) if stepped >= SPAWN_AFTER && per_lane >= DISPATCH_FLOOR => {
-                    self.committed += pool.run(&mut self.lanes, &ph);
-                }
-                _ => {
+            let mut handed_off = pool
+                .as_deref_mut()
+                .filter(|_| stepped >= SPAWN_AFTER && per_lane >= DISPATCH_FLOOR);
+            match handed_off.as_deref_mut() {
+                Some(pool) => self.committed += pool.run(&mut self.lanes, &ph),
+                None => {
                     for lane in &mut self.lanes {
                         self.committed += lane.run(&ph);
                     }
@@ -451,19 +596,16 @@ where
 
             let rollback = {
                 let _span = ph.enter(ProfSite::BatchedResolve);
-                if barrier {
-                    self.service_in_timestamp_order(start, &mut heads);
-                    false
-                } else {
-                    self.service_in_seeded_order(start, &mut order)
-                }
+                let window = barrier.then(|| (start.as_u64(), (global - start)));
+                self.resolve(window, start, handed_off, &ph)
             };
+            debug_assert!(
+                !(barrier && rollback),
+                "timestamp-ordered servicing cannot produce rollback-selected violations"
+            );
             if rollback {
                 let _span = ph.enter(ProfSite::CheckpointRestore);
                 let (at, at_committed) = self.k.rollback_ledger(global);
-                for lane in &mut self.lanes {
-                    lane.staged.iter_mut().for_each(Vec::clear);
-                }
                 self.k.restore_models(
                     self.lanes
                         .iter_mut()
@@ -477,62 +619,106 @@ where
         }
     }
 
-    /// A barrier window's end: services the staged events in (timestamp,
-    /// core id, staging order) — identical to the sequential engine's pop
-    /// order (timestamp, then core id as fixed bus arbitration priority,
-    /// then FIFO).
-    fn service_in_timestamp_order(&mut self, from: Cycle, heads: &mut [u64]) {
-        let bufs = self.lanes.iter_mut().flat_map(|l| l.staged.iter_mut());
-        for (head, buf) in heads.iter_mut().zip(bufs) {
-            *head = arm(buf);
-        }
-        let (k, uncore, lanes, chunk) =
-            (&mut *self.k, &mut *self.uncore, &mut self.lanes, self.chunk);
-        sweep(heads, from.as_u64(), |i| {
-            let buf = &mut lanes[i / chunk].staged[i % chunk];
-            let ev = buf.pop().expect("a finite head names an event");
-            let head = head_ts(buf);
-            let rollback = k.service(CoreId::new(i as u16), ev, uncore, |to, out| {
-                let to = to.index();
-                lanes[to / chunk].inboxes[to % chunk].deliver(out);
-            });
-            debug_assert!(
-                !rollback,
-                "timestamp-ordered servicing cannot produce rollback-selected violations"
-            );
-            head
-        });
-    }
-
-    /// A greedy round's end: services each core's staged events in staging
-    /// order, the cores in the round's seeded order. Stops at the first
-    /// service that selects a rollback and returns whether one did; the
-    /// rest of the round is then doomed, and left staged.
-    fn service_in_seeded_order(&mut self, start: Cycle, order: &mut Vec<usize>) -> bool {
-        order.clear();
-        order.extend(0..self.locals.len());
-        self.draws.shuffle(order, start);
-        let (k, uncore, lanes, chunk) =
-            (&mut *self.k, &mut *self.uncore, &mut self.lanes, self.chunk);
-        for &i in order.iter() {
-            let mut buf = std::mem::take(&mut lanes[i / chunk].staged[i % chunk]);
-            let mut rollback = false;
-            for ev in buf.drain(..) {
-                rollback = k.service(CoreId::new(i as u16), ev, uncore, |to, out| {
-                    let to = to.index();
-                    lanes[to / chunk].inboxes[to % chunk].deliver(out);
-                });
-                if rollback {
-                    break;
+    /// A window's end: services every staged event in the window's
+    /// service order — (timestamp, core id, staging order) for a barrier
+    /// window over `[from, from + width)` (`window`), the round's seeded
+    /// core order and each core's staging order otherwise — and empties
+    /// the staging buffers. Stops at the first service that selects a
+    /// rollback and returns whether one did; the rest of the round is
+    /// doomed. With `pool` (the window's cores ran on its threads) and an
+    /// uncore of several homes, the homes service their events on those
+    /// threads and the manager hands their outputs on in service order —
+    /// violations to the kernel, deliveries to the inboxes — so inboxes,
+    /// ledger and trace see what one thread would have done.
+    fn resolve(
+        &mut self,
+        window: Option<(u64, u64)>,
+        start: Cycle,
+        pool: Option<&mut Pool<'_, '_, 'a, C>>,
+        ph: &ProfHandle,
+    ) -> bool {
+        let (lanes, place, sv) = (&mut self.lanes, &self.place[..], &mut self.service);
+        let n = place.len();
+        match window {
+            Some(window) => {
+                let staged = |i: usize| &lanes[place[i].0].staged[place[i].1][..];
+                by_timestamp(n, staged, window, &mut sv.counts, &mut sv.order);
+            }
+            None => {
+                sv.cores.clear();
+                sv.cores.extend(0..n);
+                self.draws.shuffle(&mut sv.cores, start);
+                sv.order.clear();
+                for &core in &sv.cores {
+                    let len = lanes[place[core].0].staged[place[core].1].len();
+                    sv.order.extend((0..len).map(|idx| Staged::new(core, idx)));
                 }
             }
-            // Handing the drained buffer back keeps its capacity.
-            lanes[i / chunk].staged[i % chunk] = buf;
-            if rollback {
-                return true;
+        }
+
+        let (k, uncore) = (&mut *self.k, &mut *self.uncore);
+        let mut rollback = false;
+        match pool.filter(|_| !sv.groups.is_empty()) {
+            None => {
+                for &Staged { core, idx } in &sv.order {
+                    let (l, c) = place[core as usize];
+                    let ev = lanes[l].staged[c][idx as usize].clone();
+                    rollback = k.service(CoreId::new(core as u16), ev, uncore, |to, out| {
+                        let (l, c) = place[to.index()];
+                        lanes[l].inboxes[c].deliver(out);
+                    });
+                    if rollback {
+                        break;
+                    }
+                }
+            }
+            Some(pool) => {
+                // Hand every event to the group of its home, the manager's
+                // group keeping those of no home.
+                uncore.lend_homes(&mut sv.lent);
+                for (h, home) in sv.lent.drain(..).enumerate() {
+                    sv.groups[sv.home_at[h].0].homes.push(home);
+                }
+                sv.route.clear();
+                for &Staged { core, idx } in &sv.order {
+                    let (l, c) = place[core as usize];
+                    let ev = &lanes[l].staged[c][idx as usize];
+                    let from = CoreId::new(core as u16);
+                    let (g, home) = uncore
+                        .home_of(from, &ev.payload)
+                        .map_or((0, NO_HOME), |h| sv.home_at[h]);
+                    sv.route.push(g);
+                    let ev = ev.clone();
+                    sv.groups[g].jobs.push(Job { home, from, ev });
+                }
+                pool.resolve(&mut sv.groups, ph, |own| {
+                    own.service(|from, ev, sink| uncore.service(from, ev, sink));
+                });
+                for (&Staged { core, .. }, &g) in sv.order.iter().zip(&sv.route) {
+                    let (deliveries, violations) = sv.groups[g].next_outputs();
+                    for (to, out) in deliveries {
+                        let (l, c) = place[to.index()];
+                        lanes[l].inboxes[c].deliver(out.clone());
+                    }
+                    for &v in violations {
+                        k.violation(CoreId::new(core as u16), v);
+                    }
+                    if k.rollback_pending() {
+                        rollback = true;
+                        break;
+                    }
+                }
+                for group in &mut sv.groups {
+                    sv.lent.append(&mut group.homes);
+                    group.clear();
+                }
+                uncore.return_homes(&mut sv.lent);
             }
         }
-        false
+        for lane in lanes.iter_mut() {
+            lane.staged.iter_mut().for_each(Vec::clear);
+        }
+        rollback
     }
 }
 
@@ -558,6 +744,9 @@ struct Seat<'a, C: CoreModel> {
     /// epoch bump and empties it after `done` catches up; the worker
     /// locks it only in between.
     lane: Mutex<Option<Lane<'a, C>>>,
+    /// The worker's home group while a parallel resolution runs, empty
+    /// otherwise; seated and taken back as `lane` is.
+    group: Mutex<Option<HomeGroup<C::Event>>>,
     /// Instructions the lane committed over the window.
     committed: AtomicU64,
     /// Last epoch whose window this worker finished: stored (Release)
@@ -570,6 +759,7 @@ impl<C: CoreModel> Shared<'_, C> {
     fn new(workers: usize, prof: Profiler) -> Self {
         let seat = |_| Seat {
             lane: Mutex::new(None),
+            group: Mutex::new(None),
             committed: AtomicU64::new(0),
             done: AtomicU64::new(0),
         };
@@ -619,15 +809,53 @@ impl<'scope, 'env, 'a, C: CoreModel> Pool<'scope, 'env, 'a, C> {
         for seat in shared.seats.iter().rev() {
             *seat.lane.lock().expect("no worker is in a window") = lanes.pop();
         }
+        self.start();
+        let mut committed = lanes[0].run(ph);
+        self.join(ph);
+        for seat in &shared.seats {
+            committed += seat.committed.load(Ordering::Relaxed);
+            let lane = seat.lane.lock().expect("the worker is done").take();
+            lanes.push(lane.expect("a seated lane comes back"));
+        }
+        committed
+    }
+
+    /// Services the home groups past the first on the workers, group `g`
+    /// always on worker `g - 1`, and the first here through `own`;
+    /// returns once every group is back in `groups`, in order.
+    fn resolve(
+        &mut self,
+        groups: &mut Vec<HomeGroup<C::Event>>,
+        ph: &ProfHandle,
+        own: impl FnOnce(&mut HomeGroup<C::Event>),
+    ) {
+        let seats = &self.shared.seats[..groups.len() - 1];
+        for seat in seats.iter().rev() {
+            *seat.group.lock().expect("no worker is in a window") = groups.pop();
+        }
+        self.start();
+        own(&mut groups[0]);
+        self.join(ph);
+        for seat in seats {
+            let group = seat.group.lock().expect("the worker is done").take();
+            groups.push(group.expect("a seated group comes back"));
+        }
+    }
+
+    /// Starts the next epoch: every worker does what is seated for it.
+    fn start(&mut self) {
         self.epoch += 1;
-        shared.epoch.store(self.epoch, Ordering::Release);
+        self.shared.epoch.store(self.epoch, Ordering::Release);
         for w in &self.workers {
             w.thread().unpark();
         }
-        let mut committed = lanes[0].run(ph);
+    }
 
-        let wait = ph.enter(ProfSite::BatchedBarrier);
-        for (i, seat) in shared.seats.iter().enumerate() {
+    /// Waits until every worker is done with the epoch, handing on the
+    /// panic of one that ended instead.
+    fn join(&mut self, ph: &ProfHandle) {
+        let _wait = ph.enter(ProfSite::BatchedBarrier);
+        for (i, seat) in self.shared.seats.iter().enumerate() {
             while seat.done.load(Ordering::Acquire) != self.epoch {
                 if self.workers[i].is_finished() {
                     // Only a panic ends a worker before `quit`: hand it on.
@@ -638,13 +866,6 @@ impl<'scope, 'env, 'a, C: CoreModel> Pool<'scope, 'env, 'a, C> {
             }
             self.ladder.reset();
         }
-        drop(wait);
-        for seat in &shared.seats {
-            committed += seat.committed.load(Ordering::Relaxed);
-            let lane = seat.lane.lock().expect("the worker is done").take();
-            lanes.push(lane.expect("a seated lane comes back"));
-        }
-        committed
     }
 }
 
@@ -659,8 +880,8 @@ impl<C: CoreModel> Drop for Pool<'_, '_, '_, C> {
     }
 }
 
-/// A window worker: waits for the next epoch, runs the lane seated for
-/// it, reports, repeats until `quit`.
+/// A window worker: waits for the next epoch, runs the lane or services
+/// the home group seated for it, reports, repeats until `quit`.
 fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHandle) {
     let mut ladder = Backoff::new();
     let mut seen = 0;
@@ -679,9 +900,17 @@ fn worker<C: CoreModel>(shared: &Shared<'_, C>, seat: &Seat<'_, C>, ph: &ProfHan
         ladder.reset();
         let committed = {
             let mut seated = seat.lane.lock().expect("the manager is done seating");
-            let lane = seated.as_mut().expect("a lane is seated before the epoch");
-            lane.run(ph)
+            seated.as_mut().map_or(0, |lane| lane.run(ph))
         };
+        if let Some(group) = seat
+            .group
+            .lock()
+            .expect("the manager is done seating")
+            .as_mut()
+        {
+            let _span = ph.enter(ProfSite::BatchedHome);
+            group.service(|_, _, _| unreachable!("the manager services the home-less events"));
+        }
         seat.committed.store(committed, Ordering::Relaxed);
         seat.done.store(seen, Ordering::Release);
         shared.manager.unpark();
@@ -1157,6 +1386,114 @@ mod tests {
             assert_eq!(solo.core_total("committed"), solo.committed);
             let r = run_greedy(3, &scheme, spec);
             assert_same_run(&solo, &r, &format!("{scheme:?} on 3 threads"));
+        }
+    }
+
+    /// [`Echo`] split into three homes by core (`c % 4`; the fourth class
+    /// is serviced by the uncore itself), each home with its own monitor.
+    #[derive(Debug, Clone)]
+    struct EchoHomes {
+        #[allow(clippy::vec_box)]
+        homes: Vec<Box<EchoHome>>,
+        rest: Echo,
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct EchoHome(Echo);
+
+    impl Home<Toy> for EchoHome {
+        fn service(&mut self, from: CoreId, ev: Timestamped<Toy>, sink: &mut ServiceSink<Toy>) {
+            UncoreModel::service(&mut self.0, from, ev, sink);
+        }
+    }
+
+    impl UncoreModel<Toy> for EchoHomes {
+        fn service(&mut self, from: CoreId, ev: Timestamped<Toy>, sink: &mut ServiceSink<Toy>) {
+            match self.home_of(from, &ev.payload) {
+                Some(h) => self.homes[h].service(from, ev, sink),
+                None => self.rest.service(from, ev, sink),
+            }
+        }
+
+        fn counters(&self) -> Counters {
+            let mut c = Counters::new();
+            for (name, echo) in ["h0", "h1", "h2"].iter().zip(&self.homes) {
+                c.set(name, echo.0.serviced);
+            }
+            c.set("rest", self.rest.serviced);
+            c
+        }
+
+        fn homes(&self) -> usize {
+            3
+        }
+
+        fn home_of(&self, from: CoreId, _ev: &Toy) -> Option<usize> {
+            Some(from.index() % 4).filter(|&h| h < 3)
+        }
+
+        fn lend_homes(&mut self, out: &mut Vec<Box<dyn Home<Toy>>>) {
+            out.extend(self.homes.drain(..).map(|h| h as Box<dyn Home<Toy>>));
+        }
+
+        fn return_homes(&mut self, homes: &mut Vec<Box<dyn Home<Toy>>>) {
+            self.homes.extend(homes.drain(..).map(|h| {
+                let h: Box<dyn std::any::Any> = h;
+                h.downcast().expect("an echo home")
+            }));
+        }
+    }
+
+    crate::impl_checkpointable_by_clone!(EchoHomes);
+
+    #[test]
+    fn homes_serviced_on_the_lane_threads_leave_no_trace_in_the_result() {
+        // Three homes on 2 and 3 threads: groups of 2 + 1 homes, and one
+        // each. Each home's monitor flags any of its events serviced out
+        // of the single-thread order, under a quantum (where there must
+        // be none) and under greedy rounds that roll back mid-merge.
+        use crate::speculative::ViolationSelect;
+        let spec = SpeculationConfig::speculative(500, ViolationSelect::all());
+        let mut cells = vec![(Scheme::Quantum { quantum: 64 }, None)];
+        cells.extend(greedy_schemes().into_iter().map(|s| (s, None)));
+        cells.push((Scheme::BoundedSlack { bound: 64 }, Some(spec)));
+        for (scheme, spec) in cells {
+            let run = |threads: usize| {
+                let mut cfg = EngineConfig::new(scheme.clone(), 150_000);
+                cfg.host_threads = threads;
+                cfg.burst = BurstPolicy::new(64);
+                cfg.speculation = spec;
+                cfg.prof = Some(crate::obs::Profiler::enabled());
+                let homes = (0..3).map(|_| Box::default()).collect();
+                let uncore = EchoHomes {
+                    homes,
+                    rest: Echo::default(),
+                };
+                BatchedEngine::new(toy_cores(12), uncore, cfg)
+                    .run()
+                    .expect("run succeeds")
+            };
+            let home_services = |r: &SimReport| {
+                let prof = r.prof.as_ref().expect("profile attached");
+                let site = prof.sites.iter().find(|s| s.site == ProfSite::BatchedHome);
+                site.map_or(0, |s| s.count)
+            };
+            let solo = run(1);
+            assert!(
+                solo.uncore.get("rest") > 0,
+                "{scheme:?}: no home-less event"
+            );
+            if spec.is_some() {
+                assert!(solo.kernel.get("rollbacks") > 0, "{scheme:?}: no rollback");
+            }
+            for threads in [2, 3] {
+                let r = run(threads);
+                assert_same_run(&solo, &r, &format!("{scheme:?} on {threads} threads"));
+                // An adaptive bound throttles its rounds below the floor.
+                if !matches!(scheme, Scheme::Adaptive(_)) {
+                    assert!(home_services(&r) > 0, "{scheme:?} on {threads} threads");
+                }
+            }
         }
     }
 

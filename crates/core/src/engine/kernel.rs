@@ -19,7 +19,9 @@
 //!   pacer feedback, metrics sample, live publish);
 //! * [`Kernel::service`] / [`Kernel::service_all`] for every event, with
 //!   deliveries handed back through a driver-supplied closure (an inbox
-//!   push) — the only seam between the kernel and where cores live;
+//!   push) — the only seam between the kernel and where cores live — or
+//!   [`Kernel::violation`] for each violation of an event a driver had
+//!   serviced by an uncore home on another thread;
 //! * [`Kernel::rollback_ledger`] plus the model-restore helpers when a
 //!   selected violation is pending;
 //! * [`Kernel::arm_stop`] for the common time a checkpoint stops every
@@ -53,7 +55,7 @@ use crate::scheme::{PaceSample, Pacer};
 use crate::speculative::SpeculationConfig;
 use crate::stats::{Counters, SimReport};
 use crate::time::Cycle;
-use crate::violation::{ViolationKind, ViolationTally};
+use crate::violation::{ViolationEvent, ViolationKind, ViolationTally};
 
 /// The last committed checkpoint. Always holds *full* model state: each
 /// checkpoint patches it forward with the models' capture deltas, and a
@@ -466,10 +468,9 @@ where
     }
 
     /// Services one event through the uncore: deliveries go back through
-    /// `deliver`, violations are tallied, traced (attributed to the
-    /// originating core) and fed to the interval tracker, and a selected
-    /// violation in base mode raises the rollback flag. Returns whether a
-    /// rollback is pending.
+    /// `deliver`, and every violation is accounted as by
+    /// [`violation`](Kernel::violation). Returns whether a rollback is
+    /// pending.
     pub(super) fn service(
         &mut self,
         from: CoreId,
@@ -481,27 +482,37 @@ where
         for (to, out) in self.sink.take_deliveries() {
             deliver(to, out);
         }
-        for v in self.sink.take_violations() {
-            self.ledger.tally.record(v.kind);
-            self.ledger.detected.record(v.kind);
-            record(
-                &mut self.obs,
-                v.ts,
-                TraceEvent::Violation {
-                    kind: v.kind,
-                    core: from,
-                    ts: v.ts,
-                    high_water: v.high_water,
-                },
-            );
-            if let Some(tr) = self.ledger.tracker.as_mut() {
-                tr.observe_violation(v.ts);
-            }
-            if !self.replaying && self.spec.is_some_and(|sc| sc.rollback_on.selects(v.kind)) {
-                self.pending_rollback = true;
-            }
+        for i in 0..self.sink.violations.len() {
+            let v = self.sink.violations[i];
+            self.violation(from, v);
         }
+        self.sink.violations.clear();
         self.pending_rollback
+    }
+
+    /// Accounts one violation the service of an event from `from`
+    /// reported: tallies it, traces it (attributed to the originating
+    /// core), feeds it to the interval tracker, and — if it is selected
+    /// in base mode — raises the rollback flag.
+    pub(super) fn violation(&mut self, from: CoreId, v: ViolationEvent) {
+        self.ledger.tally.record(v.kind);
+        self.ledger.detected.record(v.kind);
+        record(
+            &mut self.obs,
+            v.ts,
+            TraceEvent::Violation {
+                kind: v.kind,
+                core: from,
+                ts: v.ts,
+                high_water: v.high_water,
+            },
+        );
+        if let Some(tr) = self.ledger.tracker.as_mut() {
+            tr.observe_violation(v.ts);
+        }
+        if !self.replaying && self.spec.is_some_and(|sc| sc.rollback_on.selects(v.kind)) {
+            self.pending_rollback = true;
+        }
     }
 
     /// Services every event currently in the global queue, in timestamp

@@ -1,48 +1,81 @@
-//! The batched engine's boundary merge: a timestamp sweep over the
-//! per-core staging buffers.
+//! The window loop's service order: which staged event the end of a
+//! window services when.
 
 use crate::event::Timestamped;
 
-/// [`sweep`]'s marker for a core with nothing staged. No event carries it:
-/// the cycle cap stops every run far below.
-pub(super) const NO_HEAD: u64 = u64::MAX;
-
-/// Timestamp of the event an armed buffer yields next.
-pub(super) fn head_ts<E>(buf: &[Timestamped<E>]) -> u64 {
-    buf.last().map_or(NO_HEAD, |ev| ev.ts.as_u64())
+/// One staged event: its core and its index in the core's staging
+/// buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Staged {
+    pub(super) core: u32,
+    pub(super) idx: u32,
 }
 
-/// Reverses a staging buffer, so that `pop` yields its events in staging
-/// order without shifting the rest, and returns its head timestamp.
-pub(super) fn arm<E>(buf: &mut [Timestamped<E>]) -> u64 {
-    buf.reverse();
-    head_ts(buf)
+impl Staged {
+    pub(super) fn new(core: usize, idx: usize) -> Self {
+        Staged {
+            core: core as u32,
+            idx: idx as u32,
+        }
+    }
 }
 
-/// The boundary merge. `heads[i]` is the timestamp of core `i`'s next
-/// staged event (or [`NO_HEAD`]); `serve(i)` consumes that event and
-/// returns the core's new head. Each staging buffer is already sorted (a
-/// core stages events as its clock advances) and every timestamp lies in
-/// `[from, window_end)`, so visiting timestamps in ascending order and,
-/// within one, cores in index order — draining each core's run of equal
-/// timestamps before moving on, then jumping to the smallest head seen —
-/// serves exactly (timestamp, core id, staging order). One pass over the
-/// dense `heads` array per distinct timestamp replaces a min-scan over
-/// every buffer per event.
-pub(super) fn sweep(heads: &mut [u64], from: u64, mut serve: impl FnMut(usize) -> u64) {
-    let mut ts = from;
-    loop {
-        let mut next = NO_HEAD;
-        for (i, head) in heads.iter_mut().enumerate() {
-            while *head == ts {
-                *head = serve(i);
-            }
-            next = next.min(*head);
+/// Widest window [`by_timestamp`] buckets by cycle. Past it — a quantum
+/// of thousands of cycles — the window's events are sorted by comparison
+/// instead, which needs no bucket per cycle; a one-cycle window (cc, a
+/// replay) needs no sort at all.
+const MAX_BUCKETS: u64 = 1 << 12;
+
+/// A barrier window's service order in `order`: every event staged by
+/// the `n` cores whose buffers `staged` names, in (timestamp, core id,
+/// staging order) — the sequential engine's pop order (timestamp, then
+/// core id as fixed bus arbitration priority, then FIFO). Every
+/// timestamp lies in `[from, from + width)`.
+///
+/// A stable counting sort over `ts − from`: one pass counts each cycle's
+/// events, a prefix sum turns the counts into each cycle's first
+/// position, and a second pass places every event, core by core in
+/// staging order, at its cycle's next position. `counts` is the bucket
+/// scratch; neither vector shrinks.
+pub(super) fn by_timestamp<'s, E: 's>(
+    n: usize,
+    staged: impl Fn(usize) -> &'s [Timestamped<E>],
+    (from, width): (u64, u64),
+    counts: &mut Vec<u32>,
+    order: &mut Vec<Staged>,
+) {
+    order.clear();
+    if width == 1 || width > MAX_BUCKETS {
+        for core in 0..n {
+            order.extend((0..staged(core).len()).map(|idx| Staged::new(core, idx)));
         }
-        if next == NO_HEAD {
-            return;
+        // A one-cycle window is in order already; otherwise the keys are
+        // unique, so the unstable sort is the stable one.
+        if width > 1 {
+            order.sort_unstable_by_key(|s| {
+                (staged(s.core as usize)[s.idx as usize].ts, s.core, s.idx)
+            });
         }
-        ts = next;
+        return;
+    }
+    let bucket = |ev: &Timestamped<E>| (ev.ts.as_u64() - from) as usize;
+    counts.clear();
+    counts.resize(width as usize + 1, 0);
+    for core in 0..n {
+        for ev in staged(core) {
+            counts[bucket(ev) + 1] += 1;
+        }
+    }
+    for b in 1..counts.len() {
+        counts[b] += counts[b - 1];
+    }
+    order.resize(counts[width as usize] as usize, Staged::new(0, 0));
+    for core in 0..n {
+        for (idx, ev) in staged(core).iter().enumerate() {
+            let at = &mut counts[bucket(ev)];
+            order[*at as usize] = Staged::new(core, idx);
+            *at += 1;
+        }
     }
 }
 
@@ -54,7 +87,7 @@ mod tests {
     /// The merge this engine shipped with: a min-scan over every
     /// buffer's head per event, replacing the candidate only on a strictly
     /// smaller timestamp so ties go to the lowest core id. Kept as the
-    /// reference [`sweep`] is compared against.
+    /// reference [`by_timestamp`] is compared against.
     fn min_scan_order(staged: Vec<Vec<Timestamped<u32>>>) -> Vec<(usize, u64, u32)> {
         let mut heads: Vec<_> = staged
             .into_iter()
@@ -77,20 +110,29 @@ mod tests {
         order
     }
 
-    fn sweep_order(mut staged: Vec<Vec<Timestamped<u32>>>, from: u64) -> Vec<(usize, u64, u32)> {
-        let mut heads: Vec<u64> = staged.iter_mut().map(|b| arm(b)).collect();
-        let mut order = Vec::new();
-        sweep(&mut heads, from, |i| {
-            let ev = staged[i].pop().expect("a finite head names an event");
-            order.push((i, ev.ts.as_u64(), ev.payload));
-            head_ts(&staged[i])
-        });
-        assert!(staged.iter().all(Vec::is_empty), "every event served");
+    fn sorted_order(
+        staged: &[Vec<Timestamped<u32>>],
+        window: (u64, u64),
+    ) -> Vec<(usize, u64, u32)> {
+        let (mut counts, mut order) = (Vec::new(), Vec::new());
+        by_timestamp(
+            staged.len(),
+            |i| &staged[i],
+            window,
+            &mut counts,
+            &mut order,
+        );
         order
+            .iter()
+            .map(|s| {
+                let ev = &staged[s.core as usize][s.idx as usize];
+                (s.core as usize, ev.ts.as_u64(), ev.payload)
+            })
+            .collect()
     }
 
     #[test]
-    fn sweep_serves_the_min_scan_order_element_by_element() {
+    fn the_timestamp_order_is_the_min_scan_order_element_by_element() {
         use crate::rng::Xoshiro256;
         let (from, to) = (1000u64, 1050u64);
         let sorted = |rng: &mut Xoshiro256, len: u64, tag: &mut u32| {
@@ -142,12 +184,34 @@ mod tests {
         lone[63] = vec![Timestamped::new(Cycle::new(to - 1), 1)];
         cases.push(lone);
 
-        for (n, staged) in cases.into_iter().enumerate() {
+        // Each case in the window of the timestamps drawn (`[from, to]`)
+        // as the counting sort buckets it, in a window as wide as a
+        // quantum that is sorted by comparison instead, and squeezed into
+        // one cycle, which needs no sort.
+        let one_cycle = |staged: &Vec<Vec<Timestamped<u32>>>| {
+            let mut staged = staged.clone();
+            staged
+                .iter_mut()
+                .flatten()
+                .for_each(|ev| ev.ts = Cycle::new(from));
+            staged
+        };
+        let windows = cases.iter().flat_map(|staged| {
+            [
+                (staged.clone(), to - from + 1),
+                (staged.clone(), MAX_BUCKETS + 1),
+                (one_cycle(staged), 1),
+            ]
+        });
+        for (n, (staged, width)) in windows.enumerate() {
             let want = min_scan_order(staged.clone());
-            let got = sweep_order(staged, from);
+            let got = sorted_order(&staged, (from, width));
             assert_eq!(want.len(), got.len(), "case {n}: serviced count");
             for (k, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(w, g, "case {n}: element {k} (core, ts, tag)");
+                assert_eq!(
+                    w, g,
+                    "case {n} at width {width}: element {k} (core, ts, tag)"
+                );
             }
         }
     }

@@ -221,6 +221,49 @@ pub trait UncoreModel<E>: Clone + Send + 'static {
     /// per-checkpoint re-clone cost) flat on long runs. The default does
     /// nothing; models with per-line monitors should override.
     fn compact_monitors(&mut self, _horizon: Cycle) {}
+
+    /// How many *homes* the uncore's state splits into: parts that share
+    /// no state, each servicing its own events (DESIGN §17). A window
+    /// whose cores ran on several host threads has its events serviced
+    /// home by home on those threads. The default, 1, is an uncore that
+    /// is one home: its events are serviced one after another on the
+    /// manager, and the other home methods are never called.
+    fn homes(&self) -> usize {
+        1
+    }
+
+    /// The home that services `ev` from `from`: an index below
+    /// [`homes`](UncoreModel::homes), or `None` for an event that reads or
+    /// writes state outside every home, which the uncore services itself
+    /// on the manager.
+    fn home_of(&self, _from: CoreId, _ev: &E) -> Option<usize> {
+        None
+    }
+
+    /// Moves every home out of the uncore onto `out`, in index order, for
+    /// a parallel service. Until [`return_homes`](UncoreModel::return_homes)
+    /// gives them back, the engine calls [`service`](UncoreModel::service)
+    /// only with events whose [`home_of`](UncoreModel::home_of) is `None`.
+    fn lend_homes(&mut self, _out: &mut Vec<Box<dyn Home<E>>>) {}
+
+    /// Takes back, draining `homes`, the homes
+    /// [`lend_homes`](UncoreModel::lend_homes) moved out, in the order it
+    /// gave them.
+    fn return_homes(&mut self, _homes: &mut Vec<Box<dyn Home<E>>>) {}
+}
+
+/// One home of an uncore ([`UncoreModel::homes`]): a part of its state
+/// that no other home reads or writes, lent to whichever host thread
+/// services its events. Servicing a home's events in the window's order
+/// gives every output an uncore servicing all of them would, so the
+/// engine merges the outputs back into that order. [`Any`] lets the
+/// uncore take its own type back.
+///
+/// [`Any`]: std::any::Any
+pub trait Home<E>: std::any::Any + Send {
+    /// Services one event of this home, as
+    /// [`UncoreModel::service`] would.
+    fn service(&mut self, from: CoreId, ev: Timestamped<E>, sink: &mut ServiceSink<E>);
 }
 
 /// How the deterministic engine perturbs core scheduling to emulate the
@@ -323,7 +366,8 @@ pub struct EngineConfig {
     /// thread for the duration of the run (see [`crate::obs::live`]).
     pub live: Option<crate::obs::LiveConfig>,
     /// Host threads the window loop folds the target cores onto, a
-    /// contiguous lane of cores each (the calling thread steps the first).
+    /// contiguous lane of cores each (the calling thread steps the first),
+    /// and services the uncore's homes ([`UncoreModel::homes`]) on.
     /// `0` (the default) takes the host's available parallelism — what an
     /// affinity mask restricts — and any value is capped at the core
     /// count, so a host with a CPU per target core runs the paper's one

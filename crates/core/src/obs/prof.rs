@@ -59,16 +59,21 @@ pub enum ProfSite {
     /// The batched engine's inner loop: one lane of cores each running
     /// its whole window in a single `run_window` call.
     BatchedRun = 8,
-    /// The batched engine's quantum-boundary resolution: staged cross-core
-    /// events serviced in timestamp order.
+    /// The batched engine's window-end resolution on the manager: staged
+    /// cross-core events put in service order and serviced, or merged
+    /// back from the homes that serviced them.
     BatchedResolve = 9,
-    /// The batched engine's manager waiting, after its own lane, for the
-    /// window workers to finish theirs (host-parallel windows only).
+    /// The batched engine's manager waiting, after its own lane or its
+    /// own homes, for the window workers to finish theirs (host-parallel
+    /// windows only).
     BatchedBarrier = 10,
+    /// A window worker servicing its group of uncore homes in a parallel
+    /// resolution.
+    BatchedHome = 11,
 }
 
 /// Number of profiling sites (length of [`ProfSite::ALL`]).
-pub const SITE_COUNT: usize = 11;
+pub const SITE_COUNT: usize = 12;
 
 impl ProfSite {
     /// Every site, in index order.
@@ -84,6 +89,7 @@ impl ProfSite {
         ProfSite::BatchedRun,
         ProfSite::BatchedResolve,
         ProfSite::BatchedBarrier,
+        ProfSite::BatchedHome,
     ];
 
     /// Stable kebab-case name used in tables, CSV and heartbeat JSON.
@@ -100,6 +106,7 @@ impl ProfSite {
             ProfSite::BatchedRun => "batched-run",
             ProfSite::BatchedResolve => "batched-resolve",
             ProfSite::BatchedBarrier => "batched-barrier",
+            ProfSite::BatchedHome => "batched-home",
         }
     }
 

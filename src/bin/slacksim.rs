@@ -1020,8 +1020,11 @@ ENGINES:
                         order (deterministic, but not seq's schedule)
   --host-threads N      threaded and batched engines: step the cores on N
                         host threads (contiguous lanes of cores, one per
-                        thread; the calling thread steps the first lane
-                        and also services every window); a host knob —
+                        thread; the calling thread steps the first lane),
+                        and service a window's events on the threads that
+                        stepped it, one group of directory homes each
+                        (the calling thread merges them back in order);
+                        a host knob —
                         the report is identical for every N, under every
                         scheme (default: the host's available
                         parallelism, capped at the core count; 1 = no

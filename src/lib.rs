@@ -304,7 +304,8 @@ impl Simulation {
     }
 
     /// Sets how many host threads the window loop folds the cores onto
-    /// (the calling thread steps the first lane). `0` (the default) uses
+    /// (the calling thread steps the first lane) and services the
+    /// directory's homes on. `0` (the default) uses
     /// the host's available parallelism; values above the core count are
     /// capped. A host knob only — simulated results are identical for
     /// every value, under every scheme — so it is ignored by the

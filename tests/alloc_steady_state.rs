@@ -238,7 +238,7 @@ fn profiling_and_live_emission_are_allocation_free_at_steady_state() {
 /// cycle and pings the uncore every few cycles, the uncore answers each
 /// ping five cycles later.
 mod toy {
-    use slacksim::slacksim_core::engine::{CoreModel, ServiceSink, TickCtx, UncoreModel};
+    use slacksim::slacksim_core::engine::{CoreModel, Home, ServiceSink, TickCtx, UncoreModel};
     use slacksim::slacksim_core::event::{CoreId, Timestamped};
     use slacksim::slacksim_core::stats::Counters;
 
@@ -282,20 +282,100 @@ mod toy {
         }
     }
 
-    slacksim::slacksim_core::impl_checkpointable_by_clone!(Core, Uncore);
+    /// An uncore of three homes, each answering the cores `c` with
+    /// `c % 4 == h`; the cores `c % 4 == 3` are answered by the uncore
+    /// itself. Its windows' events are serviced home by home on the
+    /// threads that ran the cores.
+    #[derive(Debug, Clone)]
+    pub struct Homed {
+        #[allow(clippy::vec_box)]
+        pub homes: Vec<Box<Echo>>,
+        pub serviced: u64,
+    }
+
+    #[derive(Debug, Clone, Default)]
+    pub struct Echo {
+        serviced: u64,
+    }
+
+    impl Home<bool> for Echo {
+        fn service(&mut self, from: CoreId, ev: Timestamped<bool>, sink: &mut ServiceSink<bool>) {
+            self.serviced += 1;
+            sink.deliver(from, Timestamped::new(ev.ts + 5, false));
+        }
+    }
+
+    impl UncoreModel<bool> for Homed {
+        fn service(&mut self, from: CoreId, ev: Timestamped<bool>, sink: &mut ServiceSink<bool>) {
+            match self.home_of(from, &ev.payload) {
+                Some(h) => self.homes[h].service(from, ev, sink),
+                None => {
+                    self.serviced += 1;
+                    sink.deliver(from, Timestamped::new(ev.ts + 7, false));
+                }
+            }
+        }
+
+        fn counters(&self) -> Counters {
+            Counters::new()
+        }
+
+        fn homes(&self) -> usize {
+            3
+        }
+
+        fn home_of(&self, from: CoreId, _ev: &bool) -> Option<usize> {
+            Some(from.index() % 4).filter(|&h| h < 3)
+        }
+
+        fn lend_homes(&mut self, out: &mut Vec<Box<dyn Home<bool>>>) {
+            out.extend(self.homes.drain(..).map(|h| h as Box<dyn Home<bool>>));
+        }
+
+        fn return_homes(&mut self, homes: &mut Vec<Box<dyn Home<bool>>>) {
+            self.homes.extend(homes.drain(..).map(|h| {
+                let h: Box<dyn std::any::Any> = h;
+                h.downcast().expect("an echo home")
+            }));
+        }
+    }
+
+    impl Homed {
+        pub fn new() -> Self {
+            Homed {
+                homes: (0..3).map(|_| Box::default()).collect(),
+                serviced: 0,
+            }
+        }
+    }
+
+    slacksim::slacksim_core::impl_checkpointable_by_clone!(Core, Uncore, Homed);
 }
 
-/// The batched window loop itself — run, hand-off, barrier, merge —
-/// allocates nothing once its buffers are warm, on one host thread and on
-/// two: tripling the run adds not one allocation. (The merge used to
-/// build a `Vec` of drain iterators every window.) Thread spawns and
-/// first-use buffer growth happen once per run and cancel.
+/// The batched window loop itself — run, hand-off, barrier, service order,
+/// service — allocates nothing once its buffers are warm, on one host
+/// thread and on two, with an uncore of one home and one of three (whose
+/// windows on two threads lend their homes to the threads and merge the
+/// outputs back): tripling the run adds not one allocation. (The merge
+/// used to build a `Vec` of drain iterators every window.) Thread spawns
+/// and first-use buffer growth happen once per run and cancel.
 #[test]
 fn batched_window_loop_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    batched_loop_is_allocation_free_with(|| toy::Uncore);
+    batched_loop_is_allocation_free_with(toy::Homed::new);
+}
+
+fn batched_loop_is_allocation_free_with<U>(uncore: impl Fn() -> U)
+where
+    U: slacksim::slacksim_core::engine::UncoreModel<bool>
+        + slacksim::slacksim_core::checkpoint::Checkpointable,
+{
     use slacksim::scheme::Scheme;
     use slacksim::slacksim_core::engine::BatchedEngine;
-    let _serial = serial();
+    use slacksim::ProfSite;
 
+    let homes = uncore().homes();
     let allocs = |host_threads: usize, commit: u64| {
         let cores: Vec<_> = (0..12u64)
             .map(|i| toy::Core {
@@ -312,12 +392,25 @@ fn batched_window_loop_is_allocation_free_at_steady_state() {
         // bound-trace entry per sampling window (it is in the report);
         // none here, so that growing it does not count against the loop.
         cfg.sample_period = 1 << 40;
+        // Spans cost no allocation; the count of worker-side services
+        // shows the homes went to the threads.
+        cfg.prof = Some(slacksim::Profiler::enabled());
         let before = ALLOCS.load(Ordering::Relaxed);
-        let report = BatchedEngine::new(cores, toy::Uncore, cfg)
-            .run()
-            .expect("run");
+        let report = BatchedEngine::new(cores, uncore(), cfg).run().expect("run");
+        let after = ALLOCS.load(Ordering::Relaxed);
         assert!(report.committed >= commit);
-        ALLOCS.load(Ordering::Relaxed) - before
+        let prof = report.prof.expect("profile attached");
+        let home_services = prof
+            .sites
+            .iter()
+            .find(|s| s.site == ProfSite::BatchedHome)
+            .map_or(0, |s| s.count);
+        assert_eq!(
+            home_services > 0,
+            homes > 1 && host_threads > 1 && commit > 100_000,
+            "{homes} homes on {host_threads} host thread(s)"
+        );
+        after - before
     };
     // The harness allocates on its own thread whenever another test of
     // this binary finishes; strays only ever add, so take the least of a
@@ -335,7 +428,7 @@ fn batched_window_loop_is_allocation_free_at_steady_state() {
         assert_eq!(
             long,
             short,
-            "{host_threads} host thread(s): 520 more windows allocated {} more times",
+            "{homes} homes, {host_threads} host thread(s): 520 more windows allocated {} more times",
             long.saturating_sub(short)
         );
     }
@@ -647,6 +740,7 @@ fn drive_interconnects(
 ) {
     use slacksim::slacksim_cmp::cache::LineAddr;
     use slacksim::slacksim_cmp::mesi::BusOp;
+    use slacksim::slacksim_cmp::sharers::SMALL_CAP;
     use slacksim::slacksim_core::event::CoreId;
     for i in range {
         let ts = slacksim::Cycle::new(i * den / num);
@@ -654,13 +748,27 @@ fn drive_interconnects(
         std::hint::black_box(bus.respond(grant + 8));
         let (line, core) = (LineAddr::new(i % 256), CoreId::new((i % 4) as u16));
         std::hint::black_box(dir.access(BusOp::Rd, line, core, ts));
+        // 64 more lines that up to `SMALL_CAP` cores share: runs of reads
+        // grow every sharer set to that many, and the writes and upgrades
+        // after them invalidate all but the writer — snoop targets on
+        // almost every access, at every count up to the inline capacity.
+        let line = LineAddr::new(256 + i % 64);
+        let core = CoreId::new(((i / 64) % SMALL_CAP as u64) as u16);
+        let op = match (i / 256) % 4 {
+            0 | 1 => BusOp::Rd,
+            2 => BusOp::RdX,
+            _ => BusOp::Upgr,
+        };
+        std::hint::black_box(dir.access(op, line, core, ts));
     }
 }
 
 /// The slot calendars behind the bus and every directory bank port are
-/// fixed-size rings: servicing traffic allocates nothing once the
-/// directory's line tables are warm, and the heap the two interconnects
-/// hold does not depend on how dense the traffic is.
+/// fixed-size rings and a directory access names its snoop targets
+/// without a vector: servicing traffic — reads, writes and upgrades of
+/// lines that several cores share, as well as private reads — allocates
+/// nothing once the directory's line tables are warm, and the heap the
+/// two interconnects hold does not depend on how dense the traffic is.
 #[test]
 fn interconnect_service_is_allocation_free_with_a_density_independent_footprint() {
     use slacksim::slacksim_cmp::bus::Bus;

@@ -277,21 +277,40 @@ fn batched_digests_hold_at_every_host_thread_count() {
     // CSV bytes included, so the manager must emit the per-core phase
     // records in core order whoever ran the cores. At 2 and 3 threads the
     // workers run the windows (8 cores x 50 cycles) of the rows' last
-    // stretch, past the 64 Ki core-cycles a run steps inline first.
+    // stretch, past the 64 Ki core-cycles a run steps inline first; on
+    // the 64-core directory they service the directory's homes of those
+    // windows too, between the checkpoints.
     let q50 = Scheme::Quantum { quantum: 50 };
+    let pinned = |label: &str| {
+        EXPECTED
+            .iter()
+            .find(|(l, _)| *l == label)
+            .expect("row is pinned")
+            .1
+    };
     for (spec, label) in [
         (Spec::Off, "bat/q50/off"),
         (Spec::CheckpointOnly, "bat/q50/cp-only"),
     ] {
-        let want = EXPECTED
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("row is pinned")
-            .1;
+        let want = pinned(label);
         for threads in [1, 2, 3] {
             let got = run_on(threads, EngineKind::Batched, &q50, spec, 8, UncoreKind::Bus);
             assert_eq!(got, want, "{label} on {threads} host threads: {got:#018x}");
         }
+    }
+    let label = "bat/q50/cp-only/dir64";
+    let want = pinned(label);
+    for threads in [1, 2, 3] {
+        let got = run_bench(
+            Benchmark::Fft,
+            threads,
+            EngineKind::Batched,
+            &q50,
+            Spec::CheckpointOnly,
+            64,
+            UncoreKind::Directory,
+        );
+        assert_eq!(got, want, "{label} on {threads} host threads: {got:#018x}");
     }
 }
 

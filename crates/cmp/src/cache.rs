@@ -529,27 +529,31 @@ impl Cache {
     /// geometry is construction-time configuration: it shapes the layout
     /// and is validated on load, never stored.
     pub fn save_state(&self, w: &mut ByteWriter) {
-        w.u32(self.lens.len() as u32);
-        for set in 0..self.lens.len() {
-            self.save_set(set, w);
-        }
-        self.probes.save(w);
+        Cache::save_slices(&[self], w);
     }
 
-    /// Number of sets.
-    pub(crate) fn sets(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// Appends one set's snapshot bytes: its length, then per resident
-    /// line its tag, MESI state and LRU stamp.
-    pub(crate) fn save_set(&self, set: usize, w: &mut ByteWriter) {
-        w.u16(u16::from(self.lens[set]));
-        for slot in self.live(set) {
-            w.u64(self.tags[slot]);
-            state_of(self.meta[slot]).save(w);
-            w.u32(self.meta[slot] >> STATE_BITS);
+    /// Appends the snapshot bytes of the one cache that `slices` split
+    /// (see [`L2::split`](crate::l2::L2::split)): set `s` of the whole is
+    /// set `s / n` of slice `s % n`, and the probe statistics are summed.
+    pub(crate) fn save_slices(slices: &[&Cache], w: &mut ByteWriter) {
+        let n = slices.len();
+        let sets = n * slices[0].lens.len();
+        w.u32(sets as u32);
+        for s in 0..sets {
+            let (cache, set) = (slices[s % n], s / n);
+            w.u16(u16::from(cache.lens[set]));
+            for slot in cache.live(set) {
+                w.u64(cache.tags[slot]);
+                state_of(cache.meta[slot]).save(w);
+                w.u32(cache.meta[slot] >> STATE_BITS);
+            }
         }
+        let probes = |f: fn(&Cache) -> u64| slices.iter().map(|c| f(c)).sum();
+        Probes {
+            hits: probes(Cache::hits),
+            misses: probes(Cache::misses),
+        }
+        .save(w);
     }
 
     /// Reads bytes written by [`Cache::save_state`] into a cache of the
@@ -560,44 +564,44 @@ impl Cache {
     /// Returns [`PersistError`] if the bytes are malformed or describe a
     /// different geometry.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        if r.u32()? as usize != self.lens.len() {
-            return Err(PersistError::Corrupt("cache set count mismatch"));
-        }
-        for set in 0..self.lens.len() {
-            self.load_set(set, r)?;
-        }
-        self.probes = Probes::load(r)?;
-        Ok(())
+        Cache::load_slices(&mut [self], r)
     }
 
-    /// Reads one set written by [`save_set`](Cache::save_set).
-    pub(crate) fn load_set(
-        &mut self,
-        set: usize,
+    /// Reads the bytes of one whole cache, as
+    /// [`save_slices`](Cache::save_slices) writes them, into the slices
+    /// that split it; the probe statistics load into the first.
+    pub(crate) fn load_slices(
+        slices: &mut [&mut Cache],
         r: &mut ByteReader<'_>,
     ) -> Result<(), PersistError> {
-        let n = usize::from(r.u16()?);
-        if n > self.cfg.ways {
-            return Err(PersistError::Corrupt("cache set holds more ways than fit"));
+        let n = slices.len();
+        let sets = n * slices[0].lens.len();
+        if r.u32()? as usize != sets {
+            return Err(PersistError::Corrupt("cache set count mismatch"));
         }
-        let base = set * self.cfg.ways;
-        for slot in base..base + n {
-            self.tags[slot] = r.u64()?;
-            let state = MesiState::load(r)?;
-            let lru = r.u32()?;
-            if lru > MAX_LRU {
-                return Err(PersistError::Corrupt("cache LRU stamp out of range"));
+        for s in 0..sets {
+            let (cache, set) = (&mut *slices[s % n], s / n);
+            let len = usize::from(r.u16()?);
+            if len > cache.cfg.ways {
+                return Err(PersistError::Corrupt("cache set holds more ways than fit"));
             }
-            self.meta[slot] = pack(state, lru);
+            let base = set * cache.cfg.ways;
+            for slot in base..base + len {
+                cache.tags[slot] = r.u64()?;
+                let state = MesiState::load(r)?;
+                let lru = r.u32()?;
+                if lru > MAX_LRU {
+                    return Err(PersistError::Corrupt("cache LRU stamp out of range"));
+                }
+                cache.meta[slot] = pack(state, lru);
+            }
+            cache.lens[set] = len as u8;
         }
-        self.lens[set] = n as u8;
+        let probes = Probes::load(r)?;
+        for (i, cache) in slices.iter_mut().enumerate() {
+            cache.probes = if i == 0 { probes } else { Probes::default() };
+        }
         Ok(())
-    }
-
-    /// Overwrites the probe statistics (a split L2's totals, loaded into
-    /// one of its slices).
-    pub(crate) fn set_probes(&mut self, hits: u64, misses: u64) {
-        self.probes = Probes { hits, misses };
     }
 }
 

@@ -439,24 +439,19 @@ impl Directory {
     /// bank in index order. The count is validated against configuration
     /// on load, not trusted from the stream.
     pub fn save_state(&self, w: &mut ByteWriter) {
-        w.u32(self.banks.len() as u32);
-        self.banks.iter().for_each(|bank| bank.save_state(w));
+        Directory::save_shares(&[self], w);
     }
 
-    /// Appends bank `bank`'s snapshot bytes: how a split directory writes
-    /// the bytes of the whole, bank by bank in global order.
-    pub(crate) fn save_bank(&self, bank: usize, w: &mut ByteWriter) {
-        self.banks[bank].save_state(w);
-    }
-
-    /// Reads bytes written by [`save_bank`](Directory::save_bank) into
-    /// bank `bank`.
-    pub(crate) fn load_bank(
-        &mut self,
-        bank: usize,
-        r: &mut ByteReader<'_>,
-    ) -> Result<(), PersistError> {
-        self.banks[bank].load_state(r)
+    /// Appends the snapshot bytes of the one directory that `shares`
+    /// split ([`Directory::split`]): bank `b` of the whole is bank
+    /// `b / n` of share `b % n`.
+    pub(crate) fn save_shares(shares: &[&Directory], w: &mut ByteWriter) {
+        let n = shares.len();
+        let banks = n * shares[0].banks.len();
+        w.u32(banks as u32);
+        for b in 0..banks {
+            shares[b % n].banks[b / n].save_state(w);
+        }
     }
 
     /// Restores state written by [`Directory::save_state`] into a freshly
@@ -467,14 +462,23 @@ impl Directory {
     /// Returns [`PersistError`] for malformed bytes or a bank count that
     /// does not match this directory's configuration.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
-        if r.u32()? as usize != self.banks.len() {
+        Directory::load_shares(&mut [self], r)
+    }
+
+    /// Reads the bytes of one whole directory, as
+    /// [`save_shares`](Directory::save_shares) writes them, into the
+    /// shares that split it.
+    pub(crate) fn load_shares(
+        shares: &mut [&mut Directory],
+        r: &mut ByteReader<'_>,
+    ) -> Result<(), PersistError> {
+        let n = shares.len();
+        if r.u32()? as usize != n * shares[0].banks.len() {
             return Err(PersistError::Corrupt(
                 "directory bank count does not match configuration",
             ));
         }
-        self.banks
-            .iter_mut()
-            .try_for_each(|bank| bank.load_state(r))
+        (0..n * shares[0].banks.len()).try_for_each(|b| shares[b % n].banks[b / n].load_state(r))
     }
 }
 

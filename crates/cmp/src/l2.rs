@@ -4,7 +4,7 @@
 //! Dirty L1 writebacks land here; dirty L2 victims count as memory writes.
 
 use slacksim_core::checkpoint::Checkpointable;
-use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
+use slacksim_core::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use slacksim_core::time::Cycle;
 
 use crate::cache::{Cache, CacheConfig, CacheDelta, LineAddr};
@@ -57,9 +57,6 @@ struct L2Stats {
 }
 
 slacksim_core::persist_fields! { L2Stats { writebacks_in, memory_writes } }
-
-// The latencies are configuration, not stored.
-slacksim_core::persist_walk! { L2, |l| l.cache, l.stats }
 
 impl L2 {
     /// Creates an empty L2 with the given geometry and latencies.
@@ -160,44 +157,52 @@ impl L2 {
         self.stats.memory_writes
     }
 
-    /// Number of sets (of this slice).
-    pub(crate) fn sets(&self) -> usize {
-        self.cache.sets()
+    /// Appends this model's snapshot bytes (DESIGN §13): the cache, then
+    /// the writeback counters. The latencies are configuration, not
+    /// stored.
+    pub fn save_state(&self, w: &mut ByteWriter) {
+        L2::save_slices(&[self], w);
     }
 
-    /// Appends one set's snapshot bytes, as [`L2::save_state`] writes it.
-    pub(crate) fn save_set(&self, set: usize, w: &mut ByteWriter) {
-        self.cache.save_set(set, w);
+    /// Appends the snapshot bytes of the one L2 that `slices` split
+    /// ([`L2::split`]): its sets in global order, then the counters
+    /// summed.
+    pub(crate) fn save_slices(slices: &[&L2], w: &mut ByteWriter) {
+        let caches: Vec<&Cache> = slices.iter().map(|l| &l.cache).collect();
+        Cache::save_slices(&caches, w);
+        let sum = |f: fn(&L2) -> u64| slices.iter().map(|l| f(l)).sum();
+        L2Stats {
+            writebacks_in: sum(L2::writebacks_in),
+            memory_writes: sum(L2::memory_writes),
+        }
+        .save(w);
     }
 
-    /// Reads one set written by [`save_set`](L2::save_set).
-    pub(crate) fn load_set(
-        &mut self,
-        set: usize,
+    /// Reads bytes written by `save_state` into this model, which must be
+    /// freshly built from the configuration that wrote them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `PersistError` for malformed bytes or for state this
+    /// configuration cannot hold.
+    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), PersistError> {
+        L2::load_slices(&mut [self], r)
+    }
+
+    /// Reads the bytes of one whole L2, as
+    /// [`save_slices`](L2::save_slices) writes them, into the slices that
+    /// split it; the counters load into the first.
+    pub(crate) fn load_slices(
+        slices: &mut [&mut L2],
         r: &mut ByteReader<'_>,
     ) -> Result<(), PersistError> {
-        self.cache.load_set(set, r)
-    }
-
-    /// The counters in snapshot order: probe hits and misses, writebacks
-    /// in, memory writes.
-    pub(crate) fn counts(&self) -> [u64; 4] {
-        [
-            self.hits(),
-            self.misses(),
-            self.stats.writebacks_in,
-            self.stats.memory_writes,
-        ]
-    }
-
-    /// Overwrites the counters ([`counts`](L2::counts) order): how a split
-    /// L2's totals load into one of its slices.
-    pub(crate) fn set_counts(&mut self, [hits, misses, writebacks_in, memory_writes]: [u64; 4]) {
-        self.cache.set_probes(hits, misses);
-        self.stats = L2Stats {
-            writebacks_in,
-            memory_writes,
-        };
+        let mut caches: Vec<&mut Cache> = slices.iter_mut().map(|l| &mut l.cache).collect();
+        Cache::load_slices(&mut caches, r)?;
+        let stats = L2Stats::load(r)?;
+        for (i, l2) in slices.iter_mut().enumerate() {
+            l2.stats = if i == 0 { stats } else { L2Stats::default() };
+        }
+        Ok(())
     }
 }
 

@@ -312,18 +312,6 @@ impl Home<MemEvent> for DirHome {
     }
 }
 
-/// The homes' L2 counters ([`L2::counts`] order) and uncore counters,
-/// summed: those of the whole uncore.
-fn totals(homes: &[Box<DirHome>]) -> ([u64; 4], UncoreStats) {
-    let mut l2 = [0; 4];
-    for home in homes {
-        for (sum, c) in l2.iter_mut().zip(home.l2.counts()) {
-            *sum += c;
-        }
-    }
-    (l2, homes.iter().map(|h| h.stats).sum())
-}
-
 impl DirHome {
     fn parts(&self) -> [u64; 2] {
         [self.dir.generation(), self.l2.generation()]
@@ -476,21 +464,12 @@ impl CmpUncore {
                 side.stats
             }
             Interconnect::Directory { homes, .. } => {
-                let n = homes.len();
-                let banks = homes.iter().map(|h| h.dir.banks()).sum::<usize>();
                 w.u32(1);
-                w.u32(banks as u32);
-                for b in 0..banks {
-                    homes[b % n].dir.save_bank(b / n, w);
-                }
-                let sets = homes.iter().map(|h| h.l2.sets()).sum::<usize>();
-                w.u32(sets as u32);
-                for s in 0..sets {
-                    homes[s % n].l2.save_set(s / n, w);
-                }
-                let (l2, stats) = totals(homes);
-                l2.iter().for_each(|&c| w.u64(c));
-                stats
+                let dirs: Vec<&Directory> = homes.iter().map(|h| &h.dir).collect();
+                Directory::save_shares(&dirs, w);
+                let l2s: Vec<&L2> = homes.iter().map(|h| &h.l2).collect();
+                L2::save_slices(&l2s, w);
+                homes.iter().map(|h| h.stats).sum()
             }
         };
         self.sync.save_state(w);
@@ -515,25 +494,10 @@ impl CmpUncore {
                 &mut side.stats
             }
             (1, Interconnect::Directory { homes, .. }) => {
-                let n = homes.len();
-                let banks = homes.iter().map(|h| h.dir.banks()).sum::<usize>();
-                if r.u32()? as usize != banks {
-                    return Err(PersistError::Corrupt(
-                        "directory bank count does not match configuration",
-                    ));
-                }
-                for b in 0..banks {
-                    homes[b % n].dir.load_bank(b / n, r)?;
-                }
-                let sets = homes.iter().map(|h| h.l2.sets()).sum::<usize>();
-                if r.u32()? as usize != sets {
-                    return Err(PersistError::Corrupt("cache set count mismatch"));
-                }
-                for s in 0..sets {
-                    homes[s % n].l2.load_set(s / n, r)?;
-                }
-                let counts = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-                homes[0].l2.set_counts(counts);
+                let mut dirs: Vec<&mut Directory> = homes.iter_mut().map(|h| &mut h.dir).collect();
+                Directory::load_shares(&mut dirs, r)?;
+                let mut l2s: Vec<&mut L2> = homes.iter_mut().map(|h| &mut h.l2).collect();
+                L2::load_slices(&mut l2s, r)?;
                 &mut homes[0].stats
             }
             _ => {
@@ -707,7 +671,7 @@ impl UncoreModel<MemEvent> for CmpUncore {
 
     fn counters(&self) -> Counters {
         let mut c = Counters::new();
-        let (l2, stats) = match &self.interconnect {
+        let stats = match &self.interconnect {
             Interconnect::Bus(side) => {
                 let (bus, map) = (&side.bus, &side.map);
                 c.set("bus_transactions", bus.transactions());
@@ -718,7 +682,7 @@ impl UncoreModel<MemEvent> for CmpUncore {
                 c.set("map_violations", map.violations());
                 c.set("map_tracked_lines", map.tracked_lines() as u64);
                 c.set("map_monitor_entries", map.monitor_entries() as u64);
-                (side.l2.counts(), side.stats)
+                side.stats
             }
             Interconnect::Directory { homes, .. } => {
                 let sum = |f: fn(&Directory) -> u64| homes.iter().map(|h| f(&h.dir)).sum::<u64>();
@@ -731,14 +695,17 @@ impl UncoreModel<MemEvent> for CmpUncore {
                 c.set("map_violations", sum(Directory::line_violations));
                 c.set("map_tracked_lines", sum(|d| d.tracked_lines() as u64));
                 c.set("map_monitor_entries", sum(|d| d.monitor_entries() as u64));
-                totals(homes)
+                homes.iter().map(|h| h.stats).sum()
             }
         };
-        let [hits, misses, writebacks_in, memory_writes] = l2;
-        c.set("l2_hits", hits);
-        c.set("l2_misses", misses);
-        c.set("l2_writebacks_in", writebacks_in);
-        c.set("l2_memory_writes", memory_writes);
+        let l2 = |f: fn(&L2) -> u64| match &self.interconnect {
+            Interconnect::Bus(side) => f(&side.l2),
+            Interconnect::Directory { homes, .. } => homes.iter().map(|h| f(&h.l2)).sum(),
+        };
+        c.set("l2_hits", l2(L2::hits));
+        c.set("l2_misses", l2(L2::misses));
+        c.set("l2_writebacks_in", l2(L2::writebacks_in));
+        c.set("l2_memory_writes", l2(L2::memory_writes));
         c.set("coherence_requests", stats.requests);
         c.set("writebacks", stats.writebacks);
         c.set("cache_to_cache_transfers", stats.c2c_transfers);

@@ -57,7 +57,7 @@ use std::thread::{Scope, ScopedJoinHandle};
 
 use crate::checkpoint::Checkpointable;
 use crate::engine::kernel::{Finish, Kernel};
-use crate::engine::merge::{by_timestamp, Staged};
+use crate::engine::merge::{by_timestamp, staged_of, Scratch, Staged};
 use crate::engine::wait::{lane_width, Backoff};
 use crate::engine::{
     CoreModel, EngineConfig, EngineError, EngineResume, FinishReason, Home, SaveHook, ServiceSink,
@@ -343,8 +343,8 @@ struct Windows<'r, 'a, C: CoreModel, U> {
 struct Service<E> {
     /// The window's service order.
     order: Vec<Staged>,
-    /// The counting sort's buckets.
-    counts: Vec<u32>,
+    /// The timestamp sort's scratch.
+    sort: Scratch,
     /// A greedy round's core order.
     cores: Vec<usize>,
     /// One group per host thread (never more than the uncore has homes),
@@ -387,7 +387,7 @@ impl<E> Service<E> {
         };
         Service {
             order: Vec::new(),
-            counts: Vec::new(),
+            sort: Scratch::default(),
             cores: Vec::new(),
             groups,
             home_at,
@@ -639,20 +639,17 @@ where
     ) -> bool {
         let (lanes, place, sv) = (&mut self.lanes, &self.place[..], &mut self.service);
         let n = place.len();
-        match window {
-            Some(window) => {
-                let staged = |i: usize| &lanes[place[i].0].staged[place[i].1][..];
-                by_timestamp(n, staged, window, &mut sv.counts, &mut sv.order);
-            }
-            None => {
-                sv.cores.clear();
-                sv.cores.extend(0..n);
-                self.draws.shuffle(&mut sv.cores, start);
-                sv.order.clear();
-                for &core in &sv.cores {
-                    let len = lanes[place[core].0].staged[place[core].1].len();
-                    sv.order.extend((0..len).map(|idx| Staged::new(core, idx)));
-                }
+        if let Some(window) = window {
+            let staged = |i: usize| &lanes[place[i].0].staged[place[i].1][..];
+            by_timestamp(n, staged, window, &mut sv.sort, &mut sv.order);
+        } else {
+            sv.cores.clear();
+            sv.cores.extend(0..n);
+            self.draws.shuffle(&mut sv.cores, start);
+            sv.order.clear();
+            for &core in &sv.cores {
+                let (l, c) = place[core];
+                sv.order.extend(staged_of(core, &lanes[l].staged[c]));
             }
         }
 
@@ -660,7 +657,7 @@ where
         let mut rollback = false;
         match pool.filter(|_| !sv.groups.is_empty()) {
             None => {
-                for &Staged { core, idx } in &sv.order {
+                for &Staged { core, idx, .. } in &sv.order {
                     let (l, c) = place[core as usize];
                     let ev = lanes[l].staged[c][idx as usize].clone();
                     rollback = k.service(CoreId::new(core as u16), ev, uncore, |to, out| {
@@ -680,7 +677,7 @@ where
                     sv.groups[sv.home_at[h].0].homes.push(home);
                 }
                 sv.route.clear();
-                for &Staged { core, idx } in &sv.order {
+                for &Staged { core, idx, .. } in &sv.order {
                     let (l, c) = place[core as usize];
                     let ev = &lanes[l].staged[c][idx as usize];
                     let from = CoreId::new(core as u16);

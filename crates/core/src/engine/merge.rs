@@ -2,29 +2,49 @@
 //! window services when.
 
 use crate::event::Timestamped;
+use crate::time::Cycle;
 
-/// One staged event: its core and its index in the core's staging
-/// buffer.
+/// One staged event: its timestamp, its core and its index in the core's
+/// staging buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Staged {
+    pub(super) ts: Cycle,
     pub(super) core: u32,
     pub(super) idx: u32,
 }
 
 impl Staged {
-    pub(super) fn new(core: usize, idx: usize) -> Self {
+    pub(super) fn new(ts: Cycle, core: usize, idx: usize) -> Self {
         Staged {
+            ts,
             core: core as u32,
             idx: idx as u32,
         }
     }
 }
 
-/// Widest window [`by_timestamp`] buckets by cycle. Past it — a quantum
-/// of thousands of cycles — the window's events are sorted by comparison
-/// instead, which needs no bucket per cycle; a one-cycle window (cc, a
-/// replay) needs no sort at all.
-const MAX_BUCKETS: u64 = 1 << 12;
+/// The staged events of core `core`, in staging order.
+pub(super) fn staged_of<E>(
+    core: usize,
+    staged: &[Timestamped<E>],
+) -> impl Iterator<Item = Staged> + '_ {
+    staged
+        .iter()
+        .enumerate()
+        .map(move |(idx, ev)| Staged::new(ev.ts, core, idx))
+}
+
+/// Timestamp bits one pass of [`by_timestamp`] sorts on: a pass buckets
+/// at most 2^10 cycles, so a window of any width sorts in bounded memory.
+const DIGIT_BITS: u32 = 10;
+
+/// [`by_timestamp`]'s scratch: one pass's buckets and the array it
+/// places into. Neither shrinks.
+#[derive(Debug, Default)]
+pub(super) struct Scratch {
+    counts: Vec<u32>,
+    spare: Vec<Staged>,
+}
 
 /// A barrier window's service order in `order`: every event staged by
 /// the `n` cores whose buffers `staged` names, in (timestamp, core id,
@@ -32,57 +52,54 @@ const MAX_BUCKETS: u64 = 1 << 12;
 /// core id as fixed bus arbitration priority, then FIFO). Every
 /// timestamp lies in `[from, from + width)`.
 ///
-/// A stable counting sort over `ts − from`: one pass counts each cycle's
-/// events, a prefix sum turns the counts into each cycle's first
-/// position, and a second pass places every event, core by core in
-/// staging order, at its cycle's next position. `counts` is the bucket
-/// scratch; neither vector shrinks.
+/// A stable radix sort on `ts − from`, [`DIGIT_BITS`] a pass from the
+/// lowest: the events start core by core in staging order, and each
+/// pass counts its digit's events, turns the counts into each digit's
+/// first position by a prefix sum and places every event, in the order
+/// the last pass left, at its digit's next position. A window up to
+/// 2^10 cycles wide — every quantum the benchmark runs — takes one pass,
+/// a one-cycle window (cc, a replay) none.
 pub(super) fn by_timestamp<'s, E: 's>(
     n: usize,
     staged: impl Fn(usize) -> &'s [Timestamped<E>],
     (from, width): (u64, u64),
-    counts: &mut Vec<u32>,
+    scratch: &mut Scratch,
     order: &mut Vec<Staged>,
 ) {
     order.clear();
-    if width == 1 || width > MAX_BUCKETS {
-        for core in 0..n {
-            order.extend((0..staged(core).len()).map(|idx| Staged::new(core, idx)));
-        }
-        // A one-cycle window is in order already; otherwise the keys are
-        // unique, so the unstable sort is the stable one.
-        if width > 1 {
-            order.sort_unstable_by_key(|s| {
-                (staged(s.core as usize)[s.idx as usize].ts, s.core, s.idx)
-            });
-        }
-        return;
-    }
-    let bucket = |ev: &Timestamped<E>| (ev.ts.as_u64() - from) as usize;
-    counts.clear();
-    counts.resize(width as usize + 1, 0);
     for core in 0..n {
-        for ev in staged(core) {
-            counts[bucket(ev) + 1] += 1;
+        order.extend(staged_of(core, staged(core)));
+    }
+    debug_assert!(order.iter().all(|s| s.ts.as_u64() - from < width));
+    let Scratch { counts, spare } = scratch;
+    let bits = u64::BITS - width.saturating_sub(1).leading_zeros();
+    let mut shift = 0;
+    while shift < bits {
+        let digit_bits = DIGIT_BITS.min(bits - shift);
+        let mask = (1 << digit_bits) - 1;
+        let digit = |s: &Staged| ((s.ts.as_u64() - from) >> shift) as usize & mask;
+        counts.clear();
+        counts.resize(mask + 2, 0);
+        for s in order.iter() {
+            counts[digit(s) + 1] += 1;
         }
-    }
-    for b in 1..counts.len() {
-        counts[b] += counts[b - 1];
-    }
-    order.resize(counts[width as usize] as usize, Staged::new(0, 0));
-    for core in 0..n {
-        for (idx, ev) in staged(core).iter().enumerate() {
-            let at = &mut counts[bucket(ev)];
-            order[*at as usize] = Staged::new(core, idx);
+        for b in 1..counts.len() {
+            counts[b] += counts[b - 1];
+        }
+        spare.resize(order.len(), Staged::new(Cycle::ZERO, 0, 0));
+        for s in order.iter() {
+            let at = &mut counts[digit(s)];
+            spare[*at as usize] = *s;
             *at += 1;
         }
+        std::mem::swap(order, spare);
+        shift += digit_bits;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Cycle;
 
     /// The merge this engine shipped with: a min-scan over every
     /// buffer's head per event, replacing the candidate only on a strictly
@@ -114,12 +131,13 @@ mod tests {
         staged: &[Vec<Timestamped<u32>>],
         window: (u64, u64),
     ) -> Vec<(usize, u64, u32)> {
-        let (mut counts, mut order) = (Vec::new(), Vec::new());
+        let mut order = Vec::new();
+        let mut scratch = Scratch::default();
         by_timestamp(
             staged.len(),
             |i| &staged[i],
             window,
-            &mut counts,
+            &mut scratch,
             &mut order,
         );
         order
@@ -184,10 +202,10 @@ mod tests {
         lone[63] = vec![Timestamped::new(Cycle::new(to - 1), 1)];
         cases.push(lone);
 
-        // Each case in the window of the timestamps drawn (`[from, to]`)
-        // as the counting sort buckets it, in a window as wide as a
-        // quantum that is sorted by comparison instead, and squeezed into
-        // one cycle, which needs no sort.
+        // Each case in the window of the timestamps drawn (`[from, to]`),
+        // which one pass sorts; in windows that take two and seven passes
+        // (a quantum of thousands of cycles, and the widest there is);
+        // and squeezed into one cycle (cc, a replay), which takes none.
         let one_cycle = |staged: &Vec<Vec<Timestamped<u32>>>| {
             let mut staged = staged.clone();
             staged
@@ -196,10 +214,22 @@ mod tests {
                 .for_each(|ev| ev.ts = Cycle::new(from));
             staged
         };
+        // Spread over all 64 bits by `t · (2^58 − 1) = t · 2^58 − t`:
+        // the order of `t` is carried by the top digit alone, and the
+        // lowest digit runs against it.
+        let spread = |staged: &Vec<Vec<Timestamped<u32>>>| {
+            let mut staged = staged.clone();
+            staged.iter_mut().flatten().for_each(|ev| {
+                let t = ev.ts.as_u64() - from;
+                ev.ts = Cycle::new(from + t * ((1 << 58) - 1))
+            });
+            staged
+        };
         let windows = cases.iter().flat_map(|staged| {
             [
                 (staged.clone(), to - from + 1),
-                (staged.clone(), MAX_BUCKETS + 1),
+                (staged.clone(), 1 << 20),
+                (spread(staged), u64::MAX - from),
                 (one_cycle(staged), 1),
             ]
         });
